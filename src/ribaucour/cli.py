@@ -10,9 +10,11 @@ Subcommands
                 grid-integrated), verify the system and its envelope.
 ``export``      sample and write the OBJ mesh without running checks.
 
-Exit codes: 0 all checks pass, 1 a residual check failed, 2 parse error
-in an expression/domain, 3 nothing to check (all samples degenerate, or
-the patch coincides with the fixed unit sphere), 4 I/O failure.
+Exit codes: 0 all checks pass, 1 a residual check failed, 2 bad input
+(unparsable expression or domain, non-finite domain bounds, a grid size
+below 2, an integration step that is not finite and positive or misses
+the chart origin), 3 nothing to check (all samples degenerate, or the
+patch coincides with the fixed unit sphere), 4 I/O failure.
 """
 from __future__ import annotations
 
@@ -33,7 +35,8 @@ from .holoexpr import ParseError
 from .mesh import export_obj, mesh_from_fields
 from .report import (identity_entry, make_report, report_exit_code,
                      write_report)
-from .ribaucour_core import (check_laguerre_holomorphy, check_middle_sphere,
+from .ribaucour_core import (cauchy_riemann_residual,
+                             check_laguerre_holomorphy, check_middle_sphere,
                              evaluate_patch, make_patch, support_pde_residual,
                              unit_sphere_gap)
 
@@ -95,6 +98,18 @@ def _residual_entry(res, tolerance, name=None):
                           res.n_valid, res.n_excluded)
 
 
+def _parse_inputs(args) -> Domain:
+    """The --domain rectangle, once the grid sizes and the step are
+    checked; raises ValueError for input the command cannot run on."""
+    if min(args.nu, args.nv) < 2:
+        raise ValueError(f"--nu and --nv must be at least 2, "
+                         f"got {args.nu} and {args.nv}")
+    step = getattr(args, "step", 1.0)
+    if not (np.isfinite(step) and step > 0.0):
+        raise ValueError(f"--step must be finite and positive, got {step}")
+    return Domain.parse(args.domain)
+
+
 def _pair_inputs(args, domain, tolerances):
     return {
         "f1": args.f1,
@@ -111,7 +126,7 @@ def _pair_inputs(args, domain, tolerances):
 
 def cmd_build(args) -> int:
     try:
-        domain = Domain.parse(args.domain)
+        domain = _parse_inputs(args)
         patch = make_patch(args.f1, args.f2, domain)
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -126,8 +141,12 @@ def cmd_build(args) -> int:
                               "(branch point or singular shape operator)",))
     pde = support_pde_residual(fields)
     sph = check_middle_sphere(fields)
-    cr = check_laguerre_holomorphy(patch, max(args.nu, 161),
-                                   max(args.nv, 161))
+    if min(args.nu, args.nv) >= 161:  # holomorphy grid already evaluated
+        spacing = domain.spacing(args.nu, args.nv)
+        cr = cauchy_riemann_residual(fields.mu, *spacing, fields.valid)
+    else:
+        cr = check_laguerre_holomorphy(patch, max(args.nu, 161),
+                                       max(args.nv, 161))
     entries = [
         _residual_entry(pde, args.tol_pde, "support_pde"),
         _residual_entry(sph, args.tol_pde, "middle_sphere"),
@@ -150,7 +169,7 @@ def cmd_build(args) -> int:
 
 def cmd_dual(args) -> int:
     try:
-        domain = Domain.parse(args.domain)
+        domain = _parse_inputs(args)
         patch = make_patch(args.f1, args.f2, domain)
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -221,7 +240,7 @@ def cmd_dual(args) -> int:
 
 def cmd_congruence(args) -> int:
     try:
-        domain = Domain.parse(args.domain)
+        domain = _parse_inputs(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -280,12 +299,18 @@ def cmd_congruence(args) -> int:
         st0 = ac.state(0.0, 0.0)
         init = CongruenceState(*(float(np.asarray(x))
                                  for x in st0.as_tuple()))
-        integ = integrate_system(ac.patch, init, consts, domain=domain,
-                                 step=args.step)
+        try:
+            integ = integrate_system(ac.patch, init, consts, domain=domain,
+                                     step=args.step)
+        except ValueError as exc:  # step too wide, or nodes miss the origin
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_PARSE
         U, V = integ.U, integ.V
-        ref = ac.state(U, V)
+        # the reference state is dropped before the envelope, which needs
+        # the memory
         agree = max(float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
-                    for a, b in zip(integ.state().as_tuple(), ref.as_tuple()))
+                    for a, b in zip(integ.state().as_tuple(),
+                                    ac.state(U, V).as_tuple()))
         env = envelope(ac.patch, integ.w, U, V)
         ms = check_middle_sphere(env)
         with np.errstate(all="ignore"):
@@ -321,7 +346,7 @@ def cmd_congruence(args) -> int:
 
 def cmd_export(args) -> int:
     try:
-        domain = Domain.parse(args.domain)
+        domain = _parse_inputs(args)
         patch = make_patch(args.f1, args.f2, domain)
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -40,13 +40,14 @@ outcomes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
-import sympy as sp
 
 from .grids import Domain
+from .holoexpr import differentiate, to_text
 from .jets import RJet2, jet_finite
-from .minimal import MinimalPatch, catenoid_patch, enneper_patch, _compile_jet
+from .minimal import MinimalPatch, catenoid_patch, enneper_patch
 from .ribaucour_core import SurfaceFields, shape_from_support
 from .sphere_geom import conformal_hessian, sphere_gradient
 
@@ -57,9 +58,6 @@ __all__ = [
     "HessianIdentityReport", "check_hessian_identities",
     "GeneratedFormsReport", "generated_forms_check",
 ]
-
-_U, _V = sp.symbols("u v", real=True)
-
 
 @dataclass(frozen=True)
 class IntegralConstants:
@@ -138,21 +136,36 @@ def _state_from_jets(patch: MinimalPatch, wj: RJet2, oj: RJet2, U, V
 # Closed-form congruence data over the built-in patches
 # ---------------------------------------------------------------------------
 
-# Candidate closed forms.  Each is validated before use; the fallback
+def _sympy():
+    """sympy and the real chart symbols u, v, imported on first use so
+    that ``import ribaucour`` never loads sympy."""
+    import sympy as sp
+    return (sp, *sp.symbols("u v", real=True))
+
+
+def _compile_jet(expr):
+    """Lambdify an expression in (u, v) and its partials to second order,
+    each broadcast to the common sample shape of (U, V)."""
+    sp, u, v = _sympy()
+    orders = [(), (u,), (v,), (u, u), (u, v), (v, v)]
+    fns = [sp.lambdify((u, v), sp.diff(expr, *o) if o else expr,
+                       modules="numpy") for o in orders]
+    def jet(U, V) -> RJet2:
+        shape = np.broadcast_shapes(np.shape(U), np.shape(V))
+        with np.errstate(all="ignore"):
+            return RJet2(*(np.broadcast_to(np.asarray(f(U, V), dtype=float),
+                                           shape) for f in fns))
+    return jet
+
+
+# Candidate closed forms (patch, W, Omega), W and Omega in the chart
+# coordinates u, v.  Each is validated before use; the fallback
 # quadrature below repairs a failing Omega.
 _ANALYTIC = {
-    "catenoid": {
-        "patch": catenoid_patch,
-        "W": (1 + _U**2 + _V**2) / (2 * sp.cosh(_V)),
-        "Omega": ((_U**2 + _V**2) * sp.cosh(_V) / 2
-                  - 2 * _V * sp.sinh(_V) + sp.Rational(5, 2) * sp.cosh(_V)),
-    },
-    "enneper": {
-        "patch": enneper_patch,
-        "W": 2 * sp.cosh(_U) / (1 + _U**2 + _V**2),
-        "Omega": ((5 + _U**2 + _V**2) * sp.cosh(_U)
-                  + 4 * _U * sp.sinh(_U) + 5 * sp.cosh(_U)),
-    },
+    "catenoid": (catenoid_patch, "(1 + u**2 + v**2) / (2*cosh(v))",
+                 "(u**2 + v**2)*cosh(v)/2 - 2*v*sinh(v) + 5*cosh(v)/2"),
+    "enneper": (enneper_patch, "2*cosh(u) / (1 + u**2 + v**2)",
+                "(5 + u**2 + v**2)*cosh(u) + 4*u*sinh(u) + 5*cosh(u)"),
 }
 
 
@@ -203,19 +216,32 @@ def _max_drift(patch, wj_fn, oj_fn, consts, U, V) -> float:
     return float(np.max(np.abs(F)))
 
 
+def _symbolic_k1(patch: MinimalPatch):
+    """k1 = 4 |g'|^2 / (a (1 + |g|^2)^2) of the patch as a sympy
+    expression in u, v."""
+    sp, u, v = _sympy()
+    def abs2(e):
+        re, im = sp.sympify(to_text(e), rational=True, locals={
+            "z": u + sp.I * v, "i": sp.I}).as_real_imag()
+        return re**2 + im**2
+    return sp.simplify(4 * abs2(differentiate(patch.g))
+                       / (sp.nsimplify(patch.a) * (1 + abs2(patch.g))**2))
+
+
 def _quadrature_omega(patch: MinimalPatch, w_expr):
     """Recover Omega symbolically from W via Omega_u = W_u/k1,
     Omega_v = W_v/k2 (exact quadrature; raises if not integrable)."""
-    sym = patch._fns["sym"]
-    omega_u = sp.simplify(sp.diff(w_expr, _U) / sym["k1"])
-    omega_v = sp.simplify(sp.diff(w_expr, _V) / sym["k2"])
-    anti = sp.integrate(omega_u, _U)
-    remainder = sp.simplify(omega_v - sp.diff(anti, _V))
-    if remainder.has(_U):
+    sp, u, v = _sympy()
+    k1 = _symbolic_k1(patch)
+    omega_u = sp.simplify(sp.diff(w_expr, u) / k1)
+    omega_v = sp.simplify(sp.diff(w_expr, v) / -k1)
+    anti = sp.integrate(omega_u, u)
+    remainder = sp.simplify(omega_v - sp.diff(anti, v))
+    if remainder.has(u):
         raise RuntimeError(
             f"congruence data over {patch.name!r} is not integrable: "
             f"v-derivative mismatch {remainder} depends on u")
-    return sp.simplify(anti + sp.integrate(remainder, _V))
+    return sp.simplify(anti + sp.integrate(remainder, v))
 
 
 def analytic_example(name: str, nu: int = 41, nv: int = 41,
@@ -231,11 +257,14 @@ def analytic_example(name: str, nu: int = 41, nv: int = 41,
     if name not in _ANALYTIC:
         raise KeyError(f"no analytic congruence named {name!r}; "
                        f"choose from {sorted(_ANALYTIC)}")
-    spec = _ANALYTIC[name]
-    patch = spec["patch"]()
+    sp, u, v = _sympy()
+    make_patch, w_text, omega_text = _ANALYTIC[name]
+    patch = make_patch()
+    w_expr, omega_lit = (sp.sympify(t, locals={"u": u, "v": v})
+                         for t in (w_text, omega_text))
     U, V, _ = Domain(-1.0, 1.0, -1.0, 1.0).mesh(nu, nv)
-    wj_fn = _compile_jet(spec["W"])
-    oj_lit = _compile_jet(spec["Omega"])
+    wj_fn = _compile_jet(w_expr)
+    oj_lit = _compile_jet(omega_lit)
 
     lit_res = system_residuals(patch, wj_fn, oj_lit, U, V)
     c_lit = _origin_constant(patch, wj_fn, oj_lit)
@@ -252,11 +281,11 @@ def analytic_example(name: str, nu: int = 41, nv: int = 41,
             residuals=lit_res, drift=lit_drift, used_fallback=False,
             literal_residuals=lit_res, literal_drift=lit_drift,
             literal_constants=lit_consts,
-            omega_text=str(spec["Omega"]))
+            omega_text=str(omega_lit))
 
     # fallback: integrate Omega exactly and refit the constants
-    omega_base = _quadrature_omega(patch, spec["W"])
-    omega_base = sp.simplify(omega_base - omega_base.subs({_U: 0, _V: 0}))
+    omega_base = _quadrature_omega(patch, w_expr)
+    omega_base = sp.simplify(omega_base - omega_base.subs({u: 0, v: 0}))
     base_fn = _compile_jet(omega_base)
     Wv = wj_fn(U, V).val
     Bv = base_fn(U, V).val
@@ -294,11 +323,9 @@ def analytic_example(name: str, nu: int = 41, nv: int = 41,
 # Numerical integration of the system
 # ---------------------------------------------------------------------------
 
-def _rhs_u(patch, consts, u, v, y):
+def _rhs_u(consts, coef, y):
     om, o1, o2, w = y
-    phi = patch.phi(u, v)
-    pv = patch.phi_dv(u, v)
-    k1 = patch.k1(u, v)
+    phi, pv, k1 = coef
     a = consts.c * w - 0.5 * consts.c3
     b = consts.c * om - w - 0.5 * consts.c2
     return (phi * o1,
@@ -307,11 +334,9 @@ def _rhs_u(patch, consts, u, v, y):
             o1 * k1 * phi)
 
 
-def _rhs_v(patch, consts, u, v, y):
+def _rhs_v(consts, coef, y):
     om, o1, o2, w = y
-    phi = patch.phi(u, v)
-    pu = patch.phi_du(u, v)
-    k2 = patch.k2(u, v)
+    phi, pu, k2 = coef
     a = consts.c * w - 0.5 * consts.c3
     b = consts.c * om - w - 0.5 * consts.c2
     return (phi * o2,
@@ -320,23 +345,24 @@ def _rhs_v(patch, consts, u, v, y):
             o2 * k2 * phi)
 
 
-def _rk4_step(f, t, y, h):
-    s1 = f(t, y)
-    s2 = f(t + 0.5 * h, tuple(a + 0.5 * h * b for a, b in zip(y, s1)))
-    s3 = f(t + 0.5 * h, tuple(a + 0.5 * h * b for a, b in zip(y, s2)))
-    s4 = f(t + h, tuple(a + h * b for a, b in zip(y, s3)))
-    return tuple(a + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                 for a, b1, b2, b3, b4 in zip(y, s1, s2, s3, s4))
-
-
-def _march(f, t, i0, y0):
-    """March a state along nodes t with RK4, outward from index i0."""
+def _march(f, coef, t, i0, y0):
+    """March a state along uniform nodes t with RK4, outward from index
+    i0; ``coef[k]`` holds the chart coefficients at node k/2."""
     ys = [None] * len(t)
     ys[i0] = y0
+    def step(i, d):
+        h, y = t[i + d] - t[i], ys[i]
+        c0, c1, c2 = coef[2 * i], coef[2 * i + d], coef[2 * i + 2 * d]
+        s1 = f(c0, y)
+        s2 = f(c1, tuple(a + 0.5 * h * b for a, b in zip(y, s1)))
+        s3 = f(c1, tuple(a + 0.5 * h * b for a, b in zip(y, s2)))
+        s4 = f(c2, tuple(a + h * b for a, b in zip(y, s3)))
+        ys[i + d] = tuple(a + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                          for a, b1, b2, b3, b4 in zip(y, s1, s2, s3, s4))
     for i in range(i0, len(t) - 1):
-        ys[i + 1] = _rk4_step(f, t[i], ys[i], t[i + 1] - t[i])
+        step(i, 1)
     for i in range(i0, 0, -1):
-        ys[i - 1] = _rk4_step(f, t[i], ys[i], t[i - 1] - t[i])
+        step(i, -1)
     return ys
 
 
@@ -382,6 +408,9 @@ def integrate_system(patch: MinimalPatch, init: CongruenceState,
         nv = int(round((domain.v1 - domain.v0) / step)) + 1
     nu = nu or 101
     nv = nv or 101
+    if nu < 2 or nv < 2:
+        raise ValueError(f"integration needs at least 2 nodes per "
+                         f"direction, got {nu} x {nv}")
     u = np.linspace(domain.u0, domain.u1, nu)
     v = np.linspace(domain.v0, domain.v1, nv)
     iu0 = int(np.argmin(np.abs(u - init_at[0])))
@@ -390,36 +419,30 @@ def integrate_system(patch: MinimalPatch, init: CongruenceState,
     if abs(u[iu0] - init_at[0]) > 1e-9 * max(1.0, hu) \
             or abs(v[iv0] - init_at[1]) > 1e-9 * max(1.0, hv):
         raise ValueError(f"init_at {init_at} is not a grid node")
-    y0 = tuple(float(x) for x in init.as_tuple())
+    y0 = tuple(np.array([float(x)]) for x in init.as_tuple())
 
-    def fill(rows_first: bool):
-        fields = [np.empty((nu, nv)) for _ in range(4)]
-        if rows_first:
-            f_row = lambda t, y: _rhs_u(patch, consts, t, v[iv0], y)
-            for i, ys in enumerate(_march(f_row, u, iu0, y0)):
-                for a, val in zip(fields, ys):
-                    a[i, iv0] = val
-            f_col = lambda t, y: _rhs_v(patch, consts, u, t, y)
-            y0c = tuple(a[:, iv0].copy() for a in fields)
-            for j, ys in enumerate(_march(f_col, v, iv0, y0c)):
-                for a, val in zip(fields, ys):
-                    a[:, j] = val
+    def sweep(along_u: bool, fixed: np.ndarray, y_start):
+        """RK4 march of y_start out of the initial node along u (or v), at
+        each ``fixed`` value of the other coordinate; one call evaluates
+        the chart coefficients at every stage abscissa."""
+        t, i0 = (u, iu0) if along_u else (v, iv0)
+        s = np.linspace(t[0], t[-1], 2 * len(t) - 1)[:, None]
+        phi, pu, pv, k1 = (patch.chart_scalars(s, fixed[None, :]) if along_u
+                           else patch.chart_scalars(fixed[None, :], s))
+        if along_u:
+            f, coef = partial(_rhs_u, consts), list(zip(phi, pv, k1))
         else:
-            f_col = lambda t, y: _rhs_v(patch, consts, u[iu0], t, y)
-            for j, ys in enumerate(_march(f_col, v, iv0, y0)):
-                for a, val in zip(fields, ys):
-                    a[iu0, j] = val
-            f_row = lambda t, y: _rhs_u(patch, consts, t, v, y)
-            y0r = tuple(a[iu0, :].copy() for a in fields)
-            for i, ys in enumerate(_march(f_row, u, iu0, y0r)):
-                for a, val in zip(fields, ys):
-                    a[i, :] = val
-        return fields
+            f, coef = partial(_rhs_v, consts), list(zip(phi, pu, -k1))
+        ys = _march(f, coef, t, i0, y_start)
+        return [np.stack(c, axis=0 if along_u else 1) for c in zip(*ys)]
 
-    om, o1, o2, w = fill(rows_first=True)
+    # row first, then every column; when checking, also the other order
+    row = sweep(True, v[iv0:iv0 + 1], y0)
+    om, o1, o2, w = sweep(False, u, tuple(a.ravel() for a in row))
     path_gap = float("nan")
     if check_paths:
-        alt = fill(rows_first=False)
+        col = sweep(False, u[iu0:iu0 + 1], y0)
+        alt = sweep(True, v, tuple(a.ravel() for a in col))
         path_gap = max(float(np.max(np.abs(a - b)))
                        for a, b in zip((om, o1, o2, w), alt))
     state = CongruenceState(om, o1, o2, w)
@@ -462,18 +485,20 @@ def envelope(patch: MinimalPatch, w, U, V) -> SurfaceFields:
     array of W values over a uniform grid (finite differences then supply
     the partials and a two-sample rim is masked).
     """
+    if not (callable(w) or isinstance(w, RJet2)):
+        W = np.asarray(w, dtype=float)
+        if W.ndim != 2 or W.shape != np.shape(U):
+            raise ValueError("array-valued W must match the grid shape")
+    # the frame first: its construction needs more scratch memory than
+    # any later step, so nothing else should be held while it runs
+    frame = patch.frame(U, V)
     if callable(w):
         wj = w(U, V)
     elif isinstance(w, RJet2):
         wj = w
     else:
-        W = np.asarray(w, dtype=float)
-        if W.ndim != 2 or W.shape != np.shape(U):
-            raise ValueError("array-valued W must match the grid shape")
-        hu = float(U[1, 0] - U[0, 0])
-        hv = float(V[0, 1] - V[0, 0])
-        wj = _fd_jet(W, hu, hv)
-    return shape_from_support(patch.frame(U, V), wj)
+        wj = _fd_jet(W, float(U[1, 0] - U[0, 0]), float(V[0, 1] - V[0, 0]))
+    return shape_from_support(frame, wj)
 
 
 @dataclass
@@ -487,17 +512,6 @@ class HessianIdentityReport:
     n_excluded: int
     tol: float
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "max_hessian_omega": self.max_hessian_omega,
-            "max_hessian_w": self.max_hessian_w,
-            "max_gradient_link": self.max_gradient_link,
-            "compared": self.n_compared,
-            "excluded": self.n_excluded,
-            "tolerance": self.tol,
-            "pass": self.passed,
-        }
 
 
 def check_hessian_identities(patch: MinimalPatch, w_jet, omega_jet,
@@ -576,18 +590,6 @@ class GeneratedFormsReport:
     n_excluded: int
     tol: float
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "max_rel_first_form": self.max_rel_first,
-            "max_rel_second_form": self.max_rel_second,
-            "max_rel_third_form": self.max_rel_third,
-            "max_hover_k_rel": self.max_hover_k_rel,
-            "compared": self.n_compared,
-            "excluded": self.n_excluded,
-            "tolerance": self.tol,
-            "pass": self.passed,
-        }
 
 
 def generated_forms_check(patch: MinimalPatch, w_jet, omega_jet,

@@ -19,6 +19,8 @@ class Domain:
     v1: float
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.u0, self.u1, self.v0, self.v1])):
+            raise ValueError(f"domain bounds must be finite, got {self}")
         if not (self.u1 > self.u0 and self.v1 > self.v0):
             raise ValueError(f"empty domain {self}")
 

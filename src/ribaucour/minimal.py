@@ -1,214 +1,176 @@
-"""Built-in minimal surface patches in conformal curvature-line charts.
+"""Minimal surface patches from Weierstrass data, in conformal
+curvature-line charts.
 
-Each patch is given by a closed-form immersion X(u, v) whose chart is
-simultaneously conformal (<X_u,X_v> = 0, |X_u| = |X_v| = phi) and
-curvature-line (II diagonal).  The geometry — unit normal with partials,
-conformal factor, principal curvatures, and the conformal factor of the
-normal's pullback metric — is derived symbolically with sympy from the
-immersion alone and compiled to vectorized numpy callables, so no finite
-differencing enters the congruence machinery built on top.
+A patch is a holomorphic Gauss map g in z = u + iv, a real scale a > 0
+and the point X(0, 0).  With the Weierstrass factor F = a / (2 g') the
+product F g' is real and constant, so the chart is conformal and
+curvature-line:
 
-The unit normal is oriented so the principal curvature along u is
-non-negative at the domain centre; the sphere-congruence data in
-:mod:`ribaucour.congruence` depends on this choice of sign.
+    X_u - i X_v = F (1 - g^2, i (1 + g^2), 2 g).
+
+Everything else follows from jets of g, with no finite differencing: the
+unit normal N = -stereo(g), oriented so that the principal curvature
+along u is positive (as :mod:`ribaucour.congruence` requires); the
+conformal factor phi = a (1 + |g|^2) / (2 |g'|); the principal
+curvatures k1 = -k2 = e^tau / phi = a / phi^2; and the position X, a
+Gauss-Legendre line integral of X_u - i X_v from the chart origin.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import sympy as sp
 
 from .grids import Domain
-from .jets import RJet2
-from .sphere_geom import SphereFrame
+from .holoexpr import HoloExpr, Neg, eval_jet, parse
+from .jets import RJet2, abs2_jet
+from .sphere_geom import SphereFrame, frame_from_jet
 
 __all__ = ["MinimalPatch", "enneper_patch", "catenoid_patch",
            "conformality_residual"]
 
-_U, _V = sp.symbols("u v", real=True)
+# 24-node Gauss-Legendre rule on [0, 1] for the position integral
+_GL_T, _GL_W = np.polynomial.legendre.leggauss(24)
+_GL_T, _GL_W = 0.5 * (_GL_T + 1.0), 0.5 * _GL_W
 
 
-def _compile(expr):
-    """Lambdify one expression; result broadcasts to the common sample
-    shape of (U, V) even when the expression drops a variable."""
-    fn = sp.lambdify((_U, _V), expr, modules="numpy")
-    def call(U, V) -> np.ndarray:
-        shape = np.broadcast_shapes(np.shape(U), np.shape(V))
-        return np.broadcast_to(np.asarray(fn(U, V), dtype=float), shape)
-    return call
+def _z(U, V):
+    return np.asarray(U) + 1j * np.asarray(V)
 
 
-def _compile_jet(expr):
-    """Lambdify an expression and its partials to second order."""
-    orders = [(), (_U,), (_V,), (_U, _U), (_U, _V), (_V, _V)]
-    fns = [_compile(sp.diff(expr, *o) if o else expr) for o in orders]
-    def jet(U, V) -> RJet2:
-        with np.errstate(all="ignore"):
-            return RJet2(*(f(U, V) for f in fns))
-    return jet
-
-
-def _compile_vec(exprs):
-    fns = [_compile(e) for e in exprs]
-    def vec(U, V) -> np.ndarray:
-        return np.stack([f(U, V) for f in fns], axis=-1)
-    return vec
+def _weierstrass(F, g) -> np.ndarray:
+    """F (1 - g^2, i (1 + g^2), 2 g), stacked on a last axis of length 3."""
+    g2 = g * g
+    return np.stack([F * (1.0 - g2), 1j * F * (1.0 + g2), 2.0 * F * g],
+                    axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
 class MinimalPatch:
-    """A minimal immersion with its symbolically derived shape data."""
+    """The minimal immersion with Gauss map ``g``, scale ``a`` and
+    X(0, 0) = ``origin``, in its conformal curvature-line chart."""
 
     name: str
     domain: Domain
-    _fns: dict = field(repr=False)
+    g: HoloExpr
+    a: float
+    origin: tuple = (0.0, 0.0, 0.0)
 
     # -- immersion ----------------------------------------------------------
 
     def position(self, U, V) -> np.ndarray:
-        return self._fns["X"](U, V)
+        """X = origin + Re(z int_0^1 (X_u - i X_v)(t z) dt), the integral
+        by the 24-node Gauss-Legendre rule."""
+        z = _z(U, V)
+        acc = 0.0
+        with np.errstate(all="ignore"):
+            for t, w in zip(_GL_T, _GL_W):
+                g, g1 = eval_jet(self.g, t * z, 1).values
+                acc = acc + w * _weierstrass(0.5 * self.a / g1, g)
+        return np.asarray(self.origin) + (z[..., None] * acc).real
 
     def position_derivatives(self, U, V) -> dict:
-        """First and second partials of X, each of shape (..., 3)."""
-        return {k: self._fns[k](U, V)
-                for k in ("Xu", "Xv", "Xuu", "Xuv", "Xvv")}
+        """First and second partials of X, each of shape (..., 3), read off
+        X_u - i X_v and its z-derivative (X is harmonic: X_vv = -X_uu)."""
+        g, g1, g2 = eval_jet(self.g, _z(U, V), 2).values
+        with np.errstate(all="ignore"):
+            F = 0.5 * self.a / g1
+            w = _weierstrass(F, g)
+            # d/dz of F (1 - g^2, ...) with F' = -F g''/g' and 2 F g' = a
+            dw = (_weierstrass(-F * g2 / g1, g)
+                  + self.a * np.stack([-g, 1j * g, np.ones_like(g)], axis=-1))
+        return {"Xu": w.real, "Xv": -w.imag,
+                "Xuu": dw.real, "Xuv": -dw.imag, "Xvv": -dw.real}
 
     def normal(self, U, V) -> np.ndarray:
-        return self._fns["N"](U, V)
+        """Unit normal X_v x X_u / |X_v x X_u| from the tangents; this is
+        the orientation N = -stereo(g) of :meth:`frame`."""
+        d = self.position_derivatives(U, V)
+        n = np.cross(d["Xv"], d["Xu"])
+        return n / np.linalg.norm(n, axis=-1, keepdims=True)
 
     # -- scalar shape data --------------------------------------------------
 
+    def chart_scalars(self, U, V):
+        """(phi, phi_u, phi_v, k1) from one order-2 jet of g, through
+        phi_u - i phi_v = 2 phi d/dz log phi with
+        d/dz log phi = g' conj(g) / (1 + |g|^2) - g'' / (2 g')."""
+        g, g1, g2 = eval_jet(self.g, _z(U, V), 2).values
+        with np.errstate(all="ignore"):
+            s1 = 1.0 + np.abs(g) ** 2
+            phi = 0.5 * self.a * s1 / np.abs(g1)
+            d = 2.0 * phi * (g1 * np.conj(g) / s1 - 0.5 * g2 / g1)
+            return phi, d.real, -d.imag, self.a / (phi * phi)
+
     def phi(self, U, V):
         """Conformal factor |X_u| = |X_v|."""
-        return self._fns["phi"](U, V)
+        return self.chart_scalars(U, V)[0]
 
     def phi_du(self, U, V):
-        return self._fns["phi_u"](U, V)
+        return self.chart_scalars(U, V)[1]
 
     def phi_dv(self, U, V):
-        return self._fns["phi_v"](U, V)
+        return self.chart_scalars(U, V)[2]
 
     def phi_jet(self, U, V) -> RJet2:
-        return self._fns["phi_jet"](U, V)
+        """phi = a (1 + |g|^2) / (2 |g'|) with second-order partials."""
+        j = eval_jet(self.g, _z(U, V), 3)
+        with np.errstate(all="ignore"):
+            return ((0.5 * self.a) * (abs2_jet(j) + 1.0)
+                    / abs2_jet(j.derivative()).sqrt())
 
     def log_phi_jet(self, U, V) -> RJet2:
         return self.phi_jet(U, V).log()
 
     def k1(self, U, V):
         """Principal curvature along u."""
-        return self._fns["k1"](U, V)
+        return self.chart_scalars(U, V)[3]
 
     def k2(self, U, V):
         """Principal curvature along v (= -k1: minimal)."""
-        return self._fns["k2"](U, V)
-
-    def second_uv(self, U, V):
-        """Off-diagonal second-form coefficient (zero in these charts)."""
-        return self._fns["ii_uv"](U, V)
+        return -self.k1(U, V)
 
     # -- Gauss-map frame ----------------------------------------------------
 
     def frame(self, U, V) -> SphereFrame:
-        """Unit-normal frame with jets, metric factor e^{2 tau} = k1^2 E.
-        Flat samples (k1 = 0) degenerate and are flagged."""
-        with np.errstate(all="ignore"):
-            nx = self._fns["N_jets"][0](U, V)
-            ny = self._fns["N_jets"][1](U, V)
-            nz = self._fns["N_jets"][2](U, V)
-            tau = self._fns["tau_jet"](U, V)
-        finite = np.isfinite(np.asarray(tau.val))
-        return SphereFrame(nx, ny, nz, tau, ~finite)
+        """Frame of N = -stereo(g), the antipode of g's Gauss-map frame,
+        with the same metric factor e^{2 tau} = k1^2 phi^2.  Zeros of g'
+        (flat points) are flagged as branch samples.
 
-
-_CACHE: dict = {}
-
-
-def _build_patch(name: str, xyz, domain: Domain) -> MinimalPatch:
-    key = (name, domain)
-    if key in _CACHE:
-        return _CACHE[key]
-    u, v = _U, _V
-    X = sp.Matrix([sp.sympify(c) for c in xyz])
-    Xu, Xv = X.diff(u), X.diff(v)
-    Xuu, Xvv = X.diff(u, 2), X.diff(v, 2)
-    Xuv = sp.diff(X, u, v)
-    E = sp.factor(sp.expand(Xu.dot(Xu)))
-    cross = Xu.cross(Xv)
-    nsq = sp.factor(sp.expand(cross.dot(cross)))
-    N0 = cross / sp.sqrt(nsq)
-    ii_uu0 = sp.simplify(Xuu.dot(N0))
-    ii_vv0 = sp.simplify(Xvv.dot(N0))
-    ii_uv0 = sp.simplify(Xuv.dot(N0))
-    # orient the normal so k1 (the u-direction curvature) >= 0 at centre
-    centre = {u: (domain.u0 + domain.u1) / 2, v: (domain.v0 + domain.v1) / 2}
-    k1_centre = float((ii_uu0 / E).subs(centre))
-    sgn = -1 if k1_centre < 0 else 1
-    N = sgn * N0
-    k1 = sp.simplify(sgn * ii_uu0 / E)
-    k2 = sp.simplify(sgn * ii_vv0 / E)
-    phi = sp.sqrt(E)
-    e2tau = sp.simplify(k1 * k1 * E)
-    # a flat patch (k1 = 0) has a degenerate normal metric; represent tau
-    # as NaN so the frame is branch-flagged instead of failing to compile
-    tau = sp.nan if e2tau.is_zero else sp.log(e2tau) / 2
-    fns = {
-        "X": _compile_vec(list(X)),
-        "Xu": _compile_vec(list(Xu)), "Xv": _compile_vec(list(Xv)),
-        "Xuu": _compile_vec(list(Xuu)), "Xuv": _compile_vec(list(Xuv)),
-        "Xvv": _compile_vec(list(Xvv)),
-        "N": _compile_vec(list(N)),
-        "N_jets": [_compile_jet(c) for c in N],
-        "tau_jet": _compile_jet(tau),
-        "phi_jet": _compile_jet(phi),
-        "phi": _compile(phi),
-        "phi_u": _compile(sp.diff(phi, u)),
-        "phi_v": _compile(sp.diff(phi, v)),
-        "k1": _compile(k1), "k2": _compile(k2),
-        "ii_uv": _compile(sgn * ii_uv0),
-        "F": _compile(Xu.dot(Xv)),
-        "G": _compile(Xv.dot(Xv)),
-        "E": _compile(E),
-        # symbolic shape data, kept for exact quadrature of congruence data
-        "sym": {"phi": phi, "E": E, "k1": k1, "k2": k2},
-    }
-    patch = MinimalPatch(name=name, domain=domain, _fns=fns)
-    _CACHE[key] = patch
-    return patch
+        -stereo(g) is stereo(-g) reflected in the equatorial plane, so
+        only the third component of that frame changes sign."""
+        f = frame_from_jet(eval_jet(Neg(self.g), _z(U, V), 3))
+        return SphereFrame(f.nx, f.ny, -f.nz, f.tau, f.branch)
 
 
 def enneper_patch(domain: Domain | None = None) -> MinimalPatch:
-    """Enneper's surface; chart conformal factor phi = 1 + u^2 + v^2 and
-    principal curvatures +-2/phi^2."""
-    u, v = _U, _V
-    xyz = (u - u**3 / 3 + u * v**2,
-           -(v - v**3 / 3 + v * u**2),
-           u**2 - v**2)
-    return _build_patch("enneper", xyz,
-                        domain or Domain(-1.2, 1.2, -1.2, 1.2))
+    """Enneper's surface, g = z and a = 2; chart conformal factor
+    phi = 1 + u^2 + v^2 and principal curvatures +-2/phi^2."""
+    return MinimalPatch("enneper", domain or Domain(-1.2, 1.2, -1.2, 1.2),
+                        parse("z"), 2.0)
 
 
 def catenoid_patch(domain: Domain | None = None) -> MinimalPatch:
-    """The catenoid around the z-axis; phi = cosh v, curvatures
-    +-1/cosh^2 v.  Default domain covers one period less a seam overlap
-    and the waist band used by the congruence examples."""
-    u, v = _U, _V
-    xyz = (sp.cosh(v) * sp.cos(u), sp.cosh(v) * sp.sin(u), v)
-    return _build_patch("catenoid", xyz,
-                        domain or Domain(-np.pi, np.pi, -1.2, 1.2))
+    """The catenoid around the z-axis, g = e^{iz} and a = 1, through
+    (1, 0, 0); phi = cosh v, curvatures +-1/cosh^2 v.  Default domain
+    covers one period less a seam overlap and the waist band used by the
+    congruence examples."""
+    return MinimalPatch("catenoid", domain or Domain(-np.pi, np.pi, -1.2, 1.2),
+                        parse("exp(i*z)"), 1.0, (1.0, 0.0, 0.0))
 
 
 def conformality_residual(patch: MinimalPatch, U, V) -> dict:
     """Max deviations from the chart contract on the samples: inner
     product <X_u,X_v>, length gap ||X_u|-|X_v||, off-diagonal second-form
     coefficient, and minimality |k1+k2|."""
-    F = patch._fns["F"](U, V)
-    E = patch._fns["E"](U, V)
-    G = patch._fns["G"](U, V)
+    d = patch.position_derivatives(U, V)
+    Xu, Xv = d["Xu"], d["Xv"]
     return {
-        "inner": float(np.max(np.abs(F))),
-        "length": float(np.max(np.abs(np.sqrt(E) - np.sqrt(G)))),
-        "second_uv": float(np.max(np.abs(patch.second_uv(U, V)))),
+        "inner": float(np.max(np.abs(np.sum(Xu * Xv, axis=-1)))),
+        "length": float(np.max(np.abs(np.linalg.norm(Xu, axis=-1)
+                                      - np.linalg.norm(Xv, axis=-1)))),
+        "second_uv": float(np.max(np.abs(
+            np.sum(d["Xuv"] * patch.normal(U, V), axis=-1)))),
         "minimality": float(np.max(np.abs(patch.k1(U, V) + patch.k2(U, V)))),
     }

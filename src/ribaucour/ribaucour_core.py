@@ -115,6 +115,7 @@ def _principal(b11, b12, b22, umbilic_tol: float):
         disc = np.sqrt(half * half + b12 * b12)
         lam_hi = mean + disc
         lam_lo = mean - disc
+        del mean, half, disc   # bound the scratch memory on large grids
         det = lam_hi * lam_lo
         scale = np.maximum(1.0, lam_hi * lam_hi + lam_lo * lam_lo)
         k_a = 1.0 / lam_hi
@@ -130,6 +131,7 @@ def _principal(b11, b12, b22, umbilic_tol: float):
         swap = k_b > k_a
         k1 = np.where(swap, k_b, k_a)
         k2 = np.where(swap, k_a, k_b)
+        del k_a, k_b
         d_hi = np.stack([ex, ey], axis=-1)
         d_lo = np.stack([-ey, ex], axis=-1)
         dir1 = np.where(swap[..., None], d_lo, d_hi)

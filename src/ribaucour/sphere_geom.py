@@ -81,18 +81,27 @@ def frame_from_jet(j: CJet) -> SphereFrame:
     """Build the sphere frame from an order-3 complex jet of f."""
     if j.order < 3:
         raise ValueError("frame construction needs an order-3 jet")
+    # jet division is multiplication by the reciprocal; each intermediate
+    # jet is released as soon as it is used, to bound the scratch memory
     with np.errstate(all="ignore"):
         p, q = re_jet(j), im_jet(j)
         s = p * p + q * q          # |f|^2
         denom = s + 1.0
-        nx = 2.0 * p / denom
-        ny = 2.0 * q / denom
-        nz = (s - 1.0) / denom
         dsq = abs2_jet(j.derivative())   # |f'|^2 with second-order partials
-        e2t = 4.0 * dsq / (denom * denom)
+        nonflat = np.asarray(dsq.val) > 0.0
+        e2t = 4.0 * dsq * (denom * denom)._reciprocal()
+        del dsq
         tau = 0.5 * e2t.log()
+        del e2t
+        inv = denom._reciprocal()
+        del denom
+        nx = 2.0 * p * inv
+        ny = 2.0 * q * inv
+        del p, q
+        nz = (s - 1.0) * inv
+        del s, inv
     good = jet_finite(nx) & jet_finite(ny) & jet_finite(nz) & jet_finite(tau)
-    branch = ~(np.asarray(dsq.val) > 0.0) | ~good
+    branch = ~nonflat | ~good
     return SphereFrame(nx, ny, nz, tau, branch)
 
 

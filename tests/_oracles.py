@@ -98,6 +98,19 @@ def fd_principal_curvatures(patch, z0, h=STEP):
     return k1_fd, k2_fd, k1_s, k2_s, ok
 
 
+def enneper_position(U, V):
+    """Enneper's surface in its curvature-line chart, shape (..., 3)."""
+    return np.stack([U - U**3 / 3 + U * V**2,
+                     -(V - V**3 / 3 + V * U**2),
+                     U**2 - V**2], axis=-1)
+
+
+def catenoid_position(U, V):
+    """The catenoid around the z-axis with waist radius 1, (..., 3)."""
+    return np.stack([np.cosh(V) * np.cos(U), np.cosh(V) * np.sin(U), V],
+                    axis=-1)
+
+
 def rel_gap(a, b):
     """Elementwise |a-b| / max(|a|, |b|), zero when both vanish."""
     a = np.asarray(a, dtype=float)

@@ -10,8 +10,9 @@ from ribaucour.congruence import (CongruenceState, IntegralConstants,
                                   system_residuals)
 from ribaucour.grids import Domain
 from ribaucour.jets import RJet2
-from ribaucour.minimal import _build_patch, _U, _V, catenoid_patch
+from ribaucour.minimal import catenoid_patch
 from ribaucour.ribaucour_core import check_middle_sphere
+from ribaucour.sphere_geom import SphereFrame
 
 SQUARE = Domain(-1.0, 1.0, -1.0, 1.0)
 
@@ -24,6 +25,35 @@ def catenoid_data():
 @pytest.fixture(scope="module")
 def enneper_data():
     return analytic_example("enneper")
+
+
+class _FlatPatch:
+    """The plane X = (u, v, 0) in the interface of a minimal patch:
+    phi = 1, k1 = k2 = 0, and a constant normal whose pullback metric
+    vanishes, so every frame sample is flagged as a branch point."""
+
+    def chart_scalars(self, U, V):
+        one = np.ones(np.broadcast_shapes(np.shape(U), np.shape(V)))
+        return one, 0.0 * one, 0.0 * one, 0.0 * one
+
+    def phi_jet(self, U, V):
+        return RJet2.constant(self.chart_scalars(U, V)[0])
+
+    def k1(self, U, V):
+        return self.chart_scalars(U, V)[3]
+
+    k2 = k1
+
+    def position_derivatives(self, U, V):
+        one, zero = self.chart_scalars(U, V)[:2]
+        return {"Xu": np.stack([one, zero, zero], axis=-1),
+                "Xv": np.stack([zero, one, zero], axis=-1)}
+
+    def frame(self, U, V):
+        one, zero = self.chart_scalars(U, V)[:2]
+        return SphereFrame(RJet2.constant(zero), RJet2.constant(zero),
+                           RJet2.constant(one), RJet2.constant(zero * np.nan),
+                           one > 0.0)
 
 
 def _square_grid(n=41):
@@ -131,8 +161,7 @@ def test_integration_start_must_be_a_grid_node(catenoid_data):
 def test_integration_on_flat_patch_is_exactly_constant():
     # a plane has k1 = k2 = 0, so W never changes; choosing c3 = 2 c W0
     # also freezes Omega, and every right-hand side is exactly zero
-    plane = _build_patch("plane-test", (_U, _V, _U * 0),
-                        Domain(-1.0, 1.0, -1.0, 1.0))
+    plane = _FlatPatch()
     w0, om0 = 0.75, 2.0
     consts = IntegralConstants(c=1.0, c1=1.0, c2=0.0, c3=2.0 * w0)
     init = CongruenceState(om0, 0.0, 0.0, w0)

@@ -1,24 +1,40 @@
-"""Reference minimal surfaces in conformal curvature-line charts."""
+"""Minimal surfaces from Weierstrass data in conformal curvature-line
+charts."""
 
 import numpy as np
 
-from _oracles import fd_partials_scalar, rel_gap
+from _oracles import (catenoid_position, enneper_position,
+                      fd_partials_scalar, rel_gap)
 from ribaucour.grids import Domain
-from ribaucour.minimal import (catenoid_patch, conformality_residual,
-                               enneper_patch)
+from ribaucour.holoexpr import parse
+from ribaucour.minimal import (MinimalPatch, catenoid_patch,
+                               conformality_residual, enneper_patch)
 
 ENNEPER_PTS = [(0.0, 0.0), (0.5, -0.3), (-0.8, 0.7), (1.0, 1.0)]
 CATENOID_PTS = [(0.0, 0.0), (1.2, -0.5), (-2.0, 0.9), (0.4, 1.1)]
+SINH_PTS = [(0.0, 0.0), (0.5, -0.3), (-0.8, 0.7), (0.9, 0.9)]
+
+
+def sinh_patch():
+    """A patch with no closed form in the package: g = sinh z, a = 1, on
+    the unit square, where g' = cosh z has no zeros."""
+    return MinimalPatch("sinh", Domain(-1.0, 1.0, -1.0, 1.0),
+                        parse("sinh(z)"), 1.0)
+
+
+def _patches_and_points():
+    return ((enneper_patch(), ENNEPER_PTS), (catenoid_patch(), CATENOID_PTS),
+            (sinh_patch(), SINH_PTS))
 
 
 def _grids():
-    enneper = enneper_patch()
-    catenoid = catenoid_patch()
-    Ue, Ve = np.meshgrid(np.linspace(-1.2, 1.2, 15),
-                         np.linspace(-1.2, 1.2, 15), indexing="ij")
-    Uc, Vc = np.meshgrid(np.linspace(-np.pi, np.pi, 15),
-                         np.linspace(-1.2, 1.2, 15), indexing="ij")
-    return (enneper, Ue, Ve), (catenoid, Uc, Vc)
+    out = []
+    for patch in (enneper_patch(), catenoid_patch(), sinh_patch()):
+        d = patch.domain
+        U, V = np.meshgrid(np.linspace(d.u0, d.u1, 15),
+                           np.linspace(d.v0, d.v1, 15), indexing="ij")
+        out.append((patch, U, V))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -34,6 +50,13 @@ def test_reference_points():
     # catenoid waist circle has radius 1
     r = np.linalg.norm(catenoid.position(2.0, 0.0)[:2])
     assert abs(r - 1.0) <= 1e-12
+
+
+def test_position_matches_closed_form_immersions():
+    # the Gauss-Legendre line integral against the textbook immersions
+    for (patch, U, V), exact in zip(_grids(), (enneper_position,
+                                                catenoid_position)):
+        assert np.max(np.abs(patch.position(U, V) - exact(U, V))) <= 1e-13
 
 
 def test_charts_are_conformal_curvature_line():
@@ -77,8 +100,7 @@ def test_phi_jet_partials():
 # ---------------------------------------------------------------------------
 
 def test_position_derivatives_match_finite_differences():
-    for patch, pts in ((enneper_patch(), ENNEPER_PTS),
-                       (catenoid_patch(), CATENOID_PTS)):
+    for patch, pts in _patches_and_points():
         for u0, v0 in pts:
             d = patch.position_derivatives(u0, v0)
             du, dv, duu, duv, dvv = fd_partials_scalar(
@@ -93,8 +115,7 @@ def test_position_derivatives_match_finite_differences():
 def test_principal_curvatures_match_form_oracle():
     # fundamental forms from differenced positions only; unit normal from
     # the cross product, sign-aligned with the patch orientation
-    for patch, pts in ((enneper_patch(), ENNEPER_PTS),
-                       (catenoid_patch(), CATENOID_PTS)):
+    for patch, pts in _patches_and_points():
         for u0, v0 in pts:
             du, dv, duu, duv, dvv = fd_partials_scalar(
                 patch.position, u0, v0)
@@ -135,15 +156,14 @@ def test_frame_metric_factor():
     for patch, U, V in _grids():
         frame = patch.frame(U, V)
         k1 = patch.k1(U, V)
-        E = patch._fns["E"](U, V)
+        E = patch.phi(U, V) ** 2
         pred = k1 * k1 * E
         assert np.max(rel_gap(frame.e2tau, pred)) <= 1e-10, patch.name
 
 
 def test_normal_rotates_with_principal_curvatures():
     # in a curvature-line chart dN = -k1 X_u du - k2 X_v dv
-    for patch, pts in ((enneper_patch(), ENNEPER_PTS),
-                       (catenoid_patch(), CATENOID_PTS)):
+    for patch, pts in _patches_and_points():
         for u0, v0 in pts:
             frame = patch.frame(u0, v0)
             d = patch.position_derivatives(u0, v0)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ribaucour import cli
+from ribaucour.grids import Domain
 from ribaucour.report import (SCHEMA, identity_entry, make_report,
                               report_exit_code, write_report)
 
@@ -115,6 +116,37 @@ def test_build_rejects_empty_domain(capsys):
     code = cli.main(["build", "--f1", "z", "--f2", "2*z",
                      "--domain", "1:0:0:1"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--f1", "z", "--f2", "2*z", "--nu", "1"],
+    ["build", "--f1", "z", "--f2", "2*z", "--domain", "0:inf:0:1"],
+    ["congruence", "--minimal", "enneper", "--nu", "1"],
+    ["congruence", "--minimal", "catenoid", "--mode", "integrate",
+     "--step", "0"],
+    ["congruence", "--minimal", "catenoid", "--mode", "integrate",
+     "--step", "-0.1"],
+    ["congruence", "--minimal", "catenoid", "--mode", "integrate",
+     "--step", "nan"],
+    # a step wider than the domain, and one whose nodes miss the origin
+    ["congruence", "--minimal", "catenoid", "--mode", "integrate",
+     "--step", "5"],
+    ["congruence", "--minimal", "catenoid", "--mode", "integrate",
+     "--step", "0.3"],
+])
+def test_cli_rejects_bad_input(argv, capsys):
+    # exit 2 with a message; exit 1 stays reserved for failed residuals
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_domain_rejects_non_finite_bounds():
+    for bounds in ((0.0, float("inf"), 0.0, 1.0),
+                   (float("nan"), 1.0, 0.0, 1.0)):
+        with pytest.raises(ValueError):
+            Domain(*bounds)
 
 
 def test_build_reports_io_failure(capsys):
@@ -250,6 +282,15 @@ def test_cli_outputs_are_byte_deterministic(tmp_path):
         assert code == 0
         files.append((obj.read_bytes(), rpt.read_bytes()))
     assert files[0] == files[1]
+
+
+def test_import_does_not_load_sympy():
+    # sympy serves only the closed-form congruence examples, on demand
+    code = ("import sys, ribaucour, ribaucour.cli; "
+            "assert 'sympy' not in sys.modules")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_installed_entry_point():
