@@ -26,8 +26,8 @@ import numpy as np
 from . import __version__
 from .congruence import (CongruenceState, analytic_example,
                          check_hessian_identities, envelope, first_integral,
-                         generated_forms_check, integrate_system,
-                         system_residuals)
+                         generated_forms_check, hover_ratio_residual,
+                         integrate_system, system_residuals)
 from .duality import (evaluate_pair, make_dual, verify_c2,
                       verify_form_relations, verify_hk_equality)
 from .grids import Domain
@@ -51,8 +51,7 @@ TOL_CR = 1e-5            # discrete holomorphy of the Hopf coefficient
 TOL_DIRECTION = 1e-6     # principal-direction switching, radians
 TOL_MU = 1e-6            # Hopf-coefficient antisymmetry under duality
 TOL_PROP = 1e-5          # second-order congruence identities
-TOL_ENVELOPE = 1e-6      # envelope residuals, closed-form route
-TOL_ENVELOPE_FD = 1e-4   # envelope residuals, finite-difference route
+TOL_ENVELOPE = 1e-6      # envelope residuals; W is a jet in both modes
 
 __all__ = ["main"]
 
@@ -292,8 +291,8 @@ def cmd_congruence(args) -> int:
                            max(gf.max_rel_first, gf.max_rel_second,
                                gf.max_rel_third),
                            gf.tol, gf.n_compared, gf.n_excluded),
-            identity_entry("envelope_hover_ratio", gf.max_hover_k_rel,
-                           TOL_ENVELOPE, gf.n_compared, gf.n_excluded),
+            _residual_entry(hover_ratio_residual(env, oj.val, consts),
+                            TOL_ENVELOPE, "envelope_hover_ratio"),
         ]
     else:
         st0 = ac.state(0.0, 0.0)
@@ -313,14 +312,6 @@ def cmd_congruence(args) -> int:
                                     ac.state(U, V).as_tuple()))
         env = envelope(ac.patch, integ.w, U, V)
         ms = check_middle_sphere(env)
-        with np.errstate(all="ignore"):
-            target = 0.5 * consts.c2 - consts.c * integ.omega
-            scale = np.maximum(np.abs(env.hover_k), np.abs(target))
-            hov = np.where(scale > 0,
-                           np.abs(env.hover_k - target) / scale, 0.0)
-        hov_ok = env.valid & np.isfinite(hov)
-        hov_max = (float(np.max(hov[hov_ok]))
-                   if np.any(hov_ok) else float("nan"))
         n = int(np.asarray(U).size)
         entries = [
             identity_entry("path_independence", integ.path_gap, args.tol_fi,
@@ -328,10 +319,9 @@ def cmd_congruence(args) -> int:
             identity_entry("first_integral_drift", integ.drift, args.tol_fi,
                            n, 0),
             identity_entry("analytic_agreement", agree, args.tol_fi, n, 0),
-            _residual_entry(ms, TOL_ENVELOPE_FD, "envelope_middle_sphere"),
-            identity_entry("envelope_hover_ratio", hov_max, TOL_ENVELOPE_FD,
-                           int(np.count_nonzero(hov_ok)),
-                           n - int(np.count_nonzero(hov_ok))),
+            _residual_entry(ms, TOL_ENVELOPE, "envelope_middle_sphere"),
+            _residual_entry(hover_ratio_residual(env, integ.omega, consts),
+                            TOL_ENVELOPE, "envelope_hover_ratio"),
         ]
         details["integration"] = {"grid": list(np.asarray(U).shape),
                                   "init_node": list(integ.init_node)}

@@ -21,13 +21,18 @@ integration follow from the covariant Hessian identity for Omega (see
     Omega2_v = -(phi_u/phi) Omega1 + phi (cW - c3/2) + phi k2 (c Omega - W - c2/2)
 
 making the system integrable by marching; path independence of the
-result doubles as the compatibility (Frobenius) check.
+result doubles as the compatibility (Frobenius) check.  The marched
+state also fixes W's second-order jet: differentiating W_u and W_v once
+more through the same right-hand sides (k1 phi^2 is constant on these
+charts) gives W_uu, W_uv and W_vv at every node, with no stencil.
 
 The envelope X = grad W + W N of the congruence (support machinery of
 :mod:`ribaucour.ribaucour_core` applied to W over the minimal patch's
 Gauss map) lands in the middle-sphere surface class, with H/K = -c Omega,
 and its fundamental forms are generated linearly from those of the
-minimal patch.
+minimal patch.  :func:`envelope` takes W as a jet only, either closed
+form or integrated; in the reference gauge its middle-sphere residual is
+the first integral, pointwise.
 
 :func:`analytic_example` ships closed-form solutions over the built-in
 patches.  Each candidate closed form is validated against the system
@@ -48,7 +53,7 @@ from .grids import Domain
 from .holoexpr import differentiate, to_text
 from .jets import RJet2, jet_finite
 from .minimal import MinimalPatch, catenoid_patch, enneper_patch
-from .ribaucour_core import SurfaceFields, shape_from_support
+from .ribaucour_core import ResidualField, SurfaceFields, shape_from_support
 from .sphere_geom import conformal_hessian, sphere_gradient
 
 __all__ = [
@@ -56,7 +61,7 @@ __all__ = [
     "system_residuals", "AnalyticCongruence", "analytic_example",
     "IntegratedCongruence", "integrate_system", "envelope",
     "HessianIdentityReport", "check_hessian_identities",
-    "GeneratedFormsReport", "generated_forms_check",
+    "GeneratedFormsReport", "generated_forms_check", "hover_ratio_residual",
 ]
 
 @dataclass(frozen=True)
@@ -109,7 +114,8 @@ def system_residuals(patch: MinimalPatch, w_jet, omega_jet, U, V) -> dict:
     oj = omega_jet(U, V) if callable(omega_jet) else omega_jet
     pj = patch.phi_jet(U, V)
     phi, pu, pv = pj.val, pj.du, pj.dv
-    k1, k2 = patch.k1(U, V), patch.k2(U, V)
+    k1 = patch.k1(U, V)
+    k2 = -k1
     o1 = oj.du / phi
     o2 = oj.dv / phi
     o1_v = (oj.duv * phi - oj.du * pv) / (phi * phi)
@@ -371,21 +377,27 @@ class IntegratedCongruence:
     """Congruence fields integrated over a grid, with consistency data:
     ``path_gap`` is the max field difference between row-first and
     column-first integration orders (compatibility check), ``drift`` the
-    max first-integral deviation from its initial value."""
+    max first-integral deviation from its initial value.
+
+    ``w`` is W's second-order jet on the grid, read off the marched state
+    through the system itself, so it is exact to integration accuracy
+    and every node carries it; ``state()`` holds W's values only.
+    """
 
     U: np.ndarray
     V: np.ndarray
     omega: np.ndarray
     omega1: np.ndarray
     omega2: np.ndarray
-    w: np.ndarray
+    w: RJet2
     constants: IntegralConstants
     init_node: tuple
     path_gap: float
     drift: float
 
     def state(self) -> CongruenceState:
-        return CongruenceState(self.omega, self.omega1, self.omega2, self.w)
+        return CongruenceState(self.omega, self.omega1, self.omega2,
+                               self.w.val)
 
 
 def integrate_system(patch: MinimalPatch, init: CongruenceState,
@@ -424,7 +436,8 @@ def integrate_system(patch: MinimalPatch, init: CongruenceState,
     def sweep(along_u: bool, fixed: np.ndarray, y_start):
         """RK4 march of y_start out of the initial node along u (or v), at
         each ``fixed`` value of the other coordinate; one call evaluates
-        the chart coefficients at every stage abscissa."""
+        the chart coefficients at every stage abscissa.  Returns the
+        marched fields and those coefficients."""
         t, i0 = (u, iu0) if along_u else (v, iv0)
         s = np.linspace(t[0], t[-1], 2 * len(t) - 1)[:, None]
         phi, pu, pv, k1 = (patch.chart_scalars(s, fixed[None, :]) if along_u
@@ -434,23 +447,37 @@ def integrate_system(patch: MinimalPatch, init: CongruenceState,
         else:
             f, coef = partial(_rhs_v, consts), list(zip(phi, pu, -k1))
         ys = _march(f, coef, t, i0, y_start)
-        return [np.stack(c, axis=0 if along_u else 1) for c in zip(*ys)]
+        fields = [np.stack(c, axis=0 if along_u else 1) for c in zip(*ys)]
+        return fields, (phi, pu, pv, k1)
 
     # row first, then every column; when checking, also the other order
-    row = sweep(True, v[iv0:iv0 + 1], y0)
-    om, o1, o2, w = sweep(False, u, tuple(a.ravel() for a in row))
+    row, _ = sweep(True, v[iv0:iv0 + 1], y0)
+    y, scalars = sweep(False, u, tuple(a.ravel() for a in row))
+    om, o1, o2, w = y
+    # the column sweep's even abscissae are the grid nodes
+    phi, pu, pv, k1 = (c[::2].T for c in scalars)
     path_gap = float("nan")
     if check_paths:
-        col = sweep(False, u[iu0:iu0 + 1], y0)
-        alt = sweep(True, v, tuple(a.ravel() for a in col))
+        col, _ = sweep(False, u[iu0:iu0 + 1], y0)
+        alt, _ = sweep(True, v, tuple(a.ravel() for a in col))
         path_gap = max(float(np.max(np.abs(a - b)))
-                       for a, b in zip((om, o1, o2, w), alt))
+                       for a, b in zip(y, alt))
     state = CongruenceState(om, o1, o2, w)
     F = first_integral(state, consts)
     drift = float(np.max(np.abs(F - F[iu0, iv0])))
+    # W's jet from the system at the nodes: W_u = Omega1 k1 phi and
+    # W_v = -Omega2 k1 phi, differentiated once more through the
+    # right-hand sides; k1 phi^2 is constant on these charts, so
+    # (k1 phi)_u = -k1 phi_u and (k1 phi)_v = -k1 phi_v
+    du = _rhs_u(consts, (phi, pv, k1), y)
+    dv = _rhs_v(consts, (phi, pu, -k1), y)
+    k1phi = k1 * phi
+    w_jet = RJet2(w, du[3], dv[3], du[1] * k1phi - o1 * k1 * pu,
+                  dv[1] * k1phi - o1 * k1 * pv,
+                  -(dv[2] * k1phi - o2 * k1 * pv))
     U, V = np.meshgrid(u, v, indexing="ij")
     return IntegratedCongruence(U=U, V=V, omega=om, omega1=o1, omega2=o2,
-                                w=w, constants=consts,
+                                w=w_jet, constants=consts,
                                 init_node=(iu0, iv0),
                                 path_gap=path_gap, drift=drift)
 
@@ -459,46 +486,22 @@ def integrate_system(patch: MinimalPatch, init: CongruenceState,
 # Envelope surface and its generated geometry
 # ---------------------------------------------------------------------------
 
-def _fd_jet(W: np.ndarray, hu: float, hv: float) -> RJet2:
-    """Fourth-order finite-difference jet of a gridded field; a rim of
-    two samples is left NaN and masked downstream."""
-    W = np.asarray(W, dtype=float)
-    full = lambda: np.full_like(W, np.nan)
-    du, dv, duu, dvv, duv = full(), full(), full(), full(), full()
-    du[2:-2, :] = (W[:-4] - 8 * W[1:-3] + 8 * W[3:-1] - W[4:]) / (12 * hu)
-    duu[2:-2, :] = (-W[:-4] + 16 * W[1:-3] - 30 * W[2:-2]
-                    + 16 * W[3:-1] - W[4:]) / (12 * hu * hu)
-    dv[:, 2:-2] = (W[:, :-4] - 8 * W[:, 1:-3]
-                   + 8 * W[:, 3:-1] - W[:, 4:]) / (12 * hv)
-    dvv[:, 2:-2] = (-W[:, :-4] + 16 * W[:, 1:-3] - 30 * W[:, 2:-2]
-                    + 16 * W[:, 3:-1] - W[:, 4:]) / (12 * hv * hv)
-    duv[:, 2:-2] = (du[:, :-4] - 8 * du[:, 1:-3]
-                    + 8 * du[:, 3:-1] - du[:, 4:]) / (12 * hv)
-    return RJet2(W, du, dv, duu, duv, dvv)
-
-
 def envelope(patch: MinimalPatch, w, U, V) -> SurfaceFields:
     """Envelope surface X = grad W + W N of the congruence with support
     W over the minimal patch's Gauss map.
 
-    ``w`` may be a callable (U, V) -> RJet2, an RJet2 field, or a plain
-    array of W values over a uniform grid (finite differences then supply
-    the partials and a two-sample rim is masked).
+    ``w`` is W's jet on (U, V): a callable (U, V) -> RJet2 (the closed
+    forms of :func:`analytic_example`) or an RJet2 field (such as
+    :attr:`IntegratedCongruence.w`).  Plain arrays of values are
+    rejected: their partials would need a stencil.
     """
     if not (callable(w) or isinstance(w, RJet2)):
-        W = np.asarray(w, dtype=float)
-        if W.ndim != 2 or W.shape != np.shape(U):
-            raise ValueError("array-valued W must match the grid shape")
+        raise TypeError(f"envelope needs W as a jet, a callable (U, V) -> "
+                        f"RJet2 or an RJet2, not {type(w).__name__}")
     # the frame first: its construction needs more scratch memory than
     # any later step, so nothing else should be held while it runs
     frame = patch.frame(U, V)
-    if callable(w):
-        wj = w(U, V)
-    elif isinstance(w, RJet2):
-        wj = w
-    else:
-        wj = _fd_jet(W, float(U[1, 0] - U[0, 0]), float(V[0, 1] - V[0, 0]))
-    return shape_from_support(frame, wj)
+    return shape_from_support(frame, w(U, V) if callable(w) else w)
 
 
 @dataclass
@@ -531,7 +534,8 @@ def check_hessian_identities(patch: MinimalPatch, w_jet, omega_jet,
     oj = omega_jet(U, V) if callable(omega_jet) else omega_jet
     frame = patch.frame(U, V)
     pj = patch.phi_jet(U, V)
-    k1, k2 = patch.k1(U, V), patch.k2(U, V)
+    k1 = patch.k1(U, V)
+    k2 = -k1
     E = pj.val * pj.val
     e2t = frame.e2tau
     w = np.asarray(wj.val, dtype=float)
@@ -592,6 +596,17 @@ class GeneratedFormsReport:
     passed: bool
 
 
+def hover_ratio_residual(env: SurfaceFields, omega,
+                         consts: IntegralConstants) -> ResidualField:
+    """Gap between the envelope's H/K and its prediction c2/2 - c Omega,
+    relative to the larger of the two magnitudes, per sample."""
+    with np.errstate(all="ignore"):
+        target = 0.5 * consts.c2 - consts.c * omega
+        scale = np.maximum(np.abs(env.hover_k), np.abs(target))
+        rel = np.where(scale > 0, np.abs(env.hover_k - target) / scale, 0.0)
+    return ResidualField(rel, env.valid & np.isfinite(rel), "hover-ratio")
+
+
 def generated_forms_check(patch: MinimalPatch, w_jet, omega_jet,
                           consts: IntegralConstants, U, V,
                           env: SurfaceFields | None = None,
@@ -604,16 +619,18 @@ def generated_forms_check(patch: MinimalPatch, w_jet, omega_jet,
     of the minimal patch's forms, and that H/K of the envelope equals b
     (the minimal patch's own radius ratio vanishes, leaving only the
     third-form coefficient).  Residuals are relative to the local form
-    magnitude.
+    magnitude.  A given ``env`` must be the envelope on (U, V); its frame
+    is the patch's.
     """
     wj = w_jet(U, V) if callable(w_jet) else w_jet
     oj = omega_jet(U, V) if callable(omega_jet) else omega_jet
     if env is None:
         env = envelope(patch, wj, U, V)
     pj = patch.phi_jet(U, V)
-    k1, k2 = patch.k1(U, V), patch.k2(U, V)
+    k1 = patch.k1(U, V)
+    k2 = -k1
     E = pj.val * pj.val
-    e2t = patch.frame(U, V).e2tau
+    e2t = env.frame.e2tau
     zero = np.zeros_like(E)
     I_m = (E, zero, E)
     II_m = (k1 * E, zero, k2 * E)
@@ -631,14 +648,9 @@ def generated_forms_check(patch: MinimalPatch, w_jet, omega_jet,
     r1 = _form_residual(env.first, pred_I, comp)
     r2 = _form_residual(env.second, pred_II, comp)
     r3 = _form_residual(env.third, pred_III, comp)
-    with np.errstate(all="ignore"):
-        hk_target = 0.5 * consts.c2 - consts.c * om
-        scale = np.maximum(np.abs(env.hover_k), np.abs(hk_target))
-        hk_rel = np.where(scale > 0,
-                          np.abs(env.hover_k - hk_target) / scale, 0.0)
+    r4 = hover_ratio_residual(env, om, consts).max_abs
     n_ok = int(np.count_nonzero(comp))
     n_total = int(np.asarray(comp).size)
-    r4 = float(np.max(hk_rel[comp])) if n_ok else float("nan")
     passed = n_ok > 0 and max(r1, r2, r3, r4) <= tol
     return GeneratedFormsReport(max_rel_first=r1, max_rel_second=r2,
                                 max_rel_third=r3, max_hover_k_rel=r4,

@@ -169,7 +169,10 @@ def test_integration_on_flat_patch_is_exactly_constant():
     assert float(np.max(np.abs(integ.omega - om0))) == 0.0
     assert float(np.max(np.abs(integ.omega1))) == 0.0
     assert float(np.max(np.abs(integ.omega2))) == 0.0
-    assert float(np.max(np.abs(integ.w - w0))) == 0.0
+    assert float(np.max(np.abs(integ.w.val - w0))) == 0.0
+    for part in (integ.w.du, integ.w.dv, integ.w.duu, integ.w.duv,
+                 integ.w.dvv):
+        assert float(np.max(np.abs(part))) == 0.0
     assert integ.path_gap == 0.0
     assert integ.drift == 0.0
     # the flat frame is degenerate: the second-order checks must report
@@ -261,18 +264,28 @@ def test_envelope_radius_ratio(catenoid_data):
     assert np.max(gap[ok]) <= 1e-6
 
 
-def test_envelope_from_sampled_values(catenoid_data):
-    # array-of-values route: W differenced on its own grid; residuals are
-    # stencil-limited rather than rounding-limited
-    ac = catenoid_data
-    U, V = _square_grid(121)
-    Wvals = np.asarray(ac.w_jet(U, V).val, dtype=float)
-    env = envelope(ac.patch, Wvals, U, V)
-    ms = check_middle_sphere(env)
-    assert ms.n_valid > 0
-    assert ms.max_abs <= 1e-4
-    # rim samples lack a full stencil and must be masked, not wrong
-    assert not np.any(ms.valid[:2, :]) and not np.any(ms.valid[:, -2:])
+def test_envelope_of_integrated_fields(catenoid_data, enneper_data):
+    # the integrator hands over W as an exact jet: it matches the closed
+    # form to integration accuracy, the envelope masks no node, and the
+    # middle-sphere residual is the first integral, pointwise
+    for ac in (catenoid_data, enneper_data):
+        init = ac.state(0.0, 0.0)
+        init = CongruenceState(*(float(np.asarray(x))
+                                 for x in init.as_tuple()))
+        integ = integrate_system(ac.patch, init, ac.constants,
+                                 domain=SQUARE, step=0.01)
+        U, V = integ.U, integ.V
+        ref = ac.w_jet(U, V)
+        for part in ("val", "du", "dv", "duu", "duv", "dvv"):
+            gap = np.max(np.abs(getattr(integ.w, part) - getattr(ref, part)))
+            assert gap <= 1e-8, (ac.name, part, gap)
+        ms = check_middle_sphere(envelope(ac.patch, integ.w, U, V))
+        assert ms.n_excluded == 0, ac.name
+        F = np.asarray(first_integral(integ.state(), ac.constants))
+        assert np.max(np.abs(ms.values - F)) <= 1e-12, ac.name
+    # sampled values carry no partials
+    with pytest.raises(TypeError):
+        envelope(catenoid_data.patch, integ.w.val, U, V)
 
 
 def test_hessian_identities(catenoid_data, enneper_data):

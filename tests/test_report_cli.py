@@ -225,10 +225,19 @@ def test_congruence_analytic_enneper_records_fallback(tmp_path):
     assert data["details"]["literal_first_integral_drift"] > 1.0
 
 
-def test_congruence_integrate_mode(tmp_path):
+@pytest.mark.parametrize("minimal, extra, grid", [
+    pytest.param("catenoid", [], [41, 41], id="catenoid-square"),
+    # a grid this coarse has no interior a stencil could use: every node
+    # must carry its envelope sample
+    pytest.param("catenoid", ["--domain", "0:0.5:0:0.5"], [11, 11],
+                 id="catenoid-corner"),
+    pytest.param("enneper", ["--domain", "0:0.5:0:0.5"], [11, 11],
+                 id="enneper-corner"),
+])
+def test_congruence_integrate_mode(minimal, extra, grid, tmp_path):
     rpt = tmp_path / "integ.json"
-    code = cli.main(["congruence", "--minimal", "catenoid",
-                     "--mode", "integrate", "--step", "0.05",
+    code = cli.main(["congruence", "--minimal", minimal,
+                     "--mode", "integrate", "--step", "0.05", *extra,
                      "--report", str(rpt)])
     assert code == 0
     data = json.loads(rpt.read_text())
@@ -237,7 +246,9 @@ def test_congruence_integrate_mode(tmp_path):
                  "analytic_agreement", "envelope_middle_sphere",
                  "envelope_hover_ratio"):
         assert by_name[name]["pass"], name
-    assert data["details"]["integration"]["grid"] == [41, 41]
+    for name in ("envelope_middle_sphere", "envelope_hover_ratio"):
+        assert by_name[name]["excluded"] == 0, name
+    assert data["details"]["integration"]["grid"] == grid
 
 
 def test_congruence_writes_envelope_mesh(tmp_path):
