@@ -8,8 +8,10 @@ original ones in crossed directions, and the radius ratio H/K is shared.
 
 import numpy as np
 
-from ribaucour import (Domain, evaluate_pair, make_dual, make_patch,
-                       verify_c2, verify_form_relations, verify_hk_equality)
+from ribaucour import (Domain, evaluate_pair, identity_entry, make_dual,
+                       make_patch, verify_c2, verify_form_relations,
+                       verify_hk_equality)
+from ribaucour.cli import TOL_DUAL
 
 pair = make_dual(make_patch("z", "exp(z)", Domain(-1.0, 1.0, -1.0, 1.0)))
 print(f"pair  {pair.patch.label()}")
@@ -31,19 +33,19 @@ for i, j in ((8, 8), (20, 20), (32, 12), (12, 32)):
 prod = fields.rho_val[ok] * dual_fields.rho_val[ok]
 print(f"\nmax |rho rho* - 1|          = {np.max(np.abs(prod - 1.0)):.2e}")
 
-c2 = verify_c2(pair, fields=(fields, dual_fields))
-print(f"curvature switch -1/k* = 1/k : max {c2.max_curvature_switch:.2e} "
-      f"over {c2.n_comparable} samples")
-print(f"principal directions crossed : max {c2.max_direction_dev:.2e} rad")
-
-hk = verify_hk_equality(pair, fields=(fields, dual_fields))
-print(f"shared radius ratio H/K      : max relative gap "
-      f"{hk.max_hk_rel:.2e}")
-print(f"shape coefficient mu* = -mu  : max |mu + mu*| {hk.max_mu_sum:.2e}")
-
-fr = verify_form_relations(pair, fields=(fields, dual_fields))
-print(f"fundamental-form relations   : first {fr.max_rel_first:.2e}, "
-      f"second {fr.max_rel_second:.2e}, third {fr.max_rel_third:.2e}")
-print(f"conformal factor shift       : max |tau* - (tau - log rho)| "
-      f"= {fr.max_tau_shift:.2e}")
-print(f"\nall checks passed: {c2.passed and hk.passed and fr.passed}")
+# each check is a ResidualField: per-sample residuals, a validity mask and
+# the name of its report entry; the command line's tolerances judge them
+checks = (*verify_c2(pair, fields=(fields, dual_fields)),
+          *verify_hk_equality(pair, fields=(fields, dual_fields)),
+          *verify_form_relations(pair, fields=(fields, dual_fields)))
+print("\nthe identities of `ribaucour dual` (curvature switch -1/k* = 1/k, "
+      "crossed directions,\nshared H/K, mu* = -mu, form relations, "
+      "tau* = tau - log rho):")
+entries = []
+for res in checks:
+    entry = identity_entry(res.name, res.max_abs, TOL_DUAL[res.name],
+                           res.n_valid, res.n_excluded)
+    entries.append(entry)
+    print(f"  {res.name:<26s}: max {res.max_abs:.2e} "
+          f"(tol {entry['tolerance']:.0e}) over {res.n_valid} samples")
+print(f"\nall checks passed: {all(e['pass'] for e in entries)}")

@@ -13,7 +13,9 @@ import numpy as np
 from ribaucour import (CongruenceState, analytic_example,
                        check_hessian_identities, check_middle_sphere,
                        envelope, first_integral, generated_forms_check,
-                       integrate_system, system_residuals)
+                       identity_entry, integrate_system, system_residuals)
+from ribaucour.cli import TOL_ENVELOPE, TOL_FI, TOL_PROP
+from ribaucour.congruence import hover_ratio_residual
 from ribaucour.grids import Domain
 
 U, V = np.meshgrid(np.linspace(-1, 1, 41), np.linspace(-1, 1, 41),
@@ -47,6 +49,7 @@ for name in ("catenoid", "enneper"):
     # the envelope of the sphere family
     env = envelope(ac.patch, ac.w_jet, U, V)
     ms = check_middle_sphere(env)
+    hover = hover_ratio_residual(env, ac.omega_jet(U, V).val, ac.constants)
     gf = generated_forms_check(ac.patch, ac.w_jet, ac.omega_jet,
                                ac.constants, U, V, env=env)
     hi = check_hessian_identities(ac.patch, ac.w_jet, ac.omega_jet,
@@ -55,10 +58,34 @@ for name in ("catenoid", "enneper"):
     print(f"  envelope middle spheres      : max {ms.max_abs:.2e}")
     print(f"  pointwise = first integral   : max "
           f"{np.max(np.abs(ms.values - np.asarray(F))[ms.valid]):.2e}")
-    print(f"  H/K of envelope = -c Omega   : max rel "
-          f"{gf.max_hover_k_rel:.2e}")
+    print(f"  H/K of envelope = -c Omega   : max rel {hover.max_abs:.2e}")
     print(f"  second-order identities      : Omega {hi.max_hessian_omega:.2e}"
           f", W {hi.max_hessian_w:.2e}, gradient link "
           f"{hi.max_gradient_link:.2e}")
     print(f"  generated fundamental forms  : first {gf.max_rel_first:.2e}, "
           f"second {gf.max_rel_second:.2e}, third {gf.max_rel_third:.2e}")
+
+    # the verdict of `ribaucour congruence`: its tolerances, its judge
+    n = U.size
+    entries = [
+        identity_entry("congruence_system", max(res.values()), TOL_FI, n, 0),
+        identity_entry("first_integral_drift",
+                       float(np.max(np.abs(F))), TOL_FI, n, 0),
+        identity_entry("path_independence", integ.path_gap, TOL_FI,
+                       integ.U.size, 0),
+        identity_entry("analytic_agreement", agree, TOL_FI, integ.U.size, 0),
+        identity_entry("envelope_middle_sphere", ms.max_abs, TOL_ENVELOPE,
+                       ms.n_valid, ms.n_excluded),
+        identity_entry(hover.name, hover.max_abs, TOL_ENVELOPE,
+                       hover.n_valid, hover.n_excluded),
+        *(identity_entry(name, value, TOL_PROP, hi.n_compared,
+                         hi.n_excluded)
+          for name, value in (("hessian_identity_omega", hi.max_hessian_omega),
+                              ("hessian_identity_w", hi.max_hessian_w),
+                              ("gradient_link", hi.max_gradient_link))),
+        identity_entry("generated_forms",
+                       max(gf.max_rel_first, gf.max_rel_second,
+                           gf.max_rel_third),
+                       TOL_PROP, gf.n_compared, gf.n_excluded),
+    ]
+    print(f"  all checks passed: {all(e['pass'] for e in entries)}")

@@ -20,8 +20,7 @@ from .ribaucour_core import (ResidualField, RibaucourPatch, SurfaceFields,
                              hk_from_support, immerse, laguerre_hopf,
                              make_patch, shape_from_support, support,
                              support_jet, unit_sphere_gap)
-from .duality import (C2Report, DualPair, FormRelationReport, HKReport,
-                      evaluate_pair, make_dual, verify_c2,
+from .duality import (DualPair, evaluate_pair, make_dual, verify_c2,
                       verify_form_relations, verify_hk_equality)
 from .minimal import (MinimalPatch, catenoid_patch, conformality_residual,
                       enneper_patch)
@@ -50,9 +49,8 @@ __all__ = [
     "evaluate_patch", "hk_from_support", "immerse", "laguerre_hopf",
     "make_patch", "shape_from_support", "support", "support_jet",
     "unit_sphere_gap",
-    "C2Report", "DualPair", "FormRelationReport", "HKReport",
-    "evaluate_pair", "make_dual", "verify_c2", "verify_form_relations",
-    "verify_hk_equality",
+    "DualPair", "evaluate_pair", "make_dual", "verify_c2",
+    "verify_form_relations", "verify_hk_equality",
     "MinimalPatch", "catenoid_patch", "conformality_residual",
     "enneper_patch",
     "AnalyticCongruence", "CongruenceState", "GeneratedFormsReport",

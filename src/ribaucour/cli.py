@@ -11,10 +11,12 @@ Subcommands
 ``export``      sample and write the OBJ mesh without running checks.
 
 Exit codes: 0 all checks pass, 1 a residual check failed, 2 bad input
-(unparsable expression or domain, non-finite domain bounds, a grid size
-below 2, an integration step that is not finite and positive or misses
-the chart origin), 3 nothing to check (all samples degenerate, or the
-patch coincides with the fixed unit sphere), 4 I/O failure.
+(unparsable expression or domain, a numeric literal too large for a
+float, non-finite domain bounds, a grid size below 2, a ``--tol-*``
+value that is not finite and positive, an integration step that is not
+finite and positive or misses the chart origin), 3 nothing to check
+(all samples degenerate, or the patch coincides with the fixed unit
+sphere), 4 I/O failure.
 """
 from __future__ import annotations
 
@@ -47,11 +49,22 @@ EXIT_DEGENERATE = 3
 EXIT_IO = 4
 
 UNIT_SPHERE_TOL = 1e-8
+TOL_PDE = 1e-8           # support and middle-sphere identities (--tol-pde)
 TOL_CR = 1e-5            # discrete holomorphy of the Hopf coefficient
-TOL_DIRECTION = 1e-6     # principal-direction switching, radians
-TOL_MU = 1e-6            # Hopf-coefficient antisymmetry under duality
+TOL_FI = 1e-6            # congruence system and first integral (--tol-fi)
 TOL_PROP = 1e-5          # second-order congruence identities
 TOL_ENVELOPE = 1e-6      # envelope residuals; W is a jet in both modes
+# the dual checks by entry name; --tol-c2 replaces the two 1e-8 values
+TOL_DUAL = {
+    "curvature_switch": 1e-8,
+    "direction_switch": 1e-6,            # radians
+    "hover_k_equality": 1e-8,
+    "hopf_antisymmetry": 1e-6,
+    "first_form_relation": 1e-7,
+    "second_form_relation": 1e-7,
+    "third_form_relation": 1e-8,
+    "support_reciprocal_metric": 1e-10,
+}
 
 __all__ = ["main"]
 
@@ -92,20 +105,23 @@ def _finish(args, command, inputs, entries, meshes, *,
     return code
 
 
-def _residual_entry(res, tolerance, name=None):
+def _residual_entry(res, tolerance, name=None, **kwargs):
     return identity_entry(name or res.name, res.max_abs, tolerance,
-                          res.n_valid, res.n_excluded)
+                          res.n_valid, res.n_excluded, **kwargs)
 
 
 def _parse_inputs(args) -> Domain:
-    """The --domain rectangle, once the grid sizes and the step are
-    checked; raises ValueError for input the command cannot run on."""
+    """The --domain rectangle, once the grid sizes, the step and the
+    tolerances are checked; raises ValueError for input the command
+    cannot run on."""
     if min(args.nu, args.nv) < 2:
         raise ValueError(f"--nu and --nv must be at least 2, "
                          f"got {args.nu} and {args.nv}")
-    step = getattr(args, "step", 1.0)
-    if not (np.isfinite(step) and step > 0.0):
-        raise ValueError(f"--step must be finite and positive, got {step}")
+    for flag in ("step", "tol_pde", "tol_c2", "tol_fi"):
+        value = getattr(args, flag, 1.0)
+        if not (np.isfinite(value) and value > 0.0):
+            raise ValueError(f"--{flag.replace('_', '-')} must be finite "
+                             f"and positive, got {value}")
     return Domain.parse(args.domain)
 
 
@@ -146,11 +162,9 @@ def cmd_build(args) -> int:
     else:
         cr = check_laguerre_holomorphy(patch, max(args.nu, 161),
                                        max(args.nv, 161))
-    entries = [
-        _residual_entry(pde, args.tol_pde, "support_pde"),
-        _residual_entry(sph, args.tol_pde, "middle_sphere"),
-        _residual_entry(cr, TOL_CR, "hopf_holomorphy"),
-    ]
+    entries = [_residual_entry(pde, args.tol_pde),
+               _residual_entry(sph, args.tol_pde),
+               _residual_entry(cr, TOL_CR)]
     gap = unit_sphere_gap(fields)
     sphere = gap <= UNIT_SPHERE_TOL
     notes = ()
@@ -176,8 +190,9 @@ def cmd_dual(args) -> int:
     pair = make_dual(patch)
     fa, fb = evaluate_pair(pair, args.nu, args.nv)
     inputs = _pair_inputs(args, domain, {
-        "curvature": args.tol_c2, "direction_rad": TOL_DIRECTION,
-        "hopf_sum": TOL_MU,
+        "curvature": args.tol_c2,
+        "direction_rad": TOL_DUAL["direction_switch"],
+        "hopf_sum": TOL_DUAL["hopf_antisymmetry"],
     })
     meshes = []
     if args.out:
@@ -198,39 +213,23 @@ def cmd_dual(args) -> int:
                        notes=("patch coincides with the fixed unit sphere; "
                               "the dual is the same sphere",),
                        extra={"unit_sphere_gap": gap})
-    c2 = verify_c2(pair, args.nu, args.nv, tol_curvature=args.tol_c2,
-                   tol_direction=TOL_DIRECTION, fields=(fa, fb))
-    hk = verify_hk_equality(pair, args.nu, args.nv, tol_hk=args.tol_c2,
-                            tol_mu=TOL_MU, fields=(fa, fb))
-    fr = verify_form_relations(pair, args.nu, args.nv, fields=(fa, fb))
-    vac = c2.totally_umbilic
-    vac_note = ("totally umbilic patch: no principal data to switch"
-                if vac else "")
-    entries = [
-        identity_entry("curvature_switch", c2.max_curvature_switch,
-                       c2.tol_curvature, c2.n_comparable, c2.n_excluded,
-                       vacuous=vac, note=vac_note),
-        identity_entry("direction_switch", c2.max_direction_dev,
-                       c2.tol_direction, c2.n_comparable, c2.n_excluded,
-                       vacuous=vac, note=vac_note),
-        identity_entry("hover_k_equality", hk.max_hk_rel, hk.tol_hk,
-                       hk.n_compared, hk.n_excluded),
-        identity_entry("hopf_antisymmetry", hk.max_mu_sum, hk.tol_mu,
-                       hk.n_compared, hk.n_excluded),
-        identity_entry("first_form_relation", fr.max_rel_first, fr.tol_first,
-                       fr.n_compared, fr.n_excluded),
-        identity_entry("second_form_relation", fr.max_rel_second,
-                       fr.tol_second, fr.n_compared, fr.n_excluded),
-        identity_entry("third_form_relation", fr.max_rel_third, fr.tol_third,
-                       fr.n_compared, fr.n_excluded),
-        identity_entry("support_reciprocal_metric", fr.max_tau_shift,
-                       fr.tol_tau, fr.n_compared, fr.n_excluded),
-    ]
-    notes = (vac_note,) if vac else ()
-    return _finish(args, "dual", inputs, entries, meshes, notes=notes,
-                   extra={"unit_sphere_gap": gap,
-                          "curvature_lines": c2.to_dict(),
-                          "forms": fr.to_dict(), "hover_k": hk.to_dict()})
+    switch = verify_c2(pair, fields=(fa, fb))
+    checks = (*switch, *verify_hk_equality(pair, fields=(fa, fb)),
+              *verify_form_relations(pair, fields=(fa, fb)))
+    tols = {**TOL_DUAL, "curvature_switch": args.tol_c2,
+            "hover_k_equality": args.tol_c2}
+    # some sample is usable (guard above): none left to switch means
+    # every usable sample is umbilic
+    vac_note = "totally umbilic patch: no principal data to switch"
+    vac = switch[0].n_valid == 0
+    entries = []
+    for res in checks:
+        vacuous = vac and res.name in ("curvature_switch", "direction_switch")
+        entries.append(_residual_entry(res, tols[res.name], vacuous=vacuous,
+                                       note=vac_note if vacuous else ""))
+    return _finish(args, "dual", inputs, entries, meshes,
+                   notes=(vac_note,) if vac else (),
+                   extra={"unit_sphere_gap": gap})
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +270,8 @@ def cmd_congruence(args) -> int:
         drift = float(np.max(np.abs(first_integral(ac.state(U, V), consts))))
         env = envelope(ac.patch, wj, U, V)
         ms = check_middle_sphere(env)
-        hid = check_hessian_identities(ac.patch, wj, oj, consts, U, V,
-                                       tol=TOL_PROP)
-        gf = generated_forms_check(ac.patch, wj, oj, consts, U, V, env=env,
-                                   tol=TOL_PROP)
+        hid = check_hessian_identities(ac.patch, wj, oj, consts, U, V)
+        gf = generated_forms_check(ac.patch, wj, oj, consts, U, V, env=env)
         n = int(np.asarray(U).size)
         entries = [
             identity_entry("congruence_system", max(sysres.values()),
@@ -282,17 +279,17 @@ def cmd_congruence(args) -> int:
             identity_entry("first_integral_drift", drift, args.tol_fi, n, 0),
             _residual_entry(ms, TOL_ENVELOPE, "envelope_middle_sphere"),
             identity_entry("hessian_identity_omega", hid.max_hessian_omega,
-                           hid.tol, hid.n_compared, hid.n_excluded),
-            identity_entry("hessian_identity_w", hid.max_hessian_w, hid.tol,
+                           TOL_PROP, hid.n_compared, hid.n_excluded),
+            identity_entry("hessian_identity_w", hid.max_hessian_w, TOL_PROP,
                            hid.n_compared, hid.n_excluded),
-            identity_entry("gradient_link", hid.max_gradient_link, hid.tol,
+            identity_entry("gradient_link", hid.max_gradient_link, TOL_PROP,
                            hid.n_compared, hid.n_excluded),
             identity_entry("generated_forms",
                            max(gf.max_rel_first, gf.max_rel_second,
                                gf.max_rel_third),
-                           gf.tol, gf.n_compared, gf.n_excluded),
+                           TOL_PROP, gf.n_compared, gf.n_excluded),
             _residual_entry(hover_ratio_residual(env, oj.val, consts),
-                            TOL_ENVELOPE, "envelope_hover_ratio"),
+                            TOL_ENVELOPE),
         ]
     else:
         st0 = ac.state(0.0, 0.0)
@@ -321,7 +318,7 @@ def cmd_congruence(args) -> int:
             identity_entry("analytic_agreement", agree, args.tol_fi, n, 0),
             _residual_entry(ms, TOL_ENVELOPE, "envelope_middle_sphere"),
             _residual_entry(hover_ratio_residual(env, integ.omega, consts),
-                            TOL_ENVELOPE, "envelope_hover_ratio"),
+                            TOL_ENVELOPE),
         ]
         details["integration"] = {"grid": list(np.asarray(U).shape),
                                   "init_node": list(integ.init_node)}
@@ -385,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
                                      "pair and verify its identities")
     _add_pair_arguments(b, "write the sampled mesh to this OBJ path")
     b.add_argument("--report", help="write the JSON verification report here")
-    b.add_argument("--tol-pde", type=float, default=1e-8,
+    b.add_argument("--tol-pde", type=float, default=TOL_PDE,
                    help="tolerance for the support and middle-sphere "
                         "identities (default %(default)s)")
     b.set_defaults(func=cmd_build)
@@ -396,7 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "(dual goes to *_dual.obj)")
     d.add_argument("--out-dual", help="explicit path for the dual mesh")
     d.add_argument("--report", help="write the JSON verification report here")
-    d.add_argument("--tol-c2", type=float, default=1e-8,
+    d.add_argument("--tol-c2", type=float,
+                   default=TOL_DUAL["curvature_switch"],
                    help="tolerance for curvature switching and mean-to-Gauss "
                         "equality (default %(default)s)")
     d.set_defaults(func=cmd_dual)
@@ -422,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default %(default)s)")
     c.add_argument("--out", help="write the envelope mesh to this OBJ path")
     c.add_argument("--report", help="write the JSON verification report here")
-    c.add_argument("--tol-fi", type=float, default=1e-6,
+    c.add_argument("--tol-fi", type=float, default=TOL_FI,
                    help="tolerance for the system residuals, first-integral "
                         "drift and integration agreement "
                         "(default %(default)s)")

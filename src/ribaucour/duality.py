@@ -17,9 +17,13 @@ sample by sample in the shared chart:
       III* = III/rho^2.
 
 Umbilic samples carry no principal directions, so the curvature-switch
-check excludes them (a totally umbilic pair — a round sphere — makes that
-check vacuous and is reported as such).  The coefficientwise checks above
-need no directions and keep umbilic samples in.
+check excludes them (a totally umbilic pair — a round sphere — leaves it
+no sample, which the report records as vacuous).  The coefficientwise
+checks above need no directions and keep umbilic samples in.
+
+Each check returns :class:`~ribaucour.ribaucour_core.ResidualField`
+records named after their report entries; they measure, and
+:func:`ribaucour.report.identity_entry` judges them against a tolerance.
 """
 
 from __future__ import annotations
@@ -28,13 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ribaucour_core import RibaucourPatch, SurfaceFields, evaluate_patch
+from .ribaucour_core import (ResidualField, RibaucourPatch, SurfaceFields,
+                             evaluate_patch)
 
 __all__ = [
     "DualPair", "make_dual", "evaluate_pair",
-    "C2Report", "verify_c2",
-    "FormRelationReport", "verify_form_relations",
-    "HKReport", "verify_hk_equality",
+    "verify_c2", "verify_form_relations", "verify_hk_equality",
 ]
 
 
@@ -72,117 +75,36 @@ def _angle(d, e):
 # Curvature switching along preserved curvature lines
 # ---------------------------------------------------------------------------
 
-@dataclass
-class C2Report:
-    """Outcome of the curvature-switch comparison on a shared grid."""
-
-    nu: int
-    nv: int
-    n_total: int
-    n_comparable: int
-    n_excluded: int
-    comparable_fraction: float
-    totally_umbilic: bool
-    max_curvature_switch: float
-    max_direction_dev: float
-    tol_curvature: float
-    tol_direction: float
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "grid": [self.nu, self.nv],
-            "samples": self.n_total,
-            "comparable": self.n_comparable,
-            "excluded": self.n_excluded,
-            "comparable_fraction": self.comparable_fraction,
-            "totally_umbilic": self.totally_umbilic,
-            "max_curvature_switch": self.max_curvature_switch,
-            "max_direction_dev_rad": self.max_direction_dev,
-            "tol_curvature": self.tol_curvature,
-            "tol_direction_rad": self.tol_direction,
-            "pass": self.passed,
-        }
-
-
 def verify_c2(pair: DualPair, nu: int = 41, nv: int = 41, *,
-              tol_curvature: float = 1e-8, tol_direction: float = 1e-6,
-              fields: tuple | None = None) -> C2Report:
-    """Check that principal curvature values agree and principal
-    directions cross over between a patch and its dual.
+              fields: tuple | None = None
+              ) -> tuple[ResidualField, ResidualField]:
+    """Principal curvature values agree and principal directions cross
+    over between a patch and its dual: ``(curvature_switch,
+    direction_switch)``.
 
     Sorted curvatures are compared relatively; directions are compared as
     chart lines (k1's direction against the dual direction carrying k2*,
     and vice versa), in radians.  Umbilic or degenerate samples on either
-    side are excluded with counts; if every usable sample is umbilic the
-    comparison is vacuous and reported with ``totally_umbilic`` set.
+    side are excluded; if every usable sample is umbilic, neither record
+    has a valid sample.
     """
     fa, fb = fields if fields is not None else evaluate_pair(pair, nu, nv)
-    both_valid = fa.valid & fb.valid
-    comp = both_valid & ~fa.umbilic & ~fb.umbilic
-    n_total = int(np.asarray(comp).size)
-    n_comp = int(np.count_nonzero(comp))
-    vacuous = n_comp == 0 and bool(np.any(both_valid))
-    if n_comp:
+    comp = fa.valid & fb.valid & ~fa.umbilic & ~fb.umbilic
+    with np.errstate(all="ignore"):
         swap = np.maximum(_rel(fa.k1, fb.k1), _rel(fa.k2, fb.k2))
         dev = np.maximum(_angle(fa.dir1, fb.dir2), _angle(fa.dir2, fb.dir1))
-        max_swap = float(np.max(swap[comp]))
-        max_dev = float(np.max(dev[comp]))
-    else:
-        max_swap = float("nan")
-        max_dev = float("nan")
-    passed = vacuous or (n_comp > 0 and max_swap <= tol_curvature
-                         and max_dev <= tol_direction)
-    return C2Report(
-        nu=nu, nv=nv, n_total=n_total, n_comparable=n_comp,
-        n_excluded=n_total - n_comp,
-        comparable_fraction=n_comp / n_total if n_total else 0.0,
-        totally_umbilic=vacuous,
-        max_curvature_switch=max_swap, max_direction_dev=max_dev,
-        tol_curvature=tol_curvature, tol_direction=tol_direction,
-        passed=passed)
+    return (ResidualField(swap, comp, "curvature_switch"),
+            ResidualField(dev, comp, "direction_switch"))
 
 
 # ---------------------------------------------------------------------------
 # Fundamental-form relations
 # ---------------------------------------------------------------------------
 
-@dataclass
-class FormRelationReport:
-    nu: int
-    nv: int
-    n_compared: int
-    n_excluded: int
-    comparable_fraction: float
-    max_rel_first: float
-    max_rel_second: float
-    max_rel_third: float
-    max_tau_shift: float
-    tol_first: float
-    tol_second: float
-    tol_third: float
-    tol_tau: float
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "grid": [self.nu, self.nv],
-            "compared": self.n_compared,
-            "excluded": self.n_excluded,
-            "comparable_fraction": self.comparable_fraction,
-            "max_rel_first_form": self.max_rel_first,
-            "max_rel_second_form": self.max_rel_second,
-            "max_rel_third_form": self.max_rel_third,
-            "max_tau_shift": self.max_tau_shift,
-            "tolerances": [self.tol_first, self.tol_second,
-                           self.tol_third, self.tol_tau],
-            "pass": self.passed,
-        }
-
-
-def _form_residual(lhs: tuple, rhs: tuple, comp) -> float:
-    """Max over samples of the coefficientwise gap relative to the local
-    form magnitude."""
+def _form_residual(lhs: tuple, rhs: tuple, valid, name: str = ""
+                   ) -> ResidualField:
+    """Coefficientwise gap between two forms relative to the local form
+    magnitude, per sample."""
     gap = np.maximum.reduce([np.abs(np.asarray(a) - np.asarray(b))
                              for a, b in zip(lhs, rhs)])
     scale = np.maximum.reduce([np.maximum(np.abs(np.asarray(a)),
@@ -190,17 +112,16 @@ def _form_residual(lhs: tuple, rhs: tuple, comp) -> float:
                                for a, b in zip(lhs, rhs)])
     with np.errstate(all="ignore"):
         rel = np.where(scale > 0.0, gap / scale, 0.0)
-    if not np.any(comp):
-        return float("nan")
-    return float(np.max(rel[comp]))
+    return ResidualField(rel, valid, name)
 
 
 def verify_form_relations(pair: DualPair, nu: int = 41, nv: int = 41, *,
-                          tol_first: float = 1e-7, tol_second: float = 1e-7,
-                          tol_third: float = 1e-8, tol_tau: float = 1e-10,
-                          fields: tuple | None = None) -> FormRelationReport:
-    """Check the linear relations between the fundamental forms of a
-    patch and its dual, and the conformal shift tau* = tau - log rho.
+                          fields: tuple | None = None
+                          ) -> tuple[ResidualField, ...]:
+    """The linear relations between the fundamental forms of a patch and
+    its dual, and the conformal shift tau* = tau - log rho:
+    ``(first_form_relation, second_form_relation, third_form_relation,
+    support_reciprocal_metric)``.
 
     These are coefficientwise identities needing no principal directions,
     so only degenerate samples are excluded (umbilics stay in).
@@ -220,69 +141,25 @@ def verify_form_relations(pair: DualPair, nu: int = 41, nv: int = 41, *,
         tau_shift = np.abs(np.asarray(fb.frame.tau.val, dtype=float)
                            - (np.asarray(fa.frame.tau.val, dtype=float)
                               - np.log(rho)))
-    r1 = _form_residual(fb.first, rhs_first, comp)
-    r2 = _form_residual(fb.second, rhs_second, comp)
-    r3 = _form_residual(fb.third, rhs_third, comp)
-    rt = float(np.max(tau_shift[comp])) if np.any(comp) else float("nan")
-    n_comp = int(np.count_nonzero(comp))
-    n_total = int(np.asarray(comp).size)
-    passed = (n_comp > 0 and r1 <= tol_first and r2 <= tol_second
-              and r3 <= tol_third and rt <= tol_tau)
-    return FormRelationReport(
-        nu=nu, nv=nv, n_compared=n_comp, n_excluded=n_total - n_comp,
-        comparable_fraction=n_comp / n_total if n_total else 0.0,
-        max_rel_first=r1, max_rel_second=r2, max_rel_third=r3,
-        max_tau_shift=rt, tol_first=tol_first, tol_second=tol_second,
-        tol_third=tol_third, tol_tau=tol_tau, passed=passed)
+    return (_form_residual(fb.first, rhs_first, comp, "first_form_relation"),
+            _form_residual(fb.second, rhs_second, comp,
+                           "second_form_relation"),
+            _form_residual(fb.third, rhs_third, comp, "third_form_relation"),
+            ResidualField(tau_shift, comp, "support_reciprocal_metric"))
 
 
 # ---------------------------------------------------------------------------
 # H/K preservation and Hopf antisymmetry
 # ---------------------------------------------------------------------------
 
-@dataclass
-class HKReport:
-    nu: int
-    nv: int
-    n_compared: int
-    n_excluded: int
-    max_hk_rel: float
-    max_mu_sum: float
-    tol_hk: float
-    tol_mu: float
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "grid": [self.nu, self.nv],
-            "compared": self.n_compared,
-            "excluded": self.n_excluded,
-            "max_hk_rel_diff": self.max_hk_rel,
-            "max_mu_antisymmetry": self.max_mu_sum,
-            "tol_hk": self.tol_hk,
-            "tol_mu": self.tol_mu,
-            "pass": self.passed,
-        }
-
-
 def verify_hk_equality(pair: DualPair, nu: int = 41, nv: int = 41, *,
-                       tol_hk: float = 1e-8, tol_mu: float = 1e-6,
-                       fields: tuple | None = None) -> HKReport:
-    """Check H/K equality between patch and dual (equivalent to the
-    support identity holding on both) and mu + mu* = 0."""
+                       fields: tuple | None = None
+                       ) -> tuple[ResidualField, ResidualField]:
+    """H/K equality between patch and dual (equivalent to the support
+    identity holding on both) and mu + mu* = 0: ``(hover_k_equality,
+    hopf_antisymmetry)``."""
     fa, fb = fields if fields is not None else evaluate_pair(pair, nu, nv)
     comp = fa.valid & fb.valid
-    hk_rel = _rel(fa.hover_k, fb.hover_k)
-    mu_sum = np.abs(fa.mu + fb.mu)
-    n_comp = int(np.count_nonzero(comp))
-    n_total = int(np.asarray(comp).size)
-    if n_comp:
-        max_hk = float(np.max(hk_rel[comp]))
-        max_mu = float(np.max(mu_sum[comp]))
-    else:
-        max_hk = max_mu = float("nan")
-    passed = n_comp > 0 and max_hk <= tol_hk and max_mu <= tol_mu
-    return HKReport(nu=nu, nv=nv, n_compared=n_comp,
-                    n_excluded=n_total - n_comp,
-                    max_hk_rel=max_hk, max_mu_sum=max_mu,
-                    tol_hk=tol_hk, tol_mu=tol_mu, passed=passed)
+    return (ResidualField(_rel(fa.hover_k, fb.hover_k), comp,
+                          "hover_k_equality"),
+            ResidualField(np.abs(fa.mu + fb.mu), comp, "hopf_antisymmetry"))

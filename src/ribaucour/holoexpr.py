@@ -179,8 +179,12 @@ class _Parser:
             return node
         m = _NUMBER.match(self.text, self.pos)
         if m:
+            value = float(m.group())
+            if not np.isfinite(value):
+                raise self._fail(f"numeric literal {m.group()!r} "
+                                 f"overflows a float")
             self.pos = m.end()
-            return Const(complex(float(m.group())))
+            return Const(complex(value))
         m = _IDENT.match(self.text, self.pos)
         if m:
             name = m.group()
@@ -204,7 +208,8 @@ def parse(text: str) -> HoloExpr:
     """Parse ``text`` into an expression tree.
 
     Raises :class:`ParseError` (with the byte offset of the problem) on
-    malformed input, unknown identifiers, and non-integer exponents.
+    malformed input, unknown identifiers, numeric literals too large for a
+    float, and non-integer exponents.
     """
     p = _Parser(text)
     node = p.expr()
@@ -243,7 +248,7 @@ def _fmt_const(value: complex) -> tuple[str, int]:
         if im == -1.0:
             return "-i", _NEG
         if im < 0:
-            return "-" + _fmt_real(-im) + "*i", _NEG
+            return "-" + _fmt_real(-im) + "*i", _MUL
         return _fmt_real(im) + "*i", _MUL
     op = "-" if im < 0 else "+"
     return f"({_fmt_real(re_)} {op} {_fmt_real(abs(im))}*i)", _ATOM

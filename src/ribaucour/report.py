@@ -1,6 +1,14 @@
 """Verification reports: a stable JSON summary of residual checks.
 
-A report is a plain dict with a versioned schema.  Serialisation is
+The library's checks measure and never judge: each returns residuals
+(a :class:`~ribaucour.ribaucour_core.ResidualField`, or the largest
+residual with its sample counts).  :func:`identity_entry` is the one
+place that turns a residual and a tolerance into a verdict, so every
+entry of every command passes or fails by the same rule.
+
+A report is a plain dict with a versioned schema (``ribaucour-report/2``:
+``identities`` holds one entry per check, ``details`` only
+command-specific context, never a second verdict).  Serialisation is
 deterministic (sorted keys, fixed indentation, no timestamps), so
 identical inputs produce byte-identical files.  Exit codes for the
 command-line tools are a total function of the report:
@@ -18,7 +26,7 @@ from __future__ import annotations
 
 import json
 
-SCHEMA = "ribaucour-report/1"
+SCHEMA = "ribaucour-report/2"
 
 __all__ = ["SCHEMA", "identity_entry", "make_report", "report_exit_code",
            "write_report"]
@@ -27,10 +35,11 @@ __all__ = ["SCHEMA", "identity_entry", "make_report", "report_exit_code",
 def identity_entry(name: str, max_residual: float, tolerance: float,
                    samples: int, excluded: int, *,
                    vacuous: bool = False, note: str = "") -> dict:
-    """One verified identity.  ``passed`` requires the residual within
-    tolerance and at least half of the grid comparable; a ``vacuous``
-    entry (nothing to compare by construction, e.g. curvature-direction
-    checks on a totally umbilic patch) passes with zero samples."""
+    """One verified identity.  It passes when the residual is finite and
+    within tolerance and at least half of the grid is comparable; a
+    ``vacuous`` entry (nothing to compare by construction, e.g.
+    curvature-direction checks on a totally umbilic patch) passes with
+    zero samples."""
     import math
 
     total = samples + excluded

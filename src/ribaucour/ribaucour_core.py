@@ -291,7 +291,9 @@ def immerse(patch: RibaucourPatch, z: complex) -> SurfaceSample:
 
 @dataclass
 class ResidualField:
-    """A residual sampled over a grid with a validity mask."""
+    """A residual sampled over a grid with a validity mask, named after
+    its report entry.  It only measures: the pass/fail verdict belongs to
+    :func:`ribaucour.report.identity_entry`."""
 
     values: np.ndarray
     valid: np.ndarray
@@ -323,7 +325,7 @@ def support_pde_residual(fields: SurfaceFields) -> ResidualField:
                        + np.asarray(rho.dv, dtype=float) ** 2)
         r = rv * rv + rv * lap - 1.0 - grad_sq
     valid = ~np.asarray(fields.branch) & np.isfinite(np.asarray(r))
-    return ResidualField(np.asarray(r), np.asarray(valid), "support-pde")
+    return ResidualField(np.asarray(r), np.asarray(valid), "support_pde")
 
 
 def check_support_pde(f1: HoloExpr, f2: HoloExpr, Z) -> ResidualField:
@@ -350,7 +352,7 @@ def check_middle_sphere(fields_or_sample) -> ResidualField | float:
         r = xx + 2.0 * fields.hover_k * xn + 1.0
     valid = fields.valid & np.isfinite(np.asarray(r)) \
         & np.isfinite(np.asarray(fields.hover_k))
-    return ResidualField(np.asarray(r), np.asarray(valid), "middle-sphere")
+    return ResidualField(np.asarray(r), np.asarray(valid), "middle_sphere")
 
 
 def hk_from_support(fields_or_sample):
@@ -393,7 +395,7 @@ def cauchy_riemann_residual(mu: np.ndarray, hu: float, hv: float,
         for dj in range(5):
             ok &= valid[di:nu - 4 + di, dj:nv - 4 + dj]
     ok &= np.isfinite(r)
-    return ResidualField(r, ok, "laguerre-holomorphy")
+    return ResidualField(r, ok, "hopf_holomorphy")
 
 
 def check_laguerre_holomorphy(patch: RibaucourPatch, nu: int = 161,

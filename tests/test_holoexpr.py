@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ribaucour.holoexpr import (BinOp, Const, EvalError, ParseError, Pow, Var,
-                                differentiate, eval_jet, evaluate, parse,
-                                to_text)
+from ribaucour.holoexpr import (FUNCTIONS, BinOp, Call, Const, EvalError, Neg,
+                                ParseError, Pow, Var, differentiate, eval_jet,
+                                evaluate, parse, to_text)
 
 W1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
 
@@ -88,6 +90,16 @@ def test_parse_negative_integer_exponent():
     assert parse("z^-2") == Pow(Var(), -2)
 
 
+def test_parse_rejects_overflowing_literal():
+    # a literal beyond the float range must not become Const(inf)
+    for text, offset in (("1e999*z", 0), ("z + 2e400", 4), ("9" * 400, 0)):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.offset == offset, text
+        assert "overflows" in str(err.value)
+    assert parse("1e308") == Const(1e308)
+
+
 def test_parse_trailing_input():
     with pytest.raises(ParseError) as err:
         parse("z)")
@@ -130,6 +142,35 @@ def test_roundtrip_derivative_trees():
         b = evaluate(rebuilt, EVAL_POINTS)
         ok = np.isfinite(a.real) & np.isfinite(a.imag)
         assert np.array_equal(a[ok], b[ok]), text
+
+
+# Random trees of bounded depth over finite constants.  Negative zeros are
+# left out: the grammar has no literal for them, so -0.0 prints as 0.
+_FINITE = st.floats(allow_nan=False, allow_infinity=False).map(
+    lambda x: x + 0.0)
+_LEAVES = st.one_of(
+    st.just(Var()),
+    st.builds(lambda re, im: Const(complex(re, im)), _FINITE,
+              st.one_of(st.just(0.0), _FINITE)))
+TREES = st.recursive(_LEAVES, lambda kids: st.one_of(
+    st.builds(BinOp, st.sampled_from("+-*/"), kids, kids),
+    st.builds(Pow, kids, st.integers(-3, 3)),
+    st.builds(Neg, kids),
+    st.builds(Call, st.sampled_from(FUNCTIONS), kids)), max_leaves=8)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(TREES)
+def test_roundtrip_random_trees(tree):
+    text = to_text(tree)
+    rebuilt = parse(text)                       # never raises
+    once = to_text(rebuilt)
+    assert to_text(parse(once)) == once, text   # one more round is fixed
+    a = evaluate(tree, EVAL_POINTS)
+    b = evaluate(rebuilt, EVAL_POINTS)
+    nan_a = np.isnan(a.real) | np.isnan(a.imag)
+    assert np.array_equal(nan_a, np.isnan(b.real) | np.isnan(b.imag)), text
+    assert np.allclose(a[~nan_a], b[~nan_a], rtol=1e-12, atol=0.0), text
 
 
 # ---------------------------------------------------------------------------

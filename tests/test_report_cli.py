@@ -133,6 +133,13 @@ def test_build_rejects_empty_domain(capsys):
      "--step", "5"],
     ["congruence", "--minimal", "catenoid", "--mode", "integrate",
      "--step", "0.3"],
+    # tolerances must be finite and positive
+    ["dual", "--f1", "z", "--f2", "exp(z)", "--tol-c2", "inf"],
+    ["build", "--f1", "z", "--f2", "2*z", "--tol-pde", "nan"],
+    ["build", "--f1", "z", "--f2", "2*z", "--tol-pde", "-1"],
+    ["congruence", "--minimal", "catenoid", "--tol-fi", "nan"],
+    # a literal beyond the float range
+    ["build", "--f1", "1e999*z", "--f2", "z"],
 ])
 def test_cli_rejects_bad_input(argv, capsys):
     # exit 2 with a message; exit 1 stays reserved for failed residuals
@@ -170,6 +177,8 @@ def test_dual_passes_and_marks_vacuous_entries(tmp_path):
         assert name in by_name, name
         assert by_name[name]["pass"], name
     assert not by_name["curvature_switch"]["vacuous"]
+    # the entries are the only verdicts; details carry context alone
+    assert list(data["details"]) == ["unit_sphere_gap"]
 
     rpt2 = tmp_path / "dual_sphere.json"
     code = cli.main(["dual", "--f1", "z", "--f2", "2*z",
