@@ -32,8 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .holoexpr import eval_jet
 from .ribaucour_core import (ResidualField, RibaucourPatch, SurfaceFields,
-                             evaluate_patch)
+                             _fields_from_jets, evaluate_patch)
 
 __all__ = [
     "DualPair", "make_dual", "evaluate_pair",
@@ -54,7 +55,20 @@ def make_dual(patch: RibaucourPatch) -> DualPair:
 
 def evaluate_pair(pair: DualPair, nu: int = 41, nv: int = 41
                   ) -> tuple[SurfaceFields, SurfaceFields]:
-    return evaluate_patch(pair.patch, nu, nv), evaluate_patch(pair.dual, nu, nv)
+    """Fields of the patch and of its dual on an nu x nv grid.
+
+    The dual from :func:`make_dual` is the same two generators swapped on
+    the same chart, so both fields come from one jet of each generator;
+    any other pairing is evaluated patch by patch.
+    """
+    patch, dual = pair.patch, pair.dual
+    if not (dual.f1 is patch.f2 and dual.f2 is patch.f1
+            and dual.domain == patch.domain):
+        return evaluate_patch(patch, nu, nv), evaluate_patch(dual, nu, nv)
+    _, _, Z = patch.domain.mesh(nu, nv)
+    j1, j2 = eval_jet(patch.f1, Z, 3), eval_jet(patch.f2, Z, 3)
+    return (_fields_from_jets(j1, j2, Z, patch),
+            _fields_from_jets(j2, j1, Z, dual))
 
 
 def _rel(a, b):

@@ -12,8 +12,11 @@ The grammar, whitespace-insensitive::
 
 Powers are restricted to integer exponents so every node is single-valued
 and the derivative rules apply without branch bookkeeping.  Trees are
-immutable and evaluated exactly as built: there is no simplification pass,
-which keeps differentiation auditable at the cost of larger trees.
+immutable and there is no simplification pass.  Jets come from one
+forward pass that carries (f, f', f'', f''') through each node (Taylor
+mode), so their cost grows with the tree, not with its derivative trees;
+:func:`differentiate` builds those trees, unsimplified, and is the
+independent check of that pass.
 
 Evaluation accepts a complex scalar or a numpy array of points; array
 evaluation leaves non-finite entries in place for the caller to mask,
@@ -240,7 +243,11 @@ def _fmt_const(value: complex) -> tuple[str, int]:
     re_, im = value.real, value.imag
     if im == 0.0:
         if re_ < 0:
-            return "-" + _fmt_real(-re_), _NEG
+            # '-2' reads as -(2 + 0i) = -2 - 0i; a +0 imaginary part needs
+            # '(0 - 2)', since the zero's sign picks log's branch
+            if np.signbit(im):
+                return "-" + _fmt_real(-re_), _NEG
+            return f"(0 - {_fmt_real(-re_)})", _ATOM
         return _fmt_real(re_), _ATOM
     if re_ == 0.0:
         if im == 1.0:
@@ -332,32 +339,158 @@ def differentiate(e: HoloExpr) -> HoloExpr:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-_NUMPY_FUNC = {
-    "exp": np.exp, "log": np.log, "sin": np.sin,
-    "cos": np.cos, "sinh": np.sinh, "cosh": np.cosh,
-}
+# A jet is the list (f, f', ..., f^(n)) carried through the tree in one
+# forward pass (univariate Taylor propagation; Griewank & Walther,
+# Evaluating Derivatives, 2nd ed., ch. 13).  Its entries are numpy arrays
+# or numpy complex scalars, or Python ints for derivatives known exactly
+# (1 and 0 from Var and Const, falling factorials from powers); values
+# (entry 0) are never ints, so the elementary functions always act on
+# complex numpy operands.  The helpers drop every term with an exact-zero
+# int factor: ``differentiate`` gives such a term exactly 0, while
+# multiplying it out would turn a non-finite partner into NaN.
+
+def _zero(x) -> bool:
+    return type(x) is int and x == 0
 
 
-def _eval(e: HoloExpr, z: np.ndarray) -> np.ndarray:
+def _add(x, y):
+    if _zero(x):
+        return y
+    if _zero(y):
+        return x
+    return x + y
+
+
+def _sub(x, y):
+    if _zero(y):
+        return x
+    if _zero(x):
+        return -y
+    return x - y
+
+
+def _mul(x, y):
+    for a, b in ((x, y), (y, x)):
+        if type(a) is int and a in (0, 1):
+            return b if a else 0
+    return x * y
+
+
+def _leibniz(a: list, b: list) -> list:
+    """Jet of a product: (ab)^(k) = sum_j C(k, j) a^(j) b^(k-j)."""
+    out = [a[0] * b[0]]
+    if len(a) > 1:
+        out.append(_add(_mul(a[1], b[0]), _mul(a[0], b[1])))
+    if len(a) > 2:
+        out.append(_add(_add(_mul(a[2], b[0]), _mul(2, _mul(a[1], b[1]))),
+                        _mul(a[0], b[2])))
+    if len(a) > 3:
+        out.append(_add(_add(_mul(a[3], b[0]), _mul(3, _mul(a[2], b[1]))),
+                        _add(_mul(3, _mul(a[1], b[2])), _mul(a[0], b[3]))))
+    return out
+
+
+def _quotient(a: list, b: list) -> list:
+    """Jet of q = a/b: the Leibniz rule for a = q b, solved for q^(k)
+    order by order."""
+    q = [a[0] / b[0]]
+    if len(a) == 1:
+        return q
+    inv = 1.0 / b[0]
+    q.append(_mul(_sub(a[1], _mul(b[1], q[0])), inv))
+    if len(a) > 2:
+        rest = _add(_mul(2, _mul(b[1], q[1])), _mul(b[2], q[0]))
+        q.append(_mul(_sub(a[2], rest), inv))
+    if len(a) > 3:
+        rest = _add(_add(_mul(3, _mul(b[1], q[2])),
+                         _mul(3, _mul(b[2], q[1]))), _mul(b[3], q[0]))
+        q.append(_mul(_sub(a[3], rest), inv))
+    return q
+
+
+def _chain(g: list, f: list) -> list:
+    """Jet of g(f) from the outer derivatives g[j] = g^(j)(f) and the jet
+    of f (Faa di Bruno's formula to third order).  Powers of f' multiply
+    onto g^(j) one at a time, as in the differentiated tree, so a tiny
+    g^(j) is not multiplied by an overflowing f'^j."""
+    out = [g[0]]
+    if len(f) > 1:
+        out.append(_mul(g[1], f[1]))
+    if len(f) > 2:
+        g2f1 = _mul(g[2], f[1])
+        out.append(_add(_mul(g2f1, f[1]), _mul(g[1], f[2])))
+    if len(f) > 3:
+        out.append(_add(_add(_mul(_mul(_mul(g[3], f[1]), f[1]), f[1]),
+                             _mul(3, _mul(g2f1, f[2]))),
+                        _mul(g[1], f[3])))
+    return out
+
+
+def _power_outer(x, n: int, order: int) -> list:
+    """x^n and its derivatives n (n-1) ... (n-j+1) x^(n-j) for j up to
+    ``order``.  A vanishing falling factorial gives an exact 0, not
+    0 * x^(n-j), which is NaN at x = 0 once n - j < 0."""
+    out, coef = [x ** n], 1
+    for j in range(1, order + 1):
+        coef *= n - j + 1
+        out.append(coef * x ** (n - j) if coef and n != j else coef)
+    return out
+
+
+# f, f' and the sign s in f'' = s f
+_TRIG = {"sin": (np.sin, np.cos, -1),
+         "cos": (np.cos, lambda x: -np.sin(x), -1),
+         "sinh": (np.sinh, np.cosh, 1), "cosh": (np.cosh, np.sinh, 1)}
+
+
+def _function_outer(func: str, x, order: int) -> list:
+    """An elementary function and its derivatives at x, up to ``order``."""
+    if func == "exp":
+        return [np.exp(x)] * (order + 1)
+    if func == "log":
+        out = [np.log(x)]
+        if order >= 1:
+            r = 1.0 / x
+            out += [r, -(r * r), 2.0 * (r * r * r)][:order]
+        return out
+    f, df, sign = _TRIG[func]
+    out = [f(x)]
+    if order >= 1:
+        out.append(df(x))
+    # f'' = s f and f''' = s f'
+    return out + [g if sign > 0 else -g for g in out[:order - 1]]
+
+
+def _jet(e: HoloExpr, z, order: int) -> list:
+    """The Taylor pass: (f, f', ..., f^(order)) of ``e`` at ``z``."""
     match e:
         case Var():
-            return z
+            return [z, 1, 0, 0][:order + 1]
         case Const(value):
-            return np.full(z.shape, value)
+            # a numpy scalar, not a Python complex: constant subtrees such
+            # as 1/0 must give inf or NaN like arrays do, not raise
+            return [np.complex128(value), 0, 0, 0][:order + 1]
         case BinOp("+", a, b):
-            return _eval(a, z) + _eval(b, z)
+            return [_add(x, y) for x, y in zip(_jet(a, z, order),
+                                               _jet(b, z, order))]
         case BinOp("-", a, b):
-            return _eval(a, z) - _eval(b, z)
+            return [_sub(x, y) for x, y in zip(_jet(a, z, order),
+                                               _jet(b, z, order))]
         case BinOp("*", a, b):
-            return _eval(a, z) * _eval(b, z)
+            return _leibniz(_jet(a, z, order), _jet(b, z, order))
         case BinOp("/", a, b):
-            return _eval(a, z) / _eval(b, z)
+            return _quotient(_jet(a, z, order), _jet(b, z, order))
         case Pow(b, n):
-            return _eval(b, z) ** n
+            if n == 0:
+                # b^0 is 1 wherever b is, finite or not
+                return [np.complex128(1.0), 0, 0, 0][:order + 1]
+            f = _jet(b, z, order)
+            return _chain(_power_outer(f[0], n, order), f)
         case Neg(a):
-            return -_eval(a, z)
+            return [_sub(0, x) for x in _jet(a, z, order)]
         case Call(func, a):
-            return _NUMPY_FUNC[func](_eval(a, z))
+            f = _jet(a, z, order)
+            return _chain(_function_outer(func, f[0], order), f)
     raise TypeError(f"not a HoloExpr node: {e!r}")
 
 
@@ -367,16 +500,7 @@ def evaluate(e: HoloExpr, z):
     Scalars raise :class:`EvalError` on non-finite results; arrays keep
     non-finite entries for the caller to mask.
     """
-    scalar = np.ndim(z) == 0 and not isinstance(z, np.ndarray)
-    zz = np.asarray(z, dtype=complex)
-    with np.errstate(all="ignore"):
-        out = _eval(e, zz)
-    if scalar:
-        val = complex(out)
-        if not (np.isfinite(val.real) and np.isfinite(val.imag)):
-            raise EvalError(f"singular evaluation of {to_text(e)!r} at z={z}")
-        return val
-    return out
+    return eval_jet(e, z, 0).values[0]
 
 
 @dataclass(frozen=True)
@@ -402,25 +526,27 @@ class CJet:
 def eval_jet(e: HoloExpr, z, order: int = MAX_JET_ORDER) -> CJet:
     """Evaluate ``e`` and its derivatives up to ``order`` (0..3) at ``z``.
 
-    Derivatives are obtained by evaluating the symbolically differentiated
-    trees, so entries are exact to rounding.  Scalar ``z`` raises
-    :class:`EvalError` if any entry is non-finite; arrays leave non-finite
-    entries in place.
+    One forward pass over the tree carries the whole jet through each
+    node: sums act entrywise, products follow the Leibniz rule, quotients
+    its solved form, and powers and the elementary functions Faa di
+    Bruno's chain rule.  Entries are exact to rounding; a term that
+    :func:`differentiate` makes exactly zero stays exactly zero here, so
+    no entry is non-finite where the differentiated tree is finite.
+    Scalar ``z`` raises :class:`EvalError` if any entry is non-finite;
+    arrays leave non-finite entries in place.
     """
     if not isinstance(order, int) or not 0 <= order <= MAX_JET_ORDER:
         raise ValueError(f"order must be an integer in 0..{MAX_JET_ORDER}")
     scalar = np.ndim(z) == 0 and not isinstance(z, np.ndarray)
     zz = np.asarray(z, dtype=complex)
-    values = []
-    tree = e
     with np.errstate(all="ignore"):
-        for k in range(order + 1):
-            values.append(_eval(tree, zz))
-            if k < order:
-                tree = differentiate(tree)
+        values = _jet(e, zz, order)
     if scalar:
         vals = tuple(complex(v) for v in values)
         if not all(np.isfinite(v.real) and np.isfinite(v.imag) for v in vals):
             raise EvalError(f"singular jet of {to_text(e)!r} at z={z}")
         return CJet(complex(z), vals)
-    return CJet(zz, tuple(values))
+    # constant entries are scalars until here
+    return CJet(zz, tuple(v if isinstance(v, np.ndarray)
+                          else np.full(zz.shape, v, dtype=complex)
+                          for v in values))

@@ -238,8 +238,12 @@ def evaluate_patch(patch: RibaucourPatch, nu: int = 41, nv: int = 41,
     (or on explicit sample points ``Z``)."""
     if Z is None:
         _, _, Z = patch.domain.mesh(nu, nv)
-    j1 = eval_jet(patch.f1, Z, 3)
-    j2 = eval_jet(patch.f2, Z, 3)
+    return _fields_from_jets(eval_jet(patch.f1, Z, 3),
+                             eval_jet(patch.f2, Z, 3), Z, patch)
+
+
+def _fields_from_jets(j1, j2, Z, patch: RibaucourPatch) -> SurfaceFields:
+    """Shape pipeline from the order-3 jets of f1 and f2 at ``Z``."""
     fields = shape_from_support(frame_from_jet(j1), support_jet(j1, j2))
     fields.Z = np.asarray(Z)
     fields.patch = patch
@@ -330,9 +334,8 @@ def support_pde_residual(fields: SurfaceFields) -> ResidualField:
 
 def check_support_pde(f1: HoloExpr, f2: HoloExpr, Z) -> ResidualField:
     """Support-identity residual for the pair (f1, f2) on sample points Z."""
-    j1 = eval_jet(f1, np.asarray(Z, dtype=complex), 3)
-    j2 = eval_jet(f2, np.asarray(Z, dtype=complex), 3)
-    fields = shape_from_support(frame_from_jet(j1), support_jet(j1, j2))
+    fields = evaluate_patch(RibaucourPatch(f1, f2),
+                            Z=np.asarray(Z, dtype=complex))
     return support_pde_residual(fields)
 
 

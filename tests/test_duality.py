@@ -3,6 +3,7 @@
 import numpy as np
 
 from _oracles import rel_gap
+from ribaucour import duality, holoexpr, ribaucour_core
 from ribaucour.duality import (DualPair, evaluate_pair, make_dual, verify_c2,
                                verify_form_relations, verify_hk_equality)
 from ribaucour.grids import Domain
@@ -112,3 +113,31 @@ def test_reports_reuse_precomputed_fields():
         assert np.array_equal(a.valid, b.valid)
         assert np.array_equal(a.values, b.values, equal_nan=True)
         assert a.max_abs == b.max_abs
+
+
+def test_pair_evaluates_each_generator_once(monkeypatch):
+    # the dual is the pair swapped: its fields reuse the primal's two
+    # jets, and neither route re-differentiates a tree
+    pair = make_dual(make_patch("exp(z)/(1+z^2)", "sin(z)*cos(z)/(z+3)",
+                                SQUARE))
+    reference = (evaluate_patch(pair.patch, 21, 21),
+                 evaluate_patch(pair.dual, 21, 21))
+    calls = []
+
+    def spy(e, z, order=3):
+        calls.append(e)
+        return holoexpr.eval_jet(e, z, order)
+
+    def refuse(e):
+        raise AssertionError("differentiate reached from evaluate_pair")
+
+    for module in (duality, ribaucour_core):
+        monkeypatch.setattr(module, "eval_jet", spy)
+    monkeypatch.setattr(holoexpr, "differentiate", refuse)
+    fields = evaluate_pair(pair, 21, 21)
+    assert calls == [pair.patch.f1, pair.patch.f2]
+    for got, want in zip(fields, reference):
+        assert got.patch is want.patch
+        for name in ("X", "N", "k1", "k2", "hover_k", "mu", "degenerate"):
+            assert np.array_equal(getattr(got, name), getattr(want, name),
+                                  equal_nan=name != "degenerate"), name

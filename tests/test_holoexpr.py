@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ribaucour import holoexpr
 from ribaucour.holoexpr import (FUNCTIONS, BinOp, Call, Const, EvalError, Neg,
                                 ParseError, Pow, Var, differentiate, eval_jet,
                                 evaluate, parse, to_text)
@@ -161,6 +162,7 @@ TREES = st.recursive(_LEAVES, lambda kids: st.one_of(
 
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(TREES)
+@example(Call("log", Const(-2 + 0j)))
 def test_roundtrip_random_trees(tree):
     text = to_text(tree)
     rebuilt = parse(text)                       # never raises
@@ -171,6 +173,23 @@ def test_roundtrip_random_trees(tree):
     nan_a = np.isnan(a.real) | np.isnan(a.imag)
     assert np.array_equal(nan_a, np.isnan(b.real) | np.isnan(b.imag)), text
     assert np.allclose(a[~nan_a], b[~nan_a], rtol=1e-12, atol=0.0), text
+
+
+def test_negative_real_constant_keeps_its_branch():
+    # the sign of a zero imaginary part picks the branch of log on the
+    # negative real axis: ln 2 + pi i for -2 + 0i, ln 2 - pi i for -2 - 0i
+    for value in (complex(-2.0, 0.0), complex(-2.0, -0.0)):
+        tree = Call("log", Const(value))
+        text = to_text(tree)
+        assert evaluate(parse(text), 0.0) == evaluate(tree, 0.0), text
+    assert evaluate(Call("log", Const(-2 + 0j)), 0.0).imag == np.pi
+    # a power rule constant: d/dz z^-2 = -2 z^-3
+    d = differentiate(parse("z^-2"))
+    assert evaluate(parse(to_text(d)), 2.0) == evaluate(d, 2.0) == -0.25
+    # user input keeps its meaning: log(-2) is log of -(2 + 0i)
+    assert parse("log(-2)") == Call("log", Neg(Const(2 + 0j)))
+    assert to_text(parse("log(-2)")) == "log(-2)"
+    assert evaluate(parse("log(-2)"), 0.0).imag == -np.pi
 
 
 # ---------------------------------------------------------------------------
@@ -290,3 +309,69 @@ def test_jet_product_follows_leibniz():
             )
             for got, want in zip(jp, expect):
                 assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_power_rule_at_zero_base():
+    # f^(k)(0) of z^n is n! when k = n and 0 otherwise; the vanishing
+    # falling factorials must give exact zeros, not 0 * 0^(n-k) = NaN
+    for n in range(5):
+        expected = tuple(complex(np.prod(range(1, n + 1)) if k == n else 0)
+                         for k in range(4))
+        assert eval_jet(parse(f"z^{n}"), 0.0, 3).values == expected, n
+    assert eval_jet(parse("z^2"), 0.0, 3).values == (0, 0, 2, 0)
+    with pytest.raises(EvalError):
+        eval_jet(parse("z^-1"), 0.0, 0)
+
+
+def _subtrees(e):
+    yield e
+    for child in vars(e).values():
+        if isinstance(child, (Var, Const, BinOp, Pow, Neg, Call)):
+            yield from _subtrees(child)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(TREES)
+@example(parse("sin(z)*exp(z)/(z^2 + 2)"))
+@example(parse("cos(z^2)^3 - log(z + 2)*sinh(z)"))
+def test_jet_matches_differentiated_trees(tree):
+    # the symbolic derivative is the independent oracle of the Taylor
+    # pass: entry k equals the k-times differentiated tree wherever that
+    # is finite.  Rounding in either route grows with the intermediate
+    # values, so the gap is judged against the largest |entry| up to
+    # order k of the tree or any of its subtrees.
+    jet = eval_jet(tree, EVAL_POINTS, 3).values
+    subjets = [eval_jet(s, EVAL_POINTS, 3).values for s in _subtrees(tree)]
+    oracle = tree
+    for k in range(4):
+        want = evaluate(oracle, EVAL_POINTS)
+        finite = np.isfinite(want.real) & np.isfinite(want.imag)
+        got = jet[k][finite]
+        assert np.all(np.isfinite(got.real) & np.isfinite(got.imag)), \
+            (to_text(tree), k)
+        with np.errstate(invalid="ignore"):
+            scale = np.max([np.abs(sj[kk]) for sj in subjets
+                            for kk in range(k + 1)], axis=0)[finite]
+        ok = np.isfinite(scale)
+        gap = np.abs(got - want[finite])[ok]
+        assert np.all(gap <= 1e-12 * scale[ok]), (to_text(tree), k)
+        if k < 3:
+            oracle = differentiate(oracle)
+
+
+def test_jet_and_evaluate_do_not_differentiate(monkeypatch):
+    # symbolic differentiation is the oracle, not the evaluator
+    expected = [(eval_jet(parse(t), EVAL_POINTS, 3).values,
+                 evaluate(parse(t), EVAL_POINTS)) for t in CORPUS]
+
+    def refuse(e):
+        raise AssertionError("differentiate reached from evaluation")
+
+    monkeypatch.setattr(holoexpr, "differentiate", refuse)
+    for text, (jet, value) in zip(CORPUS, expected):
+        e = parse(text)
+        for got, want in zip(eval_jet(e, EVAL_POINTS, 3).values, jet):
+            assert np.array_equal(got, want), text
+        assert np.array_equal(evaluate(e, EVAL_POINTS), value), text
+        scalar = evaluate(e, complex(EVAL_POINTS[0]))
+        assert abs(scalar - value[0]) <= 1e-15 * abs(value[0]), text

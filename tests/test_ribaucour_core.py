@@ -1,16 +1,20 @@
 """Support-function shape calculus: immersion, forms, residual checks."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import fd_principal_curvatures, rel_gap
 from ribaucour.grids import Domain
-from ribaucour.holoexpr import parse
-from ribaucour.ribaucour_core import (check_laguerre_holomorphy,
+from ribaucour.holoexpr import BinOp, Call, Const, Var, parse
+from ribaucour.ribaucour_core import (RibaucourPatch,
+                                      check_laguerre_holomorphy,
                                       check_middle_sphere, check_support_pde,
                                       evaluate_patch, hk_from_support,
                                       immerse, laguerre_hopf, make_patch,
                                       support, support_pde_residual,
                                       unit_sphere_gap)
+from ribaucour.sphere_geom import sphere_laplacian
 
 SQUARE = Domain(-1.0, 1.0, -1.0, 1.0)
 OFFSET = Domain(0.3, 1.3, 0.2, 1.2)
@@ -64,6 +68,55 @@ def test_support_pde_on_grids():
         r = check_support_pde(parse(f1), parse(f2), _mesh(dom, 41))
         assert r.n_valid > 0.9 * 41 * 41, (f1, f2)
         assert r.max_abs <= 1e-8, (f1, f2)
+
+
+# Random generators a h(c b(z) + b0) + b1: h is the identity or exp, the
+# base b is z, 1/(z + d) or log(z + d) with Re d >= 0.4, so on
+# [0.1, 0.9]^2 each generator is regular with f' != 0 and bounded values.
+_COEF = st.floats(-2, 2).map(lambda x: round(x, 2) + 0.0)
+_CONST = st.builds(lambda a, b: Const(complex(a, b)), _COEF, _COEF)
+_SCALE = st.builds(lambda a, b: Const(complex(a, b)),
+                   _COEF.filter(lambda x: abs(x) >= 0.25), _COEF)
+_SHIFTED = st.builds(lambda a, b: BinOp("+", Var(), Const(complex(a, b))),
+                     st.floats(0.4, 2).map(lambda x: round(x, 2)), _COEF)
+_BASE = st.one_of(st.just(Var()),
+                  st.builds(lambda s: BinOp("/", Const(1 + 0j), s), _SHIFTED),
+                  st.builds(lambda s: Call("log", s), _SHIFTED))
+
+
+def _affine(a, e, b):
+    return BinOp("+", BinOp("*", a, e), b)
+
+
+GENERATORS = st.builds(
+    lambda a, h, c, base, b0, b1: _affine(a, h(_affine(c, base, b0)), b1),
+    _SCALE, st.sampled_from([lambda e: e, lambda e: Call("exp", e)]),
+    _SCALE, _BASE, _CONST, _CONST)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(GENERATORS, GENERATORS)
+def test_identities_hold_for_random_pairs(f1, f2):
+    # every pair builds a surface of the class: the support identity and
+    # the middle-sphere identity vanish on each valid sample, to rounding
+    # relative to the largest term of the identity there
+    fields = evaluate_patch(RibaucourPatch(f1, f2, Domain(0.1, 0.9, 0.1, 0.9)),
+                            9, 9)
+    rv = fields.rho_val
+    w = np.exp(-2.0 * np.asarray(fields.frame.tau.val))
+    grad_sq = w * (np.asarray(fields.rho.du) ** 2
+                   + np.asarray(fields.rho.dv) ** 2)
+    pde_terms = (rv * rv, rv * sphere_laplacian(fields.rho, fields.frame),
+                 np.ones_like(rv), grad_sq)
+    x_dot_n = np.sum(fields.X * fields.N, axis=-1)
+    sphere_terms = (np.sum(fields.X * fields.X, axis=-1),
+                    2.0 * fields.hover_k * x_dot_n, np.ones_like(rv))
+    for res, terms in ((support_pde_residual(fields), pde_terms),
+                       (check_middle_sphere(fields), sphere_terms)):
+        assert res.n_valid > 0, res.name
+        scale = np.maximum.reduce([np.abs(t) for t in terms])
+        rel = np.abs(res.values[res.valid]) / scale[res.valid]
+        assert np.max(rel) <= 1e-9, (res.name, np.max(rel))
 
 
 def test_support_pde_terms_match_finite_differences():
