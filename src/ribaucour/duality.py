@@ -34,7 +34,7 @@ import numpy as np
 
 from .holoexpr import eval_jet
 from .ribaucour_core import (ResidualField, RibaucourPatch, SurfaceFields,
-                             _fields_from_jets, evaluate_patch)
+                             _fields_from_jets)
 
 __all__ = [
     "DualPair", "make_dual", "evaluate_pair",
@@ -57,18 +57,18 @@ def evaluate_pair(pair: DualPair, nu: int = 41, nv: int = 41
                   ) -> tuple[SurfaceFields, SurfaceFields]:
     """Fields of the patch and of its dual on an nu x nv grid.
 
-    The dual from :func:`make_dual` is the same two generators swapped on
-    the same chart, so both fields come from one jet of each generator;
-    any other pairing is evaluated patch by patch.
+    Both are sampled on the patch's chart, and each distinct generator
+    is evaluated once: the dual from :func:`make_dual` is the same two
+    generators swapped, so both fields come from one jet of each.
     """
     patch, dual = pair.patch, pair.dual
-    if not (dual.f1 is patch.f2 and dual.f2 is patch.f1
-            and dual.domain == patch.domain):
-        return evaluate_patch(patch, nu, nv), evaluate_patch(dual, nu, nv)
     _, _, Z = patch.domain.mesh(nu, nv)
-    j1, j2 = eval_jet(patch.f1, Z, 3), eval_jet(patch.f2, Z, 3)
-    return (_fields_from_jets(j1, j2, Z, patch),
-            _fields_from_jets(j2, j1, Z, dual))
+    jets = {}
+    for f in (patch.f1, patch.f2, dual.f1, dual.f2):
+        if id(f) not in jets:
+            jets[id(f)] = eval_jet(f, Z, 3)
+    return tuple(_fields_from_jets(jets[id(p.f1)], jets[id(p.f2)], Z, p)
+                 for p in (patch, dual))
 
 
 def _rel(a, b):
