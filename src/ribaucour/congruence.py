@@ -35,23 +35,23 @@ form or integrated; in the reference gauge its middle-sphere residual is
 the first integral, pointwise.
 
 :func:`analytic_example` ships closed-form solutions over the built-in
-patches.  Each candidate closed form is validated against the system
-before use; if it fails (one published Omega does), the module falls
-back to exact symbolic quadrature of Omega from W and recovers
-(c, Omega(0,0)) by least squares on the first integral, recording both
-outcomes.
+patches as jet code.  Each published closed form is validated against
+the system before use.  One published Omega (Enneper's) fails; the
+module then uses a shipped correction, Omega and c obtained by exact
+quadrature of Omega from W and the first integral, validates it the
+same way and records both outcomes.  The quadrature is not redone at
+run time: the tests re-derive the correction from W as its oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .duality import _form_residual
 from .grids import Domain
-from .holoexpr import differentiate, to_text
 from .jets import RJet2, jet_finite
 from .minimal import MinimalPatch, catenoid_patch, enneper_patch
 from .ribaucour_core import ResidualField, SurfaceFields, shape_from_support
@@ -143,36 +143,81 @@ def _state_from_jets(patch: MinimalPatch, wj: RJet2, oj: RJet2, U, V
 # Closed-form congruence data over the built-in patches
 # ---------------------------------------------------------------------------
 
-def _sympy():
-    """sympy and the real chart symbols u, v, imported on first use so
-    that ``import ribaucour`` never loads sympy."""
-    import sympy as sp
-    return (sp, *sp.symbols("u v", real=True))
+def _cosh_sinh(x: RJet2):
+    ep, em = x.exp(), (-x).exp()
+    return 0.5 * (ep + em), 0.5 * (ep - em)
 
 
-def _compile_jet(expr):
-    """Lambdify an expression in (u, v) and its partials to second order,
-    each broadcast to the common sample shape of (U, V)."""
-    sp, u, v = _sympy()
-    orders = [(), (u,), (v,), (u, u), (u, v), (v, v)]
-    fns = [sp.lambdify((u, v), sp.diff(expr, *o) if o else expr,
-                       modules="numpy") for o in orders]
+def _catenoid_w(u, v):
+    ch, _ = _cosh_sinh(v)
+    return (1.0 + u * u + v * v) / (2.0 * ch)
+
+
+def _catenoid_omega(u, v):
+    ch, sh = _cosh_sinh(v)
+    return 0.5 * (u * u + v * v + 5.0) * ch - 2.0 * v * sh
+
+
+def _enneper_w(u, v):
+    ch, _ = _cosh_sinh(u)
+    return 2.0 * ch / (1.0 + u * u + v * v)
+
+
+def _enneper_omega_published(u, v):
+    ch, sh = _cosh_sinh(u)
+    return (5.0 + u * u + v * v) * ch + 4.0 * u * sh + 5.0 * ch
+
+
+def _enneper_omega(u, v):
+    ch, sh = _cosh_sinh(u)
+    return (u * u + v * v + 5.0) * ch - 4.0 * u * sh
+
+
+def _on_samples(fn):
+    """(U, V) -> RJet2 of ``fn``, a function of the chart coordinate jets,
+    with every entry broadcast to the common sample shape of (U, V)."""
     def jet(U, V) -> RJet2:
-        shape = np.broadcast_shapes(np.shape(U), np.shape(V))
+        U, V = np.asarray(U, dtype=float), np.asarray(V, dtype=float)
+        shape = np.broadcast_shapes(U.shape, V.shape)
+        # on a chart grid (u along rows, v along columns) the terms in one
+        # coordinate need only one grid line; the values are the same
+        if (U.ndim == V.ndim == 2 and (U == U[:, :1]).all()
+                and (V == V[:1, :]).all()):
+            U, V = U[:, :1], V[:1, :]
         with np.errstate(all="ignore"):
-            return RJet2(*(np.broadcast_to(np.asarray(f(U, V), dtype=float),
-                                           shape) for f in fns))
+            j = fn(RJet2.coord_u(U), RJet2.coord_v(V))
+        return RJet2(*(np.broadcast_to(np.asarray(x, dtype=float), shape)
+                       for x in (j.val, j.du, j.dv, j.duu, j.duv, j.dvv)))
     return jet
 
 
-# Candidate closed forms (patch, W, Omega), W and Omega in the chart
-# coordinates u, v.  Each is validated before use; the fallback
-# quadrature below repairs a failing Omega.
+@dataclass(frozen=True)
+class _ClosedForm:
+    """Published congruence data (W, Omega) over a built-in patch, as jet
+    functions of the chart coordinates with their texts.  ``corrected``
+    is (Omega, text, constants) replacing a published Omega that fails
+    the system; tests re-derive it by exact quadrature from W."""
+
+    patch: object
+    w: object
+    w_text: str
+    omega: object
+    omega_text: str
+    corrected: tuple | None = None
+
+
 _ANALYTIC = {
-    "catenoid": (catenoid_patch, "(1 + u**2 + v**2) / (2*cosh(v))",
-                 "(u**2 + v**2)*cosh(v)/2 - 2*v*sinh(v) + 5*cosh(v)/2"),
-    "enneper": (enneper_patch, "2*cosh(u) / (1 + u**2 + v**2)",
-                "(5 + u**2 + v**2)*cosh(u) + 4*u*sinh(u) + 5*cosh(u)"),
+    "catenoid": _ClosedForm(
+        catenoid_patch, _catenoid_w, "(1 + u**2 + v**2) / (2*cosh(v))",
+        _catenoid_omega,
+        "-2*v*sinh(v) + (u**2 + v**2)*cosh(v)/2 + 5*cosh(v)/2"),
+    "enneper": _ClosedForm(
+        enneper_patch, _enneper_w, "2*cosh(u) / (1 + u**2 + v**2)",
+        _enneper_omega_published,
+        "(5 + u**2 + v**2)*cosh(u) + 4*u*sinh(u) + 5*cosh(u)",
+        corrected=(_enneper_omega,
+                   "u**2*cosh(u) - 4*u*sinh(u) + v**2*cosh(u) + 5*cosh(u)",
+                   IntegralConstants(c=0.25))),
 }
 
 
@@ -181,8 +226,9 @@ class AnalyticCongruence:
     """A validated closed-form congruence over a built-in minimal patch.
 
     ``w_jet``/``omega_jet`` are callables (U, V) -> RJet2.  When the
-    published candidate Omega fails the system, ``used_fallback`` is True
-    and ``literal_residuals``/``literal_constants`` record how it failed.
+    published Omega fails the system, the shipped correction is used,
+    ``used_fallback`` is True and ``literal_residuals``/
+    ``literal_constants`` record how the published Omega failed.
     """
 
     name: str
@@ -223,55 +269,25 @@ def _max_drift(patch, wj_fn, oj_fn, consts, U, V) -> float:
     return float(np.max(np.abs(F)))
 
 
-def _symbolic_k1(patch: MinimalPatch):
-    """k1 = 4 |g'|^2 / (a (1 + |g|^2)^2) of the patch as a sympy
-    expression in u, v."""
-    sp, u, v = _sympy()
-    def abs2(e):
-        re, im = sp.sympify(to_text(e), rational=True, locals={
-            "z": u + sp.I * v, "i": sp.I}).as_real_imag()
-        return re**2 + im**2
-    return sp.simplify(4 * abs2(differentiate(patch.g))
-                       / (sp.nsimplify(patch.a) * (1 + abs2(patch.g))**2))
-
-
-def _quadrature_omega(patch: MinimalPatch, w_expr):
-    """Recover Omega symbolically from W via Omega_u = W_u/k1,
-    Omega_v = W_v/k2 (exact quadrature; raises if not integrable)."""
-    sp, u, v = _sympy()
-    k1 = _symbolic_k1(patch)
-    omega_u = sp.simplify(sp.diff(w_expr, u) / k1)
-    omega_v = sp.simplify(sp.diff(w_expr, v) / -k1)
-    anti = sp.integrate(omega_u, u)
-    remainder = sp.simplify(omega_v - sp.diff(anti, v))
-    if remainder.has(u):
-        raise RuntimeError(
-            f"congruence data over {patch.name!r} is not integrable: "
-            f"v-derivative mismatch {remainder} depends on u")
-    return sp.simplify(anti + sp.integrate(remainder, v))
-
-
 def analytic_example(name: str, nu: int = 41, nv: int = 41,
                      tol: float = 1e-6) -> AnalyticCongruence:
     """Closed-form congruence fields over a built-in minimal patch.
 
-    Validates the candidate (W, Omega) against the full system and the
-    first integral on an [-1, 1]^2 grid.  A failing Omega triggers the
-    exact-quadrature fallback with (c, Omega(0,0)) recovered by least
-    squares on the first integral; the literal outcome stays in the
-    returned record either way.
+    Validates the published (W, Omega) against the full system and the
+    first integral on an [-1, 1]^2 grid, with c from the first integral
+    at the chart origin.  A failing Omega is replaced by the shipped
+    correction (an exact quadrature of Omega from W, re-derived in the
+    tests), which is validated the same way; the literal outcome stays
+    in the returned record either way.
     """
     if name not in _ANALYTIC:
         raise KeyError(f"no analytic congruence named {name!r}; "
                        f"choose from {sorted(_ANALYTIC)}")
-    sp, u, v = _sympy()
-    make_patch, w_text, omega_text = _ANALYTIC[name]
-    patch = make_patch()
-    w_expr, omega_lit = (sp.sympify(t, locals={"u": u, "v": v})
-                         for t in (w_text, omega_text))
+    data = _ANALYTIC[name]
+    patch = data.patch()
     U, V, _ = Domain(-1.0, 1.0, -1.0, 1.0).mesh(nu, nv)
-    wj_fn = _compile_jet(w_expr)
-    oj_lit = _compile_jet(omega_lit)
+    wj_fn = _on_samples(data.w)
+    oj_lit = _on_samples(data.omega)
 
     lit_res = system_residuals(patch, wj_fn, oj_lit, U, V)
     c_lit = _origin_constant(patch, wj_fn, oj_lit)
@@ -279,51 +295,29 @@ def analytic_example(name: str, nu: int = 41, nv: int = 41,
                   if np.isfinite(c_lit) and c_lit != 0.0 else None)
     lit_drift = (_max_drift(patch, wj_fn, oj_lit, lit_consts, U, V)
                  if lit_consts else float("inf"))
-    literal_ok = max(lit_res.values()) <= tol and lit_drift <= tol
+    literal = dict(literal_residuals=lit_res, literal_drift=lit_drift,
+                   literal_constants=lit_consts)
 
-    if literal_ok:
+    if max(lit_res.values()) <= tol and lit_drift <= tol:
         return AnalyticCongruence(
             name=name, patch=patch, constants=lit_consts,
-            w_jet=wj_fn, omega_jet=oj_lit,
-            residuals=lit_res, drift=lit_drift, used_fallback=False,
-            literal_residuals=lit_res, literal_drift=lit_drift,
-            literal_constants=lit_consts,
-            omega_text=str(omega_lit))
-
-    # fallback: integrate Omega exactly and refit the constants
-    omega_base = _quadrature_omega(patch, w_expr)
-    omega_base = sp.simplify(omega_base - omega_base.subs({u: 0, v: 0}))
-    base_fn = _compile_jet(omega_base)
-    Wv = wj_fn(U, V).val
-    Bv = base_fn(U, V).val
-    st = _state_from_jets(patch, wj_fn(U, V), base_fn(U, V), U, V)
-    rhs = (st.omega1**2 + st.omega2**2 + st.w**2 + 1.0).ravel()
-    design = np.stack([(Bv * Wv).ravel(), np.asarray(Wv).ravel()], axis=1)
-    (p, q), *_ = np.linalg.lstsq(design, rhs, rcond=None)
-    c_fb = p / 2.0
-    omega0 = q / p
-    # the fit noise is ~1e-15, so snap both constants to nearby exact
-    # rationals; the re-validation below keeps the snap honest
-    c_snap = sp.nsimplify(float(c_fb), tolerance=1e-9, rational=True)
-    om0_snap = sp.nsimplify(float(omega0), tolerance=1e-9, rational=True)
-    omega_expr = omega_base + om0_snap
-    oj_fb = _compile_jet(omega_expr)
-    consts = IntegralConstants(c=float(c_snap))
-    fb_res = system_residuals(patch, wj_fn, oj_fb, U, V)
-    fb_drift = _max_drift(patch, wj_fn, oj_fb, consts, U, V)
-    if max(fb_res.values()) > tol or fb_drift > tol:
-        omega_expr = omega_base + omega0
-        oj_fb = _compile_jet(omega_expr)
-        consts = IntegralConstants(c=float(c_fb))
-        fb_res = system_residuals(patch, wj_fn, oj_fb, U, V)
-        fb_drift = _max_drift(patch, wj_fn, oj_fb, consts, U, V)
+            w_jet=wj_fn, omega_jet=oj_lit, residuals=lit_res,
+            drift=lit_drift, used_fallback=False,
+            omega_text=data.omega_text, **literal)
+    if data.corrected is None:
+        raise RuntimeError(f"the published congruence data over {name!r} "
+                           f"fails the first-order system")
+    omega, omega_text, consts = data.corrected
+    oj_fix = _on_samples(omega)
+    res = system_residuals(patch, wj_fn, oj_fix, U, V)
+    drift = _max_drift(patch, wj_fn, oj_fix, consts, U, V)
+    if max(res.values()) > tol or drift > tol:
+        raise RuntimeError(f"the corrected congruence data over {name!r} "
+                           f"fails the first-order system")
     return AnalyticCongruence(
         name=name, patch=patch, constants=consts,
-        w_jet=wj_fn, omega_jet=oj_fb,
-        residuals=fb_res, drift=fb_drift, used_fallback=True,
-        literal_residuals=lit_res, literal_drift=lit_drift,
-        literal_constants=lit_consts,
-        omega_text=str(sp.simplify(omega_expr)))
+        w_jet=wj_fn, omega_jet=oj_fix, residuals=res, drift=drift,
+        used_fallback=True, omega_text=omega_text, **literal)
 
 
 # ---------------------------------------------------------------------------
@@ -417,10 +411,13 @@ def integrate_system(patch: MinimalPatch, init: CongruenceState,
     """
     domain = domain or Domain(-1.0, 1.0, -1.0, 1.0)
     if step is not None:
+        if not (np.isfinite(step) and step > 0.0):
+            raise ValueError(f"the integration step must be finite and "
+                             f"positive, got {step}")
         nu = int(round((domain.u1 - domain.u0) / step)) + 1
         nv = int(round((domain.v1 - domain.v0) / step)) + 1
-    nu = nu or 101
-    nv = nv or 101
+    nu = 101 if nu is None else nu
+    nv = 101 if nv is None else nv
     if nu < 2 or nv < 2:
         raise ValueError(f"integration needs at least 2 nodes per "
                          f"direction, got {nu} x {nv}")

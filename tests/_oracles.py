@@ -1,13 +1,20 @@
-"""Finite-difference oracles shared by the test modules.
+"""Independent oracles shared by the test modules.
 
-Everything here recomputes geometry from sampled values only (positions,
-normals, plain field values), never through the jet machinery under
-test, so agreement between the two routes is independent evidence.
+The finite-difference oracles recompute geometry from sampled values
+only (positions, normals, plain field values), never through the jet
+machinery under test, so agreement between the two routes is
+independent evidence.  The congruence oracle re-derives closed-form
+data by exact sympy quadrature, from the printed Gauss map and W text.
 """
 
 import numpy as np
+import sympy as sp
 
 from ribaucour import evaluate_patch
+from ribaucour.holoexpr import differentiate, to_text
+
+# the real chart coordinates of the symbolic oracle
+U_SYM, V_SYM = sp.symbols("u v", real=True)
 
 STEP = 1e-3
 
@@ -119,3 +126,32 @@ def rel_gap(a, b):
     with np.errstate(all="ignore"):
         out = np.abs(a - b) / scale
     return np.where(scale == 0.0, 0.0, out)
+
+
+def symbolic_k1(patch):
+    """k1 = 4 |g'|^2 / (a (1 + |g|^2)^2) of a minimal patch as a sympy
+    expression in u, v."""
+    u, v = U_SYM, V_SYM
+    def abs2(e):
+        re, im = sp.sympify(to_text(e), rational=True, locals={
+            "z": u + sp.I * v, "i": sp.I}).as_real_imag()
+        return re**2 + im**2
+    return sp.simplify(4 * abs2(differentiate(patch.g))
+                       / (sp.nsimplify(patch.a) * (1 + abs2(patch.g))**2))
+
+
+def quadrature_omega(patch, w_expr):
+    """Recover Omega symbolically from W via Omega_u = W_u/k1,
+    Omega_v = W_v/k2, up to an additive constant (exact quadrature;
+    raises if not integrable)."""
+    u, v = U_SYM, V_SYM
+    k1 = symbolic_k1(patch)
+    omega_u = sp.simplify(sp.diff(w_expr, u) / k1)
+    omega_v = sp.simplify(sp.diff(w_expr, v) / -k1)
+    anti = sp.integrate(omega_u, u)
+    remainder = sp.simplify(omega_v - sp.diff(anti, v))
+    if remainder.has(u):
+        raise RuntimeError(
+            f"congruence data over {patch.name!r} is not integrable: "
+            f"v-derivative mismatch {remainder} depends on u")
+    return sp.simplify(anti + sp.integrate(remainder, v))

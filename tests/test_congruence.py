@@ -1,16 +1,21 @@
 """Sphere-congruence fields over minimal patches and their envelopes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+import sympy as sp
 
-from ribaucour.congruence import (CongruenceState, IntegralConstants,
+from _oracles import U_SYM, V_SYM, quadrature_omega, symbolic_k1
+from ribaucour.congruence import (_ANALYTIC, CongruenceState,
+                                  IntegralConstants, _on_samples,
                                   analytic_example, check_hessian_identities,
                                   envelope, first_integral,
                                   generated_forms_check, hover_ratio_residual,
                                   integrate_system, system_residuals)
 from ribaucour.grids import Domain
 from ribaucour.jets import RJet2
-from ribaucour.minimal import catenoid_patch
+from ribaucour.minimal import catenoid_patch, enneper_patch
 from ribaucour.ribaucour_core import check_middle_sphere
 from ribaucour.sphere_geom import SphereFrame
 
@@ -114,6 +119,81 @@ def test_enneper_fields_need_the_quadrature_route(enneper_data):
     assert abs(float(np.asarray(ac.omega_jet(0.0, 0.0).val)) - 5.0) <= 1e-12
 
 
+@pytest.fixture(scope="module")
+def enneper_quadrature():
+    """Enneper's Omega and c re-derived from the shipped W text: exact
+    quadrature gives Omega up to a constant Omega(0,0), and the first
+    integral, with its value and u-curvature at the origin, fixes c and
+    Omega(0,0)."""
+    u, v = U_SYM, V_SYM
+    patch = enneper_patch()
+    w = sp.sympify(_ANALYTIC["enneper"].w_text, locals={"u": u, "v": v})
+    base = quadrature_omega(patch, w)
+    c, om0 = sp.symbols("c Omega0")
+    omega = base - base.subs({u: 0, v: 0}) + om0
+    # k1 phi^2 = a on the patch
+    phi = sp.sqrt(sp.nsimplify(patch.a) / symbolic_k1(patch))
+    F = ((sp.diff(omega, u) / phi)**2 + (sp.diff(omega, v) / phi)**2
+         + w**2 - 2 * c * omega * w + 1)
+    origin = {u: 0, v: 0}
+    (sol,) = sp.solve([F.subs(origin), sp.diff(F, u, 2).subs(origin)],
+                      [c, om0], dict=True)
+    return omega.subs(sol), sol[c]
+
+
+def test_enneper_correction_matches_quadrature(enneper_quadrature):
+    omega, c = enneper_quadrature
+    _, text, consts = _ANALYTIC["enneper"].corrected
+    shipped = sp.sympify(text, locals={"u": U_SYM, "v": V_SYM})
+    assert sp.simplify(shipped - omega) == 0
+    assert c == sp.Rational(1, 4)
+    assert consts == IntegralConstants(c=float(c))
+
+
+def test_shipped_correction_is_validated(monkeypatch):
+    # the correction is checked on the grid like the published data: a
+    # wrong constant is refused, not shipped into the record
+    data = _ANALYTIC["enneper"]
+    fn, text, _ = data.corrected
+    monkeypatch.setitem(_ANALYTIC, "enneper", dataclasses.replace(
+        data, corrected=(fn, text, IntegralConstants(c=0.5))))
+    with pytest.raises(RuntimeError):
+        analytic_example("enneper")
+
+
+def _shipped_texts():
+    for name, data in _ANALYTIC.items():
+        yield pytest.param(data.w_text, data.w, id=f"{name}-w")
+        yield pytest.param(data.omega_text, data.omega, id=f"{name}-omega")
+        if data.corrected is not None:
+            fn, text, _ = data.corrected
+            yield pytest.param(text, fn, id=f"{name}-corrected-omega")
+
+
+@pytest.mark.parametrize("text,fn", _shipped_texts())
+def test_shipped_texts_match_jets(text, fn):
+    # every printed closed form and its partials, lambdified, agree with
+    # the jet code that ships beside it
+    u, v = U_SYM, V_SYM
+    expr = sp.sympify(text, locals={"u": u, "v": v})
+    U, V = _square_grid(21)
+    jet = _on_samples(fn)(U, V)
+    # a chart grid is evaluated on its grid lines: the same bits as
+    # sample by sample
+    flat = _on_samples(fn)(U.ravel(), V.ravel())
+    for part in ("val", "du", "dv", "duu", "duv", "dvv"):
+        assert np.array_equal(getattr(flat, part).reshape(U.shape),
+                              getattr(jet, part)), part
+    orders = {"val": (), "du": (u,), "dv": (v,), "duu": (u, u),
+              "duv": (u, v), "dvv": (v, v)}
+    for part, order in orders.items():
+        ref = np.broadcast_to(sp.lambdify(
+            (u, v), sp.diff(expr, *order) if order else expr,
+            modules="numpy")(U, V), U.shape)
+        gap = np.max(np.abs(getattr(jet, part) - ref))
+        assert gap <= 1e-12 * np.max(np.abs(ref)), (part, gap)
+
+
 def test_unknown_example_name_raises():
     with pytest.raises(KeyError):
         analytic_example("helicoid")
@@ -156,6 +236,17 @@ def test_integration_start_must_be_a_grid_node(catenoid_data):
     with pytest.raises(ValueError):
         integrate_system(ac.patch, init, ac.constants, domain=SQUARE,
                          nu=21, nv=21, init_at=(0.05, 0.0))
+
+
+@pytest.mark.parametrize("grid", [{"nu": 0, "nv": 5}, {"step": 0.0},
+                                  {"step": -0.1}, {"step": float("nan")}])
+def test_integration_grid_must_be_valid(catenoid_data, grid):
+    # nu = 0 is a grid size, not "use the default"; a step must be
+    # finite and positive
+    ac = catenoid_data
+    init = CongruenceState(2.5, 0.0, 0.0, 0.5)
+    with pytest.raises(ValueError):
+        integrate_system(ac.patch, init, ac.constants, domain=SQUARE, **grid)
 
 
 def test_integration_on_flat_patch_is_exactly_constant():

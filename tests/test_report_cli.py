@@ -304,13 +304,30 @@ def test_cli_outputs_are_byte_deterministic(tmp_path):
     assert files[0] == files[1]
 
 
-def test_import_does_not_load_sympy():
-    # sympy serves only the closed-form congruence examples, on demand
-    code = ("import sys, ribaucour, ribaucour.cli; "
-            "assert 'sympy' not in sys.modules")
-    proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+def test_import_does_not_load_sympy(tmp_path):
+    # sympy is a test dependency only: with every sympy import made to
+    # raise, the package imports and both congruence modes run and pass.
+    # The cases share one test id, run one after the other.
+    report = tmp_path / "report.json"
+    cases = [
+        None,
+        ["congruence", "--minimal", "enneper"],
+        ["congruence", "--minimal", "catenoid", "--mode", "integrate",
+         "--step", "0.05"],
+    ]
+    for argv in cases:
+        code = "import sys; sys.modules['sympy'] = None; import ribaucour.cli"
+        if argv is not None:
+            argv = argv + ["--report", str(report)]
+            code += f"; sys.exit(ribaucour.cli.main({argv!r}))"
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr, (argv, proc.stderr)
+        if argv is not None:
+            entries = json.loads(report.read_text())["identities"]
+            assert entries and all(e["pass"] for e in entries), argv
+            report.unlink()
 
 
 def test_installed_entry_point():
