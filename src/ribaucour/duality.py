@@ -34,7 +34,8 @@ import numpy as np
 
 from .holoexpr import eval_jet
 from .ribaucour_core import (ResidualField, RibaucourPatch, SurfaceFields,
-                             _fields_from_jets)
+                             _fields_from_frame)
+from .sphere_geom import frame_from_jet
 
 __all__ = [
     "DualPair", "make_dual", "evaluate_pair",
@@ -58,16 +59,18 @@ def evaluate_pair(pair: DualPair, nu: int = 41, nv: int = 41
     """Fields of the patch and of its dual on an nu x nv grid.
 
     Both are sampled on the patch's chart, and each distinct generator
-    is evaluated once: the dual from :func:`make_dual` is the same two
-    generators swapped, so both fields come from one jet of each.
+    gets one jet and one frame: the dual from :func:`make_dual` is the
+    same two generators swapped, so rho = exp(tau1 - tau2) and
+    rho* = exp(tau2 - tau1) come from the tau jets of the two frames.
     """
     patch, dual = pair.patch, pair.dual
     _, _, Z = patch.domain.mesh(nu, nv)
-    jets = {}
+    frames = {}
     for f in (patch.f1, patch.f2, dual.f1, dual.f2):
-        if id(f) not in jets:
-            jets[id(f)] = eval_jet(f, Z, 3)
-    return tuple(_fields_from_jets(jets[id(p.f1)], jets[id(p.f2)], Z, p)
+        if id(f) not in frames:
+            frames[id(f)] = frame_from_jet(eval_jet(f, Z, 3))
+    return tuple(_fields_from_frame(frames[id(p.f1)], frames[id(p.f2)].tau,
+                                    Z, p)
                  for p in (patch, dual))
 
 

@@ -37,6 +37,10 @@ class RJet2:
     duv: object
     dvv: object
 
+    # ndarray op RJet2 defers to the jet's reflected operator instead of
+    # broadcasting the jet as an object scalar
+    __array_ufunc__ = None
+
     # -- constructors -------------------------------------------------------
 
     @staticmethod
@@ -54,27 +58,34 @@ class RJet2:
 
     # -- ring operations ----------------------------------------------------
 
-    def __add__(self, other) -> "RJet2":
-        o = _coerce(other)
+    def __add__(self, o) -> "RJet2":
+        if not isinstance(o, RJet2):
+            # a constant (scalar or array) shifts the value only
+            return RJet2(self.val + o, self.du, self.dv,
+                         self.duu, self.duv, self.dvv)
         return RJet2(self.val + o.val, self.du + o.du, self.dv + o.dv,
                      self.duu + o.duu, self.duv + o.duv, self.dvv + o.dvv)
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> "RJet2":
-        o = _coerce(other)
+    def __sub__(self, o) -> "RJet2":
+        if not isinstance(o, RJet2):
+            return self + (-o)
         return RJet2(self.val - o.val, self.du - o.du, self.dv - o.dv,
                      self.duu - o.duu, self.duv - o.duv, self.dvv - o.dvv)
 
     def __rsub__(self, other) -> "RJet2":
-        return _coerce(other) - self
+        return -self + other
 
     def __neg__(self) -> "RJet2":
         return RJet2(-self.val, -self.du, -self.dv,
                      -self.duu, -self.duv, -self.dvv)
 
-    def __mul__(self, other) -> "RJet2":
-        o = _coerce(other)
+    def __mul__(self, o) -> "RJet2":
+        if not isinstance(o, RJet2):
+            # a constant scales every entry: no product-rule terms
+            return RJet2(self.val * o, self.du * o, self.dv * o,
+                         self.duu * o, self.duv * o, self.dvv * o)
         return RJet2(
             self.val * o.val,
             self.du * o.val + self.val * o.du,
@@ -87,10 +98,12 @@ class RJet2:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "RJet2":
-        return self * _coerce(other)._reciprocal()
+        if not isinstance(other, RJet2):
+            return self * (1.0 / np.asarray(other, dtype=float)[()])
+        return self * other._reciprocal()
 
     def __rtruediv__(self, other) -> "RJet2":
-        return _coerce(other) * self._reciprocal()
+        return self._reciprocal() * other
 
     def __pow__(self, n: int) -> "RJet2":
         if not isinstance(n, int):
@@ -131,12 +144,6 @@ class RJet2:
         return self._lift(g, g, g)
 
 
-def _coerce(x) -> RJet2:
-    if isinstance(x, RJet2):
-        return x
-    return RJet2.constant(x)
-
-
 # ---------------------------------------------------------------------------
 # Bridges from complex jets of holomorphic functions
 # ---------------------------------------------------------------------------
@@ -158,9 +165,20 @@ def im_jet(j: CJet) -> RJet2:
 
 
 def abs2_jet(j: CJet) -> RJet2:
-    """RJet2 of |f|^2 from a complex jet of f."""
-    p, q = re_jet(j), im_jet(j)
-    return p * p + q * q
+    """RJet2 of |f|^2 from a complex jet of f (order >= 2 required).
+
+    With a = f' conj(f), b = f'' conj(f) and c = |f'|^2, the partials are
+    2 Re a, -2 Im a, 2 (Re b + c), -2 Im b and 2 (c - Re b): a few
+    complex products instead of the product rule on Re f and Im f."""
+    if j.order < 2:
+        raise ValueError("need a complex jet of order >= 2")
+    f0, f1, f2 = j.values[0], j.values[1], j.values[2]
+    fb = np.conj(f0)
+    a, b = f1 * fb, f2 * fb
+    c = f1.real * f1.real + f1.imag * f1.imag
+    return RJet2(f0.real * f0.real + f0.imag * f0.imag,
+                 2.0 * a.real, -2.0 * a.imag,
+                 2.0 * (b.real + c), -2.0 * b.imag, 2.0 * (c - b.real))
 
 
 def jet_finite(j: RJet2):

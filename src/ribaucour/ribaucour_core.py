@@ -5,11 +5,15 @@ middle spheres (centre X + (H/K)N, radius |H/K|) all meet the unit
 sphere along great circles.  f1 fixes the unit normal N by inverse
 stereographic projection; the support function
 
-    rho = |f1'| (1 + |f2|^2) / (|f2'| (1 + |f1|^2))
+    rho = |f1'| (1 + |f2|^2) / (|f2'| (1 + |f1|^2)) = exp(tau1 - tau2),
 
-recovers the immersion as X = grad rho + rho N (gradient in the sphere
-metric).  All shape data comes from second-order jets of rho, so the
-checks below operate at rounding precision.
+with tau_i the log conformal factor of f_i's sphere map
+(:func:`ribaucour.sphere_geom.tau_from_jet`), recovers the immersion as
+X = grad rho + rho N (gradient in the sphere metric).  All shape data
+comes from second-order jets of rho, so the checks below operate at
+rounding precision.  Taking rho from the tau difference keeps samples
+next to a pole of f1 or f2 accurate, where the quotient of |.|^2
+products above cancels catastrophically.
 
 Conventions: shape operator S = -dN dX^{-1}, second fundamental form
 II = -<dX, dN>.  The curvature-radius operator
@@ -36,9 +40,9 @@ import numpy as np
 
 from .grids import Domain
 from .holoexpr import HoloExpr, eval_jet, parse, to_text
-from .jets import RJet2, abs2_jet, jet_finite
+from .jets import RJet2, jet_finite
 from .sphere_geom import (SphereFrame, conformal_hessian, frame_from_jet,
-                          sphere_gradient, sphere_laplacian)
+                          sphere_gradient, sphere_laplacian, tau_from_jet)
 
 __all__ = [
     "RibaucourPatch", "SurfaceFields", "SurfaceSample", "ResidualField",
@@ -79,18 +83,23 @@ def make_patch(f1, f2, domain: Domain | None = None) -> RibaucourPatch:
 # Support function
 # ---------------------------------------------------------------------------
 
-def support_jet(j1, j2) -> RJet2:
-    """Support-function jet from order-3 complex jets of f1 and f2."""
+def _support_from_tau(tau1: RJet2, tau2: RJet2) -> RJet2:
+    """rho = exp(tau1 - tau2); non-finite where either tau is."""
     with np.errstate(all="ignore"):
-        num = abs2_jet(j1.derivative()) * ((abs2_jet(j2) + 1.0) ** 2)
-        den = abs2_jet(j2.derivative()) * ((abs2_jet(j1) + 1.0) ** 2)
-        return (num / den).sqrt()
+        return (tau1 - tau2).exp()
+
+
+def support_jet(j1, j2) -> RJet2:
+    """Support-function jet exp(tau1 - tau2) from order-3 complex jets of
+    f1 and f2.  Both tau jets are pole-safe, so samples next to a pole of
+    either generator stay accurate."""
+    return _support_from_tau(tau_from_jet(j1), tau_from_jet(j2))
 
 
 def support(f1: HoloExpr, f2: HoloExpr, z) -> RJet2:
     """Support function rho with exact second-order partials at z
-    (complex scalar or array).  Zeros of f2' leave non-finite entries for
-    the caller to mask; zeros of f1' give rho = 0 (degenerate sample)."""
+    (complex scalar or array).  Zeros of f1' or f2', and poles exactly on
+    a sample, leave non-finite entries for the caller to mask."""
     return support_jet(eval_jet(f1, z, 3), eval_jet(f2, z, 3))
 
 
@@ -238,13 +247,16 @@ def evaluate_patch(patch: RibaucourPatch, nu: int = 41, nv: int = 41,
     (or on explicit sample points ``Z``)."""
     if Z is None:
         _, _, Z = patch.domain.mesh(nu, nv)
-    return _fields_from_jets(eval_jet(patch.f1, Z, 3),
-                             eval_jet(patch.f2, Z, 3), Z, patch)
+    frame = frame_from_jet(eval_jet(patch.f1, Z, 3))
+    return _fields_from_frame(frame, tau_from_jet(eval_jet(patch.f2, Z, 3)),
+                              Z, patch)
 
 
-def _fields_from_jets(j1, j2, Z, patch: RibaucourPatch) -> SurfaceFields:
-    """Shape pipeline from the order-3 jets of f1 and f2 at ``Z``."""
-    fields = shape_from_support(frame_from_jet(j1), support_jet(j1, j2))
+def _fields_from_frame(frame: SphereFrame, tau2: RJet2, Z,
+                       patch: RibaucourPatch) -> SurfaceFields:
+    """Shape pipeline from the frame of f1 and the tau jet of f2 at
+    ``Z``: rho = exp(tau1 - tau2)."""
+    fields = shape_from_support(frame, _support_from_tau(frame.tau, tau2))
     fields.Z = np.asarray(Z)
     fields.patch = patch
     return fields

@@ -6,11 +6,23 @@ stereographic projection,
     N = (2 Re f, 2 Im f, |f|^2 - 1) / (1 + |f|^2),
 
 and the pulled-back round metric is conformal: <dN, dN> = e^{2 tau}
-(du^2 + dv^2) with e^{2 tau} = 4 |f'|^2 / (1 + |f|^2)^2.
+(du^2 + dv^2) with
+
+    tau = log 2 + (1/2) log |f'|^2 - log(1 + |f|^2).
+
 The frame stores N and tau as second-order jets so that
 gradients, Laplacians and covariant Hessians of fields on the sphere are
 exact. Chart points where f' vanishes (or the jet is non-finite) carry a
 branch flag: the metric degenerates there and derived samples are masked.
+
+Near a pole of f the products |f|^2 and |f'|^2 overflow or cancel,
+although the sphere map is regular there.  So wherever |f| > 1 the frame
+is built from the jet of g = 1/f instead: the metric is unchanged under
+f -> 1/f (tau(g) = tau(f)), and the normal reflects as
+N(f) = (nx, -ny, -nz) of N(g).  Every product then stays bounded.  Only
+within about 1e-10 of a pole do the entries of f's jet, rounded
+independently, lose digits that the jet of 1/f needs; the error then
+grows like (1e-16 / distance)^2.
 """
 
 from __future__ import annotations
@@ -19,14 +31,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .holoexpr import CJet, HoloExpr, eval_jet
+from .holoexpr import CJet, HoloExpr, _quotient, eval_jet
 from .jets import RJet2, abs2_jet, im_jet, jet_finite, re_jet
 
 __all__ = [
-    "SphereFrame", "gauss_map", "frame_from_jet",
+    "SphereFrame", "gauss_map", "frame_from_jet", "tau_from_jet",
     "sphere_gradient", "sphere_laplacian", "sphere_hessian",
     "conformal_hessian", "conformal_curvature",
 ]
+
+_LOG2 = float(np.log(2.0))
 
 
 def _stack3(a, b, c) -> np.ndarray:
@@ -77,32 +91,64 @@ class SphereFrame:
         return _stack3(self.nx.dvv, self.ny.dvv, self.nz.dvv)
 
 
-def frame_from_jet(j: CJet) -> SphereFrame:
-    """Build the sphere frame from an order-3 complex jet of f."""
+def _inverted_where_large(j: CJet):
+    """The jet with f replaced by 1/f wherever |f| > 1, and the mask of
+    those samples (None where nothing is replaced).  The caller's jet is
+    not modified; only the replaced samples are recomputed."""
     if j.order < 3:
         raise ValueError("frame construction needs an order-3 jet")
+    with np.errstate(invalid="ignore"):
+        flip = np.abs(j.values[0]) > 1.0
+    if not np.any(flip):
+        return j, None
+    one = [np.complex128(1.0), 0, 0, 0]
+    with np.errstate(all="ignore"):
+        if np.all(flip):
+            return CJet(j.z, tuple(_quotient(one, list(j.values)))), flip
+        inv = _quotient(one, [v[flip] for v in j.values])
+    out = tuple(np.array(v, dtype=complex) for v in j.values)
+    for a, b in zip(out, inv):
+        a[flip] = b
+    return CJet(j.z, out), flip
+
+
+def _tau(h: CJet, denom: RJet2) -> RJet2:
+    """log 2 + (1/2) log |h'|^2 - log denom, with denom = 1 + |h|^2."""
+    return 0.5 * abs2_jet(h.derivative()).log() - denom.log() + _LOG2
+
+
+def tau_from_jet(j: CJet) -> RJet2:
+    """Jet of the log conformal factor tau of f's sphere map, from an
+    order-3 complex jet of f; pole-safe like :func:`frame_from_jet`.
+    Zeros of f' and non-finite jets give non-finite entries."""
+    h, _ = _inverted_where_large(j)
+    with np.errstate(all="ignore"):
+        return _tau(h, abs2_jet(h) + 1.0)
+
+
+def frame_from_jet(j: CJet) -> SphereFrame:
+    """Build the sphere frame from an order-3 complex jet of f.
+
+    Where |f| > 1 the frame is that of 1/f with N reflected to
+    (nx, -ny, -nz), so samples next to a pole stay accurate."""
+    h, flip = _inverted_where_large(j)
+    # -1 on reflected samples, where ny and nz change sign
+    sign = 1.0 if flip is None else np.where(flip, -1.0, 1.0)
     # jet division is multiplication by the reciprocal; each intermediate
     # jet is released as soon as it is used, to bound the scratch memory
     with np.errstate(all="ignore"):
-        p, q = re_jet(j), im_jet(j)
-        s = p * p + q * q          # |f|^2
-        denom = s + 1.0
-        dsq = abs2_jet(j.derivative())   # |f'|^2 with second-order partials
-        nonflat = np.asarray(dsq.val) > 0.0
-        e2t = 4.0 * dsq * (denom * denom)._reciprocal()
-        del dsq
-        tau = 0.5 * e2t.log()
-        del e2t
-        inv = denom._reciprocal()
+        denom = abs2_jet(h) + 1.0          # 1 + |f|^2
+        tau = _tau(h, denom)
+        w = 2.0 * denom._reciprocal()
         del denom
-        nx = 2.0 * p * inv
-        ny = 2.0 * q * inv
-        del p, q
-        nz = (s - 1.0) * inv
-        del s, inv
+        nx = re_jet(h) * w
+        w = sign * w
+        ny = im_jet(h) * w
+        del h
+        nz = sign - w                      # (|f|^2 - 1) / (|f|^2 + 1)
+        del w
     good = jet_finite(nx) & jet_finite(ny) & jet_finite(nz) & jet_finite(tau)
-    branch = ~nonflat | ~good
-    return SphereFrame(nx, ny, nz, tau, branch)
+    return SphereFrame(nx, ny, nz, tau, ~good)
 
 
 def gauss_map(f1: HoloExpr, z) -> SphereFrame:

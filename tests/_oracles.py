@@ -5,6 +5,9 @@ only (positions, normals, plain field values), never through the jet
 machinery under test, so agreement between the two routes is
 independent evidence.  The congruence oracle re-derives closed-form
 data by exact sympy quadrature, from the printed Gauss map and W text.
+The support oracle is the quotient of |.|^2 products, built from the
+real and imaginary part jets by the product rule (valid away from
+poles), and the OBJ oracle writes the file record by record.
 """
 
 import numpy as np
@@ -12,6 +15,7 @@ import sympy as sp
 
 from ribaucour import evaluate_patch
 from ribaucour.holoexpr import differentiate, to_text
+from ribaucour.jets import im_jet, re_jet
 
 # the real chart coordinates of the symbolic oracle
 U_SYM, V_SYM = sp.symbols("u v", real=True)
@@ -155,3 +159,40 @@ def quadrature_omega(patch, w_expr):
             f"congruence data over {patch.name!r} is not integrable: "
             f"v-derivative mismatch {remainder} depends on u")
     return sp.simplify(anti + sp.integrate(remainder, v))
+
+
+def abs2_by_parts(j):
+    """RJet2 of |f|^2 as (Re f)^2 + (Im f)^2 by the jet product rule."""
+    p, q = re_jet(j), im_jet(j)
+    return p * p + q * q
+
+
+def support_quotient(j1, j2):
+    """Support jet |f1'| (1 + |f2|^2) / (|f2'| (1 + |f1|^2)) from order-3
+    complex jets, as the square root of a quotient of |.|^2 products.
+    These products grow like |f|^4 and cancel near a pole, so use this
+    only on samples away from the poles of f1 and f2."""
+    with np.errstate(all="ignore"):
+        num = abs2_by_parts(j1.derivative()) * ((abs2_by_parts(j2) + 1.0) ** 2)
+        den = abs2_by_parts(j2.derivative()) * ((abs2_by_parts(j1) + 1.0) ** 2)
+        return (num / den).sqrt()
+
+
+def _fmt(x):
+    return "%.9g" % (x + 0.0)
+
+
+def obj_reference_text(mesh):
+    """The OBJ text of a mesh, formatted one number and one line at a
+    time: a header, ``v``/``vn`` records with nine significant digits
+    (-0 printed as 0) and two ``f`` triangles per quad."""
+    lines = ["# surface mesh: %d vertices, %d faces"
+             % (mesh.n_vertices, 2 * mesh.n_quads)]
+    for p in mesh.vertices:
+        lines.append("v %s %s %s" % (_fmt(p[0]), _fmt(p[1]), _fmt(p[2])))
+    for n in mesh.normals:
+        lines.append("vn %s %s %s" % (_fmt(n[0]), _fmt(n[1]), _fmt(n[2])))
+    for a, b, c, d in mesh.quads + 1:
+        lines.append("f %d %d %d" % (a, b, c))
+        lines.append("f %d %d %d" % (a, c, d))
+    return "\n".join(lines) + "\n"

@@ -2,7 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from _oracles import obj_reference_text
+from ribaucour import cli
+from ribaucour.grids import Domain
 from ribaucour.mesh import (SurfaceMesh, export_obj, mesh_from_fields,
                             mesh_from_grid)
 from ribaucour.ribaucour_core import evaluate_patch, make_patch
@@ -132,3 +138,45 @@ def test_export_is_byte_deterministic(tmp_path):
     export_obj(mesh_from_fields(evaluate_patch(make_patch("z", "exp(z)"),
                                                15, 15)), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# coordinates that stress "%.9g": signed zeros, subnormals, the ends of
+# the double range, integral values, and arbitrary finite doubles
+_COORD = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1e300, -1e300, 1.7976931348623157e308, 1.0, -3.0,
+                     12345678.0, 1e9, 0.1, 1.0000000005]),
+    st.integers(-10**12, 10**12).map(float),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _meshes(draw):
+    nu, nv = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    P = draw(hnp.arrays(float, (nu, nv, 3), elements=_COORD))
+    N = draw(hnp.arrays(float, (nu, nv, 3), elements=_COORD))
+    valid = draw(hnp.arrays(bool, (nu, nv)))
+    return mesh_from_grid(P, N, valid)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(_meshes())
+def test_export_matches_record_by_record_writer(tmp_path_factory, mesh):
+    # masked nodes and meshes without quads come from the random mask
+    out = tmp_path_factory.mktemp("obj") / "m.obj"
+    export_obj(mesh, out)
+    assert out.read_bytes() == obj_reference_text(mesh).encode("ascii")
+
+
+def test_cli_objs_match_record_by_record_writer(tmp_path):
+    pair = ["--f1=exp(z)/(1+z^2)", "--f2=sin(z)*cos(z)/(z+3)",
+            "--domain=0.1:0.9:0.1:0.9", "--nu=41", "--nv=41"]
+    mesh = mesh_from_fields(evaluate_patch(
+        make_patch("exp(z)/(1+z^2)", "sin(z)*cos(z)/(z+3)",
+                   Domain(0.1, 0.9, 0.1, 0.9)), 41, 41))
+    assert mesh.n_vertices == 41 * 41
+    expect = obj_reference_text(mesh).encode("ascii")
+    for command in ("build", "export"):
+        out = tmp_path / f"{command}.obj"
+        cli.main([command, *pair, f"--out={out}"])
+        assert out.read_bytes() == expect, command

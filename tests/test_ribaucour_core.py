@@ -1,19 +1,21 @@
 """Support-function shape calculus: immersion, forms, residual checks."""
 
+import cmath
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import fd_principal_curvatures, rel_gap
+from _oracles import fd_principal_curvatures, rel_gap, support_quotient
 from ribaucour.grids import Domain
-from ribaucour.holoexpr import BinOp, Call, Const, Var, parse
+from ribaucour.holoexpr import BinOp, Call, Const, Var, eval_jet, parse
 from ribaucour.ribaucour_core import (RibaucourPatch,
                                       check_laguerre_holomorphy,
                                       check_middle_sphere, check_support_pde,
                                       evaluate_patch, hk_from_support,
                                       immerse, laguerre_hopf, make_patch,
-                                      support, support_pde_residual,
-                                      unit_sphere_gap)
+                                      support, support_jet,
+                                      support_pde_residual, unit_sphere_gap)
 from ribaucour.sphere_geom import sphere_laplacian
 
 SQUARE = Domain(-1.0, 1.0, -1.0, 1.0)
@@ -117,6 +119,91 @@ def test_identities_hold_for_random_pairs(f1, f2):
         scale = np.maximum.reduce([np.abs(t) for t in terms])
         rel = np.abs(res.values[res.valid]) / scale[res.valid]
         assert np.max(rel) <= 1e-9, (res.name, np.max(rel))
+
+
+def _identity_gaps(fields):
+    """Support-identity and middle-sphere residuals on their valid samples,
+    each relative to the largest term of its identity there."""
+    rv = fields.rho_val
+    w = np.exp(-2.0 * np.asarray(fields.frame.tau.val))
+    grad_sq = w * (np.asarray(fields.rho.du) ** 2
+                   + np.asarray(fields.rho.dv) ** 2)
+    pde_terms = (rv * rv, rv * sphere_laplacian(fields.rho, fields.frame),
+                 np.ones_like(rv), grad_sq)
+    x_dot_n = np.sum(fields.X * fields.N, axis=-1)
+    sphere_terms = (np.sum(fields.X * fields.X, axis=-1),
+                    2.0 * fields.hover_k * x_dot_n, np.ones_like(rv))
+    gaps = {}
+    for res, terms in ((support_pde_residual(fields), pde_terms),
+                       (check_middle_sphere(fields), sphere_terms)):
+        scale = np.maximum.reduce([np.abs(t) for t in terms])
+        gaps[res.name] = np.abs(res.values[res.valid]) / scale[res.valid]
+    return gaps
+
+
+POLE_DOMAIN = Domain(0.1, 0.9, 0.1, 0.9)
+POLE_NODES = POLE_DOMAIN.mesh(9, 9)[2]
+
+
+def test_nodes_next_to_a_pole_stay_exact():
+    # the node 0.7+0.7i sits about 1e-16 from the pole of 1/(z-0.7-0.7i);
+    # |.|^2 products of f there reach 1e64 and used to cancel to garbage
+    for f1, f2 in (("1/(z-0.7-i)", "1/(z-0.7-0.7*i)"),
+                   ("1/(z-0.7-0.7*i)", "exp(z)")):
+        fields = evaluate_patch(make_patch(f1, f2, POLE_DOMAIN), 9, 9)
+        assert np.all(fields.valid), (f1, f2)
+        for name, gap in _identity_gaps(fields).items():
+            assert gap.size == 81, (f1, f2, name)
+            assert np.max(gap) <= 1e-12, (f1, f2, name, np.max(gap))
+
+
+# Mobius generators a/(z - p) + b with the pole p on a node of the 9x9
+# grid or 10^-k (1 <= k <= 9) away from one.  Closer than about 1e-10 the
+# identities lose digits like (1e-16 / distance)^2: the jet of 1/f is built
+# from the entries of f's jet, and their independent rounding cancels.
+_POLE = st.builds(
+    lambda i, j, k, t, on_node: complex(POLE_NODES[i, j])
+    + (0.0 if on_node else 10.0 ** -k * cmath.exp(1j * t)),
+    st.integers(0, 8), st.integers(0, 8), st.floats(1, 9),
+    st.floats(0, 2 * np.pi), st.booleans())
+_MOBIUS = st.tuples(_SCALE, _POLE, _CONST)
+
+
+def _mobius(a, pole, b):
+    return BinOp("+", BinOp("/", a, BinOp("-", Var(), Const(pole))), b)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(_MOBIUS, st.one_of(_MOBIUS, GENERATORS), st.booleans())
+def test_identities_hold_next_to_poles(m1, other, swap):
+    poles = [m1[1]] + ([other[1]] if isinstance(other, tuple) else [])
+    f1 = _mobius(*m1)
+    f2 = _mobius(*other) if isinstance(other, tuple) else other
+    if swap:
+        f1, f2 = f2, f1
+    fields = evaluate_patch(RibaucourPatch(f1, f2, POLE_DOMAIN), 9, 9)
+    # a node exactly on a pole has a non-finite jet and is excluded; every
+    # other node has a finite frame and support jet
+    on_pole = np.zeros(POLE_NODES.shape, dtype=bool)
+    for p in poles:
+        on_pole |= POLE_NODES - p == 0
+    assert not np.any(fields.valid[on_pole])
+    assert np.array_equal(fields.branch, on_pole)
+    for name, gap in _identity_gaps(fields).items():
+        assert gap.size > 0, name
+        assert np.max(gap) <= 1e-9, (name, np.max(gap))
+
+
+def test_support_jet_matches_quotient_oracle():
+    # away from poles the support jet exp(tau1 - tau2) equals the quotient
+    # of |.|^2 products entry by entry, relative to the entry's largest value
+    patch = make_patch("exp(z)/(1+z^2)", "sin(z)*cos(z)/(z+3)", POLE_DOMAIN)
+    _, _, Z = patch.domain.mesh(41, 41)
+    j1, j2 = eval_jet(patch.f1, Z, 3), eval_jet(patch.f2, Z, 3)
+    rho, ref = support_jet(j1, j2), support_quotient(j1, j2)
+    for part in ("val", "du", "dv", "duu", "duv", "dvv"):
+        a, b = getattr(rho, part), getattr(ref, part)
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), part
 
 
 def test_support_pde_terms_match_finite_differences():

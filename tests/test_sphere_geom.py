@@ -8,8 +8,9 @@ from ribaucour.holoexpr import eval_jet, parse
 from ribaucour.jets import RJet2, re_jet
 from ribaucour.ribaucour_core import evaluate_patch, make_patch
 from ribaucour.sphere_geom import (conformal_curvature, conformal_hessian,
-                                   gauss_map, sphere_gradient,
-                                   sphere_hessian, sphere_laplacian)
+                                   frame_from_jet, gauss_map, sphere_gradient,
+                                   sphere_hessian, sphere_laplacian,
+                                   tau_from_jet)
 
 FRAME_EXPRS = ["z", "exp(z)", "z^2 + 2", "sinh(z)"]
 
@@ -72,6 +73,35 @@ def test_frame_invariants():
         assert np.max(conf_u / e2t[ok]) <= 1e-8, text
         assert np.max(conf_v / e2t[ok]) <= 1e-8, text
         assert np.max(cross / e2t[ok]) <= 1e-8, text
+
+
+def test_frame_of_reciprocal_is_reflected():
+    # f -> 1/f keeps the round metric and reflects N to (nx, -ny, -nz);
+    # samples with |f| > 1 are built from 1/f, so this also compares the
+    # two routes sample by sample
+    Z = _grid(17)
+    parts = ("val", "du", "dv", "duu", "duv", "dvv")
+    for text in FRAME_EXPRS:
+        j = eval_jet(parse(text), Z, 3)
+        before = [v.copy() for v in j.values]
+        a = frame_from_jet(j)
+        assert all(np.array_equal(v, w) for v, w in zip(j.values, before))
+        b = gauss_map(parse(f"1/({text})"), Z)
+        ok = ~(np.asarray(a.branch) | np.asarray(b.branch))
+        assert np.count_nonzero(ok) > 0.9 * ok.size, text
+        for x, y, sign in ((a.nx, b.nx, 1.0), (a.ny, b.ny, -1.0),
+                           (a.nz, b.nz, -1.0), (a.tau, b.tau, 1.0)):
+            for part in parts:
+                p = np.asarray(getattr(x, part))[ok]
+                q = np.asarray(getattr(y, part))[ok]
+                gap = np.max(np.abs(p - sign * q))
+                assert gap <= 1e-12 * max(1.0, np.max(np.abs(p))), (
+                    text, part, gap)
+        # the tau jet alone is the frame's, bit for bit
+        t = tau_from_jet(j)
+        assert all(np.array_equal(getattr(t, part), getattr(a.tau, part),
+                                  equal_nan=True)
+                   for part in parts), text
 
 
 def test_frame_normal_partials_match_finite_differences():
