@@ -14,7 +14,8 @@ Exit codes: 0 all checks pass, 1 a residual check failed, 2 bad input
 (unparsable expression or domain, a numeric literal too large for a
 float, non-finite domain bounds, a grid size below 2, a ``--tol-*``
 value that is not finite and positive, an integration step that is not
-finite and positive or misses the chart origin), 3 nothing to check
+finite and positive or misses the chart origin, a grid too large for
+the available memory), 3 nothing to check
 (all samples degenerate, or the patch coincides with the fixed unit
 sphere), 4 I/O failure.
 """
@@ -306,7 +307,7 @@ def cmd_congruence(args) -> int:
         # the memory
         agree = max(float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
                     for a, b in zip(integ.state().as_tuple(),
-                                    ac.state(U, V).as_tuple()))
+                                    ac.state(U, V, integ.phi).as_tuple()))
         env = envelope(ac.patch, integ.w, U, V)
         ms = check_middle_sphere(env)
         n = int(np.asarray(U).size)
@@ -435,7 +436,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except MemoryError as exc:  # a grid too large for this machine
+        print(f"error: not enough memory for this grid: {exc}",
+              file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

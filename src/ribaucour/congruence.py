@@ -20,11 +20,16 @@ integration follow from the covariant Hessian identity for Omega (see
     Omega1_u = -(phi_v/phi) Omega2 + phi (cW - c3/2) + phi k1 (c Omega - W - c2/2)
     Omega2_v = -(phi_u/phi) Omega1 + phi (cW - c3/2) + phi k2 (c Omega - W - c2/2)
 
-making the system integrable by marching; path independence of the
-result doubles as the compatibility (Frobenius) check.  The marched
-state also fixes W's second-order jet: differentiating W_u and W_v once
-more through the same right-hand sides (k1 phi^2 is constant on these
-charts) gives W_uu, W_uv and W_vv at every node, with no stencil.
+making the system integrable by marching.  Swapping Omega1 and Omega2
+turns the system along v into the system along u, so one affine RK4
+kernel (:func:`_slope`) serves both directions.  :func:`integrate_system`
+runs three marches: the initial row, then every column, then every row
+from the initial column, which the column march already holds.  The gap
+between the row-first and column-first fills doubles as the
+compatibility (Frobenius) check.  The marched state also fixes W's
+second-order jet: differentiating W_u and W_v once more through the
+same right-hand sides (k1 phi^2 is constant on these charts) gives
+W_uu, W_uv and W_vv at every node, with no stencil.
 
 The envelope X = grad W + W N of the congruence (support machinery of
 :mod:`ribaucour.ribaucour_core` applied to W over the minimal patch's
@@ -46,7 +51,6 @@ run time: the tests re-derive the correction from W as its oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -130,9 +134,10 @@ def system_residuals(patch: MinimalPatch, w_jet, omega_jet, U, V) -> dict:
     return {k: float(np.max(np.abs(r))) for k, r in res.items()}
 
 
-def _state_from_jets(patch: MinimalPatch, wj: RJet2, oj: RJet2, U, V
-                     ) -> CongruenceState:
-    phi = patch.phi(U, V)
+def _state_from_jets(patch: MinimalPatch, wj: RJet2, oj: RJet2, U, V,
+                     phi=None) -> CongruenceState:
+    if phi is None:
+        phi = patch.phi(U, V)
     return CongruenceState(omega=np.asarray(oj.val, dtype=float),
                            omega1=np.asarray(oj.du, dtype=float) / phi,
                            omega2=np.asarray(oj.dv, dtype=float) / phi,
@@ -244,9 +249,11 @@ class AnalyticCongruence:
     literal_constants: IntegralConstants | None
     omega_text: str = ""
 
-    def state(self, U, V) -> CongruenceState:
+    def state(self, U, V, phi=None) -> CongruenceState:
+        """The fields on (U, V); ``phi``, the patch's conformal factor on
+        (U, V) when the caller already has it, spares evaluating it."""
         return _state_from_jets(self.patch, self.w_jet(U, V),
-                                self.omega_jet(U, V), U, V)
+                                self.omega_jet(U, V), U, V, phi)
 
 
 def _origin_constant(patch: MinimalPatch, wj_fn, oj_fn,
@@ -324,46 +331,89 @@ def analytic_example(name: str, nu: int = 41, nv: int = 41,
 # Numerical integration of the system
 # ---------------------------------------------------------------------------
 
-def _rhs_u(consts, coef, y):
-    om, o1, o2, w = y
-    phi, pv, k1 = coef
-    a = consts.c * w - 0.5 * consts.c3
-    b = consts.c * om - w - 0.5 * consts.c2
-    return (phi * o1,
-            -(pv / phi) * o2 + phi * a + phi * k1 * b,
-            (pv / phi) * o1,
-            o1 * k1 * phi)
+# the march carries (Omega, Omega_s, W, Omega_t) for a march along t with
+# s the other chart coordinate: (Omega, Omega2, W, Omega1) along u and
+# (Omega, Omega1, W, Omega2) along v, so one row permutation swaps them
+_SWAP = [0, 3, 2, 1]
 
 
-def _rhs_v(consts, coef, y):
-    om, o1, o2, w = y
-    phi, pu, k2 = coef
-    a = consts.c * w - 0.5 * consts.c3
-    b = consts.c * om - w - 0.5 * consts.c2
-    return (phi * o2,
-            (pu / phi) * o2,
-            -(pu / phi) * o1 + phi * a + phi * k2 * b,
-            o2 * k2 * phi)
+def _kernel_rows(patch: MinimalPatch, consts: IntegralConstants,
+                 along_u: bool, t: np.ndarray, fixed: np.ndarray):
+    """Coefficient rows of the affine kernel at every stage abscissa of a
+    march along u (or v) through ``t``, at each ``fixed`` value of the
+    other coordinate, beside the chart scalars they came from.
+
+    With p = phi k (k the principal curvature along the march) and
+    q = phi_s / phi, the slope of y = (Omega, Omega_s, W, Omega_t) is
+
+        (phi, q, p) Omega_t  and
+        Omega_t' = c p Omega - q Omega_s + (c phi - p) W
+                   - phi c3/2 - p c2/2,
+
+    so the rows are (phi, q, p, c p, -q, c phi - p, -phi c3/2 - p c2/2),
+    of shape (2 len(t) - 1, 7, len(fixed)); row block 2i is node i.
+    """
+    s = np.linspace(t[0], t[-1], 2 * len(t) - 1)[:, None]
+    scalars = (patch.chart_scalars(s, fixed[None, :]) if along_u
+               else patch.chart_scalars(fixed[None, :], s))
+    phi, pu, pv, k1 = scalars
+    K = np.empty((s.shape[0], 7, len(fixed)))
+    r_phi, q, p, cp, mq, e, r = (K[:, j] for j in range(7))
+    np.copyto(r_phi, phi)
+    np.divide(pv if along_u else pu, phi, out=q)
+    np.multiply(phi, k1, out=p)
+    if not along_u:
+        np.negative(p, out=p)
+    np.multiply(p, consts.c, out=cp)
+    np.negative(q, out=mq)
+    np.multiply(phi, consts.c, out=e)
+    e -= p
+    np.multiply(phi, -0.5 * consts.c3, out=r)
+    r -= (0.5 * consts.c2) * p
+    return K, scalars
 
 
-def _march(f, coef, t, i0, y0):
-    """March a state along uniform nodes t with RK4, outward from index
-    i0; ``coef[k]`` holds the chart coefficients at node k/2."""
-    ys = [None] * len(t)
+def _slope(k, y, out, tmp):
+    """Kernel slope of the states y (4, lanes) with rows k (7, lanes)."""
+    np.multiply(k[:3], y[3], out=out[:3])
+    np.multiply(k[3:6], y[:3], out=tmp)
+    np.add(tmp[0], tmp[1], out=out[3])
+    out[3] += tmp[2]
+    out[3] += k[6]
+
+
+def _march(K, t, i0, y0) -> np.ndarray:
+    """RK4 march of the states y0 (4, lanes) along uniform nodes t,
+    outward from index i0, with kernel rows K from :func:`_kernel_rows`;
+    returns the states at every node, shape (len(t), 4, lanes)."""
+    ys = np.empty((len(t),) + y0.shape)
     ys[i0] = y0
-    def step(i, d):
+    s1, s2, s3, s4, z = (np.empty_like(ys[i0]) for _ in range(5))
+    tmp = np.empty((3,) + y0.shape[1:])
+
+    outward = [(i, 1) for i in range(i0, len(t) - 1)]
+    outward += [(i, -1) for i in range(i0, 0, -1)]
+    for i, d in outward:
         h, y = t[i + d] - t[i], ys[i]
-        c0, c1, c2 = coef[2 * i], coef[2 * i + d], coef[2 * i + 2 * d]
-        s1 = f(c0, y)
-        s2 = f(c1, tuple(a + 0.5 * h * b for a, b in zip(y, s1)))
-        s3 = f(c1, tuple(a + 0.5 * h * b for a, b in zip(y, s2)))
-        s4 = f(c2, tuple(a + h * b for a, b in zip(y, s3)))
-        ys[i + d] = tuple(a + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                          for a, b1, b2, b3, b4 in zip(y, s1, s2, s3, s4))
-    for i in range(i0, len(t) - 1):
-        step(i, 1)
-    for i in range(i0, 0, -1):
-        step(i, -1)
+        at_i, at_mid, at_next = K[2 * i], K[2 * i + d], K[2 * i + 2 * d]
+        _slope(at_i, y, s1, tmp)
+        np.multiply(s1, 0.5 * h, out=z)
+        z += y
+        _slope(at_mid, z, s2, tmp)
+        np.multiply(s2, 0.5 * h, out=z)
+        z += y
+        _slope(at_mid, z, s3, tmp)
+        np.multiply(s3, h, out=z)
+        z += y
+        _slope(at_next, z, s4, tmp)
+        # y + (h/6) (s1 + 2 s2 + 2 s3 + s4), summed in that order
+        s2 *= 2.0
+        s2 += s1
+        s3 *= 2.0
+        s2 += s3
+        s2 += s4
+        s2 *= h / 6.0
+        np.add(y, s2, out=ys[i + d])
     return ys
 
 
@@ -377,6 +427,8 @@ class IntegratedCongruence:
     ``w`` is W's second-order jet on the grid, read off the marched state
     through the system itself, so it is exact to integration accuracy
     and every node carries it; ``state()`` holds W's values only.
+    ``phi`` is the patch's conformal factor at the nodes, as the march
+    used it.  Every field is a C-contiguous (nu, nv) array.
     """
 
     U: np.ndarray
@@ -389,6 +441,7 @@ class IntegratedCongruence:
     init_node: tuple
     path_gap: float
     drift: float
+    phi: np.ndarray
 
     def state(self) -> CongruenceState:
         return CongruenceState(self.omega, self.omega1, self.omega2,
@@ -404,10 +457,14 @@ def integrate_system(patch: MinimalPatch, init: CongruenceState,
                      check_paths: bool = True) -> IntegratedCongruence:
     """Integrate the congruence system over a grid from one initial state.
 
-    ``init_at`` must coincide with a grid node.  The grid is filled by an
-    RK4 march along the initial row then all columns at once (and, when
-    ``check_paths``, also in the transposed order, reporting the max
-    discrepancy between the two fills).
+    ``init_at`` must coincide with a grid node.  One RK4 kernel serves
+    both directions: swapping Omega1 and Omega2 turns the system along v
+    into the system along u, with the chart coefficients of the march.
+    The grid is filled by a march along the initial row, then one along
+    all columns at once.  When ``check_paths``, one more march along all
+    rows, started from the initial column (which the column march already
+    holds), fills the grid in the transposed order; ``path_gap`` is the
+    max discrepancy between the two fills.
     """
     domain = domain or Domain(-1.0, 1.0, -1.0, 1.0)
     if step is not None:
@@ -429,37 +486,30 @@ def integrate_system(patch: MinimalPatch, init: CongruenceState,
     if abs(u[iu0] - init_at[0]) > 1e-9 * max(1.0, hu) \
             or abs(v[iv0] - init_at[1]) > 1e-9 * max(1.0, hv):
         raise ValueError(f"init_at {init_at} is not a grid node")
-    y0 = tuple(np.array([float(x)]) for x in init.as_tuple())
+    om0, o10, o20, w0 = (float(x) for x in init.as_tuple())
 
-    def sweep(along_u: bool, fixed: np.ndarray, y_start):
-        """RK4 march of y_start out of the initial node along u (or v), at
-        each ``fixed`` value of the other coordinate; one call evaluates
-        the chart coefficients at every stage abscissa.  Returns the
-        marched fields and those coefficients."""
-        t, i0 = (u, iu0) if along_u else (v, iv0)
-        s = np.linspace(t[0], t[-1], 2 * len(t) - 1)[:, None]
-        phi, pu, pv, k1 = (patch.chart_scalars(s, fixed[None, :]) if along_u
-                           else patch.chart_scalars(fixed[None, :], s))
-        if along_u:
-            f, coef = partial(_rhs_u, consts), list(zip(phi, pv, k1))
-        else:
-            f, coef = partial(_rhs_v, consts), list(zip(phi, pu, -k1))
-        ys = _march(f, coef, t, i0, y_start)
-        fields = [np.stack(c, axis=0 if along_u else 1) for c in zip(*ys)]
-        return fields, (phi, pu, pv, k1)
-
-    # row first, then every column; when checking, also the other order
-    row, _ = sweep(True, v[iv0:iv0 + 1], y0)
-    y, scalars = sweep(False, u, tuple(a.ravel() for a in row))
-    om, o1, o2, w = y
-    # the column sweep's even abscissae are the grid nodes
-    phi, pu, pv, k1 = (c[::2].T for c in scalars)
+    # the initial row, then every column; the columns' march state is
+    # (Omega, Omega1, W, Omega2), shape (nv, 4, nu)
+    K, _ = _kernel_rows(patch, consts, True, u, v[iv0:iv0 + 1])
+    row = _march(K, u, iu0, np.array([[om0], [o20], [w0], [o10]]))
+    K, scalars = _kernel_rows(patch, consts, False, v, u)
+    cols = _march(K, v, iv0, row[:, _SWAP, 0].T)
+    del K
+    fields = np.ascontiguousarray(cols.transpose(1, 2, 0))
+    om, o1, w, o2 = fields
     path_gap = float("nan")
     if check_paths:
-        col, _ = sweep(False, u[iu0:iu0 + 1], y0)
-        alt, _ = sweep(True, v, tuple(a.ravel() for a in col))
-        path_gap = max(float(np.max(np.abs(a - b)))
-                       for a, b in zip(y, alt))
+        # every row from the initial column, which is column iu0 above
+        K, _ = _kernel_rows(patch, consts, True, u, v)
+        rows = _march(K, u, iu0, cols[:, _SWAP, iu0].T)
+        del K
+        path_gap = max(float(np.max(np.abs(rows[:, j] - f)))
+                       for j, f in zip(_SWAP, fields))
+        del rows
+    del cols
+    # the column march's even abscissae are the grid nodes
+    phi, pu, pv, k1 = (np.ascontiguousarray(c[::2].T) for c in scalars)
+    del scalars
     state = CongruenceState(om, o1, o2, w)
     F = first_integral(state, consts)
     drift = float(np.max(np.abs(F - F[iu0, iv0])))
@@ -467,17 +517,20 @@ def integrate_system(patch: MinimalPatch, init: CongruenceState,
     # W_v = -Omega2 k1 phi, differentiated once more through the
     # right-hand sides; k1 phi^2 is constant on these charts, so
     # (k1 phi)_u = -k1 phi_u and (k1 phi)_v = -k1 phi_v
-    du = _rhs_u(consts, (phi, pv, k1), y)
-    dv = _rhs_v(consts, (phi, pu, -k1), y)
+    a = consts.c * w - 0.5 * consts.c3
+    b = consts.c * om - w - 0.5 * consts.c2
     k1phi = k1 * phi
-    w_jet = RJet2(w, du[3], dv[3], du[1] * k1phi - o1 * k1 * pu,
-                  dv[1] * k1phi - o1 * k1 * pv,
-                  -(dv[2] * k1phi - o2 * k1 * pv))
+    o1_u = -(pv / phi) * o2 + phi * a + phi * k1 * b
+    o1_v = (pu / phi) * o2
+    o2_v = -(pu / phi) * o1 + phi * a + phi * -k1 * b
+    w_jet = RJet2(w, o1 * k1 * phi, o2 * -k1 * phi,
+                  o1_u * k1phi - o1 * k1 * pu, o1_v * k1phi - o1 * k1 * pv,
+                  -(o2_v * k1phi - o2 * k1 * pv))
     U, V = np.meshgrid(u, v, indexing="ij")
     return IntegratedCongruence(U=U, V=V, omega=om, omega1=o1, omega2=o2,
                                 w=w_jet, constants=consts,
                                 init_node=(iu0, iv0),
-                                path_gap=path_gap, drift=drift)
+                                path_gap=path_gap, drift=drift, phi=phi)
 
 
 # ---------------------------------------------------------------------------

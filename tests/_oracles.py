@@ -5,6 +5,8 @@ only (positions, normals, plain field values), never through the jet
 machinery under test, so agreement between the two routes is
 independent evidence.  The congruence oracle re-derives closed-form
 data by exact sympy quadrature, from the printed Gauss map and W text.
+The march oracle integrates the congruence system by four RK4 sweeps
+with one right-hand side per direction and a tuple of arrays per node.
 The support oracle is the quotient of |.|^2 products, built from the
 real and imaginary part jets by the product rule (valid away from
 poles), and the OBJ oracle writes the file record by record.
@@ -15,7 +17,7 @@ import sympy as sp
 
 from ribaucour import evaluate_patch
 from ribaucour.holoexpr import differentiate, to_text
-from ribaucour.jets import im_jet, re_jet
+from ribaucour.jets import RJet2, im_jet, re_jet
 
 # the real chart coordinates of the symbolic oracle
 U_SYM, V_SYM = sp.symbols("u v", real=True)
@@ -196,3 +198,85 @@ def obj_reference_text(mesh):
         lines.append("f %d %d %d" % (a, b, c))
         lines.append("f %d %d %d" % (a, c, d))
     return "\n".join(lines) + "\n"
+
+
+def _rhs_u(consts, coef, y):
+    om, o1, o2, w = y
+    phi, pv, k1 = coef
+    a = consts.c * w - 0.5 * consts.c3
+    b = consts.c * om - w - 0.5 * consts.c2
+    return (phi * o1,
+            -(pv / phi) * o2 + phi * a + phi * k1 * b,
+            (pv / phi) * o1,
+            o1 * k1 * phi)
+
+
+def _rhs_v(consts, coef, y):
+    om, o1, o2, w = y
+    phi, pu, k2 = coef
+    a = consts.c * w - 0.5 * consts.c3
+    b = consts.c * om - w - 0.5 * consts.c2
+    return (phi * o2,
+            (pu / phi) * o2,
+            -(pu / phi) * o1 + phi * a + phi * k2 * b,
+            o2 * k2 * phi)
+
+
+def _rk4_march(f, coef, t, i0, y0):
+    """RK4 along uniform nodes t outward from index i0; ``coef[k]`` holds
+    the chart coefficients at node k/2.  Returns one tuple per node."""
+    ys = [None] * len(t)
+    ys[i0] = y0
+    def step(i, d):
+        h, y = t[i + d] - t[i], ys[i]
+        c0, c1, c2 = coef[2 * i], coef[2 * i + d], coef[2 * i + 2 * d]
+        s1 = f(c0, y)
+        s2 = f(c1, tuple(a + 0.5 * h * b for a, b in zip(y, s1)))
+        s3 = f(c1, tuple(a + 0.5 * h * b for a, b in zip(y, s2)))
+        s4 = f(c2, tuple(a + h * b for a, b in zip(y, s3)))
+        ys[i + d] = tuple(a + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                          for a, b1, b2, b3, b4 in zip(y, s1, s2, s3, s4))
+    for i in range(i0, len(t) - 1):
+        step(i, 1)
+    for i in range(i0, 0, -1):
+        step(i, -1)
+    return ys
+
+
+def march_congruence(patch, init, consts, u, v, iu0, iv0):
+    """The congruence system integrated over the grid u x v from the
+    state ``init`` at node (iu0, iv0) by four sweeps: the initial row,
+    then every column; the initial column, then every row.
+
+    Returns ((Omega, Omega1, Omega2), W's RJet2, path_gap) of the
+    row-first fill; path_gap is its max field gap to the column-first
+    fill.  W's partials come from the system at the nodes."""
+    y0 = tuple(np.array([float(x)]) for x in init.as_tuple())
+
+    def sweep(along_u, fixed, y_start):
+        t, i0 = (u, iu0) if along_u else (v, iv0)
+        s = np.linspace(t[0], t[-1], 2 * len(t) - 1)[:, None]
+        phi, pu, pv, k1 = (patch.chart_scalars(s, fixed[None, :]) if along_u
+                           else patch.chart_scalars(fixed[None, :], s))
+        if along_u:
+            f, coef = (lambda c, y: _rhs_u(consts, c, y)), list(zip(phi, pv, k1))
+        else:
+            f, coef = (lambda c, y: _rhs_v(consts, c, y)), list(zip(phi, pu, -k1))
+        ys = _rk4_march(f, coef, t, i0, y_start)
+        fields = [np.stack(c, axis=0 if along_u else 1) for c in zip(*ys)]
+        return fields, (phi, pu, pv, k1)
+
+    row, _ = sweep(True, v[iv0:iv0 + 1], y0)
+    y, scalars = sweep(False, u, tuple(a.ravel() for a in row))
+    col, _ = sweep(False, u[iu0:iu0 + 1], y0)
+    alt, _ = sweep(True, v, tuple(a.ravel() for a in col))
+    path_gap = max(float(np.max(np.abs(a - b))) for a, b in zip(y, alt))
+    om, o1, o2, w = y
+    phi, pu, pv, k1 = (c[::2].T for c in scalars)
+    du = _rhs_u(consts, (phi, pv, k1), y)
+    dv = _rhs_v(consts, (phi, pu, -k1), y)
+    k1phi = k1 * phi
+    w_jet = RJet2(w, du[3], dv[3], du[1] * k1phi - o1 * k1 * pu,
+                  dv[1] * k1phi - o1 * k1 * pv,
+                  -(dv[2] * k1phi - o2 * k1 * pv))
+    return (om, o1, o2), w_jet, path_gap

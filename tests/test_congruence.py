@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from _oracles import U_SYM, V_SYM, quadrature_omega, symbolic_k1
+from _oracles import (U_SYM, V_SYM, march_congruence, quadrature_omega,
+                      symbolic_k1)
 from ribaucour.congruence import (_ANALYTIC, CongruenceState,
                                   IntegralConstants, _on_samples,
                                   analytic_example, check_hessian_identities,
@@ -230,6 +231,73 @@ def test_integration_reproduces_catenoid_fields(catenoid_data):
     assert integ.drift <= 1e-6
 
 
+def _origin_state(ac):
+    return CongruenceState(*(float(np.asarray(x))
+                             for x in ac.state(0.0, 0.0).as_tuple()))
+
+
+@pytest.mark.parametrize("domain, shape, node", [
+    (SQUARE, (101, 101), (50, 50)),
+    (Domain(-0.6, 1.0, -1.0, 0.4), (81, 71), (30, 50)),
+])
+def test_integration_matches_march_oracle(catenoid_data, enneper_data,
+                                          domain, shape, node):
+    # the stacked one-kernel march against four per-direction sweeps on
+    # tuples of arrays: the same RK4 steps, summed in another order
+    for ac in (catenoid_data, enneper_data):
+        init = _origin_state(ac)
+        integ = integrate_system(ac.patch, init, ac.constants,
+                                 domain=domain, step=0.02)
+        assert integ.U.shape == shape and integ.init_node == node
+        fields, w_ref, gap = march_congruence(
+            ac.patch, init, ac.constants, integ.U[:, 0], integ.V[0], *node)
+        for got, ref in zip((integ.omega, integ.omega1, integ.omega2),
+                            fields):
+            assert got.flags.c_contiguous
+            assert np.max(np.abs(got - ref)) <= 1e-13, ac.name
+        for part in ("val", "du", "dv", "duu", "duv", "dvv"):
+            got = getattr(integ.w, part)
+            assert got.flags.c_contiguous
+            assert np.max(np.abs(got - getattr(w_ref, part))) <= 1e-13, \
+                (ac.name, part)
+        assert abs(integ.path_gap - gap) <= 1e-13
+        assert np.max(np.abs(integ.phi - ac.patch.phi(integ.U, integ.V))) \
+            <= 1e-13
+
+
+def test_path_gap_converges_with_the_step(catenoid_data):
+    # RK4 on both fills: the gap between them is a discretisation error,
+    # so halving the step cuts it by about 2^4
+    ac = catenoid_data
+    gaps = [integrate_system(ac.patch, _origin_state(ac), ac.constants,
+                             domain=SQUARE, step=h).path_gap
+            for h in (0.04, 0.02, 0.01)]
+    assert gaps[0] >= 10.0 * gaps[1] >= 100.0 * gaps[2] > 0.0, gaps
+
+
+class _BentCurvature:
+    """The catenoid with k1 scaled by (1 + 1e-3 u): no longer a chart of
+    a surface, so the system is not integrable and the two fills part."""
+
+    def __init__(self, patch):
+        self.patch = patch
+
+    def chart_scalars(self, U, V):
+        phi, pu, pv, k1 = self.patch.chart_scalars(U, V)
+        return phi, pu, pv, k1 * (1.0 + 1e-3 * np.asarray(U))
+
+
+def test_path_gap_detects_an_incompatible_chart(catenoid_data):
+    ac = catenoid_data
+    init = _origin_state(ac)
+    exact = integrate_system(ac.patch, init, ac.constants, domain=SQUARE,
+                             step=0.01)
+    bent = integrate_system(_BentCurvature(ac.patch), init, ac.constants,
+                            domain=SQUARE, step=0.01)
+    assert exact.path_gap <= 1e-8
+    assert bent.path_gap > 1e-6
+
+
 def test_integration_start_must_be_a_grid_node(catenoid_data):
     ac = catenoid_data
     init = CongruenceState(2.5, 0.0, 0.0, 0.5)
@@ -362,10 +430,7 @@ def test_envelope_of_integrated_fields(catenoid_data, enneper_data):
     # form to integration accuracy, the envelope masks no node, and the
     # middle-sphere residual is the first integral, pointwise
     for ac in (catenoid_data, enneper_data):
-        init = ac.state(0.0, 0.0)
-        init = CongruenceState(*(float(np.asarray(x))
-                                 for x in init.as_tuple()))
-        integ = integrate_system(ac.patch, init, ac.constants,
+        integ = integrate_system(ac.patch, _origin_state(ac), ac.constants,
                                  domain=SQUARE, step=0.01)
         U, V = integ.U, integ.V
         ref = ac.w_jet(U, V)

@@ -149,6 +149,29 @@ def test_cli_rejects_bad_input(argv, capsys):
     assert "Traceback" not in err
 
 
+def _out_of_memory(*args, **kwargs):
+    # what numpy raises when a grid's arrays cannot be allocated
+    raise MemoryError("Unable to allocate 74.5 GiB for an array with "
+                      "shape (100000, 100000) and data type float64")
+
+
+@pytest.mark.parametrize("target, argv", [
+    ("evaluate_patch", ["build", "--f1", "z", "--f2", "exp(z)",
+                        "--nu", "11", "--nv", "11"]),
+    ("integrate_system", ["congruence", "--minimal", "catenoid",
+                          "--mode", "integrate", "--step", "0.1"]),
+])
+def test_cli_reports_exhausted_memory(target, argv, monkeypatch, capsys):
+    # a grid too large for the machine is bad input: exit 2 with a
+    # one-line message, never exit 1 or a traceback
+    monkeypatch.setattr(cli, target, _out_of_memory)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Unable to allocate" in err
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_domain_rejects_non_finite_bounds():
     for bounds in ((0.0, float("inf"), 0.0, 1.0),
                    (float("nan"), 1.0, 0.0, 1.0)):
