@@ -11,9 +11,8 @@ import os
 
 import numpy as np
 
-from ribaucour import (Domain, check_laguerre_holomorphy,
-                       check_middle_sphere, evaluate_patch, immerse,
-                       make_patch)
+from ribaucour import (Domain, check_middle_sphere, evaluate_patch,
+                       hopf_residual, immerse, make_patch)
 from ribaucour.mesh import export_obj, mesh_from_fields
 from ribaucour.ribaucour_core import support_pde_residual
 
@@ -39,14 +38,14 @@ print(f"  |centre|^2 - r^2  = {c @ c - r * r:.6f}  (= -1: the circle "
 fields = evaluate_patch(patch, 81, 81)
 pde = support_pde_residual(fields)
 sphere = check_middle_sphere(fields)
-hopf = check_laguerre_holomorphy(patch)
+hopf = hopf_residual(fields)
 print(f"\nover an 81 x 81 grid ({pde.n_valid} valid samples):")
 print(f"  support identity rho^2 + rho Lap rho - 1 - |grad rho|^2 : "
       f"max {pde.max_abs:.2e}")
 print(f"  middle spheres cut great circles                        : "
       f"max {sphere.max_abs:.2e}")
-print(f"  discrete holomorphy of the shape coefficient mu         : "
-      f"max {hopf.max_abs:.2e}")
+print(f"  shape coefficient mu = S(f1) - S(f2), holomorphic       : "
+      f"max {hopf.max_abs:.2e} (relative)")
 
 out = os.path.join(os.path.dirname(__file__) or ".", "surface.obj")
 mesh = mesh_from_fields(fields)

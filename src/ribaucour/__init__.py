@@ -14,12 +14,12 @@ from .sphere_geom import (SphereFrame, conformal_curvature, conformal_hessian,
                           gauss_map, sphere_gradient, sphere_hessian,
                           sphere_laplacian)
 from .ribaucour_core import (ResidualField, RibaucourPatch, SurfaceFields,
-                             SurfaceSample, cauchy_riemann_residual,
-                             check_laguerre_holomorphy, check_middle_sphere,
-                             check_support_pde, evaluate_patch,
-                             hk_from_support, immerse, laguerre_hopf,
-                             make_patch, shape_from_support, support,
-                             support_jet, unit_sphere_gap)
+                             SurfaceSample, check_laguerre_holomorphy,
+                             check_middle_sphere, check_support_pde,
+                             evaluate_patch, hk_from_support, hopf_residual,
+                             immerse, laguerre_hopf, make_patch,
+                             shape_from_support, support, support_jet,
+                             unit_sphere_gap)
 from .duality import (DualPair, evaluate_pair, make_dual, verify_c2,
                       verify_form_relations, verify_hk_equality)
 from .minimal import (MinimalPatch, catenoid_patch, conformality_residual,
@@ -44,11 +44,10 @@ __all__ = [
     "SphereFrame", "conformal_curvature", "conformal_hessian", "gauss_map",
     "sphere_gradient", "sphere_hessian", "sphere_laplacian",
     "ResidualField", "RibaucourPatch", "SurfaceFields", "SurfaceSample",
-    "cauchy_riemann_residual", "check_laguerre_holomorphy",
-    "check_middle_sphere", "check_support_pde",
-    "evaluate_patch", "hk_from_support", "immerse", "laguerre_hopf",
-    "make_patch", "shape_from_support", "support", "support_jet",
-    "unit_sphere_gap",
+    "check_laguerre_holomorphy", "check_middle_sphere", "check_support_pde",
+    "evaluate_patch", "hk_from_support", "hopf_residual", "immerse",
+    "laguerre_hopf", "make_patch", "shape_from_support", "support",
+    "support_jet", "unit_sphere_gap",
     "DualPair", "evaluate_pair", "make_dual", "verify_c2",
     "verify_form_relations", "verify_hk_equality",
     "MinimalPatch", "catenoid_patch", "conformality_residual",

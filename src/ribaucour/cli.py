@@ -38,9 +38,8 @@ from .holoexpr import ParseError
 from .mesh import export_obj, mesh_from_fields
 from .report import (identity_entry, make_report, report_exit_code,
                      write_report)
-from .ribaucour_core import (cauchy_riemann_residual,
-                             check_laguerre_holomorphy, check_middle_sphere,
-                             evaluate_patch, make_patch, support_pde_residual,
+from .ribaucour_core import (check_middle_sphere, evaluate_patch,
+                             hopf_residual, make_patch, support_pde_residual,
                              unit_sphere_gap)
 
 EXIT_PASS = 0
@@ -51,7 +50,7 @@ EXIT_IO = 4
 
 UNIT_SPHERE_TOL = 1e-8
 TOL_PDE = 1e-8           # support and middle-sphere identities (--tol-pde)
-TOL_CR = 1e-5            # discrete holomorphy of the Hopf coefficient
+TOL_HOPF = 1e-10         # mu = S(f1) - S(f2), relative to its terms
 TOL_FI = 1e-6            # congruence system and first integral (--tol-fi)
 TOL_PROP = 1e-5          # second-order congruence identities
 TOL_ENVELOPE = 1e-6      # envelope residuals; W is a jet in both modes
@@ -149,23 +148,15 @@ def cmd_build(args) -> int:
         return EXIT_PARSE
     fields = evaluate_patch(patch, args.nu, args.nv)
     inputs = _pair_inputs(args, domain, {"pde": args.tol_pde,
-                                         "cauchy_riemann": TOL_CR})
+                                         "hopf_holomorphy": TOL_HOPF})
     meshes = [(mesh_from_fields(fields), args.out)] if args.out else []
     if not np.any(fields.valid):
         return _finish(args, "build", inputs, [], meshes, all_degenerate=True,
                        notes=("every sample is degenerate "
                               "(branch point or singular shape operator)",))
-    pde = support_pde_residual(fields)
-    sph = check_middle_sphere(fields)
-    if min(args.nu, args.nv) >= 161:  # holomorphy grid already evaluated
-        spacing = domain.spacing(args.nu, args.nv)
-        cr = cauchy_riemann_residual(fields.mu, *spacing, fields.valid)
-    else:
-        cr = check_laguerre_holomorphy(patch, max(args.nu, 161),
-                                       max(args.nv, 161))
-    entries = [_residual_entry(pde, args.tol_pde),
-               _residual_entry(sph, args.tol_pde),
-               _residual_entry(cr, TOL_CR)]
+    entries = [_residual_entry(support_pde_residual(fields), args.tol_pde),
+               _residual_entry(check_middle_sphere(fields), args.tol_pde),
+               _residual_entry(hopf_residual(fields), TOL_HOPF)]
     gap = unit_sphere_gap(fields)
     sphere = gap <= UNIT_SPHERE_TOL
     notes = ()
@@ -435,6 +426,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a separate value such as -1:1:-1:1 for an option
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--domain" and not argv[i + 1].startswith("--"):
+            argv[i:i + 2] = ["--domain=" + argv[i + 1]]
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

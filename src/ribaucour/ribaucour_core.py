@@ -28,8 +28,8 @@ The characterising identities, each exposed as a residual check:
 
 * support identity  rho^2 + rho Lap(rho) - 1 - |grad rho|^2 = 0,
 * middle-sphere identity  <X,X> + 2 (H/K) <X,N> + 1 = 0,
-* holomorphy of the Laguerre-invariant Hopf coefficient
-  mu = (Hess_uu - Hess_vv - 2i Hess_uv) / (2 rho).
+* the Laguerre-invariant Hopf coefficient is a difference of Schwarzians,
+  mu = (Hess_uu - Hess_vv - 2i Hess_uv) / (2 rho) = S(f1) - S(f2).
 """
 
 from __future__ import annotations
@@ -42,14 +42,15 @@ from .grids import Domain
 from .holoexpr import HoloExpr, eval_jet, parse, to_text
 from .jets import RJet2, jet_finite
 from .sphere_geom import (SphereFrame, conformal_hessian, frame_from_jet,
-                          sphere_gradient, sphere_laplacian, tau_from_jet)
+                          schwarzian_from_jet, sphere_gradient,
+                          sphere_laplacian, tau_from_jet)
 
 __all__ = [
     "RibaucourPatch", "SurfaceFields", "SurfaceSample", "ResidualField",
     "make_patch", "support", "support_jet", "shape_from_support",
     "evaluate_patch", "immerse", "check_support_pde", "support_pde_residual",
     "check_middle_sphere", "hk_from_support", "laguerre_hopf",
-    "cauchy_riemann_residual", "unit_sphere_gap",
+    "hopf_residual", "unit_sphere_gap",
     "DEGENERATE_TOL", "UMBILIC_TOL",
 ]
 
@@ -164,7 +165,8 @@ class SurfaceFields:
     coefficient triples (uu, uv, vv); ``b11/b12/b22`` the curvature-radius
     operator.  Flag arrays: ``branch`` (frame or support degenerate),
     ``degenerate`` (immersion fails: |det B| below threshold, includes
-    branch), ``umbilic`` (principal directions unset).
+    branch), ``umbilic`` (principal directions unset).  ``schwarzian``:
+    (S(f1), S(f2)) for the fields of a holomorphic pair, else None.
     """
 
     frame: SphereFrame
@@ -188,6 +190,7 @@ class SurfaceFields:
     umbilic: np.ndarray
     Z: np.ndarray | None = None
     patch: RibaucourPatch | None = None
+    schwarzian: tuple | None = None
 
     @property
     def valid(self):
@@ -247,18 +250,20 @@ def evaluate_patch(patch: RibaucourPatch, nu: int = 41, nv: int = 41,
     (or on explicit sample points ``Z``)."""
     if Z is None:
         _, _, Z = patch.domain.mesh(nu, nv)
-    frame = frame_from_jet(eval_jet(patch.f1, Z, 3))
-    return _fields_from_frame(frame, tau_from_jet(eval_jet(patch.f2, Z, 3)),
-                              Z, patch)
+    j1, j2 = eval_jet(patch.f1, Z, 3), eval_jet(patch.f2, Z, 3)
+    return _fields_from_frame(frame_from_jet(j1), tau_from_jet(j2),
+                              (schwarzian_from_jet(j1),
+                               schwarzian_from_jet(j2)), Z, patch)
 
 
-def _fields_from_frame(frame: SphereFrame, tau2: RJet2, Z,
-                       patch: RibaucourPatch) -> SurfaceFields:
-    """Shape pipeline from the frame of f1 and the tau jet of f2 at
-    ``Z``: rho = exp(tau1 - tau2)."""
+def _fields_from_frame(frame: SphereFrame, tau2: RJet2, schwarzian: tuple,
+                       Z, patch: RibaucourPatch) -> SurfaceFields:
+    """Shape pipeline from the frame of f1, the tau jet of f2 and
+    (S(f1), S(f2)) at ``Z``: rho = exp(tau1 - tau2)."""
     fields = shape_from_support(frame, _support_from_tau(frame.tau, tau2))
     fields.Z = np.asarray(Z)
     fields.patch = patch
+    fields.schwarzian = schwarzian
     return fields
 
 
@@ -378,56 +383,39 @@ def hk_from_support(fields_or_sample):
 
 def laguerre_hopf(patch: RibaucourPatch, z: complex) -> complex:
     """Hopf coefficient of the Laguerre-invariant quadratic differential,
-    mu = (Hess_uu - Hess_vv - 2i Hess_uv)/(2 rho); holomorphic exactly on
-    the class of surfaces this module builds.  |mu| measures umbilic
+    mu = (Hess_uu - Hess_vv - 2i Hess_uv)/(2 rho) = S(f1) - S(f2), so
+    holomorphic on the surfaces this module builds.  |mu| measures umbilic
     deviation: |1/k2 - 1/k1| = 2 rho |mu| e^{-2 tau}."""
     fields = evaluate_patch(patch, Z=np.asarray(complex(z)))
     return complex(fields.mu)
 
 
-def _d1(F: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """Fourth-order centred first derivative along an axis; output loses
-    two samples at each end of that axis."""
-    F = np.moveaxis(F, axis, 0)
-    out = (F[:-4] - 8.0 * F[1:-3] + 8.0 * F[3:-1] - F[4:]) / (12.0 * h)
-    return np.moveaxis(out, 0, axis)
-
-
-def cauchy_riemann_residual(mu: np.ndarray, hu: float, hv: float,
-                            valid: np.ndarray) -> ResidualField:
-    """Discrete holomorphy residual |a_u - b_v| + |a_v + b_u| of
-    mu = a + ib over a grid, fourth-order stencils, interior samples whose
-    full 5x5 neighbourhood is valid."""
-    a, b = np.real(mu), np.imag(mu)
-    au = _d1(a, hu, 0)[:, 2:-2]
-    av = _d1(a, hv, 1)[2:-2, :]
-    bu = _d1(b, hu, 0)[:, 2:-2]
-    bv = _d1(b, hv, 1)[2:-2, :]
-    r = np.abs(au - bv) + np.abs(av + bu)
-    nu, nv = valid.shape
-    ok = np.ones((nu - 4, nv - 4), dtype=bool)
-    for di in range(5):
-        for dj in range(5):
-            ok &= valid[di:nu - 4 + di, dj:nv - 4 + dj]
-    ok &= np.isfinite(r)
-    return ResidualField(r, ok, "hopf_holomorphy")
+def hopf_residual(fields: SurfaceFields) -> ResidualField:
+    """Residual of mu = S(f1) - S(f2) per sample, relative to the largest
+    of |S(f1)|, |S(f2)| and the size of mu's terms before they cancel,
+    (|rho_uu| + |rho_vv| + 2|rho_uv| + 2 (|tau_u| + |tau_v|) (|rho_u| +
+    |rho_v|)) / (2|rho|), the only scale left where mu is 0 (round spheres).
+    A scale of 0 counts as 0.  Needs the fields of a holomorphic pair."""
+    if fields.schwarzian is None:
+        raise ValueError("hopf_residual needs a holomorphic pair's fields")
+    s1, s2 = fields.schwarzian
+    rho, tau = fields.rho, fields.frame.tau
+    a = lambda x: np.abs(np.asarray(x, dtype=float))
+    with np.errstate(all="ignore"):
+        terms = (a(rho.duu) + a(rho.dvv) + 2.0 * a(rho.duv)
+                 + 2.0 * (a(tau.du) + a(tau.dv)) * (a(rho.du) + a(rho.dv))
+                 ) / (2.0 * a(rho.val))
+        scale = np.maximum(np.maximum(terms, np.abs(s1)), np.abs(s2))
+        r = np.where(scale == 0.0, 0.0,
+                     np.abs(fields.mu - (s1 - s2)) / scale)
+    valid = fields.valid & np.isfinite(r)
+    return ResidualField(r, np.asarray(valid), "hopf_holomorphy")
 
 
 def check_laguerre_holomorphy(patch: RibaucourPatch, nu: int = 161,
                               nv: int = 161) -> ResidualField:
-    """Discrete Cauchy-Riemann residual of the Hopf coefficient mu over
-    the patch, evaluated on its own grid.
-
-    The residual of the fourth-order stencils is truncation-dominated:
-    for a holomorphic field sampled with equal steps the h^4 error terms
-    of the u- and v-stencils coincide and cancel, so the residual decays
-    like h^6.  A moderately fine grid therefore measures holomorphy
-    itself rather than the sampling, independent of whatever resolution
-    a caller uses for rendering or other residuals.
-    """
-    fields = evaluate_patch(patch, nu, nv)
-    hu, hv = patch.domain.spacing(nu, nv)
-    return cauchy_riemann_residual(fields.mu, hu, hv, fields.valid)
+    """:func:`hopf_residual` of the patch evaluated on an nu x nv grid."""
+    return hopf_residual(evaluate_patch(patch, nu, nv))
 
 
 def unit_sphere_gap(fields: SurfaceFields) -> float:

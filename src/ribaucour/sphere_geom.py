@@ -37,7 +37,7 @@ from .jets import RJet2, abs2_jet, im_jet, jet_finite, re_jet
 __all__ = [
     "SphereFrame", "gauss_map", "frame_from_jet", "tau_from_jet",
     "sphere_gradient", "sphere_laplacian", "sphere_hessian",
-    "conformal_hessian", "conformal_curvature",
+    "conformal_hessian", "conformal_curvature", "schwarzian_from_jet",
 ]
 
 _LOG2 = float(np.log(2.0))
@@ -124,6 +124,17 @@ def tau_from_jet(j: CJet) -> RJet2:
     h, _ = _inverted_where_large(j)
     with np.errstate(all="ignore"):
         return _tau(h, abs2_jet(h) + 1.0)
+
+
+def schwarzian_from_jet(j: CJet):
+    """Schwarzian S(f) = f'''/f' - (3/2) (f''/f')^2 per sample from an
+    order-3 jet of f, taken as in the frame from 1/f wherever |f| > 1:
+    S(1/f) = S(f), while next to a pole the terms of f's own jet cancel."""
+    h, _ = _inverted_where_large(j)
+    _, d1, d2, d3 = h.values
+    with np.errstate(all="ignore"):
+        q = d2 / d1
+        return d3 / d1 - 1.5 * q * q
 
 
 def frame_from_jet(j: CJet) -> SphereFrame:

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from _oracles import fd_principal_curvatures, rel_gap
+from _oracles import fd_principal_curvatures, hopf_stencil_residual, rel_gap
 from ribaucour import cli
 from ribaucour.congruence import (CongruenceState, analytic_example,
                                   check_hessian_identities, envelope,
@@ -18,8 +18,7 @@ from ribaucour.congruence import (CongruenceState, analytic_example,
 from ribaucour.duality import (evaluate_pair, make_dual, verify_c2,
                                verify_form_relations, verify_hk_equality)
 from ribaucour.grids import Domain
-from ribaucour.ribaucour_core import (check_laguerre_holomorphy,
-                                      check_middle_sphere, evaluate_patch,
+from ribaucour.ribaucour_core import (check_middle_sphere, evaluate_patch,
                                       make_patch, support_pde_residual)
 from ribaucour.sphere_geom import conformal_curvature
 
@@ -133,7 +132,7 @@ def test_criterion_3_duality_switches_curvatures():
 def test_criterion_4_hopf_coefficient_is_holomorphic():
     worst = 0.0
     for f1, f2, dom in PAIRS:
-        r = check_laguerre_holomorphy(make_patch(f1, f2, dom))
+        r = hopf_stencil_residual(make_patch(f1, f2, dom))
         assert r.n_valid > 0, (f1, f2)
         worst = max(worst, r.max_abs)
     ok = worst <= 1e-5

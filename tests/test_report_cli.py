@@ -7,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from ribaucour import cli
+from ribaucour import (cli, duality, holoexpr, minimal, ribaucour_core,
+                       sphere_geom)
 from ribaucour.grids import Domain
 from ribaucour.report import (SCHEMA, identity_entry, make_report,
                               report_exit_code, write_report)
@@ -116,6 +117,53 @@ def test_build_rejects_empty_domain(capsys):
     code = cli.main(["build", "--f1", "z", "--f2", "2*z",
                      "--domain", "1:0:0:1"])
     assert code == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["build", "--f1", "z", "--f2", "exp(z)"],
+    ["dual", "--f1", "z", "--f2", "exp(z)"],
+    ["export", "--f1", "z", "--f2", "exp(z)"],
+    ["congruence", "--minimal", "enneper"],
+])
+def test_domain_with_negative_first_bound_is_one_argument(command, tmp_path,
+                                                          capsys):
+    # "--domain -0.5:..." reads like an option to argparse; it must act
+    # exactly like "--domain=-0.5:..."
+    outputs = []
+    for i, domain in enumerate((["--domain", "-0.5:0.5:-0.4:0.6"],
+                                ["--domain=-0.5:0.5:-0.4:0.6"])):
+        out = str(tmp_path / f"{i}.obj")
+        code = cli.main(command + domain + ["--nu", "9", "--nv", "9",
+                                            "--out", out])
+        printed = capsys.readouterr()
+        assert code == 0, printed.err
+        outputs.append(printed.out.replace(out, "OUT"))
+    assert outputs[0] == outputs[1]
+
+
+def test_build_judges_one_grid(tmp_path, monkeypatch):
+    # every entry is measured on the fields of the command's own grid:
+    # one jet per generator, and samples plus excluded cover the grid
+    grids = []
+    real = holoexpr.eval_jet
+
+    def spy(e, z, order=3):
+        grids.append(np.shape(z))
+        return real(e, z, order)
+
+    for mod in (holoexpr, sphere_geom, ribaucour_core, duality, minimal):
+        monkeypatch.setattr(mod, "eval_jet", spy)
+    rpt = tmp_path / "build.json"
+    code = cli.main(["build", "--f1", "z", "--f2", "exp(z)",
+                     "--nu", "11", "--nv", "13", "--report", str(rpt)])
+    assert code == 0
+    assert grids == [(11, 13), (11, 13)]
+    data = json.loads(rpt.read_text())
+    assert data["inputs"]["tolerances"] == {"pde": cli.TOL_PDE,
+                                            "hopf_holomorphy": cli.TOL_HOPF}
+    assert len(data["identities"]) == 3
+    for e in data["identities"]:
+        assert e["samples"] + e["excluded"] == 11 * 13, e
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,19 +3,24 @@
 import cmath
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import fd_principal_curvatures, rel_gap, support_quotient
+from _oracles import (fd_principal_curvatures, hopf_stencil_residual,
+                      rel_gap, support_quotient)
+from ribaucour.cli import TOL_HOPF
 from ribaucour.grids import Domain
 from ribaucour.holoexpr import BinOp, Call, Const, Var, eval_jet, parse
-from ribaucour.ribaucour_core import (RibaucourPatch,
-                                      check_laguerre_holomorphy,
-                                      check_middle_sphere, check_support_pde,
-                                      evaluate_patch, hk_from_support,
+from ribaucour.jets import RJet2
+from ribaucour.report import identity_entry
+from ribaucour.ribaucour_core import (RibaucourPatch, check_middle_sphere,
+                                      check_support_pde, evaluate_patch,
+                                      hk_from_support, hopf_residual,
                                       immerse, laguerre_hopf, make_patch,
-                                      support, support_jet,
-                                      support_pde_residual, unit_sphere_gap)
+                                      shape_from_support, support,
+                                      support_jet, support_pde_residual,
+                                      unit_sphere_gap)
 from ribaucour.sphere_geom import sphere_laplacian
 
 SQUARE = Domain(-1.0, 1.0, -1.0, 1.0)
@@ -96,12 +101,15 @@ GENERATORS = st.builds(
     _SCALE, _BASE, _CONST, _CONST)
 
 
+# round spheres: mu vanishes identically, so every term of mu is rounding
+@example(parse("z"), parse("2*z"))
+@example(parse("z"), parse("(2*z+1)/(z-3)"))
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(GENERATORS, GENERATORS)
 def test_identities_hold_for_random_pairs(f1, f2):
-    # every pair builds a surface of the class: the support identity and
-    # the middle-sphere identity vanish on each valid sample, to rounding
-    # relative to the largest term of the identity there
+    # every pair builds a surface of the class: the support identity, the
+    # middle-sphere identity and mu = S(f1) - S(f2) hold on each valid
+    # sample, to rounding relative to the largest term of the identity there
     fields = evaluate_patch(RibaucourPatch(f1, f2, Domain(0.1, 0.9, 0.1, 0.9)),
                             9, 9)
     rv = fields.rho_val
@@ -119,6 +127,9 @@ def test_identities_hold_for_random_pairs(f1, f2):
         scale = np.maximum.reduce([np.abs(t) for t in terms])
         rel = np.abs(res.values[res.valid]) / scale[res.valid]
         assert np.max(rel) <= 1e-9, (res.name, np.max(rel))
+    hopf = hopf_residual(fields)
+    assert hopf.n_valid > 0
+    assert hopf.max_abs <= 1e-10, hopf.max_abs
 
 
 def _identity_gaps(fields):
@@ -192,6 +203,9 @@ def test_identities_hold_next_to_poles(m1, other, swap):
     for name, gap in _identity_gaps(fields).items():
         assert gap.size > 0, name
         assert np.max(gap) <= 1e-9, (name, np.max(gap))
+    hopf = hopf_residual(fields)
+    assert hopf.n_valid > 0
+    assert hopf.max_abs <= 1e-10, hopf.max_abs
 
 
 def test_support_jet_matches_quotient_oracle():
@@ -204,6 +218,24 @@ def test_support_jet_matches_quotient_oracle():
     for part in ("val", "du", "dv", "duu", "duv", "dvv"):
         a, b = getattr(rho, part), getattr(ref, part)
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), part
+
+
+def test_hopf_residual_detects_a_perturbed_support():
+    # rho (1 + 1e-3 u^2) is the support field of no pair, so its mu is no
+    # longer S(f1) - S(f2): the build entry must fail
+    patch = make_patch("exp(z)/(1+z^2)", "sin(z)*cos(z)/(z+3)", POLE_DOMAIN)
+    fields = evaluate_patch(patch, 161, 161)
+    assert hopf_residual(fields).max_abs <= TOL_HOPF
+    U = RJet2.coord_u(np.real(fields.Z))
+    bent = shape_from_support(fields.frame, fields.rho * (1.0 + 1e-3 * U * U))
+    with pytest.raises(ValueError):
+        hopf_residual(bent)
+    bent.schwarzian = fields.schwarzian
+    res = hopf_residual(bent)
+    entry = identity_entry(res.name, res.max_abs, TOL_HOPF, res.n_valid,
+                           res.n_excluded)
+    assert res.n_valid == fields.Z.size
+    assert not entry["pass"], entry
 
 
 def test_support_pde_terms_match_finite_differences():
@@ -343,10 +375,10 @@ def test_hopf_modulus_measures_radius_gap():
 
 
 def test_hopf_is_discretely_holomorphic():
-    r = check_laguerre_holomorphy(make_patch("z", "exp(z)", SQUARE))
+    r = hopf_stencil_residual(make_patch("z", "exp(z)", SQUARE))
     assert r.n_valid > 0
     assert r.max_abs <= 1e-5
-    r = check_laguerre_holomorphy(make_patch("z", "2*z", SQUARE), 81, 81)
+    r = hopf_stencil_residual(make_patch("z", "2*z", SQUARE), 81, 81)
     assert r.max_abs <= 1e-10
 
 
