@@ -35,7 +35,7 @@ import numpy as np
 from .holoexpr import eval_jet
 from .ribaucour_core import (ResidualField, RibaucourPatch, SurfaceFields,
                              _fields_from_frame)
-from .sphere_geom import frame_from_jet, schwarzian_from_jet
+from .sphere_geom import frame_from_jet
 
 __all__ = [
     "DualPair", "make_dual", "evaluate_pair",
@@ -61,20 +61,18 @@ def evaluate_pair(pair: DualPair, nu: int = 41, nv: int = 41
     Both are sampled on the patch's chart, and each distinct generator
     gets one jet and one frame: the dual from :func:`make_dual` is the
     same two generators swapped, so rho = exp(tau1 - tau2) and
-    rho* = exp(tau2 - tau1) come from the tau jets of the two frames, and
-    each Schwarzian is computed once.
+    rho* = exp(tau2 - tau1) come from the tau jets of the two frames.
+    No check of a pair reads the Schwarzians, so both fields carry
+    ``schwarzian = None``.
     """
     patch, dual = pair.patch, pair.dual
     _, _, Z = patch.domain.mesh(nu, nv)
-    frames, schwarz = {}, {}
+    frames = {}
     for f in (patch.f1, patch.f2, dual.f1, dual.f2):
         if id(f) not in frames:
-            j = eval_jet(f, Z, 3)
-            frames[id(f)] = frame_from_jet(j)
-            schwarz[id(f)] = schwarzian_from_jet(j)
+            frames[id(f)] = frame_from_jet(eval_jet(f, Z, 3))
     return tuple(_fields_from_frame(frames[id(p.f1)], frames[id(p.f2)].tau,
-                                    (schwarz[id(p.f1)], schwarz[id(p.f2)]),
-                                    Z, p)
+                                    None, Z, p)
                  for p in (patch, dual))
 
 

@@ -41,9 +41,8 @@ import numpy as np
 from .grids import Domain
 from .holoexpr import HoloExpr, eval_jet, parse, to_text
 from .jets import RJet2, jet_finite
-from .sphere_geom import (SphereFrame, conformal_hessian, frame_from_jet,
-                          schwarzian_from_jet, sphere_gradient,
-                          sphere_laplacian, tau_from_jet)
+from .sphere_geom import (SphereFrame, conformal_hessian, generator_data,
+                          sphere_gradient, sphere_laplacian, tau_from_jet)
 
 __all__ = [
     "RibaucourPatch", "SurfaceFields", "SurfaceSample", "ResidualField",
@@ -166,7 +165,10 @@ class SurfaceFields:
     operator.  Flag arrays: ``branch`` (frame or support degenerate),
     ``degenerate`` (immersion fails: |det B| below threshold, includes
     branch), ``umbilic`` (principal directions unset).  ``schwarzian``:
-    (S(f1), S(f2)) for the fields of a holomorphic pair, else None.
+    (S(f1), S(f2)) for the fields of :func:`evaluate_patch`; None for
+    fields that no check of S reads (``duality.evaluate_pair``,
+    :func:`shape_from_support` alone), which :func:`hopf_residual`
+    rejects.
     """
 
     frame: SphereFrame
@@ -247,19 +249,23 @@ def shape_from_support(frame: SphereFrame, rho: RJet2,
 def evaluate_patch(patch: RibaucourPatch, nu: int = 41, nv: int = 41,
                    Z: np.ndarray | None = None) -> SurfaceFields:
     """Evaluate the full shape pipeline on a grid over the patch domain
-    (or on explicit sample points ``Z``)."""
+    (or on explicit sample points ``Z``).  Each distinct generator gets
+    one jet, inverted once for its frame or tau jet and its Schwarzian."""
     if Z is None:
         _, _, Z = patch.domain.mesh(nu, nv)
-    j1, j2 = eval_jet(patch.f1, Z, 3), eval_jet(patch.f2, Z, 3)
-    return _fields_from_frame(frame_from_jet(j1), tau_from_jet(j2),
-                              (schwarzian_from_jet(j1),
-                               schwarzian_from_jet(j2)), Z, patch)
+    frame, s1 = generator_data(eval_jet(patch.f1, Z, 3), frame=True)
+    if patch.f2 is patch.f1:
+        tau2, s2 = frame.tau, s1
+    else:
+        tau2, s2 = generator_data(eval_jet(patch.f2, Z, 3), frame=False)
+    return _fields_from_frame(frame, tau2, (s1, s2), Z, patch)
 
 
-def _fields_from_frame(frame: SphereFrame, tau2: RJet2, schwarzian: tuple,
-                       Z, patch: RibaucourPatch) -> SurfaceFields:
+def _fields_from_frame(frame: SphereFrame, tau2: RJet2,
+                       schwarzian: tuple | None, Z,
+                       patch: RibaucourPatch) -> SurfaceFields:
     """Shape pipeline from the frame of f1, the tau jet of f2 and
-    (S(f1), S(f2)) at ``Z``: rho = exp(tau1 - tau2)."""
+    (S(f1), S(f2)) or None at ``Z``: rho = exp(tau1 - tau2)."""
     fields = shape_from_support(frame, _support_from_tau(frame.tau, tau2))
     fields.Z = np.asarray(Z)
     fields.patch = patch

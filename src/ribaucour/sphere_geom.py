@@ -38,6 +38,7 @@ __all__ = [
     "SphereFrame", "gauss_map", "frame_from_jet", "tau_from_jet",
     "sphere_gradient", "sphere_laplacian", "sphere_hessian",
     "conformal_hessian", "conformal_curvature", "schwarzian_from_jet",
+    "generator_data",
 ]
 
 _LOG2 = float(np.log(2.0))
@@ -122,6 +123,10 @@ def tau_from_jet(j: CJet) -> RJet2:
     order-3 complex jet of f; pole-safe like :func:`frame_from_jet`.
     Zeros of f' and non-finite jets give non-finite entries."""
     h, _ = _inverted_where_large(j)
+    return _tau_of(h)
+
+
+def _tau_of(h: CJet) -> RJet2:
     with np.errstate(all="ignore"):
         return _tau(h, abs2_jet(h) + 1.0)
 
@@ -131,10 +136,23 @@ def schwarzian_from_jet(j: CJet):
     order-3 jet of f, taken as in the frame from 1/f wherever |f| > 1:
     S(1/f) = S(f), while next to a pole the terms of f's own jet cancel."""
     h, _ = _inverted_where_large(j)
+    return _schwarzian_of(h)
+
+
+def _schwarzian_of(h: CJet):
     _, d1, d2, d3 = h.values
     with np.errstate(all="ignore"):
         q = d2 / d1
         return d3 / d1 - 1.5 * q * q
+
+
+def generator_data(j: CJet, frame: bool = True) -> tuple:
+    """``(frame_from_jet(j) if frame else tau_from_jet(j),
+    schwarzian_from_jet(j))`` from one inversion of the jet."""
+    if frame:
+        return _frame(j, schwarzian=True)
+    h, _ = _inverted_where_large(j)
+    return _tau_of(h), _schwarzian_of(h)
 
 
 def frame_from_jet(j: CJet) -> SphereFrame:
@@ -142,7 +160,14 @@ def frame_from_jet(j: CJet) -> SphereFrame:
 
     Where |f| > 1 the frame is that of 1/f with N reflected to
     (nx, -ny, -nz), so samples next to a pole stay accurate."""
+    return _frame(j, schwarzian=False)[0]
+
+
+def _frame(j: CJet, schwarzian: bool) -> tuple:
+    """(frame, S(f) or None); the jet of 1/f is referenced only here, so
+    it is released as soon as the frame no longer needs it."""
     h, flip = _inverted_where_large(j)
+    s = _schwarzian_of(h) if schwarzian else None
     # -1 on reflected samples, where ny and nz change sign
     sign = 1.0 if flip is None else np.where(flip, -1.0, 1.0)
     # jet division is multiplication by the reciprocal; each intermediate
@@ -159,7 +184,7 @@ def frame_from_jet(j: CJet) -> SphereFrame:
         nz = sign - w                      # (|f|^2 - 1) / (|f|^2 + 1)
         del w
     good = jet_finite(nx) & jet_finite(ny) & jet_finite(nz) & jet_finite(tau)
-    return SphereFrame(nx, ny, nz, tau, ~good)
+    return SphereFrame(nx, ny, nz, tau, ~good), s
 
 
 def gauss_map(f1: HoloExpr, z) -> SphereFrame:

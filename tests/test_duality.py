@@ -1,13 +1,14 @@
 """Swapping the two generators: the dual surface and its invariants."""
 
 import numpy as np
+import pytest
 
 from _oracles import rel_gap
 from ribaucour import duality, holoexpr, ribaucour_core
 from ribaucour.duality import (DualPair, evaluate_pair, make_dual, verify_c2,
                                verify_form_relations, verify_hk_equality)
 from ribaucour.grids import Domain
-from ribaucour.ribaucour_core import evaluate_patch, make_patch
+from ribaucour.ribaucour_core import evaluate_patch, hopf_residual, make_patch
 
 SQUARE = Domain(-1.0, 1.0, -1.0, 1.0)
 
@@ -141,3 +142,14 @@ def test_pair_evaluates_each_generator_once(monkeypatch):
         for name in ("X", "N", "k1", "k2", "hover_k", "mu", "degenerate"):
             assert np.array_equal(getattr(got, name), getattr(want, name),
                                   equal_nan=name != "degenerate"), name
+
+
+def test_pair_fields_carry_no_schwarzians():
+    # no check of a pair reads S(f1), S(f2): evaluate_pair leaves them
+    # unset, and hopf_residual refuses such fields instead of guessing
+    pair = make_dual(make_patch("exp(z)/(1+z^2)", "sin(z)*cos(z)/(z+3)",
+                                SQUARE))
+    for fields in evaluate_pair(pair, 9, 9):
+        assert fields.schwarzian is None
+        with pytest.raises(ValueError):
+            hopf_residual(fields)

@@ -8,6 +8,8 @@ from hypothesis.extra import numpy as hnp
 
 from _oracles import obj_reference_text
 from ribaucour import cli
+from ribaucour import mesh as mesh_module
+from ribaucour.duality import evaluate_pair, make_dual
 from ribaucour.grids import Domain
 from ribaucour.mesh import (SurfaceMesh, export_obj, mesh_from_fields,
                             mesh_from_grid)
@@ -180,3 +182,88 @@ def test_cli_objs_match_record_by_record_writer(tmp_path):
         out = tmp_path / f"{command}.obj"
         cli.main([command, *pair, f"--out={out}"])
         assert out.read_bytes() == expect, command
+
+
+# ---------------------------------------------------------------------------
+# the numpy byte builder against the record-by-record writer
+# ---------------------------------------------------------------------------
+
+def _strip_mesh(nu, nv, coords):
+    """A (nu, nv) grid whose vertex and normal coordinates cycle through
+    ``coords``."""
+    n = nu * nv * 3
+    values = np.resize(np.asarray(coords, dtype=float), 2 * n)
+    P = values[:n].reshape(nu, nv, 3)
+    N = values[n:][::-1].reshape(nu, nv, 3)
+    return mesh_from_grid(P, N)
+
+
+def _assert_matches_reference(mesh, tmp_path):
+    out = tmp_path / "m.obj"
+    export_obj(mesh, out)
+    assert out.read_bytes() == obj_reference_text(mesh).encode("ascii")
+
+
+def test_export_spans_several_chunks(tmp_path):
+    # more vertices and triangles than one chunk, a partial last chunk
+    rng = np.random.default_rng(7)
+    nv = mesh_module._CHUNK + 1
+    coords = rng.standard_normal(6 * nv) * 10.0 ** rng.integers(-6, 10,
+                                                                6 * nv)
+    mesh = _strip_mesh(3, nv, coords)
+    assert mesh.n_vertices % mesh_module._CHUNK
+    assert mesh.n_vertices > mesh_module._CHUNK
+    assert 2 * mesh.n_quads > mesh_module._CHUNK
+    _assert_matches_reference(mesh, tmp_path)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2, 5), (3, 33333), (2, 50000)])
+def test_face_indices_cross_digit_widths(tmp_path, shape):
+    # 9 -> 10 and 99,999 -> 100,000 vertices: the last face index gains
+    # a digit, and every quad of the grid survives
+    mesh = _strip_mesh(*shape, [0.5, -1.25, 3.0])
+    assert mesh.quads.max() + 1 == mesh.n_vertices
+    _assert_matches_reference(mesh, tmp_path)
+
+
+def test_near_ties_and_exponent_boundaries(tmp_path):
+    # (k + 1/2) 1e-9 sit on rounding ties of the ninth digit at several
+    # exponents; the rest sit where %g switches to exponent notation or
+    # where rounding carries into a new decade
+    k = np.arange(-600, 600)
+    coords = np.concatenate([
+        (k + 0.5) * 1e-9,
+        (k + 0.5) * 1e-9 + 0.1,
+        (100000000 + k + 0.5) * 1e-4,
+        [9.999999995e-5, 1e-4, 999999999.4, 999999999.5, 1e9,
+         -9.999999995e-5, -1e-4, -999999999.4, -999999999.5, -1e9,
+         9.9999999949e-5, 99999.99995, 0.99999999949, 0.999999999501,
+         -0.0, 0.0, 5e-324, 1e-5, 123456789.0, 100000000.0]])
+    _assert_matches_reference(_strip_mesh(2, len(coords) // 3 + 1, coords),
+                              tmp_path)
+
+
+def test_negative_zero_empty_and_quadless_meshes(tmp_path):
+    P, N = _flat_grid(3, 3)
+    P[...] = -0.0
+    _assert_matches_reference(mesh_from_grid(P, N), tmp_path)
+    # no survivor, then survivors that share no whole cell
+    _assert_matches_reference(mesh_from_grid(P, N, np.zeros((3, 3), bool)),
+                              tmp_path)
+    checker = (np.add.outer(np.arange(3), np.arange(3)) % 2).astype(bool)
+    mesh = mesh_from_grid(P + 0.75, N, checker)
+    assert mesh.n_vertices == 4 and mesh.n_quads == 0
+    _assert_matches_reference(mesh, tmp_path)
+
+
+def test_dual_objs_match_record_by_record_writer(tmp_path):
+    pair = make_dual(make_patch("exp(z)/(1+z^2)", "sin(z)*cos(z)/(z+3)",
+                                Domain(0.1, 0.9, 0.1, 0.9)))
+    fields = evaluate_pair(pair, 23, 19)
+    out = tmp_path / "pair.obj"
+    assert cli.main(["dual", "--f1=exp(z)/(1+z^2)",
+                     "--f2=sin(z)*cos(z)/(z+3)", "--domain=0.1:0.9:0.1:0.9",
+                     "--nu=23", "--nv=19", f"--out={out}"]) == 0
+    for path, f in zip((out, tmp_path / "pair_dual.obj"), fields):
+        assert path.read_bytes() == obj_reference_text(
+            mesh_from_fields(f)).encode("ascii"), path.name

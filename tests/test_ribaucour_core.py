@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from _oracles import (fd_principal_curvatures, hopf_stencil_residual,
                       rel_gap, support_quotient)
+from ribaucour import sphere_geom
 from ribaucour.cli import TOL_HOPF
 from ribaucour.grids import Domain
 from ribaucour.holoexpr import BinOp, Call, Const, Var, eval_jet, parse
@@ -21,7 +22,7 @@ from ribaucour.ribaucour_core import (RibaucourPatch, check_middle_sphere,
                                       shape_from_support, support,
                                       support_jet, support_pde_residual,
                                       unit_sphere_gap)
-from ribaucour.sphere_geom import sphere_laplacian
+from ribaucour.sphere_geom import schwarzian_from_jet, sphere_laplacian
 
 SQUARE = Domain(-1.0, 1.0, -1.0, 1.0)
 OFFSET = Domain(0.3, 1.3, 0.2, 1.2)
@@ -236,6 +237,38 @@ def test_hopf_residual_detects_a_perturbed_support():
                            res.n_excluded)
     assert res.n_valid == fields.Z.size
     assert not entry["pass"], entry
+
+
+def test_one_inversion_per_generator(monkeypatch):
+    # evaluate_patch takes each generator's frame or tau jet and its
+    # Schwarzian from one jet of 1/f; every sample of f1 flips here
+    patch = make_patch("exp(z)/(1+z^2)", "sin(z)*cos(z)/(z+3)", POLE_DOMAIN)
+    _, _, Z = POLE_DOMAIN.mesh(9, 11)
+    j1, j2 = eval_jet(patch.f1, Z, 3), eval_jet(patch.f2, Z, 3)
+    want_s = (schwarzian_from_jet(j1), schwarzian_from_jet(j2))
+    want_rho = support_jet(j1, j2)
+    calls = []
+    real = sphere_geom._inverted_where_large
+
+    def spy(j):
+        calls.append(j)
+        return real(j)
+
+    monkeypatch.setattr(sphere_geom, "_inverted_where_large", spy)
+    fields = evaluate_patch(patch, 9, 11)
+    assert len(calls) == 2
+    for got, want in zip(fields.schwarzian, want_s):
+        assert np.array_equal(got, want)
+    for part in ("val", "du", "dv", "duu", "duv", "dvv"):
+        assert np.array_equal(getattr(fields.rho, part),
+                              getattr(want_rho, part)), part
+    # one generator object used twice is one generator
+    calls.clear()
+    same = evaluate_patch(RibaucourPatch(patch.f1, patch.f1, POLE_DOMAIN),
+                          9, 11)
+    assert len(calls) == 1
+    assert np.array_equal(same.schwarzian[0], same.schwarzian[1])
+    assert np.array_equal(same.rho_val, np.ones(Z.shape))
 
 
 def test_support_pde_terms_match_finite_differences():
