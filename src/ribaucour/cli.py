@@ -259,7 +259,8 @@ def cmd_congruence(args) -> int:
         U, V, _ = domain.mesh(args.nu, args.nv)
         wj, oj = ac.w_jet(U, V), ac.omega_jet(U, V)
         sysres = system_residuals(ac.patch, wj, oj, U, V)
-        drift = float(np.max(np.abs(first_integral(ac.state(U, V), consts))))
+        drift = float(np.max(np.abs(first_integral(
+            ac.state(U, V, jets=(wj, oj)), consts))))
         env = envelope(ac.patch, wj, U, V)
         ms = check_middle_sphere(env)
         hid = check_hessian_identities(ac.patch, wj, oj, consts, U, V)

@@ -249,11 +249,13 @@ class AnalyticCongruence:
     literal_constants: IntegralConstants | None
     omega_text: str = ""
 
-    def state(self, U, V, phi=None) -> CongruenceState:
-        """The fields on (U, V); ``phi``, the patch's conformal factor on
-        (U, V) when the caller already has it, spares evaluating it."""
-        return _state_from_jets(self.patch, self.w_jet(U, V),
-                                self.omega_jet(U, V), U, V, phi)
+    def state(self, U, V, phi=None, jets=None) -> CongruenceState:
+        """The fields on (U, V).  ``phi``, the patch's conformal factor
+        on (U, V), and ``jets``, the (W, Omega) jets on (U, V), spare
+        evaluating them again when the caller already has them."""
+        wj, oj = jets if jets is not None else (self.w_jet(U, V),
+                                                self.omega_jet(U, V))
+        return _state_from_jets(self.patch, wj, oj, U, V, phi)
 
 
 def _origin_constant(patch: MinimalPatch, wj_fn, oj_fn,

@@ -141,7 +141,8 @@ class MinimalPatch:
         -stereo(g) is stereo(-g) reflected in the equatorial plane, so
         only the third component of that frame changes sign."""
         f = frame_from_jet(eval_jet(Neg(self.g), _z(U, V), 3))
-        return SphereFrame(f.nx, f.ny, -f.nz, f.tau, f.branch)
+        nx, ny, (z, z_u, z_v) = f.first_order
+        return SphereFrame(nx, ny, (-z, -z_u, -z_v), f.tau, f.branch)
 
 
 def enneper_patch(domain: Domain | None = None) -> MinimalPatch:

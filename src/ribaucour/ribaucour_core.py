@@ -35,6 +35,7 @@ The characterising identities, each exposed as a residual check:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -107,97 +108,115 @@ def support(f1: HoloExpr, f2: HoloExpr, z) -> RJet2:
 # Principal data of a 2x2 symmetric operator field
 # ---------------------------------------------------------------------------
 
-def _principal(b11, b12, b22, umbilic_tol: float):
-    """Eigen-decompose the curvature-radius operator [[b11,b12],[b12,b22]].
+def _eigenvalues(b11, b12, b22):
+    """Eigenvalues (lam_hi, lam_lo), lam_hi >= lam_lo, of the
+    curvature-radius operator [[b11, b12], [b12, b22]]."""
+    mean = 0.5 * (b11 + b22)
+    half = 0.5 * (b11 - b22)
+    disc = np.sqrt(half * half + b12 * b12)
+    return mean + disc, mean - disc
 
-    Returns (k1, k2, dir1, dir2, umbilic, det, scale): curvatures are the
-    reciprocal eigenvalues sorted k1 >= k2, directions are unit chart
-    vectors of shape (..., 2) (NaN where umbilic), ``scale`` is a local
-    operator magnitude for relative degeneracy thresholds.
-    """
-    b11 = np.asarray(b11, dtype=float)
-    b12 = np.asarray(b12, dtype=float)
-    b22 = np.asarray(b22, dtype=float)
-    with np.errstate(all="ignore"):
-        mean = 0.5 * (b11 + b22)
-        half = 0.5 * (b11 - b22)
-        disc = np.sqrt(half * half + b12 * b12)
-        lam_hi = mean + disc
-        lam_lo = mean - disc
-        del mean, half, disc   # bound the scratch memory on large grids
-        det = lam_hi * lam_lo
-        scale = np.maximum(1.0, lam_hi * lam_hi + lam_lo * lam_lo)
-        k_a = 1.0 / lam_hi
-        k_b = 1.0 / lam_lo
-        # eigenvector of lam_hi; pick the numerically larger of the two
-        # algebraically equivalent forms
-        ex = np.where(b11 >= b22, lam_hi - b22, b12)
-        ey = np.where(b11 >= b22, b12, lam_hi - b11)
-        norm = np.sqrt(ex * ex + ey * ey)
-        ex, ey = ex / norm, ey / norm
-        umbilic = np.abs(k_a - k_b) <= umbilic_tol * (np.abs(k_a) + np.abs(k_b))
-        umbilic = umbilic | ~np.isfinite(norm) | (np.asarray(norm) == 0.0)
-        swap = k_b > k_a
-        k1 = np.where(swap, k_b, k_a)
-        k2 = np.where(swap, k_a, k_b)
-        del k_a, k_b
-        d_hi = np.stack([ex, ey], axis=-1)
-        d_lo = np.stack([-ey, ex], axis=-1)
-        dir1 = np.where(swap[..., None], d_lo, d_hi)
-        dir2 = np.where(swap[..., None], d_hi, d_lo)
-        unset = np.broadcast_to(umbilic[..., None], dir1.shape)
-        dir1 = np.where(unset, np.nan, dir1)
-        dir2 = np.where(unset, np.nan, dir2)
-    return k1, k2, dir1, dir2, umbilic, det, scale
+
+def _principal(b11, b12, b22, lam_hi, lam_lo, umbilic_tol: float):
+    """Principal curvatures of the operator with eigenvalues
+    (lam_hi, lam_lo): ``(k1, k2, umbilic, (ex, ey, swap))``.  Curvatures
+    are the reciprocal eigenvalues sorted k1 >= k2; (ex, ey) is the unit
+    eigenvector of lam_hi and ``swap`` marks samples where it carries k2,
+    the input of :func:`_directions`."""
+    k_a = 1.0 / lam_hi
+    k_b = 1.0 / lam_lo
+    # eigenvector of lam_hi; pick the numerically larger of the two
+    # algebraically equivalent forms
+    ex = np.where(b11 >= b22, lam_hi - b22, b12)
+    ey = np.where(b11 >= b22, b12, lam_hi - b11)
+    norm = np.sqrt(ex * ex + ey * ey)
+    ex, ey = ex / norm, ey / norm
+    umbilic = np.abs(k_a - k_b) <= umbilic_tol * (np.abs(k_a) + np.abs(k_b))
+    umbilic = umbilic | ~np.isfinite(norm) | (np.asarray(norm) == 0.0)
+    swap = k_b > k_a
+    k1 = np.where(swap, k_b, k_a)
+    k2 = np.where(swap, k_a, k_b)
+    return k1, k2, umbilic, (ex, ey, swap)
+
+
+def _directions(ex, ey, swap, umbilic):
+    """Unit chart vectors (dir1, dir2) of shape (..., 2) carrying k1 and
+    k2, NaN where umbilic."""
+    d_hi = np.stack([ex, ey], axis=-1)
+    d_lo = np.stack([-ey, ex], axis=-1)
+    dir1 = np.where(swap[..., None], d_lo, d_hi)
+    dir2 = np.where(swap[..., None], d_hi, d_lo)
+    unset = np.broadcast_to(umbilic[..., None], dir1.shape)
+    return np.where(unset, np.nan, dir1), np.where(unset, np.nan, dir2)
+
+
+def _forms(e2t, b11, b12, b22) -> tuple:
+    """(first, second, third) fundamental-form triples (uu, uv, vv):
+    II = e^{2 tau} B, I = e^{2 tau} B^2 and III = e^{2 tau} Id."""
+    second = (e2t * b11, e2t * b12, e2t * b22)
+    first = (e2t * (b11 * b11 + b12 * b12),
+             e2t * b12 * (b11 + b22),
+             e2t * (b12 * b12 + b22 * b22))
+    third = (e2t, np.zeros_like(e2t), e2t)
+    return first, second, third
 
 
 # ---------------------------------------------------------------------------
 # Assembled surface data
 # ---------------------------------------------------------------------------
 
-@dataclass
+def _derived(method):
+    """A cached property computed with floating-point warnings off:
+    degenerate samples give inf or NaN, which the masks record."""
+    def compute(self):
+        with np.errstate(all="ignore"):
+            return method(self)
+    compute.__doc__ = method.__doc__
+    return cached_property(compute)
+
+
+def _part(name: str, i: int) -> property:
+    """Read-only view of item i of the cached tuple ``name``."""
+    return property(lambda self: getattr(self, name)[i])
+
+
 class SurfaceFields:
     """Per-sample surface data over a chart grid (or a single point).
 
-    Vector quantities have a trailing axis of length 3 (space) or 2
-    (chart directions).  ``first/second/third`` hold fundamental-form
-    coefficient triples (uu, uv, vv); ``b11/b12/b22`` the curvature-radius
-    operator.  Flag arrays: ``branch`` (frame or support degenerate),
-    ``degenerate`` (immersion fails: |det B| below threshold, includes
-    branch), ``umbilic`` (principal directions unset).  ``schwarzian``:
-    (S(f1), S(f2)) for the fields of :func:`evaluate_patch`; None for
-    fields that no check of S reads (``duality.evaluate_pair``,
-    :func:`shape_from_support` alone), which :func:`hopf_residual`
-    rejects.
+    Only the frame and the support jet rho are stored.  Everything else
+    is computed the first time it is read and then kept, so a caller
+    pays only for what it reads, and reading several quantities computes
+    none twice:
+
+    * ``X``, ``N`` (trailing axis of length 3), ``hover_k`` (H/K) and
+      ``mu`` (the Laguerre Hopf coefficient);
+    * ``b11/b12/b22``, the curvature-radius operator, from the covariant
+      Hessian of rho;
+    * the flags ``branch`` (frame or support degenerate), ``degenerate``
+      (immersion fails: |det B| below threshold, includes branch; needs
+      only the operator's eigenvalues) and ``umbilic`` (principal
+      directions unset);
+    * ``k1``, ``k2`` and the principal directions ``dir1``, ``dir2``
+      (trailing axis of length 2);
+    * ``first/second/third``: fundamental-form coefficient triples
+      (uu, uv, vv), computed together.
+
+    ``schwarzian``: (S(f1), S(f2)) for the fields of
+    :func:`evaluate_patch`; None for fields that no check of S reads
+    (``duality.evaluate_pair``, :func:`shape_from_support` alone), which
+    :func:`hopf_residual` rejects.
     """
 
-    frame: SphereFrame
-    rho: RJet2
-    X: np.ndarray
-    N: np.ndarray
-    first: tuple
-    second: tuple
-    third: tuple
-    b11: np.ndarray
-    b12: np.ndarray
-    b22: np.ndarray
-    k1: np.ndarray
-    k2: np.ndarray
-    dir1: np.ndarray
-    dir2: np.ndarray
-    hover_k: np.ndarray
-    mu: np.ndarray
-    branch: np.ndarray
-    degenerate: np.ndarray
-    umbilic: np.ndarray
-    Z: np.ndarray | None = None
-    patch: RibaucourPatch | None = None
-    schwarzian: tuple | None = None
-
-    @property
-    def valid(self):
-        """Samples where the immersion and frame are trustworthy."""
-        return ~np.asarray(self.degenerate)
+    def __init__(self, frame: SphereFrame, rho: RJet2,
+                 det_tol: float = DEGENERATE_TOL,
+                 umbilic_tol: float = UMBILIC_TOL):
+        self.frame = frame
+        self.rho = rho
+        self.det_tol = det_tol
+        self.umbilic_tol = umbilic_tol
+        self.Z: np.ndarray | None = None
+        self.patch: RibaucourPatch | None = None
+        self.schwarzian: tuple | None = None
 
     @property
     def rho_val(self):
@@ -207,43 +226,96 @@ class SurfaceFields:
     def e2tau(self):
         return self.frame.e2tau
 
+    @_derived
+    def N(self):
+        return self.frame.normal
+
+    @_derived
+    def X(self):
+        return sphere_gradient(self.rho, self.frame) \
+            + self.rho_val[..., None] * self.N
+
+    @_derived
+    def hover_k(self):
+        return np.asarray(-0.5 * (sphere_laplacian(self.rho, self.frame)
+                                  + 2.0 * self.rho_val))
+
+    @_derived
+    def _hessian(self):
+        return conformal_hessian(self.rho, self.frame.tau)
+
+    @_derived
+    def mu(self):
+        huu, huv, hvv = self._hessian
+        return np.asarray((huu - hvv - 2.0j * huv) / (2.0 * self.rho_val))
+
+    @_derived
+    def _operator(self):
+        rv = self.rho_val
+        w = np.asarray(np.exp(-2.0 * np.asarray(self.frame.tau.val,
+                                                dtype=float)))
+        huu, huv, hvv = self._hessian
+        return (np.asarray(-(w * huu + rv), dtype=float),
+                np.asarray(-(w * huv), dtype=float),
+                np.asarray(-(w * hvv + rv), dtype=float))
+
+    b11, b12, b22 = (_part("_operator", i) for i in range(3))
+
+    @_derived
+    def _lambdas(self):
+        return _eigenvalues(*self._operator)
+
+    @_derived
+    def branch(self):
+        return np.asarray(np.asarray(self.frame.branch)
+                          | ~jet_finite(self.rho))
+
+    @_derived
+    def degenerate(self):
+        lam_hi, lam_lo = self._lambdas
+        det = lam_hi * lam_lo
+        scale = np.maximum(1.0, lam_hi * lam_hi + lam_lo * lam_lo)
+        degenerate = self.branch | (np.abs(det) <= self.det_tol * scale)
+        return np.asarray(degenerate | ~np.isfinite(det))
+
+    @property
+    def valid(self):
+        """Samples where the immersion and frame are trustworthy."""
+        return ~self.degenerate
+
+    @_derived
+    def _curvatures(self):
+        return _principal(*self._operator, *self._lambdas,
+                          self.umbilic_tol)
+
+    k1, k2 = (_part("_curvatures", i) for i in range(2))
+
+    @_derived
+    def umbilic(self):
+        return np.asarray(self._curvatures[2]) & ~self.degenerate
+
+    @_derived
+    def _dir_pair(self):
+        _, _, umbilic, eigenvector = self._curvatures
+        return _directions(*eigenvector, umbilic)
+
+    dir1, dir2 = (_part("_dir_pair", i) for i in range(2))
+
+    @_derived
+    def _form_triples(self):
+        return _forms(np.asarray(self.e2tau), *self._operator)
+
+    first, second, third = (_part("_form_triples", i) for i in range(3))
+
 
 def shape_from_support(frame: SphereFrame, rho: RJet2,
                        det_tol: float = DEGENERATE_TOL,
                        umbilic_tol: float = UMBILIC_TOL) -> SurfaceFields:
-    """All shape data of the surface with unit normal ``frame`` and
-    support jet ``rho``.  Works for any support field on the sphere, not
-    only those coming from holomorphic pairs."""
-    with np.errstate(all="ignore"):
-        rv = np.asarray(rho.val, dtype=float)
-        e2t = np.asarray(frame.e2tau)
-        w = np.asarray(np.exp(-2.0 * np.asarray(frame.tau.val, dtype=float)))
-        huu, huv, hvv = conformal_hessian(rho, frame.tau)
-        b11 = -(w * huu + rv)
-        b12 = -(w * huv)
-        b22 = -(w * hvv + rv)
-        k1, k2, dir1, dir2, umbilic, det, scale = _principal(
-            b11, b12, b22, umbilic_tol)
-        X = sphere_gradient(rho, frame) + rv[..., None] * frame.normal
-        second = (e2t * b11, e2t * b12, e2t * b22)
-        first = (e2t * (b11 * b11 + b12 * b12),
-                 e2t * b12 * (b11 + b22),
-                 e2t * (b12 * b12 + b22 * b22))
-        third = (e2t, np.zeros_like(e2t), e2t)
-        hover_k = -0.5 * (sphere_laplacian(rho, frame) + 2.0 * rv)
-        mu = (huu - hvv - 2.0j * huv) / (2.0 * rv)
-    branch = np.asarray(frame.branch) | ~jet_finite(rho)
-    degenerate = branch | (np.abs(det) <= det_tol * scale)
-    degenerate = degenerate | ~np.isfinite(det)
-    return SurfaceFields(frame=frame, rho=rho, X=X, N=frame.normal,
-                         first=first, second=second, third=third,
-                         b11=np.asarray(b11), b12=np.asarray(b12),
-                         b22=np.asarray(b22),
-                         k1=k1, k2=k2, dir1=dir1, dir2=dir2,
-                         hover_k=np.asarray(hover_k), mu=np.asarray(mu),
-                         branch=np.asarray(branch),
-                         degenerate=np.asarray(degenerate),
-                         umbilic=np.asarray(umbilic) & ~np.asarray(degenerate))
+    """Shape data of the surface with unit normal ``frame`` and support
+    jet ``rho``, each quantity computed when first read (see
+    :class:`SurfaceFields`).  Works for any support field on the sphere,
+    not only those coming from holomorphic pairs."""
+    return SurfaceFields(frame, rho, det_tol, umbilic_tol)
 
 
 def evaluate_patch(patch: RibaucourPatch, nu: int = 41, nv: int = 41,

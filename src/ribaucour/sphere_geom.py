@@ -10,9 +10,17 @@ and the pulled-back round metric is conformal: <dN, dN> = e^{2 tau}
 
     tau = log 2 + (1/2) log |f'|^2 - log(1 + |f|^2).
 
-The frame stores N and tau as second-order jets so that
-gradients, Laplacians and covariant Hessians of fields on the sphere are
-exact. Chart points where f' vanishes (or the jet is non-finite) carry a
+The frame stores tau as a second-order jet and N to first order only,
+(value, N_u, N_v) per component: gradients, Laplacians and covariant
+Hessians of fields on the sphere need no more, and they are exact.  The
+second partials of N follow from the Gauss formula of the round sphere,
+evaluated when read,
+
+    N_uu = -e^{2 tau} N + tau_u N_u - tau_v N_v,
+    N_uv = tau_v N_u + tau_u N_v,
+    N_vv = -e^{2 tau} N - tau_u N_u + tau_v N_v.
+
+Chart points where f' vanishes (or the jet is non-finite) carry a
 branch flag: the metric degenerates there and derived samples are masked.
 
 Near a pole of f the products |f|^2 and |f'|^2 overflow or cancel,
@@ -26,8 +34,6 @@ grows like (1e-16 / distance)^2.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,46 +56,85 @@ def _stack3(a, b, c) -> np.ndarray:
                      np.asarray(c, dtype=float)], axis=-1)
 
 
-@dataclass(frozen=True)
 class SphereFrame:
-    """Unit normal field N (component jets) and log conformal factor tau."""
+    """Unit normal field N and log conformal factor tau of a map into the
+    unit sphere.
 
-    nx: RJet2
-    ny: RJet2
-    nz: RJet2
-    tau: RJet2
-    branch: object  # bool or boolean array: frame degenerate here
+    ``nx``, ``ny`` and ``nz`` may be given as RJet2s or as (value, du,
+    dv) triples; only that first order is stored, in ``first_order``.
+    Read back, each is a full RJet2 whose second partials come from the
+    Gauss formula (see the module docstring).  ``branch`` is a bool or
+    boolean array: the frame is degenerate there.
+    """
+
+    __slots__ = ("first_order", "tau", "branch")
+
+    def __init__(self, nx, ny, nz, tau: RJet2, branch):
+        self.first_order = tuple((n.val, n.du, n.dv) if isinstance(n, RJet2)
+                                 else tuple(n) for n in (nx, ny, nz))
+        self.tau = tau
+        self.branch = branch
 
     @property
     def e2tau(self):
         """Conformal factor of <dN, dN> as a value (scalar or array)."""
         return np.exp(2.0 * np.asarray(self.tau.val, dtype=float))
 
+    # component jets, second partials from the Gauss formula
+
+    def _component(self, i: int) -> RJet2:
+        val, du, dv = self.first_order[i]
+        return RJet2(val, du, dv, *(d[..., i] for d in self._second()))
+
+    @property
+    def nx(self) -> RJet2:
+        return self._component(0)
+
+    @property
+    def ny(self) -> RJet2:
+        return self._component(1)
+
+    @property
+    def nz(self) -> RJet2:
+        return self._component(2)
+
     # stacked value/partial arrays, shape (..., 3)
 
     @property
     def normal(self) -> np.ndarray:
-        return _stack3(self.nx.val, self.ny.val, self.nz.val)
+        return _stack3(*(n[0] for n in self.first_order))
 
     @property
     def normal_du(self) -> np.ndarray:
-        return _stack3(self.nx.du, self.ny.du, self.nz.du)
+        return _stack3(*(n[1] for n in self.first_order))
 
     @property
     def normal_dv(self) -> np.ndarray:
-        return _stack3(self.nx.dv, self.ny.dv, self.nz.dv)
+        return _stack3(*(n[2] for n in self.first_order))
+
+    def _second(self) -> tuple:
+        """(N_uu, N_uv, N_vv), each of shape (..., 3), by the Gauss
+        formula of the round sphere."""
+        n, n_u, n_v = self.normal, self.normal_du, self.normal_dv
+        with np.errstate(all="ignore"):
+            tu = np.asarray(self.tau.du, dtype=float)[..., None]
+            tv = np.asarray(self.tau.dv, dtype=float)[..., None]
+            e2t = np.asarray(self.e2tau)[..., None]
+            return (-e2t * n + tu * n_u - tv * n_v,
+                    tv * n_u + tu * n_v,
+                    -e2t * n - tu * n_u + tv * n_v)
 
     @property
     def normal_duu(self) -> np.ndarray:
-        return _stack3(self.nx.duu, self.ny.duu, self.nz.duu)
+        return self._second()[0]
 
     @property
     def normal_duv(self) -> np.ndarray:
-        return _stack3(self.nx.duv, self.ny.duv, self.nz.duv)
+        return self._second()[1]
 
     @property
     def normal_dvv(self) -> np.ndarray:
-        return _stack3(self.nx.dvv, self.ny.dvv, self.nz.dvv)
+        return self._second()[2]
 
 
 def _inverted_where_large(j: CJet):
@@ -163,6 +208,17 @@ def frame_from_jet(j: CJet) -> SphereFrame:
     return _frame(j, schwarzian=False)[0]
 
 
+def _times(a: RJet2, w: tuple) -> tuple:
+    """First order (val, du, dv) of the jet product a * w, with w given
+    to first order; the terms of RJet2's product rule, in its order."""
+    return (a.val * w[0], a.du * w[0] + a.val * w[1],
+            a.dv * w[0] + a.val * w[2])
+
+
+def _finite(n: tuple):
+    return np.isfinite(n[0]) & np.isfinite(n[1]) & np.isfinite(n[2])
+
+
 def _frame(j: CJet, schwarzian: bool) -> tuple:
     """(frame, S(f) or None); the jet of 1/f is referenced only here, so
     it is released as soon as the frame no longer needs it."""
@@ -170,20 +226,25 @@ def _frame(j: CJet, schwarzian: bool) -> tuple:
     s = _schwarzian_of(h) if schwarzian else None
     # -1 on reflected samples, where ny and nz change sign
     sign = 1.0 if flip is None else np.where(flip, -1.0, 1.0)
-    # jet division is multiplication by the reciprocal; each intermediate
-    # jet is released as soon as it is used, to bound the scratch memory
+    # N = (2 Re f, 2 Im f, |f|^2 - 1) / (1 + |f|^2) to first order, by the
+    # same operations as the jet arithmetic; each intermediate is released
+    # as soon as it is used, to bound the scratch memory
     with np.errstate(all="ignore"):
         denom = abs2_jet(h) + 1.0          # 1 + |f|^2
         tau = _tau(h, denom)
-        w = 2.0 * denom._reciprocal()
-        del denom
-        nx = re_jet(h) * w
-        w = sign * w
-        ny = im_jet(h) * w
+        v = denom.val
+        g1 = -1.0 / (v * v)
+        # w = 2 / (1 + |f|^2), as 2.0 * denom._reciprocal()
+        w = ((1.0 / v) * 2.0, (g1 * denom.du) * 2.0, (g1 * denom.dv) * 2.0)
+        del denom, v, g1
+        nx = _times(re_jet(h), w)
+        w = tuple(x * sign for x in w)
+        ny = _times(im_jet(h), w)
         del h
-        nz = sign - w                      # (|f|^2 - 1) / (|f|^2 + 1)
+        # (|f|^2 - 1) / (|f|^2 + 1), as the jet sign - w
+        nz = (-w[0] + sign, -w[1], -w[2])
         del w
-    good = jet_finite(nx) & jet_finite(ny) & jet_finite(nz) & jet_finite(tau)
+    good = _finite(nx) & _finite(ny) & _finite(nz) & jet_finite(tau)
     return SphereFrame(nx, ny, nz, tau, ~good), s
 
 

@@ -9,7 +9,9 @@ The march oracle integrates the congruence system by four RK4 sweeps
 with one right-hand side per direction and a tuple of arrays per node.
 The support oracle is the quotient of |.|^2 products, built from the
 real and imaginary part jets by the product rule (valid away from
-poles), the OBJ oracle writes the file record by record, and the
+poles).  The normal oracle takes N's second partials from jet products
+of the stereographic formula instead of the Gauss formula the frame
+uses.  The OBJ oracle writes the file record by record, and the
 holomorphy oracle differentiates the Hopf coefficient's samples by
 Cauchy-Riemann stencils.
 """
@@ -20,6 +22,7 @@ import sympy as sp
 from ribaucour import ResidualField, evaluate_patch
 from ribaucour.holoexpr import differentiate, to_text
 from ribaucour.jets import RJet2, im_jet, re_jet
+from ribaucour.sphere_geom import _inverted_where_large
 
 # the real chart coordinates of the symbolic oracle
 U_SYM, V_SYM = sp.symbols("u v", real=True)
@@ -180,6 +183,21 @@ def support_quotient(j1, j2):
         num = abs2_by_parts(j1.derivative()) * ((abs2_by_parts(j2) + 1.0) ** 2)
         den = abs2_by_parts(j2.derivative()) * ((abs2_by_parts(j1) + 1.0) ** 2)
         return (num / den).sqrt()
+
+
+def normal_second_partials(j):
+    """(N_uu, N_uv, N_vv), each of shape (..., 3), of f's sphere frame
+    from an order-3 complex jet of f, by jet products of
+    N = (2 Re h, 2 Im h, |h|^2 - 1) / (1 + |h|^2) with h = 1/f wherever
+    |f| > 1, where N reflects to (nx, -ny, -nz), as the frame is built."""
+    h, flip = _inverted_where_large(j)
+    sign = 1.0 if flip is None else np.where(flip, -1.0, 1.0)
+    with np.errstate(all="ignore"):
+        w = 2.0 / (abs2_by_parts(h) + 1.0)
+        n = (re_jet(h) * w, im_jet(h) * (sign * w), sign - sign * w)
+    return tuple(np.stack([np.asarray(getattr(c, part), dtype=float)
+                           * np.ones(np.shape(j.z)) for c in n], axis=-1)
+                 for part in ("duu", "duv", "dvv"))
 
 
 def _d1(F, h, axis):

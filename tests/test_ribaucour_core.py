@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import (fd_principal_curvatures, hopf_stencil_residual,
-                      rel_gap, support_quotient)
+                      normal_second_partials, rel_gap, support_quotient)
 from ribaucour import sphere_geom
 from ribaucour.cli import TOL_HOPF
 from ribaucour.grids import Domain
@@ -22,7 +22,8 @@ from ribaucour.ribaucour_core import (RibaucourPatch, check_middle_sphere,
                                       shape_from_support, support,
                                       support_jet, support_pde_residual,
                                       unit_sphere_gap)
-from ribaucour.sphere_geom import schwarzian_from_jet, sphere_laplacian
+from ribaucour.sphere_geom import (frame_from_jet, schwarzian_from_jet,
+                                   sphere_laplacian)
 
 SQUARE = Domain(-1.0, 1.0, -1.0, 1.0)
 OFFSET = Domain(0.3, 1.3, 0.2, 1.2)
@@ -207,6 +208,32 @@ def test_identities_hold_next_to_poles(m1, other, swap):
     hopf = hopf_residual(fields)
     assert hopf.n_valid > 0
     assert hopf.max_abs <= 1e-10, hopf.max_abs
+
+
+# the frame stores N to first order and reads its second partials off
+# the Gauss formula of the round sphere; the oracle multiplies jets
+@example(parse("exp(z)/(1+z^2)"))
+@example(parse("sin(z)*cos(z)/(z+3)"))
+@example(parse("exp(i*z)"))
+@example(parse("1/(z-0.3-0.2*i)"))
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.one_of(GENERATORS, _MOBIUS.map(lambda m: _mobius(*m))))
+def test_frame_second_partials_match_jet_products(f):
+    j = eval_jet(f, POLE_NODES, 3)
+    frame = frame_from_jet(j)
+    ok = ~np.asarray(frame.branch)
+    assert np.count_nonzero(ok) >= 80
+    got = (frame.normal_duu, frame.normal_duv, frame.normal_dvv)
+    # relative to the largest second partial at the sample: one of them
+    # can cancel to almost 0 where tau's gradient is small
+    want = np.stack(normal_second_partials(j))
+    scale = np.max(np.abs(want), axis=(0, -1))
+    gap = np.max(np.abs(np.stack(got) - want), axis=(0, -1)) / scale
+    assert np.max(gap[ok]) <= 1e-12, np.max(gap[ok])
+    for i, c in enumerate((frame.nx, frame.ny, frame.nz)):
+        for part, a in zip(("duu", "duv", "dvv"), got):
+            assert np.array_equal(getattr(c, part), a[..., i],
+                                  equal_nan=True), part
 
 
 def test_support_jet_matches_quotient_oracle():
