@@ -28,9 +28,10 @@ import numpy as np
 
 from . import __version__
 from .congruence import (CongruenceState, analytic_example,
-                         check_hessian_identities, envelope, first_integral,
-                         generated_forms_check, hover_ratio_residual,
-                         integrate_system, system_residuals)
+                         check_hessian_identities, envelope, envelope_checks,
+                         first_integral, generated_forms_check,
+                         hover_ratio_residual, integrate_system,
+                         system_residuals)
 from .duality import (evaluate_pair, make_dual, verify_c2,
                       verify_form_relations, verify_hk_equality)
 from .grids import Domain
@@ -258,13 +259,19 @@ def cmd_congruence(args) -> int:
     if args.mode == "analytic":
         U, V, _ = domain.mesh(args.nu, args.nv)
         wj, oj = ac.w_jet(U, V), ac.omega_jet(U, V)
-        sysres = system_residuals(ac.patch, wj, oj, U, V)
+        # one chart record for every check: phi's jet, the chart scalars
+        # and the envelope's frame, each evaluated once on the grid
+        phi, _, _, k1 = ac.patch.chart_scalars(U, V)
+        chart = {"phi_jet": ac.patch.phi_jet(U, V), "k1": k1}
+        sysres = system_residuals(ac.patch, wj, oj, U, V, **chart)
         drift = float(np.max(np.abs(first_integral(
-            ac.state(U, V, jets=(wj, oj)), consts))))
+            ac.state(U, V, phi, jets=(wj, oj)), consts))))
         env = envelope(ac.patch, wj, U, V)
         ms = check_middle_sphere(env)
-        hid = check_hessian_identities(ac.patch, wj, oj, consts, U, V)
-        gf = generated_forms_check(ac.patch, wj, oj, consts, U, V, env=env)
+        hid = check_hessian_identities(ac.patch, wj, oj, consts, U, V,
+                                       frame=env.frame, **chart)
+        gf = generated_forms_check(ac.patch, wj, oj, consts, U, V, env=env,
+                                   **chart)
         n = int(np.asarray(U).size)
         entries = [
             identity_entry("congruence_system", max(sysres.values()),
@@ -300,8 +307,9 @@ def cmd_congruence(args) -> int:
         agree = max(float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
                     for a, b in zip(integ.state().as_tuple(),
                                     ac.state(U, V, integ.phi).as_tuple()))
-        env = envelope(ac.patch, integ.w, U, V)
-        ms = check_middle_sphere(env)
+        # the envelope block by block: X, N and the mask only for a mesh
+        env = envelope_checks(ac.patch, integ.w, integ.omega, consts, U, V,
+                              surface=bool(args.out))
         n = int(np.asarray(U).size)
         entries = [
             identity_entry("path_independence", integ.path_gap, args.tol_fi,
@@ -309,9 +317,9 @@ def cmd_congruence(args) -> int:
             identity_entry("first_integral_drift", integ.drift, args.tol_fi,
                            n, 0),
             identity_entry("analytic_agreement", agree, args.tol_fi, n, 0),
-            _residual_entry(ms, TOL_ENVELOPE, "envelope_middle_sphere"),
-            _residual_entry(hover_ratio_residual(env, integ.omega, consts),
-                            TOL_ENVELOPE),
+            _residual_entry(env.middle_sphere, TOL_ENVELOPE,
+                            "envelope_middle_sphere"),
+            _residual_entry(env.hover_ratio, TOL_ENVELOPE),
         ]
         details["integration"] = {"grid": list(np.asarray(U).shape),
                                   "init_node": list(integ.init_node)}

@@ -26,10 +26,15 @@ kernel (:func:`_slope`) serves both directions.  :func:`integrate_system`
 runs three marches: the initial row, then every column, then every row
 from the initial column, which the column march already holds.  The gap
 between the row-first and column-first fills doubles as the
-compatibility (Frobenius) check.  The marched state also fixes W's
+compatibility (Frobenius) check.  The chart scalars (phi, phi_u,
+phi_v, k1) are evaluated once per abscissa, block by block: the column
+march evaluates the nodes and the v-midpoints, and the row march reuses
+those node scalars and evaluates only the u-midpoints (the initial row,
+2 nu - 1 samples, evaluates its own).  The marched state also fixes W's
 second-order jet: differentiating W_u and W_v once more through the
 same right-hand sides (k1 phi^2 is constant on these charts) gives
-W_uu, W_uv and W_vv at every node, with no stencil.
+W_uu, W_uv and W_vv at every node, with no stencil, from the same node
+scalars.
 
 The envelope X = grad W + W N of the congruence (support machinery of
 :mod:`ribaucour.ribaucour_core` applied to W over the minimal patch's
@@ -37,7 +42,13 @@ Gauss map) lands in the middle-sphere surface class, with H/K = -c Omega,
 and its fundamental forms are generated linearly from those of the
 minimal patch.  :func:`envelope` takes W as a jet only, either closed
 form or integrated; in the reference gauge its middle-sphere residual is
-the first integral, pointwise.
+the first integral, pointwise.  Every step from the frame to the
+residuals is per sample, so :func:`envelope_checks` runs the envelope
+and its checks over blocks of grid rows and assembles the full-grid
+residuals (and X, N, the valid mask on request) without any full-grid
+temporaries.  The analytic checks share one chart record: the frame of
+the envelope, one phi jet and one k1 (the ``frame``, ``phi_jet`` and
+``k1`` arguments).
 
 :func:`analytic_example` ships closed-form solutions over the built-in
 patches as jet code.  Each published closed form is validated against
@@ -58,8 +69,9 @@ from .duality import _form_residual
 from .grids import Domain
 from .jets import RJet2, jet_finite
 from .minimal import MinimalPatch, catenoid_patch, enneper_patch
-from .ribaucour_core import ResidualField, SurfaceFields, shape_from_support
-from .sphere_geom import conformal_hessian, sphere_gradient
+from .ribaucour_core import (ResidualField, SurfaceFields,
+                             check_middle_sphere, shape_from_support)
+from .sphere_geom import SphereFrame, conformal_hessian, sphere_gradient
 
 __all__ = [
     "IntegralConstants", "CongruenceState", "first_integral",
@@ -67,7 +79,20 @@ __all__ = [
     "IntegratedCongruence", "integrate_system", "envelope",
     "HessianIdentityReport", "check_hessian_identities",
     "GeneratedFormsReport", "generated_forms_check", "hover_ratio_residual",
+    "EnvelopeChecks", "envelope_checks",
 ]
+
+# samples per block of the envelope and its checks in integrate mode;
+# bounds their scratch memory
+_BLOCK = 8192
+# numpy reuses a temporary operand of 256 KiB or more (16,384 complex
+# samples) as the output of an arithmetic operation; for a complex product
+# with the temporary on the right, such as g' conj(g) in
+# MinimalPatch.chart_scalars, that swaps the factors, which can change the
+# last bit.  So the chart scalars are evaluated in blocks of _ELIDE to
+# 2 _ELIDE samples wherever the whole array holds _ELIDE or more, and
+# every sample gets the bits of one whole-array evaluation.
+_ELIDE = 16384
 
 @dataclass(frozen=True)
 class IntegralConstants:
@@ -107,19 +132,29 @@ def first_integral(state: CongruenceState, consts: IntegralConstants):
 # Residuals of the first-order system for jet-valued fields
 # ---------------------------------------------------------------------------
 
-def system_residuals(patch: MinimalPatch, w_jet, omega_jet, U, V) -> dict:
+def _chart(patch: MinimalPatch, U, V, phi_jet, k1):
+    """phi's jet and k1 on (U, V): the given ones, or evaluated."""
+    return (patch.phi_jet(U, V) if phi_jet is None else phi_jet,
+            patch.k1(U, V) if k1 is None else k1)
+
+
+def system_residuals(patch: MinimalPatch, w_jet, omega_jet, U, V, *,
+                     phi_jet: RJet2 | None = None, k1=None) -> dict:
     """Max absolute residual of each non-definitional system equation for
     fields given as jets (Omega1 and Omega2 are read off as
     Omega_u/phi and Omega_v/phi, so those two equations hold by
     construction and are not reported).
 
     ``w_jet``/``omega_jet`` may be RJet2 fields or callables (U, V) -> RJet2.
+    ``phi_jet`` (:meth:`MinimalPatch.phi_jet`) and ``k1`` on (U, V) spare
+    evaluating them again when the caller already has them; so do the
+    same arguments of :func:`check_hessian_identities` and
+    :func:`generated_forms_check`.
     """
     wj = w_jet(U, V) if callable(w_jet) else w_jet
     oj = omega_jet(U, V) if callable(omega_jet) else omega_jet
-    pj = patch.phi_jet(U, V)
+    pj, k1 = _chart(patch, U, V, phi_jet, k1)
     phi, pu, pv = pj.val, pj.du, pj.dv
-    k1 = patch.k1(U, V)
     k2 = -k1
     o1 = oj.du / phi
     o2 = oj.dv / phi
@@ -339,27 +374,23 @@ def analytic_example(name: str, nu: int = 41, nv: int = 41,
 _SWAP = [0, 3, 2, 1]
 
 
-def _kernel_rows(patch: MinimalPatch, consts: IntegralConstants,
-                 along_u: bool, t: np.ndarray, fixed: np.ndarray):
-    """Coefficient rows of the affine kernel at every stage abscissa of a
-    march along u (or v) through ``t``, at each ``fixed`` value of the
-    other coordinate, beside the chart scalars they came from.
+def _row_blocks(n_rows: int, row_len: int, block: int | None = None,
+                least: int = 0):
+    """Slices of consecutive rows covering n_rows rows of row_len
+    samples, in blocks of at most ``block`` (default ``_BLOCK``) samples
+    and at least one row.  A last block of fewer than ``least`` samples
+    joins the one before it."""
+    step = max(1, (block or _BLOCK) // max(1, row_len))
+    starts = list(range(0, n_rows, step))
+    if len(starts) > 1 and (n_rows - starts[-1]) * row_len < least:
+        starts.pop()
+    return [slice(i, j) for i, j in zip(starts, starts[1:] + [n_rows])]
 
-    With p = phi k (k the principal curvature along the march) and
-    q = phi_s / phi, the slope of y = (Omega, Omega_s, W, Omega_t) is
 
-        (phi, q, p) Omega_t  and
-        Omega_t' = c p Omega - q Omega_s + (c phi - p) W
-                   - phi c3/2 - p c2/2,
-
-    so the rows are (phi, q, p, c p, -q, c phi - p, -phi c3/2 - p c2/2),
-    of shape (2 len(t) - 1, 7, len(fixed)); row block 2i is node i.
-    """
-    s = np.linspace(t[0], t[-1], 2 * len(t) - 1)[:, None]
-    scalars = (patch.chart_scalars(s, fixed[None, :]) if along_u
-               else patch.chart_scalars(fixed[None, :], s))
+def _fill_rows(K, scalars, consts: IntegralConstants, along_u: bool):
+    """Write the coefficient rows of the chart scalars (phi, phi_u, phi_v,
+    k1), each of shape K[:, 0].shape, into K (see :func:`_kernel_rows`)."""
     phi, pu, pv, k1 = scalars
-    K = np.empty((s.shape[0], 7, len(fixed)))
     r_phi, q, p, cp, mq, e, r = (K[:, j] for j in range(7))
     np.copyto(r_phi, phi)
     np.divide(pv if along_u else pu, phi, out=q)
@@ -372,7 +403,47 @@ def _kernel_rows(patch: MinimalPatch, consts: IntegralConstants,
     e -= p
     np.multiply(phi, -0.5 * consts.c3, out=r)
     r -= (0.5 * consts.c2) * p
-    return K, scalars
+
+
+def _kernel_rows(patch: MinimalPatch, consts: IntegralConstants,
+                 along_u: bool, t: np.ndarray, fixed: np.ndarray,
+                 node=None, keep=None):
+    """Coefficient rows of the affine kernel at every stage abscissa of a
+    march along u (or v) through ``t``, at each ``fixed`` value of the
+    other coordinate.  The chart scalars are evaluated block by block.
+    Given ``node``, the chart scalars at the nodes, of shape
+    (4, len(t), len(fixed)), only the midpoint abscissae are evaluated;
+    otherwise every abscissa is, and ``keep`` (the same shape), if given,
+    receives the values at the nodes.
+
+    With p = phi k (k the principal curvature along the march) and
+    q = phi_s / phi, the slope of y = (Omega, Omega_s, W, Omega_t) is
+
+        (phi, q, p) Omega_t  and
+        Omega_t' = c p Omega - q Omega_s + (c phi - p) W
+                   - phi c3/2 - p c2/2,
+
+    so the rows are (phi, q, p, c p, -q, c phi - p, -phi c3/2 - p c2/2),
+    of shape (2 len(t) - 1, 7, len(fixed)); row block 2i is node i.
+    """
+    n = len(t)
+    K = np.empty((2 * n - 1, 7, len(fixed)))
+    s, rows = np.linspace(t[0], t[-1], 2 * n - 1), K
+    if node is not None:
+        _fill_rows(K[::2], node, consts, along_u)
+        s, rows = s[1::2], K[1::2]
+    for b in _row_blocks(len(s), len(fixed), 2 * _ELIDE, _ELIDE):
+        sb = s[b, None]
+        scalars = (patch.chart_scalars(sb, fixed[None, :]) if along_u
+                   else patch.chart_scalars(fixed[None, :], sb))
+        _fill_rows(rows[b], scalars, consts, along_u)
+        if keep is not None:
+            # the even abscissae of the block are nodes
+            first = b.start + b.start % 2
+            for k, x in zip(keep, scalars):
+                k[first // 2:(b.stop + 1) // 2] = np.broadcast_to(
+                    x, sb.shape[:1] + fixed.shape)[first - b.start::2]
+    return K
 
 
 def _slope(k, y, out, tmp):
@@ -467,6 +538,13 @@ def integrate_system(patch: MinimalPatch, init: CongruenceState,
     rows, started from the initial column (which the column march already
     holds), fills the grid in the transposed order; ``path_gap`` is the
     max discrepancy between the two fills.
+
+    The chart scalars are evaluated once per abscissa, in blocks of rows
+    written straight into each march's preallocated kernel rows: the
+    column march evaluates the nodes and the v-midpoints and keeps the
+    (4, nu, nv) node scalars; the row march and W's jet reuse them, and
+    the row march evaluates the u-midpoints.  The initial row evaluates
+    its own 2 nu - 1 abscissae as one array.
     """
     domain = domain or Domain(-1.0, 1.0, -1.0, 1.0)
     if step is not None:
@@ -490,28 +568,31 @@ def integrate_system(patch: MinimalPatch, init: CongruenceState,
         raise ValueError(f"init_at {init_at} is not a grid node")
     om0, o10, o20, w0 = (float(x) for x in init.as_tuple())
 
-    # the initial row, then every column; the columns' march state is
-    # (Omega, Omega1, W, Omega2), shape (nv, 4, nu)
-    K, _ = _kernel_rows(patch, consts, True, u, v[iv0:iv0 + 1])
+    # the initial row, evaluated as one array of its own abscissae, so
+    # that its bits do not depend on the other rows (see _ELIDE)
+    K = _kernel_rows(patch, consts, True, u, v[iv0:iv0 + 1])
     row = _march(K, u, iu0, np.array([[om0], [o20], [w0], [o10]]))
-    K, scalars = _kernel_rows(patch, consts, False, v, u)
+    # then every column; the columns' march state is (Omega, Omega1, W,
+    # Omega2), shape (nv, 4, nu).  Their even abscissae are the grid
+    # nodes, whose chart scalars the row march and W's jet reuse
+    node = np.empty((4, nu, nv))
+    K = _kernel_rows(patch, consts, False, v, u, keep=node.transpose(0, 2, 1))
     cols = _march(K, v, iv0, row[:, _SWAP, 0].T)
     del K
     fields = np.ascontiguousarray(cols.transpose(1, 2, 0))
+    # the initial column, where the row march starts
+    start = cols[:, _SWAP, iu0].T
+    del cols
     om, o1, w, o2 = fields
     path_gap = float("nan")
     if check_paths:
-        # every row from the initial column, which is column iu0 above
-        K, _ = _kernel_rows(patch, consts, True, u, v)
-        rows = _march(K, u, iu0, cols[:, _SWAP, iu0].T)
+        K = _kernel_rows(patch, consts, True, u, v, node=node)
+        rows = _march(K, u, iu0, start)
         del K
         path_gap = max(float(np.max(np.abs(rows[:, j] - f)))
                        for j, f in zip(_SWAP, fields))
         del rows
-    del cols
-    # the column march's even abscissae are the grid nodes
-    phi, pu, pv, k1 = (np.ascontiguousarray(c[::2].T) for c in scalars)
-    del scalars
+    phi, pu, pv, k1 = node
     state = CongruenceState(om, o1, o2, w)
     F = first_integral(state, consts)
     drift = float(np.max(np.abs(F - F[iu0, iv0])))
@@ -532,7 +613,9 @@ def integrate_system(patch: MinimalPatch, init: CongruenceState,
     return IntegratedCongruence(U=U, V=V, omega=om, omega1=o1, omega2=o2,
                                 w=w_jet, constants=consts,
                                 init_node=(iu0, iv0),
-                                path_gap=path_gap, drift=drift, phi=phi)
+                                path_gap=path_gap, drift=drift,
+                                # phi alone, not the node scalars it views
+                                phi=phi.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +653,9 @@ class HessianIdentityReport:
 
 
 def check_hessian_identities(patch: MinimalPatch, w_jet, omega_jet,
-                             consts: IntegralConstants, U, V
+                             consts: IntegralConstants, U, V, *,
+                             frame: SphereFrame | None = None,
+                             phi_jet: RJet2 | None = None, k1=None
                              ) -> HessianIdentityReport:
     """Measure the second-order structure of a congruence solution:
 
@@ -581,12 +666,16 @@ def check_hessian_identities(patch: MinimalPatch, w_jet, omega_jet,
     * the gradient of Omega in the minimal metric is the negative of the
       sphere-metric gradient of W (as ambient vectors in the shared
       tangent plane; equivalent to the first-order system itself).
+
+    A given ``frame`` must be ``patch.frame(U, V)``, such as the frame of
+    the envelope on (U, V); ``phi_jet`` and ``k1`` as for
+    :func:`system_residuals`.
     """
     wj = w_jet(U, V) if callable(w_jet) else w_jet
     oj = omega_jet(U, V) if callable(omega_jet) else omega_jet
-    frame = patch.frame(U, V)
-    pj = patch.phi_jet(U, V)
-    k1 = patch.k1(U, V)
+    if frame is None:
+        frame = patch.frame(U, V)
+    pj, k1 = _chart(patch, U, V, phi_jet, k1)
     k2 = -k1
     E = pj.val * pj.val
     e2t = frame.e2tau
@@ -650,9 +739,60 @@ def hover_ratio_residual(env: SurfaceFields, omega,
                          "envelope_hover_ratio")
 
 
+@dataclass
+class EnvelopeChecks:
+    """The envelope's per-sample checks over a whole grid.  ``X``, ``N``
+    (trailing axis of length 3) and ``valid`` are the envelope's samples,
+    as :func:`ribaucour.mesh.mesh_from_fields` reads them, or None when
+    they were not asked for."""
+
+    middle_sphere: ResidualField
+    hover_ratio: ResidualField
+    X: np.ndarray | None = None
+    N: np.ndarray | None = None
+    valid: np.ndarray | None = None
+
+
+def envelope_checks(patch: MinimalPatch, w: RJet2, omega,
+                    consts: IntegralConstants, U, V, *,
+                    surface: bool = False) -> EnvelopeChecks:
+    """:func:`envelope`, :func:`check_middle_sphere` and
+    :func:`hover_ratio_residual` on the grid (U, V), run over blocks of
+    at most ``_BLOCK`` samples (whole rows of the first axis), so that no
+    stage holds its temporaries for the whole grid.  Every sample gets
+    the values of the whole-grid evaluation.  ``w`` is W's jet on
+    (U, V), such as :attr:`IntegratedCongruence.w`; ``omega`` is Omega
+    on (U, V) (or a scalar).  With ``surface``, X, N and the valid mask
+    are assembled too.
+    """
+    U, V = np.broadcast_arrays(np.asarray(U, dtype=float),
+                               np.asarray(V, dtype=float))
+    shape = U.shape
+    omega = np.broadcast_to(np.asarray(omega, dtype=float), shape)
+    ms_r, hv_r = np.empty(shape), np.empty(shape)
+    ms_ok, hv_ok = np.empty(shape, bool), np.empty(shape, bool)
+    out = EnvelopeChecks(ResidualField(ms_r, ms_ok, "middle_sphere"),
+                         ResidualField(hv_r, hv_ok, "envelope_hover_ratio"))
+    if surface:
+        out.X, out.N = np.empty(shape + (3,)), np.empty(shape + (3,))
+        out.valid = np.empty(shape, bool)
+    for b in _row_blocks(shape[0], U[0].size):
+        wb = RJet2(*(np.broadcast_to(x, shape)[b]
+                     for x in (w.val, w.du, w.dv, w.duu, w.duv, w.dvv)))
+        env = envelope(patch, wb, U[b], V[b])
+        ms = check_middle_sphere(env)
+        hv = hover_ratio_residual(env, omega[b], consts)
+        ms_r[b], ms_ok[b] = ms.values, ms.valid
+        hv_r[b], hv_ok[b] = hv.values, hv.valid
+        if surface:
+            out.X[b], out.N[b], out.valid[b] = env.X, env.N, env.valid
+    return out
+
+
 def generated_forms_check(patch: MinimalPatch, w_jet, omega_jet,
                           consts: IntegralConstants, U, V,
-                          env: SurfaceFields | None = None
+                          env: SurfaceFields | None = None, *,
+                          phi_jet: RJet2 | None = None, k1=None
                           ) -> GeneratedFormsReport:
     """Measure how far the envelope's forms are from the linear combination
 
@@ -662,14 +802,14 @@ def generated_forms_check(patch: MinimalPatch, w_jet, omega_jet,
     of the minimal patch's forms.  Residuals are relative to the local
     form magnitude; H/K of the envelope, predicted to equal b, is
     :func:`hover_ratio_residual`.  A given ``env`` must be the envelope
-    on (U, V); its frame is the patch's.
+    on (U, V); its frame is the patch's.  ``phi_jet`` and ``k1`` as for
+    :func:`system_residuals`.
     """
     wj = w_jet(U, V) if callable(w_jet) else w_jet
     oj = omega_jet(U, V) if callable(omega_jet) else omega_jet
     if env is None:
         env = envelope(patch, wj, U, V)
-    pj = patch.phi_jet(U, V)
-    k1 = patch.k1(U, V)
+    pj, k1 = _chart(patch, U, V, phi_jet, k1)
     k2 = -k1
     E = pj.val * pj.val
     e2t = env.frame.e2tau

@@ -8,15 +8,17 @@ import sympy as sp
 
 from _oracles import (U_SYM, V_SYM, march_congruence, quadrature_omega,
                       symbolic_k1)
+from ribaucour import cli, congruence
 from ribaucour.congruence import (_ANALYTIC, CongruenceState,
-                                  IntegralConstants, _on_samples,
+                                  IntegralConstants, _fill_rows,
+                                  _kernel_rows, _on_samples, _row_blocks,
                                   analytic_example, check_hessian_identities,
-                                  envelope, first_integral,
+                                  envelope, envelope_checks, first_integral,
                                   generated_forms_check, hover_ratio_residual,
                                   integrate_system, system_residuals)
 from ribaucour.grids import Domain
 from ribaucour.jets import RJet2
-from ribaucour.minimal import catenoid_patch, enneper_patch
+from ribaucour.minimal import MinimalPatch, catenoid_patch, enneper_patch
 from ribaucour.ribaucour_core import check_middle_sphere
 from ribaucour.sphere_geom import SphereFrame
 
@@ -263,6 +265,147 @@ def test_integration_matches_march_oracle(catenoid_data, enneper_data,
         assert abs(integ.path_gap - gap) <= 1e-13
         assert np.max(np.abs(integ.phi - ac.patch.phi(integ.U, integ.V))) \
             <= 1e-13
+
+
+def _same_bits(a, b) -> bool:
+    """Equal shape, dtype and bits (so -0.0 != 0.0 and NaN == NaN)."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return False
+    if a.dtype == bool:
+        return bool(np.array_equal(a, b))
+    return bool(np.array_equal(a.view(np.uint64), b.view(np.uint64)))
+
+
+def test_row_blocks_cover_the_rows_in_bounded_blocks():
+    # blocks are consecutive and at most `block` samples unless one row
+    # is longer; with `least`, a block never holds fewer samples unless
+    # all rows together do (for block >= 2 least): the rule that gives
+    # every chart-scalar block numpy's whole-array arithmetic
+    least = 64
+    for n_rows in range(1, 40):
+        for row_len in (1, 3, 7, 31, 32, 33, 64, 65, 100, 130, 300):
+            for tail in (0, least):
+                blocks = _row_blocks(n_rows, row_len, 2 * least, tail)
+                assert blocks[0].start == 0 and blocks[-1].stop == n_rows
+                assert all(a.stop == b.start
+                           for a, b in zip(blocks, blocks[1:]))
+                sizes = [(b.stop - b.start) * row_len for b in blocks]
+                assert max(sizes) <= max(2 * least + tail, row_len)
+                assert min(sizes) >= min(tail, n_rows * row_len)
+
+
+def _direction_rows(patch, consts, along_u, t, fixed):
+    """Kernel rows and chart scalars of one direction evaluated at every
+    stage abscissa as one array, as a march along that direction alone
+    would evaluate them."""
+    s = np.linspace(t[0], t[-1], 2 * len(t) - 1)[:, None]
+    scalars = (patch.chart_scalars(s, fixed[None, :]) if along_u
+               else patch.chart_scalars(fixed[None, :], s))
+    K = np.empty((s.shape[0], 7, len(fixed)))
+    _fill_rows(K, scalars, consts, along_u)
+    return K, scalars
+
+
+@pytest.mark.parametrize("elide, nu, nv, domain", [
+    # blocks of at most 64 rows' worth on small grids: several blocks
+    (32, 21, 17, (-1.0, 1.0, -1.0, 1.0)),
+    (32, 31, 13, (-0.6, 1.0, -1.0, 0.4)),
+    # the shipped block size, with every evaluation above the threshold
+    (None, 181, 161, (-1.0, 1.0, -1.0, 1.0)),
+])
+def test_shared_node_scalars_match_per_direction_evaluation(
+        monkeypatch, elide, nu, nv, domain):
+    # the column march keeps its node scalars; the row march reuses them
+    # and evaluates only its midpoints: the kernel rows are those of an
+    # evaluation per direction, bit for bit
+    if elide is not None:
+        monkeypatch.setattr(congruence, "_ELIDE", elide)
+    consts = IntegralConstants(c=0.5, c1=1.0, c2=0.25, c3=-0.75)
+    u = np.linspace(domain[0], domain[1], nu)
+    v = np.linspace(domain[2], domain[3], nv)
+    for patch in (catenoid_patch(), enneper_patch()):
+        node = np.empty((4, nu, nv))
+        cols = _kernel_rows(patch, consts, False, v, u,
+                            keep=node.transpose(0, 2, 1))
+        rows = _kernel_rows(patch, consts, True, u, v, node=node)
+        cols_ref, scalars = _direction_rows(patch, consts, False, v, u)
+        rows_ref, _ = _direction_rows(patch, consts, True, u, v)
+        assert _same_bits(cols, cols_ref), patch.name
+        assert _same_bits(rows, rows_ref), patch.name
+        for got, ref in zip(node, scalars):
+            assert _same_bits(got, np.ascontiguousarray(ref[::2].T))
+
+
+def _envelope_case(name, case, monkeypatch):
+    """(patch, W jet, Omega, constants, U, V) of one block layout."""
+    ac = analytic_example(name)
+    if case == "off-centre":
+        # nu != nv, initial node off the grid's centre, several blocks
+        monkeypatch.setattr(congruence, "_BLOCK", 1000)
+        integ = integrate_system(ac.patch, _origin_state(ac), ac.constants,
+                                 domain=Domain(-0.6, 1.0, -1.0, 0.4),
+                                 step=0.02)
+        assert integ.U.shape == (81, 71) and integ.init_node == (30, 50)
+        return (ac.patch, integ.w, integ.omega, ac.constants,
+                integ.U, integ.V)
+    # 23 rows of 40 in blocks of 12 and 11 rows; 10 x 20 inside one
+    # block; rows of 600 samples, one row per block
+    block, shape = {"ragged": (500, (23, 40)), "one-block": (500, (10, 20)),
+                    "long-rows": (500, (4, 600))}[case]
+    monkeypatch.setattr(congruence, "_BLOCK", block)
+    U, V = np.meshgrid(np.linspace(-0.9, 0.8, shape[0]),
+                       np.linspace(-0.7, 0.95, shape[1]), indexing="ij")
+    return (ac.patch, ac.w_jet(U, V), ac.omega_jet(U, V).val, ac.constants,
+            U, V)
+
+
+@pytest.mark.parametrize("case", ["ragged", "one-block", "long-rows",
+                                  "off-centre"])
+@pytest.mark.parametrize("name", ["catenoid", "enneper"])
+def test_envelope_checks_match_the_whole_grid(name, case, monkeypatch):
+    patch, w, omega, consts, U, V = _envelope_case(name, case, monkeypatch)
+    checks = envelope_checks(patch, w, omega, consts, U, V, surface=True)
+    env = envelope(patch, w, U, V)
+    ms = check_middle_sphere(env)
+    hv = hover_ratio_residual(env, omega, consts)
+    for got, ref in ((checks.middle_sphere, ms), (checks.hover_ratio, hv)):
+        assert got.name == ref.name
+        assert _same_bits(got.values, ref.values), got.name
+        assert _same_bits(got.valid, ref.valid), got.name
+    assert _same_bits(checks.X, env.X)
+    assert _same_bits(checks.N, env.N)
+    assert _same_bits(checks.valid, env.valid)
+    assert ms.n_valid > 0
+    # without a mesh to write, nothing but the residuals is assembled
+    bare = envelope_checks(patch, w, omega, consts, U, V)
+    assert bare.X is None and bare.N is None and bare.valid is None
+    assert _same_bits(bare.middle_sphere.values, ms.values)
+
+
+@pytest.mark.parametrize("name", ["catenoid", "enneper"])
+def test_analytic_command_builds_one_chart_record(name, monkeypatch,
+                                                  capsys):
+    # per analytic congruence command, the frame, phi's jet and the
+    # chart scalars are evaluated once on the grid and shared by every
+    # check (analytic_example's own validation grid aside)
+    ac = analytic_example(name)
+    monkeypatch.setattr(cli, "analytic_example", lambda _: ac)
+    calls = {}
+
+    def counting(method):
+        real = getattr(MinimalPatch, method)
+
+        def spy(self, *args, **kwargs):
+            calls[method] = calls.get(method, 0) + 1
+            return real(self, *args, **kwargs)
+        monkeypatch.setattr(MinimalPatch, method, spy)
+
+    for method in ("frame", "phi_jet", "chart_scalars"):
+        counting(method)
+    assert cli.main(["congruence", "--minimal", name]) == 0, \
+        capsys.readouterr().out
+    assert calls == {"frame": 1, "phi_jet": 1, "chart_scalars": 1}
 
 
 def test_path_gap_converges_with_the_step(catenoid_data):
