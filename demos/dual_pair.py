@@ -39,8 +39,7 @@ checks = (*verify_c2(pair, fields=(fields, dual_fields)),
           *verify_hk_equality(pair, fields=(fields, dual_fields)),
           *verify_form_relations(pair, fields=(fields, dual_fields)))
 print("\nthe identities of `ribaucour dual` (curvature switch -1/k* = 1/k, "
-      "crossed directions,\nshared H/K, mu* = -mu, form relations, "
-      "tau* = tau - log rho):")
+      "crossed directions,\nshared H/K, mu* = -mu, form relations):")
 entries = []
 for res in checks:
     entry = identity_entry(res.name, res.max_abs, TOL_DUAL[res.name],

@@ -5,7 +5,9 @@ field W along its normals); when the companion field Omega solves a
 first-order system coupled through a constant c, the envelope of those
 spheres is exactly a surface whose middle spheres cut the unit sphere
 along great circles.  The conserved first integral of the system is,
-pointwise, that great-circle property of the envelope.
+pointwise, that great-circle property of the envelope.  The checks take
+W and Omega as jets on the grid and share one chart record: the
+patch's chart scalars and the envelope's frame.
 """
 
 import numpy as np
@@ -31,7 +33,9 @@ for name in ("catenoid", "enneper"):
               f"(max residual {max(ac.literal_residuals.values()):.2e}); "
           f"re-derived by exact quadrature:")
         print(f"  Omega = {ac.omega_text}")
-    res = system_residuals(ac.patch, ac.w_jet, ac.omega_jet, U, V)
+    wj, oj = ac.w_jet(U, V), ac.omega_jet(U, V)
+    scalars = ac.patch.chart_scalars(U, V)
+    res = system_residuals(ac.patch, wj, oj, U, V, scalars=scalars)
     print(f"  first-order system residuals : max {max(res.values()):.2e}")
     print(f"  first-integral drift         : {ac.drift:.2e}")
 
@@ -47,17 +51,23 @@ for name in ("catenoid", "enneper"):
           f"(step 0.01, path gap {integ.path_gap:.2e})")
 
     # the envelope of the sphere family
-    env = envelope(ac.patch, ac.w_jet, U, V)
+    env = envelope(ac.patch, wj, U, V)
     ms = check_middle_sphere(env)
-    hover = hover_ratio_residual(env, ac.omega_jet(U, V).val, ac.constants)
-    gf = generated_forms_check(ac.patch, ac.w_jet, ac.omega_jet,
-                               ac.constants, U, V, env=env)
-    hi = check_hessian_identities(ac.patch, ac.w_jet, ac.omega_jet,
-                                  ac.constants, U, V)
-    F = first_integral(ac.state(U, V), ac.constants)
-    print(f"  envelope middle spheres      : max {ms.max_abs:.2e}")
+    hover = hover_ratio_residual(env, oj.val, ac.constants)
+    gf = generated_forms_check(ac.patch, wj, oj, ac.constants, U, V,
+                               env=env, scalars=scalars)
+    hi = check_hessian_identities(ac.patch, wj, oj, ac.constants, U, V,
+                                  frame=env.frame, scalars=scalars)
+    F = first_integral(ac.state(U, V, scalars[0], jets=(wj, oj)),
+                       ac.constants)
+    # the middle-sphere residual is relative to the size of its terms,
+    # |X|^2 + 2 |(H/K) <X,N>| + 1
+    xn = np.sum(env.X * env.N, axis=-1)
+    terms = (np.sum(env.X * env.X, axis=-1)
+             + np.abs(2.0 * env.hover_k * xn) + 1.0)
+    print(f"  envelope middle spheres      : max rel {ms.max_abs:.2e}")
     print(f"  pointwise = first integral   : max "
-          f"{np.max(np.abs(ms.values - np.asarray(F))[ms.valid]):.2e}")
+          f"{np.max(np.abs(ms.values - F / terms)[ms.valid]):.2e}")
     print(f"  H/K of envelope = -c Omega   : max rel {hover.max_abs:.2e}")
     print(f"  second-order identities      : Omega {hi.max_hessian_omega:.2e}"
           f", W {hi.max_hessian_w:.2e}, gradient link "

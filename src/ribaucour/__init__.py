@@ -7,17 +7,15 @@ through integrable sphere congruences.
 """
 
 from .grids import Domain
-from .holoexpr import (CJet, EvalError, HoloExpr, ParseError, differentiate,
-                       eval_jet, evaluate, parse, to_text)
+from .holoexpr import (CJet, EvalError, HoloExpr, ParseError, eval_jet,
+                       evaluate, parse, to_text)
 from .jets import RJet2, abs2_jet, im_jet, re_jet
 from .sphere_geom import (SphereFrame, conformal_curvature, conformal_hessian,
-                          gauss_map, sphere_gradient, sphere_hessian,
-                          sphere_laplacian)
+                          sphere_gradient, sphere_laplacian)
 from .ribaucour_core import (ResidualField, RibaucourPatch, SurfaceFields,
                              SurfaceSample, check_laguerre_holomorphy,
-                             check_middle_sphere, check_support_pde,
-                             evaluate_patch, hk_from_support, hopf_residual,
-                             immerse, laguerre_hopf, make_patch,
+                             check_middle_sphere, evaluate_patch,
+                             hopf_residual, immerse, make_patch,
                              shape_from_support, support, support_jet,
                              unit_sphere_gap)
 from .duality import (DualPair, evaluate_pair, make_dual, verify_c2,
@@ -39,15 +37,14 @@ __version__ = "0.1.0"
 __all__ = [
     "Domain",
     "CJet", "EvalError", "HoloExpr", "ParseError",
-    "differentiate", "eval_jet", "evaluate", "parse", "to_text",
+    "eval_jet", "evaluate", "parse", "to_text",
     "RJet2", "abs2_jet", "im_jet", "re_jet",
-    "SphereFrame", "conformal_curvature", "conformal_hessian", "gauss_map",
-    "sphere_gradient", "sphere_hessian", "sphere_laplacian",
+    "SphereFrame", "conformal_curvature", "conformal_hessian",
+    "sphere_gradient", "sphere_laplacian",
     "ResidualField", "RibaucourPatch", "SurfaceFields", "SurfaceSample",
-    "check_laguerre_holomorphy", "check_middle_sphere", "check_support_pde",
-    "evaluate_patch", "hk_from_support", "hopf_residual", "immerse",
-    "laguerre_hopf", "make_patch", "shape_from_support", "support",
-    "support_jet", "unit_sphere_gap",
+    "check_laguerre_holomorphy", "check_middle_sphere", "evaluate_patch",
+    "hopf_residual", "immerse", "make_patch", "shape_from_support",
+    "support", "support_jet", "unit_sphere_gap",
     "DualPair", "evaluate_pair", "make_dual", "verify_c2",
     "verify_form_relations", "verify_hk_equality",
     "MinimalPatch", "catenoid_patch", "conformality_residual",

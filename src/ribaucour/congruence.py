@@ -40,15 +40,18 @@ The envelope X = grad W + W N of the congruence (support machinery of
 :mod:`ribaucour.ribaucour_core` applied to W over the minimal patch's
 Gauss map) lands in the middle-sphere surface class, with H/K = -c Omega,
 and its fundamental forms are generated linearly from those of the
-minimal patch.  :func:`envelope` takes W as a jet only, either closed
-form or integrated; in the reference gauge its middle-sphere residual is
-the first integral, pointwise.  Every step from the frame to the
-residuals is per sample, so :func:`envelope_checks` runs the envelope
-and its checks over blocks of grid rows and assembles the full-grid
-residuals (and X, N, the valid mask on request) without any full-grid
-temporaries.  The analytic checks share one chart record: the frame of
-the envelope, one phi jet and one k1 (the ``frame``, ``phi_jet`` and
-``k1`` arguments).
+minimal patch.  :func:`envelope` and the checks take W and Omega as
+jets (RJet2), either closed forms evaluated on the grid or integrated;
+in the reference gauge the envelope's middle-sphere residual is the
+first integral, pointwise, relative to the sum of its terms'
+magnitudes.  Every step from the frame to the residuals is per sample,
+so :func:`envelope_checks` runs the envelope and its checks over blocks
+of grid rows and assembles the full-grid residuals (and X, N, the valid
+mask on request) without any full-grid temporaries.  The checks share
+one chart record: the tuple of
+:meth:`~ribaucour.minimal.MinimalPatch.chart_scalars` (the ``scalars``
+argument) and the frame of the envelope, whose tau also gives the
+minimal metric's log factor, log phi = log a - tau.
 
 :func:`analytic_example` ships closed-form solutions over the built-in
 patches as jet code.  Each published closed form is validated against
@@ -82,17 +85,9 @@ __all__ = [
     "EnvelopeChecks", "envelope_checks",
 ]
 
-# samples per block of the envelope and its checks in integrate mode;
-# bounds their scratch memory
+# samples per block of the chart scalars, and of the envelope and its
+# checks, in integrate mode; bounds their scratch memory
 _BLOCK = 8192
-# numpy reuses a temporary operand of 256 KiB or more (16,384 complex
-# samples) as the output of an arithmetic operation; for a complex product
-# with the temporary on the right, such as g' conj(g) in
-# MinimalPatch.chart_scalars, that swaps the factors, which can change the
-# last bit.  So the chart scalars are evaluated in blocks of _ELIDE to
-# 2 _ELIDE samples wherever the whole array holds _ELIDE or more, and
-# every sample gets the bits of one whole-array evaluation.
-_ELIDE = 16384
 
 @dataclass(frozen=True)
 class IntegralConstants:
@@ -132,39 +127,29 @@ def first_integral(state: CongruenceState, consts: IntegralConstants):
 # Residuals of the first-order system for jet-valued fields
 # ---------------------------------------------------------------------------
 
-def _chart(patch: MinimalPatch, U, V, phi_jet, k1):
-    """phi's jet and k1 on (U, V): the given ones, or evaluated."""
-    return (patch.phi_jet(U, V) if phi_jet is None else phi_jet,
-            patch.k1(U, V) if k1 is None else k1)
-
-
-def system_residuals(patch: MinimalPatch, w_jet, omega_jet, U, V, *,
-                     phi_jet: RJet2 | None = None, k1=None) -> dict:
+def system_residuals(patch: MinimalPatch, w_jet: RJet2, omega_jet: RJet2,
+                     U, V, *, scalars: tuple | None = None) -> dict:
     """Max absolute residual of each non-definitional system equation for
-    fields given as jets (Omega1 and Omega2 are read off as
-    Omega_u/phi and Omega_v/phi, so those two equations hold by
-    construction and are not reported).
+    the fields W and Omega given as jets on (U, V) (Omega1 and Omega2 are
+    read off as Omega_u/phi and Omega_v/phi, so those two equations hold
+    by construction and are not reported).
 
-    ``w_jet``/``omega_jet`` may be RJet2 fields or callables (U, V) -> RJet2.
-    ``phi_jet`` (:meth:`MinimalPatch.phi_jet`) and ``k1`` on (U, V) spare
-    evaluating them again when the caller already has them; so do the
-    same arguments of :func:`check_hessian_identities` and
+    ``scalars``, :meth:`MinimalPatch.chart_scalars` on (U, V), spares
+    evaluating them again when the caller already has them; so does the
+    same argument of :func:`check_hessian_identities` and
     :func:`generated_forms_check`.
     """
-    wj = w_jet(U, V) if callable(w_jet) else w_jet
-    oj = omega_jet(U, V) if callable(omega_jet) else omega_jet
-    pj, k1 = _chart(patch, U, V, phi_jet, k1)
-    phi, pu, pv = pj.val, pj.du, pj.dv
+    phi, pu, pv, k1 = patch.chart_scalars(U, V) if scalars is None else scalars
     k2 = -k1
-    o1 = oj.du / phi
-    o2 = oj.dv / phi
-    o1_v = (oj.duv * phi - oj.du * pv) / (phi * phi)
-    o2_u = (oj.duv * phi - oj.dv * pu) / (phi * phi)
+    o1 = omega_jet.du / phi
+    o2 = omega_jet.dv / phi
+    o1_v = (omega_jet.duv * phi - omega_jet.du * pv) / (phi * phi)
+    o2_u = (omega_jet.duv * phi - omega_jet.dv * pu) / (phi * phi)
     res = {
         "omega1_v": o1_v - o2 * pu / phi,
         "omega2_u": o2_u - o1 * pv / phi,
-        "w_u": wj.du - o1 * k1 * phi,
-        "w_v": wj.dv - o2 * k2 * phi,
+        "w_u": w_jet.du - o1 * k1 * phi,
+        "w_v": w_jet.dv - o2 * k2 * phi,
     }
     return {k: float(np.max(np.abs(r))) for k, r in res.items()}
 
@@ -172,7 +157,7 @@ def system_residuals(patch: MinimalPatch, w_jet, omega_jet, U, V, *,
 def _state_from_jets(patch: MinimalPatch, wj: RJet2, oj: RJet2, U, V,
                      phi=None) -> CongruenceState:
     if phi is None:
-        phi = patch.phi(U, V)
+        phi = patch.chart_scalars(U, V)[0]
     return CongruenceState(omega=np.asarray(oj.val, dtype=float),
                            omega1=np.asarray(oj.du, dtype=float) / phi,
                            omega2=np.asarray(oj.dv, dtype=float) / phi,
@@ -307,9 +292,8 @@ def _origin_constant(patch: MinimalPatch, wj_fn, oj_fn,
     return (o1 * o1 + o2 * o2 + w * w + c1) / denom
 
 
-def _max_drift(patch, wj_fn, oj_fn, consts, U, V) -> float:
-    F = first_integral(
-        _state_from_jets(patch, wj_fn(U, V), oj_fn(U, V), U, V), consts)
+def _max_drift(patch, wj, oj, consts, U, V) -> float:
+    F = first_integral(_state_from_jets(patch, wj, oj, U, V), consts)
     return float(np.max(np.abs(F)))
 
 
@@ -332,12 +316,13 @@ def analytic_example(name: str, nu: int = 41, nv: int = 41,
     U, V, _ = Domain(-1.0, 1.0, -1.0, 1.0).mesh(nu, nv)
     wj_fn = _on_samples(data.w)
     oj_lit = _on_samples(data.omega)
+    wj, oj = wj_fn(U, V), oj_lit(U, V)
 
-    lit_res = system_residuals(patch, wj_fn, oj_lit, U, V)
+    lit_res = system_residuals(patch, wj, oj, U, V)
     c_lit = _origin_constant(patch, wj_fn, oj_lit)
     lit_consts = (IntegralConstants(c=c_lit)
                   if np.isfinite(c_lit) and c_lit != 0.0 else None)
-    lit_drift = (_max_drift(patch, wj_fn, oj_lit, lit_consts, U, V)
+    lit_drift = (_max_drift(patch, wj, oj, lit_consts, U, V)
                  if lit_consts else float("inf"))
     literal = dict(literal_residuals=lit_res, literal_drift=lit_drift,
                    literal_constants=lit_consts)
@@ -353,8 +338,9 @@ def analytic_example(name: str, nu: int = 41, nv: int = 41,
                            f"fails the first-order system")
     omega, omega_text, consts = data.corrected
     oj_fix = _on_samples(omega)
-    res = system_residuals(patch, wj_fn, oj_fix, U, V)
-    drift = _max_drift(patch, wj_fn, oj_fix, consts, U, V)
+    oj = oj_fix(U, V)
+    res = system_residuals(patch, wj, oj, U, V)
+    drift = _max_drift(patch, wj, oj, consts, U, V)
     if max(res.values()) > tol or drift > tol:
         raise RuntimeError(f"the corrected congruence data over {name!r} "
                            f"fails the first-order system")
@@ -374,17 +360,12 @@ def analytic_example(name: str, nu: int = 41, nv: int = 41,
 _SWAP = [0, 3, 2, 1]
 
 
-def _row_blocks(n_rows: int, row_len: int, block: int | None = None,
-                least: int = 0):
+def _row_blocks(n_rows: int, row_len: int, block: int | None = None):
     """Slices of consecutive rows covering n_rows rows of row_len
     samples, in blocks of at most ``block`` (default ``_BLOCK``) samples
-    and at least one row.  A last block of fewer than ``least`` samples
-    joins the one before it."""
+    and at least one row."""
     step = max(1, (block or _BLOCK) // max(1, row_len))
-    starts = list(range(0, n_rows, step))
-    if len(starts) > 1 and (n_rows - starts[-1]) * row_len < least:
-        starts.pop()
-    return [slice(i, j) for i, j in zip(starts, starts[1:] + [n_rows])]
+    return [slice(i, min(i + step, n_rows)) for i in range(0, n_rows, step)]
 
 
 def _fill_rows(K, scalars, consts: IntegralConstants, along_u: bool):
@@ -432,7 +413,7 @@ def _kernel_rows(patch: MinimalPatch, consts: IntegralConstants,
     if node is not None:
         _fill_rows(K[::2], node, consts, along_u)
         s, rows = s[1::2], K[1::2]
-    for b in _row_blocks(len(s), len(fixed), 2 * _ELIDE, _ELIDE):
+    for b in _row_blocks(len(s), len(fixed)):
         sb = s[b, None]
         scalars = (patch.chart_scalars(sb, fixed[None, :]) if along_u
                    else patch.chart_scalars(fixed[None, :], sb))
@@ -568,8 +549,7 @@ def integrate_system(patch: MinimalPatch, init: CongruenceState,
         raise ValueError(f"init_at {init_at} is not a grid node")
     om0, o10, o20, w0 = (float(x) for x in init.as_tuple())
 
-    # the initial row, evaluated as one array of its own abscissae, so
-    # that its bits do not depend on the other rows (see _ELIDE)
+    # the initial row, at its own abscissae
     K = _kernel_rows(patch, consts, True, u, v[iv0:iv0 + 1])
     row = _march(K, u, iu0, np.array([[om0], [o20], [w0], [o10]]))
     # then every column; the columns' march state is (Omega, Omega1, W,
@@ -622,22 +602,22 @@ def integrate_system(patch: MinimalPatch, init: CongruenceState,
 # Envelope surface and its generated geometry
 # ---------------------------------------------------------------------------
 
-def envelope(patch: MinimalPatch, w, U, V) -> SurfaceFields:
+def envelope(patch: MinimalPatch, w: RJet2, U, V) -> SurfaceFields:
     """Envelope surface X = grad W + W N of the congruence with support
     W over the minimal patch's Gauss map.
 
-    ``w`` is W's jet on (U, V): a callable (U, V) -> RJet2 (the closed
-    forms of :func:`analytic_example`) or an RJet2 field (such as
-    :attr:`IntegratedCongruence.w`).  Plain arrays of values are
+    ``w`` is W's jet on (U, V), such as a closed form of
+    :func:`analytic_example` evaluated there or
+    :attr:`IntegratedCongruence.w`.  Plain arrays of values are
     rejected: their partials would need a stencil.
     """
-    if not (callable(w) or isinstance(w, RJet2)):
-        raise TypeError(f"envelope needs W as a jet, a callable (U, V) -> "
-                        f"RJet2 or an RJet2, not {type(w).__name__}")
+    if not isinstance(w, RJet2):
+        raise TypeError(f"envelope needs W as an RJet2 jet, "
+                        f"not {type(w).__name__}")
     # the frame first: its construction needs more scratch memory than
     # any later step, so nothing else should be held while it runs
     frame = patch.frame(U, V)
-    return shape_from_support(frame, w(U, V) if callable(w) else w)
+    return shape_from_support(frame, w)
 
 
 @dataclass
@@ -652,10 +632,11 @@ class HessianIdentityReport:
     n_excluded: int
 
 
-def check_hessian_identities(patch: MinimalPatch, w_jet, omega_jet,
-                             consts: IntegralConstants, U, V, *,
+def check_hessian_identities(patch: MinimalPatch, w_jet: RJet2,
+                             omega_jet: RJet2, consts: IntegralConstants,
+                             U, V, *,
                              frame: SphereFrame | None = None,
-                             phi_jet: RJet2 | None = None, k1=None
+                             scalars: tuple | None = None
                              ) -> HessianIdentityReport:
     """Measure the second-order structure of a congruence solution:
 
@@ -667,24 +648,24 @@ def check_hessian_identities(patch: MinimalPatch, w_jet, omega_jet,
       sphere-metric gradient of W (as ambient vectors in the shared
       tangent plane; equivalent to the first-order system itself).
 
-    A given ``frame`` must be ``patch.frame(U, V)``, such as the frame of
-    the envelope on (U, V); ``phi_jet`` and ``k1`` as for
-    :func:`system_residuals`.
+    W and Omega are jets on (U, V).  A given ``frame`` must be
+    ``patch.frame(U, V)``, such as the frame of the envelope on (U, V);
+    ``scalars`` as for :func:`system_residuals`.
     """
-    wj = w_jet(U, V) if callable(w_jet) else w_jet
-    oj = omega_jet(U, V) if callable(omega_jet) else omega_jet
     if frame is None:
         frame = patch.frame(U, V)
-    pj, k1 = _chart(patch, U, V, phi_jet, k1)
+    phi, _, _, k1 = patch.chart_scalars(U, V) if scalars is None else scalars
     k2 = -k1
-    E = pj.val * pj.val
+    E = phi * phi
     e2t = frame.e2tau
-    w = np.asarray(wj.val, dtype=float)
-    om = np.asarray(oj.val, dtype=float)
+    w = np.asarray(w_jet.val, dtype=float)
+    om = np.asarray(omega_jet.val, dtype=float)
     a = consts.c * w - 0.5 * consts.c3
     b = consts.c * om - w - 0.5 * consts.c2
     with np.errstate(all="ignore"):
-        h1 = conformal_hessian(oj, pj.log())
+        # the minimal metric's log factor is log a - tau: only its
+        # gradient enters the Hessian
+        h1 = conformal_hessian(omega_jet, -frame.tau)
         target1 = (a * E + b * k1 * E, np.zeros_like(E), a * E + b * k2 * E)
         r1 = np.maximum.reduce([np.abs(h - t) for h, t in zip(h1, target1)])
 
@@ -692,7 +673,7 @@ def check_hessian_identities(patch: MinimalPatch, w_jet, omega_jet,
         # the closure equations gives the same constants (a, b) as the
         # Omega identity; k1 phi^2 is constant on these charts, so the
         # Omega1/Omega2 cross terms cancel exactly
-        h2 = conformal_hessian(wj, frame.tau)
+        h2 = conformal_hessian(w_jet, frame.tau)
         target2 = (a * k1 * E + b * e2t, np.zeros_like(E),
                    a * k2 * E + b * e2t)
         r2 = np.maximum.reduce([np.abs(h - t) for h, t in zip(h2, target2)])
@@ -701,12 +682,13 @@ def check_hessian_identities(patch: MinimalPatch, w_jet, omega_jet,
         # expressed as an ambient vector through the immersion's tangent frame
         deriv = patch.position_derivatives(U, V)
         Xu, Xv = deriv["Xu"], deriv["Xv"]
-        ou = np.asarray(oj.du, dtype=float)
-        ov = np.asarray(oj.dv, dtype=float)
+        ou = np.asarray(omega_jet.du, dtype=float)
+        ov = np.asarray(omega_jet.dv, dtype=float)
         grad_min = (ou / E)[..., None] * Xu + (ov / E)[..., None] * Xv
-        link = np.linalg.norm(grad_min + sphere_gradient(wj, frame), axis=-1)
-    ok = (~np.asarray(frame.branch) & jet_finite(wj) & jet_finite(oj)
-          & np.isfinite(E) & (E > 1e-12))
+        link = np.linalg.norm(grad_min + sphere_gradient(w_jet, frame),
+                              axis=-1)
+    ok = (~np.asarray(frame.branch) & jet_finite(w_jet)
+          & jet_finite(omega_jet) & np.isfinite(E) & (E > 1e-12))
     m1, m2, m3 = (ResidualField(r, ok).max_abs for r in (r1, r2, link))
     n_ok = int(np.count_nonzero(ok))
     return HessianIdentityReport(max_hessian_omega=m1, max_hessian_w=m2,
@@ -789,10 +771,10 @@ def envelope_checks(patch: MinimalPatch, w: RJet2, omega,
     return out
 
 
-def generated_forms_check(patch: MinimalPatch, w_jet, omega_jet,
+def generated_forms_check(patch: MinimalPatch, w_jet: RJet2, omega_jet: RJet2,
                           consts: IntegralConstants, U, V,
                           env: SurfaceFields | None = None, *,
-                          phi_jet: RJet2 | None = None, k1=None
+                          scalars: tuple | None = None
                           ) -> GeneratedFormsReport:
     """Measure how far the envelope's forms are from the linear combination
 
@@ -801,24 +783,22 @@ def generated_forms_check(patch: MinimalPatch, w_jet, omega_jet,
 
     of the minimal patch's forms.  Residuals are relative to the local
     form magnitude; H/K of the envelope, predicted to equal b, is
-    :func:`hover_ratio_residual`.  A given ``env`` must be the envelope
-    on (U, V); its frame is the patch's.  ``phi_jet`` and ``k1`` as for
-    :func:`system_residuals`.
+    :func:`hover_ratio_residual`.  W and Omega are jets on (U, V).  A
+    given ``env`` must be the envelope on (U, V); its frame is the
+    patch's.  ``scalars`` as for :func:`system_residuals`.
     """
-    wj = w_jet(U, V) if callable(w_jet) else w_jet
-    oj = omega_jet(U, V) if callable(omega_jet) else omega_jet
     if env is None:
-        env = envelope(patch, wj, U, V)
-    pj, k1 = _chart(patch, U, V, phi_jet, k1)
+        env = envelope(patch, w_jet, U, V)
+    phi, _, _, k1 = patch.chart_scalars(U, V) if scalars is None else scalars
     k2 = -k1
-    E = pj.val * pj.val
+    E = phi * phi
     e2t = env.frame.e2tau
     zero = np.zeros_like(E)
     I_m = (E, zero, E)
     II_m = (k1 * E, zero, k2 * E)
     III_m = (e2t, zero, e2t)
-    w = np.asarray(wj.val, dtype=float)
-    om = np.asarray(oj.val, dtype=float)
+    w = np.asarray(w_jet.val, dtype=float)
+    om = np.asarray(omega_jet.val, dtype=float)
     a = 0.5 * consts.c3 - consts.c * w
     b = 0.5 * consts.c2 - consts.c * om
     pred_I = tuple(a * a * i + 2.0 * a * b * s + b * b * t

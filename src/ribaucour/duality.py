@@ -10,7 +10,7 @@ sample by sample in the shared chart:
   carrying k2*), i.e. duality switches curvatures along preserved
   curvature lines,
 * H/K is preserved, and the Laguerre Hopf coefficients are antisymmetric
-  (mu + mu* = 0),
+  (mu + mu* = 0, checked relative to the size of mu's terms),
 * the fundamental forms mix linearly:
       I*   = I/rho^2 - (4H/(K rho^2)) II + (4H^2/(K^2 rho^2)) III
       II*  = -II/rho^2 + (2H/(K rho^2)) III
@@ -34,7 +34,7 @@ import numpy as np
 
 from .holoexpr import eval_jet
 from .ribaucour_core import (ResidualField, RibaucourPatch, SurfaceFields,
-                             _fields_from_frame)
+                             _fields_from_frame, _mu_scale)
 from .sphere_geom import frame_from_jet
 
 __all__ = [
@@ -138,9 +138,8 @@ def verify_form_relations(pair: DualPair, nu: int = 41, nv: int = 41, *,
                           fields: tuple | None = None
                           ) -> tuple[ResidualField, ...]:
     """The linear relations between the fundamental forms of a patch and
-    its dual, and the conformal shift tau* = tau - log rho:
-    ``(first_form_relation, second_form_relation, third_form_relation,
-    support_reciprocal_metric)``.
+    its dual: ``(first_form_relation, second_form_relation,
+    third_form_relation)``.
 
     These are coefficientwise identities needing no principal directions,
     so only degenerate samples are excluded (umbilics stay in).
@@ -157,14 +156,10 @@ def verify_form_relations(pair: DualPair, nu: int = 41, nv: int = 41, *,
         rhs_first = tuple(f * inv_r2 - 2.0 * trb * inv_r2 * s
                           + trb * trb * inv_r2 * t
                           for f, s, t in zip(fa.first, fa.second, fa.third))
-        tau_shift = np.abs(np.asarray(fb.frame.tau.val, dtype=float)
-                           - (np.asarray(fa.frame.tau.val, dtype=float)
-                              - np.log(rho)))
     return (_form_residual(fb.first, rhs_first, comp, "first_form_relation"),
             _form_residual(fb.second, rhs_second, comp,
                            "second_form_relation"),
-            _form_residual(fb.third, rhs_third, comp, "third_form_relation"),
-            ResidualField(tau_shift, comp, "support_reciprocal_metric"))
+            _form_residual(fb.third, rhs_third, comp, "third_form_relation"))
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +171,15 @@ def verify_hk_equality(pair: DualPair, nu: int = 41, nv: int = 41, *,
                        ) -> tuple[ResidualField, ResidualField]:
     """H/K equality between patch and dual (equivalent to the support
     identity holding on both) and mu + mu* = 0: ``(hover_k_equality,
-    hopf_antisymmetry)``."""
+    hopf_antisymmetry)``.  |mu + mu*| is relative to the larger of the two
+    patches' mu term sizes, the scale that
+    :func:`~ribaucour.ribaucour_core.hopf_residual` uses; a scale of 0
+    counts as 0."""
     fa, fb = fields if fields is not None else evaluate_pair(pair, nu, nv)
     comp = fa.valid & fb.valid
+    with np.errstate(all="ignore"):
+        scale = np.maximum(_mu_scale(fa), _mu_scale(fb))
+        hopf = np.where(scale == 0.0, 0.0, np.abs(fa.mu + fb.mu) / scale)
     return (ResidualField(_rel(fa.hover_k, fb.hover_k), comp,
                           "hover_k_equality"),
-            ResidualField(np.abs(fa.mu + fb.mu), comp, "hopf_antisymmetry"))
+            ResidualField(hopf, comp, "hopf_antisymmetry"))

@@ -1,7 +1,7 @@
 """Holomorphic expressions of one complex variable.
 
-Small closed expression language: parsing, exact symbolic differentiation,
-printing, and jet evaluation (value plus derivatives up to third order).
+Small closed expression language: parsing, printing, and jet evaluation
+(value plus derivatives up to third order).
 The grammar, whitespace-insensitive::
 
     expr   := term (('+'|'-') term)*
@@ -14,8 +14,8 @@ Powers are restricted to integer exponents so every node is single-valued
 and the derivative rules apply without branch bookkeeping.  Trees are
 immutable and there is no simplification pass.  Jets come from one
 forward pass that carries (f, f', f'', f''') through each node (Taylor
-mode), so their cost grows with the tree, not with its derivative trees;
-:func:`differentiate` builds those trees, unsimplified, and is the
+mode), so their cost grows with the tree, not with its derivative trees.
+There is no symbolic differentiation: the tests keep one as the
 independent check of that pass.
 
 Evaluation accepts a complex scalar or a numpy array of points; array
@@ -34,7 +34,7 @@ import numpy as np
 __all__ = [
     "HoloExpr", "Var", "Const", "BinOp", "Pow", "Neg", "Call",
     "ParseError", "EvalError", "CJet",
-    "parse", "to_text", "differentiate", "evaluate", "eval_jet",
+    "parse", "to_text", "evaluate", "eval_jet",
 ]
 
 FUNCTIONS = ("exp", "log", "sin", "cos", "sinh", "cosh")
@@ -292,50 +292,6 @@ def to_text(e: HoloExpr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Differentiation
-# ---------------------------------------------------------------------------
-
-def differentiate(e: HoloExpr) -> HoloExpr:
-    """Exact derivative tree d/dz, unsimplified."""
-    match e:
-        case Var():
-            return Const(1.0)
-        case Const():
-            return Const(0.0)
-        case BinOp("+", a, b):
-            return BinOp("+", differentiate(a), differentiate(b))
-        case BinOp("-", a, b):
-            return BinOp("-", differentiate(a), differentiate(b))
-        case BinOp("*", a, b):
-            return BinOp("+", BinOp("*", differentiate(a), b),
-                         BinOp("*", a, differentiate(b)))
-        case BinOp("/", a, b):
-            num = BinOp("-", BinOp("*", differentiate(a), b),
-                        BinOp("*", a, differentiate(b)))
-            return BinOp("/", num, Pow(b, 2))
-        case Pow(b, n):
-            if n == 0:
-                return Const(0.0)
-            return BinOp("*", BinOp("*", Const(complex(n)), Pow(b, n - 1)),
-                         differentiate(b))
-        case Neg(a):
-            return Neg(differentiate(a))
-        case Call("exp", a):
-            return BinOp("*", Call("exp", a), differentiate(a))
-        case Call("log", a):
-            return BinOp("/", differentiate(a), a)
-        case Call("sin", a):
-            return BinOp("*", Call("cos", a), differentiate(a))
-        case Call("cos", a):
-            return Neg(BinOp("*", Call("sin", a), differentiate(a)))
-        case Call("sinh", a):
-            return BinOp("*", Call("cosh", a), differentiate(a))
-        case Call("cosh", a):
-            return BinOp("*", Call("sinh", a), differentiate(a))
-    raise TypeError(f"not a HoloExpr node: {e!r}")
-
-
-# ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
 
@@ -346,7 +302,7 @@ def differentiate(e: HoloExpr) -> HoloExpr:
 # (1 and 0 from Var and Const, falling factorials from powers); values
 # (entry 0) are never ints, so the elementary functions always act on
 # complex numpy operands.  The helpers drop every term with an exact-zero
-# int factor: ``differentiate`` gives such a term exactly 0, while
+# int factor: the term is exactly 0 in the differentiated tree, while
 # multiplying it out would turn a non-finite partner into NaN.
 
 def _zero(x) -> bool:
@@ -529,8 +485,8 @@ def eval_jet(e: HoloExpr, z, order: int = MAX_JET_ORDER) -> CJet:
     One forward pass over the tree carries the whole jet through each
     node: sums act entrywise, products follow the Leibniz rule, quotients
     its solved form, and powers and the elementary functions Faa di
-    Bruno's chain rule.  Entries are exact to rounding; a term that
-    :func:`differentiate` makes exactly zero stays exactly zero here, so
+    Bruno's chain rule.  Entries are exact to rounding; a term that the
+    differentiated tree makes exactly zero stays exactly zero here, so
     no entry is non-finite where the differentiated tree is finite.
     Scalar ``z`` raises :class:`EvalError` if any entry is non-finite;
     arrays leave non-finite entries in place.

@@ -24,7 +24,6 @@ import numpy as np
 
 from .grids import Domain
 from .holoexpr import HoloExpr, Neg, eval_jet, parse
-from .jets import RJet2, abs2_jet
 from .sphere_geom import SphereFrame, frame_from_jet
 
 __all__ = ["MinimalPatch", "enneper_patch", "catenoid_patch",
@@ -95,41 +94,18 @@ class MinimalPatch:
     def chart_scalars(self, U, V):
         """(phi, phi_u, phi_v, k1) from one order-2 jet of g, through
         phi_u - i phi_v = 2 phi d/dz log phi with
-        d/dz log phi = g' conj(g) / (1 + |g|^2) - g'' / (2 g')."""
+        d/dz log phi = g' conj(g) / (1 + |g|^2) - g'' / (2 g').  The
+        chart's one record of its factor and curvature: k2 = -k1, and
+        log phi = log a - tau, with tau that of :meth:`frame`."""
         g, g1, g2 = eval_jet(self.g, _z(U, V), 2).values
         with np.errstate(all="ignore"):
             s1 = 1.0 + np.abs(g) ** 2
             phi = 0.5 * self.a * s1 / np.abs(g1)
-            d = 2.0 * phi * (g1 * np.conj(g) / s1 - 0.5 * g2 / g1)
+            # conj(g) first: a temporary left operand keeps its place
+            # when numpy reuses it as the output, so the bits of every
+            # sample do not depend on the size of the array
+            d = 2.0 * phi * (np.conj(g) * g1 / s1 - 0.5 * g2 / g1)
             return phi, d.real, -d.imag, self.a / (phi * phi)
-
-    def phi(self, U, V):
-        """Conformal factor |X_u| = |X_v|."""
-        return self.chart_scalars(U, V)[0]
-
-    def phi_du(self, U, V):
-        return self.chart_scalars(U, V)[1]
-
-    def phi_dv(self, U, V):
-        return self.chart_scalars(U, V)[2]
-
-    def phi_jet(self, U, V) -> RJet2:
-        """phi = a (1 + |g|^2) / (2 |g'|) with second-order partials."""
-        j = eval_jet(self.g, _z(U, V), 3)
-        with np.errstate(all="ignore"):
-            return ((0.5 * self.a) * (abs2_jet(j) + 1.0)
-                    / abs2_jet(j.derivative()).sqrt())
-
-    def log_phi_jet(self, U, V) -> RJet2:
-        return self.phi_jet(U, V).log()
-
-    def k1(self, U, V):
-        """Principal curvature along u."""
-        return self.chart_scalars(U, V)[3]
-
-    def k2(self, U, V):
-        """Principal curvature along v (= -k1: minimal)."""
-        return -self.k1(U, V)
 
     # -- Gauss-map frame ----------------------------------------------------
 
@@ -163,8 +139,8 @@ def catenoid_patch(domain: Domain | None = None) -> MinimalPatch:
 
 def conformality_residual(patch: MinimalPatch, U, V) -> dict:
     """Max deviations from the chart contract on the samples: inner
-    product <X_u,X_v>, length gap ||X_u|-|X_v||, off-diagonal second-form
-    coefficient, and minimality |k1+k2|."""
+    product <X_u,X_v>, length gap ||X_u|-|X_v|| and off-diagonal
+    second-form coefficient."""
     d = patch.position_derivatives(U, V)
     Xu, Xv = d["Xu"], d["Xv"]
     return {
@@ -173,5 +149,4 @@ def conformality_residual(patch: MinimalPatch, U, V) -> dict:
                                       - np.linalg.norm(Xv, axis=-1)))),
         "second_uv": float(np.max(np.abs(
             np.sum(d["Xuv"] * patch.normal(U, V), axis=-1)))),
-        "minimality": float(np.max(np.abs(patch.k1(U, V) + patch.k2(U, V)))),
     }

@@ -2,7 +2,10 @@
 
 The library's checks measure and never judge: each returns residuals
 (a :class:`~ribaucour.ribaucour_core.ResidualField`, or the largest
-residual with its sample counts).  :func:`identity_entry` is the one
+residual with its sample counts).  Where an identity's terms give it a
+scale, as for the support, middle-sphere and Hopf identities, the
+residual is relative to it, so one tolerance serves surfaces of any
+size.  :func:`identity_entry` is the one
 place that turns a residual and a tolerance into a verdict, so every
 entry of every command passes or fails by the same rule.
 

@@ -24,7 +24,8 @@ has eigenvalues 1/k_i with principal directions as eigenvectors;
 II = e^{2 tau} B and I = e^{2 tau} B^2 in chart coordinates.  With f1 =
 f2 the patch is the unit sphere itself and k1 = k2 = -1.
 
-The characterising identities, each exposed as a residual check:
+The characterising identities, each exposed as a residual check
+relative to the size of its terms, so that it scales with the surface:
 
 * support identity  rho^2 + rho Lap(rho) - 1 - |grad rho|^2 = 0,
 * middle-sphere identity  <X,X> + 2 (H/K) <X,N> + 1 = 0,
@@ -48,9 +49,8 @@ from .sphere_geom import (SphereFrame, conformal_hessian, generator_data,
 __all__ = [
     "RibaucourPatch", "SurfaceFields", "SurfaceSample", "ResidualField",
     "make_patch", "support", "support_jet", "shape_from_support",
-    "evaluate_patch", "immerse", "check_support_pde", "support_pde_residual",
-    "check_middle_sphere", "hk_from_support", "laguerre_hopf",
-    "hopf_residual", "unit_sphere_gap",
+    "evaluate_patch", "immerse", "support_pde_residual",
+    "check_middle_sphere", "hopf_residual", "unit_sphere_gap",
     "DEGENERATE_TOL", "UMBILIC_TOL",
 ]
 
@@ -189,7 +189,8 @@ class SurfaceFields:
     none twice:
 
     * ``X``, ``N`` (trailing axis of length 3), ``hover_k`` (H/K) and
-      ``mu`` (the Laguerre Hopf coefficient);
+      ``mu`` (the Laguerre Hopf coefficient; it measures the umbilic
+      deviation, |1/k2 - 1/k1| = 2 rho |mu| e^{-2 tau});
     * ``b11/b12/b22``, the curvature-radius operator, from the covariant
       Hessian of rho;
     * the flags ``branch`` (frame or support degenerate), ``degenerate``
@@ -414,76 +415,58 @@ class ResidualField:
 
 
 def support_pde_residual(fields: SurfaceFields) -> ResidualField:
-    """Residual of rho^2 + rho Lap(rho) - 1 - |grad rho|^2 per sample."""
+    """Residual of rho^2 + rho Lap(rho) - 1 - |grad rho|^2 per sample,
+    relative to rho^2 + |rho Lap(rho)| + 1 + |grad rho|^2."""
     rho, frame = fields.rho, fields.frame
     with np.errstate(all="ignore"):
         rv = np.asarray(rho.val, dtype=float)
         w = np.asarray(np.exp(-2.0 * np.asarray(frame.tau.val, dtype=float)))
-        lap = sphere_laplacian(rho, frame)
+        rr, rlap = rv * rv, rv * sphere_laplacian(rho, frame)
         grad_sq = w * (np.asarray(rho.du, dtype=float) ** 2
                        + np.asarray(rho.dv, dtype=float) ** 2)
-        r = rv * rv + rv * lap - 1.0 - grad_sq
+        r = (rr + rlap - 1.0 - grad_sq) / (rr + np.abs(rlap) + 1.0 + grad_sq)
     valid = ~np.asarray(fields.branch) & np.isfinite(np.asarray(r))
     return ResidualField(np.asarray(r), np.asarray(valid), "support_pde")
 
 
-def check_support_pde(f1: HoloExpr, f2: HoloExpr, Z) -> ResidualField:
-    """Support-identity residual for the pair (f1, f2) on sample points Z."""
-    fields = evaluate_patch(RibaucourPatch(f1, f2),
-                            Z=np.asarray(Z, dtype=complex))
-    return support_pde_residual(fields)
-
-
-def check_middle_sphere(fields_or_sample) -> ResidualField | float:
-    """Residual of <X,X> + 2 (H/K) <X,N> + 1 per sample.
+def check_middle_sphere(fields: SurfaceFields) -> ResidualField:
+    """Residual of <X,X> + 2 (H/K) <X,N> + 1 per sample, relative to
+    |X|^2 + 2 |(H/K) <X,N>| + 1.
 
     Vanishing is equivalent to every middle sphere meeting the unit
-    sphere along a great circle.  Accepts a SurfaceFields grid (returns a
-    ResidualField) or a single SurfaceSample (returns a float)."""
-    if isinstance(fields_or_sample, SurfaceSample):
-        s = fields_or_sample
-        return float(s.X @ s.X + 2.0 * s.hover_k * (s.X @ s.N) + 1.0)
-    fields = fields_or_sample
+    sphere along a great circle."""
     with np.errstate(all="ignore"):
         xx = np.sum(fields.X * fields.X, axis=-1)
-        xn = np.sum(fields.X * fields.N, axis=-1)
-        r = xx + 2.0 * fields.hover_k * xn + 1.0
+        hxn = 2.0 * fields.hover_k * np.sum(fields.X * fields.N, axis=-1)
+        r = (xx + hxn + 1.0) / (xx + np.abs(hxn) + 1.0)
     valid = fields.valid & np.isfinite(np.asarray(r)) \
         & np.isfinite(np.asarray(fields.hover_k))
     return ResidualField(np.asarray(r), np.asarray(valid), "middle_sphere")
 
 
-def hk_from_support(fields_or_sample):
-    """Mean-to-Gauss curvature ratio H/K = -(Lap rho + 2 rho)/2, computed
-    straight from the support jet (no eigendecomposition)."""
-    return fields_or_sample.hover_k
-
-
-def laguerre_hopf(patch: RibaucourPatch, z: complex) -> complex:
-    """Hopf coefficient of the Laguerre-invariant quadratic differential,
-    mu = (Hess_uu - Hess_vv - 2i Hess_uv)/(2 rho) = S(f1) - S(f2), so
-    holomorphic on the surfaces this module builds.  |mu| measures umbilic
-    deviation: |1/k2 - 1/k1| = 2 rho |mu| e^{-2 tau}."""
-    fields = evaluate_patch(patch, Z=np.asarray(complex(z)))
-    return complex(fields.mu)
+def _mu_scale(fields: SurfaceFields):
+    """Size of mu's terms before they cancel, per sample:
+    (|rho_uu| + |rho_vv| + 2|rho_uv| + 2 (|tau_u| + |tau_v|) (|rho_u| +
+    |rho_v|)) / (2|rho|).  It is the only scale left where mu is 0
+    (round spheres)."""
+    rho, tau = fields.rho, fields.frame.tau
+    a = lambda x: np.abs(np.asarray(x, dtype=float))
+    with np.errstate(all="ignore"):
+        return (a(rho.duu) + a(rho.dvv) + 2.0 * a(rho.duv)
+                + 2.0 * (a(tau.du) + a(tau.dv)) * (a(rho.du) + a(rho.dv))
+                ) / (2.0 * a(rho.val))
 
 
 def hopf_residual(fields: SurfaceFields) -> ResidualField:
     """Residual of mu = S(f1) - S(f2) per sample, relative to the largest
-    of |S(f1)|, |S(f2)| and the size of mu's terms before they cancel,
-    (|rho_uu| + |rho_vv| + 2|rho_uv| + 2 (|tau_u| + |tau_v|) (|rho_u| +
-    |rho_v|)) / (2|rho|), the only scale left where mu is 0 (round spheres).
+    of |S(f1)|, |S(f2)| and the size of mu's terms (:func:`_mu_scale`).
     A scale of 0 counts as 0.  Needs the fields of a holomorphic pair."""
     if fields.schwarzian is None:
         raise ValueError("hopf_residual needs a holomorphic pair's fields")
     s1, s2 = fields.schwarzian
-    rho, tau = fields.rho, fields.frame.tau
-    a = lambda x: np.abs(np.asarray(x, dtype=float))
     with np.errstate(all="ignore"):
-        terms = (a(rho.duu) + a(rho.dvv) + 2.0 * a(rho.duv)
-                 + 2.0 * (a(tau.du) + a(tau.dv)) * (a(rho.du) + a(rho.dv))
-                 ) / (2.0 * a(rho.val))
-        scale = np.maximum(np.maximum(terms, np.abs(s1)), np.abs(s2))
+        scale = np.maximum(np.maximum(_mu_scale(fields), np.abs(s1)),
+                           np.abs(s2))
         r = np.where(scale == 0.0, 0.0,
                      np.abs(fields.mu - (s1 - s2)) / scale)
     valid = fields.valid & np.isfinite(r)

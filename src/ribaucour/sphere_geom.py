@@ -37,14 +37,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .holoexpr import CJet, HoloExpr, _quotient, eval_jet
+from .holoexpr import CJet, _quotient
 from .jets import RJet2, abs2_jet, im_jet, jet_finite, re_jet
 
 __all__ = [
-    "SphereFrame", "gauss_map", "frame_from_jet", "tau_from_jet",
-    "sphere_gradient", "sphere_laplacian", "sphere_hessian",
-    "conformal_hessian", "conformal_curvature", "schwarzian_from_jet",
-    "generator_data",
+    "SphereFrame", "frame_from_jet", "tau_from_jet", "sphere_gradient",
+    "sphere_laplacian", "conformal_hessian", "conformal_curvature",
+    "schwarzian_from_jet", "generator_data",
 ]
 
 _LOG2 = float(np.log(2.0))
@@ -248,12 +247,6 @@ def _frame(j: CJet, schwarzian: bool) -> tuple:
     return SphereFrame(nx, ny, nz, tau, ~good), s
 
 
-def gauss_map(f1: HoloExpr, z) -> SphereFrame:
-    """Frame of the inverse stereographic image of f1 at z (scalar or
-    array); zeros of f1' are flagged on ``branch``, not raised."""
-    return frame_from_jet(eval_jet(f1, z, 3))
-
-
 # ---------------------------------------------------------------------------
 # Differential operators in a conformal chart
 # ---------------------------------------------------------------------------
@@ -291,11 +284,6 @@ def conformal_hessian(field: RJet2, logfac: RJet2):
     huv = np.asarray(field.duv, dtype=float) - tv * fu - tu * fv
     hvv = np.asarray(field.dvv, dtype=float) + tu * fu - tv * fv
     return huu, huv, hvv
-
-
-def sphere_hessian(field: RJet2, frame: SphereFrame):
-    """Covariant Hessian coefficients of a field in the sphere metric."""
-    return conformal_hessian(field, frame.tau)
 
 
 def conformal_curvature(logfac: RJet2):

@@ -13,14 +13,17 @@ poles).  The normal oracle takes N's second partials from jet products
 of the stereographic formula instead of the Gauss formula the frame
 uses.  The OBJ oracle writes the file record by record, and the
 holomorphy oracle differentiates the Hopf coefficient's samples by
-Cauchy-Riemann stencils.
+Cauchy-Riemann stencils.  The jet oracle differentiates expression trees
+symbolically, unsimplified, one rule per node type, where ``eval_jet``
+carries Taylor jets through the tree.
 """
 
 import numpy as np
 import sympy as sp
 
 from ribaucour import ResidualField, evaluate_patch
-from ribaucour.holoexpr import differentiate, to_text
+from ribaucour.holoexpr import (BinOp, Call, Const, HoloExpr, Neg, Pow,
+                                Var, to_text)
 from ribaucour.jets import RJet2, im_jet, re_jet
 from ribaucour.sphere_geom import _inverted_where_large
 
@@ -137,6 +140,46 @@ def rel_gap(a, b):
     with np.errstate(all="ignore"):
         out = np.abs(a - b) / scale
     return np.where(scale == 0.0, 0.0, out)
+
+
+def differentiate(e: HoloExpr) -> HoloExpr:
+    """Exact derivative tree d/dz, unsimplified."""
+    match e:
+        case Var():
+            return Const(1.0)
+        case Const():
+            return Const(0.0)
+        case BinOp("+", a, b):
+            return BinOp("+", differentiate(a), differentiate(b))
+        case BinOp("-", a, b):
+            return BinOp("-", differentiate(a), differentiate(b))
+        case BinOp("*", a, b):
+            return BinOp("+", BinOp("*", differentiate(a), b),
+                         BinOp("*", a, differentiate(b)))
+        case BinOp("/", a, b):
+            num = BinOp("-", BinOp("*", differentiate(a), b),
+                        BinOp("*", a, differentiate(b)))
+            return BinOp("/", num, Pow(b, 2))
+        case Pow(b, n):
+            if n == 0:
+                return Const(0.0)
+            return BinOp("*", BinOp("*", Const(complex(n)), Pow(b, n - 1)),
+                         differentiate(b))
+        case Neg(a):
+            return Neg(differentiate(a))
+        case Call("exp", a):
+            return BinOp("*", Call("exp", a), differentiate(a))
+        case Call("log", a):
+            return BinOp("/", differentiate(a), a)
+        case Call("sin", a):
+            return BinOp("*", Call("cos", a), differentiate(a))
+        case Call("cos", a):
+            return Neg(BinOp("*", Call("sin", a), differentiate(a)))
+        case Call("sinh", a):
+            return BinOp("*", Call("cosh", a), differentiate(a))
+        case Call("cosh", a):
+            return BinOp("*", Call("sinh", a), differentiate(a))
+    raise TypeError(f"not a HoloExpr node: {e!r}")
 
 
 def symbolic_k1(patch):

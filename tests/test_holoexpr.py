@@ -1,14 +1,15 @@
-"""Expression language: parsing, printing, differentiation, jet evaluation."""
+"""Expression language: parsing, printing, jet evaluation, and the
+symbolic differentiation oracle of the jets."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ribaucour import holoexpr
+from _oracles import differentiate
 from ribaucour.holoexpr import (FUNCTIONS, BinOp, Call, Const, EvalError, Neg,
-                                ParseError, Pow, Var, differentiate, eval_jet,
-                                evaluate, parse, to_text)
+                                ParseError, Pow, Var, eval_jet, evaluate,
+                                parse, to_text)
 
 W1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
 
@@ -193,7 +194,7 @@ def test_negative_real_constant_keeps_its_branch():
 
 
 # ---------------------------------------------------------------------------
-# differentiation
+# the differentiation oracle
 # ---------------------------------------------------------------------------
 
 def test_differentiate_power_rule():
@@ -361,21 +362,3 @@ def test_jet_matches_differentiated_trees(tree):
         assert np.all(gap <= 1e-12 * scale[ok]), (to_text(tree), k)
         if k < 3:
             oracle = differentiate(oracle)
-
-
-def test_jet_and_evaluate_do_not_differentiate(monkeypatch):
-    # symbolic differentiation is the oracle, not the evaluator
-    expected = [(eval_jet(parse(t), EVAL_POINTS, 3).values,
-                 evaluate(parse(t), EVAL_POINTS)) for t in CORPUS]
-
-    def refuse(e):
-        raise AssertionError("differentiate reached from evaluation")
-
-    monkeypatch.setattr(holoexpr, "differentiate", refuse)
-    for text, (jet, value) in zip(CORPUS, expected):
-        e = parse(text)
-        for got, want in zip(eval_jet(e, EVAL_POINTS, 3).values, jet):
-            assert np.array_equal(got, want), text
-        assert np.array_equal(evaluate(e, EVAL_POINTS), value), text
-        scalar = evaluate(e, complex(EVAL_POINTS[0]))
-        assert abs(scalar - value[0]) <= 1e-15 * abs(value[0]), text

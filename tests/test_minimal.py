@@ -70,29 +70,32 @@ def test_closed_form_factors():
     enneper = enneper_patch()
     for u, v in ENNEPER_PTS:
         phi = 1.0 + u * u + v * v
-        assert abs(enneper.phi(u, v) - phi) <= 1e-12
-        assert abs(enneper.k1(u, v) - 2.0 / phi ** 2) <= 1e-12
-        assert abs(enneper.k2(u, v) + 2.0 / phi ** 2) <= 1e-12
+        got_phi, _, _, k1 = enneper.chart_scalars(u, v)
+        assert abs(got_phi - phi) <= 1e-12
+        assert abs(k1 - 2.0 / phi ** 2) <= 1e-12
     catenoid = catenoid_patch()
     for u, v in CATENOID_PTS:
-        assert abs(catenoid.phi(u, v) - np.cosh(v)) <= 1e-12
-        assert abs(catenoid.k1(u, v) - 1.0 / np.cosh(v) ** 2) <= 1e-12
-        assert abs(catenoid.k2(u, v) + 1.0 / np.cosh(v) ** 2) <= 1e-12
+        phi, _, _, k1 = catenoid.chart_scalars(u, v)
+        assert abs(phi - np.cosh(v)) <= 1e-12
+        assert abs(k1 - 1.0 / np.cosh(v) ** 2) <= 1e-12
 
 
 def test_phi_jet_partials():
-    enneper = enneper_patch()
-    j = enneper.phi_jet(0.5, -0.3)
-    assert abs(float(j.du) - 1.0) <= 1e-12          # d(1+u^2+v^2)/du = 2u
-    assert abs(float(j.dv) + 0.6) <= 1e-12
-    assert abs(float(j.duu) - 2.0) <= 1e-12
-    assert abs(float(j.duv)) <= 1e-12
-    lg = enneper.log_phi_jet(0.5, -0.3)
-    phi = 1.0 + 0.25 + 0.09
-    assert abs(float(lg.val) - np.log(phi)) <= 1e-12
-    assert abs(float(lg.du) - 1.0 / phi) <= 1e-12
-    assert abs(enneper.phi_du(0.5, -0.3) - 1.0) <= 1e-12
-    assert abs(enneper.phi_dv(0.5, -0.3) + 0.6) <= 1e-12
+    # phi with its first partials from the chart scalars; d(1+u^2+v^2)/du
+    # = 2u on Enneper's chart
+    phi, pu, pv, _ = enneper_patch().chart_scalars(0.5, -0.3)
+    assert abs(phi - 1.34) <= 1e-12
+    assert abs(pu - 1.0) <= 1e-12
+    assert abs(pv + 0.6) <= 1e-12
+    # log phi = log a - tau of the frame, the log factor of the minimal
+    # metric that the congruence checks take from the frame
+    for patch, U, V in _grids():
+        phi, pu, pv, _ = patch.chart_scalars(U, V)
+        tau = patch.frame(U, V).tau
+        assert np.max(np.abs(np.log(patch.a) - tau.val - np.log(phi))) \
+            <= 1e-13, patch.name
+        for d_log, d_tau in ((pu / phi, tau.du), (pv / phi, tau.dv)):
+            assert np.max(np.abs(d_log + d_tau)) <= 1e-13, patch.name
 
 
 # ---------------------------------------------------------------------------
@@ -130,13 +133,14 @@ def test_principal_curvatures_match_form_oracle():
             H = (E * P - 2.0 * F * M + G * L) / (2.0 * den)
             disc = np.sqrt(max(H * H - K, 0.0))
             k_hi, k_lo = H + disc, H - disc
-            assert np.max(rel_gap(k_hi, patch.k1(u0, v0))) <= 1e-6, patch.name
-            assert np.max(rel_gap(k_lo, patch.k2(u0, v0))) <= 1e-6, patch.name
+            k1 = patch.chart_scalars(u0, v0)[3]
+            assert np.max(rel_gap(k_hi, k1)) <= 1e-6, patch.name
+            assert np.max(rel_gap(k_lo, -k1)) <= 1e-6, patch.name
 
 
 def test_curvature_point_values():
-    assert abs(enneper_patch().k1(0.0, 0.0) - 2.0) <= 1e-12
-    assert abs(catenoid_patch().k1(0.0, 0.0) - 1.0) <= 1e-12
+    assert abs(enneper_patch().chart_scalars(0.0, 0.0)[3] - 2.0) <= 1e-12
+    assert abs(catenoid_patch().chart_scalars(0.0, 0.0)[3] - 1.0) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +159,8 @@ def test_frame_matches_patch_normal():
 def test_frame_metric_factor():
     for patch, U, V in _grids():
         frame = patch.frame(U, V)
-        k1 = patch.k1(U, V)
-        E = patch.phi(U, V) ** 2
-        pred = k1 * k1 * E
+        phi, _, _, k1 = patch.chart_scalars(U, V)
+        pred = k1 * k1 * phi ** 2
         assert np.max(rel_gap(frame.e2tau, pred)) <= 1e-10, patch.name
 
 
@@ -167,7 +170,8 @@ def test_normal_rotates_with_principal_curvatures():
         for u0, v0 in pts:
             frame = patch.frame(u0, v0)
             d = patch.position_derivatives(u0, v0)
-            k1, k2 = patch.k1(u0, v0), patch.k2(u0, v0)
+            k1 = patch.chart_scalars(u0, v0)[3]
+            k2 = -k1
             r1 = frame.normal_du + k1 * np.asarray(d["Xu"])
             r2 = frame.normal_dv + k2 * np.asarray(d["Xv"])
             assert np.max(np.abs(r1)) <= 1e-10, patch.name

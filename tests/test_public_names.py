@@ -1,15 +1,21 @@
 """Every public name resolves: the package's ``__all__`` lists, and the
 names that the benchmark's traced replay (``perfbench/replay.py``) takes
-from the package.  The replay is read as source, never imported."""
+from the package.  The replay is read as source, and then run once per
+benchmark workload, so a changed signature or return record breaks a
+test here and not only a traced benchmark run."""
 
 import ast
 import importlib
+import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import ribaucour
 from ribaucour import ribaucour_core
 
-REPLAY = Path(__file__).resolve().parents[1] / "perfbench" / "replay.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+REPLAY = PERFBENCH / "replay.py"
 
 
 def test_replay_uses_only_existing_names():
@@ -35,3 +41,33 @@ def test_all_lists_resolve():
     for module in (ribaucour, ribaucour_core):
         missing = [n for n in module.__all__ if not hasattr(module, n)]
         assert missing == [], module.__name__
+
+
+def _load(monkeypatch, name):
+    """The benchmark module ``perfbench/<name>.py`` of this checkout."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_replay_runs_every_workload(monkeypatch, tmp_path):
+    replay = _load(monkeypatch, "replay")
+    workloads = _load(monkeypatch, "workloads")
+    for name, workload in workloads.WORKLOADS.items():
+        outdir = tmp_path / name
+        outdir.mkdir()
+        tracer = replay.Tracer()
+        replay.replay_op(tracer, workload.commands, str(outdir))
+        spans = tracer.spans
+        assert spans[0]["name"] == "cli.op", name
+        assert all(s["end"] >= s["start"] for s in spans), name
+        assert {"cli." + c.kind for c in workload.commands} \
+            <= {s["name"] for s in spans}, name
+        for cmd in workload.commands:
+            if "report" in cmd.files:
+                report = json.loads(
+                    (outdir / ("replay_" + cmd.files["report"])).read_text())
+                assert report["identities"], (name, cmd.kind)

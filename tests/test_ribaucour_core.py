@@ -10,16 +10,14 @@ from hypothesis import strategies as st
 from _oracles import (fd_principal_curvatures, hopf_stencil_residual,
                       normal_second_partials, rel_gap, support_quotient)
 from ribaucour import sphere_geom
-from ribaucour.cli import TOL_HOPF
+from ribaucour.cli import TOL_HOPF, TOL_PDE
 from ribaucour.grids import Domain
 from ribaucour.holoexpr import BinOp, Call, Const, Var, eval_jet, parse
 from ribaucour.jets import RJet2
 from ribaucour.report import identity_entry
 from ribaucour.ribaucour_core import (RibaucourPatch, check_middle_sphere,
-                                      check_support_pde, evaluate_patch,
-                                      hk_from_support, hopf_residual,
-                                      immerse, laguerre_hopf, make_patch,
-                                      shape_from_support, support,
+                                      evaluate_patch, hopf_residual, immerse,
+                                      make_patch, shape_from_support, support,
                                       support_jet, support_pde_residual,
                                       unit_sphere_gap)
 from ribaucour.sphere_geom import (frame_from_jet, schwarzian_from_jet,
@@ -32,6 +30,11 @@ OFFSET = Domain(0.3, 1.3, 0.2, 1.2)
 def _mesh(dom, n=41):
     _, _, Z = dom.mesh(n, n)
     return Z
+
+
+def _pde_on(f1, f2, Z):
+    return support_pde_residual(
+        evaluate_patch(RibaucourPatch(parse(f1), parse(f2)), Z=Z))
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +69,7 @@ def test_constant_f2_gives_no_valid_samples():
 # ---------------------------------------------------------------------------
 
 def test_support_pde_unit_sphere_case():
-    r = check_support_pde(parse("z"), parse("z"), _mesh(SQUARE, 21))
+    r = _pde_on("z", "z", _mesh(SQUARE, 21))
     assert r.n_valid > 0
     assert r.max_abs <= 1e-14
 
@@ -74,9 +77,9 @@ def test_support_pde_unit_sphere_case():
 def test_support_pde_on_grids():
     for f1, f2, dom in (("z", "2*z", SQUARE), ("z", "exp(z)", SQUARE),
                         ("z^2", "z+2", OFFSET)):
-        r = check_support_pde(parse(f1), parse(f2), _mesh(dom, 41))
+        r = _pde_on(f1, f2, _mesh(dom, 41))
         assert r.n_valid > 0.9 * 41 * 41, (f1, f2)
-        assert r.max_abs <= 1e-8, (f1, f2)
+        assert r.max_abs <= TOL_PDE, (f1, f2)
 
 
 # Random generators a h(c b(z) + b0) + b1: h is the identity or exp, the
@@ -114,21 +117,9 @@ def test_identities_hold_for_random_pairs(f1, f2):
     # sample, to rounding relative to the largest term of the identity there
     fields = evaluate_patch(RibaucourPatch(f1, f2, Domain(0.1, 0.9, 0.1, 0.9)),
                             9, 9)
-    rv = fields.rho_val
-    w = np.exp(-2.0 * np.asarray(fields.frame.tau.val))
-    grad_sq = w * (np.asarray(fields.rho.du) ** 2
-                   + np.asarray(fields.rho.dv) ** 2)
-    pde_terms = (rv * rv, rv * sphere_laplacian(fields.rho, fields.frame),
-                 np.ones_like(rv), grad_sq)
-    x_dot_n = np.sum(fields.X * fields.N, axis=-1)
-    sphere_terms = (np.sum(fields.X * fields.X, axis=-1),
-                    2.0 * fields.hover_k * x_dot_n, np.ones_like(rv))
-    for res, terms in ((support_pde_residual(fields), pde_terms),
-                       (check_middle_sphere(fields), sphere_terms)):
-        assert res.n_valid > 0, res.name
-        scale = np.maximum.reduce([np.abs(t) for t in terms])
-        rel = np.abs(res.values[res.valid]) / scale[res.valid]
-        assert np.max(rel) <= 1e-9, (res.name, np.max(rel))
+    for name, gap in _identity_gaps(fields).items():
+        assert gap.size > 0, name
+        assert np.max(gap) <= 1e-9, (name, np.max(gap))
     hopf = hopf_residual(fields)
     assert hopf.n_valid > 0
     assert hopf.max_abs <= 1e-10, hopf.max_abs
@@ -136,7 +127,9 @@ def test_identities_hold_for_random_pairs(f1, f2):
 
 def _identity_gaps(fields):
     """Support-identity and middle-sphere residuals on their valid samples,
-    each relative to the largest term of its identity there."""
+    each relative to the largest term of its identity there.  The checks
+    divide by the sum of the terms' magnitudes, which the test recomputes
+    from its own terms."""
     rv = fields.rho_val
     w = np.exp(-2.0 * np.asarray(fields.frame.tau.val))
     grad_sq = w * (np.asarray(fields.rho.du) ** 2
@@ -149,8 +142,9 @@ def _identity_gaps(fields):
     gaps = {}
     for res, terms in ((support_pde_residual(fields), pde_terms),
                        (check_middle_sphere(fields), sphere_terms)):
-        scale = np.maximum.reduce([np.abs(t) for t in terms])
-        gaps[res.name] = np.abs(res.values[res.valid]) / scale[res.valid]
+        total = sum(np.abs(t) for t in terms)
+        largest = np.maximum.reduce([np.abs(t) for t in terms])
+        gaps[res.name] = (np.abs(res.values) * total / largest)[res.valid]
     return gaps
 
 
@@ -329,7 +323,7 @@ def test_equal_pair_immerses_to_unit_sphere():
         assert abs(s.k2 + 1.0) <= 1e-8
         assert s.umbilic
         assert abs(s.hover_k + 1.0) <= 1e-8
-        assert abs(check_middle_sphere(s)) <= 1e-12
+        assert abs(s.X @ s.X + 2.0 * s.hover_k * (s.X @ s.N) + 1.0) <= 1e-12
 
 
 def test_immersion_support_projection():
@@ -351,7 +345,6 @@ def test_hover_k_matches_curvature_radii():
     mean_radius = 0.5 * (1.0 / fields.k1[ok] + 1.0 / fields.k2[ok])
     gap = rel_gap(fields.hover_k[ok], mean_radius)
     assert np.max(gap) <= 1e-8
-    assert hk_from_support(fields) is fields.hover_k
 
 
 def test_first_form_positive_definite():
@@ -384,7 +377,7 @@ def test_middle_sphere_residual_on_grids():
         fields = evaluate_patch(make_patch(f1, f2, dom))
         r = check_middle_sphere(fields)
         assert r.n_valid > 0
-        assert r.max_abs <= 1e-8, (f1, f2)
+        assert r.max_abs <= TOL_PDE, (f1, f2)
 
 
 def test_middle_sphere_detects_displaced_surface():
@@ -407,6 +400,30 @@ def test_middle_sphere_and_support_residuals_cancel():
     assert np.max(np.abs(r_pde.values + r_sphere.values)[ok]) <= 1e-12
 
 
+def test_residuals_scale_with_the_surface():
+    # |X|^2 reaches about 2.6e12 here: both identities hold to rounding
+    # relative to their terms, and each check divides its residual by
+    # the sum of its terms' magnitudes
+    fields = evaluate_patch(make_patch("z", "exp(exp(exp(z)))", SQUARE),
+                            81, 81)
+    xx = np.sum(fields.X * fields.X, axis=-1)
+    assert np.max(xx[fields.valid]) > 1e12
+    rv = fields.rho_val
+    rlap = rv * sphere_laplacian(fields.rho, fields.frame)
+    grad_sq = (np.exp(-2.0 * np.asarray(fields.frame.tau.val))
+               * (np.asarray(fields.rho.du) ** 2
+                  + np.asarray(fields.rho.dv) ** 2))
+    hxn = 2.0 * fields.hover_k * np.sum(fields.X * fields.N, axis=-1)
+    for res, raw, total in (
+            (support_pde_residual(fields), rv * rv + rlap - 1.0 - grad_sq,
+             rv * rv + np.abs(rlap) + 1.0 + grad_sq),
+            (check_middle_sphere(fields), xx + hxn + 1.0,
+             xx + np.abs(hxn) + 1.0)):
+        assert res.n_valid == fields.Z.size, res.name
+        assert res.max_abs <= TOL_PDE, (res.name, res.max_abs)
+        assert np.array_equal(res.values, raw / total), res.name
+
+
 def test_unit_sphere_gap_separates_cases():
     equal = evaluate_patch(make_patch("z", "z", SQUARE), 21, 21)
     assert unit_sphere_gap(equal) <= 1e-12
@@ -419,7 +436,8 @@ def test_unit_sphere_gap_separates_cases():
 # ---------------------------------------------------------------------------
 
 def test_hopf_vanishes_on_round_spheres():
-    assert abs(laguerre_hopf(make_patch("z", "z"), 0.2 + 0.1j)) <= 1e-14
+    point = evaluate_patch(make_patch("z", "z"), Z=np.asarray(0.2 + 0.1j))
+    assert abs(complex(point.mu)) <= 1e-14
     fields = evaluate_patch(make_patch("z", "2*z", SQUARE), 21, 21)
     assert np.max(np.abs(fields.mu[fields.valid])) <= 1e-14
 

@@ -8,9 +8,8 @@ from ribaucour.holoexpr import eval_jet, parse
 from ribaucour.jets import RJet2, re_jet
 from ribaucour.ribaucour_core import evaluate_patch, make_patch
 from ribaucour.sphere_geom import (conformal_curvature, conformal_hessian,
-                                   frame_from_jet, gauss_map, sphere_gradient,
-                                   sphere_hessian, sphere_laplacian,
-                                   tau_from_jet)
+                                   frame_from_jet, sphere_gradient,
+                                   sphere_laplacian, tau_from_jet)
 
 FRAME_EXPRS = ["z", "exp(z)", "z^2 + 2", "sinh(z)"]
 
@@ -41,22 +40,22 @@ def _tau_value(f1_text):
 def test_gauss_map_cardinal_points():
     for z0, expected in ((0.0, (0, 0, -1)), (1.0, (1, 0, 0)),
                          (1j, (0, 1, 0))):
-        frame = gauss_map(parse("z"), z0)
+        frame = frame_from_jet(eval_jet(parse("z"), z0, 3))
         assert np.max(np.abs(frame.normal - np.array(expected))) <= 1e-15
         assert not frame.branch
 
 
 def test_gauss_map_branch_point_flagged():
-    frame = gauss_map(parse("z^2"), 0.0)
+    frame = frame_from_jet(eval_jet(parse("z^2"), 0.0, 3))
     assert bool(frame.branch)
-    frame = gauss_map(parse("z^2"), 0.5)
+    frame = frame_from_jet(eval_jet(parse("z^2"), 0.5, 3))
     assert not bool(frame.branch)
 
 
 def test_frame_invariants():
     Z = _grid(17)
     for text in FRAME_EXPRS:
-        frame = gauss_map(parse(text), Z)
+        frame = frame_from_jet(eval_jet(parse(text), Z, 3))
         ok = ~np.asarray(frame.branch)
         assert np.count_nonzero(ok) > 0.9 * ok.size
         N = frame.normal
@@ -86,7 +85,7 @@ def test_frame_of_reciprocal_is_reflected():
         before = [v.copy() for v in j.values]
         a = frame_from_jet(j)
         assert all(np.array_equal(v, w) for v, w in zip(j.values, before))
-        b = gauss_map(parse(f"1/({text})"), Z)
+        b = frame_from_jet(eval_jet(parse(f"1/({text})"), Z, 3))
         ok = ~(np.asarray(a.branch) | np.asarray(b.branch))
         assert np.count_nonzero(ok) > 0.9 * ok.size, text
         for x, y, sign in ((a.nx, b.nx, 1.0), (a.ny, b.ny, -1.0),
@@ -107,8 +106,9 @@ def test_frame_of_reciprocal_is_reflected():
 def test_frame_normal_partials_match_finite_differences():
     e = parse("exp(z)")
     for z0 in (0.3 + 0.2j, -0.5 + 0.6j):
-        frame = gauss_map(e, z0)
-        value = lambda u, v: gauss_map(e, complex(u, v)).normal
+        frame = frame_from_jet(eval_jet(e, z0, 3))
+        value = lambda u, v: frame_from_jet(
+            eval_jet(e, complex(u, v), 3)).normal
         du, dv, duu, duv, dvv = fd_partials_scalar(value, z0.real, z0.imag)
         for got, want in ((frame.normal_du, du), (frame.normal_dv, dv),
                           (frame.normal_duu, duu), (frame.normal_duv, duv),
@@ -121,7 +121,7 @@ def test_frame_normal_partials_match_finite_differences():
 # ---------------------------------------------------------------------------
 
 def test_gradient_of_constant_vanishes():
-    frame = gauss_map(parse("exp(z)"), _grid(9))
+    frame = frame_from_jet(eval_jet(parse("exp(z)"), _grid(9), 3))
     grad = sphere_gradient(RJet2.constant(3.0), frame)
     assert np.max(np.abs(grad)) == 0.0
 
@@ -129,7 +129,7 @@ def test_gradient_of_constant_vanishes():
 def test_gradient_of_chart_coordinate():
     # field u on the frame of f1 = z at the origin: the gradient is
     # tangent and its squared metric length is e^{-2 tau}
-    frame = gauss_map(parse("z"), 0.0)
+    frame = frame_from_jet(eval_jet(parse("z"), 0.0, 3))
     grad = sphere_gradient(RJet2.coord_u(0.0), frame)
     assert np.max(np.abs(grad - np.array([0.5, 0.0, 0.0]))) <= 1e-14
     assert abs(float(grad @ frame.normal)) <= 1e-14
@@ -137,7 +137,8 @@ def test_gradient_of_chart_coordinate():
     assert abs(float(grad @ grad) - 1.0 / e2t) <= 1e-14
 
     # independent route: difference the normal itself for N_u, N_v
-    value = lambda u, v: gauss_map(parse("z"), complex(u, v)).normal
+    value = lambda u, v: frame_from_jet(
+        eval_jet(parse("z"), complex(u, v), 3)).normal
     du, dv, *_ = fd_partials_scalar(value, 0.0, 0.0)
     fd_grad = (1.0 * du + 0.0 * dv) / e2t
     assert np.max(np.abs(grad - fd_grad)) <= 1e-6
@@ -149,10 +150,11 @@ def test_gradient_matches_finite_differences():
         for field_text in FIELD_EXPRS:
             ef = parse(field_text)
             for z0 in (0.4 + 0.3j, -0.2 + 0.8j):
-                frame = gauss_map(e1, z0)
+                frame = frame_from_jet(eval_jet(e1, z0, 3))
                 field = re_jet(eval_jet(ef, z0, 3))
                 grad = sphere_gradient(field, frame)
-                nval = lambda u, v: gauss_map(e1, complex(u, v)).normal
+                nval = lambda u, v: frame_from_jet(
+                    eval_jet(e1, complex(u, v), 3)).normal
                 fval = lambda u, v: float(
                     eval_jet(ef, complex(u, v), 0).values[0].real)
                 ndu, ndv, *_ = fd_partials_scalar(nval, z0.real, z0.imag)
@@ -167,7 +169,7 @@ def test_gradient_matches_finite_differences():
 # ---------------------------------------------------------------------------
 
 def test_laplacian_of_constant_vanishes():
-    frame = gauss_map(parse("z"), _grid(9))
+    frame = frame_from_jet(eval_jet(parse("z"), _grid(9), 3))
     assert np.max(np.abs(sphere_laplacian(RJet2.constant(2.5), frame))) == 0.0
 
 
@@ -176,7 +178,7 @@ def test_tau_solves_liouville_equation():
     # i.e. the sphere Laplacian of tau is identically -1
     Z = _grid(21)
     for text in ("z", "exp(z)"):
-        frame = gauss_map(parse(text), Z)
+        frame = frame_from_jet(eval_jet(parse(text), Z, 3))
         ok = ~np.asarray(frame.branch)
         tau = frame.tau
         flat = np.asarray(tau.duu) + np.asarray(tau.dvv) + frame.e2tau
@@ -190,7 +192,7 @@ def test_laplacian_matches_finite_differences():
     for field_text in FIELD_EXPRS:
         ef = parse(field_text)
         for z0 in (0.4 + 0.3j, -0.6 - 0.2j):
-            frame = gauss_map(e1, z0)
+            frame = frame_from_jet(eval_jet(e1, z0, 3))
             field = re_jet(eval_jet(ef, z0, 3))
             lap = sphere_laplacian(field, frame)
             fval = lambda u, v: float(
@@ -205,8 +207,8 @@ def test_laplacian_matches_finite_differences():
 # ---------------------------------------------------------------------------
 
 def test_hessian_of_constant_vanishes():
-    frame = gauss_map(parse("exp(z)"), _grid(9))
-    huu, huv, hvv = sphere_hessian(RJet2.constant(1.5), frame)
+    frame = frame_from_jet(eval_jet(parse("exp(z)"), _grid(9), 3))
+    huu, huv, hvv = conformal_hessian(RJet2.constant(1.5), frame.tau)
     assert np.max(np.abs(huu)) == 0.0
     assert np.max(np.abs(huv)) == 0.0
     assert np.max(np.abs(hvv)) == 0.0
@@ -215,9 +217,9 @@ def test_hessian_of_constant_vanishes():
 def test_hessian_trace_recovers_laplacian():
     Z = _grid(15)
     for f1_text, field_text in (("z", "sin(z)"), ("exp(z)", "z^3 - z")):
-        frame = gauss_map(parse(f1_text), Z)
+        frame = frame_from_jet(eval_jet(parse(f1_text), Z, 3))
         field = re_jet(eval_jet(parse(field_text), Z, 3))
-        huu, _, hvv = sphere_hessian(field, frame)
+        huu, _, hvv = conformal_hessian(field, frame.tau)
         w = np.exp(-2.0 * np.asarray(frame.tau.val))
         trace = w * (huu + hvv)
         lap = sphere_laplacian(field, frame)
@@ -235,9 +237,9 @@ def test_hessian_matches_finite_difference_christoffels():
     for field_text in FIELD_EXPRS:
         ef = parse(field_text)
         for z0 in (0.5 + 0.4j, -0.3 + 0.7j):
-            frame = gauss_map(e1, z0)
+            frame = frame_from_jet(eval_jet(e1, z0, 3))
             field = re_jet(eval_jet(ef, z0, 3))
-            huu, huv, hvv = sphere_hessian(field, frame)
+            huu, huv, hvv = conformal_hessian(field, frame.tau)
             fval = lambda u, v: float(
                 eval_jet(ef, complex(u, v), 0).values[0].real)
             fu, fv, fuu, fuv, fvv = fd_partials_scalar(fval, z0.real, z0.imag)
@@ -279,7 +281,7 @@ def test_flat_metric_has_zero_curvature():
 def test_sphere_metric_has_unit_curvature():
     Z = _grid(15)
     for text in FRAME_EXPRS:
-        frame = gauss_map(parse(text), Z)
+        frame = frame_from_jet(eval_jet(parse(text), Z, 3))
         ok = ~np.asarray(frame.branch)
         K = conformal_curvature(frame.tau)
         assert np.max(np.abs(K[ok] - 1.0)) <= 1e-8, text
