@@ -14,10 +14,10 @@ Exit codes: 0 all checks pass, 1 a residual check failed, 2 bad input
 (unparsable expression or domain, a numeric literal too large for a
 float, non-finite domain bounds, a grid size below 2, a ``--tol-*``
 value that is not finite and positive, an integration step that is not
-finite and positive or misses the chart origin, a grid too large for
-the available memory), 3 nothing to check
-(all samples degenerate, or the patch coincides with the fixed unit
-sphere), 4 I/O failure.
+finite and positive, gives a node count that is not finite or misses the
+chart origin, a grid too large for the available memory), 3 nothing to
+check (all samples degenerate, or the patch coincides with the fixed
+unit sphere), 4 I/O failure.
 """
 from __future__ import annotations
 
@@ -300,15 +300,11 @@ def cmd_congruence(args) -> int:
         try:
             integ = integrate_system(ac.patch, init, consts, domain=domain,
                                      step=args.step)
-        except ValueError as exc:  # step too wide, or nodes miss the origin
+        except ValueError as exc:  # the step gives no usable grid
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_PARSE
         U, V = integ.U, integ.V
-        # the reference state is dropped before the envelope, which needs
-        # the memory
-        agree = max(float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
-                    for a, b in zip(integ.state().as_tuple(),
-                                    ac.state(U, V, integ.phi).as_tuple()))
+        agree = ac.agreement(integ)
         # the envelope block by block: X, N and the mask only for a mesh
         env = envelope_checks(ac.patch, integ.w, integ.omega, consts, U, V,
                               surface=bool(args.out))

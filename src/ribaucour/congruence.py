@@ -27,10 +27,13 @@ runs three marches: the initial row, then every column, then every row
 from the initial column, which the column march already holds.  The gap
 between the row-first and column-first fills doubles as the
 compatibility (Frobenius) check.  The chart scalars (phi, phi_u,
-phi_v, k1) are evaluated once per abscissa, block by block: the column
-march evaluates the nodes and the v-midpoints, and the row march reuses
-those node scalars and evaluates only the u-midpoints (the initial row,
-2 nu - 1 samples, evaluates its own).  The marched state also fixes W's
+phi_v, k1) are evaluated once per abscissa and streamed into each march
+as kernel rows, one block of steps of about ``_BLOCK`` samples at a time,
+just before the block is stepped, so no march holds its kernel rows for
+the whole grid: the column march evaluates the nodes and the
+v-midpoints and keeps the node scalars, and the row march reuses them
+and evaluates only the u-midpoints (the initial row evaluates its own
+2 nu - 1 abscissae the same way).  The marched state also fixes W's
 second-order jet: differentiating W_u and W_v once more through the
 same right-hand sides (k1 phi^2 is constant on these charts) gives
 W_uu, W_uv and W_vv at every node, with no stencil, from the same node
@@ -60,6 +63,8 @@ module then uses a shipped correction, Omega and c obtained by exact
 quadrature of Omega from W and the first integral, validates it the
 same way and records both outcomes.  The quadrature is not redone at
 run time: the tests re-derive the correction from W as its oracle.
+:meth:`AnalyticCongruence.agreement` compares an integrated congruence
+with the closed forms over blocks of grid rows.
 """
 
 from __future__ import annotations
@@ -85,8 +90,8 @@ __all__ = [
     "EnvelopeChecks", "envelope_checks",
 ]
 
-# samples per block of the chart scalars, and of the envelope and its
-# checks, in integrate mode; bounds their scratch memory
+# samples per block of the kernel rows, the analytic agreement, and the
+# envelope and its checks, in integrate mode; bounds their scratch memory
 _BLOCK = 8192
 
 @dataclass(frozen=True)
@@ -277,6 +282,19 @@ class AnalyticCongruence:
                                                 self.omega_jet(U, V))
         return _state_from_jets(self.patch, wj, oj, U, V, phi)
 
+    def agreement(self, integ: IntegratedCongruence) -> float:
+        """Largest difference of any field between ``integ`` and these
+        closed forms on its grid.  The closed forms are evaluated in
+        blocks of grid rows, so no full-grid jet is built; the value is
+        that of one whole-grid comparison."""
+        got = integ.state().as_tuple()
+        gaps = [[] for _ in got]
+        for b in _row_blocks(*integ.U.shape):
+            ref = self.state(integ.U[b], integ.V[b], integ.phi[b])
+            for gap, x, r in zip(gaps, got, ref.as_tuple()):
+                gap.append(np.max(np.abs(x[b] - r)))
+        return max(float(np.max(gap)) for gap in gaps)
+
 
 def _origin_constant(patch: MinimalPatch, wj_fn, oj_fn,
                      c1: float = 1.0) -> float:
@@ -389,13 +407,15 @@ def _fill_rows(K, scalars, consts: IntegralConstants, along_u: bool):
 def _kernel_rows(patch: MinimalPatch, consts: IntegralConstants,
                  along_u: bool, t: np.ndarray, fixed: np.ndarray,
                  node=None, keep=None):
-    """Coefficient rows of the affine kernel at every stage abscissa of a
-    march along u (or v) through ``t``, at each ``fixed`` value of the
-    other coordinate.  The chart scalars are evaluated block by block.
-    Given ``node``, the chart scalars at the nodes, of shape
-    (4, len(t), len(fixed)), only the midpoint abscissae are evaluated;
-    otherwise every abscissa is, and ``keep`` (the same shape), if given,
-    receives the values at the nodes.
+    """Coefficient rows of the affine kernel for a march along u (or v)
+    through ``t``, at each ``fixed`` value of the other coordinate, as a
+    function ``fill(K, first, d)``: it writes the rows of the stage
+    abscissae first, first + d, first + 2 d, ... (indices into the
+    2 len(t) - 1 stage abscissae, of which 2i is node i) into K, of shape
+    (count, 7, len(fixed)).  Given ``node``, the chart scalars at the
+    nodes, of shape (4, len(t), len(fixed)), only the midpoint abscissae
+    are evaluated; otherwise every abscissa is, and ``keep`` (the same
+    shape), if given, receives the values at the nodes.
 
     With p = phi k (k the principal curvature along the march) and
     q = phi_s / phi, the slope of y = (Omega, Omega_s, W, Omega_t) is
@@ -404,27 +424,29 @@ def _kernel_rows(patch: MinimalPatch, consts: IntegralConstants,
         Omega_t' = c p Omega - q Omega_s + (c phi - p) W
                    - phi c3/2 - p c2/2,
 
-    so the rows are (phi, q, p, c p, -q, c phi - p, -phi c3/2 - p c2/2),
-    of shape (2 len(t) - 1, 7, len(fixed)); row block 2i is node i.
+    so the rows are (phi, q, p, c p, -q, c phi - p, -phi c3/2 - p c2/2).
     """
-    n = len(t)
-    K = np.empty((2 * n - 1, 7, len(fixed)))
-    s, rows = np.linspace(t[0], t[-1], 2 * n - 1), K
-    if node is not None:
-        _fill_rows(K[::2], node, consts, along_u)
-        s, rows = s[1::2], K[1::2]
-    for b in _row_blocks(len(s), len(fixed)):
-        sb = s[b, None]
-        scalars = (patch.chart_scalars(sb, fixed[None, :]) if along_u
-                   else patch.chart_scalars(fixed[None, :], sb))
-        _fill_rows(rows[b], scalars, consts, along_u)
+    s = np.linspace(t[0], t[-1], 2 * len(t) - 1)
+
+    def fill(K, first, d):
+        j = first + d * np.arange(len(K))
+        # K[e::2] are the rows of nodes, K[1 - e::2] those of midpoints
+        e = first % 2
+        nodes = j[e::2] // 2
+        if node is not None:
+            _fill_rows(K[e::2], tuple(x[nodes] for x in node), consts,
+                       along_u)
+            K, j = K[1 - e::2], j[1 - e::2]
+        if len(j) == 0:
+            return
+        sj = s[j, None]
+        scalars = (patch.chart_scalars(sj, fixed[None, :]) if along_u
+                   else patch.chart_scalars(fixed[None, :], sj))
+        _fill_rows(K, scalars, consts, along_u)
         if keep is not None:
-            # the even abscissae of the block are nodes
-            first = b.start + b.start % 2
             for k, x in zip(keep, scalars):
-                k[first // 2:(b.stop + 1) // 2] = np.broadcast_to(
-                    x, sb.shape[:1] + fixed.shape)[first - b.start::2]
-    return K
+                k[nodes] = np.broadcast_to(x, K.shape[:1] + fixed.shape)[e::2]
+    return fill
 
 
 def _slope(k, y, out, tmp):
@@ -436,39 +458,62 @@ def _slope(k, y, out, tmp):
     out[3] += k[6]
 
 
-def _march(K, t, i0, y0) -> np.ndarray:
+def _march(fill, t, i0, y0, ys) -> np.ndarray:
     """RK4 march of the states y0 (4, lanes) along uniform nodes t,
-    outward from index i0, with kernel rows K from :func:`_kernel_rows`;
-    returns the states at every node, shape (len(t), 4, lanes)."""
-    ys = np.empty((len(t),) + y0.shape)
+    outward from index i0, into ``ys``, shape (len(t), 4, lanes), which
+    it returns.  The kernel rows come from ``fill`` of
+    :func:`_kernel_rows` one block of steps at a time, about ``_BLOCK``
+    samples each, just before the block is stepped: forward from i0 to
+    the last node, then backward from i0 to the first.  A block starts
+    from the last row of the one before, so every abscissa is evaluated
+    once."""
+    n, lanes = len(t), y0.shape[1]
     ys[i0] = y0
     s1, s2, s3, s4, z = (np.empty_like(ys[i0]) for _ in range(5))
-    tmp = np.empty((3,) + y0.shape[1:])
+    tmp = np.empty((3, lanes))
+    # steps per block: two abscissae each beyond the block's first node
+    m = max(1, _BLOCK // (2 * lanes))
+    K = np.empty((2 * m + 1, 7, lanes))
+    fill(K[:1], 2 * i0, 1)
+    start = K[0].copy()
 
-    outward = [(i, 1) for i in range(i0, len(t) - 1)]
-    outward += [(i, -1) for i in range(i0, 0, -1)]
-    for i, d in outward:
-        h, y = t[i + d] - t[i], ys[i]
-        at_i, at_mid, at_next = K[2 * i], K[2 * i + d], K[2 * i + 2 * d]
-        _slope(at_i, y, s1, tmp)
-        np.multiply(s1, 0.5 * h, out=z)
-        z += y
-        _slope(at_mid, z, s2, tmp)
-        np.multiply(s2, 0.5 * h, out=z)
-        z += y
-        _slope(at_mid, z, s3, tmp)
-        np.multiply(s3, h, out=z)
-        z += y
-        _slope(at_next, z, s4, tmp)
-        # y + (h/6) (s1 + 2 s2 + 2 s3 + s4), summed in that order
-        s2 *= 2.0
-        s2 += s1
-        s3 *= 2.0
-        s2 += s3
-        s2 += s4
-        s2 *= h / 6.0
-        np.add(y, s2, out=ys[i + d])
+    for d, last in ((1, n - 1), (-1, 0)):
+        K[0], i = start, i0
+        while i != last:
+            steps = min(m, abs(last - i))
+            fill(K[1:2 * steps + 1], 2 * i + d, d)
+            for k in range(0, 2 * steps, 2):
+                h, y = t[i + d] - t[i], ys[i]
+                at_i, at_mid, at_next = K[k], K[k + 1], K[k + 2]
+                _slope(at_i, y, s1, tmp)
+                np.multiply(s1, 0.5 * h, out=z)
+                z += y
+                _slope(at_mid, z, s2, tmp)
+                np.multiply(s2, 0.5 * h, out=z)
+                z += y
+                _slope(at_mid, z, s3, tmp)
+                np.multiply(s3, h, out=z)
+                z += y
+                _slope(at_next, z, s4, tmp)
+                # y + (h/6) (s1 + 2 s2 + 2 s3 + s4), summed in that order
+                s2 *= 2.0
+                s2 += s1
+                s3 *= 2.0
+                s2 += s3
+                s2 += s4
+                s2 *= h / 6.0
+                np.add(y, s2, out=ys[i + d])
+                i += d
+            K[0] = K[2 * steps]
     return ys
+
+
+def _grid_arrays(nu: int, nv: int):
+    """The full-grid arrays of :func:`integrate_system`, each of shape
+    (4, nu, nv): the node scalars, the marches' states and the fields.
+    They are allocated before any step, so that a grid too large for the
+    memory fails at once."""
+    return tuple(np.empty((4, nu, nv)) for _ in range(3))
 
 
 @dataclass
@@ -520,20 +565,28 @@ def integrate_system(patch: MinimalPatch, init: CongruenceState,
     holds), fills the grid in the transposed order; ``path_gap`` is the
     max discrepancy between the two fills.
 
-    The chart scalars are evaluated once per abscissa, in blocks of rows
-    written straight into each march's preallocated kernel rows: the
-    column march evaluates the nodes and the v-midpoints and keeps the
-    (4, nu, nv) node scalars; the row march and W's jet reuse them, and
-    the row march evaluates the u-midpoints.  The initial row evaluates
-    its own 2 nu - 1 abscissae as one array.
+    Each march gets its kernel rows from :func:`_kernel_rows` one block
+    of steps at a time (see :func:`_march`), so the chart scalars are
+    evaluated once per abscissa and no kernel rows are held for the
+    whole grid: the column march evaluates the nodes and the v-midpoints
+    and keeps the (4, nu, nv) node scalars; the row march and W's jet
+    reuse them, and the row march evaluates the u-midpoints.  The
+    full-grid arrays (node scalars, march states, fields) are allocated
+    before any step, so a grid too large for the memory fails at once;
+    the row march writes its states over the column march's.  A step
+    whose node count is not finite raises ValueError.
     """
     domain = domain or Domain(-1.0, 1.0, -1.0, 1.0)
     if step is not None:
         if not (np.isfinite(step) and step > 0.0):
             raise ValueError(f"the integration step must be finite and "
                              f"positive, got {step}")
-        nu = int(round((domain.u1 - domain.u0) / step)) + 1
-        nv = int(round((domain.v1 - domain.v0) / step)) + 1
+        spans = ((domain.u1 - domain.u0) / step,
+                 (domain.v1 - domain.v0) / step)
+        if not all(np.isfinite(spans)):
+            raise ValueError(f"the integration step {step} gives a node "
+                             f"count that is not finite")
+        nu, nv = (int(round(x)) + 1 for x in spans)
     nu = 101 if nu is None else nu
     nv = 101 if nv is None else nv
     if nu < 2 or nv < 2:
@@ -548,54 +601,63 @@ def integrate_system(patch: MinimalPatch, init: CongruenceState,
             or abs(v[iv0] - init_at[1]) > 1e-9 * max(1.0, hv):
         raise ValueError(f"init_at {init_at} is not a grid node")
     om0, o10, o20, w0 = (float(x) for x in init.as_tuple())
+    node, states, fields = _grid_arrays(nu, nv)
 
-    # the initial row, at its own abscissae
-    K = _kernel_rows(patch, consts, True, u, v[iv0:iv0 + 1])
-    row = _march(K, u, iu0, np.array([[om0], [o20], [w0], [o10]]))
+    # the initial row
+    row = _march(_kernel_rows(patch, consts, True, u, v[iv0:iv0 + 1]),
+                 u, iu0, np.array([[om0], [o20], [w0], [o10]]),
+                 np.empty((nu, 4, 1)))
     # then every column; the columns' march state is (Omega, Omega1, W,
     # Omega2), shape (nv, 4, nu).  Their even abscissae are the grid
     # nodes, whose chart scalars the row march and W's jet reuse
-    node = np.empty((4, nu, nv))
-    K = _kernel_rows(patch, consts, False, v, u, keep=node.transpose(0, 2, 1))
-    cols = _march(K, v, iv0, row[:, _SWAP, 0].T)
-    del K
-    fields = np.ascontiguousarray(cols.transpose(1, 2, 0))
-    # the initial column, where the row march starts
+    cols = _march(_kernel_rows(patch, consts, False, v, u,
+                               keep=node.transpose(0, 2, 1)),
+                  v, iv0, row[:, _SWAP, 0].T, states.reshape(nv, 4, nu))
+    np.copyto(fields, cols.transpose(1, 2, 0))
+    # the initial column, where the row march starts, copied out: the
+    # row march writes its states over the columns'
     start = cols[:, _SWAP, iu0].T
     del cols
     om, o1, w, o2 = fields
     path_gap = float("nan")
     if check_paths:
-        K = _kernel_rows(patch, consts, True, u, v, node=node)
-        rows = _march(K, u, iu0, start)
-        del K
+        rows = _march(_kernel_rows(patch, consts, True, u, v, node=node),
+                      u, iu0, start, states.reshape(nu, 4, nv))
         path_gap = max(float(np.max(np.abs(rows[:, j] - f)))
                        for j, f in zip(_SWAP, fields))
         del rows
-    phi, pu, pv, k1 = node
-    state = CongruenceState(om, o1, o2, w)
-    F = first_integral(state, consts)
+    del states
+    F = first_integral(CongruenceState(om, o1, o2, w), consts)
     drift = float(np.max(np.abs(F - F[iu0, iv0])))
+    del F
     # W's jet from the system at the nodes: W_u = Omega1 k1 phi and
     # W_v = -Omega2 k1 phi, differentiated once more through the
     # right-hand sides; k1 phi^2 is constant on these charts, so
-    # (k1 phi)_u = -k1 phi_u and (k1 phi)_v = -k1 phi_v
+    # (k1 phi)_u = -k1 phi_u and (k1 phi)_v = -k1 phi_v.  Each
+    # temporary goes after its last use
+    phi, pu, pv, k1 = node
     a = consts.c * w - 0.5 * consts.c3
     b = consts.c * om - w - 0.5 * consts.c2
     k1phi = k1 * phi
     o1_u = -(pv / phi) * o2 + phi * a + phi * k1 * b
-    o1_v = (pu / phi) * o2
+    w_uu = o1_u * k1phi - o1 * k1 * pu
+    del o1_u
     o2_v = -(pu / phi) * o1 + phi * a + phi * -k1 * b
-    w_jet = RJet2(w, o1 * k1 * phi, o2 * -k1 * phi,
-                  o1_u * k1phi - o1 * k1 * pu, o1_v * k1phi - o1 * k1 * pv,
-                  -(o2_v * k1phi - o2 * k1 * pv))
+    del a, b
+    w_vv = -(o2_v * k1phi - o2 * k1 * pv)
+    del o2_v
+    o1_v = (pu / phi) * o2
+    w_uv = o1_v * k1phi - o1 * k1 * pv
+    del o1_v, k1phi
+    w_jet = RJet2(w, o1 * k1 * phi, o2 * -k1 * phi, w_uu, w_uv, w_vv)
+    # phi alone, not the node scalars it views
+    phi = phi.copy()
+    del node, pu, pv, k1
     U, V = np.meshgrid(u, v, indexing="ij")
     return IntegratedCongruence(U=U, V=V, omega=om, omega1=o1, omega2=o2,
                                 w=w_jet, constants=consts,
                                 init_node=(iu0, iv0),
-                                path_gap=path_gap, drift=drift,
-                                # phi alone, not the node scalars it views
-                                phi=phi.copy())
+                                path_gap=path_gap, drift=drift, phi=phi)
 
 
 # ---------------------------------------------------------------------------

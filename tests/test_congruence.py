@@ -318,8 +318,37 @@ def _direction_rows(patch, consts, along_u, t, fixed):
     return K, scalars
 
 
+def _streamed_rows(monkeypatch, fill, t, i0, lanes):
+    """March states along t from node i0 with the kernel rows of
+    ``fill``; returns the rows each RK4 stage was given, in march order,
+    stacked as (stages, 7, lanes).  Checks on the way that every block of
+    rows holds about ``_BLOCK`` samples, never 2 len(t) - 1 rows."""
+    seen, slope = [], congruence._slope
+    bound = max(congruence._BLOCK + lanes, 3 * lanes)
+
+    def spy(k, y, out, tmp):
+        assert k.base.shape[0] * lanes <= bound
+        seen.append(k.copy())
+        slope(k, y, out, tmp)
+    y0 = np.random.default_rng(3).uniform(-1.0, 1.0, (4, lanes))
+    with monkeypatch.context() as m:
+        m.setattr(congruence, "_slope", spy)
+        congruence._march(fill, t, i0, y0, np.empty((len(t), 4, lanes)))
+    return np.array(seen)
+
+
+def _stage_rows(K, i0):
+    """The rows of K (one row per stage abscissa) each RK4 stage of a
+    march from node i0 takes: forward to the last node, then backward."""
+    n = (len(K) + 1) // 2
+    steps = [(i, 1) for i in range(i0, n - 1)]
+    steps += [(i, -1) for i in range(i0, 0, -1)]
+    return np.array([K[2 * i + j * d] for i, d in steps for j in (0, 1, 1, 2)])
+
+
 @pytest.mark.parametrize("block, nu, nv, domain", [
-    # blocks of at most 32 samples on small grids: many blocks
+    # blocks of at most 32 samples on small grids: many blocks, and
+    # short last blocks in the 1-lane marches
     (32, 21, 17, (-1.0, 1.0, -1.0, 1.0)),
     (32, 31, 13, (-0.6, 1.0, -1.0, 0.4)),
     # the shipped block size, with whole arrays above 16,384 samples
@@ -327,25 +356,60 @@ def _direction_rows(patch, consts, along_u, t, fixed):
 ])
 def test_shared_node_scalars_match_per_direction_evaluation(
         monkeypatch, block, nu, nv, domain):
-    # the column march keeps its node scalars; the row march reuses them
-    # and evaluates only its midpoints: the kernel rows are those of an
-    # evaluation per direction, bit for bit
+    # the kernel rows are streamed into each march one block at a time;
+    # the column march keeps its node scalars, the row march reuses them
+    # and evaluates only its midpoints.  Every RK4 stage gets the rows of
+    # an evaluation per direction as one array, bit for bit, whether the
+    # march starts at the first node, the last or in between, and in
+    # 1-lane marches such as the initial row's
     if block is not None:
         monkeypatch.setattr(congruence, "_BLOCK", block)
     consts = IntegralConstants(c=0.5, c1=1.0, c2=0.25, c3=-0.75)
     u = np.linspace(domain[0], domain[1], nu)
     v = np.linspace(domain[2], domain[3], nv)
+    starts = [(0, 0), (nu - 1, nv - 1), (nu // 3, 2 * nv // 3)]
     for patch in (catenoid_patch(), enneper_patch()):
-        node = np.empty((4, nu, nv))
-        cols = _kernel_rows(patch, consts, False, v, u,
-                            keep=node.transpose(0, 2, 1))
-        rows = _kernel_rows(patch, consts, True, u, v, node=node)
         cols_ref, scalars = _direction_rows(patch, consts, False, v, u)
         rows_ref, _ = _direction_rows(patch, consts, True, u, v)
-        assert _same_bits(cols, cols_ref), patch.name
-        assert _same_bits(rows, rows_ref), patch.name
-        for got, ref in zip(node, scalars):
-            assert _same_bits(got, np.ascontiguousarray(ref[::2].T))
+        for iu0, iv0 in starts:
+            node = np.empty((4, nu, nv))
+            cols = _kernel_rows(patch, consts, False, v, u,
+                                keep=node.transpose(0, 2, 1))
+            got = _streamed_rows(monkeypatch, cols, v, iv0, nu)
+            assert _same_bits(got, _stage_rows(cols_ref, iv0)), patch.name
+            for kept, ref in zip(node, scalars):
+                assert _same_bits(kept, np.ascontiguousarray(ref[::2].T))
+            rows = _kernel_rows(patch, consts, True, u, v, node=node)
+            got = _streamed_rows(monkeypatch, rows, u, iu0, nv)
+            assert _same_bits(got, _stage_rows(rows_ref, iu0)), patch.name
+            line = v[iv0:iv0 + 1]
+            first = _kernel_rows(patch, consts, True, u, line)
+            got = _streamed_rows(monkeypatch, first, u, iu0, 1)
+            line_ref, _ = _direction_rows(patch, consts, True, u, line)
+            assert _same_bits(got, _stage_rows(line_ref, iu0)), patch.name
+
+
+@pytest.mark.parametrize("block, domain, step", [
+    # 81 x 71 in blocks of 14 rows, the last one short
+    (1000, Domain(-0.6, 1.0, -1.0, 0.4), 0.02),
+    # the shipped block size on 201 x 201 (arrays above 32,768 samples)
+    (None, SQUARE, 0.01),
+])
+@pytest.mark.parametrize("name", ["catenoid", "enneper"])
+def test_blocked_agreement_matches_the_whole_grid(name, block, domain, step,
+                                                  monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(congruence, "_BLOCK", block)
+    ac = analytic_example(name)
+    integ = integrate_system(ac.patch, _origin_state(ac), ac.constants,
+                             domain=domain, step=step)
+    assert len(_row_blocks(*integ.U.shape)) > 1
+    whole = max(float(np.max(np.abs(a - b)))
+                for a, b in zip(integ.state().as_tuple(),
+                                ac.state(integ.U, integ.V,
+                                         integ.phi).as_tuple()))
+    assert _same_bits(ac.agreement(integ), whole)
+    assert 0.0 < whole < 1e-6
 
 
 def _envelope_case(name, case, monkeypatch):

@@ -102,14 +102,10 @@ def test_dual_reports_every_entry(spy, tmp_path):
     assert calls == Counter({name: 2 for name in HELPERS})
 
 
-def test_integrated_congruence_memory_stays_bounded(capsys):
-    # tracemalloc peak of one 201 x 201 run: 22.3 MB when every shape
-    # quantity and N's second partials were built eagerly, 17.9 MB on
-    # demand, 12.2 MB with the chart scalars, the envelope and its checks
-    # evaluated in blocks of rows; the bound sits halfway between the
-    # last two
+def _integrate_peak(step, capsys):
+    """tracemalloc peak of one catenoid integrate command at ``step``."""
     argv = ["congruence", "--minimal", "catenoid", "--mode", "integrate",
-            "--step", "0.01"]
+            "--step", step]
     tracemalloc.start()
     try:
         code = cli.main(argv)
@@ -117,7 +113,27 @@ def test_integrated_congruence_memory_stays_bounded(capsys):
     finally:
         tracemalloc.stop()
     assert code == 0, capsys.readouterr().err
+    return peak
+
+
+def test_integrated_congruence_memory_stays_bounded(capsys):
+    # tracemalloc peak of one 201 x 201 run: 22.3 MB when every shape
+    # quantity and N's second partials were built eagerly, 17.9 MB on
+    # demand, 12.2 MB with the chart scalars, the envelope and its checks
+    # evaluated in blocks of rows; the bound sits halfway between the
+    # last two
+    peak = _integrate_peak("0.01", capsys)
     assert peak <= 15.0e6, peak
+
+
+def test_benchmark_congruence_memory_stays_bounded(capsys):
+    # tracemalloc peak of the benchmark's 401 x 401 run: 41.4 MB with a
+    # full-grid kernel-row array per march and a full-grid reference
+    # state for the analytic agreement, 23.3 MB with the kernel rows
+    # streamed into each march and the agreement taken block by block;
+    # the bound sits halfway between the two
+    peak = _integrate_peak("0.005", capsys)
+    assert peak <= 32.3e6, peak
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -7,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from ribaucour import cli, duality, holoexpr, minimal, ribaucour_core
+from ribaucour import (cli, congruence, duality, holoexpr, minimal,
+                       ribaucour_core)
 from ribaucour.grids import Domain
 from ribaucour.report import (SCHEMA, identity_entry, make_report,
                               report_exit_code, write_report)
@@ -194,6 +195,11 @@ def test_build_judges_one_grid(tmp_path, monkeypatch):
     ["congruence", "--minimal", "catenoid", "--tol-fi", "nan"],
     # a literal beyond the float range
     ["build", "--f1", "1e999*z", "--f2", "z"],
+    # steps whose node count is not finite
+    ["congruence", "--minimal", "catenoid", "--mode", "integrate",
+     "--step", "1e-310"],
+    ["congruence", "--minimal", "catenoid", "--mode", "integrate",
+     "--step", "0.5", "--domain=-1e308:1e308:-1:1"],
 ])
 def test_cli_rejects_bad_input(argv, capsys):
     # exit 2 with a message; exit 1 stays reserved for failed residuals
@@ -224,6 +230,29 @@ def test_cli_reports_exhausted_memory(target, argv, monkeypatch, capsys):
     assert err.startswith("error: ") and "Unable to allocate" in err
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_oversize_integration_grid_fails_before_any_step(monkeypatch,
+                                                         capsys):
+    # 100,001^2 nodes: the full-grid arrays are allocated (here: refused)
+    # before any chart scalar is evaluated or any march step is taken
+    calls = []
+
+    def spy(name, real):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapped
+
+    for name in ("_march", "_fill_rows"):
+        monkeypatch.setattr(congruence, name,
+                            spy(name, getattr(congruence, name)))
+    monkeypatch.setattr(congruence, "_grid_arrays", _out_of_memory)
+    assert cli.main(["congruence", "--minimal", "catenoid",
+                     "--mode", "integrate", "--step", "2e-5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Unable to allocate" in err
+    assert calls == []
 
 
 def test_domain_rejects_non_finite_bounds():
