@@ -310,28 +310,34 @@ def _origin_constant(patch: MinimalPatch, wj_fn, oj_fn,
     return (o1 * o1 + o2 * o2 + w * w + c1) / denom
 
 
+# analytic_example validates the closed forms on this grid over [-1, 1]^2,
+# to this tolerance
+_VALIDATION_GRID = (41, 41)
+_VALIDATION_TOL = 1e-6
+
+
 def _max_drift(patch, wj, oj, consts, U, V) -> float:
     F = first_integral(_state_from_jets(patch, wj, oj, U, V), consts)
     return float(np.max(np.abs(F)))
 
 
-def analytic_example(name: str, nu: int = 41, nv: int = 41,
-                     tol: float = 1e-6) -> AnalyticCongruence:
+def analytic_example(name: str) -> AnalyticCongruence:
     """Closed-form congruence fields over a built-in minimal patch.
 
     Validates the published (W, Omega) against the full system and the
-    first integral on an [-1, 1]^2 grid, with c from the first integral
-    at the chart origin.  A failing Omega is replaced by the shipped
-    correction (an exact quadrature of Omega from W, re-derived in the
-    tests), which is validated the same way; the literal outcome stays
-    in the returned record either way.
+    first integral to within ``_VALIDATION_TOL`` on the
+    ``_VALIDATION_GRID`` nodes over [-1, 1]^2, with c from the first
+    integral at the chart origin.  A failing Omega is replaced by the
+    shipped correction (an exact quadrature of Omega from W, re-derived
+    in the tests), which is validated the same way; the literal outcome
+    stays in the returned record either way.
     """
     if name not in _ANALYTIC:
         raise KeyError(f"no analytic congruence named {name!r}; "
                        f"choose from {sorted(_ANALYTIC)}")
     data = _ANALYTIC[name]
     patch = data.patch()
-    U, V, _ = Domain(-1.0, 1.0, -1.0, 1.0).mesh(nu, nv)
+    U, V, _ = Domain(-1.0, 1.0, -1.0, 1.0).mesh(*_VALIDATION_GRID)
     wj_fn = _on_samples(data.w)
     oj_lit = _on_samples(data.omega)
     wj, oj = wj_fn(U, V), oj_lit(U, V)
@@ -345,7 +351,8 @@ def analytic_example(name: str, nu: int = 41, nv: int = 41,
     literal = dict(literal_residuals=lit_res, literal_drift=lit_drift,
                    literal_constants=lit_consts)
 
-    if max(lit_res.values()) <= tol and lit_drift <= tol:
+    if max(lit_res.values()) <= _VALIDATION_TOL \
+            and lit_drift <= _VALIDATION_TOL:
         return AnalyticCongruence(
             name=name, patch=patch, constants=lit_consts,
             w_jet=wj_fn, omega_jet=oj_lit, residuals=lit_res,
@@ -359,7 +366,7 @@ def analytic_example(name: str, nu: int = 41, nv: int = 41,
     oj = oj_fix(U, V)
     res = system_residuals(patch, wj, oj, U, V)
     drift = _max_drift(patch, wj, oj, consts, U, V)
-    if max(res.values()) > tol or drift > tol:
+    if max(res.values()) > _VALIDATION_TOL or drift > _VALIDATION_TOL:
         raise RuntimeError(f"the corrected congruence data over {name!r} "
                            f"fails the first-order system")
     return AnalyticCongruence(
@@ -552,18 +559,17 @@ def integrate_system(patch: MinimalPatch, init: CongruenceState,
                      domain: Domain | None = None,
                      nu: int | None = None, nv: int | None = None,
                      step: float | None = None,
-                     init_at: tuple = (0.0, 0.0),
-                     check_paths: bool = True) -> IntegratedCongruence:
+                     init_at: tuple = (0.0, 0.0)) -> IntegratedCongruence:
     """Integrate the congruence system over a grid from one initial state.
 
     ``init_at`` must coincide with a grid node.  One RK4 kernel serves
     both directions: swapping Omega1 and Omega2 turns the system along v
     into the system along u, with the chart coefficients of the march.
     The grid is filled by a march along the initial row, then one along
-    all columns at once.  When ``check_paths``, one more march along all
-    rows, started from the initial column (which the column march already
-    holds), fills the grid in the transposed order; ``path_gap`` is the
-    max discrepancy between the two fills.
+    all columns at once.  One more march along all rows, started from the
+    initial column (which the column march already holds), fills the grid
+    in the transposed order; ``path_gap`` is the max discrepancy between
+    the two fills.
 
     Each march gets its kernel rows from :func:`_kernel_rows` one block
     of steps at a time (see :func:`_march`), so the chart scalars are
@@ -619,14 +625,11 @@ def integrate_system(patch: MinimalPatch, init: CongruenceState,
     start = cols[:, _SWAP, iu0].T
     del cols
     om, o1, w, o2 = fields
-    path_gap = float("nan")
-    if check_paths:
-        rows = _march(_kernel_rows(patch, consts, True, u, v, node=node),
-                      u, iu0, start, states.reshape(nu, 4, nv))
-        path_gap = max(float(np.max(np.abs(rows[:, j] - f)))
-                       for j, f in zip(_SWAP, fields))
-        del rows
-    del states
+    rows = _march(_kernel_rows(patch, consts, True, u, v, node=node),
+                  u, iu0, start, states.reshape(nu, 4, nv))
+    path_gap = max(float(np.max(np.abs(rows[:, j] - f)))
+                   for j, f in zip(_SWAP, fields))
+    del rows, states
     F = first_integral(CongruenceState(om, o1, o2, w), consts)
     drift = float(np.max(np.abs(F - F[iu0, iv0])))
     del F

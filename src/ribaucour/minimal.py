@@ -115,10 +115,11 @@ class MinimalPatch:
         (flat points) are flagged as branch samples.
 
         -stereo(g) is stereo(-g) reflected in the equatorial plane, so
-        only the third component of that frame changes sign."""
+        only the third component of that frame changes sign, in place."""
         f = frame_from_jet(eval_jet(Neg(self.g), _z(U, V), 3))
-        nx, ny, (z, z_u, z_v) = f.first_order
-        return SphereFrame(nx, ny, (-z, -z_u, -z_v), f.tau, f.branch)
+        for a in (f.normal, f.normal_du, f.normal_dv):
+            np.negative(a[..., 2], out=a[..., 2])
+        return f
 
 
 def enneper_patch(domain: Domain | None = None) -> MinimalPatch:

@@ -117,7 +117,7 @@ def _eigenvalues(b11, b12, b22):
     return mean + disc, mean - disc
 
 
-def _principal(b11, b12, b22, lam_hi, lam_lo, umbilic_tol: float):
+def _principal(b11, b12, b22, lam_hi, lam_lo):
     """Principal curvatures of the operator with eigenvalues
     (lam_hi, lam_lo): ``(k1, k2, umbilic, (ex, ey, swap))``.  Curvatures
     are the reciprocal eigenvalues sorted k1 >= k2; (ex, ey) is the unit
@@ -131,7 +131,7 @@ def _principal(b11, b12, b22, lam_hi, lam_lo, umbilic_tol: float):
     ey = np.where(b11 >= b22, b12, lam_hi - b11)
     norm = np.sqrt(ex * ex + ey * ey)
     ex, ey = ex / norm, ey / norm
-    umbilic = np.abs(k_a - k_b) <= umbilic_tol * (np.abs(k_a) + np.abs(k_b))
+    umbilic = np.abs(k_a - k_b) <= UMBILIC_TOL * (np.abs(k_a) + np.abs(k_b))
     umbilic = umbilic | ~np.isfinite(norm) | (np.asarray(norm) == 0.0)
     swap = k_b > k_a
     k1 = np.where(swap, k_b, k_a)
@@ -186,16 +186,17 @@ class SurfaceFields:
     Only the frame and the support jet rho are stored.  Everything else
     is computed the first time it is read and then kept, so a caller
     pays only for what it reads, and reading several quantities computes
-    none twice:
+    none twice (``N`` is the frame's ``normal`` array itself):
 
-    * ``X``, ``N`` (trailing axis of length 3), ``hover_k`` (H/K) and
+    * ``X`` (trailing axis of length 3), ``hover_k`` (H/K) and
       ``mu`` (the Laguerre Hopf coefficient; it measures the umbilic
       deviation, |1/k2 - 1/k1| = 2 rho |mu| e^{-2 tau});
     * ``b11/b12/b22``, the curvature-radius operator, from the covariant
       Hessian of rho;
     * the flags ``branch`` (frame or support degenerate), ``degenerate``
-      (immersion fails: |det B| below threshold, includes branch; needs
-      only the operator's eigenvalues) and ``umbilic`` (principal
+      (immersion fails: |det B| below DEGENERATE_TOL times the operator's
+      scale, includes branch; needs only the operator's eigenvalues) and
+      ``umbilic`` (principal curvatures closer than UMBILIC_TOL relative,
       directions unset);
     * ``k1``, ``k2`` and the principal directions ``dir1``, ``dir2``
       (trailing axis of length 2);
@@ -208,13 +209,9 @@ class SurfaceFields:
     :func:`hopf_residual` rejects.
     """
 
-    def __init__(self, frame: SphereFrame, rho: RJet2,
-                 det_tol: float = DEGENERATE_TOL,
-                 umbilic_tol: float = UMBILIC_TOL):
+    def __init__(self, frame: SphereFrame, rho: RJet2):
         self.frame = frame
         self.rho = rho
-        self.det_tol = det_tol
-        self.umbilic_tol = umbilic_tol
         self.Z: np.ndarray | None = None
         self.patch: RibaucourPatch | None = None
         self.schwarzian: tuple | None = None
@@ -276,7 +273,7 @@ class SurfaceFields:
         lam_hi, lam_lo = self._lambdas
         det = lam_hi * lam_lo
         scale = np.maximum(1.0, lam_hi * lam_hi + lam_lo * lam_lo)
-        degenerate = self.branch | (np.abs(det) <= self.det_tol * scale)
+        degenerate = self.branch | (np.abs(det) <= DEGENERATE_TOL * scale)
         return np.asarray(degenerate | ~np.isfinite(det))
 
     @property
@@ -286,8 +283,7 @@ class SurfaceFields:
 
     @_derived
     def _curvatures(self):
-        return _principal(*self._operator, *self._lambdas,
-                          self.umbilic_tol)
+        return _principal(*self._operator, *self._lambdas)
 
     k1, k2 = (_part("_curvatures", i) for i in range(2))
 
@@ -309,14 +305,12 @@ class SurfaceFields:
     first, second, third = (_part("_form_triples", i) for i in range(3))
 
 
-def shape_from_support(frame: SphereFrame, rho: RJet2,
-                       det_tol: float = DEGENERATE_TOL,
-                       umbilic_tol: float = UMBILIC_TOL) -> SurfaceFields:
+def shape_from_support(frame: SphereFrame, rho: RJet2) -> SurfaceFields:
     """Shape data of the surface with unit normal ``frame`` and support
     jet ``rho``, each quantity computed when first read (see
     :class:`SurfaceFields`).  Works for any support field on the sphere,
     not only those coming from holomorphic pairs."""
-    return SurfaceFields(frame, rho, det_tol, umbilic_tol)
+    return SurfaceFields(frame, rho)
 
 
 def evaluate_patch(patch: RibaucourPatch, nu: int = 41, nv: int = 41,

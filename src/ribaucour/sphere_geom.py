@@ -11,9 +11,10 @@ and the pulled-back round metric is conformal: <dN, dN> = e^{2 tau}
     tau = log 2 + (1/2) log |f'|^2 - log(1 + |f|^2).
 
 The frame stores tau as a second-order jet and N to first order only,
-(value, N_u, N_v) per component: gradients, Laplacians and covariant
-Hessians of fields on the sphere need no more, and they are exact.  The
-second partials of N follow from the Gauss formula of the round sphere,
+as the three arrays N, N_u and N_v of shape (..., 3), each stacked once
+when the frame is built: gradients, Laplacians and covariant Hessians of
+fields on the sphere need no more, and they are exact.  The second
+partials of N follow from the Gauss formula of the round sphere,
 evaluated when read,
 
     N_uu = -e^{2 tau} N + tau_u N_u - tau_v N_v,
@@ -26,11 +27,11 @@ branch flag: the metric degenerates there and derived samples are masked.
 Near a pole of f the products |f|^2 and |f'|^2 overflow or cancel,
 although the sphere map is regular there.  So wherever |f| > 1 the frame
 is built from the jet of g = 1/f instead: the metric is unchanged under
-f -> 1/f (tau(g) = tau(f)), and the normal reflects as
-N(f) = (nx, -ny, -nz) of N(g).  Every product then stays bounded.  Only
-within about 1e-10 of a pole do the entries of f's jet, rounded
-independently, lose digits that the jet of 1/f needs; the error then
-grows like (1e-16 / distance)^2.
+f -> 1/f (tau(g) = tau(f)), and the normal reflects: the second and
+third components of N(f) are those of N(g) negated.  Every product then
+stays bounded.  Only within about 1e-10 of a pole do the entries of f's
+jet, rounded independently, lose digits that the jet of 1/f needs; the
+error then grows like (1e-16 / distance)^2.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from __future__ import annotations
 import numpy as np
 
 from .holoexpr import CJet, _quotient
-from .jets import RJet2, abs2_jet, im_jet, jet_finite, re_jet
+from .jets import RJet2, abs2_jet, jet_finite
 
 __all__ = [
     "SphereFrame", "frame_from_jet", "tau_from_jet", "sphere_gradient",
@@ -49,28 +50,22 @@ __all__ = [
 _LOG2 = float(np.log(2.0))
 
 
-def _stack3(a, b, c) -> np.ndarray:
-    return np.stack([np.asarray(a, dtype=float),
-                     np.asarray(b, dtype=float),
-                     np.asarray(c, dtype=float)], axis=-1)
-
-
 class SphereFrame:
     """Unit normal field N and log conformal factor tau of a map into the
-    unit sphere.
+    unit sphere, as built.
 
-    ``nx``, ``ny`` and ``nz`` may be given as RJet2s or as (value, du,
-    dv) triples; only that first order is stored, in ``first_order``.
-    Read back, each is a full RJet2 whose second partials come from the
-    Gauss formula (see the module docstring).  ``branch`` is a bool or
-    boolean array: the frame is degenerate there.
+    ``normal``, ``normal_du`` and ``normal_dv`` are N, N_u and N_v, each
+    of shape (..., 3); ``tau`` is tau's second-order jet.  N's second
+    partials are read off the Gauss formula (see the module docstring).
+    ``branch`` is a bool or boolean array: the frame is degenerate there.
     """
 
-    __slots__ = ("first_order", "tau", "branch")
+    __slots__ = ("normal", "normal_du", "normal_dv", "tau", "branch")
 
-    def __init__(self, nx, ny, nz, tau: RJet2, branch):
-        self.first_order = tuple((n.val, n.du, n.dv) if isinstance(n, RJet2)
-                                 else tuple(n) for n in (nx, ny, nz))
+    def __init__(self, normal, normal_du, normal_dv, tau: RJet2, branch):
+        self.normal = normal
+        self.normal_du = normal_du
+        self.normal_dv = normal_dv
         self.tau = tau
         self.branch = branch
 
@@ -78,38 +73,6 @@ class SphereFrame:
     def e2tau(self):
         """Conformal factor of <dN, dN> as a value (scalar or array)."""
         return np.exp(2.0 * np.asarray(self.tau.val, dtype=float))
-
-    # component jets, second partials from the Gauss formula
-
-    def _component(self, i: int) -> RJet2:
-        val, du, dv = self.first_order[i]
-        return RJet2(val, du, dv, *(d[..., i] for d in self._second()))
-
-    @property
-    def nx(self) -> RJet2:
-        return self._component(0)
-
-    @property
-    def ny(self) -> RJet2:
-        return self._component(1)
-
-    @property
-    def nz(self) -> RJet2:
-        return self._component(2)
-
-    # stacked value/partial arrays, shape (..., 3)
-
-    @property
-    def normal(self) -> np.ndarray:
-        return _stack3(*(n[0] for n in self.first_order))
-
-    @property
-    def normal_du(self) -> np.ndarray:
-        return _stack3(*(n[1] for n in self.first_order))
-
-    @property
-    def normal_dv(self) -> np.ndarray:
-        return _stack3(*(n[2] for n in self.first_order))
 
     def _second(self) -> tuple:
         """(N_uu, N_uv, N_vv), each of shape (..., 3), by the Gauss
@@ -202,20 +165,18 @@ def generator_data(j: CJet, frame: bool = True) -> tuple:
 def frame_from_jet(j: CJet) -> SphereFrame:
     """Build the sphere frame from an order-3 complex jet of f.
 
-    Where |f| > 1 the frame is that of 1/f with N reflected to
-    (nx, -ny, -nz), so samples next to a pole stay accurate."""
+    Where |f| > 1 the frame is that of 1/f with the second and third
+    components of N, N_u and N_v negated, so samples next to a pole stay
+    accurate."""
     return _frame(j, schwarzian=False)[0]
 
 
-def _times(a: RJet2, w: tuple) -> tuple:
-    """First order (val, du, dv) of the jet product a * w, with w given
-    to first order; the terms of RJet2's product rule, in its order."""
-    return (a.val * w[0], a.du * w[0] + a.val * w[1],
-            a.dv * w[0] + a.val * w[2])
-
-
-def _finite(n: tuple):
-    return np.isfinite(n[0]) & np.isfinite(n[1]) & np.isfinite(n[2])
+def _times(a: tuple, w: tuple) -> tuple:
+    """First order (val, du, dv) of the jet product a * w, with a and w
+    given to first order; the terms of RJet2's product rule, in its
+    order."""
+    return (a[0] * w[0], a[1] * w[0] + a[0] * w[1],
+            a[2] * w[0] + a[0] * w[2])
 
 
 def _frame(j: CJet, schwarzian: bool) -> tuple:
@@ -223,7 +184,8 @@ def _frame(j: CJet, schwarzian: bool) -> tuple:
     it is released as soon as the frame no longer needs it."""
     h, flip = _inverted_where_large(j)
     s = _schwarzian_of(h) if schwarzian else None
-    # -1 on reflected samples, where ny and nz change sign
+    # -1 on reflected samples, where N's second and third components
+    # change sign
     sign = 1.0 if flip is None else np.where(flip, -1.0, 1.0)
     # N = (2 Re f, 2 Im f, |f|^2 - 1) / (1 + |f|^2) to first order, by the
     # same operations as the jet arithmetic; each intermediate is released
@@ -236,15 +198,27 @@ def _frame(j: CJet, schwarzian: bool) -> tuple:
         # w = 2 / (1 + |f|^2), as 2.0 * denom._reciprocal()
         w = ((1.0 / v) * 2.0, (g1 * denom.du) * 2.0, (g1 * denom.dv) * 2.0)
         del denom, v, g1
-        nx = _times(re_jet(h), w)
-        w = tuple(x * sign for x in w)
-        ny = _times(im_jet(h), w)
+        # Re f and Im f to first order: d/dv f = i f' (Cauchy-Riemann)
+        f0, f1 = h.values[:2]
         del h
+        nx = _times((f0.real, f1.real, -f1.imag), w)
+        w = tuple(x * sign for x in w)
+        ny = _times((f0.imag, f1.imag, f1.real), w)
+        del f0, f1
         # (|f|^2 - 1) / (|f|^2 + 1), as the jet sign - w
         nz = (-w[0] + sign, -w[1], -w[2])
         del w
-    good = _finite(nx) & _finite(ny) & _finite(nz) & jet_finite(tau)
-    return SphereFrame(nx, ny, nz, tau, ~good), s
+    # the branch mask from the nine component arrays: a reduction over
+    # the stacked arrays' axis of length 3 is several times slower
+    good = jet_finite(tau)
+    for c in nx + ny + nz:
+        good = good & np.isfinite(c)
+    # N, N_u and N_v, each stacked once; the components of an order go
+    # as soon as it is stacked
+    orders = list(zip(nx, ny, nz))
+    del nx, ny, nz
+    n, n_u, n_v = (np.stack(orders.pop(0), axis=-1) for _ in range(3))
+    return SphereFrame(n, n_u, n_v, tau, ~good), s
 
 
 # ---------------------------------------------------------------------------

@@ -232,7 +232,8 @@ def normal_second_partials(j):
     """(N_uu, N_uv, N_vv), each of shape (..., 3), of f's sphere frame
     from an order-3 complex jet of f, by jet products of
     N = (2 Re h, 2 Im h, |h|^2 - 1) / (1 + |h|^2) with h = 1/f wherever
-    |f| > 1, where N reflects to (nx, -ny, -nz), as the frame is built."""
+    |f| > 1, where N's second and third components change sign, as the
+    frame is built."""
     h, flip = _inverted_where_large(j)
     sign = 1.0 if flip is None else np.where(flip, -1.0, 1.0)
     with np.errstate(all="ignore"):

@@ -51,9 +51,9 @@ class _FlatPatch:
 
     def frame(self, U, V):
         one, zero = self.chart_scalars(U, V)[:2]
-        return SphereFrame(RJet2.constant(zero), RJet2.constant(zero),
-                           RJet2.constant(one), RJet2.constant(zero * np.nan),
-                           one > 0.0)
+        normal = np.stack([zero, zero, one], axis=-1)
+        return SphereFrame(normal, 0.0 * normal, 0.0 * normal,
+                           RJet2.constant(zero * np.nan), one > 0.0)
 
 
 def _square_grid(n=41):

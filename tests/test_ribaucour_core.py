@@ -224,10 +224,6 @@ def test_frame_second_partials_match_jet_products(f):
     scale = np.max(np.abs(want), axis=(0, -1))
     gap = np.max(np.abs(np.stack(got) - want), axis=(0, -1)) / scale
     assert np.max(gap[ok]) <= 1e-12, np.max(gap[ok])
-    for i, c in enumerate((frame.nx, frame.ny, frame.nz)):
-        for part, a in zip(("duu", "duv", "dvv"), got):
-            assert np.array_equal(getattr(c, part), a[..., i],
-                                  equal_nan=True), part
 
 
 def test_support_jet_matches_quotient_oracle():

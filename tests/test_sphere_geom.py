@@ -4,8 +4,9 @@ import numpy as np
 
 from _oracles import fd_partials_scalar
 from ribaucour.grids import Domain
-from ribaucour.holoexpr import eval_jet, parse
+from ribaucour.holoexpr import Neg, eval_jet, parse
 from ribaucour.jets import RJet2, re_jet
+from ribaucour.minimal import catenoid_patch, enneper_patch
 from ribaucour.ribaucour_core import evaluate_patch, make_patch
 from ribaucour.sphere_geom import (conformal_curvature, conformal_hessian,
                                    frame_from_jet, sphere_gradient,
@@ -75,9 +76,9 @@ def test_frame_invariants():
 
 
 def test_frame_of_reciprocal_is_reflected():
-    # f -> 1/f keeps the round metric and reflects N to (nx, -ny, -nz);
-    # samples with |f| > 1 are built from 1/f, so this also compares the
-    # two routes sample by sample
+    # f -> 1/f keeps the round metric and negates N's second and third
+    # components, with all their partials; samples with |f| > 1 are built
+    # from 1/f, so this also compares the two routes sample by sample
     Z = _grid(17)
     parts = ("val", "du", "dv", "duu", "duv", "dvv")
     for text in FRAME_EXPRS:
@@ -88,19 +89,54 @@ def test_frame_of_reciprocal_is_reflected():
         b = frame_from_jet(eval_jet(parse(f"1/({text})"), Z, 3))
         ok = ~(np.asarray(a.branch) | np.asarray(b.branch))
         assert np.count_nonzero(ok) > 0.9 * ok.size, text
-        for x, y, sign in ((a.nx, b.nx, 1.0), (a.ny, b.ny, -1.0),
-                           (a.nz, b.nz, -1.0), (a.tau, b.tau, 1.0)):
-            for part in parts:
-                p = np.asarray(getattr(x, part))[ok]
-                q = np.asarray(getattr(y, part))[ok]
-                gap = np.max(np.abs(p - sign * q))
-                assert gap <= 1e-12 * max(1.0, np.max(np.abs(p))), (
-                    text, part, gap)
+        pairs = [(getattr(a.tau, part), getattr(b.tau, part), 1.0, part)
+                 for part in parts]
+        for name in ("normal", "normal_du", "normal_dv",
+                     "normal_duu", "normal_duv", "normal_dvv"):
+            x, y = getattr(a, name), getattr(b, name)
+            pairs += [(x[..., i], y[..., i], sign, (name, i))
+                      for i, sign in enumerate((1.0, -1.0, -1.0))]
+        for x, y, sign, part in pairs:
+            p = np.asarray(x)[ok]
+            q = np.asarray(y)[ok]
+            gap = np.max(np.abs(p - sign * q))
+            assert gap <= 1e-12 * max(1.0, np.max(np.abs(p))), (
+                text, part, gap)
         # the tau jet alone is the frame's, bit for bit
         t = tau_from_jet(j)
         assert all(np.array_equal(getattr(t, part), getattr(a.tau, part),
                                   equal_nan=True)
                    for part in parts), text
+
+
+def test_frame_stores_normal_once_as_built():
+    # N, N_u and N_v are stored stacked when the frame is built: each read
+    # returns the same C-contiguous (..., 3) array, and the shape data
+    # reads N from the frame itself
+    Z = _grid(17)
+    frame = frame_from_jet(eval_jet(parse("exp(z)/(1+z^2)"), Z, 3))
+    for name in ("normal", "normal_du", "normal_dv"):
+        a = getattr(frame, name)
+        assert getattr(frame, name) is a, name
+        assert a.shape == Z.shape + (3,) and a.flags.c_contiguous, name
+    fields = evaluate_patch(make_patch("z", "exp(z)"), 9, 9)
+    assert fields.N is fields.frame.normal
+    # a minimal patch's frame is that of -g with the third component of
+    # N, N_u and N_v negated, bit for bit, and the same on every call
+    U, V = Z.real, Z.imag
+    for patch in (enneper_patch(), catenoid_patch()):
+        got = patch.frame(U, V)
+        ref = frame_from_jet(eval_jet(Neg(patch.g), Z, 3))
+        again = patch.frame(U, V)
+        for name in ("normal", "normal_du", "normal_dv"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert np.array_equal(a[..., :2], b[..., :2]), (patch.name, name)
+            assert np.array_equal(a[..., 2], -b[..., 2]), (patch.name, name)
+            assert np.array_equal(getattr(again, name), a), (patch.name, name)
+        for part in ("val", "du", "dv", "duu", "duv", "dvv"):
+            assert np.array_equal(getattr(got.tau, part),
+                                  getattr(ref.tau, part)), (patch.name, part)
+        assert np.array_equal(got.branch, ref.branch), patch.name
 
 
 def test_frame_normal_partials_match_finite_differences():
