@@ -32,16 +32,13 @@ from .congruence import (CongruenceState, analytic_example,
                          first_integral, generated_forms_check,
                          hover_ratio_residual, integrate_system,
                          system_residuals)
-from .duality import (evaluate_pair, make_dual, verify_c2,
-                      verify_form_relations, verify_hk_equality)
+from .duality import make_dual, pair_checks
 from .grids import Domain
 from .holoexpr import ParseError
 from .mesh import export_obj, mesh_from_fields
 from .report import (identity_entry, make_report, report_exit_code,
                      write_report)
-from .ribaucour_core import (check_middle_sphere, evaluate_patch,
-                             hopf_residual, make_patch, support_pde_residual,
-                             unit_sphere_gap)
+from .ribaucour_core import check_middle_sphere, make_patch, patch_checks
 
 EXIT_PASS = 0
 EXIT_RESIDUAL = 1
@@ -150,18 +147,20 @@ def cmd_build(args) -> int:
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    fields = evaluate_patch(patch, args.nu, args.nv)
+    # row block by row block: X, N and the mask only for a mesh
+    checks = patch_checks(patch, args.nu, args.nv, surface=bool(args.out))
     inputs = _pair_inputs(args, domain, {"pde": args.tol_pde,
                                          "hopf_holomorphy": TOL_HOPF})
-    meshes = [(mesh_from_fields(fields), args.out)] if args.out else []
-    if not np.any(fields.valid):
+    meshes = [(mesh_from_fields(checks), args.out)] if args.out else []
+    if not checks.usable:
         return _finish(args, "build", inputs, [], meshes, all_degenerate=True,
                        notes=("every sample is degenerate "
                               "(branch point or singular shape operator)",))
-    entries = [_residual_entry(support_pde_residual(fields), args.tol_pde),
-               _residual_entry(check_middle_sphere(fields), args.tol_pde),
-               _residual_entry(hopf_residual(fields), TOL_HOPF)]
-    gap = unit_sphere_gap(fields)
+    tols = {"support_pde": args.tol_pde, "middle_sphere": args.tol_pde,
+            "hopf_holomorphy": TOL_HOPF}
+    entries = [_residual_entry(res, tols[res.name])
+               for res in checks.residuals.values()]
+    gap = checks.unit_sphere_gap
     sphere = gap <= UNIT_SPHERE_TOL
     notes = ()
     if sphere:
@@ -183,8 +182,9 @@ def cmd_dual(args) -> int:
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    pair = make_dual(patch)
-    fa, fb = evaluate_pair(pair, args.nu, args.nv)
+    # row block by row block: both surfaces only for the meshes
+    checks, dual = pair_checks(make_dual(patch), args.nu, args.nv,
+                               surface=bool(args.out))
     inputs = _pair_inputs(args, domain, {
         "curvature": args.tol_c2,
         "direction_rad": TOL_DUAL["direction_switch"],
@@ -192,34 +192,31 @@ def cmd_dual(args) -> int:
     })
     meshes = []
     if args.out:
-        meshes.append((mesh_from_fields(fa), args.out))
+        meshes.append((mesh_from_fields(checks), args.out))
         dual_out = args.out_dual
         if dual_out is None:
             from pathlib import Path
             p = Path(args.out)
             dual_out = str(p.with_name(p.stem + "_dual" + p.suffix))
-        meshes.append((mesh_from_fields(fb), dual_out))
-    if not np.any(fa.valid & fb.valid):
+        meshes.append((mesh_from_fields(dual), dual_out))
+    if not checks.usable:
         return _finish(args, "dual", inputs, [], meshes, all_degenerate=True,
                        notes=("no sample is usable on both the patch "
                               "and its dual",))
-    gap = unit_sphere_gap(fa)
+    gap = checks.unit_sphere_gap
     if gap <= UNIT_SPHERE_TOL:
         return _finish(args, "dual", inputs, [], meshes, unit_sphere=True,
                        notes=("patch coincides with the fixed unit sphere; "
                               "the dual is the same sphere",),
                        extra={"unit_sphere_gap": gap})
-    switch = verify_c2(pair, fields=(fa, fb))
-    checks = (*switch, *verify_hk_equality(pair, fields=(fa, fb)),
-              *verify_form_relations(pair, fields=(fa, fb)))
     tols = {**TOL_DUAL, "curvature_switch": args.tol_c2,
             "hover_k_equality": args.tol_c2}
     # some sample is usable (guard above): none left to switch means
     # every usable sample is umbilic
     vac_note = "totally umbilic patch: no principal data to switch"
-    vac = switch[0].n_valid == 0
+    vac = checks.residuals["curvature_switch"].n_valid == 0
     entries = []
-    for res in checks:
+    for res in checks.residuals.values():
         vacuous = vac and res.name in ("curvature_switch", "direction_switch")
         entries.append(_residual_entry(res, tols[res.name], vacuous=vacuous,
                                        note=vac_note if vacuous else ""))
@@ -315,9 +312,10 @@ def cmd_congruence(args) -> int:
             identity_entry("first_integral_drift", integ.drift, args.tol_fi,
                            n, 0),
             identity_entry("analytic_agreement", agree, args.tol_fi, n, 0),
-            _residual_entry(env.middle_sphere, TOL_ENVELOPE,
+            _residual_entry(env.residuals["middle_sphere"], TOL_ENVELOPE,
                             "envelope_middle_sphere"),
-            _residual_entry(env.hover_ratio, TOL_ENVELOPE),
+            _residual_entry(env.residuals["envelope_hover_ratio"],
+                            TOL_ENVELOPE),
         ]
         details["integration"] = {"grid": list(np.asarray(U).shape),
                                   "init_node": list(integ.init_node)}
@@ -337,8 +335,8 @@ def cmd_export(args) -> int:
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    fields = evaluate_patch(patch, args.nu, args.nv)
-    mesh = mesh_from_fields(fields)
+    mesh = mesh_from_fields(patch_checks(patch, args.nu, args.nv,
+                                         checks=False, surface=True))
     try:
         export_obj(mesh, args.out)
     except OSError as exc:

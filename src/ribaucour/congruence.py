@@ -28,11 +28,11 @@ from the initial column, which the column march already holds.  The gap
 between the row-first and column-first fills doubles as the
 compatibility (Frobenius) check.  The chart scalars (phi, phi_u,
 phi_v, k1) are evaluated once per abscissa and streamed into each march
-as kernel rows, one block of steps of about ``_BLOCK`` samples at a time,
-just before the block is stepped, so no march holds its kernel rows for
-the whole grid: the column march evaluates the nodes and the
-v-midpoints and keeps the node scalars, and the row march reuses them
-and evaluates only the u-midpoints (the initial row evaluates its own
+as kernel rows, one block of steps of about ``grids._BLOCK`` samples
+at a time, just before the block is stepped, so no march holds its
+kernel rows for the whole grid: the column march evaluates the nodes
+and the v-midpoints and keeps the node scalars, and the row march reuses
+them and evaluates only the u-midpoints (the initial row evaluates its own
 2 nu - 1 abscissae the same way).  The marched state also fixes W's
 second-order jet: differentiating W_u and W_v once more through the
 same right-hand sides (k1 phi^2 is constant on these charts) gives
@@ -49,12 +49,13 @@ in the reference gauge the envelope's middle-sphere residual is the
 first integral, pointwise, relative to the sum of its terms'
 magnitudes.  Every step from the frame to the residuals is per sample,
 so :func:`envelope_checks` runs the envelope and its checks over blocks
-of grid rows and assembles the full-grid residuals (and X, N, the valid
-mask on request) without any full-grid temporaries.  The checks share
-one chart record: the tuple of
-:meth:`~ribaucour.minimal.MinimalPatch.chart_scalars` (the ``scalars``
-argument) and the frame of the envelope, whose tau also gives the
-minimal metric's log factor, log phi = log a - tau.
+of grid rows (:func:`ribaucour.grids._row_blocks`, the package's one
+block helper) and assembles the full-grid residuals (and X, N, the valid
+mask on request) in a :class:`~ribaucour.ribaucour_core.GridChecks`,
+without any full-grid temporaries.  The checks share one chart record:
+the tuple of :meth:`~ribaucour.minimal.MinimalPatch.chart_scalars` (the
+``scalars`` argument) and the frame of the envelope, whose tau also
+gives the minimal metric's log factor, log phi = log a - tau.
 
 :func:`analytic_example` ships closed-form solutions over the built-in
 patches as jet code.  Each published closed form is validated against
@@ -74,10 +75,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .duality import _form_residual
-from .grids import Domain
+from .grids import Domain, _row_blocks, _rows_per_block
 from .jets import RJet2, jet_finite
 from .minimal import MinimalPatch, catenoid_patch, enneper_patch
-from .ribaucour_core import (ResidualField, SurfaceFields,
+from .ribaucour_core import (GridChecks, ResidualField, SurfaceFields,
                              check_middle_sphere, shape_from_support)
 from .sphere_geom import SphereFrame, conformal_hessian, sphere_gradient
 
@@ -87,12 +88,9 @@ __all__ = [
     "IntegratedCongruence", "integrate_system", "envelope",
     "HessianIdentityReport", "check_hessian_identities",
     "GeneratedFormsReport", "generated_forms_check", "hover_ratio_residual",
-    "EnvelopeChecks", "envelope_checks",
+    "envelope_checks",
 ]
 
-# samples per block of the kernel rows, the analytic agreement, and the
-# envelope and its checks, in integrate mode; bounds their scratch memory
-_BLOCK = 8192
 
 @dataclass(frozen=True)
 class IntegralConstants:
@@ -385,14 +383,6 @@ def analytic_example(name: str) -> AnalyticCongruence:
 _SWAP = [0, 3, 2, 1]
 
 
-def _row_blocks(n_rows: int, row_len: int, block: int | None = None):
-    """Slices of consecutive rows covering n_rows rows of row_len
-    samples, in blocks of at most ``block`` (default ``_BLOCK``) samples
-    and at least one row."""
-    step = max(1, (block or _BLOCK) // max(1, row_len))
-    return [slice(i, min(i + step, n_rows)) for i in range(0, n_rows, step)]
-
-
 def _fill_rows(K, scalars, consts: IntegralConstants, along_u: bool):
     """Write the coefficient rows of the chart scalars (phi, phi_u, phi_v,
     k1), each of shape K[:, 0].shape, into K (see :func:`_kernel_rows`)."""
@@ -469,17 +459,17 @@ def _march(fill, t, i0, y0, ys) -> np.ndarray:
     """RK4 march of the states y0 (4, lanes) along uniform nodes t,
     outward from index i0, into ``ys``, shape (len(t), 4, lanes), which
     it returns.  The kernel rows come from ``fill`` of
-    :func:`_kernel_rows` one block of steps at a time, about ``_BLOCK``
-    samples each, just before the block is stepped: forward from i0 to
-    the last node, then backward from i0 to the first.  A block starts
-    from the last row of the one before, so every abscissa is evaluated
-    once."""
+    :func:`_kernel_rows` one block of steps at a time, about
+    ``grids._BLOCK`` samples each, just before the block is stepped:
+    forward from i0 to the last node, then backward from i0 to the
+    first.  A block starts from the last row of the one before, so every
+    abscissa is evaluated once."""
     n, lanes = len(t), y0.shape[1]
     ys[i0] = y0
     s1, s2, s3, s4, z = (np.empty_like(ys[i0]) for _ in range(5))
     tmp = np.empty((3, lanes))
     # steps per block: two abscissae each beyond the block's first node
-    m = max(1, _BLOCK // (2 * lanes))
+    m = _rows_per_block(2 * lanes)
     K = np.empty((2 * m + 1, 7, lanes))
     fill(K[:1], 2 * i0, 1)
     start = K[0].copy()
@@ -786,53 +776,31 @@ def hover_ratio_residual(env: SurfaceFields, omega,
                          "envelope_hover_ratio")
 
 
-@dataclass
-class EnvelopeChecks:
-    """The envelope's per-sample checks over a whole grid.  ``X``, ``N``
-    (trailing axis of length 3) and ``valid`` are the envelope's samples,
-    as :func:`ribaucour.mesh.mesh_from_fields` reads them, or None when
-    they were not asked for."""
-
-    middle_sphere: ResidualField
-    hover_ratio: ResidualField
-    X: np.ndarray | None = None
-    N: np.ndarray | None = None
-    valid: np.ndarray | None = None
-
-
 def envelope_checks(patch: MinimalPatch, w: RJet2, omega,
                     consts: IntegralConstants, U, V, *,
-                    surface: bool = False) -> EnvelopeChecks:
+                    surface: bool = False) -> GridChecks:
     """:func:`envelope`, :func:`check_middle_sphere` and
     :func:`hover_ratio_residual` on the grid (U, V), run over blocks of
-    at most ``_BLOCK`` samples (whole rows of the first axis), so that no
-    stage holds its temporaries for the whole grid.  Every sample gets
-    the values of the whole-grid evaluation.  ``w`` is W's jet on
+    at most ``grids._BLOCK`` samples (whole rows of the first axis), so
+    that no stage holds its temporaries for the whole grid.  Every sample
+    gets the values of the whole-grid evaluation.  ``w`` is W's jet on
     (U, V), such as :attr:`IntegratedCongruence.w`; ``omega`` is Omega
-    on (U, V) (or a scalar).  With ``surface``, X, N and the valid mask
+    on (U, V) (or a scalar).  The record holds ``middle_sphere`` and
+    ``envelope_hover_ratio``; with ``surface``, X, N and the valid mask
     are assembled too.
     """
     U, V = np.broadcast_arrays(np.asarray(U, dtype=float),
                                np.asarray(V, dtype=float))
     shape = U.shape
     omega = np.broadcast_to(np.asarray(omega, dtype=float), shape)
-    ms_r, hv_r = np.empty(shape), np.empty(shape)
-    ms_ok, hv_ok = np.empty(shape, bool), np.empty(shape, bool)
-    out = EnvelopeChecks(ResidualField(ms_r, ms_ok, "middle_sphere"),
-                         ResidualField(hv_r, hv_ok, "envelope_hover_ratio"))
-    if surface:
-        out.X, out.N = np.empty(shape + (3,)), np.empty(shape + (3,))
-        out.valid = np.empty(shape, bool)
+    out = GridChecks(shape, ("middle_sphere", "envelope_hover_ratio"),
+                     surface)
     for b in _row_blocks(shape[0], U[0].size):
         wb = RJet2(*(np.broadcast_to(x, shape)[b]
                      for x in (w.val, w.du, w.dv, w.duu, w.duv, w.dvv)))
         env = envelope(patch, wb, U[b], V[b])
-        ms = check_middle_sphere(env)
-        hv = hover_ratio_residual(env, omega[b], consts)
-        ms_r[b], ms_ok[b] = ms.values, ms.valid
-        hv_r[b], hv_ok[b] = hv.values, hv.valid
-        if surface:
-            out.X[b], out.N[b], out.valid[b] = env.X, env.N, env.valid
+        out.put(b, (check_middle_sphere(env),
+                    hover_ratio_residual(env, omega[b], consts)), env)
     return out
 
 

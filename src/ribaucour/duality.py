@@ -24,6 +24,9 @@ checks above need no directions and keep umbilic samples in.
 Each check returns :class:`~ribaucour.ribaucour_core.ResidualField`
 records named after their report entries; they measure, and
 :func:`ribaucour.report.identity_entry` judges them against a tolerance.
+Every check is per sample, so :func:`pair_checks` runs them over blocks
+of grid rows, one pair of fields per block, and assembles the
+whole-grid records in a :class:`~ribaucour.ribaucour_core.GridChecks`.
 """
 
 from __future__ import annotations
@@ -32,15 +35,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grids import _row_blocks
 from .holoexpr import eval_jet
-from .ribaucour_core import (ResidualField, RibaucourPatch, SurfaceFields,
-                             _fields_from_frame, _mu_scale)
+from .ribaucour_core import (GridChecks, ResidualField, RibaucourPatch,
+                             SurfaceFields, _fields_from_frame, _mu_scale,
+                             unit_sphere_gap)
 from .sphere_geom import frame_from_jet
 
 __all__ = [
     "DualPair", "make_dual", "evaluate_pair",
     "verify_c2", "verify_form_relations", "verify_hk_equality",
+    "pair_checks",
 ]
+
+# the entries of pair_checks, in report order
+_PAIR_CHECKS = ("curvature_switch", "direction_switch", "hover_k_equality",
+                "hopf_antisymmetry", "first_form_relation",
+                "second_form_relation", "third_form_relation")
 
 
 @dataclass(frozen=True)
@@ -54,9 +65,11 @@ def make_dual(patch: RibaucourPatch) -> DualPair:
     return DualPair(patch, RibaucourPatch(patch.f2, patch.f1, patch.domain))
 
 
-def evaluate_pair(pair: DualPair, nu: int = 41, nv: int = 41
+def evaluate_pair(pair: DualPair, nu: int = 41, nv: int = 41,
+                  Z: np.ndarray | None = None
                   ) -> tuple[SurfaceFields, SurfaceFields]:
-    """Fields of the patch and of its dual on an nu x nv grid.
+    """Fields of the patch and of its dual on an nu x nv grid (or on
+    explicit sample points ``Z``).
 
     Both are sampled on the patch's chart, and each distinct generator
     gets one jet and one frame: the dual from :func:`make_dual` is the
@@ -66,7 +79,8 @@ def evaluate_pair(pair: DualPair, nu: int = 41, nv: int = 41
     ``schwarzian = None``.
     """
     patch, dual = pair.patch, pair.dual
-    _, _, Z = patch.domain.mesh(nu, nv)
+    if Z is None:
+        _, _, Z = patch.domain.mesh(nu, nv)
     frames = {}
     for f in (patch.f1, patch.f2, dual.f1, dual.f2):
         if id(f) not in frames:
@@ -183,3 +197,39 @@ def verify_hk_equality(pair: DualPair, nu: int = 41, nv: int = 41, *,
     return (ResidualField(_rel(fa.hover_k, fb.hover_k), comp,
                           "hover_k_equality"),
             ResidualField(hopf, comp, "hopf_antisymmetry"))
+
+
+# ---------------------------------------------------------------------------
+# Every check of a pair, block by block
+# ---------------------------------------------------------------------------
+
+def pair_checks(pair: DualPair, nu: int = 41, nv: int = 41, *,
+                surface: bool = False) -> tuple[GridChecks, GridChecks | None]:
+    """:func:`evaluate_pair` and every check above on an nu x nv grid, run
+    over blocks of at most ``grids._BLOCK`` samples (whole rows), each
+    with its own pair of :class:`SurfaceFields`, so that no stage holds
+    its shape data for the whole grid.  Every sample gets the values of
+    the whole-grid evaluation.
+
+    Returns ``(checks, dual)``: ``checks`` holds the seven records of
+    :func:`verify_c2`, :func:`verify_hk_equality` and
+    :func:`verify_form_relations` in that order, whether any sample is
+    usable on both sides, and the patch's unit-sphere gap.  With
+    ``surface``, ``checks`` also holds the patch's X, N and valid mask,
+    and ``dual`` the dual's; otherwise ``dual`` is None.
+    """
+    _, _, Z = pair.patch.domain.mesh(nu, nv)
+    out = GridChecks(Z.shape, _PAIR_CHECKS, surface)
+    dual = GridChecks(Z.shape, surface=True) if surface else None
+    for rows in _row_blocks(nu, nv):
+        fields = fa, fb = evaluate_pair(pair, Z=Z[rows])
+        # degenerate samples give inf or NaN, which the masks record
+        with np.errstate(all="ignore"):
+            out.put(rows, (*verify_c2(pair, fields=fields),
+                           *verify_hk_equality(pair, fields=fields),
+                           *verify_form_relations(pair, fields=fields)), fa,
+                    usable=np.any(fa.valid & fb.valid),
+                    gap=unit_sphere_gap(fa))
+        if dual is not None:
+            dual.put(rows, fields=fb)
+    return out, dual

@@ -1,4 +1,5 @@
-"""Rectangular chart domains and sample grids."""
+"""Rectangular chart domains and sample grids, and the row blocks that
+every blocked stage of the package walks a grid in."""
 
 from __future__ import annotations
 
@@ -7,6 +8,24 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["Domain"]
+
+# samples per row block: bounds the scratch memory of every stage that
+# runs block by block (the congruence marches and envelope, the pair
+# commands)
+_BLOCK = 8192
+
+
+def _rows_per_block(row_len: int, block: int | None = None) -> int:
+    """Whole rows of row_len samples in a block of at most ``block``
+    (default ``_BLOCK``) samples, and at least one row."""
+    return max(1, (block or _BLOCK) // max(1, row_len))
+
+
+def _row_blocks(n_rows: int, row_len: int, block: int | None = None):
+    """Slices of consecutive rows covering n_rows rows of row_len
+    samples, in blocks of :func:`_rows_per_block` rows."""
+    step = _rows_per_block(row_len, block)
+    return [slice(i, min(i + step, n_rows)) for i in range(0, n_rows, step)]
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,13 @@ relative to the size of its terms, so that it scales with the surface:
 * middle-sphere identity  <X,X> + 2 (H/K) <X,N> + 1 = 0,
 * the Laguerre-invariant Hopf coefficient is a difference of Schwarzians,
   mu = (Hess_uu - Hess_vv - 2i Hess_uv) / (2 rho) = S(f1) - S(f2).
+
+Every step from the jets to the residuals is per sample, so
+:func:`patch_checks` runs a patch over blocks of grid rows (see
+:func:`ribaucour.grids._row_blocks`), one :class:`SurfaceFields` per
+block, and assembles the whole-grid residuals (and X, N and the valid
+mask on request) in a :class:`GridChecks`, the one block-assembled check
+record of the package; no stage holds shape data for the whole grid.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grids import Domain
+from .grids import Domain, _row_blocks
 from .holoexpr import HoloExpr, eval_jet, parse, to_text
 from .jets import RJet2, jet_finite
 from .sphere_geom import (SphereFrame, conformal_hessian, generator_data,
@@ -51,7 +58,7 @@ __all__ = [
     "make_patch", "support", "support_jet", "shape_from_support",
     "evaluate_patch", "immerse", "support_pde_residual",
     "check_middle_sphere", "hopf_residual", "unit_sphere_gap",
-    "DEGENERATE_TOL", "UMBILIC_TOL",
+    "GridChecks", "patch_checks", "DEGENERATE_TOL", "UMBILIC_TOL",
 ]
 
 # |det B| below DEGENERATE_TOL times the local operator scale means the
@@ -59,6 +66,8 @@ __all__ = [
 # relative principal-curvature gap below which directions are unset.
 DEGENERATE_TOL = 1e-10
 UMBILIC_TOL = 1e-8
+# the entries of patch_checks, in report order
+_PATCH_CHECKS = ("support_pde", "middle_sphere", "hopf_holomorphy")
 
 
 @dataclass(frozen=True)
@@ -408,6 +417,50 @@ class ResidualField:
         return float(np.max(np.abs(self.values[self.valid])))
 
 
+class GridChecks:
+    """Per-sample checks over a whole grid of the given shape, filled one
+    block of rows at a time by :meth:`put`.
+
+    ``residuals`` maps each report entry's name in ``names`` to its
+    whole-grid :class:`ResidualField`, in that order.  ``X``, ``N``
+    (trailing axis of length 3) and ``valid`` are one surface's samples,
+    as :func:`ribaucour.mesh.mesh_from_fields` reads them, or None when
+    no surface was asked for.  ``usable`` says whether some block
+    reported a usable sample, and ``unit_sphere_gap`` is the largest gap
+    a block reported, NaN while none has.
+    """
+
+    def __init__(self, shape: tuple, names=(), surface: bool = False):
+        # every whole-grid array up front, the values before the masks:
+        # allocated between the first block's temporaries, or each mask
+        # beside its values, they fragment the heap, and the resident
+        # peak of repeated congruence commands grows by 0.6 to 2.6 MB
+        values = [np.empty(shape) for _ in names]
+        masks = [np.empty(shape, bool) for _ in names]
+        self.residuals = {name: ResidualField(v, ok, name)
+                          for name, v, ok in zip(names, values, masks)}
+        self.X = self.N = self.valid = None
+        if surface:
+            self.X, self.N = np.empty(shape + (3,)), np.empty(shape + (3,))
+            self.valid = np.empty(shape, bool)
+        self.usable = False
+        self.unit_sphere_gap = float("nan")
+
+    def put(self, rows: slice, residuals=(), fields=None, *,
+            usable=False, gap: float = float("nan")) -> None:
+        """Write one block's residual records, and the X, N and valid of
+        its ``fields`` if a surface is kept, into ``rows``; fold in the
+        block's ``usable`` flag and unit-sphere ``gap``."""
+        for res in residuals:
+            out = self.residuals[res.name]
+            out.values[rows], out.valid[rows] = res.values, res.valid
+        if self.X is not None:
+            self.X[rows], self.N[rows] = fields.X, fields.N
+            self.valid[rows] = fields.valid
+        self.usable = self.usable or bool(usable)
+        self.unit_sphere_gap = float(np.fmax(self.unit_sphere_gap, gap))
+
+
 def support_pde_residual(fields: SurfaceFields) -> ResidualField:
     """Residual of rho^2 + rho Lap(rho) - 1 - |grad rho|^2 per sample,
     relative to rho^2 + |rho Lap(rho)| + 1 + |grad rho|^2."""
@@ -480,3 +533,33 @@ def unit_sphere_gap(fields: SurfaceFields) -> float:
         return float("nan")
     gap = np.linalg.norm(fields.X - fields.N, axis=-1)
     return float(np.max(gap[fields.valid]))
+
+
+def patch_checks(patch: RibaucourPatch, nu: int = 41, nv: int = 41, *,
+                 checks: bool = True, surface: bool = False) -> GridChecks:
+    """:func:`evaluate_patch` on an nu x nv grid over the patch domain,
+    run over blocks of at most ``grids._BLOCK`` samples (whole rows),
+    each with its own :class:`SurfaceFields`, so that no stage holds its
+    shape data for the whole grid.  Every sample gets the values of the
+    whole-grid evaluation.
+
+    With ``checks``, the record holds :func:`support_pde_residual`,
+    :func:`check_middle_sphere` and :func:`hopf_residual`, whether any
+    sample is valid, and :func:`unit_sphere_gap`; with ``surface``, X, N
+    and the valid mask.
+    """
+    _, _, Z = patch.domain.mesh(nu, nv)
+    out = GridChecks(Z.shape, _PATCH_CHECKS if checks else (), surface)
+    for rows in _row_blocks(nu, nv):
+        fields = evaluate_patch(patch, Z=Z[rows])
+        if not checks:
+            out.put(rows, fields=fields)
+            continue
+        # degenerate samples give inf or NaN, which the masks record
+        with np.errstate(all="ignore"):
+            out.put(rows, (support_pde_residual(fields),
+                           check_middle_sphere(fields),
+                           hopf_residual(fields)), fields,
+                    usable=np.any(fields.valid),
+                    gap=unit_sphere_gap(fields))
+    return out

@@ -74,29 +74,32 @@ class SphereFrame:
         """Conformal factor of <dN, dN> as a value (scalar or array)."""
         return np.exp(2.0 * np.asarray(self.tau.val, dtype=float))
 
-    def _second(self) -> tuple:
-        """(N_uu, N_uv, N_vv), each of shape (..., 3), by the Gauss
-        formula of the round sphere."""
-        n, n_u, n_v = self.normal, self.normal_du, self.normal_dv
-        with np.errstate(all="ignore"):
-            tu = np.asarray(self.tau.du, dtype=float)[..., None]
-            tv = np.asarray(self.tau.dv, dtype=float)[..., None]
-            e2t = np.asarray(self.e2tau)[..., None]
-            return (-e2t * n + tu * n_u - tv * n_v,
-                    tv * n_u + tu * n_v,
-                    -e2t * n - tu * n_u + tv * n_v)
+    def _tau_partials(self) -> tuple:
+        """(tau_u, tau_v), each with a trailing axis of length 1."""
+        return (np.asarray(self.tau.du, dtype=float)[..., None],
+                np.asarray(self.tau.dv, dtype=float)[..., None])
 
+    # N's second partials by the Gauss formula of the round sphere, each
+    # computed alone when read
     @property
     def normal_duu(self) -> np.ndarray:
-        return self._second()[0]
+        tu, tv = self._tau_partials()
+        with np.errstate(all="ignore"):
+            return (-np.asarray(self.e2tau)[..., None] * self.normal
+                    + tu * self.normal_du - tv * self.normal_dv)
 
     @property
     def normal_duv(self) -> np.ndarray:
-        return self._second()[1]
+        tu, tv = self._tau_partials()
+        with np.errstate(all="ignore"):
+            return tv * self.normal_du + tu * self.normal_dv
 
     @property
     def normal_dvv(self) -> np.ndarray:
-        return self._second()[2]
+        tu, tv = self._tau_partials()
+        with np.errstate(all="ignore"):
+            return (-np.asarray(self.e2tau)[..., None] * self.normal
+                    - tu * self.normal_du + tv * self.normal_dv)
 
 
 def _inverted_where_large(j: CJet):

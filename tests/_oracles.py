@@ -15,7 +15,8 @@ uses.  The OBJ oracle writes the file record by record, and the
 holomorphy oracle differentiates the Hopf coefficient's samples by
 Cauchy-Riemann stencils.  The jet oracle differentiates expression trees
 symbolically, unsimplified, one rule per node type, where ``eval_jet``
-carries Taylor jets through the tree.
+carries Taylor jets through the tree.  ``same_bits`` compares a blocked
+result with its whole-grid evaluation bit for bit.
 """
 
 import numpy as np
@@ -379,3 +380,13 @@ def march_congruence(patch, init, consts, u, v, iu0, iv0):
                   dv[1] * k1phi - o1 * k1 * pv,
                   -(dv[2] * k1phi - o2 * k1 * pv))
     return (om, o1, o2), w_jet, path_gap
+
+
+def same_bits(a, b) -> bool:
+    """Equal shape, dtype and bits (so -0.0 != 0.0 and NaN == NaN)."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return False
+    if a.dtype == bool:
+        return bool(np.array_equal(a, b))
+    return bool(np.array_equal(a.view(np.uint64), b.view(np.uint64)))

@@ -8,15 +8,16 @@ import sympy as sp
 
 from _oracles import (U_SYM, V_SYM, march_congruence, quadrature_omega,
                       symbolic_k1)
-from ribaucour import cli, congruence
+from _oracles import same_bits as _same_bits
+from ribaucour import cli, congruence, grids
 from ribaucour.congruence import (_ANALYTIC, CongruenceState,
                                   IntegralConstants, _fill_rows,
-                                  _kernel_rows, _on_samples, _row_blocks,
+                                  _kernel_rows, _on_samples,
                                   analytic_example, check_hessian_identities,
                                   envelope, envelope_checks, first_integral,
                                   generated_forms_check, hover_ratio_residual,
                                   integrate_system, system_residuals)
-from ribaucour.grids import Domain
+from ribaucour.grids import Domain, _row_blocks
 from ribaucour.jets import RJet2
 from ribaucour.minimal import MinimalPatch, catenoid_patch, enneper_patch
 from ribaucour.ribaucour_core import check_middle_sphere
@@ -265,16 +266,6 @@ def test_integration_matches_march_oracle(catenoid_data, enneper_data,
         assert np.max(np.abs(integ.phi - phi)) <= 1e-13
 
 
-def _same_bits(a, b) -> bool:
-    """Equal shape, dtype and bits (so -0.0 != 0.0 and NaN == NaN)."""
-    a, b = np.asarray(a), np.asarray(b)
-    if a.dtype != b.dtype or a.shape != b.shape:
-        return False
-    if a.dtype == bool:
-        return bool(np.array_equal(a, b))
-    return bool(np.array_equal(a.view(np.uint64), b.view(np.uint64)))
-
-
 def test_row_blocks_cover_the_rows_in_bounded_blocks():
     # blocks are consecutive, of whole rows, and at most `block` samples
     # unless one row is longer
@@ -324,7 +315,7 @@ def _streamed_rows(monkeypatch, fill, t, i0, lanes):
     stacked as (stages, 7, lanes).  Checks on the way that every block of
     rows holds about ``_BLOCK`` samples, never 2 len(t) - 1 rows."""
     seen, slope = [], congruence._slope
-    bound = max(congruence._BLOCK + lanes, 3 * lanes)
+    bound = max(grids._BLOCK + lanes, 3 * lanes)
 
     def spy(k, y, out, tmp):
         assert k.base.shape[0] * lanes <= bound
@@ -363,7 +354,7 @@ def test_shared_node_scalars_match_per_direction_evaluation(
     # march starts at the first node, the last or in between, and in
     # 1-lane marches such as the initial row's
     if block is not None:
-        monkeypatch.setattr(congruence, "_BLOCK", block)
+        monkeypatch.setattr(grids, "_BLOCK", block)
     consts = IntegralConstants(c=0.5, c1=1.0, c2=0.25, c3=-0.75)
     u = np.linspace(domain[0], domain[1], nu)
     v = np.linspace(domain[2], domain[3], nv)
@@ -399,7 +390,7 @@ def test_shared_node_scalars_match_per_direction_evaluation(
 def test_blocked_agreement_matches_the_whole_grid(name, block, domain, step,
                                                   monkeypatch):
     if block is not None:
-        monkeypatch.setattr(congruence, "_BLOCK", block)
+        monkeypatch.setattr(grids, "_BLOCK", block)
     ac = analytic_example(name)
     integ = integrate_system(ac.patch, _origin_state(ac), ac.constants,
                              domain=domain, step=step)
@@ -417,7 +408,7 @@ def _envelope_case(name, case, monkeypatch):
     ac = analytic_example(name)
     if case == "off-centre":
         # nu != nv, initial node off the grid's centre, several blocks
-        monkeypatch.setattr(congruence, "_BLOCK", 1000)
+        monkeypatch.setattr(grids, "_BLOCK", 1000)
         integ = integrate_system(ac.patch, _origin_state(ac), ac.constants,
                                  domain=Domain(-0.6, 1.0, -1.0, 0.4),
                                  step=0.02)
@@ -428,7 +419,7 @@ def _envelope_case(name, case, monkeypatch):
     # block; rows of 600 samples, one row per block
     block, shape = {"ragged": (500, (23, 40)), "one-block": (500, (10, 20)),
                     "long-rows": (500, (4, 600))}[case]
-    monkeypatch.setattr(congruence, "_BLOCK", block)
+    monkeypatch.setattr(grids, "_BLOCK", block)
     U, V = np.meshgrid(np.linspace(-0.9, 0.8, shape[0]),
                        np.linspace(-0.7, 0.95, shape[1]), indexing="ij")
     return (ac.patch, ac.w_jet(U, V), ac.omega_jet(U, V).val, ac.constants,
@@ -444,7 +435,8 @@ def test_envelope_checks_match_the_whole_grid(name, case, monkeypatch):
     env = envelope(patch, w, U, V)
     ms = check_middle_sphere(env)
     hv = hover_ratio_residual(env, omega, consts)
-    for got, ref in ((checks.middle_sphere, ms), (checks.hover_ratio, hv)):
+    for got, ref in ((checks.residuals["middle_sphere"], ms),
+                     (checks.residuals["envelope_hover_ratio"], hv)):
         assert got.name == ref.name
         assert _same_bits(got.values, ref.values), got.name
         assert _same_bits(got.valid, ref.valid), got.name
@@ -455,7 +447,7 @@ def test_envelope_checks_match_the_whole_grid(name, case, monkeypatch):
     # without a mesh to write, nothing but the residuals is assembled
     bare = envelope_checks(patch, w, omega, consts, U, V)
     assert bare.X is None and bare.N is None and bare.valid is None
-    assert _same_bits(bare.middle_sphere.values, ms.values)
+    assert _same_bits(bare.residuals["middle_sphere"].values, ms.values)
 
 
 @pytest.mark.parametrize("name", ["catenoid", "enneper"])

@@ -7,7 +7,8 @@ from collections import Counter
 
 import pytest
 
-from ribaucour import cli, ribaucour_core
+from ribaucour import cli, grids, ribaucour_core
+from ribaucour.grids import _row_blocks
 from ribaucour.ribaucour_core import SurfaceFields, evaluate_patch, make_patch
 
 # the private helpers behind each group of derived quantities
@@ -102,10 +103,39 @@ def test_dual_reports_every_entry(spy, tmp_path):
     assert calls == Counter({name: 2 for name in HELPERS})
 
 
-def _integrate_peak(step, capsys):
-    """tracemalloc peak of one catenoid integrate command at ``step``."""
-    argv = ["congruence", "--minimal", "catenoid", "--mode", "integrate",
-            "--step", step]
+# pair_deep's pair on its domain
+DEEP = ["--f1", "exp(z)/(1+z^2)", "--f2", "sin(z)*cos(z)/(z+3)",
+        "--domain", "0.1:0.9:0.1:0.9"]
+
+
+@pytest.mark.parametrize("command, per_block", [("build", 1), ("dual", 2)])
+def test_pair_commands_build_one_record_per_block(command, per_block, spy,
+                                                 monkeypatch, tmp_path):
+    # 21 x 21 in blocks of 4 rows, the last of 1 row: each block gets its
+    # own SurfaceFields (two for dual), each helper runs once for each,
+    # and no SurfaceFields spans more than one block
+    calls, made = spy
+    monkeypatch.setattr(grids, "_BLOCK", 100)
+    blocks = _row_blocks(21, 21)
+    assert len(blocks) == 6
+    code = cli.main([command, *DEEP, "--nu", "21", "--nv", "21",
+                     "--out", str(tmp_path / "x.obj"),
+                     "--report", str(tmp_path / "x.json")])
+    assert code == 0
+    assert [f.rho_val.shape for f in made] == \
+        [(b.stop - b.start, 21) for b in blocks for _ in range(per_block)]
+    n = per_block * len(blocks)
+    if command == "build":
+        assert calls == Counter(conformal_hessian=n, _eigenvalues=n)
+        for fields in made:
+            assert not set(vars(fields)) & (CURVATURE_KEYS | DIRECTION_KEYS
+                                            | FORM_KEYS)
+    else:
+        assert calls == Counter({name: n for name in HELPERS})
+
+
+def _peak(argv, capsys):
+    """tracemalloc peak of one command."""
     tracemalloc.start()
     try:
         code = cli.main(argv)
@@ -114,6 +144,12 @@ def _integrate_peak(step, capsys):
         tracemalloc.stop()
     assert code == 0, capsys.readouterr().err
     return peak
+
+
+def _integrate_peak(step, capsys):
+    """tracemalloc peak of one catenoid integrate command at ``step``."""
+    return _peak(["congruence", "--minimal", "catenoid", "--mode",
+                  "integrate", "--step", step], capsys)
 
 
 def test_integrated_congruence_memory_stays_bounded(capsys):
@@ -134,6 +170,24 @@ def test_benchmark_congruence_memory_stays_bounded(capsys):
     # the bound sits halfway between the two
     peak = _integrate_peak("0.005", capsys)
     assert peak <= 32.3e6, peak
+
+
+def test_pair_deep_dual_memory_stays_bounded(capsys):
+    # tracemalloc peak of pair_deep's dual at 161 x 161: 26.6 MB with
+    # whole-grid fields for the patch and its dual, 12.0 MB with a pair
+    # of fields per row block; the bound sits halfway between the two
+    peak = _peak(["dual", *DEEP, "--nu", "161", "--nv", "161"], capsys)
+    assert peak <= 19.3e6, peak
+
+
+def test_pair_deep_build_memory_stays_bounded(capsys, tmp_path):
+    # tracemalloc peak of pair_deep's build --out --report at 161 x 161:
+    # 12.4 MB with whole-grid fields, 8.4 MB with fields per row block;
+    # the bound sits halfway between the two
+    peak = _peak(["build", *DEEP, "--nu", "161", "--nv", "161",
+                  "--out", str(tmp_path / "b.obj"),
+                  "--report", str(tmp_path / "b.json")], capsys)
+    assert peak <= 10.4e6, peak
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -1,0 +1,139 @@
+"""The pair commands in row blocks: every blocked record holds the values
+of the whole-grid evaluation, bit for bit, and the commands write the
+same bytes whatever the block size."""
+
+import numpy as np
+import pytest
+
+from _oracles import same_bits
+from ribaucour import cli, grids
+from ribaucour.cli import TOL_DUAL
+from ribaucour.duality import (evaluate_pair, make_dual, pair_checks,
+                               verify_c2, verify_form_relations,
+                               verify_hk_equality)
+from ribaucour.grids import Domain, _row_blocks
+from ribaucour.ribaucour_core import (check_middle_sphere, evaluate_patch,
+                                      hopf_residual, make_patch,
+                                      patch_checks, support_pde_residual,
+                                      unit_sphere_gap)
+
+# (block, nu, nv, blocks): 23 rows of 40 in blocks of 12 and 11 rows;
+# 10 x 20 inside one block; rows of 600 samples, one row per block; the
+# shipped block size on 161 x 161, above the 16,384 complex samples at
+# which numpy starts to reuse temporaries as outputs
+CASES = {"ragged": (500, 23, 40, 2), "one-block": (500, 10, 20, 1),
+         "long-rows": (500, 4, 600, 4), "shipped": (None, 161, 161, 4)}
+
+PAIRS = [
+    ("exp(z)/(1+z^2)", "sin(z)*cos(z)/(z+3)", "0.1:0.9:0.1:0.9"),
+    # a pole of f1 inside the chart
+    ("1/(z-0.5-0.5*i)", "z^2+1", "-1:1:-1:1"),
+    # a branch point of f1 on the node 0 of the odd grids
+    ("z^2", "z+2", "-1:1:-1:1"),
+]
+
+
+def _patch(case, pair, monkeypatch):
+    """(patch, nu, nv) of one block layout."""
+    block, nu, nv, n_blocks = CASES[case]
+    if block is not None:
+        monkeypatch.setattr(grids, "_BLOCK", block)
+    assert len(_row_blocks(nu, nv)) == n_blocks
+    f1, f2, domain = pair
+    return make_patch(f1, f2, Domain.parse(domain)), nu, nv
+
+
+def _assert_same(got, refs):
+    assert list(got.residuals) == [ref.name for ref in refs]
+    for ref in refs:
+        res = got.residuals[ref.name]
+        assert same_bits(res.values, ref.values), ref.name
+        assert same_bits(res.valid, ref.valid), ref.name
+
+
+def _assert_surface(got, fields):
+    assert same_bits(got.X, fields.X)
+    assert same_bits(got.N, fields.N)
+    assert same_bits(got.valid, fields.valid)
+
+
+@pytest.mark.parametrize("pair", PAIRS, ids=lambda p: p[0])
+@pytest.mark.parametrize("case", list(CASES))
+def test_patch_checks_match_the_whole_grid(case, pair, monkeypatch):
+    patch, nu, nv = _patch(case, pair, monkeypatch)
+    got = patch_checks(patch, nu, nv, surface=True)
+    fields = evaluate_patch(patch, nu, nv)
+    _assert_same(got, (support_pde_residual(fields),
+                       check_middle_sphere(fields), hopf_residual(fields)))
+    _assert_surface(got, fields)
+    assert got.usable
+    assert same_bits(got.unit_sphere_gap, unit_sphere_gap(fields))
+    # without a mesh to write, nothing but the checks is assembled; the
+    # export asks for the surface alone
+    bare = patch_checks(patch, nu, nv)
+    assert bare.X is None and bare.N is None and bare.valid is None
+    _assert_same(bare, tuple(got.residuals.values()))
+    surface = patch_checks(patch, nu, nv, checks=False, surface=True)
+    assert not surface.residuals and not surface.usable
+    _assert_surface(surface, fields)
+
+
+@pytest.mark.parametrize("pair", PAIRS, ids=lambda p: p[0])
+@pytest.mark.parametrize("case", list(CASES))
+def test_pair_checks_match_the_whole_grid(case, pair, monkeypatch):
+    patch, nu, nv = _patch(case, pair, monkeypatch)
+    dual_pair = make_dual(patch)
+    got, dual = pair_checks(dual_pair, nu, nv, surface=True)
+    fields = fa, fb = evaluate_pair(dual_pair, nu, nv)
+    refs = (*verify_c2(dual_pair, fields=fields),
+            *verify_hk_equality(dual_pair, fields=fields),
+            *verify_form_relations(dual_pair, fields=fields))
+    assert list(got.residuals) == list(TOL_DUAL)
+    _assert_same(got, refs)
+    _assert_surface(got, fa)
+    _assert_surface(dual, fb)
+    assert not dual.residuals
+    assert got.usable
+    assert same_bits(got.unit_sphere_gap, unit_sphere_gap(fa))
+    bare, none = pair_checks(dual_pair, nu, nv)
+    assert none is None and bare.X is None
+    _assert_same(bare, refs)
+
+
+def test_blocks_without_a_usable_sample():
+    # f1 constant: every sample is a branch point, in every block
+    patch = make_patch("1", "z")
+    got = patch_checks(patch, 9, 9)
+    assert not got.usable and np.isnan(got.unit_sphere_gap)
+    assert all(res.n_valid == 0 for res in got.residuals.values())
+    got, _ = pair_checks(make_dual(patch), 9, 9)
+    assert not got.usable and np.isnan(got.unit_sphere_gap)
+
+
+DEEP = ["--f1", "exp(z)/(1+z^2)", "--f2", "sin(z)*cos(z)/(z+3)",
+        "--domain", "0.1:0.9:0.1:0.9", "--nu", "31", "--nv", "29"]
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["build", *DEEP, "--out", "x.obj", "--report", "x.json"],
+     ("x.obj", "x.json")),
+    (["dual", *DEEP, "--out", "x.obj", "--report", "x.json"],
+     ("x.obj", "x_dual.obj", "x.json")),
+    (["export", *DEEP, "--out", "x.obj"], ("x.obj",)),
+    (["dual", "--f1", "z^2", "--f2", "z+2", "--nu", "21", "--nv", "21",
+      "--out", "x.obj", "--report", "x.json"],
+     ("x.obj", "x_dual.obj", "x.json")),
+], ids=["build", "dual", "export", "dual-branch-point"])
+def test_commands_write_the_same_bytes_in_any_block_size(
+        argv, files, monkeypatch, tmp_path, capsys):
+    # blocks of 10 samples hold less than one row; blocks of 10^9 hold
+    # the whole grid
+    monkeypatch.chdir(tmp_path)
+    runs = []
+    for block in (10, 10 ** 9):
+        monkeypatch.setattr(grids, "_BLOCK", block)
+        code = cli.main(argv)
+        runs.append((code, capsys.readouterr(),
+                     [(tmp_path / name).read_bytes() for name in files]))
+    assert runs[0][0] == 0
+    assert runs[0] == runs[1]
