@@ -259,16 +259,18 @@ def cmd_congruence(args) -> int:
     if args.mode == "analytic":
         U, V, _ = domain.mesh(args.nu, args.nv)
         wj, oj = ac.w_jet(U, V), ac.omega_jet(U, V)
-        # one chart record for every check: the chart scalars and the
-        # envelope's frame, each evaluated once on the grid
-        scalars = ac.patch.chart_scalars(U, V)
+        # one chart record for every check: the chart scalars with the
+        # tangents, from one jet of g, and the envelope's frame, each
+        # evaluated once on the grid
+        scalars, tangents = ac.patch.chart_scalars(U, V, tangents=True)
         sysres = system_residuals(ac.patch, wj, oj, U, V, scalars=scalars)
         drift = float(np.max(np.abs(first_integral(
             ac.state(U, V, scalars[0], jets=(wj, oj)), consts))))
         env = envelope(ac.patch, wj, U, V)
         ms = check_middle_sphere(env)
         hid = check_hessian_identities(ac.patch, wj, oj, consts, U, V,
-                                       frame=env.frame, scalars=scalars)
+                                       frame=env.frame, scalars=scalars,
+                                       tangents=tangents)
         gf = generated_forms_check(ac.patch, wj, oj, consts, U, V, env=env,
                                    scalars=scalars)
         n = int(np.asarray(U).size)
@@ -303,8 +305,8 @@ def cmd_congruence(args) -> int:
         U, V = integ.U, integ.V
         agree = ac.agreement(integ)
         # the envelope block by block: X, N and the mask only for a mesh
-        env = envelope_checks(ac.patch, integ.w, integ.omega, consts, U, V,
-                              surface=bool(args.out))
+        env = envelope_checks(ac.patch, integ.w_rows, integ.omega, consts,
+                              U, V, surface=bool(args.out))
         n = int(np.asarray(U).size)
         entries = [
             identity_entry("path_independence", integ.path_gap, args.tol_fi,

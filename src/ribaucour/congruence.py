@@ -23,21 +23,25 @@ integration follow from the covariant Hessian identity for Omega (see
 making the system integrable by marching.  Swapping Omega1 and Omega2
 turns the system along v into the system along u, so one affine RK4
 kernel (:func:`_slope`) serves both directions.  :func:`integrate_system`
-runs three marches: the initial row, then every column, then every row
-from the initial column, which the column march already holds.  The gap
-between the row-first and column-first fills doubles as the
-compatibility (Frobenius) check.  The chart scalars (phi, phi_u,
-phi_v, k1) are evaluated once per abscissa and streamed into each march
-as kernel rows, one block of steps of about ``grids._BLOCK`` samples
-at a time, just before the block is stepped, so no march holds its
-kernel rows for the whole grid: the column march evaluates the nodes
-and the v-midpoints and keeps the node scalars, and the row march reuses
-them and evaluates only the u-midpoints (the initial row evaluates its own
-2 nu - 1 abscissae the same way).  The marched state also fixes W's
-second-order jet: differentiating W_u and W_v once more through the
-same right-hand sides (k1 phi^2 is constant on these charts) gives
-W_uu, W_uv and W_vv at every node, with no stencil, from the same node
-scalars.
+runs three marches: the initial row, one lane on Python floats; then
+every column, whose states go block by block straight into the one
+fill it keeps; then every row from the initial column, whose states are
+compared with that fill block by block and dropped.  The gap between
+the two fills doubles as the compatibility (Frobenius) check.  The chart
+scalars (phi, phi_u, phi_v, k1) are evaluated once per abscissa and
+streamed into each march as kernel rows, one block of steps of about
+``grids._BLOCK`` samples at a time, just before the block is stepped,
+so no march holds its kernel rows or its states for the whole grid: the
+column march evaluates the nodes and the v-midpoints and keeps phi,
+phi_u and phi_v at the nodes (k1 = a / phi^2 follows from phi), and the
+row march reuses them and evaluates only the u-midpoints (the initial
+row evaluates its own 2 nu - 1 abscissae the same way).  The fill and
+the node scalars are all an :class:`IntegratedCongruence` holds on the
+whole grid.  They also fix W's second-order jet: differentiating W_u and
+W_v once more through the same right-hand sides (k1 phi^2 is constant
+on these charts) gives W_uu, W_uv and W_vv at every node, with no
+stencil; :meth:`IntegratedCongruence.w_rows` builds it one block of rows
+at a time.
 
 The envelope X = grad W + W N of the congruence (support machinery of
 :mod:`ribaucour.ribaucour_core` applied to W over the minimal patch's
@@ -47,15 +51,17 @@ minimal patch.  :func:`envelope` and the checks take W and Omega as
 jets (RJet2), either closed forms evaluated on the grid or integrated;
 in the reference gauge the envelope's middle-sphere residual is the
 first integral, pointwise, relative to the sum of its terms'
-magnitudes.  Every step from the frame to the residuals is per sample,
+magnitudes.  Every step from W's jet to the residuals is per sample,
 so :func:`envelope_checks` runs the envelope and its checks over blocks
 of grid rows (:func:`ribaucour.grids._row_blocks`, the package's one
-block helper) and assembles the full-grid residuals (and X, N, the valid
-mask on request) in a :class:`~ribaucour.ribaucour_core.GridChecks`,
-without any full-grid temporaries.  The checks share one chart record:
+block helper), W's jet built for each block, and assembles the
+full-grid residuals (and X, N, the valid mask on request) in a
+:class:`~ribaucour.ribaucour_core.GridChecks`, without any full-grid
+temporaries.  The checks share one chart record:
 the tuple of :meth:`~ribaucour.minimal.MinimalPatch.chart_scalars` (the
-``scalars`` argument) and the frame of the envelope, whose tau also
-gives the minimal metric's log factor, log phi = log a - tau.
+``scalars`` argument), the tangents X_u and X_v read off the same jet of
+g (the ``tangents`` argument), and the frame of the envelope, whose tau
+also gives the minimal metric's log factor, log phi = log a - tau.
 
 :func:`analytic_example` ships closed-form solutions over the built-in
 patches as jet code.  Each published closed form is validated against
@@ -409,10 +415,12 @@ def _kernel_rows(patch: MinimalPatch, consts: IntegralConstants,
     function ``fill(K, first, d)``: it writes the rows of the stage
     abscissae first, first + d, first + 2 d, ... (indices into the
     2 len(t) - 1 stage abscissae, of which 2i is node i) into K, of shape
-    (count, 7, len(fixed)).  Given ``node``, the chart scalars at the
-    nodes, of shape (4, len(t), len(fixed)), only the midpoint abscissae
-    are evaluated; otherwise every abscissa is, and ``keep`` (the same
-    shape), if given, receives the values at the nodes.
+    (count, 7, len(fixed)).  Given ``node``, (phi, phi_u, phi_v) at the
+    nodes, of shape (3, len(t), len(fixed)), only the midpoint abscissae
+    are evaluated, and k1 at the nodes is a / phi^2 (a the patch's
+    scale), the expression of :meth:`MinimalPatch.chart_scalars`;
+    otherwise every abscissa is, and ``keep`` (the same shape), if given,
+    receives (phi, phi_u, phi_v) at the nodes.
 
     With p = phi k (k the principal curvature along the march) and
     q = phi_s / phi, the slope of y = (Omega, Omega_s, W, Omega_t) is
@@ -431,8 +439,9 @@ def _kernel_rows(patch: MinimalPatch, consts: IntegralConstants,
         e = first % 2
         nodes = j[e::2] // 2
         if node is not None:
-            _fill_rows(K[e::2], tuple(x[nodes] for x in node), consts,
-                       along_u)
+            phi, pu, pv = (x[nodes] for x in node)
+            _fill_rows(K[e::2], (phi, pu, pv, patch.a / (phi * phi)),
+                       consts, along_u)
             K, j = K[1 - e::2], j[1 - e::2]
         if len(j) == 0:
             return
@@ -455,33 +464,36 @@ def _slope(k, y, out, tmp):
     out[3] += k[6]
 
 
-def _march(fill, t, i0, y0, ys) -> np.ndarray:
+def _march(fill, t, i0, y0, put) -> None:
     """RK4 march of the states y0 (4, lanes) along uniform nodes t,
-    outward from index i0, into ``ys``, shape (len(t), 4, lanes), which
-    it returns.  The kernel rows come from ``fill`` of
+    outward from index i0: forward to the last node, then backward to
+    the first.  The states go to ``put(nodes, ys)`` one block at a time,
+    ys[k] (4, lanes) being the state at node nodes.start + k; the first
+    block is y0 alone.  The kernel rows come from ``fill`` of
     :func:`_kernel_rows` one block of steps at a time, about
-    ``grids._BLOCK`` samples each, just before the block is stepped:
-    forward from i0 to the last node, then backward from i0 to the
-    first.  A block starts from the last row of the one before, so every
-    abscissa is evaluated once."""
+    ``grids._BLOCK`` samples each, just before the block is stepped.  A
+    block starts from the last state and row of the one before, so every
+    abscissa is evaluated once, and the march holds the states of one
+    block only, in a rolling (m + 1, 4, lanes) buffer."""
     n, lanes = len(t), y0.shape[1]
-    ys[i0] = y0
-    s1, s2, s3, s4, z = (np.empty_like(ys[i0]) for _ in range(5))
-    tmp = np.empty((3, lanes))
     # steps per block: two abscissae each beyond the block's first node
     m = _rows_per_block(2 * lanes)
+    ys = np.empty((m + 1, 4, lanes))
+    s1, s2, s3, s4, z = (np.empty((4, lanes)) for _ in range(5))
+    tmp = np.empty((3, lanes))
     K = np.empty((2 * m + 1, 7, lanes))
     fill(K[:1], 2 * i0, 1)
     start = K[0].copy()
+    put(slice(i0, i0 + 1), y0[None])
 
     for d, last in ((1, n - 1), (-1, 0)):
-        K[0], i = start, i0
+        K[0], ys[0], i = start, y0, i0
         while i != last:
             steps = min(m, abs(last - i))
             fill(K[1:2 * steps + 1], 2 * i + d, d)
-            for k in range(0, 2 * steps, 2):
-                h, y = t[i + d] - t[i], ys[i]
-                at_i, at_mid, at_next = K[k], K[k + 1], K[k + 2]
+            for k in range(steps):
+                h, y = t[i + d] - t[i], ys[k]
+                at_i, at_mid, at_next = K[2 * k], K[2 * k + 1], K[2 * k + 2]
                 _slope(at_i, y, s1, tmp)
                 np.multiply(s1, 0.5 * h, out=z)
                 z += y
@@ -499,49 +511,132 @@ def _march(fill, t, i0, y0, ys) -> np.ndarray:
                 s2 += s3
                 s2 += s4
                 s2 *= h / 6.0
-                np.add(y, s2, out=ys[i + d])
+                np.add(y, s2, out=ys[k + 1])
                 i += d
-            K[0] = K[2 * steps]
-    return ys
+            # the block's states in node order
+            if d > 0:
+                put(slice(i - steps + 1, i + 1), ys[1:steps + 1])
+            else:
+                put(slice(i, i + steps), ys[steps:0:-1])
+            K[0], ys[0] = K[2 * steps], ys[steps]
+
+
+def _slope_line(k, y):
+    """:func:`_slope` of one lane on Python floats, its operations in
+    its order: rows k and state y are sequences of 7 and 4 floats."""
+    return (k[0] * y[3], k[1] * y[3], k[2] * y[3],
+            k[3] * y[0] + k[4] * y[1] + k[5] * y[2] + k[6])
+
+
+def _march_line(fill, t, i0, y0) -> np.ndarray:
+    """:func:`_march` of one lane, on Python floats: the states, shape
+    (len(t), 4), from the 4 floats y0 at node i0, bit for bit those of
+    the march of y0 as a (4, 1) array, without that march's fixed cost
+    of numpy calls per stage.  One ``fill`` writes the kernel rows of
+    every abscissa."""
+    n = len(t)
+    K = np.empty((2 * n - 1, 7, 1))
+    fill(K, 0, 1)
+    rows, t = K[:, :, 0].tolist(), t.tolist()
+    ys = [None] * n
+    ys[i0] = tuple(y0)
+    for d, last in ((1, n - 1), (-1, 0)):
+        for i in range(i0, last, d):
+            h, y = t[i + d] - t[i], ys[i]
+            at_mid = rows[2 * i + d]
+            s1 = _slope_line(rows[2 * i], y)
+            s2 = _slope_line(at_mid, [a * (0.5 * h) + b
+                                      for a, b in zip(s1, y)])
+            s3 = _slope_line(at_mid, [a * (0.5 * h) + b
+                                      for a, b in zip(s2, y)])
+            s4 = _slope_line(rows[2 * i + 2 * d],
+                             [a * h + b for a, b in zip(s3, y)])
+            # as in _march: ((2 s2 + s1 + 2 s3 + s4) (h/6)) + y
+            ys[i + d] = tuple(b + (b2 * 2.0 + b1 + b3 * 2.0 + b4) * (h / 6.0)
+                              for b, b1, b2, b3, b4 in zip(y, s1, s2, s3, s4))
+    return np.array(ys)
 
 
 def _grid_arrays(nu: int, nv: int):
-    """The full-grid arrays of :func:`integrate_system`, each of shape
-    (4, nu, nv): the node scalars, the marches' states and the fields.
-    They are allocated before any step, so that a grid too large for the
-    memory fails at once."""
-    return tuple(np.empty((4, nu, nv)) for _ in range(3))
+    """The full-grid arrays of :func:`integrate_system`: the node scalars
+    (phi, phi_u, phi_v), shape (3, nu, nv), and the fields, shape
+    (4, nu, nv).  They are allocated before any step, so that a grid too
+    large for the memory fails at once."""
+    return np.empty((3, nu, nv)), np.empty((4, nu, nv))
 
 
 @dataclass
 class IntegratedCongruence:
-    """Congruence fields integrated over a grid, with consistency data:
-    ``path_gap`` is the max field difference between row-first and
-    column-first integration orders (compatibility check), ``drift`` the
-    max first-integral deviation from its initial value.
+    """Congruence fields integrated over the grid ``u`` x ``v``, with
+    consistency data: ``path_gap`` is the max field difference between
+    row-first and column-first integration orders (compatibility check),
+    ``drift`` the max first-integral deviation from its initial value.
 
-    ``w`` is W's second-order jet on the grid, read off the marched state
-    through the system itself, so it is exact to integration accuracy
-    and every node carries it; ``state()`` holds W's values only.
-    ``phi`` is the patch's conformal factor at the nodes, as the march
-    used it.  Every field is a C-contiguous (nu, nv) array.
+    It holds one fill and the node scalars, nothing else on the whole
+    grid: ``fields``, shape (4, nu, nv), is (Omega, Omega1, W, Omega2)
+    of the column-first fill, and ``scalars``, shape (3, nu, nv), is
+    (phi, phi_u, phi_v) at the nodes, as the march used them; k1 is
+    ``scale / phi**2`` (``scale`` the patch's a).  ``omega``, ``omega1``,
+    ``omega2`` and ``phi`` are C-contiguous (nu, nv) views of these;
+    ``U`` and ``V`` are read-only broadcast views of u and v.
+
+    :meth:`w_rows` is W's second-order jet on a block of rows, read off
+    the fill through the system itself, so it is exact to integration
+    accuracy and every node carries it; ``w`` is the whole grid's, built
+    each time it is read.  ``state()`` holds W's values only.
     """
 
-    U: np.ndarray
-    V: np.ndarray
-    omega: np.ndarray
-    omega1: np.ndarray
-    omega2: np.ndarray
-    w: RJet2
+    u: np.ndarray
+    v: np.ndarray
+    fields: np.ndarray
+    scalars: np.ndarray
+    scale: float
     constants: IntegralConstants
     init_node: tuple
     path_gap: float
     drift: float
-    phi: np.ndarray
+
+    @property
+    def U(self) -> np.ndarray:
+        return np.broadcast_to(self.u[:, None], self.fields.shape[1:])
+
+    @property
+    def V(self) -> np.ndarray:
+        return np.broadcast_to(self.v, self.fields.shape[1:])
+
+    omega = property(lambda self: self.fields[0])
+    omega1 = property(lambda self: self.fields[1])
+    omega2 = property(lambda self: self.fields[3])
+    phi = property(lambda self: self.scalars[0])
 
     def state(self) -> CongruenceState:
-        return CongruenceState(self.omega, self.omega1, self.omega2,
-                               self.w.val)
+        om, o1, w, o2 = self.fields
+        return CongruenceState(om, o1, o2, w)
+
+    def w_rows(self, rows: slice) -> RJet2:
+        """W's jet on the grid rows ``rows``: W_u = Omega1 k1 phi and
+        W_v = -Omega2 k1 phi, differentiated once more through the
+        right-hand sides; k1 phi^2 is constant on these charts, so
+        (k1 phi)_u = -k1 phi_u and (k1 phi)_v = -k1 phi_v.  Every step is
+        per node, so each block gets the bits of the whole grid."""
+        om, o1, w, o2 = self.fields[:, rows]
+        phi, pu, pv = self.scalars[:, rows]
+        k1 = self.scale / (phi * phi)
+        consts = self.constants
+        a = consts.c * w - 0.5 * consts.c3
+        b = consts.c * om - w - 0.5 * consts.c2
+        k1phi = k1 * phi
+        o1_u = -(pv / phi) * o2 + phi * a + phi * k1 * b
+        w_uu = o1_u * k1phi - o1 * k1 * pu
+        o2_v = -(pu / phi) * o1 + phi * a + phi * -k1 * b
+        w_vv = -(o2_v * k1phi - o2 * k1 * pv)
+        o1_v = (pu / phi) * o2
+        w_uv = o1_v * k1phi - o1 * k1 * pv
+        return RJet2(w, o1 * k1 * phi, o2 * -k1 * phi, w_uu, w_uv, w_vv)
+
+    @property
+    def w(self) -> RJet2:
+        return self.w_rows(slice(None))
 
 
 def integrate_system(patch: MinimalPatch, init: CongruenceState,
@@ -555,22 +650,23 @@ def integrate_system(patch: MinimalPatch, init: CongruenceState,
     ``init_at`` must coincide with a grid node.  One RK4 kernel serves
     both directions: swapping Omega1 and Omega2 turns the system along v
     into the system along u, with the chart coefficients of the march.
-    The grid is filled by a march along the initial row, then one along
-    all columns at once.  One more march along all rows, started from the
-    initial column (which the column march already holds), fills the grid
-    in the transposed order; ``path_gap`` is the max discrepancy between
-    the two fills.
+    The grid is filled by a march along the initial row (on Python
+    floats, :func:`_march_line`), then one along all columns at once,
+    whose states go straight into the fields.  One more march along all
+    rows, started from the initial column, fills the grid in the
+    transposed order; each of its blocks is compared with the fields and
+    dropped, and ``path_gap`` is the max discrepancy between the two
+    fills.
 
     Each march gets its kernel rows from :func:`_kernel_rows` one block
     of steps at a time (see :func:`_march`), so the chart scalars are
     evaluated once per abscissa and no kernel rows are held for the
     whole grid: the column march evaluates the nodes and the v-midpoints
-    and keeps the (4, nu, nv) node scalars; the row march and W's jet
-    reuse them, and the row march evaluates the u-midpoints.  The
-    full-grid arrays (node scalars, march states, fields) are allocated
-    before any step, so a grid too large for the memory fails at once;
-    the row march writes its states over the column march's.  A step
-    whose node count is not finite raises ValueError.
+    and keeps (phi, phi_u, phi_v) at the nodes; the row march and W's
+    jet reuse them, with k1 = a / phi^2 (``patch.a``), and the row march
+    evaluates the u-midpoints.  The node scalars and the fields are
+    allocated before any step, so a grid too large for the memory fails
+    at once.  A step whose node count is not finite raises ValueError.
     """
     domain = domain or Domain(-1.0, 1.0, -1.0, 1.0)
     if step is not None:
@@ -597,60 +693,49 @@ def integrate_system(patch: MinimalPatch, init: CongruenceState,
             or abs(v[iv0] - init_at[1]) > 1e-9 * max(1.0, hv):
         raise ValueError(f"init_at {init_at} is not a grid node")
     om0, o10, o20, w0 = (float(x) for x in init.as_tuple())
-    node, states, fields = _grid_arrays(nu, nv)
+    node, fields = _grid_arrays(nu, nv)
 
-    # the initial row
-    row = _march(_kernel_rows(patch, consts, True, u, v[iv0:iv0 + 1]),
-                 u, iu0, np.array([[om0], [o20], [w0], [o10]]),
-                 np.empty((nu, 4, 1)))
-    # then every column; the columns' march state is (Omega, Omega1, W,
-    # Omega2), shape (nv, 4, nu).  Their even abscissae are the grid
-    # nodes, whose chart scalars the row march and W's jet reuse
-    cols = _march(_kernel_rows(patch, consts, False, v, u,
-                               keep=node.transpose(0, 2, 1)),
-                  v, iv0, row[:, _SWAP, 0].T, states.reshape(nv, 4, nu))
-    np.copyto(fields, cols.transpose(1, 2, 0))
-    # the initial column, where the row march starts, copied out: the
-    # row march writes its states over the columns'
-    start = cols[:, _SWAP, iu0].T
-    del cols
+    # the initial row, whose march state is (Omega, Omega2, W, Omega1)
+    row = _march_line(_kernel_rows(patch, consts, True, u, v[iv0:iv0 + 1]),
+                      u, iu0, (om0, o20, w0, o10))
+
+    # then every column, block by block into the fields; the columns'
+    # march state is (Omega, Omega1, W, Omega2), (4, nu) per node.  Their
+    # even abscissae are the grid nodes, whose scalars the row march and
+    # W's jet reuse
+    def put_columns(nodes, ys):
+        fields[:, :, nodes] = ys.transpose(1, 2, 0)
+
+    _march(_kernel_rows(patch, consts, False, v, u,
+                        keep=node.transpose(0, 2, 1)),
+           v, iv0, row[:, _SWAP].T, put_columns)
+    # then every row from the initial column: each block is compared with
+    # the column-first fill at its nodes, and nothing of it is kept
+    gaps = [[] for _ in fields]
+
+    def compare_rows(nodes, ys):
+        for gap, j, f in zip(gaps, _SWAP, fields):
+            gap.append(np.max(np.abs(ys[:, j] - f[nodes])))
+
+    _march(_kernel_rows(patch, consts, True, u, v, node=node),
+           u, iu0, fields[_SWAP, iu0], compare_rows)
+    path_gap = max(float(np.max(gap)) for gap in gaps)
+
+    # the first integral's deviation from its initial value, in blocks
+    # of rows
     om, o1, w, o2 = fields
-    rows = _march(_kernel_rows(patch, consts, True, u, v, node=node),
-                  u, iu0, start, states.reshape(nu, 4, nv))
-    path_gap = max(float(np.max(np.abs(rows[:, j] - f)))
-                   for j, f in zip(_SWAP, fields))
-    del rows, states
-    F = first_integral(CongruenceState(om, o1, o2, w), consts)
-    drift = float(np.max(np.abs(F - F[iu0, iv0])))
-    del F
-    # W's jet from the system at the nodes: W_u = Omega1 k1 phi and
-    # W_v = -Omega2 k1 phi, differentiated once more through the
-    # right-hand sides; k1 phi^2 is constant on these charts, so
-    # (k1 phi)_u = -k1 phi_u and (k1 phi)_v = -k1 phi_v.  Each
-    # temporary goes after its last use
-    phi, pu, pv, k1 = node
-    a = consts.c * w - 0.5 * consts.c3
-    b = consts.c * om - w - 0.5 * consts.c2
-    k1phi = k1 * phi
-    o1_u = -(pv / phi) * o2 + phi * a + phi * k1 * b
-    w_uu = o1_u * k1phi - o1 * k1 * pu
-    del o1_u
-    o2_v = -(pu / phi) * o1 + phi * a + phi * -k1 * b
-    del a, b
-    w_vv = -(o2_v * k1phi - o2 * k1 * pv)
-    del o2_v
-    o1_v = (pu / phi) * o2
-    w_uv = o1_v * k1phi - o1 * k1 * pv
-    del o1_v, k1phi
-    w_jet = RJet2(w, o1 * k1 * phi, o2 * -k1 * phi, w_uu, w_uv, w_vv)
-    # phi alone, not the node scalars it views
-    phi = phi.copy()
-    del node, pu, pv, k1
-    U, V = np.meshgrid(u, v, indexing="ij")
-    return IntegratedCongruence(U=U, V=V, omega=om, omega1=o1, omega2=o2,
-                                w=w_jet, constants=consts,
-                                init_node=(iu0, iv0),
-                                path_gap=path_gap, drift=drift, phi=phi)
+
+    def first_integral_at(b):
+        return first_integral(CongruenceState(om[b], o1[b], o2[b], w[b]),
+                              consts)
+
+    F0 = first_integral_at((slice(iu0, iu0 + 1), slice(iv0, iv0 + 1)))
+    drift = float(np.max([np.max(np.abs(first_integral_at(b) - F0))
+                          for b in _row_blocks(nu, nv)]))
+    return IntegratedCongruence(u=u, v=v, fields=fields, scalars=node,
+                                scale=patch.a, constants=consts,
+                                init_node=(iu0, iv0), path_gap=path_gap,
+                                drift=drift)
 
 
 # ---------------------------------------------------------------------------
@@ -691,7 +776,8 @@ def check_hessian_identities(patch: MinimalPatch, w_jet: RJet2,
                              omega_jet: RJet2, consts: IntegralConstants,
                              U, V, *,
                              frame: SphereFrame | None = None,
-                             scalars: tuple | None = None
+                             scalars: tuple | None = None,
+                             tangents: tuple | None = None
                              ) -> HessianIdentityReport:
     """Measure the second-order structure of a congruence solution:
 
@@ -705,7 +791,9 @@ def check_hessian_identities(patch: MinimalPatch, w_jet: RJet2,
 
     W and Omega are jets on (U, V).  A given ``frame`` must be
     ``patch.frame(U, V)``, such as the frame of the envelope on (U, V);
-    ``scalars`` as for :func:`system_residuals`.
+    ``scalars`` as for :func:`system_residuals`, and ``tangents``, the
+    patch's (X_u, X_v) on (U, V), spares evaluating them: both come from
+    one jet of g through ``patch.chart_scalars(U, V, tangents=True)``.
     """
     if frame is None:
         frame = patch.frame(U, V)
@@ -735,8 +823,10 @@ def check_hessian_identities(patch: MinimalPatch, w_jet: RJet2,
 
         # gradient of Omega in the minimal metric phi^2 (du^2 + dv^2),
         # expressed as an ambient vector through the immersion's tangent frame
-        deriv = patch.position_derivatives(U, V)
-        Xu, Xv = deriv["Xu"], deriv["Xv"]
+        if tangents is None:
+            deriv = patch.position_derivatives(U, V)
+            tangents = deriv["Xu"], deriv["Xv"]
+        Xu, Xv = tangents
         ou = np.asarray(omega_jet.du, dtype=float)
         ov = np.asarray(omega_jet.dv, dtype=float)
         grad_min = (ou / E)[..., None] * Xu + (ov / E)[..., None] * Xv
@@ -776,16 +866,17 @@ def hover_ratio_residual(env: SurfaceFields, omega,
                          "envelope_hover_ratio")
 
 
-def envelope_checks(patch: MinimalPatch, w: RJet2, omega,
+def envelope_checks(patch: MinimalPatch, w_rows, omega,
                     consts: IntegralConstants, U, V, *,
                     surface: bool = False) -> GridChecks:
     """:func:`envelope`, :func:`check_middle_sphere` and
     :func:`hover_ratio_residual` on the grid (U, V), run over blocks of
     at most ``grids._BLOCK`` samples (whole rows of the first axis), so
     that no stage holds its temporaries for the whole grid.  Every sample
-    gets the values of the whole-grid evaluation.  ``w`` is W's jet on
-    (U, V), such as :attr:`IntegratedCongruence.w`; ``omega`` is Omega
-    on (U, V) (or a scalar).  The record holds ``middle_sphere`` and
+    gets the values of the whole-grid evaluation.  ``w_rows(b)`` is W's
+    jet on the rows ``b`` of (U, V), built per block, such as
+    :meth:`IntegratedCongruence.w_rows`; ``omega`` is Omega on (U, V) (or
+    a scalar).  The record holds ``middle_sphere`` and
     ``envelope_hover_ratio``; with ``surface``, X, N and the valid mask
     are assembled too.
     """
@@ -796,9 +887,7 @@ def envelope_checks(patch: MinimalPatch, w: RJet2, omega,
     out = GridChecks(shape, ("middle_sphere", "envelope_hover_ratio"),
                      surface)
     for b in _row_blocks(shape[0], U[0].size):
-        wb = RJet2(*(np.broadcast_to(x, shape)[b]
-                     for x in (w.val, w.du, w.dv, w.duu, w.duv, w.dvv)))
-        env = envelope(patch, wb, U[b], V[b])
+        env = envelope(patch, w_rows(b), U[b], V[b])
         out.put(b, (check_middle_sphere(env),
                     hover_ratio_residual(env, omega[b], consts)), env)
     return out

@@ -91,12 +91,16 @@ class MinimalPatch:
 
     # -- scalar shape data --------------------------------------------------
 
-    def chart_scalars(self, U, V):
+    def chart_scalars(self, U, V, *, tangents: bool = False):
         """(phi, phi_u, phi_v, k1) from one order-2 jet of g, through
         phi_u - i phi_v = 2 phi d/dz log phi with
         d/dz log phi = g' conj(g) / (1 + |g|^2) - g'' / (2 g').  The
         chart's one record of its factor and curvature: k2 = -k1, and
-        log phi = log a - tau, with tau that of :meth:`frame`."""
+        log phi = log a - tau, with tau that of :meth:`frame`.
+
+        With ``tangents``, returns ``(scalars, (X_u, X_v))``: the
+        tangents of :meth:`position_derivatives`, read off the same jet
+        of g."""
         g, g1, g2 = eval_jet(self.g, _z(U, V), 2).values
         with np.errstate(all="ignore"):
             s1 = 1.0 + np.abs(g) ** 2
@@ -105,7 +109,11 @@ class MinimalPatch:
             # when numpy reuses it as the output, so the bits of every
             # sample do not depend on the size of the array
             d = 2.0 * phi * (np.conj(g) * g1 / s1 - 0.5 * g2 / g1)
-            return phi, d.real, -d.imag, self.a / (phi * phi)
+            scalars = phi, d.real, -d.imag, self.a / (phi * phi)
+            if not tangents:
+                return scalars
+            w = _weierstrass(0.5 * self.a / g1, g)
+        return scalars, (w.real, -w.imag)
 
     # -- Gauss-map frame ----------------------------------------------------
 

@@ -1,6 +1,7 @@
 """Sphere-congruence fields over minimal patches and their envelopes."""
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import sympy as sp
 from _oracles import (U_SYM, V_SYM, march_congruence, quadrature_omega,
                       symbolic_k1)
 from _oracles import same_bits as _same_bits
-from ribaucour import cli, congruence, grids
+from ribaucour import cli, congruence, grids, minimal
 from ribaucour.congruence import (_ANALYTIC, CongruenceState,
                                   IntegralConstants, _fill_rows,
                                   _kernel_rows, _on_samples,
@@ -39,7 +40,10 @@ def enneper_data():
 class _FlatPatch:
     """The plane X = (u, v, 0) in the interface of a minimal patch:
     phi = 1, k1 = k2 = 0, and a constant normal whose pullback metric
-    vanishes, so every frame sample is flagged as a branch point."""
+    vanishes, so every frame sample is flagged as a branch point.  Its
+    scale a = k1 phi^2 is 0."""
+
+    a = 0.0
 
     def chart_scalars(self, U, V):
         one = np.ones(np.broadcast_shapes(np.shape(U), np.shape(V)))
@@ -256,11 +260,14 @@ def test_integration_matches_march_oracle(catenoid_data, enneper_data,
                             fields):
             assert got.flags.c_contiguous
             assert np.max(np.abs(got - ref)) <= 1e-13, ac.name
-        for part in ("val", "du", "dv", "duu", "duv", "dvv"):
-            got = getattr(integ.w, part)
-            assert got.flags.c_contiguous
-            assert np.max(np.abs(got - getattr(w_ref, part))) <= 1e-13, \
-                (ac.name, part)
+        # W's jet as the envelope takes it, one block of rows at a time
+        for b in _row_blocks(*shape):
+            w = integ.w_rows(b)
+            for part in ("val", "du", "dv", "duu", "duv", "dvv"):
+                got = getattr(w, part)
+                assert got.flags.c_contiguous
+                assert np.max(np.abs(got - getattr(w_ref, part)[b])) \
+                    <= 1e-13, (ac.name, part)
         assert abs(integ.path_gap - gap) <= 1e-13
         phi = ac.patch.chart_scalars(integ.U, integ.V)[0]
         assert np.max(np.abs(integ.phi - phi)) <= 1e-13
@@ -312,8 +319,10 @@ def _direction_rows(patch, consts, along_u, t, fixed):
 def _streamed_rows(monkeypatch, fill, t, i0, lanes):
     """March states along t from node i0 with the kernel rows of
     ``fill``; returns the rows each RK4 stage was given, in march order,
-    stacked as (stages, 7, lanes).  Checks on the way that every block of
-    rows holds about ``_BLOCK`` samples, never 2 len(t) - 1 rows."""
+    stacked as (stages, 7, lanes), and the states at the nodes, shape
+    (len(t), 4, lanes).  Checks on the way that every block of rows
+    holds about ``_BLOCK`` samples, never 2 len(t) - 1 rows, and that
+    every node's state is handed over once."""
     seen, slope = [], congruence._slope
     bound = max(grids._BLOCK + lanes, 3 * lanes)
 
@@ -321,11 +330,33 @@ def _streamed_rows(monkeypatch, fill, t, i0, lanes):
         assert k.base.shape[0] * lanes <= bound
         seen.append(k.copy())
         slope(k, y, out, tmp)
+    states, count = np.empty((len(t), 4, lanes)), np.zeros(len(t), int)
+
+    def put(nodes, ys):
+        states[nodes] = ys
+        count[nodes] += 1
     y0 = np.random.default_rng(3).uniform(-1.0, 1.0, (4, lanes))
     with monkeypatch.context() as m:
         m.setattr(congruence, "_slope", spy)
-        congruence._march(fill, t, i0, y0, np.empty((len(t), 4, lanes)))
-    return np.array(seen)
+        congruence._march(fill, t, i0, y0, put)
+    assert (count == 1).all()
+    return np.array(seen), states
+
+
+def _line_rows(monkeypatch, fill, t, i0):
+    """:func:`_streamed_rows` of the march of one lane on Python floats:
+    the rows each stage was given, (stages, 7, 1), and the states,
+    (len(t), 4, 1)."""
+    seen, slope = [], congruence._slope_line
+
+    def spy(k, y):
+        seen.append(list(k))
+        return slope(k, y)
+    y0 = np.random.default_rng(3).uniform(-1.0, 1.0, 4)
+    with monkeypatch.context() as m:
+        m.setattr(congruence, "_slope_line", spy)
+        states = congruence._march_line(fill, t, i0, y0.tolist())
+    return np.array(seen)[:, :, None], states[:, :, None]
 
 
 def _stage_rows(K, i0):
@@ -351,8 +382,9 @@ def test_shared_node_scalars_match_per_direction_evaluation(
     # the column march keeps its node scalars, the row march reuses them
     # and evaluates only its midpoints.  Every RK4 stage gets the rows of
     # an evaluation per direction as one array, bit for bit, whether the
-    # march starts at the first node, the last or in between, and in
-    # 1-lane marches such as the initial row's
+    # march starts at the first node, the last or in between.  The
+    # initial row's march of one lane on Python floats gets the same
+    # rows, and its states are those of the march of a (4, 1) array
     if block is not None:
         monkeypatch.setattr(grids, "_BLOCK", block)
     consts = IntegralConstants(c=0.5, c1=1.0, c2=0.25, c3=-0.75)
@@ -363,21 +395,23 @@ def test_shared_node_scalars_match_per_direction_evaluation(
         cols_ref, scalars = _direction_rows(patch, consts, False, v, u)
         rows_ref, _ = _direction_rows(patch, consts, True, u, v)
         for iu0, iv0 in starts:
-            node = np.empty((4, nu, nv))
+            node = np.empty((3, nu, nv))
             cols = _kernel_rows(patch, consts, False, v, u,
                                 keep=node.transpose(0, 2, 1))
-            got = _streamed_rows(monkeypatch, cols, v, iv0, nu)
+            got, _ = _streamed_rows(monkeypatch, cols, v, iv0, nu)
             assert _same_bits(got, _stage_rows(cols_ref, iv0)), patch.name
             for kept, ref in zip(node, scalars):
                 assert _same_bits(kept, np.ascontiguousarray(ref[::2].T))
             rows = _kernel_rows(patch, consts, True, u, v, node=node)
-            got = _streamed_rows(monkeypatch, rows, u, iu0, nv)
+            got, _ = _streamed_rows(monkeypatch, rows, u, iu0, nv)
             assert _same_bits(got, _stage_rows(rows_ref, iu0)), patch.name
             line = v[iv0:iv0 + 1]
             first = _kernel_rows(patch, consts, True, u, line)
-            got = _streamed_rows(monkeypatch, first, u, iu0, 1)
+            got, states = _line_rows(monkeypatch, first, u, iu0)
             line_ref, _ = _direction_rows(patch, consts, True, u, line)
             assert _same_bits(got, _stage_rows(line_ref, iu0)), patch.name
+            _, ref = _streamed_rows(monkeypatch, first, u, iu0, 1)
+            assert _same_bits(states, ref), patch.name
 
 
 @pytest.mark.parametrize("block, domain, step", [
@@ -403,8 +437,44 @@ def test_blocked_agreement_matches_the_whole_grid(name, block, domain, step,
     assert 0.0 < whole < 1e-6
 
 
+@pytest.mark.parametrize("block", [None, 1000, 32])
+@pytest.mark.parametrize("domain, step, shape", [
+    # nu != nv, the initial node off the grid's centre
+    (Domain(-0.6, 1.0, -1.0, 0.4), 0.02, (81, 71)),
+    # whole-grid arrays above 32,768 samples, where numpy reuses
+    # temporaries as outputs
+    (SQUARE, 0.01, (201, 201)),
+])
+def test_w_jet_per_row_block_matches_the_whole_grid(
+        catenoid_data, enneper_data, block, domain, step, shape,
+        monkeypatch):
+    # W's jet is built per block of rows from the fill and the node
+    # scalars: every block gets the bits of the whole grid's jet
+    if block is not None:
+        monkeypatch.setattr(grids, "_BLOCK", block)
+    for ac in (catenoid_data, enneper_data):
+        integ = integrate_system(ac.patch, _origin_state(ac), ac.constants,
+                                 domain=domain, step=step)
+        assert integ.U.shape == shape
+        whole = integ.w
+        blocks = _row_blocks(*shape)
+        assert len(blocks) > 1 or block is None
+        for b in blocks:
+            jet = integ.w_rows(b)
+            for part in ("val", "du", "dv", "duu", "duv", "dvv"):
+                assert _same_bits(getattr(jet, part),
+                                  getattr(whole, part)[b]), (ac.name, part)
+
+
+def _jet_rows(w):
+    """W's jet on the rows b, cut from the whole-grid jet ``w``."""
+    return lambda b: RJet2(*(x[b] for x in (w.val, w.du, w.dv, w.duu,
+                                            w.duv, w.dvv)))
+
+
 def _envelope_case(name, case, monkeypatch):
-    """(patch, W jet, Omega, constants, U, V) of one block layout."""
+    """(patch, W's jet per block of rows, W's whole-grid jet, Omega,
+    constants, U, V) of one block layout."""
     ac = analytic_example(name)
     if case == "off-centre":
         # nu != nv, initial node off the grid's centre, several blocks
@@ -413,8 +483,8 @@ def _envelope_case(name, case, monkeypatch):
                                  domain=Domain(-0.6, 1.0, -1.0, 0.4),
                                  step=0.02)
         assert integ.U.shape == (81, 71) and integ.init_node == (30, 50)
-        return (ac.patch, integ.w, integ.omega, ac.constants,
-                integ.U, integ.V)
+        return (ac.patch, integ.w_rows, integ.w, integ.omega,
+                ac.constants, integ.U, integ.V)
     # 23 rows of 40 in blocks of 12 and 11 rows; 10 x 20 inside one
     # block; rows of 600 samples, one row per block
     block, shape = {"ragged": (500, (23, 40)), "one-block": (500, (10, 20)),
@@ -422,7 +492,8 @@ def _envelope_case(name, case, monkeypatch):
     monkeypatch.setattr(grids, "_BLOCK", block)
     U, V = np.meshgrid(np.linspace(-0.9, 0.8, shape[0]),
                        np.linspace(-0.7, 0.95, shape[1]), indexing="ij")
-    return (ac.patch, ac.w_jet(U, V), ac.omega_jet(U, V).val, ac.constants,
+    w = ac.w_jet(U, V)
+    return (ac.patch, _jet_rows(w), w, ac.omega_jet(U, V).val, ac.constants,
             U, V)
 
 
@@ -430,8 +501,10 @@ def _envelope_case(name, case, monkeypatch):
                                   "off-centre"])
 @pytest.mark.parametrize("name", ["catenoid", "enneper"])
 def test_envelope_checks_match_the_whole_grid(name, case, monkeypatch):
-    patch, w, omega, consts, U, V = _envelope_case(name, case, monkeypatch)
-    checks = envelope_checks(patch, w, omega, consts, U, V, surface=True)
+    patch, w_rows, w, omega, consts, U, V = _envelope_case(name, case,
+                                                           monkeypatch)
+    checks = envelope_checks(patch, w_rows, omega, consts, U, V,
+                             surface=True)
     env = envelope(patch, w, U, V)
     ms = check_middle_sphere(env)
     hv = hover_ratio_residual(env, omega, consts)
@@ -445,7 +518,7 @@ def test_envelope_checks_match_the_whole_grid(name, case, monkeypatch):
     assert _same_bits(checks.valid, env.valid)
     assert ms.n_valid > 0
     # without a mesh to write, nothing but the residuals is assembled
-    bare = envelope_checks(patch, w, omega, consts, U, V)
+    bare = envelope_checks(patch, w_rows, omega, consts, U, V)
     assert bare.X is None and bare.N is None and bare.valid is None
     assert _same_bits(bare.residuals["middle_sphere"].values, ms.values)
 
@@ -475,6 +548,27 @@ def test_analytic_command_builds_one_chart_record(name, monkeypatch,
     assert calls == {"frame": 1, "chart_scalars": 1}
 
 
+@pytest.mark.parametrize("name", ["catenoid", "enneper"])
+def test_analytic_command_evaluates_one_gauss_map_jet_per_order(
+        name, monkeypatch, capsys):
+    # on the command's 41 x 41 grid, g's order-2 jet is evaluated once,
+    # for the chart scalars and the tangents of the gradient link, and
+    # its order-3 jet once, for the envelope's frame (analytic_example's
+    # own validation grid aside)
+    ac = analytic_example(name)
+    monkeypatch.setattr(cli, "analytic_example", lambda _: ac)
+    orders, real = Counter(), minimal.eval_jet
+
+    def spy(expr, z, order):
+        assert np.shape(z) == (41, 41)
+        orders[order] += 1
+        return real(expr, z, order)
+    monkeypatch.setattr(minimal, "eval_jet", spy)
+    assert cli.main(["congruence", "--minimal", name]) == 0, \
+        capsys.readouterr().out
+    assert orders == {2: 1, 3: 1}
+
+
 def test_path_gap_converges_with_the_step(catenoid_data):
     # RK4 on both fills: the gap between them is a discretisation error,
     # so halving the step cuts it by about 2^4
@@ -487,10 +581,12 @@ def test_path_gap_converges_with_the_step(catenoid_data):
 
 class _BentCurvature:
     """The catenoid with k1 scaled by (1 + 1e-3 u): no longer a chart of
-    a surface, so the system is not integrable and the two fills part."""
+    a surface, so the system is not integrable and the two fills part.
+    At the nodes the row march takes k1 = a / phi^2, unscaled."""
 
     def __init__(self, patch):
         self.patch = patch
+        self.a = patch.a
 
     def chart_scalars(self, U, V):
         phi, pu, pv, k1 = self.patch.chart_scalars(U, V)

@@ -156,20 +156,24 @@ def test_integrated_congruence_memory_stays_bounded(capsys):
     # tracemalloc peak of one 201 x 201 run: 22.3 MB when every shape
     # quantity and N's second partials were built eagerly, 17.9 MB on
     # demand, 12.2 MB with the chart scalars, the envelope and its checks
-    # evaluated in blocks of rows; the bound sits halfway between the
-    # last two
+    # evaluated in blocks of rows (9.2 MB after later changes), 8.2 MB
+    # with one fill and the node scalars held and W's jet built per
+    # block; the bound sits halfway between the last two
     peak = _integrate_peak("0.01", capsys)
-    assert peak <= 15.0e6, peak
+    assert peak <= 8.7e6, peak
 
 
 def test_benchmark_congruence_memory_stays_bounded(capsys):
     # tracemalloc peak of the benchmark's 401 x 401 run: 41.4 MB with a
     # full-grid kernel-row array per march and a full-grid reference
-    # state for the analytic agreement, 23.3 MB with the kernel rows
-    # streamed into each march and the agreement taken block by block;
-    # the bound sits halfway between the two
+    # state for the analytic agreement, 23.3 MB (22.9 MB after later
+    # changes) with the kernel rows streamed into each march and the
+    # agreement taken block by block, 17.2 MB with one fill and the node
+    # scalars held, the row march's states compared block by block and
+    # W's jet built per block of the envelope; the bound sits halfway
+    # between the last two
     peak = _integrate_peak("0.005", capsys)
-    assert peak <= 32.3e6, peak
+    assert peak <= 20.0e6, peak
 
 
 def test_pair_deep_dual_memory_stays_bounded(capsys):
