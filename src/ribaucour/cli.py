@@ -22,6 +22,7 @@ unit sphere), 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -367,7 +368,10 @@ def _add_pair_arguments(sp, out_help, out_required=False):
     sp.add_argument("--out", required=out_required, help=out_help)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves
+    it unchanged, so every :func:`main` call shares it."""
     p = argparse.ArgumentParser(
         prog="ribaucour",
         description="Surfaces whose middle spheres cut the unit sphere "

@@ -26,8 +26,12 @@ kernel (:func:`_slope`) serves both directions.  :func:`integrate_system`
 runs three marches: the initial row, one lane on Python floats; then
 every column, whose states go block by block straight into the one
 fill it keeps; then every row from the initial column, whose states are
-compared with that fill block by block and dropped.  The gap between
-the two fills doubles as the compatibility (Frobenius) check.  The chart
+compared with that fill block by block and dropped.  A march of many
+lanes (:func:`_march`) steps its two halves, forward and backward from
+the initial node, in one RK4 loop as two groups of lanes with a step h
+per lane, so each stage costs one set of numpy calls for both.  The gap
+between the two fills doubles as the compatibility (Frobenius) check.
+The chart
 scalars (phi, phi_u, phi_v, k1) are evaluated once per abscissa and
 streamed into each march as kernel rows, one block of steps of about
 ``grids._BLOCK`` samples at a time, just before the block is stepped,
@@ -57,11 +61,14 @@ of grid rows (:func:`ribaucour.grids._row_blocks`, the package's one
 block helper), W's jet built for each block, and assembles the
 full-grid residuals (and X, N, the valid mask on request) in a
 :class:`~ribaucour.ribaucour_core.GridChecks`, without any full-grid
-temporaries.  The checks share one chart record:
-the tuple of :meth:`~ribaucour.minimal.MinimalPatch.chart_scalars` (the
-``scalars`` argument), the tangents X_u and X_v read off the same jet of
-g (the ``tangents`` argument), and the frame of the envelope, whose tau
-also gives the minimal metric's log factor, log phi = log a - tau.
+temporaries.  These checks read tau, the frame's log factor, to first
+order only, so the frame is built from an order-2 jet of g
+(:meth:`~ribaucour.minimal.MinimalPatch.frame`).  The checks share one
+chart record: the tuple of
+:meth:`~ribaucour.minimal.MinimalPatch.chart_scalars` (the ``scalars``
+argument), the tangents X_u and X_v read off the same jet of g (the
+``tangents`` argument), and the frame of the envelope, whose tau also
+gives the minimal metric's log factor, log phi = log a - tau.
 
 :func:`analytic_example` ships closed-form solutions over the built-in
 patches as jet code.  Each published closed form is validated against
@@ -71,7 +78,9 @@ quadrature of Omega from W and the first integral, validates it the
 same way and records both outcomes.  The quadrature is not redone at
 run time: the tests re-derive the correction from W as its oracle.
 :meth:`AnalyticCongruence.agreement` compares an integrated congruence
-with the closed forms over blocks of grid rows.
+with the closed forms over blocks of grid rows; the closed forms keep
+the partials that vanish as structural zeros (:mod:`ribaucour.jets`),
+so a term in one coordinate costs one grid line.
 """
 
 from __future__ import annotations
@@ -466,59 +475,91 @@ def _slope(k, y, out, tmp):
 
 def _march(fill, t, i0, y0, put) -> None:
     """RK4 march of the states y0 (4, lanes) along uniform nodes t,
-    outward from index i0: forward to the last node, then backward to
-    the first.  The states go to ``put(nodes, ys)`` one block at a time,
-    ys[k] (4, lanes) being the state at node nodes.start + k; the first
-    block is y0 alone.  The kernel rows come from ``fill`` of
-    :func:`_kernel_rows` one block of steps at a time, about
-    ``grids._BLOCK`` samples each, just before the block is stepped.  A
-    block starts from the last state and row of the one before, so every
-    abscissa is evaluated once, and the march holds the states of one
-    block only, in a rolling (m + 1, 4, lanes) buffer."""
+    outward from index i0 to both ends.  The forward half, to the last
+    node, and the backward half, to the first, step in one loop as two
+    groups of lanes, each with its own step h per lane; the group with
+    more steps takes the leading lanes, so the lanes still stepping are
+    always a prefix.  The states go to ``put(nodes, ys)`` one block of a
+    group at a time, ys[k] (4, lanes) being the state at node
+    nodes.start + k; the first block is y0 alone.  The kernel rows come
+    from ``fill`` of :func:`_kernel_rows` one block of steps per group
+    at a time, about ``grids._BLOCK`` samples each, just before the
+    block is stepped.  A block starts from the last state and row of the
+    one before, so every abscissa is evaluated once, and the march holds
+    the states of one block only, in a rolling (m + 1, 4, 2 lanes)
+    buffer.  Every lane gets the bits of a march of its half alone."""
     n, lanes = len(t), y0.shape[1]
-    # steps per block: two abscissae each beyond the block's first node
+    # steps per block and group: two abscissae each beyond the block's
+    # first node
     m = _rows_per_block(2 * lanes)
-    ys = np.empty((m + 1, 4, lanes))
-    s1, s2, s3, s4, z = (np.empty((4, lanes)) for _ in range(5))
-    tmp = np.empty((3, lanes))
-    K = np.empty((2 * m + 1, 7, lanes))
-    fill(K[:1], 2 * i0, 1)
-    start = K[0].copy()
+    # (direction, node index, steps left) of each group, the longer first
+    groups = sorted([[1, i0, n - 1 - i0], [-1, i0, i0]], key=lambda g: -g[2])
+    width = 2 * lanes
+    ys = np.empty((m + 1, 4, width))
+    # the four RK4 slopes and a stage's state, and _slope's scratch
+    S, tmp = np.empty((5, 4, width)), np.empty((3, width))
+    K = np.empty((2 * m + 1, 7, width))
+    # h / 2, h and h / 6 of each step of a block, per lane
+    H = np.empty((m, 3, width))
+    fill(K[:1, :, :lanes], 2 * i0, 1)
+    K[0, :, lanes:] = K[0, :, :lanes]
+    ys[0, :, :lanes] = ys[0, :, lanes:] = y0
     put(slice(i0, i0 + 1), y0[None])
+    lane = [slice(0, lanes), slice(lanes, width)]
 
-    for d, last in ((1, n - 1), (-1, 0)):
-        K[0], ys[0], i = start, y0, i0
-        while i != last:
-            steps = min(m, abs(last - i))
-            fill(K[1:2 * steps + 1], 2 * i + d, d)
-            for k in range(steps):
-                h, y = t[i + d] - t[i], ys[k]
-                at_i, at_mid, at_next = K[2 * k], K[2 * k + 1], K[2 * k + 2]
-                _slope(at_i, y, s1, tmp)
-                np.multiply(s1, 0.5 * h, out=z)
-                z += y
-                _slope(at_mid, z, s2, tmp)
-                np.multiply(s2, 0.5 * h, out=z)
-                z += y
-                _slope(at_mid, z, s3, tmp)
-                np.multiply(s3, h, out=z)
-                z += y
-                _slope(at_next, z, s4, tmp)
-                # y + (h/6) (s1 + 2 s2 + 2 s3 + s4), summed in that order
-                s2 *= 2.0
-                s2 += s1
-                s3 *= 2.0
-                s2 += s3
-                s2 += s4
-                s2 *= h / 6.0
-                np.add(y, s2, out=ys[k + 1])
-                i += d
+    while groups[0][2]:
+        steps = [min(m, g[2]) for g in groups]
+        for (d, i, _), c, sl in zip(groups, steps, lane):
+            if c:
+                fill(K[1:2 * c + 1, :, sl], 2 * i + d, d)
+                j = i + d * np.arange(c)
+                h = t[j + d] - t[j]
+                H[:c, 0, sl] = (0.5 * h)[:, None]
+                H[:c, 1, sl] = h[:, None]
+                H[:c, 2, sl] = (h / 6.0)[:, None]
+        # both groups for the shorter one's steps, then the leading one
+        for k0, k1, w in ((0, steps[1], width), (steps[1], steps[0], lanes)):
+            _rk4_steps(K[:, :, :w], ys[:, :, :w], H[:, :, :w], k0, k1,
+                       S[:, :, :w], tmp[:, :w])
+        for g, c, sl in zip(groups, steps, lane):
+            if not c:
+                continue
+            d, i = g[0], g[1] + g[0] * c
             # the block's states in node order
             if d > 0:
-                put(slice(i - steps + 1, i + 1), ys[1:steps + 1])
+                put(slice(i - c + 1, i + 1), ys[1:c + 1, :, sl])
             else:
-                put(slice(i, i + steps), ys[steps:0:-1])
-            K[0], ys[0] = K[2 * steps], ys[steps]
+                put(slice(i, i + c), ys[c:0:-1, :, sl])
+            K[0, :, sl], ys[0, :, sl] = K[2 * c, :, sl], ys[c, :, sl]
+            g[1], g[2] = i, g[2] - c
+
+
+def _rk4_steps(K, ys, H, k0, k1, S, tmp) -> None:
+    """RK4 steps k0 .. k1 - 1 of a block of :func:`_march`: from ys[k]
+    to ys[k + 1] with the kernel rows K[2 k .. 2 k + 2] and the per-lane
+    steps H[k]; S and tmp are scratch."""
+    s1, s2, s3, s4, z = S
+    for k in range(k0, k1):
+        y, (half, h, sixth) = ys[k], H[k]
+        at_i, at_mid, at_next = K[2 * k], K[2 * k + 1], K[2 * k + 2]
+        _slope(at_i, y, s1, tmp)
+        np.multiply(s1, half, out=z)
+        z += y
+        _slope(at_mid, z, s2, tmp)
+        np.multiply(s2, half, out=z)
+        z += y
+        _slope(at_mid, z, s3, tmp)
+        np.multiply(s3, h, out=z)
+        z += y
+        _slope(at_next, z, s4, tmp)
+        # y + (h/6) (s1 + 2 s2 + 2 s3 + s4), summed in that order
+        s2 *= 2.0
+        s2 += s1
+        s3 *= 2.0
+        s2 += s3
+        s2 += s4
+        s2 *= sixth
+        np.add(y, s2, out=ys[k + 1])
 
 
 def _slope_line(k, y):
@@ -652,7 +693,8 @@ def integrate_system(patch: MinimalPatch, init: CongruenceState,
     into the system along u, with the chart coefficients of the march.
     The grid is filled by a march along the initial row (on Python
     floats, :func:`_march_line`), then one along all columns at once,
-    whose states go straight into the fields.  One more march along all
+    both halves of it in one loop (:func:`_march`), whose states go
+    straight into the fields.  One more march along all
     rows, started from the initial column, fills the grid in the
     transposed order; each of its blocks is compared with the fields and
     dropped, and ``path_gap`` is the max discrepancy between the two

@@ -40,7 +40,7 @@ from .holoexpr import eval_jet
 from .ribaucour_core import (GridChecks, ResidualField, RibaucourPatch,
                              SurfaceFields, _fields_from_frame, _mu_scale,
                              unit_sphere_gap)
-from .sphere_geom import frame_from_jet
+from .sphere_geom import _dot, frame_from_jet
 
 __all__ = [
     "DualPair", "make_dual", "evaluate_pair",
@@ -100,7 +100,7 @@ def _rel(a, b):
 
 def _angle(d, e):
     """Angle between chart lines spanned by unit vectors (mod pi)."""
-    dot = np.abs(np.sum(d * e, axis=-1))
+    dot = np.abs(_dot(d, e))
     return np.arccos(np.clip(dot, 0.0, 1.0))
 
 

@@ -9,6 +9,21 @@ differentials — no finite differencing anywhere in the construction.
 Entries may be floats or numpy arrays of a common broadcastable shape, so
 one jet value can describe a whole grid of samples at once.
 
+An entry that is the Python int 0 (such as the partials of the
+constructors) is a structural zero, and it stays the scalar 0 through
+arithmetic: a product-rule or chain-rule term with a structural-zero
+factor is skipped, and a sum skips its zero operands, by the helpers of
+the complex Taylor jets in :mod:`ribaucour.holoexpr`, which also skip a
+product with the int 1.  So a jet in one chart coordinate costs as much
+as that coordinate's grid line, not the whole grid.  Every other entry
+gets the bits the dense arithmetic gives it, save two cases where the
+skipped term was not an exact zero: 0 * inf and 0 * nan give 0 instead
+of NaN, and an exact zero result may keep the other sign.
+
+:class:`RJet1` is the first-order part (value, du, dv) of a jet, for
+fields whose readers need no second partials; it has no second partials
+to read.
+
 The bridge functions :func:`re_jet`, :func:`im_jet` and :func:`abs2_jet`
 convert a complex jet of a holomorphic function f into real jets of
 Re f, Im f and |f|^2 using the Cauchy–Riemann structure: with z = u + iv,
@@ -21,9 +36,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .holoexpr import CJet
+from .holoexpr import CJet, _add, _mul, _sub
 
-__all__ = ["RJet2", "re_jet", "im_jet", "abs2_jet", "jet_finite"]
+__all__ = ["RJet2", "RJet1", "re_jet", "im_jet", "abs2_jet", "jet_finite"]
+
+
+def _neg(x):
+    return _sub(0, x)
 
 
 @dataclass(frozen=True)
@@ -45,54 +64,53 @@ class RJet2:
 
     @staticmethod
     def constant(c) -> "RJet2":
-        return RJet2(c, 0.0, 0.0, 0.0, 0.0, 0.0)
+        return RJet2(c, 0, 0, 0, 0, 0)
 
     @staticmethod
     def coord_u(u) -> "RJet2":
         """Jet of the chart function (u, v) -> u."""
-        return RJet2(u, 1.0, 0.0, 0.0, 0.0, 0.0)
+        return RJet2(u, 1, 0, 0, 0, 0)
 
     @staticmethod
     def coord_v(v) -> "RJet2":
-        return RJet2(v, 0.0, 1.0, 0.0, 0.0, 0.0)
+        return RJet2(v, 0, 1, 0, 0, 0)
 
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, o) -> "RJet2":
         if not isinstance(o, RJet2):
             # a constant (scalar or array) shifts the value only
-            return RJet2(self.val + o, self.du, self.dv,
+            return RJet2(_add(self.val, o), self.du, self.dv,
                          self.duu, self.duv, self.dvv)
-        return RJet2(self.val + o.val, self.du + o.du, self.dv + o.dv,
-                     self.duu + o.duu, self.duv + o.duv, self.dvv + o.dvv)
+        return RJet2(*map(_add, self._entries(), o._entries()))
 
     __radd__ = __add__
 
     def __sub__(self, o) -> "RJet2":
         if not isinstance(o, RJet2):
-            return self + (-o)
-        return RJet2(self.val - o.val, self.du - o.du, self.dv - o.dv,
-                     self.duu - o.duu, self.duv - o.duv, self.dvv - o.dvv)
+            return self + _neg(o)
+        return RJet2(*map(_sub, self._entries(), o._entries()))
 
     def __rsub__(self, other) -> "RJet2":
         return -self + other
 
     def __neg__(self) -> "RJet2":
-        return RJet2(-self.val, -self.du, -self.dv,
-                     -self.duu, -self.duv, -self.dvv)
+        return RJet2(*map(_neg, self._entries()))
 
     def __mul__(self, o) -> "RJet2":
         if not isinstance(o, RJet2):
             # a constant scales every entry: no product-rule terms
-            return RJet2(self.val * o, self.du * o, self.dv * o,
-                         self.duu * o, self.duv * o, self.dvv * o)
+            return RJet2(*(_mul(a, o) for a in self._entries()))
         return RJet2(
-            self.val * o.val,
-            self.du * o.val + self.val * o.du,
-            self.dv * o.val + self.val * o.dv,
-            self.duu * o.val + 2.0 * self.du * o.du + self.val * o.duu,
-            self.duv * o.val + self.du * o.dv + self.dv * o.du + self.val * o.duv,
-            self.dvv * o.val + 2.0 * self.dv * o.dv + self.val * o.dvv,
+            _mul(self.val, o.val),
+            _add(_mul(self.du, o.val), _mul(self.val, o.du)),
+            _add(_mul(self.dv, o.val), _mul(self.val, o.dv)),
+            _add(_add(_mul(self.duu, o.val), _mul(_mul(2.0, self.du), o.du)),
+                 _mul(self.val, o.duu)),
+            _add(_add(_add(_mul(self.duv, o.val), _mul(self.du, o.dv)),
+                      _mul(self.dv, o.du)), _mul(self.val, o.duv)),
+            _add(_add(_mul(self.dvv, o.val), _mul(_mul(2.0, self.dv), o.dv)),
+                 _mul(self.val, o.dvv)),
         )
 
     __rmul__ = __mul__
@@ -118,12 +136,15 @@ class RJet2:
         """Chain rule for w = g(f) given g, g', g'' evaluated at f."""
         return RJet2(
             g0,
-            g1 * self.du,
-            g1 * self.dv,
-            g2 * self.du * self.du + g1 * self.duu,
-            g2 * self.du * self.dv + g1 * self.duv,
-            g2 * self.dv * self.dv + g1 * self.dvv,
+            _mul(g1, self.du),
+            _mul(g1, self.dv),
+            _add(_mul(_mul(g2, self.du), self.du), _mul(g1, self.duu)),
+            _add(_mul(_mul(g2, self.du), self.dv), _mul(g1, self.duv)),
+            _add(_mul(_mul(g2, self.dv), self.dv), _mul(g1, self.dvv)),
         )
+
+    def _entries(self) -> tuple:
+        return (self.val, self.du, self.dv, self.duu, self.duv, self.dvv)
 
     def _reciprocal(self) -> "RJet2":
         # numpy scalars divide by zero to inf/nan (maskable) instead of
@@ -142,6 +163,51 @@ class RJet2:
     def exp(self) -> "RJet2":
         g = np.exp(self.val)
         return self._lift(g, g, g)
+
+
+@dataclass(frozen=True)
+class RJet1:
+    """Value and partials (du, dv) of a real field: the first-order
+    entries of an RJet2, with the bits RJet2's arithmetic gives them.  It
+    carries only the operations a log conformal factor is built with,
+    and it has no duu, duv or dvv: reading one raises AttributeError."""
+
+    val: object
+    du: object
+    dv: object
+
+    __array_ufunc__ = None
+
+    def __add__(self, o) -> "RJet1":
+        if not isinstance(o, RJet1):
+            return RJet1(_add(self.val, o), self.du, self.dv)
+        return RJet1(*map(_add, self._entries(), o._entries()))
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "RJet1":
+        return RJet1(*map(_neg, self._entries()))
+
+    def __sub__(self, o: "RJet1") -> "RJet1":
+        return RJet1(*map(_sub, self._entries(), o._entries()))
+
+    def __mul__(self, c) -> "RJet1":
+        """A constant scales every entry."""
+        if isinstance(c, (RJet1, RJet2)):
+            return NotImplemented
+        return RJet1(*(_mul(a, c) for a in self._entries()))
+
+    __rmul__ = __mul__
+
+    def _entries(self) -> tuple:
+        return (self.val, self.du, self.dv)
+
+    def log(self) -> "RJet1":
+        v = self.val
+        if not isinstance(v, np.ndarray):
+            v = np.float64(v)
+        g1 = 1.0 / v
+        return RJet1(np.log(v), _mul(g1, self.du), _mul(g1, self.dv))
 
 
 # ---------------------------------------------------------------------------
@@ -164,26 +230,31 @@ def im_jet(j: CJet) -> RJet2:
     return RJet2(f0.imag, f1.imag, f1.real, f2.imag, f2.real, -f2.imag)
 
 
-def abs2_jet(j: CJet) -> RJet2:
-    """RJet2 of |f|^2 from a complex jet of f (order >= 2 required).
+def abs2_jet(j: CJet) -> RJet2 | RJet1:
+    """RJet2 of |f|^2 from a complex jet of f of order >= 2, or its RJet1
+    from a jet of order 1.
 
     With a = f' conj(f), b = f'' conj(f) and c = |f'|^2, the partials are
     2 Re a, -2 Im a, 2 (Re b + c), -2 Im b and 2 (c - Re b): a few
     complex products instead of the product rule on Re f and Im f."""
-    if j.order < 2:
-        raise ValueError("need a complex jet of order >= 2")
-    f0, f1, f2 = j.values[0], j.values[1], j.values[2]
+    if j.order < 1:
+        raise ValueError("need a complex jet of order >= 1")
+    f0, f1 = j.values[0], j.values[1]
     fb = np.conj(f0)
-    a, b = f1 * fb, f2 * fb
+    a = f1 * fb
+    val = f0.real * f0.real + f0.imag * f0.imag
+    if j.order == 1:
+        return RJet1(val, 2.0 * a.real, -2.0 * a.imag)
+    b = j.values[2] * fb
     c = f1.real * f1.real + f1.imag * f1.imag
-    return RJet2(f0.real * f0.real + f0.imag * f0.imag,
-                 2.0 * a.real, -2.0 * a.imag,
+    return RJet2(val, 2.0 * a.real, -2.0 * a.imag,
                  2.0 * (b.real + c), -2.0 * b.imag, 2.0 * (c - b.real))
 
 
-def jet_finite(j: RJet2):
-    """Boolean (or boolean array): all six entries finite."""
-    out = np.isfinite(j.val)
-    for part in (j.du, j.dv, j.duu, j.duv, j.dvv):
+def jet_finite(j: RJet2 | RJet1):
+    """Boolean (or boolean array): every entry of the jet finite."""
+    val, *parts = j._entries()
+    out = np.isfinite(val)
+    for part in parts:
         out = out & np.isfinite(part)
     return out

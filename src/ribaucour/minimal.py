@@ -122,9 +122,14 @@ class MinimalPatch:
         with the same metric factor e^{2 tau} = k1^2 phi^2.  Zeros of g'
         (flat points) are flagged as branch samples.
 
+        It is built from an order-2 jet of -g, so its tau is first-order
+        (see :mod:`ribaucour.sphere_geom`): every reader of this frame,
+        the envelope's shape data and checks and the congruence's
+        Hessian identities, reads tau's value and first partials only.
+
         -stereo(g) is stereo(-g) reflected in the equatorial plane, so
         only the third component of that frame changes sign, in place."""
-        f = frame_from_jet(eval_jet(Neg(self.g), _z(U, V), 3))
+        f = frame_from_jet(eval_jet(Neg(self.g), _z(U, V), 2))
         for a in (f.normal, f.normal_du, f.normal_dv):
             np.negative(a[..., 2], out=a[..., 2])
         return f

@@ -50,8 +50,9 @@ import numpy as np
 from .grids import Domain, _row_blocks
 from .holoexpr import HoloExpr, eval_jet, parse, to_text
 from .jets import RJet2, jet_finite
-from .sphere_geom import (SphereFrame, conformal_hessian, generator_data,
-                          sphere_gradient, sphere_laplacian, tau_from_jet)
+from .sphere_geom import (SphereFrame, _dot, conformal_hessian,
+                          generator_data, sphere_gradient, sphere_laplacian,
+                          tau_from_jet)
 
 __all__ = [
     "RibaucourPatch", "SurfaceFields", "SurfaceSample", "ResidualField",
@@ -239,8 +240,11 @@ class SurfaceFields:
 
     @_derived
     def X(self):
-        return sphere_gradient(self.rho, self.frame) \
-            + self.rho_val[..., None] * self.N
+        # grad rho + rho N, column by column
+        x, rv, n = sphere_gradient(self.rho, self.frame), self.rho_val, self.N
+        for k in range(3):
+            x[..., k] += rv * n[..., k]
+        return x
 
     @_derived
     def hover_k(self):
@@ -483,8 +487,8 @@ def check_middle_sphere(fields: SurfaceFields) -> ResidualField:
     Vanishing is equivalent to every middle sphere meeting the unit
     sphere along a great circle."""
     with np.errstate(all="ignore"):
-        xx = np.sum(fields.X * fields.X, axis=-1)
-        hxn = 2.0 * fields.hover_k * np.sum(fields.X * fields.N, axis=-1)
+        xx = _dot(fields.X, fields.X)
+        hxn = 2.0 * fields.hover_k * _dot(fields.X, fields.N)
         r = (xx + hxn + 1.0) / (xx + np.abs(hxn) + 1.0)
     valid = fields.valid & np.isfinite(np.asarray(r)) \
         & np.isfinite(np.asarray(fields.hover_k))
@@ -531,7 +535,8 @@ def unit_sphere_gap(fields: SurfaceFields) -> float:
     the fixed unit sphere itself (rho = 1, grad rho = 0)."""
     if not np.any(fields.valid):
         return float("nan")
-    gap = np.linalg.norm(fields.X - fields.N, axis=-1)
+    d = fields.X - fields.N
+    gap = np.sqrt(_dot(d, d))
     return float(np.max(gap[fields.valid]))
 
 

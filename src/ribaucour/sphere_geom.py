@@ -10,12 +10,17 @@ and the pulled-back round metric is conformal: <dN, dN> = e^{2 tau}
 
     tau = log 2 + (1/2) log |f'|^2 - log(1 + |f|^2).
 
-The frame stores tau as a second-order jet and N to first order only,
-as the three arrays N, N_u and N_v of shape (..., 3), each stacked once
-when the frame is built: gradients, Laplacians and covariant Hessians of
-fields on the sphere need no more, and they are exact.  The second
-partials of N follow from the Gauss formula of the round sphere,
-evaluated when read,
+The frame stores N to first order only, as the three arrays N, N_u and
+N_v of shape (..., 3), each stacked once when the frame is built:
+gradients, Laplacians and covariant Hessians of fields on the sphere
+need no more, and they are exact.  It stores tau one order below the
+complex jet of f it is built from: an order-3 jet gives tau's
+second-order jet (an RJet2), which a support function exp(tau1 - tau2)
+needs; an order-2 jet gives its first-order jet (an RJet1) with the same
+bits, which is all that N's second partials, the gradient, the
+Laplacian and the covariant Hessian read.  Such a frame's tau has no
+second partials to read.  The second partials of N follow from the
+Gauss formula of the round sphere, evaluated when read,
 
     N_uu = -e^{2 tau} N + tau_u N_u - tau_v N_v,
     N_uv = tau_v N_u + tau_u N_v,
@@ -39,7 +44,7 @@ from __future__ import annotations
 import numpy as np
 
 from .holoexpr import CJet, _quotient
-from .jets import RJet2, abs2_jet, jet_finite
+from .jets import RJet1, RJet2, abs2_jet, jet_finite
 
 __all__ = [
     "SphereFrame", "frame_from_jet", "tau_from_jet", "sphere_gradient",
@@ -55,14 +60,16 @@ class SphereFrame:
     unit sphere, as built.
 
     ``normal``, ``normal_du`` and ``normal_dv`` are N, N_u and N_v, each
-    of shape (..., 3); ``tau`` is tau's second-order jet.  N's second
-    partials are read off the Gauss formula (see the module docstring).
+    of shape (..., 3); ``tau`` is tau's jet, an RJet2 or an RJet1.  N's
+    second partials are read off the Gauss formula (see the module
+    docstring for both).
     ``branch`` is a bool or boolean array: the frame is degenerate there.
     """
 
     __slots__ = ("normal", "normal_du", "normal_dv", "tau", "branch")
 
-    def __init__(self, normal, normal_du, normal_dv, tau: RJet2, branch):
+    def __init__(self, normal, normal_du, normal_dv, tau: RJet2 | RJet1,
+                 branch):
         self.normal = normal
         self.normal_du = normal_du
         self.normal_dv = normal_dv
@@ -104,15 +111,17 @@ class SphereFrame:
 
 def _inverted_where_large(j: CJet):
     """The jet with f replaced by 1/f wherever |f| > 1, and the mask of
-    those samples (None where nothing is replaced).  The caller's jet is
-    not modified; only the replaced samples are recomputed."""
-    if j.order < 3:
-        raise ValueError("frame construction needs an order-3 jet")
+    those samples (None where nothing is replaced), at the jet's order.
+    The caller's jet is not modified; only the replaced samples are
+    recomputed."""
+    if j.order < 2:
+        raise ValueError("frame construction needs an order-2 or order-3 "
+                         "jet")
     with np.errstate(invalid="ignore"):
         flip = np.abs(j.values[0]) > 1.0
     if not np.any(flip):
         return j, None
-    one = [np.complex128(1.0), 0, 0, 0]
+    one = [np.complex128(1.0), 0, 0, 0][:j.order + 1]
     with np.errstate(all="ignore"):
         if np.all(flip):
             return CJet(j.z, tuple(_quotient(one, list(j.values)))), flip
@@ -123,22 +132,29 @@ def _inverted_where_large(j: CJet):
     return CJet(j.z, out), flip
 
 
-def _tau(h: CJet, denom: RJet2) -> RJet2:
-    """log 2 + (1/2) log |h'|^2 - log denom, with denom = 1 + |h|^2."""
+def _denom(h: CJet):
+    """1 + |h|^2, one order below h's jet."""
+    return abs2_jet(CJet(h.z, h.values[:-1])) + 1.0
+
+
+def _tau(h: CJet, denom):
+    """log 2 + (1/2) log |h'|^2 - log denom, with denom = 1 + |h|^2, one
+    order below h's jet."""
     return 0.5 * abs2_jet(h.derivative()).log() - denom.log() + _LOG2
 
 
-def tau_from_jet(j: CJet) -> RJet2:
-    """Jet of the log conformal factor tau of f's sphere map, from an
-    order-3 complex jet of f; pole-safe like :func:`frame_from_jet`.
-    Zeros of f' and non-finite jets give non-finite entries."""
+def tau_from_jet(j: CJet) -> RJet2 | RJet1:
+    """Jet of the log conformal factor tau of f's sphere map, one order
+    below the complex jet of f (of order 2 or 3); pole-safe like
+    :func:`frame_from_jet`.  Zeros of f' and non-finite jets give
+    non-finite entries."""
     h, _ = _inverted_where_large(j)
     return _tau_of(h)
 
 
-def _tau_of(h: CJet) -> RJet2:
+def _tau_of(h: CJet):
     with np.errstate(all="ignore"):
-        return _tau(h, abs2_jet(h) + 1.0)
+        return _tau(h, _denom(h))
 
 
 def schwarzian_from_jet(j: CJet):
@@ -166,7 +182,9 @@ def generator_data(j: CJet, frame: bool = True) -> tuple:
 
 
 def frame_from_jet(j: CJet) -> SphereFrame:
-    """Build the sphere frame from an order-3 complex jet of f.
+    """Build the sphere frame from a complex jet of f of order 3, or of
+    order 2 for a frame whose tau is first-order (see the module
+    docstring).
 
     Where |f| > 1 the frame is that of 1/f with the second and third
     components of N, N_u and N_v negated, so samples next to a pole stay
@@ -194,7 +212,7 @@ def _frame(j: CJet, schwarzian: bool) -> tuple:
     # same operations as the jet arithmetic; each intermediate is released
     # as soon as it is used, to bound the scratch memory
     with np.errstate(all="ignore"):
-        denom = abs2_jet(h) + 1.0          # 1 + |f|^2
+        denom = _denom(h)                  # 1 + |f|^2
         tau = _tau(h, denom)
         v = denom.val
         g1 = -1.0 / (v * v)
@@ -228,14 +246,30 @@ def _frame(j: CJet, schwarzian: bool) -> tuple:
 # Differential operators in a conformal chart
 # ---------------------------------------------------------------------------
 
+def _dot(a, b):
+    """Sum of a[..., k] * b[..., k] over the last axis, column by column:
+    the bits of ``np.sum(a * b, axis=-1)`` (which adds left to right on a
+    short axis), without its reduction over a short axis or the
+    (..., n) temporary."""
+    out = a[..., 0] * b[..., 0]
+    for k in range(1, a.shape[-1]):
+        out += a[..., k] * b[..., k]
+    return out
+
+
 def sphere_gradient(field: RJet2, frame: SphereFrame) -> np.ndarray:
     """Metric gradient of a field on the sphere, as a spatial vector
-    e^{-2 tau} (field_u N_u + field_v N_v), shape (..., 3)."""
-    w = np.asarray(np.exp(-2.0 * np.asarray(frame.tau.val, dtype=float)))
+    e^{-2 tau} (field_u N_u + field_v N_v), shape (..., 3), built column
+    by column."""
+    w = np.exp(-2.0 * np.asarray(frame.tau.val, dtype=float))
     du = np.asarray(field.du, dtype=float)
     dv = np.asarray(field.dv, dtype=float)
-    return w[..., None] * (du[..., None] * frame.normal_du
-                           + dv[..., None] * frame.normal_dv)
+    n_u, n_v = frame.normal_du, frame.normal_dv
+    out = np.empty(np.broadcast_shapes(w.shape, du.shape, dv.shape,
+                                       n_u.shape[:-1]) + (3,))
+    for k in range(3):
+        out[..., k] = w * (du * n_u[..., k] + dv * n_v[..., k])
+    return out
 
 
 def sphere_laplacian(field: RJet2, frame: SphereFrame):

@@ -19,6 +19,7 @@ from ribaucour.congruence import (_ANALYTIC, CongruenceState,
                                   generated_forms_check, hover_ratio_residual,
                                   integrate_system, system_residuals)
 from ribaucour.grids import Domain, _row_blocks
+from ribaucour.holoexpr import Neg
 from ribaucour.jets import RJet2
 from ribaucour.minimal import MinimalPatch, catenoid_patch, enneper_patch
 from ribaucour.ribaucour_core import check_middle_sphere
@@ -318,17 +319,23 @@ def _direction_rows(patch, consts, along_u, t, fixed):
 
 def _streamed_rows(monkeypatch, fill, t, i0, lanes):
     """March states along t from node i0 with the kernel rows of
-    ``fill``; returns the rows each RK4 stage was given, in march order,
-    stacked as (stages, 7, lanes), and the states at the nodes, shape
-    (len(t), 4, lanes).  Checks on the way that every block of rows
-    holds about ``_BLOCK`` samples, never 2 len(t) - 1 rows, and that
-    every node's state is handed over once."""
-    seen, slope = [], congruence._slope
+    ``fill``; returns the rows each RK4 stage of each half was given,
+    the forward half's stages first, stacked as (stages, 7, lanes), and
+    the states at the nodes, shape (len(t), 4, lanes).  Both halves step
+    in one loop, as two groups of lanes, the one with more steps leading:
+    checks on the way that every stage steps a prefix of the groups,
+    that every block of rows holds about ``_BLOCK`` samples per group,
+    never 2 len(t) - 1 rows, and that every node's state is handed over
+    once."""
+    halves = [1, -1] if len(t) - 1 - i0 >= i0 else [-1, 1]
+    seen, slope = {1: [], -1: []}, congruence._slope
     bound = max(grids._BLOCK + lanes, 3 * lanes)
 
     def spy(k, y, out, tmp):
         assert k.base.shape[0] * lanes <= bound
-        seen.append(k.copy())
+        assert k.shape[1] in (lanes, 2 * lanes)
+        for g, d in enumerate(halves[:k.shape[1] // lanes]):
+            seen[d].append(k[:, g * lanes:(g + 1) * lanes].copy())
         slope(k, y, out, tmp)
     states, count = np.empty((len(t), 4, lanes)), np.zeros(len(t), int)
 
@@ -340,7 +347,7 @@ def _streamed_rows(monkeypatch, fill, t, i0, lanes):
         m.setattr(congruence, "_slope", spy)
         congruence._march(fill, t, i0, y0, put)
     assert (count == 1).all()
-    return np.array(seen), states
+    return np.array(seen[1] + seen[-1]), states
 
 
 def _line_rows(monkeypatch, fill, t, i0):
@@ -412,6 +419,57 @@ def test_shared_node_scalars_match_per_direction_evaluation(
             assert _same_bits(got, _stage_rows(line_ref, iu0)), patch.name
             _, ref = _streamed_rows(monkeypatch, first, u, iu0, 1)
             assert _same_bits(states, ref), patch.name
+
+
+@pytest.mark.parametrize("block", [None, 64])
+@pytest.mark.parametrize("domain, shape", [
+    # nu != nv, the initial node off the grid's centre
+    ((-0.6, 1.0, -1.0, 0.4), (33, 29)),
+    ((-1.0, 1.0, -0.5, 1.5), (25, 41)),
+])
+def test_joint_march_matches_each_half_alone(monkeypatch, block, domain,
+                                             shape):
+    # the forward and backward halves of a march step in one loop as two
+    # groups of lanes; every lane's states are those of its halves
+    # marched alone, bit for bit: the march of one lane on Python floats,
+    # forward to the last node, then backward to the first.  Both march
+    # directions, the row march on the kept node scalars, and starts at
+    # either end, off the centre, and with either half the longer
+    if block is not None:
+        monkeypatch.setattr(grids, "_BLOCK", block)
+    consts = IntegralConstants(c=0.5, c1=1.0, c2=0.25, c3=-0.75)
+    nu, nv = shape
+    u = np.linspace(domain[0], domain[1], nu)
+    v = np.linspace(domain[2], domain[3], nv)
+    rng = np.random.default_rng(11)
+    for patch in (catenoid_patch(), enneper_patch()):
+        node = np.empty((3, nu, nv))
+        # the column march fills the node scalars the row march reads
+        cols = _kernel_rows(patch, consts, False, v, u,
+                            keep=node.transpose(0, 2, 1))
+        congruence._march(cols, v, 0, np.zeros((4, nu)),
+                          lambda nodes, ys: None)
+        marches = [
+            (lambda j: _kernel_rows(patch, consts, False, v, u[j:j + 1]),
+             v, nu),
+            (lambda j: _kernel_rows(patch, consts, True, u, v[j:j + 1],
+                                    node=node[:, :, j:j + 1]), u, nv)]
+        for fill_of, t, lanes in marches:
+            n = len(t)
+            for i0 in (0, n - 1, n // 4, 3 * n // 4 + 1):
+                y0 = rng.uniform(-1.0, 1.0, (4, lanes))
+                states = np.full((n, 4, lanes), np.nan)
+
+                def put(nodes, ys):
+                    states[nodes] = ys
+                whole = (_kernel_rows(patch, consts, False, v, u)
+                         if t is v else
+                         _kernel_rows(patch, consts, True, u, v, node=node))
+                congruence._march(whole, t, i0, y0, put)
+                ref = np.stack([congruence._march_line(fill_of(j), t, i0,
+                                                       y0[:, j].tolist())
+                                for j in range(lanes)], axis=-1)
+                assert _same_bits(states, ref), (patch.name, n, i0)
 
 
 @pytest.mark.parametrize("block, domain, step", [
@@ -553,20 +611,20 @@ def test_analytic_command_evaluates_one_gauss_map_jet_per_order(
         name, monkeypatch, capsys):
     # on the command's 41 x 41 grid, g's order-2 jet is evaluated once,
     # for the chart scalars and the tangents of the gradient link, and
-    # its order-3 jet once, for the envelope's frame (analytic_example's
-    # own validation grid aside)
+    # the order-2 jet of -g once, for the envelope's frame; no order-3
+    # jet (analytic_example's own validation grid aside)
     ac = analytic_example(name)
     monkeypatch.setattr(cli, "analytic_example", lambda _: ac)
     orders, real = Counter(), minimal.eval_jet
 
     def spy(expr, z, order):
         assert np.shape(z) == (41, 41)
-        orders[order] += 1
+        orders[order, "-g" if expr == Neg(ac.patch.g) else "g"] += 1
         return real(expr, z, order)
     monkeypatch.setattr(minimal, "eval_jet", spy)
     assert cli.main(["congruence", "--minimal", name]) == 0, \
         capsys.readouterr().out
-    assert orders == {2: 1, 3: 1}
+    assert orders == {(2, "g"): 1, (2, "-g"): 1}
 
 
 def test_path_gap_converges_with_the_step(catenoid_data):

@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from _oracles import fd_partials_scalar
+from _oracles import fd_partials_scalar, same_bits
 from ribaucour.holoexpr import eval_jet, parse
-from ribaucour.jets import RJet2, abs2_jet, im_jet, jet_finite, re_jet
+from ribaucour.jets import (RJet1, RJet2, abs2_jet, im_jet, jet_finite,
+                            re_jet)
 
 # composite scalar functions assembled from coordinate jets; each is
 # smooth on the sample box [0.2, 1.0]^2
@@ -166,6 +170,31 @@ def test_bridges_require_order_two():
     for bridge in (re_jet, im_jet):
         with pytest.raises(ValueError):
             bridge(j)
+    with pytest.raises(ValueError):
+        abs2_jet(eval_jet(parse("z"), 0.5, 0))
+
+
+def test_abs2_jet_of_order_one_is_the_first_order_part():
+    # an order-1 complex jet gives |f|^2 to first order, with the bits of
+    # the order-2 jet's entries, and no second partials to read
+    z = np.linspace(-1.0, 1.0, 7)[:, None] + 1j * np.linspace(-0.9, 0.9, 5)
+    j = eval_jet(parse("exp(z)/(1+z^2)"), z, 2)
+    one = abs2_jet(eval_jet(parse("exp(z)/(1+z^2)"), z, 1))
+    two = abs2_jet(j)
+    assert isinstance(one, RJet1)
+    for part in ("val", "du", "dv"):
+        assert same_bits(getattr(one, part), getattr(two, part)), part
+    for part in ("duu", "duv", "dvv"):
+        with pytest.raises(AttributeError):
+            getattr(one, part)
+    # the operations a log conformal factor is built with
+    lhs = 0.5 * one.log() - (one + 1.0).log() + 0.25
+    rhs = 0.5 * two.log() - (two + 1.0).log() + 0.25
+    for part in ("val", "du", "dv"):
+        assert same_bits(getattr(lhs, part), getattr(rhs, part)), part
+    assert same_bits((-one).du, (-two).du)
+    assert list(jet_finite(RJet1(np.ones(3), np.array([1.0, np.inf, 1.0]),
+                                 0.0))) == [True, False, True]
 
 
 def test_jet_finite_masks_bad_entries():
@@ -174,3 +203,81 @@ def test_jet_finite_masks_bad_entries():
     bad[2] = np.nan
     j = RJet2(vals, bad, vals, vals, vals, vals)
     assert list(jet_finite(j)) == [True, True, False, True]
+
+
+# ---------------------------------------------------------------------------
+# structural zeros
+# ---------------------------------------------------------------------------
+
+_PARTS = ("val", "du", "dv", "duu", "duv", "dvv")
+_N = 6
+_finite = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+_positive = st.floats(0.5, 2.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _jet_pair(draw):
+    """One jet with some partials structural zeros (the int 0), and the
+    same jet with dense zero arrays in their place; the value is
+    positive, so log, sqrt and the reciprocal stay finite."""
+    val = draw(hnp.arrays(float, _N, elements=_positive))
+    sparse, dense = [val], [val]
+    for _ in _PARTS[1:]:
+        if draw(st.booleans()):
+            sparse.append(0)
+            dense.append(np.zeros(_N))
+        else:
+            x = draw(hnp.arrays(float, _N, elements=_finite))
+            sparse.append(x)
+            dense.append(x)
+    return RJet2(*sparse), RJet2(*dense)
+
+
+def _combine(a, b):
+    """Every operation of RJet2, on bounded finite data."""
+    return [a + b, a - b, b - a, a * b, -a, 2.5 * a, a + 1.5, 1.5 - a,
+            a / 3.0, a / b, 2.0 / b, a ** 3, b.sqrt(), b.log(),
+            (0.5 * a).exp(), (a * b - a) * b.log() + (a + b).sqrt()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_jet_pair(), _jet_pair())
+def test_structural_zeros_match_dense_zero_arrays(p, q):
+    # skipping the terms with a structural-zero factor gives the bits of
+    # the dense arithmetic on zero arrays; only the sign of an exact zero
+    # may differ, since a skipped 0 * x is +-0
+    for got, want in zip(_combine(p[0], q[0]), _combine(p[1], q[1])):
+        for part in _PARTS:
+            g = np.broadcast_to(np.asarray(getattr(got, part), float),
+                                (_N,))
+            w = getattr(want, part)
+            assert np.array_equal(g, w), part
+            assert same_bits(g[w != 0], w[w != 0]), part
+
+
+def test_structural_zeros_stay_scalar():
+    # a jet in one coordinate keeps the other coordinate's partials as
+    # the int 0, and a grid line as its shape, through arithmetic
+    u = RJet2.coord_u(np.linspace(-1.0, 1.0, 5)[:, None])
+    j = (u * u + 1.0).log() * (-u).exp() / (u * u + 2.0)
+    for part in ("dv", "duv", "dvv"):
+        assert type(getattr(j, part)) is int and getattr(j, part) == 0
+    assert np.shape(j.du) == np.shape(j.duu) == (5, 1)
+    v = RJet2.coord_v(np.linspace(-1.0, 1.0, 4)[None, :])
+    k = u * v
+    assert type(k.duu) is int and type(k.dvv) is int
+    assert np.shape(k.val) == (5, 4) and k.duv == 1.0
+
+
+def test_structural_zero_times_inf_is_zero():
+    # the one case that is not the dense bits: a structural zero times a
+    # non-finite entry is 0, where a zero array gives NaN
+    inf = np.array([np.inf])
+    b = RJet2(inf, 1.0, 1.0, 0, 0, 0)
+    # dv = 0 * inf + 2 * 1: the first term is skipped
+    sparse = RJet2.coord_u(np.array([2.0])) * b
+    assert sparse.dv == 2.0
+    with np.errstate(invalid="ignore"):
+        dense = RJet2(np.array([2.0]), np.ones(1), np.zeros(1), np.zeros(1),
+                      np.zeros(1), np.zeros(1)) * b
+    assert np.isnan(dense.dv).all()

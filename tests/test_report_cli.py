@@ -411,6 +411,23 @@ def test_cli_outputs_are_byte_deterministic(tmp_path):
     assert files[0] == files[1]
 
 
+def test_main_parses_with_one_parser_per_process(tmp_path, capsys):
+    # the parser is built once; every main call in the process parses
+    # with it, and two calls write the same stdout, report and mesh
+    assert cli.build_parser() is cli.build_parser()
+    runs = []
+    for tag in ("a", "b"):
+        obj, rpt = tmp_path / f"{tag}.obj", tmp_path / f"{tag}.json"
+        code = cli.main(["congruence", "--minimal", "enneper", "--mode",
+                         "integrate", "--step", "0.02", "--domain",
+                         "-0.6:1:-1:0.4", "--out", str(obj),
+                         "--report", str(rpt)])
+        runs.append((code, capsys.readouterr().out, obj.read_bytes(),
+                     rpt.read_bytes()))
+    assert runs[0][0] == 0
+    assert runs[0] == runs[1]
+
+
 def test_import_does_not_load_sympy(tmp_path):
     # sympy is a test dependency only: with every sympy import made to
     # raise, the package imports and both congruence modes run and pass.

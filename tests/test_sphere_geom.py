@@ -1,8 +1,9 @@
 """Gauss-sphere frames and conformal differential operators."""
 
 import numpy as np
+import pytest
 
-from _oracles import fd_partials_scalar
+from _oracles import fd_partials_scalar, same_bits
 from ribaucour.grids import Domain
 from ribaucour.holoexpr import Neg, eval_jet, parse
 from ribaucour.jets import RJet2, re_jet
@@ -121,22 +122,59 @@ def test_frame_stores_normal_once_as_built():
         assert a.shape == Z.shape + (3,) and a.flags.c_contiguous, name
     fields = evaluate_patch(make_patch("z", "exp(z)"), 9, 9)
     assert fields.N is fields.frame.normal
-    # a minimal patch's frame is that of -g with the third component of
-    # N, N_u and N_v negated, bit for bit, and the same on every call
+    # a minimal patch's frame is that of -g's order-2 jet with the third
+    # component of N, N_u and N_v negated, bit for bit, and the same on
+    # every call
     U, V = Z.real, Z.imag
     for patch in (enneper_patch(), catenoid_patch()):
         got = patch.frame(U, V)
-        ref = frame_from_jet(eval_jet(Neg(patch.g), Z, 3))
+        ref = frame_from_jet(eval_jet(Neg(patch.g), Z, 2))
         again = patch.frame(U, V)
         for name in ("normal", "normal_du", "normal_dv"):
             a, b = getattr(got, name), getattr(ref, name)
             assert np.array_equal(a[..., :2], b[..., :2]), (patch.name, name)
             assert np.array_equal(a[..., 2], -b[..., 2]), (patch.name, name)
             assert np.array_equal(getattr(again, name), a), (patch.name, name)
-        for part in ("val", "du", "dv", "duu", "duv", "dvv"):
+        for part in ("val", "du", "dv"):
             assert np.array_equal(getattr(got.tau, part),
                                   getattr(ref.tau, part)), (patch.name, part)
         assert np.array_equal(got.branch, ref.branch), patch.name
+
+
+def test_order_two_frame_is_the_first_order_part():
+    # a frame built from an order-2 jet has the bits of the order-3
+    # frame's N, N_u, N_v, branch mask and tau to first order, on samples
+    # with |f| > 1 (built from 1/f) and |f| < 1 alike; its tau has no
+    # second partials to read
+    Z = _grid(17)
+    exprs = FRAME_EXPRS + ["exp(z)/(1+z^2)", "-z", "-exp(i*z)"]
+    cases = [(frame_from_jet(eval_jet(parse(text), Z, 2)),
+              frame_from_jet(eval_jet(parse(text), Z, 3)),
+              np.abs(eval_jet(parse(text), Z, 0).values[0]))
+             for text in exprs]
+    for two, three, size in cases:
+        if np.any(size < 1.0) and np.any(size > 1.0):
+            break
+    else:
+        raise AssertionError("no case has |f| on both sides of 1")
+    for two, three, _ in cases:
+        for name in ("normal", "normal_du", "normal_dv", "normal_duu",
+                     "normal_duv", "normal_dvv", "branch", "e2tau"):
+            assert same_bits(getattr(two, name), getattr(three, name)), name
+        for part in ("val", "du", "dv"):
+            assert same_bits(getattr(two.tau, part),
+                             getattr(three.tau, part)), part
+        for part in ("duu", "duv", "dvv"):
+            with pytest.raises(AttributeError):
+                getattr(two.tau, part)
+        with pytest.raises(AttributeError):
+            conformal_curvature(two.tau)
+    t = tau_from_jet(eval_jet(parse("sinh(z)"), Z, 2))
+    ref = tau_from_jet(eval_jet(parse("sinh(z)"), Z, 3))
+    assert all(same_bits(getattr(t, p), getattr(ref, p))
+               for p in ("val", "du", "dv"))
+    with pytest.raises(ValueError):
+        frame_from_jet(eval_jet(parse("z"), Z, 1))
 
 
 def test_frame_normal_partials_match_finite_differences():
