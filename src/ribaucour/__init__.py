@@ -20,8 +20,7 @@ from .ribaucour_core import (ResidualField, RibaucourPatch, SurfaceFields,
                              unit_sphere_gap)
 from .duality import (DualPair, evaluate_pair, make_dual, verify_c2,
                       verify_form_relations, verify_hk_equality)
-from .minimal import (MinimalPatch, catenoid_patch, conformality_residual,
-                      enneper_patch)
+from .minimal import MinimalPatch, catenoid_patch, enneper_patch
 from .congruence import (AnalyticCongruence, CongruenceState,
                          GeneratedFormsReport, HessianIdentityReport,
                          IntegralConstants, IntegratedCongruence,
@@ -47,8 +46,7 @@ __all__ = [
     "support", "support_jet", "unit_sphere_gap",
     "DualPair", "evaluate_pair", "make_dual", "verify_c2",
     "verify_form_relations", "verify_hk_equality",
-    "MinimalPatch", "catenoid_patch", "conformality_residual",
-    "enneper_patch",
+    "MinimalPatch", "catenoid_patch", "enneper_patch",
     "AnalyticCongruence", "CongruenceState", "GeneratedFormsReport",
     "HessianIdentityReport", "IntegralConstants", "IntegratedCongruence",
     "analytic_example", "check_hessian_identities", "envelope",

@@ -23,15 +23,14 @@ integration follow from the covariant Hessian identity for Omega (see
 making the system integrable by marching.  Swapping Omega1 and Omega2
 turns the system along v into the system along u, so one affine RK4
 kernel (:func:`_slope`) serves both directions.  :func:`integrate_system`
-runs three marches: the initial row, one lane on Python floats; then
-every column, whose states go block by block straight into the one
+runs three marches, all by :func:`_march`: the initial row, one lane;
+then every column, whose states go block by block straight into the one
 fill it keeps; then every row from the initial column, whose states are
-compared with that fill block by block and dropped.  A march of many
-lanes (:func:`_march`) steps its two halves, forward and backward from
-the initial node, in one RK4 loop as two groups of lanes with a step h
-per lane, so each stage costs one set of numpy calls for both.  The gap
-between the two fills doubles as the compatibility (Frobenius) check.
-The chart
+compared with that fill block by block and dropped.  A march steps its
+two halves, forward and backward from the initial node, in one RK4 loop
+as two groups of lanes with a step h per lane, so each stage costs one
+set of numpy calls for both.  The gap between the two fills doubles as
+the compatibility (Frobenius) check.  The chart
 scalars (phi, phi_u, phi_v, k1) are evaluated once per abscissa and
 streamed into each march as kernel rows, one block of steps of about
 ``grids._BLOCK`` samples at a time, just before the block is stepped,
@@ -562,42 +561,6 @@ def _rk4_steps(K, ys, H, k0, k1, S, tmp) -> None:
         np.add(y, s2, out=ys[k + 1])
 
 
-def _slope_line(k, y):
-    """:func:`_slope` of one lane on Python floats, its operations in
-    its order: rows k and state y are sequences of 7 and 4 floats."""
-    return (k[0] * y[3], k[1] * y[3], k[2] * y[3],
-            k[3] * y[0] + k[4] * y[1] + k[5] * y[2] + k[6])
-
-
-def _march_line(fill, t, i0, y0) -> np.ndarray:
-    """:func:`_march` of one lane, on Python floats: the states, shape
-    (len(t), 4), from the 4 floats y0 at node i0, bit for bit those of
-    the march of y0 as a (4, 1) array, without that march's fixed cost
-    of numpy calls per stage.  One ``fill`` writes the kernel rows of
-    every abscissa."""
-    n = len(t)
-    K = np.empty((2 * n - 1, 7, 1))
-    fill(K, 0, 1)
-    rows, t = K[:, :, 0].tolist(), t.tolist()
-    ys = [None] * n
-    ys[i0] = tuple(y0)
-    for d, last in ((1, n - 1), (-1, 0)):
-        for i in range(i0, last, d):
-            h, y = t[i + d] - t[i], ys[i]
-            at_mid = rows[2 * i + d]
-            s1 = _slope_line(rows[2 * i], y)
-            s2 = _slope_line(at_mid, [a * (0.5 * h) + b
-                                      for a, b in zip(s1, y)])
-            s3 = _slope_line(at_mid, [a * (0.5 * h) + b
-                                      for a, b in zip(s2, y)])
-            s4 = _slope_line(rows[2 * i + 2 * d],
-                             [a * h + b for a, b in zip(s3, y)])
-            # as in _march: ((2 s2 + s1 + 2 s3 + s4) (h/6)) + y
-            ys[i + d] = tuple(b + (b2 * 2.0 + b1 + b3 * 2.0 + b4) * (h / 6.0)
-                              for b, b1, b2, b3, b4 in zip(y, s1, s2, s3, s4))
-    return np.array(ys)
-
-
 def _grid_arrays(nu: int, nv: int):
     """The full-grid arrays of :func:`integrate_system`: the node scalars
     (phi, phi_u, phi_v), shape (3, nu, nv), and the fields, shape
@@ -691,13 +654,12 @@ def integrate_system(patch: MinimalPatch, init: CongruenceState,
     ``init_at`` must coincide with a grid node.  One RK4 kernel serves
     both directions: swapping Omega1 and Omega2 turns the system along v
     into the system along u, with the chart coefficients of the march.
-    The grid is filled by a march along the initial row (on Python
-    floats, :func:`_march_line`), then one along all columns at once,
-    both halves of it in one loop (:func:`_march`), whose states go
-    straight into the fields.  One more march along all
-    rows, started from the initial column, fills the grid in the
-    transposed order; each of its blocks is compared with the fields and
-    dropped, and ``path_gap`` is the max discrepancy between the two
+    The grid is filled by a march (:func:`_march`, both halves of it in
+    one loop) along the initial row, one lane, then one along all columns
+    at once, whose states go straight into the fields.  One more march
+    along all rows, started from the initial column, fills the grid in
+    the transposed order; each of its blocks is compared with the fields
+    and dropped, and ``path_gap`` is the max discrepancy between the two
     fills.
 
     Each march gets its kernel rows from :func:`_kernel_rows` one block
@@ -737,9 +699,15 @@ def integrate_system(patch: MinimalPatch, init: CongruenceState,
     om0, o10, o20, w0 = (float(x) for x in init.as_tuple())
     node, fields = _grid_arrays(nu, nv)
 
-    # the initial row, whose march state is (Omega, Omega2, W, Omega1)
-    row = _march_line(_kernel_rows(patch, consts, True, u, v[iv0:iv0 + 1]),
-                      u, iu0, (om0, o20, w0, o10))
+    # the initial row, one lane, whose march state is (Omega, Omega2, W,
+    # Omega1)
+    row = np.empty((nu, 4))
+
+    def put_row(nodes, ys):
+        row[nodes] = ys[:, :, 0]
+
+    _march(_kernel_rows(patch, consts, True, u, v[iv0:iv0 + 1]),
+           u, iu0, np.array([[om0], [o20], [w0], [o10]]), put_row)
 
     # then every column, block by block into the fields; the columns'
     # march state is (Omega, Omega1, W, Omega2), (4, nu) per node.  Their
@@ -790,12 +758,13 @@ def envelope(patch: MinimalPatch, w: RJet2, U, V) -> SurfaceFields:
 
     ``w`` is W's jet on (U, V), such as a closed form of
     :func:`analytic_example` evaluated there or
-    :attr:`IntegratedCongruence.w`.  Plain arrays of values are
-    rejected: their partials would need a stencil.
+    :attr:`IntegratedCongruence.w`.  Plain arrays of values and jets of
+    order 1 are rejected: the partials they lack would need a stencil.
     """
-    if not isinstance(w, RJet2):
-        raise TypeError(f"envelope needs W as an RJet2 jet, "
-                        f"not {type(w).__name__}")
+    if not isinstance(w, RJet2) or w.order < 2:
+        what = "an order-1 jet" if isinstance(w, RJet2) else type(w).__name__
+        raise TypeError(f"envelope needs W as an RJet2 jet of order 2, "
+                        f"not {what}")
     # the frame first: its construction needs more scratch memory than
     # any later step, so nothing else should be held while it runs
     frame = patch.frame(U, V)

@@ -26,8 +26,7 @@ from .grids import Domain
 from .holoexpr import HoloExpr, Neg, eval_jet, parse
 from .sphere_geom import SphereFrame, frame_from_jet
 
-__all__ = ["MinimalPatch", "enneper_patch", "catenoid_patch",
-           "conformality_residual"]
+__all__ = ["MinimalPatch", "enneper_patch", "catenoid_patch"]
 
 # 24-node Gauss-Legendre rule on [0, 1] for the position integral
 _GL_T, _GL_W = np.polynomial.legendre.leggauss(24)
@@ -81,13 +80,6 @@ class MinimalPatch:
                   + self.a * np.stack([-g, 1j * g, np.ones_like(g)], axis=-1))
         return {"Xu": w.real, "Xv": -w.imag,
                 "Xuu": dw.real, "Xuv": -dw.imag, "Xvv": -dw.real}
-
-    def normal(self, U, V) -> np.ndarray:
-        """Unit normal X_v x X_u / |X_v x X_u| from the tangents; this is
-        the orientation N = -stereo(g) of :meth:`frame`."""
-        d = self.position_derivatives(U, V)
-        n = np.cross(d["Xv"], d["Xu"])
-        return n / np.linalg.norm(n, axis=-1, keepdims=True)
 
     # -- scalar shape data --------------------------------------------------
 
@@ -150,17 +142,3 @@ def catenoid_patch(domain: Domain | None = None) -> MinimalPatch:
     return MinimalPatch("catenoid", domain or Domain(-np.pi, np.pi, -1.2, 1.2),
                         parse("exp(i*z)"), 1.0, (1.0, 0.0, 0.0))
 
-
-def conformality_residual(patch: MinimalPatch, U, V) -> dict:
-    """Max deviations from the chart contract on the samples: inner
-    product <X_u,X_v>, length gap ||X_u|-|X_v|| and off-diagonal
-    second-form coefficient."""
-    d = patch.position_derivatives(U, V)
-    Xu, Xv = d["Xu"], d["Xv"]
-    return {
-        "inner": float(np.max(np.abs(np.sum(Xu * Xv, axis=-1)))),
-        "length": float(np.max(np.abs(np.linalg.norm(Xu, axis=-1)
-                                      - np.linalg.norm(Xv, axis=-1)))),
-        "second_uv": float(np.max(np.abs(
-            np.sum(d["Xuv"] * patch.normal(U, V), axis=-1)))),
-    }

@@ -13,18 +13,14 @@ and the pulled-back round metric is conformal: <dN, dN> = e^{2 tau}
 The frame stores N to first order only, as the three arrays N, N_u and
 N_v of shape (..., 3), each stacked once when the frame is built:
 gradients, Laplacians and covariant Hessians of fields on the sphere
-need no more, and they are exact.  It stores tau one order below the
-complex jet of f it is built from: an order-3 jet gives tau's
-second-order jet (an RJet2), which a support function exp(tau1 - tau2)
-needs; an order-2 jet gives its first-order jet (an RJet1) with the same
-bits, which is all that N's second partials, the gradient, the
-Laplacian and the covariant Hessian read.  Such a frame's tau has no
-second partials to read.  The second partials of N follow from the
-Gauss formula of the round sphere, evaluated when read,
-
-    N_uu = -e^{2 tau} N + tau_u N_u - tau_v N_v,
-    N_uv = tau_v N_u + tau_u N_v,
-    N_vv = -e^{2 tau} N - tau_u N_u + tau_v N_v.
+need no more, and they are exact.  N's components are built by the
+jet arithmetic of :mod:`ribaucour.jets`, on first-order jets.  The
+frame stores tau one order below the complex jet of f it is built from:
+an order-3 jet gives tau's second-order jet, which a support function
+exp(tau1 - tau2) needs; an order-2 jet gives its first-order jet with
+the same bits, which is all that the gradient, the Laplacian and the
+covariant Hessian read.  Such a frame's tau has no second partials to
+read.
 
 Chart points where f' vanishes (or the jet is non-finite) carry a
 branch flag: the metric degenerates there and derived samples are masked.
@@ -44,12 +40,12 @@ from __future__ import annotations
 import numpy as np
 
 from .holoexpr import CJet, _quotient
-from .jets import RJet1, RJet2, abs2_jet, jet_finite
+from .jets import RJet2, abs2_jet, im_jet, jet_finite, re_jet
 
 __all__ = [
     "SphereFrame", "frame_from_jet", "tau_from_jet", "sphere_gradient",
     "sphere_laplacian", "conformal_hessian", "conformal_curvature",
-    "schwarzian_from_jet", "generator_data",
+    "generator_data",
 ]
 
 _LOG2 = float(np.log(2.0))
@@ -60,16 +56,14 @@ class SphereFrame:
     unit sphere, as built.
 
     ``normal``, ``normal_du`` and ``normal_dv`` are N, N_u and N_v, each
-    of shape (..., 3); ``tau`` is tau's jet, an RJet2 or an RJet1.  N's
-    second partials are read off the Gauss formula (see the module
-    docstring for both).
+    of shape (..., 3); ``tau`` is tau's jet, of order 2 or 1 (see the
+    module docstring).
     ``branch`` is a bool or boolean array: the frame is degenerate there.
     """
 
     __slots__ = ("normal", "normal_du", "normal_dv", "tau", "branch")
 
-    def __init__(self, normal, normal_du, normal_dv, tau: RJet2 | RJet1,
-                 branch):
+    def __init__(self, normal, normal_du, normal_dv, tau: RJet2, branch):
         self.normal = normal
         self.normal_du = normal_du
         self.normal_dv = normal_dv
@@ -80,33 +74,6 @@ class SphereFrame:
     def e2tau(self):
         """Conformal factor of <dN, dN> as a value (scalar or array)."""
         return np.exp(2.0 * np.asarray(self.tau.val, dtype=float))
-
-    def _tau_partials(self) -> tuple:
-        """(tau_u, tau_v), each with a trailing axis of length 1."""
-        return (np.asarray(self.tau.du, dtype=float)[..., None],
-                np.asarray(self.tau.dv, dtype=float)[..., None])
-
-    # N's second partials by the Gauss formula of the round sphere, each
-    # computed alone when read
-    @property
-    def normal_duu(self) -> np.ndarray:
-        tu, tv = self._tau_partials()
-        with np.errstate(all="ignore"):
-            return (-np.asarray(self.e2tau)[..., None] * self.normal
-                    + tu * self.normal_du - tv * self.normal_dv)
-
-    @property
-    def normal_duv(self) -> np.ndarray:
-        tu, tv = self._tau_partials()
-        with np.errstate(all="ignore"):
-            return tv * self.normal_du + tu * self.normal_dv
-
-    @property
-    def normal_dvv(self) -> np.ndarray:
-        tu, tv = self._tau_partials()
-        with np.errstate(all="ignore"):
-            return (-np.asarray(self.e2tau)[..., None] * self.normal
-                    - tu * self.normal_du + tv * self.normal_dv)
 
 
 def _inverted_where_large(j: CJet):
@@ -143,7 +110,7 @@ def _tau(h: CJet, denom):
     return 0.5 * abs2_jet(h.derivative()).log() - denom.log() + _LOG2
 
 
-def tau_from_jet(j: CJet) -> RJet2 | RJet1:
+def tau_from_jet(j: CJet) -> RJet2:
     """Jet of the log conformal factor tau of f's sphere map, one order
     below the complex jet of f (of order 2 or 3); pole-safe like
     :func:`frame_from_jet`.  Zeros of f' and non-finite jets give
@@ -157,15 +124,10 @@ def _tau_of(h: CJet):
         return _tau(h, _denom(h))
 
 
-def schwarzian_from_jet(j: CJet):
-    """Schwarzian S(f) = f'''/f' - (3/2) (f''/f')^2 per sample from an
-    order-3 jet of f, taken as in the frame from 1/f wherever |f| > 1:
-    S(1/f) = S(f), while next to a pole the terms of f's own jet cancel."""
-    h, _ = _inverted_where_large(j)
-    return _schwarzian_of(h)
-
-
 def _schwarzian_of(h: CJet):
+    """S(f) = f'''/f' - (3/2) (f''/f')^2 per sample from the order-3 jet
+    h of f, or of 1/f wherever |f| > 1 as in the frame: S(1/f) = S(f),
+    while next to a pole the terms of f's own jet cancel."""
     _, d1, d2, d3 = h.values
     with np.errstate(all="ignore"):
         q = d2 / d1
@@ -173,8 +135,9 @@ def _schwarzian_of(h: CJet):
 
 
 def generator_data(j: CJet, frame: bool = True) -> tuple:
-    """``(frame_from_jet(j) if frame else tau_from_jet(j),
-    schwarzian_from_jet(j))`` from one inversion of the jet."""
+    """``(frame_from_jet(j) if frame else tau_from_jet(j), S(f))`` from one
+    inversion of the order-3 jet j of f, S(f) the Schwarzian per sample
+    (see :func:`_schwarzian_of`)."""
     if frame:
         return _frame(j, schwarzian=True)
     h, _ = _inverted_where_large(j)
@@ -192,14 +155,6 @@ def frame_from_jet(j: CJet) -> SphereFrame:
     return _frame(j, schwarzian=False)[0]
 
 
-def _times(a: tuple, w: tuple) -> tuple:
-    """First order (val, du, dv) of the jet product a * w, with a and w
-    given to first order; the terms of RJet2's product rule, in its
-    order."""
-    return (a[0] * w[0], a[1] * w[0] + a[0] * w[1],
-            a[2] * w[0] + a[0] * w[2])
-
-
 def _frame(j: CJet, schwarzian: bool) -> tuple:
     """(frame, S(f) or None); the jet of 1/f is referenced only here, so
     it is released as soon as the frame no longer needs it."""
@@ -208,35 +163,30 @@ def _frame(j: CJet, schwarzian: bool) -> tuple:
     # -1 on reflected samples, where N's second and third components
     # change sign
     sign = 1.0 if flip is None else np.where(flip, -1.0, 1.0)
-    # N = (2 Re f, 2 Im f, |f|^2 - 1) / (1 + |f|^2) to first order, by the
-    # same operations as the jet arithmetic; each intermediate is released
-    # as soon as it is used, to bound the scratch memory
+    # N = (2 Re f, 2 Im f, |f|^2 - 1) / (1 + |f|^2) by first-order jet
+    # arithmetic; each intermediate is released as soon as it is used, to
+    # bound the scratch memory
     with np.errstate(all="ignore"):
         denom = _denom(h)                  # 1 + |f|^2
         tau = _tau(h, denom)
-        v = denom.val
-        g1 = -1.0 / (v * v)
-        # w = 2 / (1 + |f|^2), as 2.0 * denom._reciprocal()
-        w = ((1.0 / v) * 2.0, (g1 * denom.du) * 2.0, (g1 * denom.dv) * 2.0)
-        del denom, v, g1
-        # Re f and Im f to first order: d/dv f = i f' (Cauchy-Riemann)
-        f0, f1 = h.values[:2]
+        # w = 2 / (1 + |f|^2), to first order only
+        w = 2.0 / RJet2(denom.val, denom.du, denom.dv)
+        del denom
+        h = CJet(h.z, h.values[:2])
+        nx = re_jet(h) * w
+        w = w * sign
+        ny = im_jet(h) * w
         del h
-        nx = _times((f0.real, f1.real, -f1.imag), w)
-        w = tuple(x * sign for x in w)
-        ny = _times((f0.imag, f1.imag, f1.real), w)
-        del f0, f1
-        # (|f|^2 - 1) / (|f|^2 + 1), as the jet sign - w
-        nz = (-w[0] + sign, -w[1], -w[2])
+        # (|f|^2 - 1) / (|f|^2 + 1) = sign - w
+        nz = -w + sign
         del w
     # the branch mask from the nine component arrays: a reduction over
     # the stacked arrays' axis of length 3 is several times slower
-    good = jet_finite(tau)
-    for c in nx + ny + nz:
-        good = good & np.isfinite(c)
+    good = jet_finite(tau) & jet_finite(nx) & jet_finite(ny) & jet_finite(nz)
     # N, N_u and N_v, each stacked once; the components of an order go
     # as soon as it is stacked
-    orders = list(zip(nx, ny, nz))
+    orders = [(nx.val, ny.val, nz.val), (nx.du, ny.du, nz.du),
+              (nx.dv, ny.dv, nz.dv)]
     del nx, ny, nz
     n, n_u, n_v = (np.stack(orders.pop(0), axis=-1) for _ in range(3))
     return SphereFrame(n, n_u, n_v, tau, ~good), s

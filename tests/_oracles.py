@@ -9,11 +9,15 @@ The march oracle integrates the congruence system by four RK4 sweeps
 with one right-hand side per direction and a tuple of arrays per node.
 The support oracle is the quotient of |.|^2 products, built from the
 real and imaginary part jets by the product rule (valid away from
-poles).  The normal oracle takes N's second partials from jet products
-of the stereographic formula instead of the Gauss formula the frame
-uses.  The OBJ oracle writes the file record by record, and the
-holomorphy oracle differentiates the Hopf coefficient's samples by
-Cauchy-Riemann stencils.  The jet oracle differentiates expression trees
+poles).  The normal oracles give N's second partials two ways: from jet
+products of the stereographic formula, and from the Gauss formula of
+the round sphere over a frame's N, N_u, N_v and tau.  The minimal-patch
+oracles take the unit normal and the chart contract from the immersion's
+tangents.  The line-march oracle is the RK4 march of one lane on Python
+floats, the kernel's operations in the package's order.  The OBJ oracle
+writes the file record by record, and the holomorphy oracle
+differentiates the Hopf coefficient's samples by Cauchy-Riemann
+stencils.  The jet oracle differentiates expression trees
 symbolically, unsimplified, one rule per node type, where ``eval_jet``
 carries Taylor jets through the tree.  ``same_bits`` compares a blocked
 result with its whole-grid evaluation bit for bit.
@@ -245,6 +249,45 @@ def normal_second_partials(j):
                  for part in ("duu", "duv", "dvv"))
 
 
+def gauss_second_partials(frame):
+    """(N_uu, N_uv, N_vv), each of shape (..., 3), of a sphere frame by
+    the Gauss formula of the round sphere over its N, N_u, N_v and tau:
+
+        N_uu = -e^{2 tau} N + tau_u N_u - tau_v N_v,
+        N_uv = tau_v N_u + tau_u N_v,
+        N_vv = -e^{2 tau} N - tau_u N_u + tau_v N_v."""
+    tu = np.asarray(frame.tau.du, dtype=float)[..., None]
+    tv = np.asarray(frame.tau.dv, dtype=float)[..., None]
+    e2t = np.asarray(frame.e2tau)[..., None]
+    n, n_u, n_v = frame.normal, frame.normal_du, frame.normal_dv
+    with np.errstate(all="ignore"):
+        return (-e2t * n + tu * n_u - tv * n_v, tv * n_u + tu * n_v,
+                -e2t * n - tu * n_u + tv * n_v)
+
+
+def patch_normal(patch, U, V):
+    """Unit normal X_v x X_u / |X_v x X_u| of a minimal patch from its
+    tangents: the orientation N = -stereo(g) of its frame."""
+    d = patch.position_derivatives(U, V)
+    n = np.cross(d["Xv"], d["Xu"])
+    return n / np.linalg.norm(n, axis=-1, keepdims=True)
+
+
+def conformality_residual(patch, U, V) -> dict:
+    """Max deviations of a minimal patch from the chart contract on the
+    samples: inner product <X_u,X_v>, length gap ||X_u|-|X_v|| and
+    off-diagonal second-form coefficient."""
+    d = patch.position_derivatives(U, V)
+    Xu, Xv = d["Xu"], d["Xv"]
+    return {
+        "inner": float(np.max(np.abs(np.sum(Xu * Xv, axis=-1)))),
+        "length": float(np.max(np.abs(np.linalg.norm(Xu, axis=-1)
+                                      - np.linalg.norm(Xv, axis=-1)))),
+        "second_uv": float(np.max(np.abs(
+            np.sum(d["Xuv"] * patch_normal(patch, U, V), axis=-1)))),
+    }
+
+
 def _d1(F, h, axis):
     """Fourth-order centred first derivative along an axis; output loses
     two samples at each end of that axis."""
@@ -341,6 +384,42 @@ def _rk4_march(f, coef, t, i0, y0):
     for i in range(i0, 0, -1):
         step(i, -1)
     return ys
+
+
+def slope_line(k, y):
+    """``congruence._slope`` of one lane on Python floats, its operations
+    in its order: rows k and state y are sequences of 7 and 4 floats."""
+    return (k[0] * y[3], k[1] * y[3], k[2] * y[3],
+            k[3] * y[0] + k[4] * y[1] + k[5] * y[2] + k[6])
+
+
+def march_line(fill, t, i0, y0) -> np.ndarray:
+    """``congruence._march`` of one lane, on Python floats: the states,
+    shape (len(t), 4), from the 4 floats y0 at node i0, forward to the
+    last node, then backward to the first.  One ``fill`` (of
+    ``congruence._kernel_rows``) writes the kernel rows of every
+    abscissa."""
+    n = len(t)
+    K = np.empty((2 * n - 1, 7, 1))
+    fill(K, 0, 1)
+    rows, t = K[:, :, 0].tolist(), t.tolist()
+    ys = [None] * n
+    ys[i0] = tuple(y0)
+    for d, last in ((1, n - 1), (-1, 0)):
+        for i in range(i0, last, d):
+            h, y = t[i + d] - t[i], ys[i]
+            at_mid = rows[2 * i + d]
+            s1 = slope_line(rows[2 * i], y)
+            s2 = slope_line(at_mid, [a * (0.5 * h) + b
+                                     for a, b in zip(s1, y)])
+            s3 = slope_line(at_mid, [a * (0.5 * h) + b
+                                     for a, b in zip(s2, y)])
+            s4 = slope_line(rows[2 * i + 2 * d],
+                            [a * h + b for a, b in zip(s3, y)])
+            # as in _march: ((2 s2 + s1 + 2 s3 + s4) (h/6)) + y
+            ys[i + d] = tuple(b + (b2 * 2.0 + b1 + b3 * 2.0 + b4) * (h / 6.0)
+                              for b, b1, b2, b3, b4 in zip(y, s1, s2, s3, s4))
+    return np.array(ys)
 
 
 def march_congruence(patch, init, consts, u, v, iu0, iv0):

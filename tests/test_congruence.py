@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from _oracles import (U_SYM, V_SYM, march_congruence, quadrature_omega,
-                      symbolic_k1)
+from _oracles import (U_SYM, V_SYM, march_congruence, march_line,
+                      quadrature_omega, symbolic_k1)
 from _oracles import same_bits as _same_bits
 from ribaucour import cli, congruence, grids, minimal
 from ribaucour.congruence import (_ANALYTIC, CongruenceState,
@@ -350,22 +350,6 @@ def _streamed_rows(monkeypatch, fill, t, i0, lanes):
     return np.array(seen[1] + seen[-1]), states
 
 
-def _line_rows(monkeypatch, fill, t, i0):
-    """:func:`_streamed_rows` of the march of one lane on Python floats:
-    the rows each stage was given, (stages, 7, 1), and the states,
-    (len(t), 4, 1)."""
-    seen, slope = [], congruence._slope_line
-
-    def spy(k, y):
-        seen.append(list(k))
-        return slope(k, y)
-    y0 = np.random.default_rng(3).uniform(-1.0, 1.0, 4)
-    with monkeypatch.context() as m:
-        m.setattr(congruence, "_slope_line", spy)
-        states = congruence._march_line(fill, t, i0, y0.tolist())
-    return np.array(seen)[:, :, None], states[:, :, None]
-
-
 def _stage_rows(K, i0):
     """The rows of K (one row per stage abscissa) each RK4 stage of a
     march from node i0 takes: forward to the last node, then backward."""
@@ -390,8 +374,8 @@ def test_shared_node_scalars_match_per_direction_evaluation(
     # and evaluates only its midpoints.  Every RK4 stage gets the rows of
     # an evaluation per direction as one array, bit for bit, whether the
     # march starts at the first node, the last or in between.  The
-    # initial row's march of one lane on Python floats gets the same
-    # rows, and its states are those of the march of a (4, 1) array
+    # initial row's march of one lane gets the same rows, and its states
+    # are those of the march of one lane on Python floats
     if block is not None:
         monkeypatch.setattr(grids, "_BLOCK", block)
     consts = IntegralConstants(c=0.5, c1=1.0, c2=0.25, c3=-0.75)
@@ -414,11 +398,12 @@ def test_shared_node_scalars_match_per_direction_evaluation(
             assert _same_bits(got, _stage_rows(rows_ref, iu0)), patch.name
             line = v[iv0:iv0 + 1]
             first = _kernel_rows(patch, consts, True, u, line)
-            got, states = _line_rows(monkeypatch, first, u, iu0)
+            got, states = _streamed_rows(monkeypatch, first, u, iu0, 1)
             line_ref, _ = _direction_rows(patch, consts, True, u, line)
             assert _same_bits(got, _stage_rows(line_ref, iu0)), patch.name
-            _, ref = _streamed_rows(monkeypatch, first, u, iu0, 1)
-            assert _same_bits(states, ref), patch.name
+            y0 = np.random.default_rng(3).uniform(-1.0, 1.0, 4)
+            ref = march_line(first, u, iu0, y0.tolist())
+            assert _same_bits(states, ref[:, :, None]), patch.name
 
 
 @pytest.mark.parametrize("block", [None, 64])
@@ -466,8 +451,8 @@ def test_joint_march_matches_each_half_alone(monkeypatch, block, domain,
                          if t is v else
                          _kernel_rows(patch, consts, True, u, v, node=node))
                 congruence._march(whole, t, i0, y0, put)
-                ref = np.stack([congruence._march_line(fill_of(j), t, i0,
-                                                       y0[:, j].tolist())
+                ref = np.stack([march_line(fill_of(j), t, i0,
+                                           y0[:, j].tolist())
                                 for j in range(lanes)], axis=-1)
                 assert _same_bits(states, ref), (patch.name, n, i0)
 
@@ -811,9 +796,10 @@ def test_envelope_of_integrated_fields(catenoid_data, enneper_data):
         F = np.asarray(first_integral(integ.state(), ac.constants))
         assert np.max(np.abs(ms.values - F / _middle_sphere_scale(env))) \
             <= 1e-12, ac.name
-    # sampled values carry no partials, and a closed form is evaluated
-    # on the grid first
-    for w in (integ.w.val, catenoid_data.w_jet):
+    # sampled values carry no partials, a closed form is evaluated on the
+    # grid first, and a first-order jet has no second partials
+    wj = integ.w
+    for w in (wj.val, catenoid_data.w_jet, RJet2(wj.val, wj.du, wj.dv)):
         with pytest.raises(TypeError):
             envelope(catenoid_data.patch, w, U, V)
 

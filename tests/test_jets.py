@@ -8,8 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from _oracles import fd_partials_scalar, same_bits
 from ribaucour.holoexpr import eval_jet, parse
-from ribaucour.jets import (RJet1, RJet2, abs2_jet, im_jet, jet_finite,
-                            re_jet)
+from ribaucour.jets import RJet2, abs2_jet, im_jet, jet_finite, re_jet
 
 # composite scalar functions assembled from coordinate jets; each is
 # smooth on the sample box [0.2, 1.0]^2
@@ -165,13 +164,19 @@ def test_abs2_jet_value_and_partials():
         assert abs(got - want) <= 1e-6 * scale
 
 
-def test_bridges_require_order_two():
-    j = eval_jet(parse("z"), 0.5, 1)
-    for bridge in (re_jet, im_jet):
+def test_bridges_require_order_one():
+    # an order-0 jet has no partials to give; an order-1 jet gives Re f
+    # and Im f to first order, with the bits of the order-2 jet's entries
+    for bridge in (re_jet, im_jet, abs2_jet):
         with pytest.raises(ValueError):
-            bridge(j)
-    with pytest.raises(ValueError):
-        abs2_jet(eval_jet(parse("z"), 0.5, 0))
+            bridge(eval_jet(parse("z"), 0.5, 0))
+    z = np.linspace(-1.0, 1.0, 7)[:, None] + 1j * np.linspace(-0.9, 0.9, 5)
+    e = parse("exp(z)/(1+z^2)")
+    for bridge in (re_jet, im_jet):
+        one, two = bridge(eval_jet(e, z, 1)), bridge(eval_jet(e, z, 2))
+        assert (one.order, two.order) == (1, 2)
+        for part in ("val", "du", "dv"):
+            assert same_bits(getattr(one, part), getattr(two, part)), part
 
 
 def test_abs2_jet_of_order_one_is_the_first_order_part():
@@ -181,7 +186,7 @@ def test_abs2_jet_of_order_one_is_the_first_order_part():
     j = eval_jet(parse("exp(z)/(1+z^2)"), z, 2)
     one = abs2_jet(eval_jet(parse("exp(z)/(1+z^2)"), z, 1))
     two = abs2_jet(j)
-    assert isinstance(one, RJet1)
+    assert isinstance(one, RJet2) and one.order == 1
     for part in ("val", "du", "dv"):
         assert same_bits(getattr(one, part), getattr(two, part)), part
     for part in ("duu", "duv", "dvv"):
@@ -193,8 +198,21 @@ def test_abs2_jet_of_order_one_is_the_first_order_part():
     for part in ("val", "du", "dv"):
         assert same_bits(getattr(lhs, part), getattr(rhs, part)), part
     assert same_bits((-one).du, (-two).du)
-    assert list(jet_finite(RJet1(np.ones(3), np.array([1.0, np.inf, 1.0]),
+    assert list(jet_finite(RJet2(np.ones(3), np.array([1.0, np.inf, 1.0]),
                                  0.0))) == [True, False, True]
+
+    # every other operation on order-1 jets, and the binary ones with an
+    # operand of each order, give an order-1 jet with the first-order bits
+    # of the operation on order-2 jets
+    def cases(a, b):
+        return ([a - 1.0, 1.0 - a, a * a, 2.0 / a] + _combine(a, b)
+                + [a + b, b - a, a * b, b * a, a / b, b / a])
+    got = cases(one, one) + cases(one, two)[-6:]
+    want = cases(two, two) + cases(two, two)[-6:]
+    for k, (g, w) in enumerate(zip(got, want)):
+        assert g.order == 1, k
+        for part in ("val", "du", "dv"):
+            assert same_bits(getattr(g, part), getattr(w, part)), (k, part)
 
 
 def test_jet_finite_masks_bad_entries():

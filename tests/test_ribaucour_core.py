@@ -7,8 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import (fd_principal_curvatures, hopf_stencil_residual,
-                      normal_second_partials, rel_gap, support_quotient)
+from _oracles import (fd_principal_curvatures, gauss_second_partials,
+                      hopf_stencil_residual, normal_second_partials, rel_gap,
+                      support_quotient)
 from ribaucour import sphere_geom
 from ribaucour.cli import TOL_HOPF, TOL_PDE
 from ribaucour.grids import Domain
@@ -20,7 +21,7 @@ from ribaucour.ribaucour_core import (RibaucourPatch, check_middle_sphere,
                                       make_patch, shape_from_support, support,
                                       support_jet, support_pde_residual,
                                       unit_sphere_gap)
-from ribaucour.sphere_geom import (frame_from_jet, schwarzian_from_jet,
+from ribaucour.sphere_geom import (frame_from_jet, generator_data,
                                    sphere_laplacian)
 
 SQUARE = Domain(-1.0, 1.0, -1.0, 1.0)
@@ -204,8 +205,9 @@ def test_identities_hold_next_to_poles(m1, other, swap):
     assert hopf.max_abs <= 1e-10, hopf.max_abs
 
 
-# the frame stores N to first order and reads its second partials off
-# the Gauss formula of the round sphere; the oracle multiplies jets
+# the frame stores N to first order and tau; N's second partials by the
+# Gauss formula of the round sphere over them against those of the
+# stereographic formula by jet products
 @example(parse("exp(z)/(1+z^2)"))
 @example(parse("sin(z)*cos(z)/(z+3)"))
 @example(parse("exp(i*z)"))
@@ -217,7 +219,7 @@ def test_frame_second_partials_match_jet_products(f):
     frame = frame_from_jet(j)
     ok = ~np.asarray(frame.branch)
     assert np.count_nonzero(ok) >= 80
-    got = (frame.normal_duu, frame.normal_duv, frame.normal_dvv)
+    got = gauss_second_partials(frame)
     # relative to the largest second partial at the sample: one of them
     # can cancel to almost 0 where tau's gradient is small
     want = np.stack(normal_second_partials(j))
@@ -262,7 +264,8 @@ def test_one_inversion_per_generator(monkeypatch):
     patch = make_patch("exp(z)/(1+z^2)", "sin(z)*cos(z)/(z+3)", POLE_DOMAIN)
     _, _, Z = POLE_DOMAIN.mesh(9, 11)
     j1, j2 = eval_jet(patch.f1, Z, 3), eval_jet(patch.f2, Z, 3)
-    want_s = (schwarzian_from_jet(j1), schwarzian_from_jet(j2))
+    want_s = (generator_data(j1, frame=False)[1],
+              generator_data(j2, frame=False)[1])
     want_rho = support_jet(j1, j2)
     calls = []
     real = sphere_geom._inverted_where_large

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from _oracles import fd_partials_scalar, same_bits
+from _oracles import fd_partials_scalar, gauss_second_partials, same_bits
 from ribaucour.grids import Domain
 from ribaucour.holoexpr import Neg, eval_jet, parse
 from ribaucour.jets import RJet2, re_jet
@@ -92,9 +92,9 @@ def test_frame_of_reciprocal_is_reflected():
         assert np.count_nonzero(ok) > 0.9 * ok.size, text
         pairs = [(getattr(a.tau, part), getattr(b.tau, part), 1.0, part)
                  for part in parts]
-        for name in ("normal", "normal_du", "normal_dv",
-                     "normal_duu", "normal_duv", "normal_dvv"):
-            x, y = getattr(a, name), getattr(b, name)
+        names = ("N", "N_u", "N_v", "N_uu", "N_uv", "N_vv")
+        for name, x, y in zip(names, _normal_partials(a),
+                              _normal_partials(b)):
             pairs += [(x[..., i], y[..., i], sign, (name, i))
                       for i, sign in enumerate((1.0, -1.0, -1.0))]
         for x, y, sign, part in pairs:
@@ -108,6 +108,13 @@ def test_frame_of_reciprocal_is_reflected():
         assert all(np.array_equal(getattr(t, part), getattr(a.tau, part),
                                   equal_nan=True)
                    for part in parts), text
+
+
+def _normal_partials(frame):
+    """N, N_u and N_v of the frame, and N_uu, N_uv and N_vv by the Gauss
+    formula over them."""
+    return ((frame.normal, frame.normal_du, frame.normal_dv)
+            + gauss_second_partials(frame))
 
 
 def test_frame_stores_normal_once_as_built():
@@ -158,9 +165,11 @@ def test_order_two_frame_is_the_first_order_part():
     else:
         raise AssertionError("no case has |f| on both sides of 1")
     for two, three, _ in cases:
-        for name in ("normal", "normal_du", "normal_dv", "normal_duu",
-                     "normal_duv", "normal_dvv", "branch", "e2tau"):
+        for name in ("branch", "e2tau"):
             assert same_bits(getattr(two, name), getattr(three, name)), name
+        for k, (x, y) in enumerate(zip(_normal_partials(two),
+                                       _normal_partials(three))):
+            assert same_bits(x, y), k
         for part in ("val", "du", "dv"):
             assert same_bits(getattr(two.tau, part),
                              getattr(three.tau, part)), part
@@ -184,9 +193,8 @@ def test_frame_normal_partials_match_finite_differences():
         value = lambda u, v: frame_from_jet(
             eval_jet(e, complex(u, v), 3)).normal
         du, dv, duu, duv, dvv = fd_partials_scalar(value, z0.real, z0.imag)
-        for got, want in ((frame.normal_du, du), (frame.normal_dv, dv),
-                          (frame.normal_duu, duu), (frame.normal_duv, duv),
-                          (frame.normal_dvv, dvv)):
+        for got, want in zip(_normal_partials(frame)[1:],
+                             (du, dv, duu, duv, dvv)):
             assert np.max(np.abs(got - want)) <= 1e-6
 
 
