@@ -57,11 +57,11 @@ first integral, pointwise, relative to the sum of its terms'
 magnitudes.  Every step from W's jet to the residuals is per sample,
 so :func:`envelope_checks` runs the envelope and its checks over blocks
 of grid rows (:func:`ribaucour.grids._row_blocks`, the package's one
-block helper), W's jet built for each block, and assembles the
-full-grid residuals (and X, N, the valid mask on request) in a
-:class:`~ribaucour.ribaucour_core.GridChecks`, without any full-grid
-temporaries.  These checks read tau, the frame's log factor, to first
-order only, so the frame is built from an order-2 jet of g
+block helper), W's jet built for each block and each block freed before
+the next, and folds the residuals into per-entry summaries (X, N and the
+valid mask on request) in a :class:`~ribaucour.ribaucour_core.GridChecks`.
+These checks read tau, the frame's log factor, to first order only, so
+the frame is built from an order-2 jet of g
 (:meth:`~ribaucour.minimal.MinimalPatch.frame`).  The checks share one
 chart record: the tuple of
 :meth:`~ribaucour.minimal.MinimalPatch.chart_scalars` (the ``scalars``
@@ -887,7 +887,7 @@ def envelope_checks(patch: MinimalPatch, w_rows, omega,
     gets the values of the whole-grid evaluation.  ``w_rows(b)`` is W's
     jet on the rows ``b`` of (U, V), built per block, such as
     :meth:`IntegratedCongruence.w_rows`; ``omega`` is Omega on (U, V) (or
-    a scalar).  The record holds ``middle_sphere`` and
+    a scalar).  The record folds ``middle_sphere`` and
     ``envelope_hover_ratio``; with ``surface``, X, N and the valid mask
     are assembled too.
     """
@@ -901,6 +901,7 @@ def envelope_checks(patch: MinimalPatch, w_rows, omega,
         env = envelope(patch, w_rows(b), U[b], V[b])
         out.put(b, (check_middle_sphere(env),
                     hover_ratio_residual(env, omega[b], consts)), env)
+        del env  # before the next block's jet and frame are built
     return out
 
 

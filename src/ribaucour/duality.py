@@ -25,8 +25,8 @@ Each check returns :class:`~ribaucour.ribaucour_core.ResidualField`
 records named after their report entries; they measure, and
 :func:`ribaucour.report.identity_entry` judges them against a tolerance.
 Every check is per sample, so :func:`pair_checks` runs them over blocks
-of grid rows, one pair of fields per block, and assembles the
-whole-grid records in a :class:`~ribaucour.ribaucour_core.GridChecks`.
+of grid rows, one pair of fields per block, and folds each record into
+its whole-grid summary in a :class:`~ribaucour.ribaucour_core.GridChecks`.
 """
 
 from __future__ import annotations
@@ -211,8 +211,8 @@ def pair_checks(pair: DualPair, nu: int = 41, nv: int = 41, *,
     its shape data for the whole grid.  Every sample gets the values of
     the whole-grid evaluation.
 
-    Returns ``(checks, dual)``: ``checks`` holds the seven records of
-    :func:`verify_c2`, :func:`verify_hk_equality` and
+    Returns ``(checks, dual)``: ``checks`` holds the summaries of the
+    seven records of :func:`verify_c2`, :func:`verify_hk_equality` and
     :func:`verify_form_relations` in that order, whether any sample is
     usable on both sides, and the patch's unit-sphere gap.  With
     ``surface``, ``checks`` also holds the patch's X, N and valid mask,

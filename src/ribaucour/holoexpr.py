@@ -393,13 +393,22 @@ def _power_outer(x, n: int, order: int) -> list:
     return out
 
 
-# f, f' and the sign s in f'' = s f
-_TRIG = {"sin": (np.sin, np.cos, -1),
-         "cos": (np.cos, lambda x: -np.sin(x), -1),
-         "sinh": (np.sinh, np.cosh, 1), "cosh": (np.cosh, np.sinh, 1)}
+# f, f', the sign of f' against that function, and the sign s in f'' = s f
+_TRIG = {"sin": (np.sin, np.cos, 1, -1), "cos": (np.cos, np.sin, -1, -1),
+         "sinh": (np.sinh, np.cosh, 1, 1), "cosh": (np.cosh, np.sinh, 1, 1)}
 
 
-def _function_outer(func: str, x, order: int) -> list:
+def _once(memo: dict, f, x):
+    """f(x), computed once per pass for each argument object x: sin and
+    cos (sinh and cosh) are each other's derivatives.  The memo holds x,
+    so no other operand of the pass can take its id."""
+    done = memo.setdefault(id(x), (x, {}))[1]
+    if f not in done:
+        done[f] = f(x)
+    return done[f]
+
+
+def _function_outer(func: str, x, order: int, memo: dict) -> list:
     """An elementary function and its derivatives at x, up to ``order``."""
     if func == "exp":
         return [np.exp(x)] * (order + 1)
@@ -409,16 +418,19 @@ def _function_outer(func: str, x, order: int) -> list:
             r = 1.0 / x
             out += [r, -(r * r), 2.0 * (r * r * r)][:order]
         return out
-    f, df, sign = _TRIG[func]
-    out = [f(x)]
+    f, df, df_sign, sign = _TRIG[func]
+    out = [_once(memo, f, x)]
     if order >= 1:
-        out.append(df(x))
+        d = _once(memo, df, x)
+        out.append(d if df_sign > 0 else -d)
     # f'' = s f and f''' = s f'
     return out + [g if sign > 0 else -g for g in out[:order - 1]]
 
 
-def _jet(e: HoloExpr, z, order: int) -> list:
-    """The Taylor pass: (f, f', ..., f^(order)) of ``e`` at ``z``."""
+def _jet(e: HoloExpr, z, order: int, memo: dict) -> list:
+    """The Taylor pass: (f, ..., f^(order)) of ``e`` at ``z``; one memo
+    (:func:`_once`) serves the whole pass."""
+    jet = lambda a: _jet(a, z, order, memo)
     match e:
         case Var():
             return [z, 1, 0, 0][:order + 1]
@@ -427,26 +439,24 @@ def _jet(e: HoloExpr, z, order: int) -> list:
             # as 1/0 must give inf or NaN like arrays do, not raise
             return [np.complex128(value), 0, 0, 0][:order + 1]
         case BinOp("+", a, b):
-            return [_add(x, y) for x, y in zip(_jet(a, z, order),
-                                               _jet(b, z, order))]
+            return [_add(x, y) for x, y in zip(jet(a), jet(b))]
         case BinOp("-", a, b):
-            return [_sub(x, y) for x, y in zip(_jet(a, z, order),
-                                               _jet(b, z, order))]
+            return [_sub(x, y) for x, y in zip(jet(a), jet(b))]
         case BinOp("*", a, b):
-            return _leibniz(_jet(a, z, order), _jet(b, z, order))
+            return _leibniz(jet(a), jet(b))
         case BinOp("/", a, b):
-            return _quotient(_jet(a, z, order), _jet(b, z, order))
+            return _quotient(jet(a), jet(b))
         case Pow(b, n):
             if n == 0:
                 # b^0 is 1 wherever b is, finite or not
                 return [np.complex128(1.0), 0, 0, 0][:order + 1]
-            f = _jet(b, z, order)
+            f = jet(b)
             return _chain(_power_outer(f[0], n, order), f)
         case Neg(a):
-            return [_sub(0, x) for x in _jet(a, z, order)]
+            return [_sub(0, x) for x in jet(a)]
         case Call(func, a):
-            f = _jet(a, z, order)
-            return _chain(_function_outer(func, f[0], order), f)
+            f = jet(a)
+            return _chain(_function_outer(func, f[0], order, memo), f)
     raise TypeError(f"not a HoloExpr node: {e!r}")
 
 
@@ -496,7 +506,7 @@ def eval_jet(e: HoloExpr, z, order: int = MAX_JET_ORDER) -> CJet:
     scalar = np.ndim(z) == 0 and not isinstance(z, np.ndarray)
     zz = np.asarray(z, dtype=complex)
     with np.errstate(all="ignore"):
-        values = _jet(e, zz, order)
+        values = _jet(e, zz, order, {})
     if scalar:
         vals = tuple(complex(v) for v in values)
         if not all(np.isfinite(v.real) and np.isfinite(v.imag) for v in vals):

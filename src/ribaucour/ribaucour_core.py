@@ -35,9 +35,9 @@ relative to the size of its terms, so that it scales with the surface:
 Every step from the jets to the residuals is per sample, so
 :func:`patch_checks` runs a patch over blocks of grid rows (see
 :func:`ribaucour.grids._row_blocks`), one :class:`SurfaceFields` per
-block, and assembles the whole-grid residuals (and X, N and the valid
-mask on request) in a :class:`GridChecks`, the one block-assembled check
-record of the package; no stage holds shape data for the whole grid.
+block, and folds each residual into a :class:`CheckSummary` (X, N and
+the valid mask kept on request) in a :class:`GridChecks`, the one check
+record of the package; no stage holds a whole grid's shape data.
 """
 
 from __future__ import annotations
@@ -59,7 +59,8 @@ __all__ = [
     "make_patch", "support", "support_jet", "shape_from_support",
     "evaluate_patch", "immerse", "support_pde_residual",
     "check_middle_sphere", "hopf_residual", "unit_sphere_gap",
-    "GridChecks", "patch_checks", "DEGENERATE_TOL", "UMBILIC_TOL",
+    "CheckSummary", "GridChecks", "patch_checks",
+    "DEGENERATE_TOL", "UMBILIC_TOL",
 ]
 
 # |det B| below DEGENERATE_TOL times the local operator scale means the
@@ -421,28 +422,43 @@ class ResidualField:
         return float(np.max(np.abs(self.values[self.valid])))
 
 
+@dataclass
+class CheckSummary:
+    """A report entry's :class:`ResidualField` over a whole grid, folded
+    block by block: its ``max_abs``, bit for bit, ``n_valid`` and
+    ``n_excluded``."""
+
+    name: str
+    max_abs: float = float("nan")
+    n_valid: int = 0
+    n_excluded: int = 0
+
+    def fold(self, res: ResidualField) -> None:
+        """Add one block's record."""
+        n = res.n_valid
+        if n:
+            # np.maximum keeps a NaN from either side, as np.max does
+            self.max_abs = res.max_abs if not self.n_valid \
+                else float(np.maximum(self.max_abs, res.max_abs))
+        self.n_valid += n
+        self.n_excluded += res.n_excluded
+
+
 class GridChecks:
-    """Per-sample checks over a whole grid of the given shape, filled one
-    block of rows at a time by :meth:`put`.
+    """Per-sample checks over a grid of the given shape, folded one block
+    of rows at a time by :meth:`put`.
 
     ``residuals`` maps each report entry's name in ``names`` to its
-    whole-grid :class:`ResidualField`, in that order.  ``X``, ``N``
-    (trailing axis of length 3) and ``valid`` are one surface's samples,
-    as :func:`ribaucour.mesh.mesh_from_fields` reads them, or None when
-    no surface was asked for.  ``usable`` says whether some block
-    reported a usable sample, and ``unit_sphere_gap`` is the largest gap
-    a block reported, NaN while none has.
+    :class:`CheckSummary`, in that order.  ``X``, ``N`` (trailing axis
+    of length 3) and ``valid`` are one surface's samples, whole-grid, as
+    :func:`ribaucour.mesh.mesh_from_fields` reads them, or None when no
+    surface was asked for.  ``usable`` says whether some block reported
+    a usable sample, and ``unit_sphere_gap`` is the largest gap a block
+    reported, NaN while none has.
     """
 
     def __init__(self, shape: tuple, names=(), surface: bool = False):
-        # every whole-grid array up front, the values before the masks:
-        # allocated between the first block's temporaries, or each mask
-        # beside its values, they fragment the heap, and the resident
-        # peak of repeated congruence commands grows by 0.6 to 2.6 MB
-        values = [np.empty(shape) for _ in names]
-        masks = [np.empty(shape, bool) for _ in names]
-        self.residuals = {name: ResidualField(v, ok, name)
-                          for name, v, ok in zip(names, values, masks)}
+        self.residuals = {name: CheckSummary(name) for name in names}
         self.X = self.N = self.valid = None
         if surface:
             self.X, self.N = np.empty(shape + (3,)), np.empty(shape + (3,))
@@ -452,12 +468,11 @@ class GridChecks:
 
     def put(self, rows: slice, residuals=(), fields=None, *,
             usable=False, gap: float = float("nan")) -> None:
-        """Write one block's residual records, and the X, N and valid of
-        its ``fields`` if a surface is kept, into ``rows``; fold in the
-        block's ``usable`` flag and unit-sphere ``gap``."""
+        """Fold in one block's residual records, its ``usable`` flag and
+        unit-sphere ``gap``, and write the X, N and valid of its
+        ``fields`` into ``rows`` if a surface is kept."""
         for res in residuals:
-            out = self.residuals[res.name]
-            out.values[rows], out.valid[rows] = res.values, res.valid
+            self.residuals[res.name].fold(res)
         if self.X is not None:
             self.X[rows], self.N[rows] = fields.X, fields.N
             self.valid[rows] = fields.valid
@@ -548,10 +563,10 @@ def patch_checks(patch: RibaucourPatch, nu: int = 41, nv: int = 41, *,
     shape data for the whole grid.  Every sample gets the values of the
     whole-grid evaluation.
 
-    With ``checks``, the record holds :func:`support_pde_residual`,
-    :func:`check_middle_sphere` and :func:`hopf_residual`, whether any
-    sample is valid, and :func:`unit_sphere_gap`; with ``surface``, X, N
-    and the valid mask.
+    With ``checks``, the record holds the summaries of
+    :func:`support_pde_residual`, :func:`check_middle_sphere` and
+    :func:`hopf_residual`, whether any sample is valid, and
+    :func:`unit_sphere_gap`; with ``surface``, X, N and the valid mask.
     """
     _, _, Z = patch.domain.mesh(nu, nv)
     out = GridChecks(Z.shape, _PATCH_CHECKS if checks else (), surface)

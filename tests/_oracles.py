@@ -20,7 +20,10 @@ differentiates the Hopf coefficient's samples by Cauchy-Riemann
 stencils.  The jet oracle differentiates expression trees
 symbolically, unsimplified, one rule per node type, where ``eval_jet``
 carries Taylor jets through the tree.  ``same_bits`` compares a blocked
-result with its whole-grid evaluation bit for bit.
+result with its whole-grid evaluation bit for bit.  A GridChecks keeps
+only a summary of each residual, so ``spy_blocks`` records the blocks
+it is given, ``assemble_blocks`` puts them together into whole-grid
+records, and ``same_summary`` compares a summary with such a record.
 """
 
 import numpy as np
@@ -30,6 +33,7 @@ from ribaucour import ResidualField, evaluate_patch
 from ribaucour.holoexpr import (BinOp, Call, Const, HoloExpr, Neg, Pow,
                                 Var, to_text)
 from ribaucour.jets import RJet2, im_jet, re_jet
+from ribaucour.ribaucour_core import GridChecks
 from ribaucour.sphere_geom import _inverted_where_large
 
 # the real chart coordinates of the symbolic oracle
@@ -469,3 +473,47 @@ def same_bits(a, b) -> bool:
     if a.dtype == bool:
         return bool(np.array_equal(a, b))
     return bool(np.array_equal(a.view(np.uint64), b.view(np.uint64)))
+
+
+def spy_blocks(monkeypatch) -> dict:
+    """Spy on ``GridChecks.put``.  The dict returned maps each GridChecks
+    filled while the spy is on to the (rows, residual records) of every
+    block it was given, in order."""
+    seen, put = {}, GridChecks.put
+
+    def spying(self, rows, residuals=(), *args, **kwargs):
+        residuals = tuple(residuals)
+        seen.setdefault(self, []).append((rows, residuals))
+        return put(self, rows, residuals, *args, **kwargs)
+
+    monkeypatch.setattr(GridChecks, "put", spying)
+    return seen
+
+
+def assemble_blocks(blocks, shape) -> dict:
+    """The whole-grid ResidualField of each entry, put together from the
+    (rows, records) of ``blocks``; every row must come from exactly one
+    block."""
+    whole, count = {}, {}
+    for rows, records in blocks:
+        for res in records:
+            if res.name not in whole:
+                values = np.empty(shape, np.asarray(res.values).dtype)
+                whole[res.name] = ResidualField(values,
+                                                np.empty(shape, bool),
+                                                res.name)
+                count[res.name] = np.zeros(shape[0], int)
+            out = whole[res.name]
+            out.values[rows], out.valid[rows] = res.values, res.valid
+            count[res.name][rows] += 1
+    assert all(np.all(n == 1) for n in count.values()), count
+    return whole
+
+
+def same_summary(summary, ref: ResidualField) -> bool:
+    """A CheckSummary holds the whole-grid record's name, counts and
+    ``max_abs`` (same bits)."""
+    return (summary.name == ref.name and same_bits(summary.max_abs,
+                                                   ref.max_abs)
+            and (summary.n_valid, summary.n_excluded)
+            == (ref.n_valid, ref.n_excluded))

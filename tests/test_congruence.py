@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from _oracles import (U_SYM, V_SYM, march_congruence, march_line,
-                      quadrature_omega, symbolic_k1)
+from _oracles import (U_SYM, V_SYM, assemble_blocks, march_congruence,
+                      march_line, quadrature_omega, same_summary,
+                      spy_blocks, symbolic_k1)
 from _oracles import same_bits as _same_bits
 from ribaucour import cli, congruence, grids, minimal
 from ribaucour.congruence import (_ANALYTIC, CongruenceState,
@@ -546,24 +547,27 @@ def _envelope_case(name, case, monkeypatch):
 def test_envelope_checks_match_the_whole_grid(name, case, monkeypatch):
     patch, w_rows, w, omega, consts, U, V = _envelope_case(name, case,
                                                            monkeypatch)
+    blocks = spy_blocks(monkeypatch)
     checks = envelope_checks(patch, w_rows, omega, consts, U, V,
                              surface=True)
     env = envelope(patch, w, U, V)
-    ms = check_middle_sphere(env)
-    hv = hover_ratio_residual(env, omega, consts)
-    for got, ref in ((checks.residuals["middle_sphere"], ms),
-                     (checks.residuals["envelope_hover_ratio"], hv)):
-        assert got.name == ref.name
-        assert _same_bits(got.values, ref.values), got.name
-        assert _same_bits(got.valid, ref.valid), got.name
+    refs = (check_middle_sphere(env), hover_ratio_residual(env, omega,
+                                                           consts))
+    assert list(checks.residuals) == [ref.name for ref in refs]
     assert _same_bits(checks.X, env.X)
     assert _same_bits(checks.N, env.N)
     assert _same_bits(checks.valid, env.valid)
-    assert ms.n_valid > 0
-    # without a mesh to write, nothing but the residuals is assembled
+    assert refs[0].n_valid > 0
+    # without a mesh to write, nothing but the residuals' summaries
     bare = envelope_checks(patch, w_rows, omega, consts, U, V)
     assert bare.X is None and bare.N is None and bare.valid is None
-    assert _same_bits(bare.residuals["middle_sphere"].values, ms.values)
+    for record in (checks, bare):
+        # every block's records, put together, are the whole grid's
+        whole = assemble_blocks(blocks[record], U.shape)
+        for ref in refs:
+            assert _same_bits(whole[ref.name].values, ref.values), ref.name
+            assert _same_bits(whole[ref.name].valid, ref.valid), ref.name
+            assert same_summary(record.residuals[ref.name], ref), ref.name
 
 
 @pytest.mark.parametrize("name", ["catenoid", "enneper"])

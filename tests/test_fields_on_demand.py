@@ -160,10 +160,12 @@ def test_integrated_congruence_memory_stays_bounded(capsys):
     # with one fill and the node scalars held and W's jet built per
     # block (8.4 MB after later changes), 7.2 MB with the envelope's
     # frame built from an order-2 jet, structural zeros kept scalar and
-    # both halves of a march stepped as one; the bound sits halfway
+    # both halves of a march stepped as one (7.0 MB after later changes),
+    # 4.8 MB with each residual folded into a summary block by block and
+    # each envelope block freed before the next; the bound sits halfway
     # between the last two
     peak = _integrate_peak("0.01", capsys)
-    assert peak <= 7.8e6, peak
+    assert peak <= 5.9e6, peak
 
 
 def test_benchmark_congruence_memory_stays_bounded(capsys):
@@ -176,27 +178,32 @@ def test_benchmark_congruence_memory_stays_bounded(capsys):
     # W's jet built per block of the envelope, 16.0 MB with the envelope's
     # frame built from an order-2 jet, structural zeros kept scalar and
     # both halves of a march stepped as one (its kernel-row buffer holds
-    # both groups' lanes); the bound sits halfway between the last two
+    # both groups' lanes), 11.6 MB with each residual folded into a
+    # summary block by block and each envelope block freed before the
+    # next; the bound sits halfway between the last two
     peak = _integrate_peak("0.005", capsys)
-    assert peak <= 16.6e6, peak
+    assert peak <= 13.8e6, peak
 
 
 def test_pair_deep_dual_memory_stays_bounded(capsys):
     # tracemalloc peak of pair_deep's dual at 161 x 161: 26.6 MB with
     # whole-grid fields for the patch and its dual, 12.0 MB with a pair
-    # of fields per row block; the bound sits halfway between the two
+    # of fields per row block, 10.4 MB with each residual folded into a
+    # summary block by block; the bound sits halfway between the last two
     peak = _peak(["dual", *DEEP, "--nu", "161", "--nv", "161"], capsys)
-    assert peak <= 19.3e6, peak
+    assert peak <= 11.2e6, peak
 
 
 def test_pair_deep_build_memory_stays_bounded(capsys, tmp_path):
     # tracemalloc peak of pair_deep's build --out --report at 161 x 161:
-    # 12.4 MB with whole-grid fields, 8.4 MB with fields per row block;
-    # the bound sits halfway between the two
+    # 12.4 MB with whole-grid fields, 8.4 MB with fields per row block
+    # (8.3 MB after later changes), 7.6 MB with each residual folded into
+    # a summary block by block; the bound sits halfway between the last
+    # two
     peak = _peak(["build", *DEEP, "--nu", "161", "--nv", "161",
                   "--out", str(tmp_path / "b.obj"),
                   "--report", str(tmp_path / "b.json")], capsys)
-    assert peak <= 10.4e6, peak
+    assert peak <= 8.0e6, peak
 
 
 @pytest.mark.parametrize("argv, code", [

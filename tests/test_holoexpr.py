@@ -1,12 +1,15 @@
 """Expression language: parsing, printing, jet evaluation, and the
 symbolic differentiation oracle of the jets."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import differentiate
+from _oracles import differentiate, same_bits
+from ribaucour import holoexpr
 from ribaucour.holoexpr import (FUNCTIONS, BinOp, Call, Const, EvalError, Neg,
                                 ParseError, Pow, Var, eval_jet, evaluate,
                                 parse, to_text)
@@ -362,3 +365,53 @@ def test_jet_matches_differentiated_trees(tree):
         assert np.all(gap <= 1e-12 * scale[ok]), (to_text(tree), k)
         if k < 3:
             oracle = differentiate(oracle)
+
+
+def _count_trig(monkeypatch) -> Counter:
+    """Counts the calls of np.sin, np.cos, np.sinh and np.cosh that the
+    jet pass makes."""
+    calls = Counter()
+
+    def counting(f):
+        def call(x):
+            calls[f.__name__] += 1
+            return f(x)
+        return call
+
+    wrap = {f: counting(f) for f in (np.sin, np.cos, np.sinh, np.cosh)}
+    monkeypatch.setattr(holoexpr, "_TRIG", {
+        name: (wrap[f], wrap[df], *signs)
+        for name, (f, df, *signs) in holoexpr._TRIG.items()})
+    return calls
+
+
+@pytest.mark.parametrize("text, shared, unshared", [
+    # one argument: sin and cos (sinh and cosh) of z once each
+    ("sin(z)*cos(z)", {"sin": 1, "cos": 1}, {"sin": 2, "cos": 2}),
+    ("cosh(z) - sinh(z)*cosh(z)", {"sinh": 1, "cosh": 1},
+     {"sinh": 3, "cosh": 3}),
+    # z*z and z+1 are two arguments: nothing to share
+    ("sin(z*z)*cos(z+1)", {"sin": 2, "cos": 2}, {"sin": 2, "cos": 2}),
+])
+def test_trig_pairs_of_one_argument_are_evaluated_once(
+        text, shared, unshared, monkeypatch):
+    tree = parse(text)
+    calls = _count_trig(monkeypatch)
+    points = (EVAL_POINTS, complex(EVAL_POINTS[0]))
+
+    def jets():
+        return [np.array(eval_jet(tree, z, order).values)
+                for z in points for order in range(4)]
+
+    def order_three_calls():
+        calls.clear()
+        eval_jet(tree, EVAL_POINTS, 3)
+        return calls
+
+    got = jets()
+    assert order_three_calls() == Counter(shared)
+    # without the memo, each node evaluates its own f and f'
+    monkeypatch.setattr(holoexpr, "_once", lambda memo, f, x: f(x))
+    assert order_three_calls() == Counter(unshared)
+    for a, b in zip(got, jets()):
+        assert same_bits(a, b), text
