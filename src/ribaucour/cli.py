@@ -29,17 +29,14 @@ import numpy as np
 
 from . import __version__
 from .congruence import (CongruenceState, analytic_example,
-                         check_hessian_identities, envelope, envelope_checks,
-                         first_integral, generated_forms_check,
-                         hover_ratio_residual, integrate_system,
-                         system_residuals)
+                         envelope_checks, integrate_system)
 from .duality import make_dual, pair_checks
 from .grids import Domain
 from .holoexpr import ParseError
 from .mesh import export_obj, mesh_from_fields
 from .report import (identity_entry, make_report, report_exit_code,
                      write_report)
-from .ribaucour_core import check_middle_sphere, make_patch, patch_checks
+from .ribaucour_core import make_patch, patch_checks
 
 EXIT_PASS = 0
 EXIT_RESIDUAL = 1
@@ -107,9 +104,9 @@ def _finish(args, command, inputs, entries, meshes, *,
     return code
 
 
-def _residual_entry(res, tolerance, name=None, **kwargs):
-    return identity_entry(name or res.name, res.max_abs, tolerance,
-                          res.n_valid, res.n_excluded, **kwargs)
+def _residual_entry(res, tolerance, **kwargs):
+    return identity_entry(res.name, res.max_abs, tolerance, res.n_valid,
+                          res.n_excluded, **kwargs)
 
 
 def _parse_inputs(args) -> Domain:
@@ -259,40 +256,9 @@ def cmd_congruence(args) -> int:
 
     if args.mode == "analytic":
         U, V, _ = domain.mesh(args.nu, args.nv)
-        wj, oj = ac.w_jet(U, V), ac.omega_jet(U, V)
-        # one chart record for every check: the chart scalars with the
-        # tangents, from one jet of g, and the envelope's frame, each
-        # evaluated once on the grid
-        scalars, tangents = ac.patch.chart_scalars(U, V, tangents=True)
-        sysres = system_residuals(ac.patch, wj, oj, U, V, scalars=scalars)
-        drift = float(np.max(np.abs(first_integral(
-            ac.state(U, V, scalars[0], jets=(wj, oj)), consts))))
-        env = envelope(ac.patch, wj, U, V)
-        ms = check_middle_sphere(env)
-        hid = check_hessian_identities(ac.patch, wj, oj, consts, U, V,
-                                       frame=env.frame, scalars=scalars,
-                                       tangents=tangents)
-        gf = generated_forms_check(ac.patch, wj, oj, consts, U, V, env=env,
-                                   scalars=scalars)
-        n = int(np.asarray(U).size)
-        entries = [
-            identity_entry("congruence_system", max(sysres.values()),
-                           args.tol_fi, n, 0),
-            identity_entry("first_integral_drift", drift, args.tol_fi, n, 0),
-            _residual_entry(ms, TOL_ENVELOPE, "envelope_middle_sphere"),
-            identity_entry("hessian_identity_omega", hid.max_hessian_omega,
-                           TOL_PROP, hid.n_compared, hid.n_excluded),
-            identity_entry("hessian_identity_w", hid.max_hessian_w, TOL_PROP,
-                           hid.n_compared, hid.n_excluded),
-            identity_entry("gradient_link", hid.max_gradient_link, TOL_PROP,
-                           hid.n_compared, hid.n_excluded),
-            identity_entry("generated_forms",
-                           max(gf.max_rel_first, gf.max_rel_second,
-                               gf.max_rel_third),
-                           TOL_PROP, gf.n_compared, gf.n_excluded),
-            _residual_entry(hover_ratio_residual(env, oj.val, consts),
-                            TOL_ENVELOPE),
-        ]
+        w_rows, records = (lambda b: ac.w_jet(U[b], V[b])), \
+            ac.envelope_records(U, V)
+        entries = []
     else:
         st0 = ac.state(0.0, 0.0)
         init = CongruenceState(*(float(np.asarray(x))
@@ -304,25 +270,28 @@ def cmd_congruence(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_PARSE
         U, V = integ.U, integ.V
-        agree = ac.agreement(integ)
-        # the envelope block by block: X, N and the mask only for a mesh
-        env = envelope_checks(ac.patch, integ.w_rows, integ.omega, consts,
-                              U, V, surface=bool(args.out))
-        n = int(np.asarray(U).size)
-        entries = [
-            identity_entry("path_independence", integ.path_gap, args.tol_fi,
-                           n, 0),
-            identity_entry("first_integral_drift", integ.drift, args.tol_fi,
-                           n, 0),
-            identity_entry("analytic_agreement", agree, args.tol_fi, n, 0),
-            _residual_entry(env.residuals["middle_sphere"], TOL_ENVELOPE,
-                            "envelope_middle_sphere"),
-            _residual_entry(env.residuals["envelope_hover_ratio"],
-                            TOL_ENVELOPE),
-        ]
-        details["integration"] = {"grid": list(np.asarray(U).shape),
+        w_rows, records = integ.w_rows, integ.envelope_records
+        entries = [identity_entry(name, value, args.tol_fi, U.size, 0)
+                   for name, value in (
+                       ("path_independence", integ.path_gap),
+                       ("first_integral_drift", integ.drift),
+                       ("analytic_agreement", ac.agreement(integ)))]
+        details["integration"] = {"grid": list(U.shape),
                                   "init_node": list(integ.init_node)}
-    meshes = [(mesh_from_fields(env), args.out)] if args.out else []
+    # the envelope and every check of it block by block: X, N and the
+    # mask only for a mesh
+    checks = envelope_checks(ac.patch, w_rows, U, V, records,
+                             surface=bool(args.out))
+    tols = {"congruence_system": args.tol_fi,
+            "first_integral_drift": args.tol_fi,
+            "envelope_middle_sphere": TOL_ENVELOPE,
+            "envelope_hover_ratio": TOL_ENVELOPE,
+            "hessian_identity_omega": TOL_PROP,
+            "hessian_identity_w": TOL_PROP, "gradient_link": TOL_PROP,
+            "generated_forms": TOL_PROP}
+    entries += [_residual_entry(res, tols[res.name])
+                for res in checks.residuals.values()]
+    meshes = [(mesh_from_fields(checks), args.out)] if args.out else []
     return _finish(args, "congruence", inputs, entries, meshes,
                    notes=notes, extra=details)
 

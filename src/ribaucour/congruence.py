@@ -15,7 +15,7 @@ which conserves the quadratic first integral
 
 The missing derivatives Omega1_u and Omega2_v needed for line
 integration follow from the covariant Hessian identity for Omega (see
-:func:`check_hessian_identities`):
+:func:`hessian_identity_residuals`):
 
     Omega1_u = -(phi_v/phi) Omega2 + phi (cW - c3/2) + phi k1 (c Omega - W - c2/2)
     Omega2_v = -(phi_u/phi) Omega1 + phi (cW - c3/2) + phi k2 (c Omega - W - c2/2)
@@ -23,28 +23,12 @@ integration follow from the covariant Hessian identity for Omega (see
 making the system integrable by marching.  Swapping Omega1 and Omega2
 turns the system along v into the system along u, so one affine RK4
 kernel (:func:`_slope`) serves both directions.  :func:`integrate_system`
-runs three marches, all by :func:`_march`: the initial row, one lane;
-then every column, whose states go block by block straight into the one
-fill it keeps; then every row from the initial column, whose states are
-compared with that fill block by block and dropped.  A march steps its
-two halves, forward and backward from the initial node, in one RK4 loop
-as two groups of lanes with a step h per lane, so each stage costs one
-set of numpy calls for both.  The gap between the two fills doubles as
-the compatibility (Frobenius) check.  The chart
-scalars (phi, phi_u, phi_v, k1) are evaluated once per abscissa and
-streamed into each march as kernel rows, one block of steps of about
-``grids._BLOCK`` samples at a time, just before the block is stepped,
-so no march holds its kernel rows or its states for the whole grid: the
-column march evaluates the nodes and the v-midpoints and keeps phi,
-phi_u and phi_v at the nodes (k1 = a / phi^2 follows from phi), and the
-row march reuses them and evaluates only the u-midpoints (the initial
-row evaluates its own 2 nu - 1 abscissae the same way).  The fill and
-the node scalars are all an :class:`IntegratedCongruence` holds on the
-whole grid.  They also fix W's second-order jet: differentiating W_u and
-W_v once more through the same right-hand sides (k1 phi^2 is constant
-on these charts) gives W_uu, W_uv and W_vv at every node, with no
-stencil; :meth:`IntegratedCongruence.w_rows` builds it one block of rows
-at a time.
+fills the grid column-first and again row-first, block by block, and
+keeps one fill and the chart scalars at the nodes; the gap between the
+two fills doubles as the compatibility (Frobenius) check.  The same
+right-hand sides, differentiated once more (k1 phi^2 is constant on
+these charts), give W's second-order jet at every node with no stencil
+(:meth:`IntegratedCongruence.w_rows`).
 
 The envelope X = grad W + W N of the congruence (support machinery of
 :mod:`ribaucour.ribaucour_core` applied to W over the minimal patch's
@@ -54,20 +38,15 @@ minimal patch.  :func:`envelope` and the checks take W and Omega as
 jets (RJet2), either closed forms evaluated on the grid or integrated;
 in the reference gauge the envelope's middle-sphere residual is the
 first integral, pointwise, relative to the sum of its terms'
-magnitudes.  Every step from W's jet to the residuals is per sample,
-so :func:`envelope_checks` runs the envelope and its checks over blocks
-of grid rows (:func:`ribaucour.grids._row_blocks`, the package's one
-block helper), W's jet built for each block and each block freed before
-the next, and folds the residuals into per-entry summaries (X, N and the
-valid mask on request) in a :class:`~ribaucour.ribaucour_core.GridChecks`.
-These checks read tau, the frame's log factor, to first order only, so
-the frame is built from an order-2 jet of g
-(:meth:`~ribaucour.minimal.MinimalPatch.frame`).  The checks share one
-chart record: the tuple of
-:meth:`~ribaucour.minimal.MinimalPatch.chart_scalars` (the ``scalars``
-argument), the tangents X_u and X_v read off the same jet of g (the
-``tangents`` argument), and the frame of the envelope, whose tau also
-gives the minimal metric's log factor, log phi = log a - tau.
+magnitudes.  Every check is a per-sample
+:class:`~ribaucour.ribaucour_core.ResidualField` named after its report
+entry: :func:`envelope_checks` runs the envelope over blocks of grid
+rows, each freed before the next, and folds the records of either
+congruence's ``envelope_records`` into one
+:class:`~ribaucour.ribaucour_core.GridChecks`.  The checks read tau to
+first order only, so the frame is built from an order-2 jet of g
+(:meth:`~ribaucour.minimal.MinimalPatch.frame`); its tau also gives
+the minimal metric's log factor, log a - tau.
 
 :func:`analytic_example` ships closed-form solutions over the built-in
 patches as jet code.  Each published closed form is validated against
@@ -84,7 +63,7 @@ so a term in one coordinate costs one grid line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -100,9 +79,10 @@ __all__ = [
     "IntegralConstants", "CongruenceState", "first_integral",
     "system_residuals", "AnalyticCongruence", "analytic_example",
     "IntegratedCongruence", "integrate_system", "envelope",
-    "HessianIdentityReport", "check_hessian_identities",
-    "GeneratedFormsReport", "generated_forms_check", "hover_ratio_residual",
-    "envelope_checks",
+    "HessianIdentityReport", "hessian_identity_residuals",
+    "check_hessian_identities", "GeneratedFormsReport",
+    "generated_forms_residual", "generated_forms_check",
+    "hover_ratio_residual", "envelope_checks",
 ]
 
 
@@ -144,41 +124,43 @@ def first_integral(state: CongruenceState, consts: IntegralConstants):
 # Residuals of the first-order system for jet-valued fields
 # ---------------------------------------------------------------------------
 
-def system_residuals(patch: MinimalPatch, w_jet: RJet2, omega_jet: RJet2,
-                     U, V, *, scalars: tuple | None = None) -> dict:
-    """Max absolute residual of each non-definitional system equation for
-    the fields W and Omega given as jets on (U, V) (Omega1 and Omega2 are
-    read off as Omega_u/phi and Omega_v/phi, so those two equations hold
-    by construction and are not reported).
-
-    ``scalars``, :meth:`MinimalPatch.chart_scalars` on (U, V), spares
-    evaluating them again when the caller already has them; so does the
-    same argument of :func:`check_hessian_identities` and
-    :func:`generated_forms_check`.
-    """
-    phi, pu, pv, k1 = patch.chart_scalars(U, V) if scalars is None else scalars
-    k2 = -k1
+def _system_terms(w_jet: RJet2, omega_jet: RJet2, scalars: tuple) -> dict:
+    """Residual of each non-definitional system equation per sample, for
+    the fields W and Omega given as jets with the chart scalars
+    (:meth:`MinimalPatch.chart_scalars`) on their samples (Omega1 and
+    Omega2 are read off as Omega_u/phi and Omega_v/phi, so those two
+    equations hold by construction and are not reported)."""
+    phi, pu, pv, k1 = scalars
     o1 = omega_jet.du / phi
     o2 = omega_jet.dv / phi
     o1_v = (omega_jet.duv * phi - omega_jet.du * pv) / (phi * phi)
     o2_u = (omega_jet.duv * phi - omega_jet.dv * pu) / (phi * phi)
-    res = {
+    return {
         "omega1_v": o1_v - o2 * pu / phi,
         "omega2_u": o2_u - o1 * pv / phi,
         "w_u": w_jet.du - o1 * k1 * phi,
-        "w_v": w_jet.dv - o2 * k2 * phi,
+        "w_v": w_jet.dv - o2 * -k1 * phi,
     }
-    return {k: float(np.max(np.abs(r))) for k, r in res.items()}
 
 
-def _state_from_jets(patch: MinimalPatch, wj: RJet2, oj: RJet2, U, V,
-                     phi=None) -> CongruenceState:
-    if phi is None:
-        phi = patch.chart_scalars(U, V)[0]
+def system_residuals(patch: MinimalPatch, w_jet: RJet2, omega_jet: RJet2,
+                     U, V) -> dict:
+    """Max absolute residual of each equation of :func:`_system_terms`
+    for W and Omega given as jets on (U, V)."""
+    terms = _system_terms(w_jet, omega_jet, patch.chart_scalars(U, V))
+    return {k: float(np.max(np.abs(r))) for k, r in terms.items()}
+
+
+def _state_from_jets(wj: RJet2, oj: RJet2, phi) -> CongruenceState:
     return CongruenceState(omega=np.asarray(oj.val, dtype=float),
                            omega1=np.asarray(oj.du, dtype=float) / phi,
                            omega2=np.asarray(oj.dv, dtype=float) / phi,
                            w=np.asarray(wj.val, dtype=float))
+
+
+def _everywhere(values, name: str) -> ResidualField:
+    """A record that the report counts on every sample."""
+    return ResidualField(values, np.ones(values.shape, bool), name)
 
 
 # ---------------------------------------------------------------------------
@@ -286,35 +268,60 @@ class AnalyticCongruence:
     literal_constants: IntegralConstants | None
     omega_text: str = ""
 
-    def state(self, U, V, phi=None, jets=None) -> CongruenceState:
+    def state(self, U, V, phi=None) -> CongruenceState:
         """The fields on (U, V).  ``phi``, the patch's conformal factor
-        on (U, V), and ``jets``, the (W, Omega) jets on (U, V), spare
-        evaluating them again when the caller already has them."""
-        wj, oj = jets if jets is not None else (self.w_jet(U, V),
-                                                self.omega_jet(U, V))
-        return _state_from_jets(self.patch, wj, oj, U, V, phi)
+        on (U, V), spares evaluating it again when the caller already
+        has it."""
+        if phi is None:
+            phi = self.patch.chart_scalars(U, V)[0]
+        return _state_from_jets(self.w_jet(U, V), self.omega_jet(U, V), phi)
 
     def agreement(self, integ: IntegratedCongruence) -> float:
         """Largest difference of any field between ``integ`` and these
-        closed forms on its grid.  The closed forms are evaluated in
-        blocks of grid rows, so no full-grid jet is built; the value is
-        that of one whole-grid comparison."""
+        closed forms on its grid, NaN if any difference is.  The closed
+        forms are evaluated in blocks of grid rows, so no full-grid jet
+        is built; the value is that of one whole-grid comparison."""
         got = integ.state().as_tuple()
-        gaps = [[] for _ in got]
+        gaps = []
         for b in _row_blocks(*integ.U.shape):
             ref = self.state(integ.U[b], integ.V[b], integ.phi[b])
-            for gap, x, r in zip(gaps, got, ref.as_tuple()):
-                gap.append(np.max(np.abs(x[b] - r)))
-        return max(float(np.max(gap)) for gap in gaps)
+            gaps += [np.max(np.abs(x[b] - r))
+                     for x, r in zip(got, ref.as_tuple())]
+        # np.max keeps a NaN wherever it is, as CheckSummary.fold does
+        return float(np.max(gaps))
+
+    def envelope_records(self, U, V):
+        """``records(b, env)`` for :func:`envelope_checks` on the grid
+        (U, V): every check of these closed forms on the rows ``b``,
+        each named after its report entry, in report order.  W's jet is
+        that of the envelope ``env``, the chart scalars and tangents
+        come from one jet of g, and Omega's jet is evaluated once."""
+        consts = self.constants
+
+        def records(b, env):
+            wj, oj = env.rho, self.omega_jet(U[b], V[b])
+            scalars, tangents = self.patch.chart_scalars(U[b], V[b],
+                                                         tangents=True)
+            terms = _system_terms(wj, oj, scalars).values()
+            state = _state_from_jets(wj, oj, scalars[0])
+            return (_everywhere(np.maximum.reduce([np.abs(r) for r in terms]),
+                                "congruence_system"),
+                    _everywhere(np.abs(first_integral(state, consts)),
+                                "first_integral_drift"),
+                    _middle_sphere(env),
+                    *hessian_identity_residuals(wj, oj, consts, env.frame,
+                                                scalars, tangents),
+                    generated_forms_residual(env, oj.val, consts, scalars),
+                    hover_ratio_residual(env, oj.val, consts))
+        return records
 
 
 def _origin_constant(patch: MinimalPatch, wj_fn, oj_fn,
                      c1: float = 1.0) -> float:
     """Candidate coupling constant from the vanishing first integral at
     the chart origin (c2 = c3 = 0)."""
-    wj = wj_fn(0.0, 0.0)
-    oj = oj_fn(0.0, 0.0)
-    st = _state_from_jets(patch, wj, oj, 0.0, 0.0)
+    st = _state_from_jets(wj_fn(0.0, 0.0), oj_fn(0.0, 0.0),
+                          patch.chart_scalars(0.0, 0.0)[0])
     om, o1, o2, w = (float(x) for x in st.as_tuple())
     denom = 2.0 * om * w
     if denom == 0.0:
@@ -329,7 +336,8 @@ _VALIDATION_TOL = 1e-6
 
 
 def _max_drift(patch, wj, oj, consts, U, V) -> float:
-    F = first_integral(_state_from_jets(patch, wj, oj, U, V), consts)
+    F = first_integral(_state_from_jets(wj, oj, patch.chart_scalars(U, V)[0]),
+                       consts)
     return float(np.max(np.abs(F)))
 
 
@@ -642,6 +650,13 @@ class IntegratedCongruence:
     def w(self) -> RJet2:
         return self.w_rows(slice(None))
 
+    def envelope_records(self, rows: slice, env: SurfaceFields) -> tuple:
+        """``records`` for :func:`envelope_checks` on this grid: the
+        middle-sphere and H/K records of the envelope ``env`` on the
+        grid rows ``rows``, each named after its report entry."""
+        return (_middle_sphere(env),
+                hover_ratio_residual(env, self.omega[rows], self.constants))
+
 
 def integrate_system(patch: MinimalPatch, init: CongruenceState,
                      consts: IntegralConstants, *,
@@ -651,16 +666,13 @@ def integrate_system(patch: MinimalPatch, init: CongruenceState,
                      init_at: tuple = (0.0, 0.0)) -> IntegratedCongruence:
     """Integrate the congruence system over a grid from one initial state.
 
-    ``init_at`` must coincide with a grid node.  One RK4 kernel serves
-    both directions: swapping Omega1 and Omega2 turns the system along v
-    into the system along u, with the chart coefficients of the march.
-    The grid is filled by a march (:func:`_march`, both halves of it in
-    one loop) along the initial row, one lane, then one along all columns
-    at once, whose states go straight into the fields.  One more march
-    along all rows, started from the initial column, fills the grid in
-    the transposed order; each of its blocks is compared with the fields
-    and dropped, and ``path_gap`` is the max discrepancy between the two
-    fills.
+    ``init_at`` must coincide with a grid node.  The grid is filled by
+    a march (:func:`_march`, both halves of it in one loop) along the
+    initial row, one lane, then one along all columns at once, whose
+    states go straight into the fields.  One more march along all rows,
+    started from the initial column, fills the grid in the transposed
+    order; each of its blocks is compared with the fields and dropped,
+    and ``path_gap`` is the max discrepancy between the two fills.
 
     Each march gets its kernel rows from :func:`_kernel_rows` one block
     of steps at a time (see :func:`_march`), so the chart scalars are
@@ -721,15 +733,16 @@ def integrate_system(patch: MinimalPatch, init: CongruenceState,
            v, iv0, row[:, _SWAP].T, put_columns)
     # then every row from the initial column: each block is compared with
     # the column-first fill at its nodes, and nothing of it is kept
-    gaps = [[] for _ in fields]
+    gaps = []
 
     def compare_rows(nodes, ys):
-        for gap, j, f in zip(gaps, _SWAP, fields):
-            gap.append(np.max(np.abs(ys[:, j] - f[nodes])))
+        gaps.extend(np.max(np.abs(ys[:, j] - f[nodes]))
+                    for j, f in zip(_SWAP, fields))
 
     _march(_kernel_rows(patch, consts, True, u, v, node=node),
            u, iu0, fields[_SWAP, iu0], compare_rows)
-    path_gap = max(float(np.max(gap)) for gap in gaps)
+    # np.max keeps a NaN wherever it is, as CheckSummary.fold does
+    path_gap = float(np.max(gaps))
 
     # the first integral's deviation from its initial value, in blocks
     # of rows
@@ -773,8 +786,8 @@ def envelope(patch: MinimalPatch, w: RJet2, U, V) -> SurfaceFields:
 
 @dataclass
 class HessianIdentityReport:
-    """Largest residuals of the covariant-Hessian identities and the
-    gradient link over the compared samples (NaN if there are none)."""
+    """Largest residuals of :func:`hessian_identity_residuals` over the
+    compared samples (NaN if there are none)."""
 
     max_hessian_omega: float
     max_hessian_w: float
@@ -783,14 +796,12 @@ class HessianIdentityReport:
     n_excluded: int
 
 
-def check_hessian_identities(patch: MinimalPatch, w_jet: RJet2,
-                             omega_jet: RJet2, consts: IntegralConstants,
-                             U, V, *,
-                             frame: SphereFrame | None = None,
-                             scalars: tuple | None = None,
-                             tangents: tuple | None = None
-                             ) -> HessianIdentityReport:
-    """Measure the second-order structure of a congruence solution:
+def hessian_identity_residuals(w_jet: RJet2, omega_jet: RJet2,
+                               consts: IntegralConstants,
+                               frame: SphereFrame, scalars: tuple,
+                               tangents: tuple) -> tuple:
+    """The second-order structure of a congruence solution per sample,
+    ``(hessian_identity_omega, hessian_identity_w, gradient_link)``:
 
     * Hessian of Omega in the minimal metric equals
       (cW - c3/2) I + (c Omega - W - c2/2) II,
@@ -800,15 +811,14 @@ def check_hessian_identities(patch: MinimalPatch, w_jet: RJet2,
       sphere-metric gradient of W (as ambient vectors in the shared
       tangent plane; equivalent to the first-order system itself).
 
-    W and Omega are jets on (U, V).  A given ``frame`` must be
-    ``patch.frame(U, V)``, such as the frame of the envelope on (U, V);
-    ``scalars`` as for :func:`system_residuals`, and ``tangents``, the
-    patch's (X_u, X_v) on (U, V), spares evaluating them: both come from
-    one jet of g through ``patch.chart_scalars(U, V, tangents=True)``.
+    W and Omega are jets on the samples of ``frame``, the patch's frame
+    there.  ``scalars`` and ``tangents``, the patch's chart scalars and
+    (X_u, X_v) there, are those of one jet of g,
+    ``patch.chart_scalars(U, V, tangents=True)``.  All three are valid
+    where the frame has no branch point, both jets are finite and
+    phi^2 is finite and above 1e-12.
     """
-    if frame is None:
-        frame = patch.frame(U, V)
-    phi, _, _, k1 = patch.chart_scalars(U, V) if scalars is None else scalars
+    phi, _, _, k1 = scalars
     k2 = -k1
     E = phi * phi
     e2t = frame.e2tau
@@ -834,9 +844,6 @@ def check_hessian_identities(patch: MinimalPatch, w_jet: RJet2,
 
         # gradient of Omega in the minimal metric phi^2 (du^2 + dv^2),
         # expressed as an ambient vector through the immersion's tangent frame
-        if tangents is None:
-            deriv = patch.position_derivatives(U, V)
-            tangents = deriv["Xu"], deriv["Xv"]
         Xu, Xv = tangents
         ou = np.asarray(omega_jet.du, dtype=float)
         ov = np.asarray(omega_jet.dv, dtype=float)
@@ -845,11 +852,22 @@ def check_hessian_identities(patch: MinimalPatch, w_jet: RJet2,
                               axis=-1)
     ok = (~np.asarray(frame.branch) & jet_finite(w_jet)
           & jet_finite(omega_jet) & np.isfinite(E) & (E > 1e-12))
-    m1, m2, m3 = (ResidualField(r, ok).max_abs for r in (r1, r2, link))
-    n_ok = int(np.count_nonzero(ok))
-    return HessianIdentityReport(max_hessian_omega=m1, max_hessian_w=m2,
-                                 max_gradient_link=m3, n_compared=n_ok,
-                                 n_excluded=ok.size - n_ok)
+    return (ResidualField(r1, ok, "hessian_identity_omega"),
+            ResidualField(r2, ok, "hessian_identity_w"),
+            ResidualField(link, ok, "gradient_link"))
+
+
+def check_hessian_identities(patch: MinimalPatch, w_jet: RJet2,
+                             omega_jet: RJet2, consts: IntegralConstants,
+                             U, V) -> HessianIdentityReport:
+    """:func:`hessian_identity_residuals` for W and Omega given as jets
+    on (U, V), summarised over the whole grid."""
+    scalars, tangents = patch.chart_scalars(U, V, tangents=True)
+    r1, r2, r3 = hessian_identity_residuals(
+        w_jet, omega_jet, consts, patch.frame(U, V), scalars, tangents)
+    return HessianIdentityReport(r1.max_abs, r2.max_abs, r3.max_abs,
+                                 n_compared=r1.n_valid,
+                                 n_excluded=r1.n_excluded)
 
 
 @dataclass
@@ -877,74 +895,88 @@ def hover_ratio_residual(env: SurfaceFields, omega,
                          "envelope_hover_ratio")
 
 
-def envelope_checks(patch: MinimalPatch, w_rows, omega,
-                    consts: IntegralConstants, U, V, *,
+def _middle_sphere(env: SurfaceFields) -> ResidualField:
+    """:func:`check_middle_sphere`, named after the envelope's entry."""
+    return replace(check_middle_sphere(env), name="envelope_middle_sphere")
+
+
+def envelope_checks(patch: MinimalPatch, w_rows, U, V, records, *,
                     surface: bool = False) -> GridChecks:
-    """:func:`envelope`, :func:`check_middle_sphere` and
-    :func:`hover_ratio_residual` on the grid (U, V), run over blocks of
-    at most ``grids._BLOCK`` samples (whole rows of the first axis), so
-    that no stage holds its temporaries for the whole grid.  Every sample
-    gets the values of the whole-grid evaluation.  ``w_rows(b)`` is W's
-    jet on the rows ``b`` of (U, V), built per block, such as
-    :meth:`IntegratedCongruence.w_rows`; ``omega`` is Omega on (U, V) (or
-    a scalar).  The record folds ``middle_sphere`` and
-    ``envelope_hover_ratio``; with ``surface``, X, N and the valid mask
-    are assembled too.
+    """:func:`envelope` on the grid (U, V) and the checks of
+    ``records``, run over blocks of at most ``grids._BLOCK`` samples
+    (whole rows of the first axis), so that no stage holds its
+    temporaries for the whole grid.  ``w_rows(b)`` is W's jet on the
+    rows ``b`` of (U, V), built per block, such as
+    :meth:`IntegratedCongruence.w_rows`; ``records(b, env)`` returns the
+    residual records of the envelope ``env`` on those rows, such as
+    :meth:`IntegratedCongruence.envelope_records` or
+    :meth:`AnalyticCongruence.envelope_records`.  The record folds them
+    in the order given; with ``surface``, X, N and the valid mask are
+    assembled too.  Valid samples get the bits of the whole-grid
+    evaluation, and so does every summary; the values at excluded
+    samples may differ (a NaN's sign, for one).
     """
     U, V = np.broadcast_arrays(np.asarray(U, dtype=float),
                                np.asarray(V, dtype=float))
-    shape = U.shape
-    omega = np.broadcast_to(np.asarray(omega, dtype=float), shape)
-    out = GridChecks(shape, ("middle_sphere", "envelope_hover_ratio"),
-                     surface)
-    for b in _row_blocks(shape[0], U[0].size):
+    out = GridChecks(U.shape, surface)
+    for b in _row_blocks(U.shape[0], U[0].size):
         env = envelope(patch, w_rows(b), U[b], V[b])
-        out.put(b, (check_middle_sphere(env),
-                    hover_ratio_residual(env, omega[b], consts)), env)
+        out.put(b, records(b, env), env)
         del env  # before the next block's jet and frame are built
     return out
 
 
-def generated_forms_check(patch: MinimalPatch, w_jet: RJet2, omega_jet: RJet2,
-                          consts: IntegralConstants, U, V,
-                          env: SurfaceFields | None = None, *,
-                          scalars: tuple | None = None
-                          ) -> GeneratedFormsReport:
-    """Measure how far the envelope's forms are from the linear combination
+def _form_gaps(env: SurfaceFields, omega, consts: IntegralConstants,
+               scalars: tuple) -> tuple:
+    """Relative gaps of the envelope's first, second and third forms
+    from their linear combinations of the minimal patch's forms, per
+    sample over ``env.valid`` (see :func:`generated_forms_residual`)."""
+    phi, _, _, k1 = scalars
+    E, e2t = phi * phi, env.frame.e2tau
+    zero = np.zeros_like(E)
+    I_m, II_m, III_m = (E, zero, E), (k1 * E, zero, -k1 * E), (e2t, zero, e2t)
+    a = 0.5 * consts.c3 - consts.c * np.asarray(env.rho.val, dtype=float)
+    b = 0.5 * consts.c2 - consts.c * np.asarray(omega, dtype=float)
+    pred_I = tuple(a * a * i + 2.0 * a * b * s + b * b * t
+                   for i, s, t in zip(I_m, II_m, III_m))
+    pred_II = tuple(a * s + b * t for s, t in zip(II_m, III_m))
+    return tuple(_form_residual(lhs, rhs, env.valid)
+                 for lhs, rhs in ((env.first, pred_I),
+                                  (env.second, pred_II),
+                                  (env.third, III_m)))
+
+
+def generated_forms_residual(env: SurfaceFields, omega,
+                             consts: IntegralConstants,
+                             scalars: tuple) -> ResidualField:
+    """How far the envelope's forms are from the linear combination
 
         I_env = a^2 I + 2ab II + b^2 III,  II_env = a II + b III,
         III_env = III,    a = c3/2 - cW,  b = c2/2 - c Omega,
 
-    of the minimal patch's forms.  Residuals are relative to the local
-    form magnitude; H/K of the envelope, predicted to equal b, is
-    :func:`hover_ratio_residual`.  W and Omega are jets on (U, V).  A
-    given ``env`` must be the envelope on (U, V); its frame is the
-    patch's.  ``scalars`` as for :func:`system_residuals`.
+    of the minimal patch's forms: the largest of the three gaps per
+    sample, each relative to the local form magnitude, valid where the
+    envelope ``env`` is.  W is the envelope's support, Omega its values
+    on the samples of ``env`` and ``scalars`` the patch's chart scalars
+    there.  H/K of the envelope, predicted to equal b, is
+    :func:`hover_ratio_residual`.
     """
+    gaps = _form_gaps(env, omega, consts, scalars)
+    return ResidualField(np.maximum.reduce([g.values for g in gaps]),
+                         env.valid, "generated_forms")
+
+
+def generated_forms_check(patch: MinimalPatch, w_jet: RJet2, omega_jet: RJet2,
+                          consts: IntegralConstants, U, V,
+                          env: SurfaceFields | None = None
+                          ) -> GeneratedFormsReport:
+    """The gaps of :func:`generated_forms_residual` for W and Omega given
+    as jets on (U, V), each form's summarised over the whole grid.  A
+    given ``env`` must be the envelope of W on (U, V)."""
     if env is None:
         env = envelope(patch, w_jet, U, V)
-    phi, _, _, k1 = patch.chart_scalars(U, V) if scalars is None else scalars
-    k2 = -k1
-    E = phi * phi
-    e2t = env.frame.e2tau
-    zero = np.zeros_like(E)
-    I_m = (E, zero, E)
-    II_m = (k1 * E, zero, k2 * E)
-    III_m = (e2t, zero, e2t)
-    w = np.asarray(w_jet.val, dtype=float)
-    om = np.asarray(omega_jet.val, dtype=float)
-    a = 0.5 * consts.c3 - consts.c * w
-    b = 0.5 * consts.c2 - consts.c * om
-    pred_I = tuple(a * a * i + 2.0 * a * b * s + b * b * t
-                   for i, s, t in zip(I_m, II_m, III_m))
-    pred_II = tuple(a * s + b * t for s, t in zip(II_m, III_m))
-    pred_III = III_m
-    r1, r2, r3 = (_form_residual(lhs, rhs, env.valid)
-                  for lhs, rhs in ((env.first, pred_I),
-                                   (env.second, pred_II),
-                                   (env.third, pred_III)))
-    return GeneratedFormsReport(max_rel_first=r1.max_abs,
-                                max_rel_second=r2.max_abs,
-                                max_rel_third=r3.max_abs,
+    r1, r2, r3 = _form_gaps(env, omega_jet.val, consts,
+                            patch.chart_scalars(U, V))
+    return GeneratedFormsReport(r1.max_abs, r2.max_abs, r3.max_abs,
                                 n_compared=r1.n_valid,
                                 n_excluded=r1.n_excluded)

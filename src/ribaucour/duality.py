@@ -48,11 +48,6 @@ __all__ = [
     "pair_checks",
 ]
 
-# the entries of pair_checks, in report order
-_PAIR_CHECKS = ("curvature_switch", "direction_switch", "hover_k_equality",
-                "hopf_antisymmetry", "first_form_relation",
-                "second_form_relation", "third_form_relation")
-
 
 @dataclass(frozen=True)
 class DualPair:
@@ -208,8 +203,9 @@ def pair_checks(pair: DualPair, nu: int = 41, nv: int = 41, *,
     """:func:`evaluate_pair` and every check above on an nu x nv grid, run
     over blocks of at most ``grids._BLOCK`` samples (whole rows), each
     with its own pair of :class:`SurfaceFields`, so that no stage holds
-    its shape data for the whole grid.  Every sample gets the values of
-    the whole-grid evaluation.
+    its shape data for the whole grid.  Valid samples get the bits of
+    the whole-grid evaluation, and so does every summary; the values at
+    excluded samples may differ (a NaN's sign, for one).
 
     Returns ``(checks, dual)``: ``checks`` holds the summaries of the
     seven records of :func:`verify_c2`, :func:`verify_hk_equality` and
@@ -219,7 +215,7 @@ def pair_checks(pair: DualPair, nu: int = 41, nv: int = 41, *,
     and ``dual`` the dual's; otherwise ``dual`` is None.
     """
     _, _, Z = pair.patch.domain.mesh(nu, nv)
-    out = GridChecks(Z.shape, _PAIR_CHECKS, surface)
+    out = GridChecks(Z.shape, surface)
     dual = GridChecks(Z.shape, surface=True) if surface else None
     for rows in _row_blocks(nu, nv):
         fields = fa, fb = evaluate_pair(pair, Z=Z[rows])

@@ -15,16 +15,16 @@ __all__ = ["Domain"]
 _BLOCK = 8192
 
 
-def _rows_per_block(row_len: int, block: int | None = None) -> int:
-    """Whole rows of row_len samples in a block of at most ``block``
-    (default ``_BLOCK``) samples, and at least one row."""
-    return max(1, (block or _BLOCK) // max(1, row_len))
+def _rows_per_block(row_len: int) -> int:
+    """Whole rows of row_len samples in a block of at most ``_BLOCK``
+    samples, and at least one row."""
+    return max(1, _BLOCK // max(1, row_len))
 
 
-def _row_blocks(n_rows: int, row_len: int, block: int | None = None):
+def _row_blocks(n_rows: int, row_len: int):
     """Slices of consecutive rows covering n_rows rows of row_len
     samples, in blocks of :func:`_rows_per_block` rows."""
-    step = _rows_per_block(row_len, block)
+    step = _rows_per_block(row_len)
     return [slice(i, min(i + step, n_rows)) for i in range(0, n_rows, step)]
 
 

@@ -68,19 +68,6 @@ class MinimalPatch:
                 acc = acc + w * _weierstrass(0.5 * self.a / g1, g)
         return np.asarray(self.origin) + (z[..., None] * acc).real
 
-    def position_derivatives(self, U, V) -> dict:
-        """First and second partials of X, each of shape (..., 3), read off
-        X_u - i X_v and its z-derivative (X is harmonic: X_vv = -X_uu)."""
-        g, g1, g2 = eval_jet(self.g, _z(U, V), 2).values
-        with np.errstate(all="ignore"):
-            F = 0.5 * self.a / g1
-            w = _weierstrass(F, g)
-            # d/dz of F (1 - g^2, ...) with F' = -F g''/g' and 2 F g' = a
-            dw = (_weierstrass(-F * g2 / g1, g)
-                  + self.a * np.stack([-g, 1j * g, np.ones_like(g)], axis=-1))
-        return {"Xu": w.real, "Xv": -w.imag,
-                "Xuu": dw.real, "Xuv": -dw.imag, "Xvv": -dw.real}
-
     # -- scalar shape data --------------------------------------------------
 
     def chart_scalars(self, U, V, *, tangents: bool = False):
@@ -91,8 +78,8 @@ class MinimalPatch:
         log phi = log a - tau, with tau that of :meth:`frame`.
 
         With ``tangents``, returns ``(scalars, (X_u, X_v))``: the
-        tangents of :meth:`position_derivatives`, read off the same jet
-        of g."""
+        tangents, read off the same jet of g as the real and minus the
+        imaginary part of X_u - i X_v."""
         g, g1, g2 = eval_jet(self.g, _z(U, V), 2).values
         with np.errstate(all="ignore"):
             s1 = 1.0 + np.abs(g) ** 2

@@ -68,8 +68,6 @@ __all__ = [
 # relative principal-curvature gap below which directions are unset.
 DEGENERATE_TOL = 1e-10
 UMBILIC_TOL = 1e-8
-# the entries of patch_checks, in report order
-_PATCH_CHECKS = ("support_pde", "middle_sphere", "hopf_holomorphy")
 
 
 @dataclass(frozen=True)
@@ -448,17 +446,17 @@ class GridChecks:
     """Per-sample checks over a grid of the given shape, folded one block
     of rows at a time by :meth:`put`.
 
-    ``residuals`` maps each report entry's name in ``names`` to its
-    :class:`CheckSummary`, in that order.  ``X``, ``N`` (trailing axis
-    of length 3) and ``valid`` are one surface's samples, whole-grid, as
-    :func:`ribaucour.mesh.mesh_from_fields` reads them, or None when no
-    surface was asked for.  ``usable`` says whether some block reported
-    a usable sample, and ``unit_sphere_gap`` is the largest gap a block
-    reported, NaN while none has.
+    ``residuals`` maps the name of each report entry put so far to its
+    :class:`CheckSummary`, in the order of first :meth:`put`.  ``X``,
+    ``N`` (trailing axis of length 3) and ``valid`` are one surface's
+    samples, whole-grid, as :func:`ribaucour.mesh.mesh_from_fields`
+    reads them, or None when no surface was asked for.  ``usable`` says
+    whether some block reported a usable sample, and ``unit_sphere_gap``
+    is the largest gap a block reported, NaN while none has.
     """
 
-    def __init__(self, shape: tuple, names=(), surface: bool = False):
-        self.residuals = {name: CheckSummary(name) for name in names}
+    def __init__(self, shape: tuple, surface: bool = False):
+        self.residuals = {}
         self.X = self.N = self.valid = None
         if surface:
             self.X, self.N = np.empty(shape + (3,)), np.empty(shape + (3,))
@@ -471,8 +469,8 @@ class GridChecks:
         """Fold in one block's residual records, its ``usable`` flag and
         unit-sphere ``gap``, and write the X, N and valid of its
         ``fields`` into ``rows`` if a surface is kept."""
-        for res in residuals:
-            self.residuals[res.name].fold(res)
+        for r in residuals:
+            self.residuals.setdefault(r.name, CheckSummary(r.name)).fold(r)
         if self.X is not None:
             self.X[rows], self.N[rows] = fields.X, fields.N
             self.valid[rows] = fields.valid
@@ -560,8 +558,9 @@ def patch_checks(patch: RibaucourPatch, nu: int = 41, nv: int = 41, *,
     """:func:`evaluate_patch` on an nu x nv grid over the patch domain,
     run over blocks of at most ``grids._BLOCK`` samples (whole rows),
     each with its own :class:`SurfaceFields`, so that no stage holds its
-    shape data for the whole grid.  Every sample gets the values of the
-    whole-grid evaluation.
+    shape data for the whole grid.  Valid samples get the bits of the
+    whole-grid evaluation, and so does every summary; the values at
+    excluded samples may differ (a NaN's sign, for one).
 
     With ``checks``, the record holds the summaries of
     :func:`support_pde_residual`, :func:`check_middle_sphere` and
@@ -569,7 +568,7 @@ def patch_checks(patch: RibaucourPatch, nu: int = 41, nv: int = 41, *,
     :func:`unit_sphere_gap`; with ``surface``, X, N and the valid mask.
     """
     _, _, Z = patch.domain.mesh(nu, nv)
-    out = GridChecks(Z.shape, _PATCH_CHECKS if checks else (), surface)
+    out = GridChecks(Z.shape, surface)
     for rows in _row_blocks(nu, nv):
         fields = evaluate_patch(patch, Z=Z[rows])
         if not checks:

@@ -12,9 +12,10 @@ real and imaginary part jets by the product rule (valid away from
 poles).  The normal oracles give N's second partials two ways: from jet
 products of the stereographic formula, and from the Gauss formula of
 the round sphere over a frame's N, N_u, N_v and tau.  The minimal-patch
-oracles take the unit normal and the chart contract from the immersion's
-tangents.  The line-march oracle is the RK4 march of one lane on Python
-floats, the kernel's operations in the package's order.  The OBJ oracle
+oracles take the immersion's partials from the Weierstrass formula, and
+the unit normal and the chart contract from its tangents.  The
+line-march oracle is the RK4 march of one lane on Python floats, the
+kernel's operations in the package's order.  The OBJ oracle
 writes the file record by record, and the holomorphy oracle
 differentiates the Hopf coefficient's samples by Cauchy-Riemann
 stencils.  The jet oracle differentiates expression trees
@@ -31,8 +32,9 @@ import sympy as sp
 
 from ribaucour import ResidualField, evaluate_patch
 from ribaucour.holoexpr import (BinOp, Call, Const, HoloExpr, Neg, Pow,
-                                Var, to_text)
+                                Var, eval_jet, to_text)
 from ribaucour.jets import RJet2, im_jet, re_jet
+from ribaucour.minimal import _weierstrass
 from ribaucour.ribaucour_core import GridChecks
 from ribaucour.sphere_geom import _inverted_where_large
 
@@ -269,10 +271,26 @@ def gauss_second_partials(frame):
                 -e2t * n - tu * n_u + tv * n_v)
 
 
+def position_derivatives(patch, U, V) -> dict:
+    """First and second partials of a minimal patch's X, each of shape
+    (..., 3), read off X_u - i X_v = F (1 - g^2, i (1 + g^2), 2 g) and
+    its z-derivative (X is harmonic: X_vv = -X_uu)."""
+    g, g1, g2 = eval_jet(patch.g, np.asarray(U) + 1j * np.asarray(V),
+                         2).values
+    with np.errstate(all="ignore"):
+        F = 0.5 * patch.a / g1
+        w = _weierstrass(F, g)
+        # d/dz of F (1 - g^2, ...) with F' = -F g''/g' and 2 F g' = a
+        dw = (_weierstrass(-F * g2 / g1, g)
+              + patch.a * np.stack([-g, 1j * g, np.ones_like(g)], axis=-1))
+    return {"Xu": w.real, "Xv": -w.imag,
+            "Xuu": dw.real, "Xuv": -dw.imag, "Xvv": -dw.real}
+
+
 def patch_normal(patch, U, V):
     """Unit normal X_v x X_u / |X_v x X_u| of a minimal patch from its
     tangents: the orientation N = -stereo(g) of its frame."""
-    d = patch.position_derivatives(U, V)
+    d = position_derivatives(patch, U, V)
     n = np.cross(d["Xv"], d["Xu"])
     return n / np.linalg.norm(n, axis=-1, keepdims=True)
 
@@ -281,7 +299,7 @@ def conformality_residual(patch, U, V) -> dict:
     """Max deviations of a minimal patch from the chart contract on the
     samples: inner product <X_u,X_v>, length gap ||X_u|-|X_v|| and
     off-diagonal second-form coefficient."""
-    d = patch.position_derivatives(U, V)
+    d = position_derivatives(patch, U, V)
     Xu, Xv = d["Xu"], d["Xv"]
     return {
         "inner": float(np.max(np.abs(np.sum(Xu * Xv, axis=-1)))),

@@ -47,14 +47,13 @@ class _FlatPatch:
 
     a = 0.0
 
-    def chart_scalars(self, U, V):
+    def chart_scalars(self, U, V, *, tangents=False):
         one = np.ones(np.broadcast_shapes(np.shape(U), np.shape(V)))
-        return one, 0.0 * one, 0.0 * one, 0.0 * one
-
-    def position_derivatives(self, U, V):
-        one, zero = self.chart_scalars(U, V)[:2]
-        return {"Xu": np.stack([one, zero, zero], axis=-1),
-                "Xv": np.stack([zero, one, zero], axis=-1)}
+        scalars = one, 0.0 * one, 0.0 * one, 0.0 * one
+        if not tangents:
+            return scalars
+        return scalars, (np.stack([one, 0.0 * one, 0.0 * one], axis=-1),
+                         np.stack([0.0 * one, one, 0.0 * one], axis=-1))
 
     def frame(self, U, V):
         one, zero = self.chart_scalars(U, V)[:2]
@@ -275,13 +274,14 @@ def test_integration_matches_march_oracle(catenoid_data, enneper_data,
         assert np.max(np.abs(integ.phi - phi)) <= 1e-13
 
 
-def test_row_blocks_cover_the_rows_in_bounded_blocks():
+def test_row_blocks_cover_the_rows_in_bounded_blocks(monkeypatch):
     # blocks are consecutive, of whole rows, and at most `block` samples
     # unless one row is longer
     block = 128
+    monkeypatch.setattr(grids, "_BLOCK", block)
     for n_rows in range(1, 40):
         for row_len in (1, 3, 7, 31, 32, 33, 64, 65, 100, 130, 300):
-            blocks = _row_blocks(n_rows, row_len, block)
+            blocks = _row_blocks(n_rows, row_len)
             assert blocks[0].start == 0 and blocks[-1].stop == n_rows
             assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
             sizes = [(b.stop - b.start) * row_len for b in blocks]
@@ -481,6 +481,24 @@ def test_blocked_agreement_matches_the_whole_grid(name, block, domain, step,
     assert 0.0 < whole < 1e-6
 
 
+# the rows of IntegratedCongruence.fields: (Omega, Omega1, W, Omega2)
+@pytest.mark.parametrize("field", [0, 1, 2, 3],
+                         ids=["omega", "omega1", "w", "omega2"])
+@pytest.mark.parametrize("node", [(0, 0), (30, 17)])
+def test_agreement_keeps_a_nan_in_any_field(catenoid_data, field, node,
+                                            monkeypatch):
+    # a NaN at one node of any field, in the first block or a later one,
+    # makes the agreement NaN, so the report entry cannot pass
+    monkeypatch.setattr(grids, "_BLOCK", 200)
+    ac = catenoid_data
+    integ = integrate_system(ac.patch, _origin_state(ac), ac.constants,
+                             domain=SQUARE, step=0.05)
+    assert 0.0 < ac.agreement(integ) < 1e-6
+    assert len(_row_blocks(*integ.U.shape)) > 1
+    integ.fields[field][node] = np.nan
+    assert np.isnan(ac.agreement(integ))
+
+
 @pytest.mark.parametrize("block", [None, 1000, 32])
 @pytest.mark.parametrize("domain, step, shape", [
     # nu != nv, the initial node off the grid's centre
@@ -517,8 +535,9 @@ def _jet_rows(w):
 
 
 def _envelope_case(name, case, monkeypatch):
-    """(patch, W's jet per block of rows, W's whole-grid jet, Omega,
-    constants, U, V) of one block layout."""
+    """(patch, W's jet per block of rows, W's whole-grid jet, the records
+    callback, U, V) of one block layout: integrated fields with their
+    two envelope records, or closed forms with every analytic record."""
     ac = analytic_example(name)
     if case == "off-centre":
         # nu != nv, initial node off the grid's centre, several blocks
@@ -527,8 +546,8 @@ def _envelope_case(name, case, monkeypatch):
                                  domain=Domain(-0.6, 1.0, -1.0, 0.4),
                                  step=0.02)
         assert integ.U.shape == (81, 71) and integ.init_node == (30, 50)
-        return (ac.patch, integ.w_rows, integ.w, integ.omega,
-                ac.constants, integ.U, integ.V)
+        return (ac.patch, integ.w_rows, integ.w, integ.envelope_records,
+                integ.U, integ.V)
     # 23 rows of 40 in blocks of 12 and 11 rows; 10 x 20 inside one
     # block; rows of 600 samples, one row per block
     block, shape = {"ragged": (500, (23, 40)), "one-block": (500, (10, 20)),
@@ -537,29 +556,34 @@ def _envelope_case(name, case, monkeypatch):
     U, V = np.meshgrid(np.linspace(-0.9, 0.8, shape[0]),
                        np.linspace(-0.7, 0.95, shape[1]), indexing="ij")
     w = ac.w_jet(U, V)
-    return (ac.patch, _jet_rows(w), w, ac.omega_jet(U, V).val, ac.constants,
-            U, V)
+    return (ac.patch, _jet_rows(w), w, ac.envelope_records(U, V), U, V)
+
+
+_ANALYTIC_ENTRIES = ["congruence_system", "first_integral_drift",
+                     "envelope_middle_sphere", "hessian_identity_omega",
+                     "hessian_identity_w", "gradient_link", "generated_forms",
+                     "envelope_hover_ratio"]
 
 
 @pytest.mark.parametrize("case", ["ragged", "one-block", "long-rows",
                                   "off-centre"])
 @pytest.mark.parametrize("name", ["catenoid", "enneper"])
 def test_envelope_checks_match_the_whole_grid(name, case, monkeypatch):
-    patch, w_rows, w, omega, consts, U, V = _envelope_case(name, case,
-                                                           monkeypatch)
+    patch, w_rows, w, records, U, V = _envelope_case(name, case,
+                                                     monkeypatch)
     blocks = spy_blocks(monkeypatch)
-    checks = envelope_checks(patch, w_rows, omega, consts, U, V,
-                             surface=True)
+    checks = envelope_checks(patch, w_rows, U, V, records, surface=True)
     env = envelope(patch, w, U, V)
-    refs = (check_middle_sphere(env), hover_ratio_residual(env, omega,
-                                                           consts))
-    assert list(checks.residuals) == [ref.name for ref in refs]
+    refs = records(slice(None), env)
+    assert list(checks.residuals) == [ref.name for ref in refs] == (
+        _ANALYTIC_ENTRIES if case != "off-centre"
+        else ["envelope_middle_sphere", "envelope_hover_ratio"])
     assert _same_bits(checks.X, env.X)
     assert _same_bits(checks.N, env.N)
     assert _same_bits(checks.valid, env.valid)
-    assert refs[0].n_valid > 0
+    assert all(ref.n_valid > 0 for ref in refs)
     # without a mesh to write, nothing but the residuals' summaries
-    bare = envelope_checks(patch, w_rows, omega, consts, U, V)
+    bare = envelope_checks(patch, w_rows, U, V, records)
     assert bare.X is None and bare.N is None and bare.valid is None
     for record in (checks, bare):
         # every block's records, put together, are the whole grid's
@@ -833,3 +857,32 @@ def test_generated_forms(catenoid_data, enneper_data):
         hover = hover_ratio_residual(env, oj.val, ac.constants)
         assert hover.name == "envelope_hover_ratio"
         assert hover.max_abs <= 1e-5, ac.name
+
+
+@pytest.mark.parametrize("name", ["catenoid", "enneper"])
+def test_whole_grid_summaries_match_the_analytic_records(name):
+    # the summaries kept for whole-grid callers give the maxima and
+    # counts of the records the command folds
+    ac = analytic_example(name)
+    U, V = _square_grid()
+    wj, oj = ac.w_jet(U, V), ac.omega_jet(U, V)
+    env = envelope(ac.patch, wj, U, V)
+    rec = {r.name: r for r in ac.envelope_records(U, V)(slice(None), env)}
+    hess = check_hessian_identities(ac.patch, wj, oj, ac.constants, U, V)
+    forms = generated_forms_check(ac.patch, wj, oj, ac.constants, U, V,
+                                  env=env)
+    for entry, value in (("hessian_identity_omega", hess.max_hessian_omega),
+                         ("hessian_identity_w", hess.max_hessian_w),
+                         ("gradient_link", hess.max_gradient_link)):
+        assert _same_bits(rec[entry].max_abs, value), entry
+        assert (rec[entry].n_valid, rec[entry].n_excluded) \
+            == (hess.n_compared, hess.n_excluded), entry
+    assert _same_bits(rec["generated_forms"].max_abs,
+                      max(forms.max_rel_first, forms.max_rel_second,
+                          forms.max_rel_third))
+    assert (rec["generated_forms"].n_valid,
+            rec["generated_forms"].n_excluded) \
+        == (forms.n_compared, forms.n_excluded)
+    assert _same_bits(rec["congruence_system"].max_abs, max(
+        system_residuals(ac.patch, wj, oj, U, V).values()))
+    assert rec["congruence_system"].n_excluded == 0

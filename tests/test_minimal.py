@@ -5,7 +5,7 @@ import numpy as np
 
 from _oracles import (catenoid_position, conformality_residual,
                       enneper_position, fd_partials_scalar, patch_normal,
-                      rel_gap)
+                      position_derivatives, rel_gap)
 from ribaucour.grids import Domain
 from ribaucour.holoexpr import parse
 from ribaucour.minimal import MinimalPatch, catenoid_patch, enneper_patch
@@ -105,11 +105,14 @@ def test_phi_jet_partials():
 def test_position_derivatives_match_finite_differences():
     for patch, pts in _patches_and_points():
         for u0, v0 in pts:
-            d = patch.position_derivatives(u0, v0)
+            d = position_derivatives(patch, u0, v0)
+            # the tangents the package reads, from the chart scalars' jet
+            _, tangents = patch.chart_scalars(u0, v0, tangents=True)
             du, dv, duu, duv, dvv = fd_partials_scalar(
                 patch.position, u0, v0)
             for got, want in ((d["Xu"], du), (d["Xv"], dv), (d["Xuu"], duu),
-                              (d["Xuv"], duv), (d["Xvv"], dvv)):
+                              (d["Xuv"], duv), (d["Xvv"], dvv),
+                              (tangents[0], du), (tangents[1], dv)):
                 scale = max(1.0, float(np.max(np.abs(want))))
                 assert np.max(np.abs(np.asarray(got) - want)) \
                     <= 1e-6 * scale, patch.name
@@ -169,7 +172,7 @@ def test_normal_rotates_with_principal_curvatures():
     for patch, pts in _patches_and_points():
         for u0, v0 in pts:
             frame = patch.frame(u0, v0)
-            d = patch.position_derivatives(u0, v0)
+            d = position_derivatives(patch, u0, v0)
             k1 = patch.chart_scalars(u0, v0)[3]
             k2 = -k1
             r1 = frame.normal_du + k1 * np.asarray(d["Xu"])

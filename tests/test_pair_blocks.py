@@ -158,9 +158,9 @@ def test_blocks_without_a_valid_sample_fold_like_the_whole_grid(
 def _fold(values, valid, rows_per_block):
     """The summary a GridChecks folds from ``values`` and ``valid`` put
     in blocks of ``rows_per_block`` rows, and the whole-grid record."""
-    got = GridChecks(values.shape, ("r",))
-    for rows in _row_blocks(len(values), values.shape[1],
-                            rows_per_block * values.shape[1]):
+    got = GridChecks(values.shape)
+    for i in range(0, len(values), rows_per_block):
+        rows = slice(i, i + rows_per_block)
         got.put(rows, (ResidualField(values[rows], valid[rows], "r"),))
     return got.residuals["r"], ResidualField(values, valid, "r")
 

@@ -78,3 +78,36 @@ def test_replay_runs_every_workload(monkeypatch, tmp_path):
                 report = json.loads(
                     (outdir / ("replay_" + cmd.files["report"])).read_text())
                 assert report["identities"], (name, cmd.kind)
+
+
+def test_replay_runs_each_command_kind_on_small_grids(monkeypatch,
+                                                      tmp_path):
+    # the replay as a benchmark worker imports it, through sys.path, run
+    # once per command kind on grids small enough for every test run
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    for name in ("replay", "workloads"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    import replay
+    from workloads import DEEP_PAIR, Command
+
+    pair = {**DEEP_PAIR, "nu": 33, "nv": 33}
+    files = {"out": "pair.obj", "report": "pair.json"}
+    runs = {
+        "build": Command("build", pair, 33 * 33, files=files),
+        "dual": Command("dual", pair, 33 * 33),
+        "analytic": Command("congruence", {"minimal": "enneper"}, 41 * 41,
+                            files={"report": "analytic.json"}),
+        "integrate": Command("congruence",
+                             {"minimal": "catenoid", "mode": "integrate",
+                              "step": "0.05"}, 41 * 41,
+                             files={"report": "integrate.json"}),
+    }
+    for run, cmd in runs.items():
+        tracer = replay.Tracer()
+        replay.replay_op(tracer, (cmd,), str(tmp_path))
+        assert [s["name"] for s in tracer.spans[:2]] \
+            == ["cli.op", "cli." + cmd.kind], run
+        assert all(s["end"] is not None and s["end"] >= s["start"]
+                   for s in tracer.spans), run
+        for name in cmd.files.values():
+            assert (tmp_path / ("replay_" + name)).stat().st_size > 0, run
