@@ -23,20 +23,15 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 
-import numpy as np
-
 from . import __version__
-from .congruence import (CongruenceState, analytic_example,
-                         envelope_checks, integrate_system)
-from .duality import make_dual, pair_checks
-from .grids import Domain
-from .holoexpr import ParseError
-from .mesh import export_obj, mesh_from_fields
 from .report import (identity_entry, make_report, report_exit_code,
                      write_report)
-from .ribaucour_core import make_patch, patch_checks
+
+# each command imports the modules it runs, so a process loads only those
+# of its own command (and ribaucour.mesh only for --out)
 
 EXIT_PASS = 0
 EXIT_RESIDUAL = 1
@@ -81,15 +76,24 @@ def _print_entries(entries):
                      "pass" if e["pass"] else "FAIL"))
 
 
-def _finish(args, command, inputs, entries, meshes, *,
+def _write_mesh(fields, path):
+    """Mesh one surface's whole-grid samples and write it as OBJ."""
+    from .mesh import export_obj, mesh_from_fields
+
+    mesh = mesh_from_fields(fields)
+    export_obj(mesh, path)
+    return mesh
+
+
+def _finish(args, command, inputs, entries, surfaces, *,
             all_degenerate=False, unit_sphere=False, notes=(), extra=None):
     report = make_report(command, inputs, entries,
                          all_degenerate=all_degenerate,
                          unit_sphere=unit_sphere, extra=extra, notes=notes)
     code = report_exit_code(report)
     try:
-        for mesh, path in meshes:
-            export_obj(mesh, path)
+        for fields, path in surfaces:
+            _write_mesh(fields, path)
         if getattr(args, "report", None):
             write_report(report, args.report)
     except OSError as exc:
@@ -109,19 +113,35 @@ def _residual_entry(res, tolerance, **kwargs):
                           res.n_excluded, **kwargs)
 
 
-def _parse_inputs(args) -> Domain:
+def _parse_inputs(args):
     """The --domain rectangle, once the grid sizes, the step and the
     tolerances are checked; raises ValueError for input the command
     cannot run on."""
+    from .grids import Domain
+
     if min(args.nu, args.nv) < 2:
         raise ValueError(f"--nu and --nv must be at least 2, "
                          f"got {args.nu} and {args.nv}")
     for flag in ("step", "tol_pde", "tol_c2", "tol_fi"):
         value = getattr(args, flag, 1.0)
-        if not (np.isfinite(value) and value > 0.0):
+        if not (math.isfinite(value) and value > 0.0):
             raise ValueError(f"--{flag.replace('_', '-')} must be finite "
                              f"and positive, got {value}")
     return Domain.parse(args.domain)
+
+
+def _pair_patch(args):
+    """(domain, patch) of --domain and the pair (--f1, --f2), or None
+    once the error is printed."""
+    from .holoexpr import ParseError
+    from .ribaucour_core import make_patch
+
+    try:
+        domain = _parse_inputs(args)
+        return domain, make_patch(args.f1, args.f2, domain)
+    except (ParseError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
 
 
 def _pair_inputs(args, domain, tolerances):
@@ -139,19 +159,20 @@ def _pair_inputs(args, domain, tolerances):
 # ---------------------------------------------------------------------------
 
 def cmd_build(args) -> int:
-    try:
-        domain = _parse_inputs(args)
-        patch = make_patch(args.f1, args.f2, domain)
-    except (ParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    from .ribaucour_core import patch_checks
+
+    parsed = _pair_patch(args)
+    if parsed is None:
         return EXIT_PARSE
+    domain, patch = parsed
     # row block by row block: X, N and the mask only for a mesh
     checks = patch_checks(patch, args.nu, args.nv, surface=bool(args.out))
     inputs = _pair_inputs(args, domain, {"pde": args.tol_pde,
                                          "hopf_holomorphy": TOL_HOPF})
-    meshes = [(mesh_from_fields(checks), args.out)] if args.out else []
+    surfaces = [(checks, args.out)] if args.out else []
     if not checks.usable:
-        return _finish(args, "build", inputs, [], meshes, all_degenerate=True,
+        return _finish(args, "build", inputs, [], surfaces,
+                       all_degenerate=True,
                        notes=("every sample is degenerate "
                               "(branch point or singular shape operator)",))
     tols = {"support_pde": args.tol_pde, "middle_sphere": args.tol_pde,
@@ -164,7 +185,7 @@ def cmd_build(args) -> int:
     if sphere:
         notes = ("patch coincides with the fixed unit sphere "
                  "(rho = 1, X = N): nothing nontrivial to build",)
-    return _finish(args, "build", inputs, entries, meshes,
+    return _finish(args, "build", inputs, entries, surfaces,
                    unit_sphere=sphere, notes=notes,
                    extra={"unit_sphere_gap": gap})
 
@@ -174,12 +195,12 @@ def cmd_build(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_dual(args) -> int:
-    try:
-        domain = _parse_inputs(args)
-        patch = make_patch(args.f1, args.f2, domain)
-    except (ParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    from .duality import make_dual, pair_checks
+
+    parsed = _pair_patch(args)
+    if parsed is None:
         return EXIT_PARSE
+    domain, patch = parsed
     # row block by row block: both surfaces only for the meshes
     checks, dual = pair_checks(make_dual(patch), args.nu, args.nv,
                                surface=bool(args.out))
@@ -188,22 +209,22 @@ def cmd_dual(args) -> int:
         "direction_rad": TOL_DUAL["direction_switch"],
         "hopf_sum": TOL_DUAL["hopf_antisymmetry"],
     })
-    meshes = []
+    surfaces = []
     if args.out:
-        meshes.append((mesh_from_fields(checks), args.out))
         dual_out = args.out_dual
         if dual_out is None:
             from pathlib import Path
             p = Path(args.out)
             dual_out = str(p.with_name(p.stem + "_dual" + p.suffix))
-        meshes.append((mesh_from_fields(dual), dual_out))
+        surfaces = [(checks, args.out), (dual, dual_out)]
     if not checks.usable:
-        return _finish(args, "dual", inputs, [], meshes, all_degenerate=True,
+        return _finish(args, "dual", inputs, [], surfaces,
+                       all_degenerate=True,
                        notes=("no sample is usable on both the patch "
                               "and its dual",))
     gap = checks.unit_sphere_gap
     if gap <= UNIT_SPHERE_TOL:
-        return _finish(args, "dual", inputs, [], meshes, unit_sphere=True,
+        return _finish(args, "dual", inputs, [], surfaces, unit_sphere=True,
                        notes=("patch coincides with the fixed unit sphere; "
                               "the dual is the same sphere",),
                        extra={"unit_sphere_gap": gap})
@@ -218,7 +239,7 @@ def cmd_dual(args) -> int:
         vacuous = vac and res.name in ("curvature_switch", "direction_switch")
         entries.append(_residual_entry(res, tols[res.name], vacuous=vacuous,
                                        note=vac_note if vacuous else ""))
-    return _finish(args, "dual", inputs, entries, meshes,
+    return _finish(args, "dual", inputs, entries, surfaces,
                    notes=(vac_note,) if vac else (),
                    extra={"unit_sphere_gap": gap})
 
@@ -228,6 +249,11 @@ def cmd_dual(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_congruence(args) -> int:
+    import numpy as np
+
+    from .congruence import (CongruenceState, analytic_example,
+                             envelope_checks, integrate_system)
+
     try:
         domain = _parse_inputs(args)
     except ValueError as exc:
@@ -247,7 +273,9 @@ def cmd_congruence(args) -> int:
                       "c2": consts.c2, "c3": consts.c3},
         "omega_source": "quadrature" if ac.used_fallback else "literal",
         "omega": ac.omega_text,
-        "literal_system_residual": max(ac.literal_residuals.values()),
+        # np.max keeps a NaN term wherever it stands; max drops it
+        "literal_system_residual": float(
+            np.max(list(ac.literal_residuals.values()))),
         "literal_first_integral_drift": ac.literal_drift,
     }
     notes = ("closed-form data re-derived by quadrature: the published "
@@ -291,8 +319,8 @@ def cmd_congruence(args) -> int:
             "generated_forms": TOL_PROP}
     entries += [_residual_entry(res, tols[res.name])
                 for res in checks.residuals.values()]
-    meshes = [(mesh_from_fields(checks), args.out)] if args.out else []
-    return _finish(args, "congruence", inputs, entries, meshes,
+    surfaces = [(checks, args.out)] if args.out else []
+    return _finish(args, "congruence", inputs, entries, surfaces,
                    notes=notes, extra=details)
 
 
@@ -301,16 +329,15 @@ def cmd_congruence(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_export(args) -> int:
-    try:
-        domain = _parse_inputs(args)
-        patch = make_patch(args.f1, args.f2, domain)
-    except (ParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    from .ribaucour_core import patch_checks
+
+    parsed = _pair_patch(args)
+    if parsed is None:
         return EXIT_PARSE
-    mesh = mesh_from_fields(patch_checks(patch, args.nu, args.nv,
-                                         checks=False, surface=True))
+    fields = patch_checks(parsed[1], args.nu, args.nv, checks=False,
+                          surface=True)
     try:
-        export_obj(mesh, args.out)
+        mesh = _write_mesh(fields, args.out)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

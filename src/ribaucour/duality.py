@@ -38,8 +38,8 @@ import numpy as np
 from .grids import _row_blocks
 from .holoexpr import eval_jet
 from .ribaucour_core import (GridChecks, ResidualField, RibaucourPatch,
-                             SurfaceFields, _fields_from_frame, _mu_scale,
-                             unit_sphere_gap)
+                             SurfaceFields, _fields_from_frame, _form_residual,
+                             _mu_scale, unit_sphere_gap)
 from .sphere_geom import _dot, frame_from_jet
 
 __all__ = [
@@ -128,20 +128,6 @@ def verify_c2(pair: DualPair, nu: int = 41, nv: int = 41, *,
 # ---------------------------------------------------------------------------
 # Fundamental-form relations
 # ---------------------------------------------------------------------------
-
-def _form_residual(lhs: tuple, rhs: tuple, valid, name: str = ""
-                   ) -> ResidualField:
-    """Coefficientwise gap between two forms relative to the local form
-    magnitude, per sample."""
-    gap = np.maximum.reduce([np.abs(np.asarray(a) - np.asarray(b))
-                             for a, b in zip(lhs, rhs)])
-    scale = np.maximum.reduce([np.maximum(np.abs(np.asarray(a)),
-                                          np.abs(np.asarray(b)))
-                               for a, b in zip(lhs, rhs)])
-    with np.errstate(all="ignore"):
-        rel = np.where(scale > 0.0, gap / scale, 0.0)
-    return ResidualField(rel, valid, name)
-
 
 def verify_form_relations(pair: DualPair, nu: int = 41, nv: int = 41, *,
                           fields: tuple | None = None

@@ -12,8 +12,8 @@ Everything else follows from jets of g, with no finite differencing: the
 unit normal N = -stereo(g), oriented so that the principal curvature
 along u is positive (as :mod:`ribaucour.congruence` requires); the
 conformal factor phi = a (1 + |g|^2) / (2 |g'|); the principal
-curvatures k1 = -k2 = e^tau / phi = a / phi^2; and the position X, a
-Gauss-Legendre line integral of X_u - i X_v from the chart origin.
+curvatures k1 = -k2 = e^tau / phi = a / phi^2; and the tangents X_u and
+X_v.  No command reads the position X itself, so it is not computed here.
 """
 
 from __future__ import annotations
@@ -27,10 +27,6 @@ from .holoexpr import HoloExpr, Neg, eval_jet, parse
 from .sphere_geom import SphereFrame, frame_from_jet
 
 __all__ = ["MinimalPatch", "enneper_patch", "catenoid_patch"]
-
-# 24-node Gauss-Legendre rule on [0, 1] for the position integral
-_GL_T, _GL_W = np.polynomial.legendre.leggauss(24)
-_GL_T, _GL_W = 0.5 * (_GL_T + 1.0), 0.5 * _GL_W
 
 
 def _z(U, V):
@@ -54,19 +50,6 @@ class MinimalPatch:
     g: HoloExpr
     a: float
     origin: tuple = (0.0, 0.0, 0.0)
-
-    # -- immersion ----------------------------------------------------------
-
-    def position(self, U, V) -> np.ndarray:
-        """X = origin + Re(z int_0^1 (X_u - i X_v)(t z) dt), the integral
-        by the 24-node Gauss-Legendre rule."""
-        z = _z(U, V)
-        acc = 0.0
-        with np.errstate(all="ignore"):
-            for t, w in zip(_GL_T, _GL_W):
-                g, g1 = eval_jet(self.g, t * z, 1).values
-                acc = acc + w * _weierstrass(0.5 * self.a / g1, g)
-        return np.asarray(self.origin) + (z[..., None] * acc).real
 
     # -- scalar shape data --------------------------------------------------
 

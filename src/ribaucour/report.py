@@ -27,8 +27,6 @@ exists and are handled by the CLI layer.
 """
 from __future__ import annotations
 
-import json
-
 SCHEMA = "ribaucour-report/2"
 
 __all__ = ["SCHEMA", "identity_entry", "make_report", "report_exit_code",
@@ -122,6 +120,8 @@ def _jsonable(value):
 
 
 def write_report(report: dict, path) -> None:
+    import json
+
     text = json.dumps(_jsonable(report), indent=2, sort_keys=True,
                       allow_nan=False) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -420,6 +420,20 @@ class ResidualField:
         return float(np.max(np.abs(self.values[self.valid])))
 
 
+def _form_residual(lhs: tuple, rhs: tuple, valid, name: str = ""
+                   ) -> ResidualField:
+    """Coefficientwise gap between two forms relative to the local form
+    magnitude, per sample."""
+    gap = np.maximum.reduce([np.abs(np.asarray(a) - np.asarray(b))
+                             for a, b in zip(lhs, rhs)])
+    scale = np.maximum.reduce([np.maximum(np.abs(np.asarray(a)),
+                                          np.abs(np.asarray(b)))
+                               for a, b in zip(lhs, rhs)])
+    with np.errstate(all="ignore"):
+        rel = np.where(scale > 0.0, gap / scale, 0.0)
+    return ResidualField(rel, valid, name)
+
+
 @dataclass
 class CheckSummary:
     """A report entry's :class:`ResidualField` over a whole grid, folded

@@ -12,8 +12,9 @@ real and imaginary part jets by the product rule (valid away from
 poles).  The normal oracles give N's second partials two ways: from jet
 products of the stereographic formula, and from the Gauss formula of
 the round sphere over a frame's N, N_u, N_v and tau.  The minimal-patch
-oracles take the immersion's partials from the Weierstrass formula, and
-the unit normal and the chart contract from its tangents.  The
+oracles take the immersion from a Gauss-Legendre line integral of the
+Weierstrass formula, its partials from the formula itself, and the unit
+normal and the chart contract from its tangents.  The
 line-march oracle is the RK4 march of one lane on Python floats, the
 kernel's operations in the package's order.  The OBJ oracle
 writes the file record by record, and the holomorphy oracle
@@ -269,6 +270,24 @@ def gauss_second_partials(frame):
     with np.errstate(all="ignore"):
         return (-e2t * n + tu * n_u - tv * n_v, tv * n_u + tu * n_v,
                 -e2t * n - tu * n_u + tv * n_v)
+
+
+# 24-node Gauss-Legendre rule on [0, 1] for the position integral
+_GL_T, _GL_W = np.polynomial.legendre.leggauss(24)
+_GL_T, _GL_W = 0.5 * (_GL_T + 1.0), 0.5 * _GL_W
+
+
+def patch_position(patch, U, V) -> np.ndarray:
+    """X = origin + Re(z int_0^1 (X_u - i X_v)(t z) dt) of a minimal
+    patch, shape (..., 3), the integral by the 24-node Gauss-Legendre
+    rule."""
+    z = np.asarray(U) + 1j * np.asarray(V)
+    acc = 0.0
+    with np.errstate(all="ignore"):
+        for t, w in zip(_GL_T, _GL_W):
+            g, g1 = eval_jet(patch.g, t * z, 1).values
+            acc = acc + w * _weierstrass(0.5 * patch.a / g1, g)
+    return np.asarray(patch.origin) + (z[..., None] * acc).real
 
 
 def position_derivatives(patch, U, V) -> dict:

@@ -1,6 +1,7 @@
 """Sphere-congruence fields over minimal patches and their envelopes."""
 
 import dataclasses
+import json
 from collections import Counter
 
 import numpy as np
@@ -168,6 +169,34 @@ def test_shipped_correction_is_validated(monkeypatch):
         data, corrected=(fn, text, IntegralConstants(c=0.5))))
     with pytest.raises(RuntimeError):
         analytic_example("enneper")
+
+
+def test_a_nan_system_term_fails_validation_and_reads_null(monkeypatch,
+                                                           tmp_path):
+    # the fold over the system's terms keeps a NaN that is not the first
+    # term: the closed-form validation refuses it, and the report shows
+    # the literal residual as null, not as the largest finite term
+    real = congruence.system_residuals
+
+    def last_nan(*args, **kwargs):
+        res = real(*args, **kwargs)
+        return {**res, list(res)[-1]: float("nan")}
+
+    with monkeypatch.context() as m:
+        m.setattr(congruence, "system_residuals", last_nan)
+        with pytest.raises(RuntimeError):
+            analytic_example("catenoid")
+    ac = analytic_example("catenoid")
+    literal = dict(ac.literal_residuals)
+    assert len(literal) > 1
+    literal[list(literal)[-1]] = float("nan")
+    broken = dataclasses.replace(ac, literal_residuals=literal)
+    monkeypatch.setattr(congruence, "analytic_example", lambda _: broken)
+    report = tmp_path / "report.json"
+    cli.main(["congruence", "--minimal", "catenoid", "--nu", "9", "--nv", "9",
+              "--report", str(report)])
+    details = json.loads(report.read_text())["details"]
+    assert details["literal_system_residual"] is None
 
 
 def _shipped_texts():
@@ -601,7 +630,7 @@ def test_analytic_command_builds_one_chart_record(name, monkeypatch,
     # are evaluated once on the grid and shared by every check
     # (analytic_example's own validation grid aside)
     ac = analytic_example(name)
-    monkeypatch.setattr(cli, "analytic_example", lambda _: ac)
+    monkeypatch.setattr(congruence, "analytic_example", lambda _: ac)
     calls = {}
 
     def counting(method):
@@ -627,7 +656,7 @@ def test_analytic_command_evaluates_one_gauss_map_jet_per_order(
     # the order-2 jet of -g once, for the envelope's frame; no order-3
     # jet (analytic_example's own validation grid aside)
     ac = analytic_example(name)
-    monkeypatch.setattr(cli, "analytic_example", lambda _: ac)
+    monkeypatch.setattr(congruence, "analytic_example", lambda _: ac)
     orders, real = Counter(), minimal.eval_jet
 
     def spy(expr, z, order):

@@ -225,7 +225,7 @@ def test_cli_reports_exhausted_memory(target, argv, monkeypatch, capsys):
     # a grid too large for the machine is bad input: exit 2 with a
     # one-line message, never exit 1 or a traceback.  evaluate_patch is
     # called block by block inside ribaucour_core.patch_checks
-    owner = ribaucour_core if target == "evaluate_patch" else cli
+    owner = ribaucour_core if target == "evaluate_patch" else congruence
     monkeypatch.setattr(owner, target, _out_of_memory)
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
