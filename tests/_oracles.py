@@ -4,7 +4,8 @@ The finite-difference oracles recompute geometry from sampled values
 only (positions, normals, plain field values), never through the jet
 machinery under test, so agreement between the two routes is
 independent evidence.  The congruence oracle re-derives closed-form
-data by exact sympy quadrature, from the printed Gauss map and W text.
+data by exact sympy quadrature, from the printed Gauss map and W text,
+beside the printed closed forms and Enneper's published Omega (failing).
 The march oracle integrates the congruence system by four RK4 sweeps
 with one right-hand side per direction and a tuple of arrays per node.
 The support oracle is the quotient of |.|^2 products, built from the
@@ -32,6 +33,7 @@ import numpy as np
 import sympy as sp
 
 from ribaucour import ResidualField, evaluate_patch
+from ribaucour.congruence import _cosh_sinh, _on_samples
 from ribaucour.holoexpr import (BinOp, Call, Const, HoloExpr, Neg, Pow,
                                 Var, eval_jet, to_text)
 from ribaucour.jets import RJet2, im_jet, re_jet
@@ -221,6 +223,23 @@ def quadrature_omega(patch, w_expr):
             f"congruence data over {patch.name!r} is not integrable: "
             f"v-derivative mismatch {remainder} depends on u")
     return sp.simplify(anti + sp.integrate(remainder, v))
+
+
+# the shipped W and Omega printed, and Enneper's published Omega
+CLOSED_FORM_TEXTS = {
+    "catenoid-w": "(1 + u**2 + v**2) / (2*cosh(v))",
+    "catenoid-omega": "-2*v*sinh(v) + (u**2 + v**2)*cosh(v)/2 + 5*cosh(v)/2",
+    "enneper-w": "2*cosh(u) / (1 + u**2 + v**2)",
+    "enneper-omega": "(5 + u**2 + v**2)*cosh(u) + 4*u*sinh(u) + 5*cosh(u)",
+    "enneper-corrected-omega":
+        "u**2*cosh(u) - 4*u*sinh(u) + v**2*cosh(u) + 5*cosh(u)",
+}
+
+
+@_on_samples
+def enneper_omega_published(u, v):
+    ch, sh = _cosh_sinh(u)
+    return (5.0 + u * u + v * v) * ch + 4.0 * u * sh + 5.0 * ch
 
 
 def abs2_by_parts(j):

@@ -8,14 +8,15 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from _oracles import (U_SYM, V_SYM, assemble_blocks, march_congruence,
-                      march_line, quadrature_omega, same_summary,
-                      spy_blocks, symbolic_k1)
+from _oracles import (CLOSED_FORM_TEXTS, U_SYM, V_SYM, assemble_blocks,
+                      enneper_omega_published, march_congruence, march_line,
+                      quadrature_omega, same_summary, spy_blocks,
+                      symbolic_k1)
 from _oracles import same_bits as _same_bits
 from ribaucour import cli, congruence, grids, minimal
-from ribaucour.congruence import (_ANALYTIC, CongruenceState,
-                                  IntegralConstants, _fill_rows,
-                                  _kernel_rows, _on_samples,
+from ribaucour.congruence import (_ANALYTIC, AnalyticCongruence,
+                                  CongruenceState, IntegralConstants,
+                                  _fill_rows, _kernel_rows,
                                   analytic_example, check_hessian_identities,
                                   envelope, envelope_checks, first_integral,
                                   generated_forms_check, hover_ratio_residual,
@@ -96,48 +97,83 @@ def test_first_integral_point_value():
 # closed-form examples
 # ---------------------------------------------------------------------------
 
+def _validation(ac):
+    """(system residuals, first-integral drift) of closed-form fields on
+    the 41^2 grid of [-1, 1]^2."""
+    U, V = _square_grid()
+    res = system_residuals(ac.patch, ac.w_jet(U, V), ac.omega_jet(U, V), U, V)
+    drift = np.max(np.abs(first_integral(ac.state(U, V), ac.constants)))
+    return res, float(drift)
+
+
+def _origin_constant(ac) -> float:
+    """c of the first integral (c1 = 1, c2 = c3 = 0) that vanishes at the
+    chart origin: (Omega1^2 + Omega2^2 + W^2 + 1) / (2 Omega W) there."""
+    om, o1, o2, w = (float(np.asarray(x))
+                     for x in ac.state(0.0, 0.0).as_tuple())
+    return (o1 * o1 + o2 * o2 + w * w + 1.0) / (2.0 * om * w)
+
+
 def test_catenoid_fields_validate_as_published(catenoid_data):
     ac = catenoid_data
-    assert not ac.used_fallback
-    assert abs(ac.constants.c - 0.5) <= 1e-12
-    assert (ac.constants.c1, ac.constants.c2, ac.constants.c3) == (1.0, 0.0, 0.0)
+    assert ac.constants == IntegralConstants(c=0.5)
+    assert abs(_origin_constant(ac) - 0.5) <= 1e-12
     st = ac.state(0.0, 0.0)
     vals = [float(np.asarray(x)) for x in st.as_tuple()]
     assert abs(vals[0] - 2.5) <= 1e-12          # Omega
     assert abs(vals[1]) <= 1e-12                # Omega1
     assert abs(vals[2]) <= 1e-12                # Omega2
     assert abs(vals[3] - 0.5) <= 1e-12          # W
-    assert max(ac.residuals.values()) <= 1e-12
-    assert ac.drift <= 1e-12
+    res, drift = _validation(ac)
+    assert np.max(list(res.values())) <= 1e-12
+    assert drift <= 1e-12
 
 
 def test_enneper_fields_need_the_quadrature_route(enneper_data):
     ac = enneper_data
-    # the as-published Omega candidate fails the first-order system; the
-    # record keeps that failure next to the recovered solution
-    assert ac.used_fallback
-    assert ac.literal_constants is not None
-    assert abs(ac.literal_constants.c - 0.125) <= 1e-12
-    assert max(v for k, v in ac.literal_residuals.items() if k != "w_v") > 1e-3
-    assert ac.literal_drift > 1.0
-    # recovered fields pass at rounding level
-    assert abs(ac.constants.c - 0.25) <= 1e-12
-    assert max(ac.residuals.values()) <= 1e-12
-    assert ac.drift <= 1e-12
-    assert "cosh(u)" in ac.omega_text
+    # the published Omega candidate fails the first-order system, with c
+    # from the first integral at the origin
+    published = dataclasses.replace(ac, omega_jet=enneper_omega_published)
+    c = _origin_constant(published)
+    assert abs(c - 0.125) <= 1e-12
+    res, drift = _validation(dataclasses.replace(
+        published, constants=IntegralConstants(c=c)))
+    assert max(v for k, v in res.items() if k != "w_v") > 1e-3
+    assert drift > 1.0
+    # the shipped quadrature correction passes at rounding level
+    assert ac.constants == IntegralConstants(c=0.25)
+    res, drift = _validation(ac)
+    assert np.max(list(res.values())) <= 1e-12
+    assert drift <= 1e-12
     assert abs(float(np.asarray(ac.w_jet(0.0, 0.0).val)) - 2.0) <= 1e-12
     assert abs(float(np.asarray(ac.omega_jet(0.0, 0.0).val)) - 5.0) <= 1e-12
 
 
+def test_analytic_example_is_a_lookup(monkeypatch):
+    # the shipped data are not checked at lookup: no grid is evaluated
+    calls, real = [], MinimalPatch.chart_scalars
+
+    def spy(self, *args, **kwargs):
+        calls.append(self.name)
+        return real(self, *args, **kwargs)
+    monkeypatch.setattr(MinimalPatch, "chart_scalars", spy)
+    for name in ("catenoid", "enneper"):
+        ac = analytic_example(name)
+        assert (ac.name, ac.constants) == (name, _ANALYTIC[name][3])
+    assert calls == []
+    assert [f.name for f in dataclasses.fields(AnalyticCongruence)] == [
+        "name", "patch", "constants", "w_jet", "omega_jet"]
+
+
 @pytest.fixture(scope="module")
 def enneper_quadrature():
-    """Enneper's Omega and c re-derived from the shipped W text: exact
+    """Enneper's Omega and c re-derived from the printed W: exact
     quadrature gives Omega up to a constant Omega(0,0), and the first
     integral, with its value and u-curvature at the origin, fixes c and
     Omega(0,0)."""
     u, v = U_SYM, V_SYM
     patch = enneper_patch()
-    w = sp.sympify(_ANALYTIC["enneper"].w_text, locals={"u": u, "v": v})
+    w = sp.sympify(CLOSED_FORM_TEXTS["enneper-w"], locals={"u": u, "v": v})
     base = quadrature_omega(patch, w)
     c, om0 = sp.symbols("c Omega0")
     omega = base - base.subs({u: 0, v: 0}) + om0
@@ -153,72 +189,86 @@ def enneper_quadrature():
 
 def test_enneper_correction_matches_quadrature(enneper_quadrature):
     omega, c = enneper_quadrature
-    _, text, consts = _ANALYTIC["enneper"].corrected
-    shipped = sp.sympify(text, locals={"u": U_SYM, "v": V_SYM})
+    shipped = sp.sympify(CLOSED_FORM_TEXTS["enneper-corrected-omega"],
+                         locals={"u": U_SYM, "v": V_SYM})
     assert sp.simplify(shipped - omega) == 0
     assert c == sp.Rational(1, 4)
-    assert consts == IntegralConstants(c=float(c))
+    assert _ANALYTIC["enneper"][3] == IntegralConstants(c=float(c))
 
 
-def test_shipped_correction_is_validated(monkeypatch):
-    # the correction is checked on the grid like the published data: a
-    # wrong constant is refused, not shipped into the record
-    data = _ANALYTIC["enneper"]
-    fn, text, _ = data.corrected
-    monkeypatch.setitem(_ANALYTIC, "enneper", dataclasses.replace(
-        data, corrected=(fn, text, IntegralConstants(c=0.5))))
-    with pytest.raises(RuntimeError):
-        analytic_example("enneper")
+def _with_entry(monkeypatch, name, omega=None, c=None):
+    """Replace the shipped Omega and/or c of ``name`` in the table."""
+    patch, w, shipped, consts = _ANALYTIC[name]
+    monkeypatch.setitem(_ANALYTIC, name, (
+        patch, w, omega or shipped,
+        consts if c is None else IntegralConstants(c=c)))
 
 
-def test_a_nan_system_term_fails_validation_and_reads_null(monkeypatch,
-                                                           tmp_path):
-    # the fold over the system's terms keeps a NaN that is not the first
-    # term: the closed-form validation refuses it, and the report shows
-    # the literal residual as null, not as the largest finite term
-    real = congruence.system_residuals
-
-    def last_nan(*args, **kwargs):
-        res = real(*args, **kwargs)
-        return {**res, list(res)[-1]: float("nan")}
-
-    with monkeypatch.context() as m:
-        m.setattr(congruence, "system_residuals", last_nan)
-        with pytest.raises(RuntimeError):
-            analytic_example("catenoid")
-    ac = analytic_example("catenoid")
-    literal = dict(ac.literal_residuals)
-    assert len(literal) > 1
-    literal[list(literal)[-1]] = float("nan")
-    broken = dataclasses.replace(ac, literal_residuals=literal)
-    monkeypatch.setattr(congruence, "analytic_example", lambda _: broken)
+@pytest.mark.parametrize("omega, c, argv, entry", [
+    pytest.param(None, 0.5, [], "first_integral_drift",
+                 id="wrong-c-analytic"),
+    pytest.param(None, 0.5, ["--mode", "integrate", "--step", "0.02"],
+                 "analytic_agreement", id="wrong-c-integrate"),
+    pytest.param(enneper_omega_published, 0.125, [], "congruence_system",
+                 id="published-omega"),
+])
+def test_a_wrong_table_entry_fails_the_report(omega, c, argv, entry,
+                                              monkeypatch, tmp_path, capsys):
+    # the report judges the shipped closed forms on every run: a wrong
+    # Enneper entry fails a named entry and exits 1, with no traceback
+    _with_entry(monkeypatch, "enneper", omega, c)
     report = tmp_path / "report.json"
-    cli.main(["congruence", "--minimal", "catenoid", "--nu", "9", "--nv", "9",
-              "--report", str(report)])
-    details = json.loads(report.read_text())["details"]
-    assert details["literal_system_residual"] is None
+    assert cli.main(["congruence", "--minimal", "enneper", *argv,
+                     "--report", str(report)]) == 1
+    failed = {e["name"] for e in json.loads(report.read_text())["identities"]
+              if not e["pass"]}
+    assert entry in failed, failed
+    assert "Traceback" not in capsys.readouterr().err
 
 
-def _shipped_texts():
-    for name, data in _ANALYTIC.items():
-        yield pytest.param(data.w_text, data.w, id=f"{name}-w")
-        yield pytest.param(data.omega_text, data.omega, id=f"{name}-omega")
-        if data.corrected is not None:
-            fn, text, _ = data.corrected
-            yield pytest.param(text, fn, id=f"{name}-corrected-omega")
+def test_a_nan_system_term_fails_the_report(monkeypatch, tmp_path):
+    # the fold over the system's terms keeps a NaN that is not the first
+    # term at one sample: the entry reads null and fails
+    real = congruence._system_terms
+
+    def last_nan(*args):
+        terms = real(*args)
+        last = list(terms)[-1]
+        bad = np.array(terms[last], dtype=float)
+        bad.flat[bad.size // 2] = np.nan
+        return {**terms, last: bad}
+
+    monkeypatch.setattr(congruence, "_system_terms", last_nan)
+    report = tmp_path / "report.json"
+    assert cli.main(["congruence", "--minimal", "catenoid", "--nu", "9",
+                     "--nv", "9", "--report", str(report)]) == 1
+    by_name = {e["name"]: e
+               for e in json.loads(report.read_text())["identities"]}
+    assert by_name["congruence_system"]["max_residual"] is None
+    assert not by_name["congruence_system"]["pass"]
 
 
-@pytest.mark.parametrize("text,fn", _shipped_texts())
-def test_shipped_texts_match_jets(text, fn):
+def _shipped_jets():
+    """Every printed closed form beside the jet code it prints."""
+    (_, cat_w, cat_omega, _), (_, enn_w, enn_omega, _) = (
+        _ANALYTIC["catenoid"], _ANALYTIC["enneper"])
+    return {"catenoid-w": cat_w, "catenoid-omega": cat_omega,
+            "enneper-w": enn_w, "enneper-omega": enneper_omega_published,
+            "enneper-corrected-omega": enn_omega}
+
+
+@pytest.mark.parametrize("key", list(CLOSED_FORM_TEXTS))
+def test_shipped_texts_match_jets(key):
     # every printed closed form and its partials, lambdified, agree with
-    # the jet code that ships beside it
+    # the jet code beside it
     u, v = U_SYM, V_SYM
-    expr = sp.sympify(text, locals={"u": u, "v": v})
+    expr = sp.sympify(CLOSED_FORM_TEXTS[key], locals={"u": u, "v": v})
+    fn = _shipped_jets()[key]
     U, V = _square_grid(21)
-    jet = _on_samples(fn)(U, V)
+    jet = fn(U, V)
     # a chart grid is evaluated on its grid lines: the same bits as
     # sample by sample
-    flat = _on_samples(fn)(U.ravel(), V.ravel())
+    flat = fn(U.ravel(), V.ravel())
     for part in ("val", "du", "dv", "duu", "duv", "dvv"):
         assert np.array_equal(getattr(flat, part).reshape(U.shape),
                               getattr(jet, part)), part
@@ -230,6 +280,23 @@ def test_shipped_texts_match_jets(text, fn):
             modules="numpy")(U, V), U.shape)
         gap = np.max(np.abs(getattr(jet, part) - ref))
         assert gap <= 1e-12 * np.max(np.abs(ref)), (part, gap)
+
+
+def test_every_shipped_jet_has_its_text():
+    shipped = {fn for _, w, omega, _ in _ANALYTIC.values()
+               for fn in (w, omega)}
+    assert shipped <= set(_shipped_jets().values())
+    assert set(_shipped_jets()) == set(CLOSED_FORM_TEXTS)
+
+
+def test_cli_minimal_choices_are_the_table():
+    # the parser lists the built-ins itself, so that parsing imports no
+    # congruence code; it must name exactly the table's entries
+    (commands,) = [a for a in cli.build_parser()._actions
+                   if a.dest == "command"]
+    (minimal_arg,) = [a for a in commands.choices["congruence"]._actions
+                      if a.dest == "minimal"]
+    assert sorted(minimal_arg.choices) == sorted(_ANALYTIC)
 
 
 def test_unknown_example_name_raises():
@@ -628,9 +695,6 @@ def test_analytic_command_builds_one_chart_record(name, monkeypatch,
                                                   capsys):
     # per analytic congruence command, the frame and the chart scalars
     # are evaluated once on the grid and shared by every check
-    # (analytic_example's own validation grid aside)
-    ac = analytic_example(name)
-    monkeypatch.setattr(congruence, "analytic_example", lambda _: ac)
     calls = {}
 
     def counting(method):
@@ -654,9 +718,8 @@ def test_analytic_command_evaluates_one_gauss_map_jet_per_order(
     # on the command's 41 x 41 grid, g's order-2 jet is evaluated once,
     # for the chart scalars and the tangents of the gradient link, and
     # the order-2 jet of -g once, for the envelope's frame; no order-3
-    # jet (analytic_example's own validation grid aside)
+    # jet
     ac = analytic_example(name)
-    monkeypatch.setattr(congruence, "analytic_example", lambda _: ac)
     orders, real = Counter(), minimal.eval_jet
 
     def spy(expr, z, order):
