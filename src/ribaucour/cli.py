@@ -15,7 +15,8 @@ Exit codes: 0 all checks pass, 1 a residual check failed, 2 bad input
 float, non-finite domain bounds, a grid size below 2, a ``--tol-*``
 value that is not finite and positive, an integration step that is not
 finite and positive, gives a node count that is not finite or misses the
-chart origin, a grid too large for the available memory), 3 nothing to
+chart origin, ``--out-dual`` without ``--out``, a grid too large for the
+available memory), 3 nothing to
 check (all samples degenerate, or the patch coincides with the fixed
 unit sphere), 4 I/O failure.
 """
@@ -58,6 +59,15 @@ TOL_DUAL = {
     "first_form_relation": 1e-7,
     "second_form_relation": 1e-7,
     "third_form_relation": 1e-8,
+}
+# the congruence checks by entry name; --tol-fi replaces every TOL_FI value
+TOL_CONGRUENCE = {
+    **dict.fromkeys(("path_independence", "first_integral_drift",
+                     "analytic_agreement", "congruence_system"), TOL_FI),
+    **dict.fromkeys(("envelope_middle_sphere", "envelope_hover_ratio"),
+                    TOL_ENVELOPE),
+    **dict.fromkeys(("hessian_identity_omega", "hessian_identity_w",
+                     "gradient_link", "generated_forms"), TOL_PROP),
 }
 
 __all__ = ["main"]
@@ -197,6 +207,9 @@ def cmd_build(args) -> int:
 def cmd_dual(args) -> int:
     from .duality import make_dual, pair_checks
 
+    if args.out_dual and not args.out:
+        print("error: --out-dual needs --out", file=sys.stderr)
+        return EXIT_PARSE
     parsed = _pair_patch(args)
     if parsed is None:
         return EXIT_PARSE
@@ -249,10 +262,7 @@ def cmd_dual(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_congruence(args) -> int:
-    import numpy as np
-
-    from .congruence import (CongruenceState, analytic_example,
-                             envelope_checks, integrate_system)
+    from .congruence import analytic_example, envelope_checks, integrate_system
 
     try:
         domain = _parse_inputs(args)
@@ -275,39 +285,29 @@ def cmd_congruence(args) -> int:
         U, V, _ = domain.mesh(args.nu, args.nv)
         w_rows, records = (lambda b: ac.w_jet(U[b], V[b])), \
             ac.envelope_records(U, V)
-        entries = []
+        folded = []
     else:
-        st0 = ac.state(0.0, 0.0)
-        init = CongruenceState(*(float(np.asarray(x))
-                                 for x in st0.as_tuple()))
         try:
-            integ = integrate_system(ac.patch, init, consts, domain=domain,
-                                     step=args.step)
+            integ = integrate_system(ac.patch, ac.state(0.0, 0.0), consts,
+                                     domain=domain, step=args.step)
         except ValueError as exc:  # the step gives no usable grid
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_PARSE
-        U, V = integ.U, integ.V
-        w_rows, records = integ.w_rows, integ.envelope_records
-        entries = [identity_entry(name, value, args.tol_fi, U.size, 0)
-                   for name, value in (
-                       ("path_independence", integ.path_gap),
-                       ("first_integral_drift", integ.drift),
-                       ("analytic_agreement", ac.agreement(integ)))]
+        U, V, w_rows = integ.U, integ.V, integ.w_rows
+
+        def records(b, env):
+            return (ac.agreement(integ, b), *integ.envelope_records(b, env))
+        folded = list(integ.checks.residuals.values())
         details["integration"] = {"grid": list(U.shape),
                                   "init_node": list(integ.init_node)}
     # the envelope and every check of it block by block: X, N and the
     # mask only for a mesh
     checks = envelope_checks(ac.patch, w_rows, U, V, records,
                              surface=bool(args.out))
-    tols = {"congruence_system": args.tol_fi,
-            "first_integral_drift": args.tol_fi,
-            "envelope_middle_sphere": TOL_ENVELOPE,
-            "envelope_hover_ratio": TOL_ENVELOPE,
-            "hessian_identity_omega": TOL_PROP,
-            "hessian_identity_w": TOL_PROP, "gradient_link": TOL_PROP,
-            "generated_forms": TOL_PROP}
-    entries += [_residual_entry(res, tols[res.name])
-                for res in checks.residuals.values()]
+    tols = {name: args.tol_fi if tol == TOL_FI else tol
+            for name, tol in TOL_CONGRUENCE.items()}
+    entries = [_residual_entry(res, tols[res.name])
+               for res in folded + list(checks.residuals.values())]
     surfaces = [(checks, args.out)] if args.out else []
     return _finish(args, "congruence", inputs, entries, surfaces,
                    extra=details)

@@ -23,10 +23,11 @@ integration follow from the covariant Hessian identity for Omega (see
 making the system integrable by marching.  Swapping Omega1 and Omega2
 turns the system along v into the system along u, so one affine RK4
 kernel (:func:`_slope`) serves both directions.  :func:`integrate_system`
-fills the grid column-first and again row-first, block by block, and
-keeps one fill and the chart scalars at the nodes; the gap between the
-two fills doubles as the compatibility (Frobenius) check.  The same
-right-hand sides, differentiated once more (k1 phi^2 is constant on
+evaluates the chart scalars at the nodes in one pass, then fills the
+grid column-first and again row-first, block by block, keeping one
+fill; the row-first blocks fold the gap between the fills (the
+Frobenius check) and the first integral's drift into a record.  The
+same right-hand sides, differentiated once more (k1 phi^2 is constant on
 these charts), give W's second-order jet at every node with no stencil
 (:meth:`IntegratedCongruence.w_rows`).
 
@@ -58,9 +59,10 @@ published Omega fails the system; the shipped Omega and c are its
 exact quadrature from W and the first integral, which the tests
 re-derive, keeping the published candidate as a failing oracle.
 :meth:`AnalyticCongruence.agreement` compares an integrated congruence
-with the closed forms over blocks of grid rows; the closed forms keep
-the partials that vanish as structural zeros (:mod:`ribaucour.jets`),
-so a term in one coordinate costs one grid line.
+with the closed forms per block of rows, as a record of the envelope
+pass; the closed forms keep the partials that vanish as structural
+zeros (:mod:`ribaucour.jets`), so a term in one coordinate costs one
+grid line.
 """
 
 from __future__ import annotations
@@ -165,6 +167,16 @@ def _everywhere(values, name: str) -> ResidualField:
     return ResidualField(values, np.ones(values.shape, bool), name)
 
 
+def _largest_gap(pairs, name: str) -> ResidualField:
+    """A record, counted on every sample, of the largest |a - b| over
+    the array pairs (a, b), per sample; a NaN in any pair stays."""
+    gap = None
+    for a, b in pairs:
+        d = np.abs(a - b)
+        gap = d if gap is None else np.maximum(gap, d, out=gap)
+    return _everywhere(gap, name)
+
+
 # ---------------------------------------------------------------------------
 # Closed-form congruence data over the built-in patches
 # ---------------------------------------------------------------------------
@@ -242,19 +254,14 @@ class AnalyticCongruence:
             phi = self.patch.chart_scalars(U, V)[0]
         return _state_from_jets(self.w_jet(U, V), self.omega_jet(U, V), phi)
 
-    def agreement(self, integ: IntegratedCongruence) -> float:
-        """Largest difference of any field between ``integ`` and these
-        closed forms on its grid, NaN if any difference is.  The closed
-        forms are evaluated in blocks of grid rows, so no full-grid jet
-        is built; the value is that of one whole-grid comparison."""
-        got = integ.state().as_tuple()
-        gaps = []
-        for b in _row_blocks(*integ.U.shape):
-            ref = self.state(integ.U[b], integ.V[b], integ.phi[b])
-            gaps += [np.max(np.abs(x[b] - r))
-                     for x, r in zip(got, ref.as_tuple())]
-        # np.max keeps a NaN wherever it is, as CheckSummary.fold does
-        return float(np.max(gaps))
+    def agreement(self, integ: IntegratedCongruence,
+                  rows: slice) -> ResidualField:
+        """The ``analytic_agreement`` record of ``integ`` on its grid rows
+        ``rows``, a record of the envelope pass (:func:`envelope_checks`):
+        the largest difference of any field from these closed forms."""
+        ref = self.state(integ.U[rows], integ.V[rows], integ.phi[rows])
+        return _largest_gap(((x[rows], r) for x, r in zip(
+            integ.state().as_tuple(), ref.as_tuple())), "analytic_agreement")
 
     def envelope_records(self, U, V):
         """``records(b, env)`` for :func:`envelope_checks` on the grid
@@ -321,19 +328,16 @@ def _fill_rows(K, scalars, consts: IntegralConstants, along_u: bool):
 
 
 def _kernel_rows(patch: MinimalPatch, consts: IntegralConstants,
-                 along_u: bool, t: np.ndarray, fixed: np.ndarray,
-                 node=None, keep=None):
+                 along_u: bool, t: np.ndarray, fixed: np.ndarray, node):
     """Coefficient rows of the affine kernel for a march along u (or v)
     through ``t``, at each ``fixed`` value of the other coordinate, as a
     function ``fill(K, first, d)``: it writes the rows of the stage
     abscissae first, first + d, first + 2 d, ... (indices into the
     2 len(t) - 1 stage abscissae, of which 2i is node i) into K, of shape
-    (count, 7, len(fixed)).  Given ``node``, (phi, phi_u, phi_v) at the
-    nodes, of shape (3, len(t), len(fixed)), only the midpoint abscissae
-    are evaluated, and k1 at the nodes is a / phi^2 (a the patch's
-    scale), the expression of :meth:`MinimalPatch.chart_scalars`;
-    otherwise every abscissa is, and ``keep`` (the same shape), if given,
-    receives (phi, phi_u, phi_v) at the nodes.
+    (count, 7, len(fixed)).  Node rows come from ``node``, (phi, phi_u,
+    phi_v) at the nodes, shape (3, len(t), len(fixed)), with k1 = a / phi^2
+    (a the patch's scale) as in :meth:`MinimalPatch.chart_scalars`; only
+    the midpoint abscissae are evaluated.
 
     With p = phi k (k the principal curvature along the march) and
     q = phi_s / phi, the slope of y = (Omega, Omega_s, W, Omega_t) is
@@ -350,21 +354,15 @@ def _kernel_rows(patch: MinimalPatch, consts: IntegralConstants,
         j = first + d * np.arange(len(K))
         # K[e::2] are the rows of nodes, K[1 - e::2] those of midpoints
         e = first % 2
-        nodes = j[e::2] // 2
-        if node is not None:
-            phi, pu, pv = (x[nodes] for x in node)
-            _fill_rows(K[e::2], (phi, pu, pv, patch.a / (phi * phi)),
+        phi, pu, pv = (x[j[e::2] // 2] for x in node)
+        _fill_rows(K[e::2], (phi, pu, pv, patch.a / (phi * phi)), consts,
+                   along_u)
+        mid = s[j[1 - e::2], None]
+        if len(mid):
+            _fill_rows(K[1 - e::2],
+                       patch.chart_scalars(mid, fixed[None, :]) if along_u
+                       else patch.chart_scalars(fixed[None, :], mid),
                        consts, along_u)
-            K, j = K[1 - e::2], j[1 - e::2]
-        if len(j) == 0:
-            return
-        sj = s[j, None]
-        scalars = (patch.chart_scalars(sj, fixed[None, :]) if along_u
-                   else patch.chart_scalars(fixed[None, :], sj))
-        _fill_rows(K, scalars, consts, along_u)
-        if keep is not None:
-            for k, x in zip(keep, scalars):
-                k[nodes] = np.broadcast_to(x, K.shape[:1] + fixed.shape)[e::2]
     return fill
 
 
@@ -474,12 +472,21 @@ def _grid_arrays(nu: int, nv: int):
     return np.empty((3, nu, nv)), np.empty((4, nu, nv))
 
 
+def _node_scalars(patch: MinimalPatch, u, v, out) -> None:
+    """Write (phi, phi_u, phi_v) at every node of the grid u x v into
+    ``out``, shape (3, len(u), len(v)), one block of rows at a time."""
+    for b in _row_blocks(len(u), len(v)):
+        for o, x in zip(out, patch.chart_scalars(u[b, None], v[None, :])):
+            o[b] = x
+
+
 @dataclass
 class IntegratedCongruence:
-    """Congruence fields integrated over the grid ``u`` x ``v``, with
-    consistency data: ``path_gap`` is the max field difference between
-    row-first and column-first integration orders (compatibility check),
-    ``drift`` the max first-integral deviation from its initial value.
+    """Congruence fields integrated over the grid ``u`` x ``v``.  Its
+    ``checks`` (a ``GridChecks``) fold ``path_independence``, the largest
+    field gap per node between the row-first and column-first fills, and
+    ``first_integral_drift``, |F - F0|; ``path_gap`` and ``drift`` are
+    their maxima.
 
     It holds one fill and the node scalars, nothing else on the whole
     grid: ``fields``, shape (4, nu, nv), is (Omega, Omega1, W, Omega2)
@@ -502,8 +509,7 @@ class IntegratedCongruence:
     scale: float
     constants: IntegralConstants
     init_node: tuple
-    path_gap: float
-    drift: float
+    checks: GridChecks
 
     @property
     def U(self) -> np.ndarray:
@@ -517,6 +523,10 @@ class IntegratedCongruence:
     omega1 = property(lambda self: self.fields[1])
     omega2 = property(lambda self: self.fields[3])
     phi = property(lambda self: self.scalars[0])
+    path_gap = property(
+        lambda self: self.checks.residuals["path_independence"].max_abs)
+    drift = property(
+        lambda self: self.checks.residuals["first_integral_drift"].max_abs)
 
     def state(self) -> CongruenceState:
         om, o1, w, o2 = self.fields
@@ -556,57 +566,47 @@ class IntegratedCongruence:
 
 
 def integrate_system(patch: MinimalPatch, init: CongruenceState,
-                     consts: IntegralConstants, *,
-                     domain: Domain | None = None,
-                     nu: int | None = None, nv: int | None = None,
-                     step: float | None = None,
-                     init_at: tuple = (0.0, 0.0)) -> IntegratedCongruence:
-    """Integrate the congruence system over a grid from one initial state.
+                     consts: IntegralConstants, *, step: float,
+                     domain: Domain | None = None) -> IntegratedCongruence:
+    """Integrate the congruence system over the grid of spacing ``step``
+    on ``domain`` (default [-1, 1]^2) from the state ``init`` at the
+    chart origin, which must be a grid node.
 
-    ``init_at`` must coincide with a grid node.  The grid is filled by
-    a march (:func:`_march`, both halves of it in one loop) along the
-    initial row, one lane, then one along all columns at once, whose
-    states go straight into the fields.  One more march along all rows,
-    started from the initial column, fills the grid in the transposed
-    order; each of its blocks is compared with the fields and dropped,
-    and ``path_gap`` is the max discrepancy between the two fills.
-
-    Each march gets its kernel rows from :func:`_kernel_rows` one block
-    of steps at a time (see :func:`_march`), so the chart scalars are
-    evaluated once per abscissa and no kernel rows are held for the
-    whole grid: the column march evaluates the nodes and the v-midpoints
-    and keeps (phi, phi_u, phi_v) at the nodes; the row march and W's
-    jet reuse them, with k1 = a / phi^2 (``patch.a``), and the row march
-    evaluates the u-midpoints.  The node scalars and the fields are
-    allocated before any step, so a grid too large for the memory fails
-    at once.  A step whose node count is not finite raises ValueError.
+    One pass over blocks of rows evaluates (phi, phi_u, phi_v) at the
+    nodes.  A march (:func:`_march`) along the initial row, one lane,
+    then one along all columns write the fields; one more along all rows
+    fills the grid in the transposed order, and each of its blocks is
+    compared with the fields, folded into ``checks`` and dropped.  Each
+    march takes its node rows from the node scalars (:func:`_kernel_rows`)
+    and evaluates only its midpoints, one block of steps at a time.  The
+    node scalars and the fields are allocated before any step, so a grid
+    too large for the memory fails at once.  A step that is not finite
+    and positive, gives a node count that is not finite or below 2, or
+    whose nodes miss the origin raises ValueError.
     """
     domain = domain or Domain(-1.0, 1.0, -1.0, 1.0)
-    if step is not None:
-        if not (np.isfinite(step) and step > 0.0):
-            raise ValueError(f"the integration step must be finite and "
-                             f"positive, got {step}")
-        spans = ((domain.u1 - domain.u0) / step,
-                 (domain.v1 - domain.v0) / step)
-        if not all(np.isfinite(spans)):
-            raise ValueError(f"the integration step {step} gives a node "
-                             f"count that is not finite")
-        nu, nv = (int(round(x)) + 1 for x in spans)
-    nu = 101 if nu is None else nu
-    nv = 101 if nv is None else nv
+    if not (np.isfinite(step) and step > 0.0):
+        raise ValueError(f"the integration step must be finite and "
+                         f"positive, got {step}")
+    spans = ((domain.u1 - domain.u0) / step, (domain.v1 - domain.v0) / step)
+    if not all(np.isfinite(spans)):
+        raise ValueError(f"the integration step {step} gives a node "
+                         f"count that is not finite")
+    nu, nv = (int(round(x)) + 1 for x in spans)
     if nu < 2 or nv < 2:
         raise ValueError(f"integration needs at least 2 nodes per "
                          f"direction, got {nu} x {nv}")
     u = np.linspace(domain.u0, domain.u1, nu)
     v = np.linspace(domain.v0, domain.v1, nv)
-    iu0 = int(np.argmin(np.abs(u - init_at[0])))
-    iv0 = int(np.argmin(np.abs(v - init_at[1])))
+    iu0, iv0 = int(np.argmin(np.abs(u))), int(np.argmin(np.abs(v)))
     hu, hv = domain.spacing(nu, nv)
-    if abs(u[iu0] - init_at[0]) > 1e-9 * max(1.0, hu) \
-            or abs(v[iv0] - init_at[1]) > 1e-9 * max(1.0, hv):
-        raise ValueError(f"init_at {init_at} is not a grid node")
+    if abs(u[iu0]) > 1e-9 * max(1.0, hu) or abs(v[iv0]) > 1e-9 * max(1.0, hv):
+        raise ValueError(f"the nodes of step {step} on the domain "
+                         f"{domain.u0:g}:{domain.u1:g}:{domain.v0:g}:"
+                         f"{domain.v1:g} miss the chart origin (0, 0)")
     om0, o10, o20, w0 = (float(x) for x in init.as_tuple())
     node, fields = _grid_arrays(nu, nv)
+    _node_scalars(patch, u, v, node)
 
     # the initial row, one lane, whose march state is (Omega, Omega2, W,
     # Omega1)
@@ -615,47 +615,37 @@ def integrate_system(patch: MinimalPatch, init: CongruenceState,
     def put_row(nodes, ys):
         row[nodes] = ys[:, :, 0]
 
-    _march(_kernel_rows(patch, consts, True, u, v[iv0:iv0 + 1]),
+    _march(_kernel_rows(patch, consts, True, u, v[iv0:iv0 + 1],
+                        node[:, :, iv0:iv0 + 1]),
            u, iu0, np.array([[om0], [o20], [w0], [o10]]), put_row)
 
     # then every column, block by block into the fields; the columns'
-    # march state is (Omega, Omega1, W, Omega2), (4, nu) per node.  Their
-    # even abscissae are the grid nodes, whose scalars the row march and
-    # W's jet reuse
+    # march state is (Omega, Omega1, W, Omega2), (4, nu) per node
     def put_columns(nodes, ys):
         fields[:, :, nodes] = ys.transpose(1, 2, 0)
 
-    _march(_kernel_rows(patch, consts, False, v, u,
-                        keep=node.transpose(0, 2, 1)),
+    _march(_kernel_rows(patch, consts, False, v, u, node.transpose(0, 2, 1)),
            v, iv0, row[:, _SWAP].T, put_columns)
     # then every row from the initial column: each block is compared with
-    # the column-first fill at its nodes, and nothing of it is kept
-    gaps = []
+    # the column-first fill, folded into the checks and dropped
+    # the fill holds the initial state at the initial node, bit for bit
+    om, o1, w, o2 = fields
+    F0 = first_integral(CongruenceState(om0, o10, o20, w0), consts)
+    checks = GridChecks((nu, nv))
 
     def compare_rows(nodes, ys):
-        gaps.extend(np.max(np.abs(ys[:, j] - f[nodes]))
-                    for j, f in zip(_SWAP, fields))
+        F = first_integral(CongruenceState(om[nodes], o1[nodes], o2[nodes],
+                                           w[nodes]), consts)
+        checks.put(nodes, (
+            _largest_gap(((ys[:, j], f[nodes]) for j, f in zip(_SWAP, fields)),
+                         "path_independence"),
+            _everywhere(np.abs(F - F0), "first_integral_drift")))
 
-    _march(_kernel_rows(patch, consts, True, u, v, node=node),
+    _march(_kernel_rows(patch, consts, True, u, v, node),
            u, iu0, fields[_SWAP, iu0], compare_rows)
-    # np.max keeps a NaN wherever it is, as CheckSummary.fold does
-    path_gap = float(np.max(gaps))
-
-    # the first integral's deviation from its initial value, in blocks
-    # of rows
-    om, o1, w, o2 = fields
-
-    def first_integral_at(b):
-        return first_integral(CongruenceState(om[b], o1[b], o2[b], w[b]),
-                              consts)
-
-    F0 = first_integral_at((slice(iu0, iu0 + 1), slice(iv0, iv0 + 1)))
-    drift = float(np.max([np.max(np.abs(first_integral_at(b) - F0))
-                          for b in _row_blocks(nu, nv)]))
     return IntegratedCongruence(u=u, v=v, fields=fields, scalars=node,
                                 scale=patch.a, constants=consts,
-                                init_node=(iu0, iv0), path_gap=path_gap,
-                                drift=drift)
+                                init_node=(iu0, iv0), checks=checks)
 
 
 # ---------------------------------------------------------------------------

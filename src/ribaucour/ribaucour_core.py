@@ -373,8 +373,10 @@ class SurfaceSample:
 
 
 def immerse(patch: RibaucourPatch, z: complex) -> SurfaceSample:
-    """Evaluate one chart point.  Degeneracies set flags (values may be
-    NaN); a jet that cannot be evaluated at all raises EvalError."""
+    """Evaluate one chart point.  It evaluates through an array, so it
+    never raises for a point: degeneracies set flags and leave NaN
+    values, and at a pole of the pair every value is NaN and the sample
+    is flagged ``degenerate`` and ``branch``."""
     fields = evaluate_patch(patch, Z=np.asarray(complex(z)))
     take3 = lambda t: tuple(float(np.asarray(c)) for c in t)
     return SurfaceSample(

@@ -466,13 +466,15 @@ def _stage_rows(K, i0):
 ])
 def test_shared_node_scalars_match_per_direction_evaluation(
         monkeypatch, block, nu, nv, domain):
-    # the kernel rows are streamed into each march one block at a time;
-    # the column march keeps its node scalars, the row march reuses them
-    # and evaluates only its midpoints.  Every RK4 stage gets the rows of
-    # an evaluation per direction as one array, bit for bit, whether the
-    # march starts at the first node, the last or in between.  The
-    # initial row's march of one lane gets the same rows, and its states
-    # are those of the march of one lane on Python floats
+    # the node scalars are evaluated once, one block of rows at a time,
+    # and the kernel rows are streamed into each march one block at a
+    # time: every march reads its node rows from the node scalars and
+    # evaluates only its midpoints.  The node scalars, and the rows every
+    # RK4 stage gets, are those of an evaluation per direction as one
+    # array, bit for bit, whether the march starts at the first node,
+    # the last or in between.  The initial row's march of one lane gets
+    # the same rows, and its states are those of the march of one lane
+    # on Python floats
     if block is not None:
         monkeypatch.setattr(grids, "_BLOCK", block)
     consts = IntegralConstants(c=0.5, c1=1.0, c2=0.25, c3=-0.75)
@@ -482,19 +484,21 @@ def test_shared_node_scalars_match_per_direction_evaluation(
     for patch in (catenoid_patch(), enneper_patch()):
         cols_ref, scalars = _direction_rows(patch, consts, False, v, u)
         rows_ref, _ = _direction_rows(patch, consts, True, u, v)
+        node = np.empty((3, nu, nv))
+        congruence._node_scalars(patch, u, v, node)
+        for kept, ref in zip(node, scalars):
+            assert _same_bits(kept, np.ascontiguousarray(ref[::2].T))
         for iu0, iv0 in starts:
-            node = np.empty((3, nu, nv))
             cols = _kernel_rows(patch, consts, False, v, u,
-                                keep=node.transpose(0, 2, 1))
+                                node.transpose(0, 2, 1))
             got, _ = _streamed_rows(monkeypatch, cols, v, iv0, nu)
             assert _same_bits(got, _stage_rows(cols_ref, iv0)), patch.name
-            for kept, ref in zip(node, scalars):
-                assert _same_bits(kept, np.ascontiguousarray(ref[::2].T))
-            rows = _kernel_rows(patch, consts, True, u, v, node=node)
+            rows = _kernel_rows(patch, consts, True, u, v, node)
             got, _ = _streamed_rows(monkeypatch, rows, u, iu0, nv)
             assert _same_bits(got, _stage_rows(rows_ref, iu0)), patch.name
             line = v[iv0:iv0 + 1]
-            first = _kernel_rows(patch, consts, True, u, line)
+            first = _kernel_rows(patch, consts, True, u, line,
+                                 node[:, :, iv0:iv0 + 1])
             got, states = _streamed_rows(monkeypatch, first, u, iu0, 1)
             line_ref, _ = _direction_rows(patch, consts, True, u, line)
             assert _same_bits(got, _stage_rows(line_ref, iu0)), patch.name
@@ -515,8 +519,8 @@ def test_joint_march_matches_each_half_alone(monkeypatch, block, domain,
     # groups of lanes; every lane's states are those of its halves
     # marched alone, bit for bit: the march of one lane on Python floats,
     # forward to the last node, then backward to the first.  Both march
-    # directions, the row march on the kept node scalars, and starts at
-    # either end, off the centre, and with either half the longer
+    # directions, both on the node scalars, and starts at either end, off
+    # the centre, and with either half the longer
     if block is not None:
         monkeypatch.setattr(grids, "_BLOCK", block)
     consts = IntegralConstants(c=0.5, c1=1.0, c2=0.25, c3=-0.75)
@@ -526,16 +530,13 @@ def test_joint_march_matches_each_half_alone(monkeypatch, block, domain,
     rng = np.random.default_rng(11)
     for patch in (catenoid_patch(), enneper_patch()):
         node = np.empty((3, nu, nv))
-        # the column march fills the node scalars the row march reads
-        cols = _kernel_rows(patch, consts, False, v, u,
-                            keep=node.transpose(0, 2, 1))
-        congruence._march(cols, v, 0, np.zeros((4, nu)),
-                          lambda nodes, ys: None)
+        congruence._node_scalars(patch, u, v, node)
+        by_column = node.transpose(0, 2, 1)
         marches = [
-            (lambda j: _kernel_rows(patch, consts, False, v, u[j:j + 1]),
-             v, nu),
+            (lambda j: _kernel_rows(patch, consts, False, v, u[j:j + 1],
+                                    by_column[:, :, j:j + 1]), v, nu),
             (lambda j: _kernel_rows(patch, consts, True, u, v[j:j + 1],
-                                    node=node[:, :, j:j + 1]), u, nv)]
+                                    node[:, :, j:j + 1]), u, nv)]
         for fill_of, t, lanes in marches:
             n = len(t)
             for i0 in (0, n - 1, n // 4, 3 * n // 4 + 1):
@@ -544,14 +545,26 @@ def test_joint_march_matches_each_half_alone(monkeypatch, block, domain,
 
                 def put(nodes, ys):
                     states[nodes] = ys
-                whole = (_kernel_rows(patch, consts, False, v, u)
+                whole = (_kernel_rows(patch, consts, False, v, u, by_column)
                          if t is v else
-                         _kernel_rows(patch, consts, True, u, v, node=node))
+                         _kernel_rows(patch, consts, True, u, v, node))
                 congruence._march(whole, t, i0, y0, put)
                 ref = np.stack([march_line(fill_of(j), t, i0,
                                            y0[:, j].tolist())
                                 for j in range(lanes)], axis=-1)
                 assert _same_bits(states, ref), (patch.name, n, i0)
+
+
+def _integrate_checks(ac, integ):
+    """The envelope checks of integrate mode as the command folds them:
+    the ``analytic_agreement`` record in front of the envelope's."""
+    return envelope_checks(
+        ac.patch, integ.w_rows, integ.U, integ.V,
+        lambda b, env: (ac.agreement(integ, b),
+                        *integ.envelope_records(b, env)))
+
+
+_FOLDED = ("path_independence", "first_integral_drift", "analytic_agreement")
 
 
 @pytest.mark.parametrize("block, domain, step", [
@@ -563,36 +576,88 @@ def test_joint_march_matches_each_half_alone(monkeypatch, block, domain,
 @pytest.mark.parametrize("name", ["catenoid", "enneper"])
 def test_blocked_agreement_matches_the_whole_grid(name, block, domain, step,
                                                   monkeypatch):
+    # each entry integrate mode folds block by block, in the row march or
+    # in the envelope pass, is the np.max of one whole-grid evaluation,
+    # bit for bit, counted on every node
     if block is not None:
         monkeypatch.setattr(grids, "_BLOCK", block)
     ac = analytic_example(name)
     integ = integrate_system(ac.patch, _origin_state(ac), ac.constants,
                              domain=domain, step=step)
-    assert len(_row_blocks(*integ.U.shape)) > 1
-    whole = max(float(np.max(np.abs(a - b)))
-                for a, b in zip(integ.state().as_tuple(),
-                                ac.state(integ.U, integ.V,
-                                         integ.phi).as_tuple()))
-    assert _same_bits(ac.agreement(integ), whole)
-    assert 0.0 < whole < 1e-6
+    shape, (iu0, _) = integ.U.shape, integ.init_node
+    assert len(_row_blocks(*shape)) > 1
+    # the row-first fill on the whole grid: the march the checks fold
+    # its blocks from, its states kept
+    alt = np.empty((shape[0], 4, shape[1]))
+
+    def put(nodes, ys):
+        alt[nodes] = ys
+    congruence._march(_kernel_rows(ac.patch, ac.constants, True, integ.u,
+                                   integ.v, integ.scalars),
+                      integ.u, iu0, integ.fields[congruence._SWAP, iu0], put)
+    F = np.asarray(first_integral(integ.state(), ac.constants))
+    whole = {
+        "path_independence": max(np.max(np.abs(alt[:, j] - f)) for j, f
+                                 in zip(congruence._SWAP, integ.fields)),
+        "first_integral_drift": np.max(np.abs(F - F[integ.init_node])),
+        "analytic_agreement": max(
+            np.max(np.abs(a - b)) for a, b in zip(
+                integ.state().as_tuple(),
+                ac.state(integ.U, integ.V, integ.phi).as_tuple())),
+    }
+    folded = {**integ.checks.residuals,
+              **_integrate_checks(ac, integ).residuals}
+    for entry in _FOLDED:
+        summary = folded[entry]
+        assert _same_bits(summary.max_abs, float(whole[entry])), entry
+        assert (summary.n_valid, summary.n_excluded) == (integ.U.size, 0)
+        assert 0.0 < summary.max_abs < 1e-6, entry
+    assert _same_bits(integ.path_gap, folded["path_independence"].max_abs)
+    assert _same_bits(integ.drift, folded["first_integral_drift"].max_abs)
 
 
 # the rows of IntegratedCongruence.fields: (Omega, Omega1, W, Omega2)
 @pytest.mark.parametrize("field", [0, 1, 2, 3],
                          ids=["omega", "omega1", "w", "omega2"])
 @pytest.mark.parametrize("node", [(0, 0), (30, 17)])
-def test_agreement_keeps_a_nan_in_any_field(catenoid_data, field, node,
-                                            monkeypatch):
-    # a NaN at one node of any field, in the first block or a later one,
-    # makes the agreement NaN, so the report entry cannot pass
+def test_agreement_keeps_a_nan_in_any_field(field, node, monkeypatch,
+                                            tmp_path, capsys):
+    # a NaN at one node of any field of the column-first fill, in the
+    # first block of rows or a later one, makes each entry integrate mode
+    # folds read null and fail, and the command exits 1; without it they
+    # pass
     monkeypatch.setattr(grids, "_BLOCK", 200)
-    ac = catenoid_data
-    integ = integrate_system(ac.patch, _origin_state(ac), ac.constants,
-                             domain=SQUARE, step=0.05)
-    assert 0.0 < ac.agreement(integ) < 1e-6
-    assert len(_row_blocks(*integ.U.shape)) > 1
-    integ.fields[field][node] = np.nan
-    assert np.isnan(ac.agreement(integ))
+    arrays, march = congruence._grid_arrays, congruence._march
+    fields, marches = [], []
+
+    def grid_arrays(nu, nv):
+        node, f = arrays(nu, nv)
+        fields[:], marches[:] = [f], []
+        return node, f
+
+    def marching(fill, t, i0, y0, put):
+        march(fill, t, i0, y0, put)
+        marches.append(t)
+        # once the initial row and the columns have filled the fields
+        if poison and len(marches) == 2:
+            fields[0][field][node] = np.nan
+    monkeypatch.setattr(congruence, "_grid_arrays", grid_arrays)
+    monkeypatch.setattr(congruence, "_march", marching)
+    report = tmp_path / "report.json"
+    for poison, code in ((False, 0), (True, 1)):
+        assert cli.main(["congruence", "--minimal", "catenoid", "--mode",
+                         "integrate", "--step", "0.05",
+                         f"--report={report}"]) == code
+        assert "Traceback" not in capsys.readouterr().err
+        assert len(marches) == 3
+        assert len(_row_blocks(*fields[0].shape[1:])) > 1
+        entries = {e["name"]: e for e in
+                   json.loads(report.read_text())["identities"]}
+        for name in _FOLDED:
+            value = entries[name]["max_residual"]
+            assert (value is None) == poison, name
+            assert entries[name]["pass"] != poison, name
+            assert poison or 0.0 < value < 1e-6, name
 
 
 @pytest.mark.parametrize("block", [None, 1000, 32])
@@ -745,7 +810,7 @@ def test_path_gap_converges_with_the_step(catenoid_data):
 class _BentCurvature:
     """The catenoid with k1 scaled by (1 + 1e-3 u): no longer a chart of
     a surface, so the system is not integrable and the two fills part.
-    At the nodes the row march takes k1 = a / phi^2, unscaled."""
+    At the nodes every march takes k1 = a / phi^2, unscaled."""
 
     def __init__(self, patch):
         self.patch = patch
@@ -768,18 +833,23 @@ def test_path_gap_detects_an_incompatible_chart(catenoid_data):
 
 
 def test_integration_start_must_be_a_grid_node(catenoid_data):
+    # the march starts at the chart origin: nodes 0.05 off it, or a
+    # domain without it, give an error that names the step and the domain
     ac = catenoid_data
     init = CongruenceState(2.5, 0.0, 0.0, 0.5)
-    with pytest.raises(ValueError):
-        integrate_system(ac.patch, init, ac.constants, domain=SQUARE,
-                         nu=21, nv=21, init_at=(0.05, 0.0))
+    for domain, text in ((Domain(-0.95, 1.05, -1.0, 1.0), "-0.95:1.05:-1:1"),
+                         (Domain(-1.0, 1.0, 0.1, 0.9), "-1:1:0.1:0.9")):
+        with pytest.raises(ValueError, match=f"the nodes of step 0.1 on the "
+                           f"domain {text} miss the chart origin"):
+            integrate_system(ac.patch, init, ac.constants, domain=domain,
+                             step=0.1)
 
 
-@pytest.mark.parametrize("grid", [{"nu": 0, "nv": 5}, {"step": 0.0},
+@pytest.mark.parametrize("grid", [{"step": 5.0}, {"step": 0.0},
                                   {"step": -0.1}, {"step": float("nan")}])
 def test_integration_grid_must_be_valid(catenoid_data, grid):
-    # nu = 0 is a grid size, not "use the default"; a step must be
-    # finite and positive
+    # a step must give at least 2 nodes per direction and be finite and
+    # positive
     ac = catenoid_data
     init = CongruenceState(2.5, 0.0, 0.0, 0.5)
     with pytest.raises(ValueError):
@@ -793,7 +863,8 @@ def test_integration_on_flat_patch_is_exactly_constant():
     w0, om0 = 0.75, 2.0
     consts = IntegralConstants(c=1.0, c1=1.0, c2=0.0, c3=2.0 * w0)
     init = CongruenceState(om0, 0.0, 0.0, w0)
-    integ = integrate_system(plane, init, consts, nu=21, nv=21)
+    integ = integrate_system(plane, init, consts, step=0.1)
+    assert integ.U.shape == (21, 21)
     assert float(np.max(np.abs(integ.omega - om0))) == 0.0
     assert float(np.max(np.abs(integ.omega1))) == 0.0
     assert float(np.max(np.abs(integ.omega2))) == 0.0

@@ -207,6 +207,36 @@ def test_cli_rejects_bad_input(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+    # the message names the user's inputs, not the library's arguments
+    if argv[-2:] == ["--step", "0.3"]:
+        assert err == ("error: the nodes of step 0.3 on the domain "
+                       "-1:1:-1:1 miss the chart origin (0, 0)\n")
+
+
+def test_out_dual_writes_the_dual_mesh_there(tmp_path, capsys):
+    # the dual mesh goes to --out-dual, byte for byte the *_dual.obj that
+    # --out alone writes, and no *_dual.obj appears
+    pair = ["dual", "--f1", "z", "--f2", "exp(z)", "--nu", "11", "--nv", "11"]
+    given, default = tmp_path / "given", tmp_path / "default"
+    given.mkdir()
+    default.mkdir()
+    assert cli.main([*pair, f"--out={given / 'pair.obj'}",
+                     f"--out-dual={given / 'mirror.obj'}"]) == 0
+    assert cli.main([*pair, f"--out={default / 'pair.obj'}"]) == 0
+    assert sorted(p.name for p in given.iterdir()) == ["mirror.obj",
+                                                       "pair.obj"]
+    assert (given / "mirror.obj").read_bytes() \
+        == (default / "pair_dual.obj").read_bytes()
+    assert (given / "pair.obj").read_bytes() \
+        == (default / "pair.obj").read_bytes()
+    capsys.readouterr()
+    # without --out, the dual path is bad input, and nothing is written
+    alone = tmp_path / "alone.obj"
+    assert cli.main([*pair, f"--out-dual={alone}"]) == 2
+    out, err = capsys.readouterr()
+    assert err == "error: --out-dual needs --out\n"
+    assert out == ""
+    assert not alone.exists()
 
 
 def _out_of_memory(*args, **kwargs):

@@ -325,6 +325,15 @@ def test_equal_pair_immerses_to_unit_sphere():
         assert abs(s.X @ s.X + 2.0 * s.hover_k * (s.X @ s.N) + 1.0) <= 1e-12
 
 
+def test_immersion_at_a_pole_is_flagged_not_raised():
+    # f1 = 1/z has a pole at 0: one point is evaluated through an array,
+    # so nothing raises; the sample is flagged and its values are NaN
+    s = immerse(make_patch("1/z", "z"), 0.0)
+    assert s.degenerate and s.branch
+    assert np.isnan(s.X).all() and np.isnan(s.N).all()
+    assert np.isnan(s.rho) and np.isnan(s.hover_k)
+
+
 def test_immersion_support_projection():
     s = immerse(make_patch("z", "2*z"), 0.0)
     assert abs(float(s.X @ s.N) - s.rho) <= 1e-14
