@@ -45,8 +45,8 @@ for name in ("catenoid", "enneper"):
                              domain=Domain(-1, 1, -1, 1), step=0.01)
     integrated = envelope_checks(
         ac.patch, integ.w_rows, integ.U, integ.V,
-        lambda b, env: (ac.agreement(integ, b),
-                        *integ.envelope_records(b, env)))
+        lambda b, env, scalars: (ac.agreement(integ, b, scalars[0]),
+                                 *integ.envelope_records(b, env)))
     agree = integrated.residuals["analytic_agreement"].max_abs
     print(f"  integration vs closed form   : max {agree:.2e} "
           f"(step 0.01, path gap {integ.path_gap:.2e})")
@@ -75,8 +75,8 @@ for name in ("catenoid", "enneper"):
 
     # the verdict of `ribaucour congruence` in both modes: its records of
     # the checks, its tolerances, its judge
-    checks = envelope_checks(ac.patch, lambda b: ac.w_jet(U[b], V[b]), U, V,
-                             ac.envelope_records(U, V))
+    checks = envelope_checks(ac.patch, lambda b, _: ac.w_jet(U[b], V[b]),
+                             U, V, ac.envelope_records(U, V))
     records = [*checks.residuals.values(), *integ.checks.residuals.values(),
                *integrated.residuals.values()]
     entries = [identity_entry(r.name, r.max_abs, TOL_CONGRUENCE[r.name],

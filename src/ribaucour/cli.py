@@ -283,7 +283,7 @@ def cmd_congruence(args) -> int:
 
     if args.mode == "analytic":
         U, V, _ = domain.mesh(args.nu, args.nv)
-        w_rows, records = (lambda b: ac.w_jet(U[b], V[b])), \
+        w_rows, records = (lambda b, _: ac.w_jet(U[b], V[b])), \
             ac.envelope_records(U, V)
         folded = []
     else:
@@ -295,8 +295,9 @@ def cmd_congruence(args) -> int:
             return EXIT_PARSE
         U, V, w_rows = integ.U, integ.V, integ.w_rows
 
-        def records(b, env):
-            return (ac.agreement(integ, b), *integ.envelope_records(b, env))
+        def records(b, env, scalars):
+            return (ac.agreement(integ, b, scalars[0]),
+                    *integ.envelope_records(b, env))
         folded = list(integ.checks.residuals.values())
         details["integration"] = {"grid": list(U.shape),
                                   "init_node": list(integ.init_node)}

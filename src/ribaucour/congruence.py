@@ -23,12 +23,12 @@ integration follow from the covariant Hessian identity for Omega (see
 making the system integrable by marching.  Swapping Omega1 and Omega2
 turns the system along v into the system along u, so one affine RK4
 kernel (:func:`_slope`) serves both directions.  :func:`integrate_system`
-evaluates the chart scalars at the nodes in one pass, then fills the
-grid column-first and again row-first, block by block, keeping one
-fill; the row-first blocks fold the gap between the fills (the
-Frobenius check) and the first integral's drift into a record.  The
-same right-hand sides, differentiated once more (k1 phi^2 is constant on
-these charts), give W's second-order jet at every node with no stencil
+fills the grid column-first and again row-first, block by block, each
+march evaluating its own chart scalars, keeping one fill; the row-first
+blocks fold the gap between the fills (the Frobenius check) and the
+first integral's drift into a record.  The same right-hand sides,
+differentiated once more (k1 phi^2 is constant on these charts), give
+W's second-order jet at every node with no stencil
 (:meth:`IntegratedCongruence.w_rows`).
 
 The envelope X = grad W + W N of the congruence (support machinery of
@@ -45,9 +45,9 @@ entry: :func:`envelope_checks` runs the envelope over blocks of grid
 rows, each freed before the next, and folds the records of either
 congruence's ``envelope_records`` into one
 :class:`~ribaucour.ribaucour_core.GridChecks`.  The checks read tau to
-first order only, so the frame is built from an order-2 jet of g
-(:meth:`~ribaucour.minimal.MinimalPatch.frame`); its tau also gives
-the minimal metric's log factor, log a - tau.
+first order only, so the frame is built from an order-2 jet of -g
+(:meth:`~ribaucour.minimal.MinimalPatch.frame`), which also gives the
+chart scalars; its tau gives the minimal metric's log factor, log a - tau.
 
 :func:`analytic_example` looks up shipped data: closed-form solutions
 (W, Omega) over the built-in patches as jet code, with the constant c
@@ -60,9 +60,9 @@ exact quadrature from W and the first integral, which the tests
 re-derive, keeping the published candidate as a failing oracle.
 :meth:`AnalyticCongruence.agreement` compares an integrated congruence
 with the closed forms per block of rows, as a record of the envelope
-pass; the closed forms keep the partials that vanish as structural
-zeros (:mod:`ribaucour.jets`), so a term in one coordinate costs one
-grid line.
+pass, evaluating them to first order; the closed forms keep the
+partials that vanish as structural zeros (:mod:`ribaucour.jets`), so a
+term in one coordinate costs one grid line.
 """
 
 from __future__ import annotations
@@ -207,9 +207,9 @@ def _enneper_omega(u, v):
 
 
 def _on_samples(fn):
-    """(U, V) -> RJet2 of ``fn``, a function of the chart coordinate jets,
-    with every entry broadcast to the common sample shape of (U, V)."""
-    def jet(U, V) -> RJet2:
+    """(U, V, order=2) -> RJet2 of ``fn`` on chart coordinate jets of that
+    order, every entry broadcast to the common sample shape of (U, V)."""
+    def jet(U, V, order=2) -> RJet2:
         U, V = np.asarray(U, dtype=float), np.asarray(V, dtype=float)
         shape = np.broadcast_shapes(U.shape, V.shape)
         # on a chart grid (u along rows, v along columns) the terms in one
@@ -217,10 +217,11 @@ def _on_samples(fn):
         if (U.ndim == V.ndim == 2 and (U == U[:, :1]).all()
                 and (V == V[:1, :]).all()):
             U, V = U[:, :1], V[:1, :]
+        second = (0, 0, 0) if order == 2 else ()
         with np.errstate(all="ignore"):
-            j = fn(RJet2.coord_u(U), RJet2.coord_v(V))
+            j = fn(RJet2(U, 1, 0, *second), RJet2(V, 0, 1, *second))
         return RJet2(*(np.broadcast_to(np.asarray(x, dtype=float), shape)
-                       for x in (j.val, j.du, j.dv, j.duu, j.duv, j.dvv)))
+                       for x in j._entries()))
     return jet
 
 
@@ -237,8 +238,8 @@ _ANALYTIC = {
 @dataclass
 class AnalyticCongruence:
     """A shipped closed-form congruence over a built-in minimal patch:
-    W and Omega as callables (U, V) -> RJet2, with the constants of
-    their first integral.  Nothing checks them on construction."""
+    W and Omega as callables (U, V, order=2) -> RJet2, with the constants
+    of their first integral.  Nothing checks them on construction."""
 
     name: str
     patch: MinimalPatch
@@ -246,32 +247,33 @@ class AnalyticCongruence:
     w_jet: object
     omega_jet: object
 
-    def state(self, U, V, phi=None) -> CongruenceState:
-        """The fields on (U, V).  ``phi``, the patch's conformal factor
-        on (U, V), spares evaluating it again when the caller already
-        has it."""
-        if phi is None:
-            phi = self.patch.chart_scalars(U, V)[0]
-        return _state_from_jets(self.w_jet(U, V), self.omega_jet(U, V), phi)
+    def state(self, U, V) -> CongruenceState:
+        """The fields on (U, V)."""
+        return _state_from_jets(self.w_jet(U, V), self.omega_jet(U, V),
+                                self.patch.chart_scalars(U, V)[0])
 
-    def agreement(self, integ: IntegratedCongruence,
-                  rows: slice) -> ResidualField:
+    def agreement(self, integ: IntegratedCongruence, rows: slice,
+                  phi) -> ResidualField:
         """The ``analytic_agreement`` record of ``integ`` on its grid rows
-        ``rows``, a record of the envelope pass (:func:`envelope_checks`):
-        the largest difference of any field from these closed forms."""
-        ref = self.state(integ.U[rows], integ.V[rows], integ.phi[rows])
+        ``rows``, where the patch's conformal factor is ``phi``, a record
+        of the envelope pass (:func:`envelope_checks`): the largest
+        difference of any field from these closed forms, which it reads
+        to first order, evaluated so on the grid lines of the rows."""
+        u, v = integ.u[rows, None], integ.v[None, :]
+        ref = _state_from_jets(self.w_jet(u, v, 1), self.omega_jet(u, v, 1),
+                               phi)
         return _largest_gap(((x[rows], r) for x, r in zip(
             integ.state().as_tuple(), ref.as_tuple())), "analytic_agreement")
 
     def envelope_records(self, U, V):
-        """``records(b, env)`` for :func:`envelope_checks` on the grid
-        (U, V): every check of these closed forms on the rows ``b``,
+        """``records(b, env, scalars)`` for :func:`envelope_checks` on the
+        grid (U, V): every check of these closed forms on the rows ``b``,
         each named after its report entry, in report order.  W's jet is
-        that of the envelope ``env``, the chart scalars and tangents
-        come from one jet of g, and Omega's jet is evaluated once."""
+        that of the envelope ``env``, the chart scalars and tangents come
+        from one jet of g, not the frame's, and Omega's is evaluated once."""
         consts = self.constants
 
-        def records(b, env):
+        def records(b, env, _):
             wj, oj = env.rho, self.omega_jet(U[b], V[b])
             scalars, tangents = self.patch.chart_scalars(U[b], V[b],
                                                          tangents=True)
@@ -328,16 +330,14 @@ def _fill_rows(K, scalars, consts: IntegralConstants, along_u: bool):
 
 
 def _kernel_rows(patch: MinimalPatch, consts: IntegralConstants,
-                 along_u: bool, t: np.ndarray, fixed: np.ndarray, node):
+                 along_u: bool, t: np.ndarray, fixed: np.ndarray):
     """Coefficient rows of the affine kernel for a march along u (or v)
     through ``t``, at each ``fixed`` value of the other coordinate, as a
-    function ``fill(K, first, d)``: it writes the rows of the stage
-    abscissae first, first + d, first + 2 d, ... (indices into the
-    2 len(t) - 1 stage abscissae, of which 2i is node i) into K, of shape
-    (count, 7, len(fixed)).  Node rows come from ``node``, (phi, phi_u,
-    phi_v) at the nodes, shape (3, len(t), len(fixed)), with k1 = a / phi^2
-    (a the patch's scale) as in :meth:`MinimalPatch.chart_scalars`; only
-    the midpoint abscissae are evaluated.
+    function ``fill(K, first, d)``: it evaluates the chart scalars at the
+    stage abscissae first, first + d, first + 2 d, ... (indices into the
+    2 len(t) - 1 stage abscissae, of which 2i is node i), nodes and
+    midpoints in one call, and writes their rows into K, of shape
+    (count, 7, len(fixed)).
 
     With p = phi k (k the principal curvature along the march) and
     q = phi_s / phi, the slope of y = (Omega, Omega_s, W, Omega_t) is
@@ -351,18 +351,10 @@ def _kernel_rows(patch: MinimalPatch, consts: IntegralConstants,
     s = np.linspace(t[0], t[-1], 2 * len(t) - 1)
 
     def fill(K, first, d):
-        j = first + d * np.arange(len(K))
-        # K[e::2] are the rows of nodes, K[1 - e::2] those of midpoints
-        e = first % 2
-        phi, pu, pv = (x[j[e::2] // 2] for x in node)
-        _fill_rows(K[e::2], (phi, pu, pv, patch.a / (phi * phi)), consts,
-                   along_u)
-        mid = s[j[1 - e::2], None]
-        if len(mid):
-            _fill_rows(K[1 - e::2],
-                       patch.chart_scalars(mid, fixed[None, :]) if along_u
-                       else patch.chart_scalars(fixed[None, :], mid),
-                       consts, along_u)
+        at = s[first + d * np.arange(len(K)), None]
+        _fill_rows(K, patch.chart_scalars(at, fixed[None, :]) if along_u
+                   else patch.chart_scalars(fixed[None, :], at),
+                   consts, along_u)
     return fill
 
 
@@ -464,20 +456,11 @@ def _rk4_steps(K, ys, H, k0, k1, S, tmp) -> None:
         np.add(y, s2, out=ys[k + 1])
 
 
-def _grid_arrays(nu: int, nv: int):
-    """The full-grid arrays of :func:`integrate_system`: the node scalars
-    (phi, phi_u, phi_v), shape (3, nu, nv), and the fields, shape
-    (4, nu, nv).  They are allocated before any step, so that a grid too
-    large for the memory fails at once."""
-    return np.empty((3, nu, nv)), np.empty((4, nu, nv))
-
-
-def _node_scalars(patch: MinimalPatch, u, v, out) -> None:
-    """Write (phi, phi_u, phi_v) at every node of the grid u x v into
-    ``out``, shape (3, len(u), len(v)), one block of rows at a time."""
-    for b in _row_blocks(len(u), len(v)):
-        for o, x in zip(out, patch.chart_scalars(u[b, None], v[None, :])):
-            o[b] = x
+def _grid_arrays(nu: int, nv: int) -> np.ndarray:
+    """The one full-grid array of :func:`integrate_system`, the fields,
+    shape (4, nu, nv).  It is allocated before any step, so that a grid
+    too large for the memory fails at once."""
+    return np.empty((4, nu, nv))
 
 
 @dataclass
@@ -488,25 +471,23 @@ class IntegratedCongruence:
     ``first_integral_drift``, |F - F0|; ``path_gap`` and ``drift`` are
     their maxima.
 
-    It holds one fill and the node scalars, nothing else on the whole
-    grid: ``fields``, shape (4, nu, nv), is (Omega, Omega1, W, Omega2)
-    of the column-first fill, and ``scalars``, shape (3, nu, nv), is
-    (phi, phi_u, phi_v) at the nodes, as the march used them; k1 is
-    ``scale / phi**2`` (``scale`` the patch's a).  ``omega``, ``omega1``,
-    ``omega2`` and ``phi`` are C-contiguous (nu, nv) views of these;
-    ``U`` and ``V`` are read-only broadcast views of u and v.
+    It holds one fill, nothing else on the whole grid: ``fields``, shape
+    (4, nu, nv), is (Omega, Omega1, W, Omega2) of the column-first fill
+    over ``patch``.  ``omega``, ``omega1`` and ``omega2`` are C-contiguous
+    (nu, nv) views of it; ``U`` and ``V`` are read-only broadcast views of
+    u and v.
 
     :meth:`w_rows` is W's second-order jet on a block of rows, read off
-    the fill through the system itself, so it is exact to integration
-    accuracy and every node carries it; ``w`` is the whole grid's, built
+    the fill and the patch's chart scalars there through the system
+    itself, so it is exact to integration accuracy and every node
+    carries it; ``w`` is the whole grid's, chart scalars included, built
     each time it is read.  ``state()`` holds W's values only.
     """
 
     u: np.ndarray
     v: np.ndarray
     fields: np.ndarray
-    scalars: np.ndarray
-    scale: float
+    patch: MinimalPatch
     constants: IntegralConstants
     init_node: tuple
     checks: GridChecks
@@ -522,7 +503,6 @@ class IntegratedCongruence:
     omega = property(lambda self: self.fields[0])
     omega1 = property(lambda self: self.fields[1])
     omega2 = property(lambda self: self.fields[3])
-    phi = property(lambda self: self.scalars[0])
     path_gap = property(
         lambda self: self.checks.residuals["path_independence"].max_abs)
     drift = property(
@@ -532,15 +512,15 @@ class IntegratedCongruence:
         om, o1, w, o2 = self.fields
         return CongruenceState(om, o1, o2, w)
 
-    def w_rows(self, rows: slice) -> RJet2:
-        """W's jet on the grid rows ``rows``: W_u = Omega1 k1 phi and
+    def w_rows(self, rows: slice, scalars: tuple) -> RJet2:
+        """W's jet on the grid rows ``rows``, given the chart scalars
+        (phi, phi_u, phi_v, k1) there: W_u = Omega1 k1 phi and
         W_v = -Omega2 k1 phi, differentiated once more through the
         right-hand sides; k1 phi^2 is constant on these charts, so
         (k1 phi)_u = -k1 phi_u and (k1 phi)_v = -k1 phi_v.  Every step is
         per node, so each block gets the bits of the whole grid."""
         om, o1, w, o2 = self.fields[:, rows]
-        phi, pu, pv = self.scalars[:, rows]
-        k1 = self.scale / (phi * phi)
+        phi, pu, pv, k1 = scalars
         consts = self.constants
         a = consts.c * w - 0.5 * consts.c3
         b = consts.c * om - w - 0.5 * consts.c2
@@ -555,12 +535,13 @@ class IntegratedCongruence:
 
     @property
     def w(self) -> RJet2:
-        return self.w_rows(slice(None))
+        scalars = self.patch.chart_scalars(self.U, self.V)
+        return self.w_rows(slice(None), scalars)
 
     def envelope_records(self, rows: slice, env: SurfaceFields) -> tuple:
-        """``records`` for :func:`envelope_checks` on this grid: the
-        middle-sphere and H/K records of the envelope ``env`` on the
-        grid rows ``rows``, each named after its report entry."""
+        """The middle-sphere and H/K records of the envelope ``env`` on the
+        grid rows ``rows``, each named after its report entry, for the
+        ``records`` of :func:`envelope_checks` on this grid."""
         return (_middle_sphere(env),
                 hover_ratio_residual(env, self.omega[rows], self.constants))
 
@@ -572,17 +553,16 @@ def integrate_system(patch: MinimalPatch, init: CongruenceState,
     on ``domain`` (default [-1, 1]^2) from the state ``init`` at the
     chart origin, which must be a grid node.
 
-    One pass over blocks of rows evaluates (phi, phi_u, phi_v) at the
-    nodes.  A march (:func:`_march`) along the initial row, one lane,
-    then one along all columns write the fields; one more along all rows
-    fills the grid in the transposed order, and each of its blocks is
-    compared with the fields, folded into ``checks`` and dropped.  Each
-    march takes its node rows from the node scalars (:func:`_kernel_rows`)
-    and evaluates only its midpoints, one block of steps at a time.  The
-    node scalars and the fields are allocated before any step, so a grid
-    too large for the memory fails at once.  A step that is not finite
-    and positive, gives a node count that is not finite or below 2, or
-    whose nodes miss the origin raises ValueError.
+    A march (:func:`_march`) along the initial row, one lane, then one
+    along all columns write the fields; one more along all rows fills
+    the grid in the transposed order, and each of its blocks is compared
+    with the fields, folded into ``checks`` and dropped.  Each march
+    evaluates the chart scalars at its own stage abscissae, one block of
+    steps at a time (:func:`_kernel_rows`).  The fields are allocated
+    before any step, so a grid too large for the memory fails at once.
+    A step that is not finite and positive, gives a node count that is
+    not finite or below 2, or whose nodes miss the origin raises
+    ValueError.
     """
     domain = domain or Domain(-1.0, 1.0, -1.0, 1.0)
     if not (np.isfinite(step) and step > 0.0):
@@ -605,8 +585,7 @@ def integrate_system(patch: MinimalPatch, init: CongruenceState,
                          f"{domain.u0:g}:{domain.u1:g}:{domain.v0:g}:"
                          f"{domain.v1:g} miss the chart origin (0, 0)")
     om0, o10, o20, w0 = (float(x) for x in init.as_tuple())
-    node, fields = _grid_arrays(nu, nv)
-    _node_scalars(patch, u, v, node)
+    fields = _grid_arrays(nu, nv)
 
     # the initial row, one lane, whose march state is (Omega, Omega2, W,
     # Omega1)
@@ -615,17 +594,16 @@ def integrate_system(patch: MinimalPatch, init: CongruenceState,
     def put_row(nodes, ys):
         row[nodes] = ys[:, :, 0]
 
-    _march(_kernel_rows(patch, consts, True, u, v[iv0:iv0 + 1],
-                        node[:, :, iv0:iv0 + 1]),
-           u, iu0, np.array([[om0], [o20], [w0], [o10]]), put_row)
+    _march(_kernel_rows(patch, consts, True, u, v[iv0:iv0 + 1]), u, iu0,
+           np.array([[om0], [o20], [w0], [o10]]), put_row)
 
     # then every column, block by block into the fields; the columns'
     # march state is (Omega, Omega1, W, Omega2), (4, nu) per node
     def put_columns(nodes, ys):
         fields[:, :, nodes] = ys.transpose(1, 2, 0)
 
-    _march(_kernel_rows(patch, consts, False, v, u, node.transpose(0, 2, 1)),
-           v, iv0, row[:, _SWAP].T, put_columns)
+    _march(_kernel_rows(patch, consts, False, v, u), v, iv0,
+           row[:, _SWAP].T, put_columns)
     # then every row from the initial column: each block is compared with
     # the column-first fill, folded into the checks and dropped
     # the fill holds the initial state at the initial node, bit for bit
@@ -641,11 +619,11 @@ def integrate_system(patch: MinimalPatch, init: CongruenceState,
                          "path_independence"),
             _everywhere(np.abs(F - F0), "first_integral_drift")))
 
-    _march(_kernel_rows(patch, consts, True, u, v, node),
-           u, iu0, fields[_SWAP, iu0], compare_rows)
-    return IntegratedCongruence(u=u, v=v, fields=fields, scalars=node,
-                                scale=patch.a, constants=consts,
-                                init_node=(iu0, iv0), checks=checks)
+    _march(_kernel_rows(patch, consts, True, u, v), u, iu0,
+           fields[_SWAP, iu0], compare_rows)
+    return IntegratedCongruence(u=u, v=v, fields=fields, patch=patch,
+                                constants=consts, init_node=(iu0, iv0),
+                                checks=checks)
 
 
 # ---------------------------------------------------------------------------
@@ -665,10 +643,7 @@ def envelope(patch: MinimalPatch, w: RJet2, U, V) -> SurfaceFields:
         what = "an order-1 jet" if isinstance(w, RJet2) else type(w).__name__
         raise TypeError(f"envelope needs W as an RJet2 jet of order 2, "
                         f"not {what}")
-    # the frame first: its construction needs more scratch memory than
-    # any later step, so nothing else should be held while it runs
-    frame = patch.frame(U, V)
-    return shape_from_support(frame, w)
+    return shape_from_support(patch.frame(U, V), w)
 
 
 @dataclass
@@ -792,11 +767,13 @@ def envelope_checks(patch: MinimalPatch, w_rows, U, V, records, *,
     """:func:`envelope` on the grid (U, V) and the checks of
     ``records``, run over blocks of at most ``grids._BLOCK`` samples
     (whole rows of the first axis), so that no stage holds its
-    temporaries for the whole grid.  ``w_rows(b)`` is W's jet on the
-    rows ``b`` of (U, V), built per block, such as
-    :meth:`IntegratedCongruence.w_rows`; ``records(b, env)`` returns the
-    residual records of the envelope ``env`` on those rows, such as
-    :meth:`IntegratedCongruence.envelope_records` or
+    temporaries for the whole grid.  Each block's frame comes first,
+    with the chart scalars (phi, phi_u, phi_v, k1) read off its jet of -g
+    (:meth:`~ribaucour.minimal.MinimalPatch.frame`); ``w_rows(b, scalars)``
+    is W's order-2 jet on the rows ``b`` of (U, V) with those ``scalars``,
+    built per block, such as :meth:`IntegratedCongruence.w_rows`;
+    ``records(b, env, scalars)`` returns the residual records of the
+    envelope ``env`` on those rows, such as those of
     :meth:`AnalyticCongruence.envelope_records`.  The record folds them
     in the order given; with ``surface``, X, N and the valid mask are
     assembled too.  Valid samples get the bits of the whole-grid
@@ -807,9 +784,12 @@ def envelope_checks(patch: MinimalPatch, w_rows, U, V, records, *,
                                np.asarray(V, dtype=float))
     out = GridChecks(U.shape, surface)
     for b in _row_blocks(U.shape[0], U[0].size):
-        env = envelope(patch, w_rows(b), U[b], V[b])
-        out.put(b, records(b, env), env)
-        del env  # before the next block's jet and frame are built
+        # the frame first: its construction needs more scratch memory
+        # than any later step, so nothing else is held while it runs
+        frame, scalars = patch.frame(U[b], V[b], scalars=True)
+        env = shape_from_support(frame, w_rows(b, scalars))
+        out.put(b, records(b, env, scalars), env)
+        del frame, env, scalars  # before the next block's frame is built
     return out
 
 

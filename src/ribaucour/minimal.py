@@ -24,13 +24,18 @@ import numpy as np
 
 from .grids import Domain
 from .holoexpr import HoloExpr, Neg, eval_jet, parse
-from .sphere_geom import SphereFrame, frame_from_jet
+from .sphere_geom import frame_from_jet
 
 __all__ = ["MinimalPatch", "enneper_patch", "catenoid_patch"]
 
 
 def _z(U, V):
-    return np.asarray(U) + 1j * np.asarray(V)
+    """U + i V by assignment, with no complex arithmetic; a numpy scalar
+    for scalar U and V, as their sum is."""
+    U, V = np.asarray(U), np.asarray(V)
+    z = np.empty(np.broadcast_shapes(U.shape, V.shape), dtype=complex)
+    z.real, z.imag = U, V
+    return z[()]
 
 
 def _weierstrass(F, g) -> np.ndarray:
@@ -64,6 +69,16 @@ class MinimalPatch:
         tangents, read off the same jet of g as the real and minus the
         imaginary part of X_u - i X_v."""
         g, g1, g2 = eval_jet(self.g, _z(U, V), 2).values
+        scalars = self._scalars(g, g1, g2)
+        if not tangents:
+            return scalars
+        with np.errstate(all="ignore"):
+            w = _weierstrass(0.5 * self.a / g1, g)
+        return scalars, (w.real, -w.imag)
+
+    def _scalars(self, g, g1, g2) -> tuple:
+        """(phi, phi_u, phi_v, k1) from an order-2 jet of g or of -g: each
+        term is even in the jet, so both give the same bits."""
         with np.errstate(all="ignore"):
             s1 = 1.0 + np.abs(g) ** 2
             phi = 0.5 * self.a * s1 / np.abs(g1)
@@ -71,15 +86,11 @@ class MinimalPatch:
             # when numpy reuses it as the output, so the bits of every
             # sample do not depend on the size of the array
             d = 2.0 * phi * (np.conj(g) * g1 / s1 - 0.5 * g2 / g1)
-            scalars = phi, d.real, -d.imag, self.a / (phi * phi)
-            if not tangents:
-                return scalars
-            w = _weierstrass(0.5 * self.a / g1, g)
-        return scalars, (w.real, -w.imag)
+            return phi, d.real, -d.imag, self.a / (phi * phi)
 
     # -- Gauss-map frame ----------------------------------------------------
 
-    def frame(self, U, V) -> SphereFrame:
+    def frame(self, U, V, *, scalars: bool = False):
         """Frame of N = -stereo(g), the antipode of g's Gauss-map frame,
         with the same metric factor e^{2 tau} = k1^2 phi^2.  Zeros of g'
         (flat points) are flagged as branch samples.
@@ -90,11 +101,14 @@ class MinimalPatch:
         Hessian identities, reads tau's value and first partials only.
 
         -stereo(g) is stereo(-g) reflected in the equatorial plane, so
-        only the third component of that frame changes sign, in place."""
-        f = frame_from_jet(eval_jet(Neg(self.g), _z(U, V), 2))
+        only the third component of that frame changes sign, in place.
+        With ``scalars``, returns ``(frame, scalars)``, those of
+        :meth:`chart_scalars`, bit for bit, read off the same jet of -g."""
+        j = eval_jet(Neg(self.g), _z(U, V), 2)
+        f = frame_from_jet(j)
         for a in (f.normal, f.normal_du, f.normal_dv):
             np.negative(a[..., 2], out=a[..., 2])
-        return f
+        return (f, self._scalars(*j.values)) if scalars else f
 
 
 def enneper_patch(domain: Domain | None = None) -> MinimalPatch:

@@ -448,14 +448,18 @@ class CheckSummary:
     n_excluded: int = 0
 
     def fold(self, res: ResidualField) -> None:
-        """Add one block's record."""
-        n = res.n_valid
+        """Add one block's record, counting its mask once."""
+        valid = np.asarray(res.valid)
+        n = int(np.count_nonzero(valid))
         if n:
+            # a block valid everywhere needs no copy through its mask
+            m = float(np.max(np.abs(res.values if n == valid.size
+                                    else res.values[valid])))
             # np.maximum keeps a NaN from either side, as np.max does
-            self.max_abs = res.max_abs if not self.n_valid \
-                else float(np.maximum(self.max_abs, res.max_abs))
+            self.max_abs = m if not self.n_valid \
+                else float(np.maximum(self.max_abs, m))
         self.n_valid += n
-        self.n_excluded += res.n_excluded
+        self.n_excluded += valid.size - n
 
 
 class GridChecks:

@@ -34,7 +34,9 @@ def _catenoid_block():
                              for x in ac.state(0.0, 0.0).as_tuple()))
     integ = integrate_system(ac.patch, init, ac.constants, step=0.01)
     b = _row_blocks(*integ.U.shape)[1]
-    return envelope(ac.patch, integ.w_rows(b), integ.U[b], integ.V[b])
+    U, V = integ.U[b], integ.V[b]
+    return envelope(ac.patch, integ.w_rows(b, ac.patch.chart_scalars(U, V)),
+                    U, V)
 
 
 @pytest.fixture(scope="module", params=["pair_deep", "catenoid"])

@@ -357,17 +357,22 @@ def test_integration_matches_march_oracle(catenoid_data, enneper_data,
                             fields):
             assert got.flags.c_contiguous
             assert np.max(np.abs(got - ref)) <= 1e-13, ac.name
-        # W's jet as the envelope takes it, one block of rows at a time
+        # W's jet as the envelope takes it, one block of rows at a time,
+        # with the chart scalars of the block's frame
         for b in _row_blocks(*shape):
-            w = integ.w_rows(b)
+            _, scalars = ac.patch.frame(integ.U[b], integ.V[b], scalars=True)
+            w = integ.w_rows(b, scalars)
             for part in ("val", "du", "dv", "duu", "duv", "dvv"):
                 got = getattr(w, part)
                 assert got.flags.c_contiguous
                 assert np.max(np.abs(got - getattr(w_ref, part)[b])) \
                     <= 1e-13, (ac.name, part)
         assert abs(integ.path_gap - gap) <= 1e-13
-        phi = ac.patch.chart_scalars(integ.U, integ.V)[0]
-        assert np.max(np.abs(integ.phi - phi)) <= 1e-13
+        # the chart scalars read off the frame's jet of -g are those of g
+        _, scalars = ac.patch.frame(integ.U, integ.V, scalars=True)
+        for got, want in zip(scalars,
+                             ac.patch.chart_scalars(integ.U, integ.V)):
+            assert _same_bits(got, want), ac.name
 
 
 def test_row_blocks_cover_the_rows_in_bounded_blocks(monkeypatch):
@@ -466,15 +471,16 @@ def _stage_rows(K, i0):
 ])
 def test_shared_node_scalars_match_per_direction_evaluation(
         monkeypatch, block, nu, nv, domain):
-    # the node scalars are evaluated once, one block of rows at a time,
-    # and the kernel rows are streamed into each march one block at a
-    # time: every march reads its node rows from the node scalars and
-    # evaluates only its midpoints.  The node scalars, and the rows every
-    # RK4 stage gets, are those of an evaluation per direction as one
-    # array, bit for bit, whether the march starts at the first node,
-    # the last or in between.  The initial row's march of one lane gets
-    # the same rows, and its states are those of the march of one lane
-    # on Python floats
+    # the kernel rows are streamed into each march one block at a time,
+    # and every march evaluates the chart scalars at its own stage
+    # abscissae, nodes and midpoints in one call.  The rows every RK4
+    # stage gets are those of an evaluation per direction as one array,
+    # bit for bit, whether the march starts at the first node, the last
+    # or in between.  At the nodes, both directions' evaluations are the
+    # chart scalars that the envelope pass reads off each block's frame,
+    # bit for bit.  The initial row's march of one lane gets the same
+    # rows, and its states are those of the march of one lane on Python
+    # floats
     if block is not None:
         monkeypatch.setattr(grids, "_BLOCK", block)
     consts = IntegralConstants(c=0.5, c1=1.0, c2=0.25, c3=-0.75)
@@ -482,23 +488,22 @@ def test_shared_node_scalars_match_per_direction_evaluation(
     v = np.linspace(domain[2], domain[3], nv)
     starts = [(0, 0), (nu - 1, nv - 1), (nu // 3, 2 * nv // 3)]
     for patch in (catenoid_patch(), enneper_patch()):
-        cols_ref, scalars = _direction_rows(patch, consts, False, v, u)
-        rows_ref, _ = _direction_rows(patch, consts, True, u, v)
-        node = np.empty((3, nu, nv))
-        congruence._node_scalars(patch, u, v, node)
-        for kept, ref in zip(node, scalars):
-            assert _same_bits(kept, np.ascontiguousarray(ref[::2].T))
+        cols_ref, by_v = _direction_rows(patch, consts, False, v, u)
+        rows_ref, by_u = _direction_rows(patch, consts, True, u, v)
+        for b in _row_blocks(nu, nv):
+            _, kept = patch.frame(u[b, None], v[None, :], scalars=True)
+            for x, along_v, along_u in zip(kept, by_v, by_u):
+                assert _same_bits(x, along_v[::2].T[b]), patch.name
+                assert _same_bits(x, along_u[::2][b]), patch.name
         for iu0, iv0 in starts:
-            cols = _kernel_rows(patch, consts, False, v, u,
-                                node.transpose(0, 2, 1))
+            cols = _kernel_rows(patch, consts, False, v, u)
             got, _ = _streamed_rows(monkeypatch, cols, v, iv0, nu)
             assert _same_bits(got, _stage_rows(cols_ref, iv0)), patch.name
-            rows = _kernel_rows(patch, consts, True, u, v, node)
+            rows = _kernel_rows(patch, consts, True, u, v)
             got, _ = _streamed_rows(monkeypatch, rows, u, iu0, nv)
             assert _same_bits(got, _stage_rows(rows_ref, iu0)), patch.name
             line = v[iv0:iv0 + 1]
-            first = _kernel_rows(patch, consts, True, u, line,
-                                 node[:, :, iv0:iv0 + 1])
+            first = _kernel_rows(patch, consts, True, u, line)
             got, states = _streamed_rows(monkeypatch, first, u, iu0, 1)
             line_ref, _ = _direction_rows(patch, consts, True, u, line)
             assert _same_bits(got, _stage_rows(line_ref, iu0)), patch.name
@@ -519,8 +524,8 @@ def test_joint_march_matches_each_half_alone(monkeypatch, block, domain,
     # groups of lanes; every lane's states are those of its halves
     # marched alone, bit for bit: the march of one lane on Python floats,
     # forward to the last node, then backward to the first.  Both march
-    # directions, both on the node scalars, and starts at either end, off
-    # the centre, and with either half the longer
+    # directions, and starts at either end, off the centre, and with
+    # either half the longer
     if block is not None:
         monkeypatch.setattr(grids, "_BLOCK", block)
     consts = IntegralConstants(c=0.5, c1=1.0, c2=0.25, c3=-0.75)
@@ -529,14 +534,11 @@ def test_joint_march_matches_each_half_alone(monkeypatch, block, domain,
     v = np.linspace(domain[2], domain[3], nv)
     rng = np.random.default_rng(11)
     for patch in (catenoid_patch(), enneper_patch()):
-        node = np.empty((3, nu, nv))
-        congruence._node_scalars(patch, u, v, node)
-        by_column = node.transpose(0, 2, 1)
         marches = [
-            (lambda j: _kernel_rows(patch, consts, False, v, u[j:j + 1],
-                                    by_column[:, :, j:j + 1]), v, nu),
-            (lambda j: _kernel_rows(patch, consts, True, u, v[j:j + 1],
-                                    node[:, :, j:j + 1]), u, nv)]
+            (lambda j: _kernel_rows(patch, consts, False, v, u[j:j + 1]),
+             v, nu),
+            (lambda j: _kernel_rows(patch, consts, True, u, v[j:j + 1]),
+             u, nv)]
         for fill_of, t, lanes in marches:
             n = len(t)
             for i0 in (0, n - 1, n // 4, 3 * n // 4 + 1):
@@ -545,9 +547,9 @@ def test_joint_march_matches_each_half_alone(monkeypatch, block, domain,
 
                 def put(nodes, ys):
                     states[nodes] = ys
-                whole = (_kernel_rows(patch, consts, False, v, u, by_column)
+                whole = (_kernel_rows(patch, consts, False, v, u)
                          if t is v else
-                         _kernel_rows(patch, consts, True, u, v, node))
+                         _kernel_rows(patch, consts, True, u, v))
                 congruence._march(whole, t, i0, y0, put)
                 ref = np.stack([march_line(fill_of(j), t, i0,
                                            y0[:, j].tolist())
@@ -560,8 +562,8 @@ def _integrate_checks(ac, integ):
     the ``analytic_agreement`` record in front of the envelope's."""
     return envelope_checks(
         ac.patch, integ.w_rows, integ.U, integ.V,
-        lambda b, env: (ac.agreement(integ, b),
-                        *integ.envelope_records(b, env)))
+        lambda b, env, scalars: (ac.agreement(integ, b, scalars[0]),
+                                 *integ.envelope_records(b, env)))
 
 
 _FOLDED = ("path_independence", "first_integral_drift", "analytic_agreement")
@@ -593,7 +595,7 @@ def test_blocked_agreement_matches_the_whole_grid(name, block, domain, step,
     def put(nodes, ys):
         alt[nodes] = ys
     congruence._march(_kernel_rows(ac.patch, ac.constants, True, integ.u,
-                                   integ.v, integ.scalars),
+                                   integ.v),
                       integ.u, iu0, integ.fields[congruence._SWAP, iu0], put)
     F = np.asarray(first_integral(integ.state(), ac.constants))
     whole = {
@@ -603,7 +605,7 @@ def test_blocked_agreement_matches_the_whole_grid(name, block, domain, step,
         "analytic_agreement": max(
             np.max(np.abs(a - b)) for a, b in zip(
                 integ.state().as_tuple(),
-                ac.state(integ.U, integ.V, integ.phi).as_tuple())),
+                ac.state(integ.U, integ.V).as_tuple())),
     }
     folded = {**integ.checks.residuals,
               **_integrate_checks(ac, integ).residuals}
@@ -614,6 +616,40 @@ def test_blocked_agreement_matches_the_whole_grid(name, block, domain, step,
         assert 0.0 < summary.max_abs < 1e-6, entry
     assert _same_bits(integ.path_gap, folded["path_independence"].max_abs)
     assert _same_bits(integ.drift, folded["first_integral_drift"].max_abs)
+
+
+@pytest.mark.parametrize("name", ["catenoid", "enneper"])
+def test_agreement_reads_the_closed_forms_at_first_order(name, monkeypatch):
+    # the agreement record evaluates the closed forms at order 1 on the
+    # grid lines of its rows; on every block of the command's
+    # -0.6:1:-1:0.4 grid its values are those of the order-2 evaluation
+    # on the block's samples, bit for bit, counted on every node
+    monkeypatch.setattr(grids, "_BLOCK", 1000)
+    ac = analytic_example(name)
+    integ = integrate_system(ac.patch, _origin_state(ac), ac.constants,
+                             domain=Domain(-0.6, 1.0, -1.0, 0.4), step=0.02)
+    orders = []
+
+    def spy(jet):
+        def at_order(U, V, order=2):
+            orders.append((np.shape(U), np.shape(V), order))
+            return jet(U, V, order)
+        return at_order
+    spied = dataclasses.replace(ac, w_jet=spy(ac.w_jet),
+                                omega_jet=spy(ac.omega_jet))
+    blocks = _row_blocks(*integ.U.shape)
+    assert len(blocks) > 1
+    for b in blocks:
+        U, V = integ.U[b], integ.V[b]
+        orders.clear()
+        rec = spied.agreement(integ, b, ac.patch.chart_scalars(U, V)[0])
+        n = b.stop - b.start
+        assert orders == [((n, 1), (1, U.shape[1]), 1)] * 2
+        ref = ac.state(U, V)
+        want = np.maximum.reduce([np.abs(x[b] - r) for x, r in zip(
+            integ.state().as_tuple(), ref.as_tuple())])
+        assert _same_bits(rec.values, want), b
+        assert rec.valid.all() and rec.name == "analytic_agreement"
 
 
 # the rows of IntegratedCongruence.fields: (Omega, Omega1, W, Omega2)
@@ -631,9 +667,9 @@ def test_agreement_keeps_a_nan_in_any_field(field, node, monkeypatch,
     fields, marches = [], []
 
     def grid_arrays(nu, nv):
-        node, f = arrays(nu, nv)
+        f = arrays(nu, nv)
         fields[:], marches[:] = [f], []
-        return node, f
+        return f
 
     def marching(fill, t, i0, y0, put):
         march(fill, t, i0, y0, put)
@@ -671,8 +707,8 @@ def test_agreement_keeps_a_nan_in_any_field(field, node, monkeypatch,
 def test_w_jet_per_row_block_matches_the_whole_grid(
         catenoid_data, enneper_data, block, domain, step, shape,
         monkeypatch):
-    # W's jet is built per block of rows from the fill and the node
-    # scalars: every block gets the bits of the whole grid's jet
+    # W's jet is built per block of rows from the fill and the block's
+    # chart scalars: every block gets the bits of the whole grid's jet
     if block is not None:
         monkeypatch.setattr(grids, "_BLOCK", block)
     for ac in (catenoid_data, enneper_data):
@@ -683,15 +719,17 @@ def test_w_jet_per_row_block_matches_the_whole_grid(
         blocks = _row_blocks(*shape)
         assert len(blocks) > 1 or block is None
         for b in blocks:
-            jet = integ.w_rows(b)
+            jet = integ.w_rows(b, ac.patch.chart_scalars(integ.U[b],
+                                                         integ.V[b]))
             for part in ("val", "du", "dv", "duu", "duv", "dvv"):
                 assert _same_bits(getattr(jet, part),
                                   getattr(whole, part)[b]), (ac.name, part)
 
 
 def _jet_rows(w):
-    """W's jet on the rows b, cut from the whole-grid jet ``w``."""
-    return lambda b: RJet2(*(x[b] for x in (w.val, w.du, w.dv, w.duu,
+    """W's jet on the rows b, cut from the whole-grid jet ``w`` (the
+    block's chart scalars go unread)."""
+    return lambda b, _: RJet2(*(x[b] for x in (w.val, w.du, w.dv, w.duu,
                                             w.duv, w.dvv)))
 
 
@@ -707,7 +745,8 @@ def _envelope_case(name, case, monkeypatch):
                                  domain=Domain(-0.6, 1.0, -1.0, 0.4),
                                  step=0.02)
         assert integ.U.shape == (81, 71) and integ.init_node == (30, 50)
-        return (ac.patch, integ.w_rows, integ.w, integ.envelope_records,
+        return (ac.patch, integ.w_rows, integ.w,
+                lambda b, env, _: integ.envelope_records(b, env),
                 integ.U, integ.V)
     # 23 rows of 40 in blocks of 12 and 11 rows; 10 x 20 inside one
     # block; rows of 600 samples, one row per block
@@ -735,7 +774,7 @@ def test_envelope_checks_match_the_whole_grid(name, case, monkeypatch):
     blocks = spy_blocks(monkeypatch)
     checks = envelope_checks(patch, w_rows, U, V, records, surface=True)
     env = envelope(patch, w, U, V)
-    refs = records(slice(None), env)
+    refs = records(slice(None), env, None)
     assert list(checks.residuals) == [ref.name for ref in refs] == (
         _ANALYTIC_ENTRIES if case != "off-centre"
         else ["envelope_middle_sphere", "envelope_hover_ratio"])
@@ -810,7 +849,7 @@ def test_path_gap_converges_with_the_step(catenoid_data):
 class _BentCurvature:
     """The catenoid with k1 scaled by (1 + 1e-3 u): no longer a chart of
     a surface, so the system is not integrable and the two fills part.
-    At the nodes every march takes k1 = a / phi^2, unscaled."""
+    Every march takes the scaled k1 at every stage abscissa."""
 
     def __init__(self, patch):
         self.patch = patch
@@ -1030,7 +1069,8 @@ def test_whole_grid_summaries_match_the_analytic_records(name):
     U, V = _square_grid()
     wj, oj = ac.w_jet(U, V), ac.omega_jet(U, V)
     env = envelope(ac.patch, wj, U, V)
-    rec = {r.name: r for r in ac.envelope_records(U, V)(slice(None), env)}
+    rec = {r.name: r
+           for r in ac.envelope_records(U, V)(slice(None), env, None)}
     hess = check_hessian_identities(ac.patch, wj, oj, ac.constants, U, V)
     forms = generated_forms_check(ac.patch, wj, oj, ac.constants, U, V,
                                   env=env)

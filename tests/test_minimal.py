@@ -5,12 +5,16 @@ from functools import partial
 
 import numpy as np
 
+import pytest
+
 from _oracles import (catenoid_position, conformality_residual,
                       enneper_position, fd_partials_scalar, patch_normal,
-                      patch_position, position_derivatives, rel_gap)
+                      patch_position, position_derivatives, rel_gap,
+                      same_bits)
 from ribaucour.grids import Domain
 from ribaucour.holoexpr import parse
-from ribaucour.minimal import MinimalPatch, catenoid_patch, enneper_patch
+from ribaucour.minimal import (MinimalPatch, _z, catenoid_patch,
+                               enneper_patch)
 
 ENNEPER_PTS = [(0.0, 0.0), (0.5, -0.3), (-0.8, 0.7), (1.0, 1.0)]
 CATENOID_PTS = [(0.0, 0.0), (1.2, -0.5), (-2.0, 0.9), (0.4, 1.1)]
@@ -201,3 +205,22 @@ def test_custom_domain_is_respected():
     dom = Domain(-0.5, 0.5, -0.25, 0.25)
     patch = enneper_patch(dom)
     assert patch.domain == dom
+
+
+@pytest.mark.parametrize("U, V", [
+    # grid lines through +0.0, as a chart grid's linspace gives them
+    (np.linspace(-1.0, 1.0, 41)[:, None], np.linspace(-1.2, 1.2, 25)[None]),
+    (np.linspace(-np.pi, np.pi, 9), 0.0),
+    (0.0, np.linspace(0.0, 2.0, 5)[:, None]),
+    (np.zeros((2, 1)), np.array([[0.0, -0.5, 1e-300, 1e300]])),
+    (0.5, -0.3), (0.0, 0.0),
+], ids=["grid-lines", "row-and-zero", "zero-and-column", "zeros",
+        "point", "origin"])
+def test_chart_coordinate_is_built_exactly(U, V):
+    # z = U + iV is assembled by assignment, with no complex product or
+    # sum: every bit of the sum's result, a zero's sign included, on the
+    # broadcast shape, and a numpy scalar for scalar inputs, as the sum
+    # gives them (eval_jet takes a scalar z to the checked scalar path)
+    got, want = _z(U, V), np.asarray(U) + 1j * np.asarray(V)
+    assert type(got) is type(want)
+    assert same_bits(*(np.atleast_1d(x).view(float) for x in (got, want)))

@@ -16,7 +16,7 @@ from ribaucour.duality import (evaluate_pair, make_dual, pair_checks,
                                verify_c2, verify_form_relations,
                                verify_hk_equality)
 from ribaucour.grids import Domain, _row_blocks
-from ribaucour.ribaucour_core import (GridChecks, ResidualField,
+from ribaucour.ribaucour_core import (CheckSummary, GridChecks, ResidualField,
                                       check_middle_sphere, evaluate_patch,
                                       hopf_residual, make_patch,
                                       patch_checks, support_pde_residual,
@@ -190,6 +190,48 @@ def test_summaries_fold_blocks_like_the_whole_grid(valid, nan_at):
     assert np.isnan(summary.max_abs) == expect_nan
     if not expect_nan:
         assert summary.max_abs == 23.0
+
+
+# one block each: some samples excluded, a NaN among them; every sample
+# valid, a NaN among them; no sample valid
+FOLD_BLOCKS = {
+    "mixed": ([[-3.0, np.nan, 2.0], [7.0, -9.0, 1.0]],
+              [[1, 0, 1], [0, 1, 1]]),
+    "all-valid-nan": ([[-3.0, 5.0, 2.0], [np.nan, -1.0, 4.0]],
+                      [[1, 1, 1], [1, 1, 1]]),
+    "all-excluded": ([[-30.0, np.nan, 2.0], [8.0, -1.0, 4.0]],
+                     [[0, 0, 0], [0, 0, 0]]),
+}
+
+
+@pytest.mark.parametrize("before", [None, "mixed", "all-excluded"])
+@pytest.mark.parametrize("block", list(FOLD_BLOCKS))
+def test_fold_counts_each_mask_once(block, before, monkeypatch):
+    # a fold counts the block's valid mask once, reads an all-valid block
+    # without indexing it through its mask, and still lets a NaN win: the
+    # summary is np.max(np.abs(values[valid])) of the blocks put together,
+    # bit for bit, with their counts
+    counted, count = [], np.count_nonzero
+
+    def spy(*args, **kwargs):
+        counted.append(1)
+        return count(*args, **kwargs)
+    names = [b for b in (before, block) if b is not None]
+    values = np.concatenate([np.array(FOLD_BLOCKS[b][0]) for b in names])
+    valid = np.concatenate([np.array(FOLD_BLOCKS[b][1], bool)
+                            for b in names])
+    got = CheckSummary("r")
+    monkeypatch.setattr(np, "count_nonzero", spy)
+    for i in range(len(names)):
+        rows = slice(2 * i, 2 * i + 2)
+        got.fold(ResidualField(values[rows], valid[rows], "r"))
+    monkeypatch.undo()
+    assert len(counted) == len(names)
+    n = int(np.count_nonzero(valid))
+    assert (got.n_valid, got.n_excluded) == (n, valid.size - n)
+    want = np.max(np.abs(values[valid])) if n else np.nan
+    assert same_bits(got.max_abs, float(want))
+    assert np.isnan(got.max_abs) == ("nan" in block or not n)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
