@@ -19,12 +19,13 @@ from ribaucour.ribaucour_core import support_pde_residual
 patch = make_patch("z", "exp(z)", Domain(-1.0, 1.0, -1.0, 1.0))
 print(f"surface of the pair {patch.label()}")
 
-# a single chart point, fully expanded
+# a single chart point, fully expanded: the same fields as a grid's,
+# with 0-d samples
 s = immerse(patch, 0.3 + 0.2j)
 print(f"\nat z = 0.3+0.2i:")
 print(f"  position X        = {np.round(s.X, 6)}")
 print(f"  unit normal N     = {np.round(s.N, 6)}")
-print(f"  support <X, N>    = {s.rho:.6f}")
+print(f"  support <X, N>    = {s.rho_val:.6f}")
 print(f"  principal k1, k2  = {s.k1:.6f}, {s.k2:.6f}")
 print(f"  radius ratio H/K  = {s.hover_k:.6f}")
 c = s.X + s.hover_k * s.N

@@ -18,16 +18,14 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "grids": ("Domain",),
     "holoexpr": ("CJet", "EvalError", "HoloExpr", "ParseError",
-                 "eval_jet", "evaluate", "parse", "to_text"),
+                 "eval_jet", "parse", "to_text"),
     "jets": ("RJet2", "abs2_jet", "im_jet", "re_jet"),
-    "sphere_geom": ("SphereFrame", "conformal_curvature",
-                    "conformal_hessian", "sphere_gradient",
+    "sphere_geom": ("SphereFrame", "conformal_hessian", "sphere_gradient",
                     "sphere_laplacian"),
     "ribaucour_core": ("ResidualField", "RibaucourPatch", "SurfaceFields",
-                       "SurfaceSample", "check_laguerre_holomorphy",
-                       "check_middle_sphere", "evaluate_patch",
-                       "hopf_residual", "immerse", "make_patch",
-                       "shape_from_support", "support", "support_jet",
+                       "check_laguerre_holomorphy", "check_middle_sphere",
+                       "evaluate_patch", "hopf_residual", "immerse",
+                       "make_patch", "shape_from_support", "support_jet",
                        "unit_sphere_gap"),
     "duality": ("DualPair", "evaluate_pair", "make_dual", "verify_c2",
                 "verify_form_relations", "verify_hk_equality"),

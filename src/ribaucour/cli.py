@@ -283,8 +283,9 @@ def cmd_congruence(args) -> int:
 
     if args.mode == "analytic":
         U, V, _ = domain.mesh(args.nu, args.nv)
-        w_rows, records = (lambda b, _: ac.w_jet(U[b], V[b])), \
-            ac.envelope_records(U, V)
+        u, v = U[:, 0], V[0]
+        w_rows, records = (lambda b, _: ac.w_jet(u[b, None], v[None, :])), \
+            ac.envelope_records(u, v)
         folded = []
     else:
         try:

@@ -60,9 +60,11 @@ exact quadrature from W and the first integral, which the tests
 re-derive, keeping the published candidate as a failing oracle.
 :meth:`AnalyticCongruence.agreement` compares an integrated congruence
 with the closed forms per block of rows, as a record of the envelope
-pass, evaluating them to first order; the closed forms keep the
-partials that vanish as structural zeros (:mod:`ribaucour.jets`), so a
-term in one coordinate costs one grid line.
+pass, evaluating them to first order.  Both modes evaluate the closed
+forms on a block's grid lines, ``u[b, None]`` and ``v[None, :]``, not on
+a mesh: the closed forms keep the partials that vanish as structural
+zeros (:mod:`ribaucour.jets`), so a term in one coordinate costs one
+grid line.  They take a mesh too, with the same values.
 """
 
 from __future__ import annotations
@@ -208,15 +210,13 @@ def _enneper_omega(u, v):
 
 def _on_samples(fn):
     """(U, V, order=2) -> RJet2 of ``fn`` on chart coordinate jets of that
-    order, every entry broadcast to the common sample shape of (U, V)."""
+    order, every entry broadcast to the common sample shape of (U, V).
+    Given the grid lines of a chart grid, ``u[:, None]`` and
+    ``v[None, :]``, a term in one coordinate costs one grid line; a mesh
+    gives the same values."""
     def jet(U, V, order=2) -> RJet2:
         U, V = np.asarray(U, dtype=float), np.asarray(V, dtype=float)
         shape = np.broadcast_shapes(U.shape, V.shape)
-        # on a chart grid (u along rows, v along columns) the terms in one
-        # coordinate need only one grid line; the values are the same
-        if (U.ndim == V.ndim == 2 and (U == U[:, :1]).all()
-                and (V == V[:1, :]).all()):
-            U, V = U[:, :1], V[:1, :]
         second = (0, 0, 0) if order == 2 else ()
         with np.errstate(all="ignore"):
             j = fn(RJet2(U, 1, 0, *second), RJet2(V, 0, 1, *second))
@@ -265,18 +265,19 @@ class AnalyticCongruence:
         return _largest_gap(((x[rows], r) for x, r in zip(
             integ.state().as_tuple(), ref.as_tuple())), "analytic_agreement")
 
-    def envelope_records(self, U, V):
+    def envelope_records(self, u, v):
         """``records(b, env, scalars)`` for :func:`envelope_checks` on the
-        grid (U, V): every check of these closed forms on the rows ``b``,
-        each named after its report entry, in report order.  W's jet is
-        that of the envelope ``env``, the chart scalars and tangents come
-        from one jet of g, not the frame's, and Omega's is evaluated once."""
+        grid with lines ``u`` x ``v``: every check of these closed forms
+        on the rows ``b``, each named after its report entry, in report
+        order.  W's jet is that of the envelope ``env``, the chart scalars
+        and tangents come from one jet of g, not the frame's, and Omega's
+        is evaluated once, on the block's grid lines."""
         consts = self.constants
 
         def records(b, env, _):
-            wj, oj = env.rho, self.omega_jet(U[b], V[b])
-            scalars, tangents = self.patch.chart_scalars(U[b], V[b],
-                                                         tangents=True)
+            U, V = u[b, None], v[None, :]
+            wj, oj = env.rho, self.omega_jet(U, V)
+            scalars, tangents = self.patch.chart_scalars(U, V, tangents=True)
             terms = _system_terms(wj, oj, scalars).values()
             state = _state_from_jets(wj, oj, scalars[0])
             return (_everywhere(np.maximum.reduce([np.abs(r) for r in terms]),

@@ -38,8 +38,8 @@ import numpy as np
 from .grids import _row_blocks
 from .holoexpr import eval_jet
 from .ribaucour_core import (GridChecks, ResidualField, RibaucourPatch,
-                             SurfaceFields, _fields_from_frame, _form_residual,
-                             _mu_scale, unit_sphere_gap)
+                             SurfaceFields, _form_residual, _mu_scale,
+                             _support_from_tau, unit_sphere_gap)
 from .sphere_geom import _dot, frame_from_jet
 
 __all__ = [
@@ -80,9 +80,8 @@ def evaluate_pair(pair: DualPair, nu: int = 41, nv: int = 41,
     for f in (patch.f1, patch.f2, dual.f1, dual.f2):
         if id(f) not in frames:
             frames[id(f)] = frame_from_jet(eval_jet(f, Z, 3))
-    return tuple(_fields_from_frame(frames[id(p.f1)], frames[id(p.f2)].tau,
-                                    None, Z, p)
-                 for p in (patch, dual))
+    return tuple(SurfaceFields(frames[id(p.f1)], _support_from_tau(
+        frames[id(p.f1)].tau, frames[id(p.f2)].tau)) for p in (patch, dual))
 
 
 def _rel(a, b):

@@ -18,7 +18,8 @@ mode), so their cost grows with the tree, not with its derivative trees.
 There is no symbolic differentiation: the tests keep one as the
 independent check of that pass.
 
-Evaluation accepts a complex scalar or a numpy array of points; array
+:func:`eval_jet` is the one evaluator: the value alone is its jet of
+order 0.  It accepts a complex scalar or a numpy array of points; array
 evaluation leaves non-finite entries in place for the caller to mask,
 scalar evaluation raises :class:`EvalError` at poles and branch points.
 """
@@ -34,7 +35,7 @@ import numpy as np
 __all__ = [
     "HoloExpr", "Var", "Const", "BinOp", "Pow", "Neg", "Call",
     "ParseError", "EvalError", "CJet",
-    "parse", "to_text", "evaluate", "eval_jet",
+    "parse", "to_text", "eval_jet",
 ]
 
 FUNCTIONS = ("exp", "log", "sin", "cos", "sinh", "cosh")
@@ -458,15 +459,6 @@ def _jet(e: HoloExpr, z, order: int, memo: dict) -> list:
             f = jet(a)
             return _chain(_function_outer(func, f[0], order, memo), f)
     raise TypeError(f"not a HoloExpr node: {e!r}")
-
-
-def evaluate(e: HoloExpr, z):
-    """Evaluate ``e`` at ``z`` (complex scalar or complex numpy array).
-
-    Scalars raise :class:`EvalError` on non-finite results; arrays keep
-    non-finite entries for the caller to mask.
-    """
-    return eval_jet(e, z, 0).values[0]
 
 
 @dataclass(frozen=True)

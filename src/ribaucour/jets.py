@@ -14,16 +14,17 @@ The first-order entries of a jet get the same bits at either order.
 Entries may be floats or numpy arrays of a common broadcastable shape, so
 one jet value can describe a whole grid of samples at once.
 
-An entry that is the Python int 0 (such as the partials of the
-constructors) is a structural zero, and it stays the scalar 0 through
-arithmetic: a product-rule or chain-rule term with a structural-zero
-factor is skipped, and a sum skips its zero operands, by the helpers of
-the complex Taylor jets in :mod:`ribaucour.holoexpr`, which also skip a
-product with the int 1.  So a jet in one chart coordinate costs as much
-as that coordinate's grid line, not the whole grid.  Every other entry
-gets the bits the dense arithmetic gives it, save two cases where the
-skipped term was not an exact zero: 0 * inf and 0 * nan give 0 instead
-of NaN, and an exact zero result may keep the other sign.
+An entry that is the Python int 0 (such as the partials of a chart
+coordinate's jet ``RJet2(u, 1, 0, 0, 0, 0)``) is a structural zero, and
+it stays the scalar 0 through arithmetic: a product-rule or chain-rule
+term with a structural-zero factor is skipped, and a sum skips its zero
+operands, by the helpers of the complex Taylor jets in
+:mod:`ribaucour.holoexpr`, which also skip a product with the int 1.  So
+a jet in one chart coordinate costs as much as that coordinate's grid
+line, not the whole grid.  Every other entry gets the bits the dense
+arithmetic gives it, save two cases where the skipped term was not an
+exact zero: 0 * inf and 0 * nan give 0 instead of NaN, and an exact zero
+result may keep the other sign.
 
 The bridge functions :func:`re_jet`, :func:`im_jet` and :func:`abs2_jet`
 convert a complex jet of a holomorphic function f into real jets of
@@ -65,21 +66,6 @@ class RJet2:
     def order(self) -> int:
         """2, or 1 for a jet built from (val, du, dv) alone."""
         return 2 if hasattr(self, "duu") else 1
-
-    # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def constant(c) -> "RJet2":
-        return RJet2(c, 0, 0, 0, 0, 0)
-
-    @staticmethod
-    def coord_u(u) -> "RJet2":
-        """Jet of the chart function (u, v) -> u."""
-        return RJet2(u, 1, 0, 0, 0, 0)
-
-    @staticmethod
-    def coord_v(v) -> "RJet2":
-        return RJet2(v, 0, 1, 0, 0, 0)
 
     # -- ring operations ----------------------------------------------------
 

@@ -55,8 +55,8 @@ from .sphere_geom import (SphereFrame, _dot, conformal_hessian,
                           tau_from_jet)
 
 __all__ = [
-    "RibaucourPatch", "SurfaceFields", "SurfaceSample", "ResidualField",
-    "make_patch", "support", "support_jet", "shape_from_support",
+    "RibaucourPatch", "SurfaceFields", "ResidualField",
+    "make_patch", "support_jet", "shape_from_support",
     "evaluate_patch", "immerse", "support_pde_residual",
     "check_middle_sphere", "hopf_residual", "unit_sphere_gap",
     "CheckSummary", "GridChecks", "patch_checks",
@@ -104,13 +104,6 @@ def support_jet(j1, j2) -> RJet2:
     f1 and f2.  Both tau jets are pole-safe, so samples next to a pole of
     either generator stay accurate."""
     return _support_from_tau(tau_from_jet(j1), tau_from_jet(j2))
-
-
-def support(f1: HoloExpr, f2: HoloExpr, z) -> RJet2:
-    """Support function rho with exact second-order partials at z
-    (complex scalar or array).  Zeros of f1' or f2', and poles exactly on
-    a sample, leave non-finite entries for the caller to mask."""
-    return support_jet(eval_jet(f1, z, 3), eval_jet(f2, z, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -190,12 +183,18 @@ def _part(name: str, i: int) -> property:
 
 
 class SurfaceFields:
-    """Per-sample surface data over a chart grid (or a single point).
+    """Per-sample surface data over a chart grid, or at a single point
+    with 0-d samples (:func:`immerse`).
 
-    Only the frame and the support jet rho are stored.  Everything else
-    is computed the first time it is read and then kept, so a caller
-    pays only for what it reads, and reading several quantities computes
-    none twice (``N`` is the frame's ``normal`` array itself):
+    It stores only what it is given: the frame, the support jet rho and
+    ``schwarzian``, (S(f1), S(f2)) for the fields of
+    :func:`evaluate_patch`.  ``schwarzian`` is None for fields that no
+    check of S reads (``duality.evaluate_pair``,
+    :func:`shape_from_support`), which :func:`hopf_residual` rejects.
+    Everything else is computed the first time it is read and then
+    kept, so a caller pays only for what it reads, and reading several
+    quantities computes none twice (``N`` is the frame's ``normal``
+    array itself):
 
     * ``X`` (trailing axis of length 3), ``hover_k`` (H/K) and
       ``mu`` (the Laguerre Hopf coefficient; it measures the umbilic
@@ -211,19 +210,13 @@ class SurfaceFields:
       (trailing axis of length 2);
     * ``first/second/third``: fundamental-form coefficient triples
       (uu, uv, vv), computed together.
-
-    ``schwarzian``: (S(f1), S(f2)) for the fields of
-    :func:`evaluate_patch`; None for fields that no check of S reads
-    (``duality.evaluate_pair``, :func:`shape_from_support` alone), which
-    :func:`hopf_residual` rejects.
     """
 
-    def __init__(self, frame: SphereFrame, rho: RJet2):
+    def __init__(self, frame: SphereFrame, rho: RJet2,
+                 schwarzian: tuple | None = None):
         self.frame = frame
         self.rho = rho
-        self.Z: np.ndarray | None = None
-        self.patch: RibaucourPatch | None = None
-        self.schwarzian: tuple | None = None
+        self.schwarzian = schwarzian
 
     @property
     def rho_val(self):
@@ -337,60 +330,16 @@ def evaluate_patch(patch: RibaucourPatch, nu: int = 41, nv: int = 41,
         tau2, s2 = frame.tau, s1
     else:
         tau2, s2 = generator_data(eval_jet(patch.f2, Z, 3), frame=False)
-    return _fields_from_frame(frame, tau2, (s1, s2), Z, patch)
+    return SurfaceFields(frame, _support_from_tau(frame.tau, tau2), (s1, s2))
 
 
-def _fields_from_frame(frame: SphereFrame, tau2: RJet2,
-                       schwarzian: tuple | None, Z,
-                       patch: RibaucourPatch) -> SurfaceFields:
-    """Shape pipeline from the frame of f1, the tau jet of f2 and
-    (S(f1), S(f2)) or None at ``Z``: rho = exp(tau1 - tau2)."""
-    fields = shape_from_support(frame, _support_from_tau(frame.tau, tau2))
-    fields.Z = np.asarray(Z)
-    fields.patch = patch
-    fields.schwarzian = schwarzian
-    return fields
-
-
-@dataclass(frozen=True)
-class SurfaceSample:
-    """Shape data at a single chart point."""
-
-    X: np.ndarray
-    N: np.ndarray
-    first_form: tuple
-    second_form: tuple
-    third_form: tuple
-    k1: float
-    k2: float
-    dir1: np.ndarray
-    dir2: np.ndarray
-    rho: float
-    hover_k: float
-    degenerate: bool
-    umbilic: bool
-    branch: bool
-
-
-def immerse(patch: RibaucourPatch, z: complex) -> SurfaceSample:
-    """Evaluate one chart point.  It evaluates through an array, so it
-    never raises for a point: degeneracies set flags and leave NaN
+def immerse(patch: RibaucourPatch, z: complex) -> SurfaceFields:
+    """The fields of :func:`evaluate_patch` at one chart point, with 0-d
+    samples (X and N of shape (3,)).  It evaluates through an array, so
+    it never raises for a point: degeneracies set flags and leave NaN
     values, and at a pole of the pair every value is NaN and the sample
     is flagged ``degenerate`` and ``branch``."""
-    fields = evaluate_patch(patch, Z=np.asarray(complex(z)))
-    take3 = lambda t: tuple(float(np.asarray(c)) for c in t)
-    return SurfaceSample(
-        X=np.asarray(fields.X, dtype=float),
-        N=np.asarray(fields.N, dtype=float),
-        first_form=take3(fields.first),
-        second_form=take3(fields.second),
-        third_form=take3(fields.third),
-        k1=float(fields.k1), k2=float(fields.k2),
-        dir1=np.asarray(fields.dir1, dtype=float),
-        dir2=np.asarray(fields.dir2, dtype=float),
-        rho=float(fields.rho_val), hover_k=float(fields.hover_k),
-        degenerate=bool(fields.degenerate), umbilic=bool(fields.umbilic),
-        branch=bool(fields.branch))
+    return evaluate_patch(patch, Z=np.asarray(complex(z)))
 
 
 # ---------------------------------------------------------------------------

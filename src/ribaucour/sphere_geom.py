@@ -44,8 +44,7 @@ from .jets import RJet2, abs2_jet, im_jet, jet_finite, re_jet
 
 __all__ = [
     "SphereFrame", "frame_from_jet", "tau_from_jet", "sphere_gradient",
-    "sphere_laplacian", "conformal_hessian", "conformal_curvature",
-    "generator_data",
+    "sphere_laplacian", "conformal_hessian", "generator_data",
 ]
 
 _LOG2 = float(np.log(2.0))
@@ -246,11 +245,3 @@ def conformal_hessian(field: RJet2, logfac: RJet2):
     hvv = np.asarray(field.dvv, dtype=float) + tu * fu - tv * fv
     return huu, huv, hvv
 
-
-def conformal_curvature(logfac: RJet2):
-    """Gauss curvature of the metric e^{2 logfac}(du^2 + dv^2):
-    -e^{-2 logfac} (logfac_uu + logfac_vv)."""
-    with np.errstate(all="ignore"):
-        return -np.exp(-2.0 * np.asarray(logfac.val, dtype=float)) * (
-            np.asarray(logfac.duu, dtype=float)
-            + np.asarray(logfac.dvv, dtype=float))

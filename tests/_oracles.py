@@ -12,7 +12,9 @@ The support oracle is the quotient of |.|^2 products, built from the
 real and imaginary part jets by the product rule (valid away from
 poles).  The normal oracles give N's second partials two ways: from jet
 products of the stereographic formula, and from the Gauss formula of
-the round sphere over a frame's N, N_u, N_v and tau.  The minimal-patch
+the round sphere over a frame's N, N_u, N_v and tau.  The curvature
+oracle is the Gauss curvature of a conformal metric from the second
+partials of its log factor.  The minimal-patch
 oracles take the immersion from a Gauss-Legendre line integral of the
 Weierstrass formula, its partials from the formula itself, and the unit
 normal and the chart contract from its tangents.  The
@@ -289,6 +291,15 @@ def gauss_second_partials(frame):
     with np.errstate(all="ignore"):
         return (-e2t * n + tu * n_u - tv * n_v, tv * n_u + tu * n_v,
                 -e2t * n - tu * n_u + tv * n_v)
+
+
+def conformal_curvature(logfac: RJet2):
+    """Gauss curvature of the metric e^{2 logfac}(du^2 + dv^2):
+    -e^{-2 logfac} (logfac_uu + logfac_vv)."""
+    with np.errstate(all="ignore"):
+        return -np.exp(-2.0 * np.asarray(logfac.val, dtype=float)) * (
+            np.asarray(logfac.duu, dtype=float)
+            + np.asarray(logfac.dvv, dtype=float))
 
 
 # 24-node Gauss-Legendre rule on [0, 1] for the position integral

@@ -9,8 +9,8 @@ import time
 
 import numpy as np
 
-from _oracles import (enneper_omega_published, fd_principal_curvatures,
-                      hopf_stencil_residual, rel_gap)
+from _oracles import (conformal_curvature, enneper_omega_published,
+                      fd_principal_curvatures, hopf_stencil_residual, rel_gap)
 from ribaucour import cli
 from ribaucour.congruence import (CongruenceState, analytic_example,
                                   check_hessian_identities, envelope,
@@ -22,7 +22,6 @@ from ribaucour.duality import (evaluate_pair, make_dual, verify_c2,
 from ribaucour.grids import Domain
 from ribaucour.ribaucour_core import (check_middle_sphere, evaluate_patch,
                                       make_patch, support_pde_residual)
-from ribaucour.sphere_geom import conformal_curvature
 
 SQUARE = Domain(-1.0, 1.0, -1.0, 1.0)
 OFFSET = Domain(0.3, 1.3, 0.2, 1.2)

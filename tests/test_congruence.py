@@ -61,7 +61,7 @@ class _FlatPatch:
         one, zero = self.chart_scalars(U, V)[:2]
         normal = np.stack([zero, zero, one], axis=-1)
         return SphereFrame(normal, 0.0 * normal, 0.0 * normal,
-                           RJet2.constant(zero * np.nan), one > 0.0)
+                           RJet2(zero * np.nan, 0, 0, 0, 0, 0), one > 0.0)
 
 
 def _square_grid(n=41):
@@ -265,13 +265,15 @@ def test_shipped_texts_match_jets(key):
     expr = sp.sympify(CLOSED_FORM_TEXTS[key], locals={"u": u, "v": v})
     fn = _shipped_jets()[key]
     U, V = _square_grid(21)
-    jet = fn(U, V)
-    # a chart grid is evaluated on its grid lines: the same bits as
-    # sample by sample
+    # a chart grid evaluated on its grid lines or on its mesh: the same
+    # bits as sample by sample
+    jet = fn(U[:, :1], V[:1, :])
+    mesh = fn(U, V)
     flat = fn(U.ravel(), V.ravel())
     for part in ("val", "du", "dv", "duu", "duv", "dvv"):
-        assert np.array_equal(getattr(flat, part).reshape(U.shape),
-                              getattr(jet, part)), part
+        want = getattr(flat, part).reshape(U.shape)
+        assert np.array_equal(want, getattr(jet, part)), part
+        assert np.array_equal(want, getattr(mesh, part)), part
     orders = {"val": (), "du": (u,), "dv": (v,), "duu": (u, u),
               "duv": (u, v), "dvv": (v, v)}
     for part, order in orders.items():
@@ -756,7 +758,8 @@ def _envelope_case(name, case, monkeypatch):
     U, V = np.meshgrid(np.linspace(-0.9, 0.8, shape[0]),
                        np.linspace(-0.7, 0.95, shape[1]), indexing="ij")
     w = ac.w_jet(U, V)
-    return (ac.patch, _jet_rows(w), w, ac.envelope_records(U, V), U, V)
+    return (ac.patch, _jet_rows(w), w, ac.envelope_records(U[:, 0], V[0]),
+            U, V)
 
 
 _ANALYTIC_ENTRIES = ["congruence_system", "first_integral_drift",
@@ -916,8 +919,8 @@ def test_integration_on_flat_patch_is_exactly_constant():
     # the flat frame is degenerate: the second-order checks must report
     # "nothing comparable" rather than crash or measure a residual
     U, V = _square_grid(21)
-    report = check_hessian_identities(plane, RJet2.constant(w0),
-                                      RJet2.constant(om0), consts, U, V)
+    report = check_hessian_identities(plane, RJet2(w0, 0, 0, 0, 0, 0),
+                                      RJet2(om0, 0, 0, 0, 0, 0), consts, U, V)
     assert report.n_compared == 0
     assert report.n_excluded == 21 * 21
     assert np.isnan(report.max_hessian_omega)
@@ -940,8 +943,8 @@ def test_constant_solution_second_order_structure():
     state = CongruenceState(om0, 0.0, 0.0, w0)
     assert float(first_integral(state, consts)) == 0.0
     U, V = _square_grid(21)
-    wj = RJet2.constant(U * 0.0 + w0)
-    oj = RJet2.constant(U * 0.0 + om0)
+    wj = RJet2(U * 0.0 + w0, 0, 0, 0, 0, 0)
+    oj = RJet2(U * 0.0 + om0, 0, 0, 0, 0, 0)
     assert max(system_residuals(patch, wj, oj, U, V).values()) == 0.0
     hess = check_hessian_identities(patch, wj, oj, consts, U, V)
     assert hess.n_compared > 0
@@ -1070,7 +1073,8 @@ def test_whole_grid_summaries_match_the_analytic_records(name):
     wj, oj = ac.w_jet(U, V), ac.omega_jet(U, V)
     env = envelope(ac.patch, wj, U, V)
     rec = {r.name: r
-           for r in ac.envelope_records(U, V)(slice(None), env, None)}
+           for r in ac.envelope_records(U[:, 0], V[0])(slice(None), env,
+                                                       None)}
     hess = check_hessian_identities(ac.patch, wj, oj, ac.constants, U, V)
     forms = generated_forms_check(ac.patch, wj, oj, ac.constants, U, V,
                                   env=env)

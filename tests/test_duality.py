@@ -32,15 +32,15 @@ def test_dual_swaps_generators():
 def test_support_functions_are_reciprocal():
     for f1, f2 in (("z", "2*z"), ("z", "exp(z)")):
         pair = make_dual(make_patch(f1, f2, SQUARE))
-        fields, dual_fields = evaluate_pair(pair, 21, 21)
+        _, _, Z = SQUARE.mesh(21, 21)
+        fields, dual_fields = evaluate_pair(pair, Z=Z)
         ok = fields.valid & dual_fields.valid
         assert np.count_nonzero(ok) > 0
         prod = fields.rho_val * dual_fields.rho_val
         assert np.max(np.abs(prod[ok] - 1.0)) <= 1e-12, (f1, f2)
         # the dual's support jet by the other route: the quotient of
         # |.|^2 products with the generators swapped (no poles here)
-        j1, j2 = (eval_jet(f, fields.Z, 3) for f in (pair.patch.f1,
-                                                       pair.patch.f2))
+        j1, j2 = (eval_jet(f, Z, 3) for f in (pair.patch.f1, pair.patch.f2))
         ref = support_quotient(j2, j1)
         for part in ("val", "du", "dv", "duu", "duv", "dvv"):
             a, b = getattr(dual_fields.rho, part), getattr(ref, part)
@@ -164,7 +164,6 @@ def test_pair_evaluates_each_generator_once(monkeypatch):
     fields = evaluate_pair(pair, 21, 21)
     assert calls == [pair.patch.f1, pair.patch.f2]
     for got, want in zip(fields, reference):
-        assert got.patch is want.patch
         for name in ("X", "N", "k1", "k2", "hover_k", "mu", "degenerate"):
             assert np.array_equal(getattr(got, name), getattr(want, name),
                                   equal_nan=name != "degenerate"), name

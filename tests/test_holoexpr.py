@@ -11,8 +11,13 @@ from hypothesis import strategies as st
 from _oracles import differentiate, same_bits
 from ribaucour import holoexpr
 from ribaucour.holoexpr import (FUNCTIONS, BinOp, Call, Const, EvalError, Neg,
-                                ParseError, Pow, Var, eval_jet, evaluate,
-                                parse, to_text)
+                                ParseError, Pow, Var, eval_jet, parse, to_text)
+
+
+def _value(e, z):
+    """The value of ``e`` at ``z``: its jet of order 0."""
+    return eval_jet(e, z, 0).values[0]
+
 
 W1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
 
@@ -61,13 +66,13 @@ def test_parse_precedence_tree():
 def test_parse_power_binds_tightest():
     # -z^2 reads as (-z)^2 because '-' applies to the atom
     assert parse("-z^2") != parse("-(z^2)")
-    assert evaluate(parse("-z^2"), 3.0) == 9.0
-    assert evaluate(parse("-(z^2)"), 3.0) == -9.0
+    assert _value(parse("-z^2"), 3.0) == 9.0
+    assert _value(parse("-(z^2)"), 3.0) == -9.0
 
 
 def test_parse_left_associativity():
-    assert evaluate(parse("8/4/2"), 0.0) == 1.0
-    assert evaluate(parse("8 - 4 - 2"), 0.0) == 2.0
+    assert _value(parse("8/4/2"), 0.0) == 1.0
+    assert _value(parse("8 - 4 - 2"), 0.0) == 2.0
 
 
 def test_parse_unbalanced_call_offset():
@@ -126,8 +131,8 @@ def test_roundtrip_corpus_evaluates_identically():
     for text in CORPUS:
         tree = parse(text)
         rebuilt = parse(to_text(tree))
-        a = evaluate(tree, EVAL_POINTS)
-        b = evaluate(rebuilt, EVAL_POINTS)
+        a = _value(tree, EVAL_POINTS)
+        b = _value(rebuilt, EVAL_POINTS)
         assert np.array_equal(a, b), text
 
 
@@ -143,8 +148,8 @@ def test_roundtrip_derivative_trees():
     for text in CORPUS:
         tree = differentiate(parse(text))
         rebuilt = parse(to_text(tree))
-        a = evaluate(tree, EVAL_POINTS)
-        b = evaluate(rebuilt, EVAL_POINTS)
+        a = _value(tree, EVAL_POINTS)
+        b = _value(rebuilt, EVAL_POINTS)
         ok = np.isfinite(a.real) & np.isfinite(a.imag)
         assert np.array_equal(a[ok], b[ok]), text
 
@@ -172,8 +177,8 @@ def test_roundtrip_random_trees(tree):
     rebuilt = parse(text)                       # never raises
     once = to_text(rebuilt)
     assert to_text(parse(once)) == once, text   # one more round is fixed
-    a = evaluate(tree, EVAL_POINTS)
-    b = evaluate(rebuilt, EVAL_POINTS)
+    a = _value(tree, EVAL_POINTS)
+    b = _value(rebuilt, EVAL_POINTS)
     nan_a = np.isnan(a.real) | np.isnan(a.imag)
     assert np.array_equal(nan_a, np.isnan(b.real) | np.isnan(b.imag)), text
     assert np.allclose(a[~nan_a], b[~nan_a], rtol=1e-12, atol=0.0), text
@@ -185,15 +190,15 @@ def test_negative_real_constant_keeps_its_branch():
     for value in (complex(-2.0, 0.0), complex(-2.0, -0.0)):
         tree = Call("log", Const(value))
         text = to_text(tree)
-        assert evaluate(parse(text), 0.0) == evaluate(tree, 0.0), text
-    assert evaluate(Call("log", Const(-2 + 0j)), 0.0).imag == np.pi
+        assert _value(parse(text), 0.0) == _value(tree, 0.0), text
+    assert _value(Call("log", Const(-2 + 0j)), 0.0).imag == np.pi
     # a power rule constant: d/dz z^-2 = -2 z^-3
     d = differentiate(parse("z^-2"))
-    assert evaluate(parse(to_text(d)), 2.0) == evaluate(d, 2.0) == -0.25
+    assert _value(parse(to_text(d)), 2.0) == _value(d, 2.0) == -0.25
     # user input keeps its meaning: log(-2) is log of -(2 + 0i)
     assert parse("log(-2)") == Call("log", Neg(Const(2 + 0j)))
     assert to_text(parse("log(-2)")) == "log(-2)"
-    assert evaluate(parse("log(-2)"), 0.0).imag == -np.pi
+    assert _value(parse("log(-2)"), 0.0).imag == -np.pi
 
 
 # ---------------------------------------------------------------------------
@@ -202,18 +207,18 @@ def test_negative_real_constant_keeps_its_branch():
 
 def test_differentiate_power_rule():
     d = differentiate(parse("z^2"))
-    assert np.array_equal(evaluate(d, EVAL_POINTS), 2.0 * EVAL_POINTS)
+    assert np.array_equal(_value(d, EVAL_POINTS), 2.0 * EVAL_POINTS)
 
 
 def test_differentiate_exp_fixed_point():
     d = differentiate(parse("exp(z)"))
-    assert np.array_equal(evaluate(d, EVAL_POINTS),
+    assert np.array_equal(_value(d, EVAL_POINTS),
                           np.exp(EVAL_POINTS))
 
 
 def test_differentiate_sinh_gives_cosh():
     d = differentiate(parse("sinh(z)"))
-    assert np.allclose(evaluate(d, EVAL_POINTS), np.cosh(EVAL_POINTS),
+    assert np.allclose(_value(d, EVAL_POINTS), np.cosh(EVAL_POINTS),
                        rtol=0, atol=0)
 
 
@@ -222,7 +227,7 @@ def test_differentiate_quotient_rule():
     d = differentiate(e)
     z = EVAL_POINTS
     expected = (1.0 - z * z) / (1.0 + z * z) ** 2
-    got = evaluate(d, z)
+    got = _value(d, z)
     assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(np.abs(expected))
 
 
@@ -243,15 +248,15 @@ def test_jet_exp_at_origin():
 
 def test_jet_singularity_raises_on_scalar():
     with pytest.raises(EvalError):
-        evaluate(parse("1/z"), 0.0)
+        _value(parse("1/z"), 0.0)
     with pytest.raises(EvalError):
         eval_jet(parse("1/z"), 0.0, 0)
     with pytest.raises(EvalError):
-        evaluate(parse("log(z)"), 0.0)
+        _value(parse("log(z)"), 0.0)
 
 
 def test_jet_singularity_masked_on_arrays():
-    out = evaluate(parse("1/z"), np.array([0.0 + 0j, 1.0, 2.0]))
+    out = _value(parse("1/z"), np.array([0.0 + 0j, 1.0, 2.0]))
     assert not np.isfinite(out[0].real)
     assert out[1] == 1.0 and out[2] == 0.5
 
@@ -350,7 +355,7 @@ def test_jet_matches_differentiated_trees(tree):
     subjets = [eval_jet(s, EVAL_POINTS, 3).values for s in _subtrees(tree)]
     oracle = tree
     for k in range(4):
-        want = evaluate(oracle, EVAL_POINTS)
+        want = _value(oracle, EVAL_POINTS)
         finite = np.isfinite(want.real) & np.isfinite(want.imag)
         got = jet[k][finite]
         assert np.all(np.isfinite(got.real) & np.isfinite(got.imag)), \

@@ -26,15 +26,15 @@ SAMPLE_POINTS = [(0.3, 0.4), (0.8, 0.25), (0.55, 0.9), (0.2, 0.7)]
 
 
 def _jet_at(fn, u0, v0) -> RJet2:
-    return fn(RJet2.coord_u(u0), RJet2.coord_v(v0))
+    return fn(RJet2(u0, 1, 0, 0, 0, 0), RJet2(v0, 0, 1, 0, 0, 0))
 
 
 def test_coordinate_jets():
-    ju = RJet2.coord_u(2.0)
+    ju = RJet2(2.0, 1, 0, 0, 0, 0)
     assert (ju.val, ju.du, ju.dv) == (2.0, 1.0, 0.0)
-    jv = RJet2.coord_v(-1.5)
+    jv = RJet2(-1.5, 0, 1, 0, 0, 0)
     assert (jv.val, jv.du, jv.dv) == (-1.5, 0.0, 1.0)
-    jc = RJet2.constant(4.0)
+    jc = RJet2(4.0, 0, 0, 0, 0, 0)
     assert (jc.val, jc.du, jc.dv, jc.duu, jc.duv, jc.dvv) == (4.0,) + (0.0,) * 5
 
 
@@ -104,9 +104,10 @@ def test_analytic_inverses():
 def test_array_valued_jets_broadcast():
     U, V = np.meshgrid(np.linspace(0.2, 1.0, 7), np.linspace(0.2, 1.0, 5),
                        indexing="ij")
-    j = COMPOSITES[5](RJet2.coord_u(U), RJet2.coord_v(V))
+    j = COMPOSITES[5](RJet2(U, 1, 0, 0, 0, 0), RJet2(V, 0, 1, 0, 0, 0))
     assert j.val.shape == (7, 5)
-    single = COMPOSITES[5](RJet2.coord_u(U[3, 2]), RJet2.coord_v(V[3, 2]))
+    single = COMPOSITES[5](RJet2(U[3, 2], 1, 0, 0, 0, 0),
+                           RJet2(V[3, 2], 0, 1, 0, 0, 0))
     assert np.isclose(j.val[3, 2], single.val, rtol=0, atol=1e-15)
     assert np.isclose(j.duv[3, 2], single.duv, rtol=0, atol=1e-13)
 
@@ -276,12 +277,12 @@ def test_structural_zeros_match_dense_zero_arrays(p, q):
 def test_structural_zeros_stay_scalar():
     # a jet in one coordinate keeps the other coordinate's partials as
     # the int 0, and a grid line as its shape, through arithmetic
-    u = RJet2.coord_u(np.linspace(-1.0, 1.0, 5)[:, None])
+    u = RJet2(np.linspace(-1.0, 1.0, 5)[:, None], 1, 0, 0, 0, 0)
     j = (u * u + 1.0).log() * (-u).exp() / (u * u + 2.0)
     for part in ("dv", "duv", "dvv"):
         assert type(getattr(j, part)) is int and getattr(j, part) == 0
     assert np.shape(j.du) == np.shape(j.duu) == (5, 1)
-    v = RJet2.coord_v(np.linspace(-1.0, 1.0, 4)[None, :])
+    v = RJet2(np.linspace(-1.0, 1.0, 4)[None, :], 0, 1, 0, 0, 0)
     k = u * v
     assert type(k.duu) is int and type(k.dvv) is int
     assert np.shape(k.val) == (5, 4) and k.duv == 1.0
@@ -293,7 +294,7 @@ def test_structural_zero_times_inf_is_zero():
     inf = np.array([np.inf])
     b = RJet2(inf, 1.0, 1.0, 0, 0, 0)
     # dv = 0 * inf + 2 * 1: the first term is skipped
-    sparse = RJet2.coord_u(np.array([2.0])) * b
+    sparse = RJet2(np.array([2.0]), 1, 0, 0, 0, 0) * b
     assert sparse.dv == 2.0
     with np.errstate(invalid="ignore"):
         dense = RJet2(np.array([2.0]), np.ones(1), np.zeros(1), np.zeros(1),

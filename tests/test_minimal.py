@@ -12,8 +12,8 @@ from _oracles import (catenoid_position, conformality_residual,
                       patch_position, position_derivatives, rel_gap,
                       same_bits)
 from ribaucour.grids import Domain
-from ribaucour.holoexpr import parse
-from ribaucour.minimal import (MinimalPatch, _z, catenoid_patch,
+from ribaucour.holoexpr import Neg, eval_jet, parse
+from ribaucour.minimal import (MinimalPatch, _weierstrass, _z, catenoid_patch,
                                enneper_patch)
 
 ENNEPER_PTS = [(0.0, 0.0), (0.5, -0.3), (-0.8, 0.7), (1.0, 1.0)]
@@ -224,3 +224,24 @@ def test_chart_coordinate_is_built_exactly(U, V):
     got, want = _z(U, V), np.asarray(U) + 1j * np.asarray(V)
     assert type(got) is type(want)
     assert same_bits(*(np.atleast_1d(x).view(float) for x in (got, want)))
+
+
+@pytest.mark.parametrize("g", ["z", "exp(i*z)", "sinh(z)", "z^2 + 2*z"])
+@pytest.mark.parametrize("domain", [Domain(-1.0, 1.0, -1.0, 1.0),
+                                    Domain(-0.6, 1.0, -1.0, 0.4)],
+                         ids=["square", "off-centre"])
+def test_frame_jet_gives_the_tangents_of_g(g, domain):
+    # the tangents read off the frame's jet of -g, with their first two
+    # components negated, are those of chart_scalars' jet of g: X_u - i X_v
+    # = F (1 - g^2, i (1 + g^2), 2 g) with F = a / (2 g') changes sign in
+    # its first two components only when g does.  Equal up to the signs
+    # of zeros and NaNs (z^2 + 2z has its branch point on the square)
+    patch = MinimalPatch("test", domain, parse(g), 1.5)
+    U, V, _ = domain.mesh(41, 37)
+    _, want = patch.chart_scalars(U, V, tangents=True)
+    mg, mg1, _ = eval_jet(Neg(patch.g), _z(U, V), 2).values
+    with np.errstate(all="ignore"):
+        w = _weierstrass(0.5 * patch.a / mg1, mg)
+    for got, ref in zip((w.real, -w.imag), want):
+        got[..., :2] *= -1.0
+        assert np.array_equal(got, ref, equal_nan=True)

@@ -3,7 +3,8 @@ of each of its modules, and the names that the benchmark's traced replay
 (``perfbench/replay.py``) takes from the package.  The replay is read as
 source, and then run once per benchmark workload, so a changed signature
 or return record breaks a test here and not only a traced benchmark
-run."""
+run.  And every public name is read by code other than the tests: a
+name that only tests read belongs in ``tests/_oracles.py``."""
 
 import ast
 import importlib
@@ -15,8 +16,62 @@ from pathlib import Path
 
 import ribaucour
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 REPLAY = PERFBENCH / "replay.py"
+# the code whose reads keep a public name in the package
+READERS = [*sorted((ROOT / "src").rglob("*.py")),
+           *sorted((ROOT / "demos").glob("*.py")),
+           *sorted(PERFBENCH.glob("*.py")), ROOT / "tests" / "_oracles.py"]
+
+
+def _public_definitions(tree):
+    """(qualified name, node) of each public module-level function or
+    class of a module, and of each public method of its public classes."""
+    public = lambda node: (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                           and not node.name.startswith("_"))
+    for node in filter(public, tree.body):
+        yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for sub in filter(public, node.body):
+                yield f"{node.name}.{sub.name}", sub
+
+
+def _reads(tree, out: dict) -> None:
+    """Add to ``out`` the enclosing definitions of each name loaded and
+    each attribute read in the tree, under that name.  Strings, such as
+    those of ``__all__``, are not reads."""
+    def walk(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            inside = inside + (node,)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.setdefault(node.id, []).append(inside)
+        elif isinstance(node, ast.Attribute) \
+                and isinstance(node.ctx, ast.Load):
+            out.setdefault(node.attr, []).append(inside)
+        for child in ast.iter_child_nodes(node):
+            walk(child, inside)
+    walk(tree, ())
+
+
+def test_every_public_name_is_read_outside_the_tests():
+    # a read counts from the package, the demos, the benchmark or the
+    # test oracles, outside the name's own definition; attributes match
+    # by name alone
+    # one tree per file, so that a definition is the node its reads see
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in READERS}
+    reads = {}
+    for tree in trees.values():
+        _reads(tree, reads)
+    unread = []
+    for path in sorted((ROOT / "src" / "ribaucour").glob("*.py")):
+        for qualname, node in _public_definitions(trees[path]):
+            name = qualname.rsplit(".", 1)[-1]
+            if not any(all(d is not node for d in inside)
+                       for inside in reads.get(name, ())):
+                unread.append(f"{path.stem}.{qualname}")
+    assert unread == []
 
 
 def test_replay_uses_only_existing_names():

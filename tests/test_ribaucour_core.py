@@ -18,7 +18,7 @@ from ribaucour.jets import RJet2
 from ribaucour.report import identity_entry
 from ribaucour.ribaucour_core import (RibaucourPatch, check_middle_sphere,
                                       evaluate_patch, hopf_residual, immerse,
-                                      make_patch, shape_from_support, support,
+                                      make_patch, shape_from_support,
                                       support_jet, support_pde_residual,
                                       unit_sphere_gap)
 from ribaucour.sphere_geom import (frame_from_jet, generator_data,
@@ -31,6 +31,11 @@ OFFSET = Domain(0.3, 1.3, 0.2, 1.2)
 def _mesh(dom, n=41):
     _, _, Z = dom.mesh(n, n)
     return Z
+
+
+def _support(f1, f2, z):
+    """The support jet of the pair (f1, f2) at z, from order-3 jets."""
+    return support_jet(eval_jet(f1, z, 3), eval_jet(f2, z, 3))
 
 
 def _pde_on(f1, f2, Z):
@@ -46,16 +51,16 @@ def test_equal_pair_has_unit_support():
     Z = _mesh(SQUARE, 21)
     for text in ("z", "exp(z)", "sinh(z)"):
         e = parse(text)
-        rho = support(e, e, Z)
+        rho = _support(e, e, Z)
         assert np.max(np.abs(np.asarray(rho.val) - 1.0)) <= 1e-15, text
 
 
 def test_support_point_values():
     # f1 = z, f2 = 2z at 0: |1| (1+0) / (|2| (1+0)) = 1/2
-    rho = support(parse("z"), parse("2*z"), 0.0)
+    rho = _support(parse("z"), parse("2*z"), 0.0)
     assert float(rho.val) == 0.5
     # f1 = z^2, f2 = z at 1: |2| (1+1) / (|1| (1+1)) = 2
-    rho = support(parse("z^2"), parse("z"), 1.0)
+    rho = _support(parse("z^2"), parse("z"), 1.0)
     assert float(rho.val) == 2.0
 
 
@@ -244,9 +249,10 @@ def test_hopf_residual_detects_a_perturbed_support():
     # rho (1 + 1e-3 u^2) is the support field of no pair, so its mu is no
     # longer S(f1) - S(f2): the build entry must fail
     patch = make_patch("exp(z)/(1+z^2)", "sin(z)*cos(z)/(z+3)", POLE_DOMAIN)
-    fields = evaluate_patch(patch, 161, 161)
+    _, _, Z = patch.domain.mesh(161, 161)
+    fields = evaluate_patch(patch, Z=Z)
     assert hopf_residual(fields).max_abs <= TOL_HOPF
-    U = RJet2.coord_u(np.real(fields.Z))
+    U = RJet2(Z.real, 1, 0, 0, 0, 0)
     bent = shape_from_support(fields.frame, fields.rho * (1.0 + 1e-3 * U * U))
     with pytest.raises(ValueError):
         hopf_residual(bent)
@@ -254,7 +260,7 @@ def test_hopf_residual_detects_a_perturbed_support():
     res = hopf_residual(bent)
     entry = identity_entry(res.name, res.max_abs, TOL_HOPF, res.n_valid,
                            res.n_excluded)
-    assert res.n_valid == fields.Z.size
+    assert res.n_valid == Z.size
     assert not entry["pass"], entry
 
 
@@ -300,10 +306,11 @@ def test_support_pde_terms_match_finite_differences():
         w1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * h)
         w2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * h * h)
         offs = np.arange(-2, 3)
-        ru = np.array([float(support(e1, e2, z0 + k * h).val) for k in offs])
-        rv = np.array([float(support(e1, e2, z0 + 1j * k * h).val)
+        ru = np.array([float(_support(e1, e2, z0 + k * h).val)
                        for k in offs])
-        rho = support(e1, e2, z0)
+        rv = np.array([float(_support(e1, e2, z0 + 1j * k * h).val)
+                       for k in offs])
+        rho = _support(e1, e2, z0)
         assert abs(w1 @ ru - float(rho.du)) <= 1e-6
         assert abs(w1 @ rv - float(rho.dv)) <= 1e-6
         assert abs(w2 @ ru - float(rho.duu)) <= 1e-5
@@ -331,13 +338,13 @@ def test_immersion_at_a_pole_is_flagged_not_raised():
     s = immerse(make_patch("1/z", "z"), 0.0)
     assert s.degenerate and s.branch
     assert np.isnan(s.X).all() and np.isnan(s.N).all()
-    assert np.isnan(s.rho) and np.isnan(s.hover_k)
+    assert np.isnan(s.rho_val) and np.isnan(s.hover_k)
 
 
 def test_immersion_support_projection():
     s = immerse(make_patch("z", "2*z"), 0.0)
-    assert abs(float(s.X @ s.N) - s.rho) <= 1e-14
-    assert abs(s.rho - 0.5) <= 1e-15
+    assert abs(float(s.X @ s.N) - s.rho_val) <= 1e-14
+    assert abs(s.rho_val - 0.5) <= 1e-15
     assert abs(float(s.N @ s.N) - 1.0) <= 1e-12
 
 
@@ -427,7 +434,7 @@ def test_residuals_scale_with_the_surface():
              rv * rv + np.abs(rlap) + 1.0 + grad_sq),
             (check_middle_sphere(fields), xx + hxn + 1.0,
              xx + np.abs(hxn) + 1.0)):
-        assert res.n_valid == fields.Z.size, res.name
+        assert res.n_valid == fields.valid.size, res.name
         assert res.max_abs <= TOL_PDE, (res.name, res.max_abs)
         assert np.array_equal(res.values, raw / total), res.name
 

