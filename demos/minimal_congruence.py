@@ -50,8 +50,8 @@ for name in ("catenoid", "enneper"):
                              domain=Domain(-1, 1, -1, 1), step=0.01)
     integrated = envelope_checks(
         ac.patch, integ.w_rows, integ.U, integ.V,
-        lambda b, env, scalars: (ac.agreement(integ, b, scalars[0]),
-                                 *integ.envelope_records(b, env)))
+        lambda b, env, chart: (ac.agreement(integ, b, chart.scalars[0]),
+                               *integ.envelope_records(b, env)))
     agree = integrated.residuals["analytic_agreement"].max_abs
     print(f"  integration vs closed form   : max {agree:.2e} "
           f"(step 0.01, path gap {integ.path_gap:.2e})")

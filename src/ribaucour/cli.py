@@ -296,8 +296,8 @@ def cmd_congruence(args) -> int:
             return EXIT_PARSE
         U, V, w_rows = integ.U, integ.V, integ.w_rows
 
-        def records(b, env, scalars):
-            return (ac.agreement(integ, b, scalars[0]),
+        def records(b, env, chart):
+            return (ac.agreement(integ, b, chart.scalars[0]),
                     *integ.envelope_records(b, env))
         folded = list(integ.checks.residuals.values())
         details["integration"] = {"grid": list(U.shape),

@@ -44,10 +44,12 @@ magnitudes.  Every check is a per-sample
 entry: :func:`envelope_checks` runs the envelope over blocks of grid
 rows, each freed before the next, and folds the records of either
 congruence's ``envelope_records`` into one
-:class:`~ribaucour.ribaucour_core.GridChecks`.  The checks read tau to
-first order only, so the frame is built from an order-2 jet of -g
-(:meth:`~ribaucour.minimal.MinimalPatch.frame`), which also gives the
-chart scalars; its tau gives the minimal metric's log factor, log a - tau.
+:class:`~ribaucour.ribaucour_core.GridChecks`.  Each block reads one
+:class:`~ribaucour.minimal.MinimalChart`, one order-2 jet of g
+(:meth:`~ribaucour.minimal.MinimalPatch.chart`): the frame, the chart
+scalars and the tangents all come from it.  The checks read tau to first
+order only, which that jet gives; the frame's tau gives the minimal
+metric's log factor, log a - tau.
 
 :func:`analytic_example` looks up shipped data: closed-form solutions
 (W, Omega) over the built-in patches as jet code, with the constant c
@@ -75,11 +77,11 @@ import numpy as np
 
 from .grids import Domain, _row_blocks, _rows_per_block
 from .jets import RJet2, jet_finite
-from .minimal import MinimalPatch, catenoid_patch, enneper_patch
+from .minimal import (MinimalChart, MinimalPatch, catenoid_patch,
+                      enneper_patch)
 from .ribaucour_core import (GridChecks, ResidualField, SurfaceFields,
-                             _form_residual, check_middle_sphere,
-                             shape_from_support)
-from .sphere_geom import SphereFrame, conformal_hessian, sphere_gradient
+                             _form_residual, _rel, check_middle_sphere)
+from .sphere_geom import conformal_hessian, sphere_gradient
 
 __all__ = [
     "IntegralConstants", "CongruenceState", "first_integral",
@@ -133,7 +135,7 @@ def first_integral(state: CongruenceState, consts: IntegralConstants):
 def _system_terms(w_jet: RJet2, omega_jet: RJet2, scalars: tuple) -> dict:
     """Residual of each non-definitional system equation per sample, for
     the fields W and Omega given as jets with the chart scalars
-    (:meth:`MinimalPatch.chart_scalars`) on their samples (Omega1 and
+    (:attr:`MinimalChart.scalars`) on their samples (Omega1 and
     Omega2 are read off as Omega_u/phi and Omega_v/phi, so those two
     equations hold by construction and are not reported)."""
     phi, pu, pv, k1 = scalars
@@ -153,7 +155,7 @@ def system_residuals(patch: MinimalPatch, w_jet: RJet2, omega_jet: RJet2,
                      U, V) -> dict:
     """Max absolute residual of each equation of :func:`_system_terms`
     for W and Omega given as jets on (U, V)."""
-    terms = _system_terms(w_jet, omega_jet, patch.chart_scalars(U, V))
+    terms = _system_terms(w_jet, omega_jet, patch.chart(U, V).scalars)
     return {k: float(np.max(np.abs(r))) for k, r in terms.items()}
 
 
@@ -250,7 +252,7 @@ class AnalyticCongruence:
     def state(self, U, V) -> CongruenceState:
         """The fields on (U, V)."""
         return _state_from_jets(self.w_jet(U, V), self.omega_jet(U, V),
-                                self.patch.chart_scalars(U, V)[0])
+                                self.patch.chart(U, V).scalars[0])
 
     def agreement(self, integ: IntegratedCongruence, rows: slice,
                   phi) -> ResidualField:
@@ -266,28 +268,27 @@ class AnalyticCongruence:
             integ.state().as_tuple(), ref.as_tuple())), "analytic_agreement")
 
     def envelope_records(self, u, v):
-        """``records(b, env, scalars)`` for :func:`envelope_checks` on the
+        """``records(b, env, chart)`` for :func:`envelope_checks` on the
         grid with lines ``u`` x ``v``: every check of these closed forms
         on the rows ``b``, each named after its report entry, in report
         order.  W's jet is that of the envelope ``env``, the chart scalars
-        and tangents come from one jet of g, not the frame's, and Omega's
-        is evaluated once, on the block's grid lines."""
+        and tangents those of the block's ``chart``, whose frame is the
+        envelope's, and Omega's jet is evaluated once, on the block's
+        grid lines."""
         consts = self.constants
 
-        def records(b, env, _):
-            U, V = u[b, None], v[None, :]
-            wj, oj = env.rho, self.omega_jet(U, V)
-            scalars, tangents = self.patch.chart_scalars(U, V, tangents=True)
-            terms = _system_terms(wj, oj, scalars).values()
-            state = _state_from_jets(wj, oj, scalars[0])
+        def records(b, env, chart):
+            wj, oj = env.rho, self.omega_jet(u[b, None], v[None, :])
+            terms = _system_terms(wj, oj, chart.scalars).values()
+            state = _state_from_jets(wj, oj, chart.scalars[0])
             return (_everywhere(np.maximum.reduce([np.abs(r) for r in terms]),
                                 "congruence_system"),
                     _everywhere(np.abs(first_integral(state, consts)),
                                 "first_integral_drift"),
                     _middle_sphere(env),
-                    *hessian_identity_residuals(wj, oj, consts, env.frame,
-                                                scalars, tangents),
-                    generated_forms_residual(env, oj.val, consts, scalars),
+                    *hessian_identity_residuals(wj, oj, consts, chart),
+                    generated_forms_residual(env, oj.val, consts,
+                                             chart.scalars),
                     hover_ratio_residual(env, oj.val, consts))
         return records
 
@@ -353,8 +354,8 @@ def _kernel_rows(patch: MinimalPatch, consts: IntegralConstants,
 
     def fill(K, first, d):
         at = s[first + d * np.arange(len(K)), None]
-        _fill_rows(K, patch.chart_scalars(at, fixed[None, :]) if along_u
-                   else patch.chart_scalars(fixed[None, :], at),
+        _fill_rows(K, (patch.chart(at, fixed[None, :]) if along_u
+                       else patch.chart(fixed[None, :], at)).scalars,
                    consts, along_u)
     return fill
 
@@ -474,9 +475,9 @@ class IntegratedCongruence:
 
     It holds one fill, nothing else on the whole grid: ``fields``, shape
     (4, nu, nv), is (Omega, Omega1, W, Omega2) of the column-first fill
-    over ``patch``.  ``omega``, ``omega1`` and ``omega2`` are C-contiguous
-    (nu, nv) views of it; ``U`` and ``V`` are read-only broadcast views of
-    u and v.
+    over ``patch``.  ``omega`` and the fields of ``state()`` are
+    C-contiguous (nu, nv) views of it; ``U`` and ``V`` are read-only
+    broadcast views of u and v.
 
     :meth:`w_rows` is W's second-order jet on a block of rows, read off
     the fill and the patch's chart scalars there through the system
@@ -493,17 +494,10 @@ class IntegratedCongruence:
     init_node: tuple
     checks: GridChecks
 
-    @property
-    def U(self) -> np.ndarray:
-        return np.broadcast_to(self.u[:, None], self.fields.shape[1:])
-
-    @property
-    def V(self) -> np.ndarray:
-        return np.broadcast_to(self.v, self.fields.shape[1:])
-
+    U = property(lambda self: np.broadcast_to(self.u[:, None],
+                                              self.fields.shape[1:]))
+    V = property(lambda self: np.broadcast_to(self.v, self.fields.shape[1:]))
     omega = property(lambda self: self.fields[0])
-    omega1 = property(lambda self: self.fields[1])
-    omega2 = property(lambda self: self.fields[3])
     path_gap = property(
         lambda self: self.checks.residuals["path_independence"].max_abs)
     drift = property(
@@ -536,8 +530,8 @@ class IntegratedCongruence:
 
     @property
     def w(self) -> RJet2:
-        scalars = self.patch.chart_scalars(self.U, self.V)
-        return self.w_rows(slice(None), scalars)
+        chart = self.patch.chart(self.U, self.V)
+        return self.w_rows(slice(None), chart.scalars)
 
     def envelope_records(self, rows: slice, env: SurfaceFields) -> tuple:
         """The middle-sphere and H/K records of the envelope ``env`` on the
@@ -644,7 +638,7 @@ def envelope(patch: MinimalPatch, w: RJet2, U, V) -> SurfaceFields:
         what = "an order-1 jet" if isinstance(w, RJet2) else type(w).__name__
         raise TypeError(f"envelope needs W as an RJet2 jet of order 2, "
                         f"not {what}")
-    return shape_from_support(patch.frame(U, V), w)
+    return SurfaceFields(patch.chart(U, V).frame, w)
 
 
 @dataclass
@@ -661,8 +655,7 @@ class HessianIdentityReport:
 
 def hessian_identity_residuals(w_jet: RJet2, omega_jet: RJet2,
                                consts: IntegralConstants,
-                               frame: SphereFrame, scalars: tuple,
-                               tangents: tuple) -> tuple:
+                               chart: MinimalChart) -> tuple:
     """The second-order structure of a congruence solution per sample,
     ``(hessian_identity_omega, hessian_identity_w, gradient_link)``:
 
@@ -674,14 +667,14 @@ def hessian_identity_residuals(w_jet: RJet2, omega_jet: RJet2,
       sphere-metric gradient of W (as ambient vectors in the shared
       tangent plane; equivalent to the first-order system itself).
 
-    W and Omega are jets on the samples of ``frame``, the patch's frame
-    there.  ``scalars`` and ``tangents``, the patch's chart scalars and
-    (X_u, X_v) there, are those of one jet of g,
-    ``patch.chart_scalars(U, V, tangents=True)``.  All three are valid
-    where the frame has no branch point, both jets are finite and
-    phi^2 is finite and above 1e-12.
+    W and Omega are jets on the samples of ``chart``, the patch's chart
+    record there, whose frame, chart scalars and tangents (X_u, X_v) are
+    read off its one jet of g.  All three are valid where the frame has
+    no branch point, both jets are finite and phi^2 is finite and above
+    1e-12.
     """
-    phi, _, _, k1 = scalars
+    frame = chart.frame
+    phi, _, _, k1 = chart.scalars
     k2 = -k1
     E = phi * phi
     e2t = frame.e2tau
@@ -707,7 +700,7 @@ def hessian_identity_residuals(w_jet: RJet2, omega_jet: RJet2,
 
         # gradient of Omega in the minimal metric phi^2 (du^2 + dv^2),
         # expressed as an ambient vector through the immersion's tangent frame
-        Xu, Xv = tangents
+        Xu, Xv = chart.tangents
         ou = np.asarray(omega_jet.du, dtype=float)
         ov = np.asarray(omega_jet.dv, dtype=float)
         grad_min = (ou / E)[..., None] * Xu + (ov / E)[..., None] * Xv
@@ -725,9 +718,8 @@ def check_hessian_identities(patch: MinimalPatch, w_jet: RJet2,
                              U, V) -> HessianIdentityReport:
     """:func:`hessian_identity_residuals` for W and Omega given as jets
     on (U, V), summarised over the whole grid."""
-    scalars, tangents = patch.chart_scalars(U, V, tangents=True)
-    r1, r2, r3 = hessian_identity_residuals(
-        w_jet, omega_jet, consts, patch.frame(U, V), scalars, tangents)
+    r1, r2, r3 = hessian_identity_residuals(w_jet, omega_jet, consts,
+                                            patch.chart(U, V))
     return HessianIdentityReport(r1.max_abs, r2.max_abs, r3.max_abs,
                                  n_compared=r1.n_valid,
                                  n_excluded=r1.n_excluded)
@@ -752,8 +744,8 @@ def hover_ratio_residual(env: SurfaceFields, omega,
     relative to the larger of the two magnitudes, per sample."""
     with np.errstate(all="ignore"):
         target = 0.5 * consts.c2 - consts.c * omega
-        scale = np.maximum(np.abs(env.hover_k), np.abs(target))
-        rel = np.where(scale > 0, np.abs(env.hover_k - target) / scale, 0.0)
+        rel = _rel(np.abs(env.hover_k - target),
+                   np.maximum(np.abs(env.hover_k), np.abs(target)))
     return ResidualField(rel, env.valid & np.isfinite(rel),
                          "envelope_hover_ratio")
 
@@ -768,13 +760,14 @@ def envelope_checks(patch: MinimalPatch, w_rows, U, V, records, *,
     """:func:`envelope` on the grid (U, V) and the checks of
     ``records``, run over blocks of at most ``grids._BLOCK`` samples
     (whole rows of the first axis), so that no stage holds its
-    temporaries for the whole grid.  Each block's frame comes first,
-    with the chart scalars (phi, phi_u, phi_v, k1) read off its jet of -g
-    (:meth:`~ribaucour.minimal.MinimalPatch.frame`); ``w_rows(b, scalars)``
-    is W's order-2 jet on the rows ``b`` of (U, V) with those ``scalars``,
-    built per block, such as :meth:`IntegratedCongruence.w_rows`;
-    ``records(b, env, scalars)`` returns the residual records of the
-    envelope ``env`` on those rows, such as those of
+    temporaries for the whole grid.  Each block reads one chart record
+    (:meth:`~ribaucour.minimal.MinimalPatch.chart`), its frame first;
+    ``w_rows(b, scalars)`` is W's order-2 jet on the rows ``b`` of (U, V)
+    with the chart scalars (phi, phi_u, phi_v, k1) there, built per
+    block, such as :meth:`IntegratedCongruence.w_rows`;
+    ``records(b, env, chart)`` returns the residual records of the
+    envelope ``env`` on those rows, given the block's ``chart``, such as
+    those of
     :meth:`AnalyticCongruence.envelope_records`.  The record folds them
     in the order given; with ``surface``, X, N and the valid mask are
     assembled too.  Valid samples get the bits of the whole-grid
@@ -787,10 +780,10 @@ def envelope_checks(patch: MinimalPatch, w_rows, U, V, records, *,
     for b in _row_blocks(U.shape[0], U[0].size):
         # the frame first: its construction needs more scratch memory
         # than any later step, so nothing else is held while it runs
-        frame, scalars = patch.frame(U[b], V[b], scalars=True)
-        env = shape_from_support(frame, w_rows(b, scalars))
-        out.put(b, records(b, env, scalars), env)
-        del frame, env, scalars  # before the next block's frame is built
+        chart = patch.chart(U[b], V[b])
+        env = SurfaceFields(chart.frame, w_rows(b, chart.scalars))
+        out.put(b, records(b, env, chart), env)
+        del chart, env  # before the next block's frame is built
     return out
 
 
@@ -844,7 +837,7 @@ def generated_forms_check(patch: MinimalPatch, w_jet: RJet2, omega_jet: RJet2,
     if env is None:
         env = envelope(patch, w_jet, U, V)
     r1, r2, r3 = _form_gaps(env, omega_jet.val, consts,
-                            patch.chart_scalars(U, V))
+                            patch.chart(U, V).scalars)
     return GeneratedFormsReport(r1.max_abs, r2.max_abs, r3.max_abs,
                                 n_compared=r1.n_valid,
                                 n_excluded=r1.n_excluded)

@@ -38,7 +38,7 @@ import numpy as np
 from .grids import _row_blocks
 from .holoexpr import eval_jet
 from .ribaucour_core import (GridChecks, ResidualField, RibaucourPatch,
-                             SurfaceFields, _form_residual, _mu_scale,
+                             SurfaceFields, _form_residual, _mu_scale, _rel,
                              _support_from_tau, unit_sphere_gap)
 from .sphere_geom import _dot, frame_from_jet
 
@@ -84,12 +84,11 @@ def evaluate_pair(pair: DualPair, nu: int = 41, nv: int = 41,
         frames[id(p.f1)].tau, frames[id(p.f2)].tau)) for p in (patch, dual))
 
 
-def _rel(a, b):
-    """Elementwise |a-b| / max(|a|, |b|), zero when both vanish."""
-    scale = np.maximum(np.abs(a), np.abs(b))
+def _gap(a, b):
+    """Elementwise |a-b| / max(|a|, |b|) (:func:`_rel`), zero when both
+    vanish."""
     with np.errstate(all="ignore"):
-        out = np.abs(a - b) / scale
-    return np.where(scale == 0.0, 0.0, out)
+        return _rel(np.abs(a - b), np.maximum(np.abs(a), np.abs(b)))
 
 
 def _angle(d, e):
@@ -118,7 +117,7 @@ def verify_c2(pair: DualPair, nu: int = 41, nv: int = 41, *,
     fa, fb = fields if fields is not None else evaluate_pair(pair, nu, nv)
     comp = fa.valid & fb.valid & ~fa.umbilic & ~fb.umbilic
     with np.errstate(all="ignore"):
-        swap = np.maximum(_rel(fa.k1, fb.k1), _rel(fa.k2, fb.k2))
+        swap = np.maximum(_gap(fa.k1, fb.k1), _gap(fa.k2, fb.k2))
         dev = np.maximum(_angle(fa.dir1, fb.dir2), _angle(fa.dir2, fb.dir1))
     return (ResidualField(swap, comp, "curvature_switch"),
             ResidualField(dev, comp, "direction_switch"))
@@ -173,8 +172,8 @@ def verify_hk_equality(pair: DualPair, nu: int = 41, nv: int = 41, *,
     comp = fa.valid & fb.valid
     with np.errstate(all="ignore"):
         scale = np.maximum(_mu_scale(fa), _mu_scale(fb))
-        hopf = np.where(scale == 0.0, 0.0, np.abs(fa.mu + fb.mu) / scale)
-    return (ResidualField(_rel(fa.hover_k, fb.hover_k), comp,
+        hopf = _rel(np.abs(fa.mu + fb.mu), scale)
+    return (ResidualField(_gap(fa.hover_k, fb.hover_k), comp,
                           "hover_k_equality"),
             ResidualField(hopf, comp, "hopf_antisymmetry"))
 

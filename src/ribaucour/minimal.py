@@ -8,25 +8,29 @@ curvature-line:
 
     X_u - i X_v = F (1 - g^2, i (1 + g^2), 2 g).
 
-Everything else follows from jets of g, with no finite differencing: the
-unit normal N = -stereo(g), oriented so that the principal curvature
-along u is positive (as :mod:`ribaucour.congruence` requires); the
-conformal factor phi = a (1 + |g|^2) / (2 |g'|); the principal
-curvatures k1 = -k2 = e^tau / phi = a / phi^2; and the tangents X_u and
-X_v.  No command reads the position X itself, so it is not computed here.
+Everything else follows from one order-2 jet of g on the samples, with
+no finite differencing: the unit normal N = -stereo(g), oriented so that
+the principal curvature along u is positive (as
+:mod:`ribaucour.congruence` requires); the conformal factor
+phi = a (1 + |g|^2) / (2 |g'|); the principal curvatures
+k1 = -k2 = e^tau / phi = a / phi^2; and the tangents X_u and X_v, each
+read off the patch's :meth:`MinimalPatch.chart` record.  No command
+reads the position X itself, so it is not computed here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .grids import Domain
-from .holoexpr import HoloExpr, Neg, eval_jet, parse
-from .sphere_geom import frame_from_jet
+from .holoexpr import HoloExpr, eval_jet, parse
+from .sphere_geom import SphereFrame, frame_from_jet
 
-__all__ = ["MinimalPatch", "enneper_patch", "catenoid_patch"]
+__all__ = ["MinimalPatch", "MinimalChart", "enneper_patch",
+           "catenoid_patch"]
 
 
 def _z(U, V):
@@ -56,29 +60,35 @@ class MinimalPatch:
     a: float
     origin: tuple = (0.0, 0.0, 0.0)
 
-    # -- scalar shape data --------------------------------------------------
+    def chart(self, U, V) -> MinimalChart:
+        """The chart record on the samples (U, V): one order-2 jet of g."""
+        return MinimalChart(self.a, eval_jet(self.g, _z(U, V), 2))
 
-    def chart_scalars(self, U, V, *, tangents: bool = False):
-        """(phi, phi_u, phi_v, k1) from one order-2 jet of g, through
-        phi_u - i phi_v = 2 phi d/dz log phi with
-        d/dz log phi = g' conj(g) / (1 + |g|^2) - g'' / (2 g').  The
-        chart's one record of its factor and curvature: k2 = -k1, and
-        log phi = log a - tau, with tau that of :meth:`frame`.
 
-        With ``tangents``, returns ``(scalars, (X_u, X_v))``: the
-        tangents, read off the same jet of g as the real and minus the
-        imaginary part of X_u - i X_v."""
-        g, g1, g2 = eval_jet(self.g, _z(U, V), 2).values
-        scalars = self._scalars(g, g1, g2)
-        if not tangents:
-            return scalars
-        with np.errstate(all="ignore"):
-            w = _weierstrass(0.5 * self.a / g1, g)
-        return scalars, (w.real, -w.imag)
+class MinimalChart:
+    """The chart record of a minimal patch on some samples: one order-2
+    jet of its Gauss map g, with its scale a.  Each reading below is
+    computed from that jet when first read, then kept:
 
-    def _scalars(self, g, g1, g2) -> tuple:
-        """(phi, phi_u, phi_v, k1) from an order-2 jet of g or of -g: each
-        term is even in the jet, so both give the same bits."""
+    * ``scalars``, (phi, phi_u, phi_v, k1), through
+      phi_u - i phi_v = 2 phi d/dz log phi, where
+      d/dz log phi = g' conj(g) / (1 + |g|^2) - g'' / (2 g'); k2 = -k1,
+      and log phi = log a - tau, with tau that of ``frame``;
+    * ``tangents``, (X_u, X_v): the real and minus the imaginary part
+      of X_u - i X_v;
+    * ``frame``, that of N = -stereo(g), with metric factor
+      e^{2 tau} = k1^2 phi^2 and zeros of g' (flat points) flagged as
+      branch samples.  Its tau is first-order (see
+      :mod:`ribaucour.sphere_geom`), which is all its readers read.
+    """
+
+    def __init__(self, a: float, jet):
+        self.a = a
+        self.jet = jet
+
+    @cached_property
+    def scalars(self) -> tuple:
+        g, g1, g2 = self.jet.values
         with np.errstate(all="ignore"):
             s1 = 1.0 + np.abs(g) ** 2
             phi = 0.5 * self.a * s1 / np.abs(g1)
@@ -88,27 +98,20 @@ class MinimalPatch:
             d = 2.0 * phi * (np.conj(g) * g1 / s1 - 0.5 * g2 / g1)
             return phi, d.real, -d.imag, self.a / (phi * phi)
 
-    # -- Gauss-map frame ----------------------------------------------------
+    @cached_property
+    def tangents(self) -> tuple:
+        g, g1, _ = self.jet.values
+        with np.errstate(all="ignore"):
+            w = _weierstrass(0.5 * self.a / g1, g)
+        return w.real, -w.imag
 
-    def frame(self, U, V, *, scalars: bool = False):
-        """Frame of N = -stereo(g), the antipode of g's Gauss-map frame,
-        with the same metric factor e^{2 tau} = k1^2 phi^2.  Zeros of g'
-        (flat points) are flagged as branch samples.
-
-        It is built from an order-2 jet of -g, so its tau is first-order
-        (see :mod:`ribaucour.sphere_geom`): every reader of this frame,
-        the envelope's shape data and checks and the congruence's
-        Hessian identities, reads tau's value and first partials only.
-
-        -stereo(g) is stereo(-g) reflected in the equatorial plane, so
-        only the third component of that frame changes sign, in place.
-        With ``scalars``, returns ``(frame, scalars)``, those of
-        :meth:`chart_scalars`, bit for bit, read off the same jet of -g."""
-        j = eval_jet(Neg(self.g), _z(U, V), 2)
-        f = frame_from_jet(j)
+    @cached_property
+    def frame(self) -> SphereFrame:
+        # -stereo(g) is g's frame with N, N_u and N_v negated, in place
+        f = frame_from_jet(self.jet)
         for a in (f.normal, f.normal_du, f.normal_dv):
-            np.negative(a[..., 2], out=a[..., 2])
-        return (f, self._scalars(*j.values)) if scalars else f
+            np.negative(a, out=a)
+        return f
 
 
 def enneper_patch(domain: Domain | None = None) -> MinimalPatch:

@@ -311,10 +311,11 @@ class SurfaceFields:
 
 
 def shape_from_support(frame: SphereFrame, rho: RJet2) -> SurfaceFields:
-    """Shape data of the surface with unit normal ``frame`` and support
-    jet ``rho``, each quantity computed when first read (see
-    :class:`SurfaceFields`).  Works for any support field on the sphere,
-    not only those coming from holomorphic pairs."""
+    """``SurfaceFields(frame, rho)``: shape data of the surface with unit
+    normal ``frame`` and support jet ``rho``, for any support field on
+    the sphere.  The package builds :class:`SurfaceFields` directly; this
+    name stays for the benchmark's traced replay
+    (``perfbench/replay.py``), which times the layer under it."""
     return SurfaceFields(frame, rho)
 
 
@@ -356,33 +357,35 @@ class ResidualField:
     valid: np.ndarray
     name: str = ""
 
-    @property
-    def n_valid(self) -> int:
-        return int(np.count_nonzero(self.valid))
+    @cached_property
+    def _summary(self) -> CheckSummary:
+        """The record folded once, as a report entry folds it."""
+        summary = CheckSummary(self.name)
+        summary.fold(self)
+        return summary
 
-    @property
-    def n_excluded(self) -> int:
-        return int(np.asarray(self.valid).size - self.n_valid)
+    max_abs = property(lambda self: self._summary.max_abs)
+    n_valid = property(lambda self: self._summary.n_valid)
+    n_excluded = property(lambda self: self._summary.n_excluded)
 
-    @property
-    def max_abs(self) -> float:
-        if self.n_valid == 0:
-            return float("nan")
-        return float(np.max(np.abs(self.values[self.valid])))
+
+def _rel(gap, scale):
+    """gap / scale per sample, the one rule of every relative residual: a
+    scale of 0 gives 0; otherwise a NaN in the gap or the scale stays."""
+    with np.errstate(all="ignore"):
+        return np.where(scale == 0.0, 0.0, gap / scale)
 
 
 def _form_residual(lhs: tuple, rhs: tuple, valid, name: str = ""
                    ) -> ResidualField:
     """Coefficientwise gap between two forms relative to the local form
-    magnitude, per sample."""
+    magnitude, per sample (:func:`_rel`)."""
     gap = np.maximum.reduce([np.abs(np.asarray(a) - np.asarray(b))
                              for a, b in zip(lhs, rhs)])
     scale = np.maximum.reduce([np.maximum(np.abs(np.asarray(a)),
                                           np.abs(np.asarray(b)))
                                for a, b in zip(lhs, rhs)])
-    with np.errstate(all="ignore"):
-        rel = np.where(scale > 0.0, gap / scale, 0.0)
-    return ResidualField(rel, valid, name)
+    return ResidualField(_rel(gap, scale), valid, name)
 
 
 @dataclass
@@ -500,8 +503,7 @@ def hopf_residual(fields: SurfaceFields) -> ResidualField:
     with np.errstate(all="ignore"):
         scale = np.maximum(np.maximum(_mu_scale(fields), np.abs(s1)),
                            np.abs(s2))
-        r = np.where(scale == 0.0, 0.0,
-                     np.abs(fields.mu - (s1 - s2)) / scale)
+        r = _rel(np.abs(fields.mu - (s1 - s2)), scale)
     valid = fields.valid & np.isfinite(r)
     return ResidualField(r, np.asarray(valid), "hopf_holomorphy")
 

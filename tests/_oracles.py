@@ -506,8 +506,8 @@ def march_congruence(patch, init, consts, u, v, iu0, iv0):
     def sweep(along_u, fixed, y_start):
         t, i0 = (u, iu0) if along_u else (v, iv0)
         s = np.linspace(t[0], t[-1], 2 * len(t) - 1)[:, None]
-        phi, pu, pv, k1 = (patch.chart_scalars(s, fixed[None, :]) if along_u
-                           else patch.chart_scalars(fixed[None, :], s))
+        phi, pu, pv, k1 = (patch.chart(s, fixed[None, :]) if along_u
+                           else patch.chart(fixed[None, :], s)).scalars
         if along_u:
             f, coef = (lambda c, y: _rhs_u(consts, c, y)), list(zip(phi, pv, k1))
         else:

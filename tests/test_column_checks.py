@@ -35,7 +35,7 @@ def _catenoid_block():
     integ = integrate_system(ac.patch, init, ac.constants, step=0.01)
     b = _row_blocks(*integ.U.shape)[1]
     U, V = integ.U[b], integ.V[b]
-    return envelope(ac.patch, integ.w_rows(b, ac.patch.chart_scalars(U, V)),
+    return envelope(ac.patch, integ.w_rows(b, ac.patch.chart(U, V).scalars),
                     U, V)
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from ribaucour.congruence import (_ANALYTIC, AnalyticCongruence,
                                   generated_forms_check, hover_ratio_residual,
                                   integrate_system, system_residuals)
 from ribaucour.grids import Domain, _row_blocks
-from ribaucour.holoexpr import Neg
 from ribaucour.jets import RJet2
 from ribaucour.minimal import MinimalPatch, catenoid_patch, enneper_patch
 from ribaucour.ribaucour_core import check_middle_sphere
@@ -42,26 +42,24 @@ def enneper_data():
 
 
 class _FlatPatch:
-    """The plane X = (u, v, 0) in the interface of a minimal patch:
-    phi = 1, k1 = k2 = 0, and a constant normal whose pullback metric
-    vanishes, so every frame sample is flagged as a branch point.  Its
-    scale a = k1 phi^2 is 0."""
+    """The plane X = (u, v, 0) in the interface of a minimal patch: its
+    chart record has phi = 1, k1 = k2 = 0, and a constant normal whose
+    pullback metric vanishes, so every frame sample is flagged as a
+    branch point.  Its scale a = k1 phi^2 is 0."""
 
     a = 0.0
 
-    def chart_scalars(self, U, V, *, tangents=False):
+    def chart(self, U, V):
         one = np.ones(np.broadcast_shapes(np.shape(U), np.shape(V)))
-        scalars = one, 0.0 * one, 0.0 * one, 0.0 * one
-        if not tangents:
-            return scalars
-        return scalars, (np.stack([one, 0.0 * one, 0.0 * one], axis=-1),
-                         np.stack([0.0 * one, one, 0.0 * one], axis=-1))
-
-    def frame(self, U, V):
-        one, zero = self.chart_scalars(U, V)[:2]
+        zero = 0.0 * one
         normal = np.stack([zero, zero, one], axis=-1)
-        return SphereFrame(normal, 0.0 * normal, 0.0 * normal,
-                           RJet2(zero * np.nan, 0, 0, 0, 0, 0), one > 0.0)
+        return SimpleNamespace(
+            scalars=(one, 0.0 * one, 0.0 * one, 0.0 * one),
+            tangents=(np.stack([one, zero, zero], axis=-1),
+                      np.stack([zero, one, zero], axis=-1)),
+            frame=SphereFrame(normal, 0.0 * normal, 0.0 * normal,
+                              RJet2(zero * np.nan, 0, 0, 0, 0, 0),
+                              one > 0.0))
 
 
 def _square_grid(n=41):
@@ -151,12 +149,12 @@ def test_enneper_fields_need_the_quadrature_route(enneper_data):
 
 def test_analytic_example_is_a_lookup(monkeypatch):
     # the shipped data are not checked at lookup: no grid is evaluated
-    calls, real = [], MinimalPatch.chart_scalars
+    calls, real = [], MinimalPatch.chart
 
     def spy(self, *args, **kwargs):
         calls.append(self.name)
         return real(self, *args, **kwargs)
-    monkeypatch.setattr(MinimalPatch, "chart_scalars", spy)
+    monkeypatch.setattr(MinimalPatch, "chart", spy)
     for name in ("catenoid", "enneper"):
         ac = analytic_example(name)
         assert (ac.name, ac.constants) == (name, _ANALYTIC[name][3])
@@ -355,26 +353,19 @@ def test_integration_matches_march_oracle(catenoid_data, enneper_data,
         assert integ.U.shape == shape and integ.init_node == node
         fields, w_ref, gap = march_congruence(
             ac.patch, init, ac.constants, integ.U[:, 0], integ.V[0], *node)
-        for got, ref in zip((integ.omega, integ.omega1, integ.omega2),
-                            fields):
+        for got, ref in zip(integ.state().as_tuple()[:3], fields):
             assert got.flags.c_contiguous
             assert np.max(np.abs(got - ref)) <= 1e-13, ac.name
         # W's jet as the envelope takes it, one block of rows at a time,
-        # with the chart scalars of the block's frame
+        # with the chart scalars of the block's chart record
         for b in _row_blocks(*shape):
-            _, scalars = ac.patch.frame(integ.U[b], integ.V[b], scalars=True)
-            w = integ.w_rows(b, scalars)
+            w = integ.w_rows(b, ac.patch.chart(integ.U[b], integ.V[b]).scalars)
             for part in ("val", "du", "dv", "duu", "duv", "dvv"):
                 got = getattr(w, part)
                 assert got.flags.c_contiguous
                 assert np.max(np.abs(got - getattr(w_ref, part)[b])) \
                     <= 1e-13, (ac.name, part)
         assert abs(integ.path_gap - gap) <= 1e-13
-        # the chart scalars read off the frame's jet of -g are those of g
-        _, scalars = ac.patch.frame(integ.U, integ.V, scalars=True)
-        for got, want in zip(scalars,
-                             ac.patch.chart_scalars(integ.U, integ.V)):
-            assert _same_bits(got, want), ac.name
 
 
 def test_row_blocks_cover_the_rows_in_bounded_blocks(monkeypatch):
@@ -402,9 +393,9 @@ def test_chart_scalars_do_not_depend_on_the_array_size(patch):
     # 10 rows gets the bits of the whole-array call
     U, V = np.meshgrid(np.linspace(-1.0, 1.0, 300),
                        np.linspace(-1.0, 1.0, 121), indexing="ij")
-    whole = patch.chart_scalars(U, V)
+    whole = patch.chart(U, V).scalars
     for i in range(0, 300, 10):
-        block = patch.chart_scalars(U[i:i + 10], V[i:i + 10])
+        block = patch.chart(U[i:i + 10], V[i:i + 10]).scalars
         for got, want in zip(block, whole):
             assert _same_bits(got, want[i:i + 10]), i
 
@@ -414,8 +405,8 @@ def _direction_rows(patch, consts, along_u, t, fixed):
     stage abscissa as one array, as a march along that direction alone
     would evaluate them."""
     s = np.linspace(t[0], t[-1], 2 * len(t) - 1)[:, None]
-    scalars = (patch.chart_scalars(s, fixed[None, :]) if along_u
-               else patch.chart_scalars(fixed[None, :], s))
+    scalars = (patch.chart(s, fixed[None, :]) if along_u
+               else patch.chart(fixed[None, :], s)).scalars
     K = np.empty((s.shape[0], 7, len(fixed)))
     _fill_rows(K, scalars, consts, along_u)
     return K, scalars
@@ -479,8 +470,8 @@ def test_shared_node_scalars_match_per_direction_evaluation(
     # stage gets are those of an evaluation per direction as one array,
     # bit for bit, whether the march starts at the first node, the last
     # or in between.  At the nodes, both directions' evaluations are the
-    # chart scalars that the envelope pass reads off each block's frame,
-    # bit for bit.  The initial row's march of one lane gets the same
+    # chart scalars that the envelope pass reads off each block's chart
+    # record, bit for bit.  The initial row's march of one lane gets the same
     # rows, and its states are those of the march of one lane on Python
     # floats
     if block is not None:
@@ -493,7 +484,7 @@ def test_shared_node_scalars_match_per_direction_evaluation(
         cols_ref, by_v = _direction_rows(patch, consts, False, v, u)
         rows_ref, by_u = _direction_rows(patch, consts, True, u, v)
         for b in _row_blocks(nu, nv):
-            _, kept = patch.frame(u[b, None], v[None, :], scalars=True)
+            kept = patch.chart(u[b, None], v[None, :]).scalars
             for x, along_v, along_u in zip(kept, by_v, by_u):
                 assert _same_bits(x, along_v[::2].T[b]), patch.name
                 assert _same_bits(x, along_u[::2][b]), patch.name
@@ -564,8 +555,8 @@ def _integrate_checks(ac, integ):
     the ``analytic_agreement`` record in front of the envelope's."""
     return envelope_checks(
         ac.patch, integ.w_rows, integ.U, integ.V,
-        lambda b, env, scalars: (ac.agreement(integ, b, scalars[0]),
-                                 *integ.envelope_records(b, env)))
+        lambda b, env, chart: (ac.agreement(integ, b, chart.scalars[0]),
+                               *integ.envelope_records(b, env)))
 
 
 _FOLDED = ("path_independence", "first_integral_drift", "analytic_agreement")
@@ -644,7 +635,7 @@ def test_agreement_reads_the_closed_forms_at_first_order(name, monkeypatch):
     for b in blocks:
         U, V = integ.U[b], integ.V[b]
         orders.clear()
-        rec = spied.agreement(integ, b, ac.patch.chart_scalars(U, V)[0])
+        rec = spied.agreement(integ, b, ac.patch.chart(U, V).scalars[0])
         n = b.stop - b.start
         assert orders == [((n, 1), (1, U.shape[1]), 1)] * 2
         ref = ac.state(U, V)
@@ -721,8 +712,8 @@ def test_w_jet_per_row_block_matches_the_whole_grid(
         blocks = _row_blocks(*shape)
         assert len(blocks) > 1 or block is None
         for b in blocks:
-            jet = integ.w_rows(b, ac.patch.chart_scalars(integ.U[b],
-                                                         integ.V[b]))
+            jet = integ.w_rows(b, ac.patch.chart(integ.U[b],
+                                                 integ.V[b]).scalars)
             for part in ("val", "du", "dv", "duu", "duv", "dvv"):
                 assert _same_bits(getattr(jet, part),
                                   getattr(whole, part)[b]), (ac.name, part)
@@ -777,7 +768,7 @@ def test_envelope_checks_match_the_whole_grid(name, case, monkeypatch):
     blocks = spy_blocks(monkeypatch)
     checks = envelope_checks(patch, w_rows, U, V, records, surface=True)
     env = envelope(patch, w, U, V)
-    refs = records(slice(None), env, None)
+    refs = records(slice(None), env, patch.chart(U, V))
     assert list(checks.residuals) == [ref.name for ref in refs] == (
         _ANALYTIC_ENTRIES if case != "off-centre"
         else ["envelope_middle_sphere", "envelope_hover_ratio"])
@@ -800,43 +791,73 @@ def test_envelope_checks_match_the_whole_grid(name, case, monkeypatch):
 @pytest.mark.parametrize("name", ["catenoid", "enneper"])
 def test_analytic_command_builds_one_chart_record(name, monkeypatch,
                                                   capsys):
-    # per analytic congruence command, the frame and the chart scalars
-    # are evaluated once on the grid and shared by every check
-    calls = {}
+    # per analytic congruence command, one chart record is built on the
+    # grid, and every check reads its frame, chart scalars and tangents
+    calls, real = Counter(), MinimalPatch.chart
 
-    def counting(method):
-        real = getattr(MinimalPatch, method)
-
-        def spy(self, *args, **kwargs):
-            calls[method] = calls.get(method, 0) + 1
-            return real(self, *args, **kwargs)
-        monkeypatch.setattr(MinimalPatch, method, spy)
-
-    for method in ("frame", "chart_scalars"):
-        counting(method)
+    def spy(self, *args, **kwargs):
+        calls["chart"] += 1
+        return real(self, *args, **kwargs)
+    monkeypatch.setattr(MinimalPatch, "chart", spy)
     assert cli.main(["congruence", "--minimal", name]) == 0, \
         capsys.readouterr().out
-    assert calls == {"frame": 1, "chart_scalars": 1}
+    assert calls == {"chart": 1}
 
 
 @pytest.mark.parametrize("name", ["catenoid", "enneper"])
 def test_analytic_command_evaluates_one_gauss_map_jet_per_order(
         name, monkeypatch, capsys):
     # on the command's 41 x 41 grid, g's order-2 jet is evaluated once,
-    # for the chart scalars and the tangents of the gradient link, and
-    # the order-2 jet of -g once, for the envelope's frame; no order-3
-    # jet
+    # for the envelope's frame, the chart scalars and the tangents of
+    # the gradient link; no jet of -g, and no order-3 jet
     ac = analytic_example(name)
     orders, real = Counter(), minimal.eval_jet
 
     def spy(expr, z, order):
         assert np.shape(z) == (41, 41)
-        orders[order, "-g" if expr == Neg(ac.patch.g) else "g"] += 1
+        orders[order, "g" if expr == ac.patch.g else "other"] += 1
         return real(expr, z, order)
     monkeypatch.setattr(minimal, "eval_jet", spy)
     assert cli.main(["congruence", "--minimal", name]) == 0, \
         capsys.readouterr().out
-    assert orders == {(2, "g"): 1, (2, "-g"): 1}
+    assert orders == {(2, "g"): 1}
+
+
+def test_integrate_command_evaluates_g_once_per_sample(monkeypatch,
+                                                      capsys):
+    # at step 0.05 on 41 x 41 nodes, g's order-2 jet is evaluated once at
+    # every stage abscissa of the three marches (81 of the initial row,
+    # 81 x 41 of the columns and of the rows), once per envelope node for
+    # its chart record, and once at the chart origin for the initial
+    # state; no jet of -g
+    ac = analytic_example("catenoid")
+    samples, real = Counter(), minimal.eval_jet
+
+    def spy(expr, z, order):
+        samples[order, "g" if expr == ac.patch.g else "other"] += np.size(z)
+        return real(expr, z, order)
+    monkeypatch.setattr(minimal, "eval_jet", spy)
+    assert cli.main(["congruence", "--minimal", "catenoid", "--mode",
+                     "integrate", "--step", "0.05"]) == 0, \
+        capsys.readouterr().out
+    assert samples == {(2, "g"): 81 + 2 * 81 * 41 + 41 * 41 + 1}
+
+
+def test_hessian_identities_read_one_gauss_map_jet(catenoid_data,
+                                                  monkeypatch):
+    # the whole-grid Hessian check reads the frame, the chart scalars and
+    # the tangents off one chart record: one order-2 jet of g
+    ac = catenoid_data
+    U, V = _square_grid()
+    orders, real = Counter(), minimal.eval_jet
+
+    def spy(expr, z, order):
+        orders[order, "g" if expr == ac.patch.g else "other"] += 1
+        return real(expr, z, order)
+    monkeypatch.setattr(minimal, "eval_jet", spy)
+    check_hessian_identities(ac.patch, ac.w_jet(U, V), ac.omega_jet(U, V),
+                             ac.constants, U, V)
+    assert orders == {(2, "g"): 1}
 
 
 def test_path_gap_converges_with_the_step(catenoid_data):
@@ -852,15 +873,17 @@ def test_path_gap_converges_with_the_step(catenoid_data):
 class _BentCurvature:
     """The catenoid with k1 scaled by (1 + 1e-3 u): no longer a chart of
     a surface, so the system is not integrable and the two fills part.
-    Every march takes the scaled k1 at every stage abscissa."""
+    Every march takes the scaled k1 at every stage abscissa from the
+    chart record's scalars, the only part a march reads."""
 
     def __init__(self, patch):
         self.patch = patch
         self.a = patch.a
 
-    def chart_scalars(self, U, V):
-        phi, pu, pv, k1 = self.patch.chart_scalars(U, V)
-        return phi, pu, pv, k1 * (1.0 + 1e-3 * np.asarray(U))
+    def chart(self, U, V):
+        phi, pu, pv, k1 = self.patch.chart(U, V).scalars
+        return SimpleNamespace(
+            scalars=(phi, pu, pv, k1 * (1.0 + 1e-3 * np.asarray(U))))
 
 
 def test_path_gap_detects_an_incompatible_chart(catenoid_data):
@@ -908,8 +931,9 @@ def test_integration_on_flat_patch_is_exactly_constant():
     integ = integrate_system(plane, init, consts, step=0.1)
     assert integ.U.shape == (21, 21)
     assert float(np.max(np.abs(integ.omega - om0))) == 0.0
-    assert float(np.max(np.abs(integ.omega1))) == 0.0
-    assert float(np.max(np.abs(integ.omega2))) == 0.0
+    _, o1, o2, _ = integ.state().as_tuple()
+    assert float(np.max(np.abs(o1))) == 0.0
+    assert float(np.max(np.abs(o2))) == 0.0
     assert float(np.max(np.abs(integ.w.val - w0))) == 0.0
     for part in (integ.w.du, integ.w.dv, integ.w.duu, integ.w.duv,
                  integ.w.dvv):
@@ -1064,6 +1088,24 @@ def test_generated_forms(catenoid_data, enneper_data):
         assert hover.max_abs <= 1e-5, ac.name
 
 
+def test_a_nan_hover_ratio_is_excluded(catenoid_data):
+    # a NaN H/K on a valid envelope sample gives a NaN relative gap, and
+    # the record excludes that sample rather than count it as a valid 0
+    ac = catenoid_data
+    U, V = _square_grid(9)
+    env = envelope(ac.patch, ac.w_jet(U, V), U, V)
+    om = ac.omega_jet(U, V).val
+    base = hover_ratio_residual(env, om, ac.constants)
+    assert env.valid[4, 4] and base.valid[4, 4]
+    hover = env.hover_k.copy()
+    hover[4, 4] = np.nan
+    env.hover_k = hover
+    rec = hover_ratio_residual(env, om, ac.constants)
+    assert np.isnan(rec.values[4, 4]) and not rec.valid[4, 4]
+    assert rec.n_excluded == base.n_excluded + 1
+    assert 0.0 < rec.max_abs <= base.max_abs
+
+
 @pytest.mark.parametrize("name", ["catenoid", "enneper"])
 def test_whole_grid_summaries_match_the_analytic_records(name):
     # the summaries kept for whole-grid callers give the maxima and
@@ -1073,8 +1115,8 @@ def test_whole_grid_summaries_match_the_analytic_records(name):
     wj, oj = ac.w_jet(U, V), ac.omega_jet(U, V)
     env = envelope(ac.patch, wj, U, V)
     rec = {r.name: r
-           for r in ac.envelope_records(U[:, 0], V[0])(slice(None), env,
-                                                       None)}
+           for r in ac.envelope_records(U[:, 0], V[0])(
+               slice(None), env, ac.patch.chart(U, V))}
     hess = check_hessian_identities(ac.patch, wj, oj, ac.constants, U, V)
     forms = generated_forms_check(ac.patch, wj, oj, ac.constants, U, V,
                                   env=env)

@@ -77,12 +77,12 @@ def test_closed_form_factors():
     enneper = enneper_patch()
     for u, v in ENNEPER_PTS:
         phi = 1.0 + u * u + v * v
-        got_phi, _, _, k1 = enneper.chart_scalars(u, v)
+        got_phi, _, _, k1 = enneper.chart(u, v).scalars
         assert abs(got_phi - phi) <= 1e-12
         assert abs(k1 - 2.0 / phi ** 2) <= 1e-12
     catenoid = catenoid_patch()
     for u, v in CATENOID_PTS:
-        phi, _, _, k1 = catenoid.chart_scalars(u, v)
+        phi, _, _, k1 = catenoid.chart(u, v).scalars
         assert abs(phi - np.cosh(v)) <= 1e-12
         assert abs(k1 - 1.0 / np.cosh(v) ** 2) <= 1e-12
 
@@ -90,15 +90,16 @@ def test_closed_form_factors():
 def test_phi_jet_partials():
     # phi with its first partials from the chart scalars; d(1+u^2+v^2)/du
     # = 2u on Enneper's chart
-    phi, pu, pv, _ = enneper_patch().chart_scalars(0.5, -0.3)
+    phi, pu, pv, _ = enneper_patch().chart(0.5, -0.3).scalars
     assert abs(phi - 1.34) <= 1e-12
     assert abs(pu - 1.0) <= 1e-12
     assert abs(pv + 0.6) <= 1e-12
     # log phi = log a - tau of the frame, the log factor of the minimal
     # metric that the congruence checks take from the frame
     for patch, U, V in _grids():
-        phi, pu, pv, _ = patch.chart_scalars(U, V)
-        tau = patch.frame(U, V).tau
+        chart = patch.chart(U, V)
+        phi, pu, pv, _ = chart.scalars
+        tau = chart.frame.tau
         assert np.max(np.abs(np.log(patch.a) - tau.val - np.log(phi))) \
             <= 1e-13, patch.name
         for d_log, d_tau in ((pu / phi, tau.du), (pv / phi, tau.dv)):
@@ -113,8 +114,8 @@ def test_position_derivatives_match_finite_differences():
     for patch, pts in _patches_and_points():
         for u0, v0 in pts:
             d = position_derivatives(patch, u0, v0)
-            # the tangents the package reads, from the chart scalars' jet
-            _, tangents = patch.chart_scalars(u0, v0, tangents=True)
+            # the tangents the package reads, from the chart record's jet
+            tangents = patch.chart(u0, v0).tangents
             du, dv, duu, duv, dvv = fd_partials_scalar(
                 partial(patch_position, patch), u0, v0)
             for got, want in ((d["Xu"], du), (d["Xv"], dv), (d["Xuu"], duu),
@@ -143,14 +144,14 @@ def test_principal_curvatures_match_form_oracle():
             H = (E * P - 2.0 * F * M + G * L) / (2.0 * den)
             disc = np.sqrt(max(H * H - K, 0.0))
             k_hi, k_lo = H + disc, H - disc
-            k1 = patch.chart_scalars(u0, v0)[3]
+            k1 = patch.chart(u0, v0).scalars[3]
             assert np.max(rel_gap(k_hi, k1)) <= 1e-6, patch.name
             assert np.max(rel_gap(k_lo, -k1)) <= 1e-6, patch.name
 
 
 def test_curvature_point_values():
-    assert abs(enneper_patch().chart_scalars(0.0, 0.0)[3] - 2.0) <= 1e-12
-    assert abs(catenoid_patch().chart_scalars(0.0, 0.0)[3] - 1.0) <= 1e-12
+    assert abs(enneper_patch().chart(0.0, 0.0).scalars[3] - 2.0) <= 1e-12
+    assert abs(catenoid_patch().chart(0.0, 0.0).scalars[3] - 1.0) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +160,7 @@ def test_curvature_point_values():
 
 def test_frame_matches_patch_normal():
     for patch, U, V in _grids():
-        frame = patch.frame(U, V)
+        frame = patch.chart(U, V).frame
         ok = ~np.asarray(frame.branch)
         assert np.all(ok)
         gap = np.abs(frame.normal - patch_normal(patch, U, V))
@@ -168,8 +169,8 @@ def test_frame_matches_patch_normal():
 
 def test_frame_metric_factor():
     for patch, U, V in _grids():
-        frame = patch.frame(U, V)
-        phi, _, _, k1 = patch.chart_scalars(U, V)
+        chart = patch.chart(U, V)
+        frame, (phi, _, _, k1) = chart.frame, chart.scalars
         pred = k1 * k1 * phi ** 2
         assert np.max(rel_gap(frame.e2tau, pred)) <= 1e-10, patch.name
 
@@ -178,9 +179,10 @@ def test_normal_rotates_with_principal_curvatures():
     # in a curvature-line chart dN = -k1 X_u du - k2 X_v dv
     for patch, pts in _patches_and_points():
         for u0, v0 in pts:
-            frame = patch.frame(u0, v0)
+            chart = patch.chart(u0, v0)
+            frame = chart.frame
             d = position_derivatives(patch, u0, v0)
-            k1 = patch.chart_scalars(u0, v0)[3]
+            k1 = chart.scalars[3]
             k2 = -k1
             r1 = frame.normal_du + k1 * np.asarray(d["Xu"])
             r2 = frame.normal_dv + k2 * np.asarray(d["Xv"])
@@ -190,7 +192,7 @@ def test_normal_rotates_with_principal_curvatures():
 
 def test_frame_is_a_valid_sphere_frame():
     for patch, U, V in _grids():
-        frame = patch.frame(U, V)
+        frame = patch.chart(U, V).frame
         N = frame.normal
         unit = np.abs(np.sum(N * N, axis=-1) - 1.0)
         assert np.max(unit) <= 1e-12, patch.name
@@ -231,14 +233,14 @@ def test_chart_coordinate_is_built_exactly(U, V):
                                     Domain(-0.6, 1.0, -1.0, 0.4)],
                          ids=["square", "off-centre"])
 def test_frame_jet_gives_the_tangents_of_g(g, domain):
-    # the tangents read off the frame's jet of -g, with their first two
-    # components negated, are those of chart_scalars' jet of g: X_u - i X_v
+    # the tangents read off a jet of -g, with their first two components
+    # negated, are those of the chart record's jet of g: X_u - i X_v
     # = F (1 - g^2, i (1 + g^2), 2 g) with F = a / (2 g') changes sign in
     # its first two components only when g does.  Equal up to the signs
     # of zeros and NaNs (z^2 + 2z has its branch point on the square)
     patch = MinimalPatch("test", domain, parse(g), 1.5)
     U, V, _ = domain.mesh(41, 37)
-    _, want = patch.chart_scalars(U, V, tangents=True)
+    want = patch.chart(U, V).tangents
     mg, mg1, _ = eval_jet(Neg(patch.g), _z(U, V), 2).values
     with np.errstate(all="ignore"):
         w = _weierstrass(0.5 * patch.a / mg1, mg)

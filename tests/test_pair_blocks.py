@@ -243,6 +243,12 @@ def test_summaries_fold_any_blocks_like_the_whole_grid(values, data):
     rows_per_block = data.draw(st.integers(1, len(values)))
     summary, whole = _fold(values, valid, rows_per_block)
     assert same_summary(summary, whole)
+    # the whole-grid record reads one fold of itself: the masked maximum,
+    # a NaN kept, and the mask's counts
+    n = int(np.count_nonzero(valid))
+    want = np.max(np.abs(values[valid])) if n else np.nan
+    assert same_bits(whole.max_abs, float(want))
+    assert (whole.n_valid, whole.n_excluded) == (n, valid.size - n)
 
 
 DEEP = ["--f1", "exp(z)/(1+z^2)", "--f2", "sin(z)*cos(z)/(z+3)",

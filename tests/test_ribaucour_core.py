@@ -16,7 +16,8 @@ from ribaucour.grids import Domain
 from ribaucour.holoexpr import BinOp, Call, Const, Var, eval_jet, parse
 from ribaucour.jets import RJet2
 from ribaucour.report import identity_entry
-from ribaucour.ribaucour_core import (RibaucourPatch, check_middle_sphere,
+from ribaucour.ribaucour_core import (CheckSummary, RibaucourPatch,
+                                      _form_residual, check_middle_sphere,
                                       evaluate_patch, hopf_residual, immerse,
                                       make_patch, shape_from_support,
                                       support_jet, support_pde_residual,
@@ -498,3 +499,20 @@ def test_curvatures_match_fundamental_form_route():
             assert np.max(rel_gap(k2_fd, k2_s)) <= 1e-5, (patch.label(), z0)
             checked += 1
     assert checked >= 80
+
+
+def test_a_nan_form_coefficient_folds_as_nan():
+    # the one relative-gap rule: a NaN coefficient on a valid sample makes
+    # its gap and scale NaN, and the relative gap stays NaN, so the
+    # record folds as NaN, not as a perfect 0; a sample whose forms both
+    # vanish has a zero scale and gives 0
+    one, zero = np.ones(3), np.zeros(3)
+    lhs = (np.array([1.0, 1.0, 0.0]), np.array([0.0, np.nan, 0.0]), zero)
+    rhs = (np.array([1.0, 2.0, 0.0]), zero, zero)
+    res = _form_residual(lhs, rhs, one > 0.0, "form")
+    assert res.values[0] == 0.0 and res.values[2] == 0.0
+    assert np.isnan(res.values[1])
+    summary = CheckSummary("form")
+    summary.fold(res)
+    assert np.isnan(summary.max_abs) and np.isnan(res.max_abs)
+    assert (summary.n_valid, summary.n_excluded) == (3, 0)

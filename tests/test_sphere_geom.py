@@ -130,20 +130,25 @@ def test_frame_stores_normal_once_as_built():
         assert a.shape == Z.shape + (3,) and a.flags.c_contiguous, name
     fields = evaluate_patch(make_patch("z", "exp(z)"), 9, 9)
     assert fields.N is fields.frame.normal
-    # a minimal patch's frame is that of -g's order-2 jet with the third
-    # component of N, N_u and N_v negated, bit for bit, and the same on
-    # every call
+    # a minimal chart's frame is that of g's order-2 jet with N, N_u and
+    # N_v negated, bit for bit, and read once per chart record.  It is
+    # also -g's frame with the third component of N, N_u and N_v
+    # negated, up to the signs of zeros
     U, V = Z.real, Z.imag
     for patch in (enneper_patch(), catenoid_patch()):
-        got = patch.frame(U, V)
+        chart = patch.chart(U, V)
+        got = chart.frame
+        assert chart.frame is got, patch.name
+        own = frame_from_jet(eval_jet(patch.g, Z, 2))
         ref = frame_from_jet(eval_jet(Neg(patch.g), Z, 2))
-        again = patch.frame(U, V)
         for name in ("normal", "normal_du", "normal_dv"):
             a, b = getattr(got, name), getattr(ref, name)
+            assert same_bits(a, -getattr(own, name)), (patch.name, name)
             assert np.array_equal(a[..., :2], b[..., :2]), (patch.name, name)
             assert np.array_equal(a[..., 2], -b[..., 2]), (patch.name, name)
-            assert np.array_equal(getattr(again, name), a), (patch.name, name)
         for part in ("val", "du", "dv"):
+            assert same_bits(getattr(got.tau, part),
+                             getattr(own.tau, part)), (patch.name, part)
             assert np.array_equal(getattr(got.tau, part),
                                   getattr(ref.tau, part)), (patch.name, part)
         assert np.array_equal(got.branch, ref.branch), patch.name
