@@ -32,9 +32,7 @@ for name in ("catenoid", "enneper"):
     # every check of the closed forms as `ribaucour congruence` runs it:
     # the envelope block by block, W and Omega on each block's grid
     # lines, one record per report entry
-    checks = envelope_checks(ac.patch,
-                             lambda b, _: ac.w_jet(u[b, None], v[None, :]),
-                             U, V, ac.envelope_records(u, v))
+    checks = envelope_checks(ac.patch, ac.envelope_block(u, v), U, V)
     worst = {r.name: r.max_abs for r in checks.residuals.values()}
     print(f"  first-order system residuals : max "
           f"{worst['congruence_system']:.2e}")
@@ -48,10 +46,8 @@ for name in ("catenoid", "enneper"):
     init = CongruenceState(*(float(np.asarray(x)) for x in st0.as_tuple()))
     integ = integrate_system(ac.patch, init, ac.constants,
                              domain=Domain(-1, 1, -1, 1), step=0.01)
-    integrated = envelope_checks(
-        ac.patch, integ.w_rows, integ.U, integ.V,
-        lambda b, env, chart: (ac.agreement(integ, b, chart.scalars[0]),
-                               *integ.envelope_records(b, env)))
+    integrated = envelope_checks(ac.patch, integ.envelope_block(ac), integ.U,
+                                 integ.V)
     agree = integrated.residuals["analytic_agreement"].max_abs
     print(f"  integration vs closed form   : max {agree:.2e} "
           f"(step 0.01, path gap {integ.path_gap:.2e})")

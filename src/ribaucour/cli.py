@@ -283,9 +283,7 @@ def cmd_congruence(args) -> int:
 
     if args.mode == "analytic":
         U, V, _ = domain.mesh(args.nu, args.nv)
-        u, v = U[:, 0], V[0]
-        w_rows, records = (lambda b, _: ac.w_jet(u[b, None], v[None, :])), \
-            ac.envelope_records(u, v)
+        block = ac.envelope_block(U[:, 0], V[0])
         folded = []
     else:
         try:
@@ -294,18 +292,13 @@ def cmd_congruence(args) -> int:
         except ValueError as exc:  # the step gives no usable grid
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_PARSE
-        U, V, w_rows = integ.U, integ.V, integ.w_rows
-
-        def records(b, env, chart):
-            return (ac.agreement(integ, b, chart.scalars[0]),
-                    *integ.envelope_records(b, env))
+        U, V, block = integ.U, integ.V, integ.envelope_block(ac)
         folded = list(integ.checks.residuals.values())
         details["integration"] = {"grid": list(U.shape),
                                   "init_node": list(integ.init_node)}
     # the envelope and every check of it block by block: X, N and the
     # mask only for a mesh
-    checks = envelope_checks(ac.patch, w_rows, U, V, records,
-                             surface=bool(args.out))
+    checks = envelope_checks(ac.patch, block, U, V, surface=bool(args.out))
     tols = {name: args.tol_fi if tol == TOL_FI else tol
             for name, tol in TOL_CONGRUENCE.items()}
     entries = [_residual_entry(res, tols[res.name])

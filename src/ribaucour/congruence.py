@@ -43,13 +43,17 @@ magnitudes.  Every check is a per-sample
 :class:`~ribaucour.ribaucour_core.ResidualField` named after its report
 entry: :func:`envelope_checks` runs the envelope over blocks of grid
 rows, each freed before the next, and folds the records of either
-congruence's ``envelope_records`` into one
+congruence's ``envelope_block`` into one
 :class:`~ribaucour.ribaucour_core.GridChecks`.  Each block reads one
 :class:`~ribaucour.minimal.MinimalChart`, one order-2 jet of g
 (:meth:`~ribaucour.minimal.MinimalPatch.chart`): the frame, the chart
-scalars and the tangents all come from it.  The checks read tau to first
-order only, which that jet gives; the frame's tau gives the minimal
-metric's log factor, log a - tau.
+scalars and the tangents all come from it.  An analytic-mode block
+keeps that jet while its records run, for the tangents; an
+integrate-mode block builds its envelope in one
+:func:`~ribaucour.grids._released` scope on the chart, so the jet and
+every chart scalar but phi are gone before its records run.  The checks
+read tau to first order only, which that jet gives; the frame's tau
+gives the minimal metric's log factor, log a - tau.
 
 :func:`analytic_example` looks up shipped data: closed-form solutions
 (W, Omega) over the built-in patches as jet code, with the constant c
@@ -75,7 +79,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grids import Domain, _row_blocks, _rows_per_block
+from .grids import Domain, _released, _row_blocks, _rows_per_block
 from .jets import RJet2, jet_finite
 from .minimal import (MinimalChart, MinimalPatch, catenoid_patch,
                       enneper_patch)
@@ -124,8 +128,9 @@ class CongruenceState:
 def first_integral(state: CongruenceState, consts: IntegralConstants):
     """Value of the conserved quadratic at the state (elementwise)."""
     om, o1, o2, w = state.as_tuple()
-    return (o1 * o1 + o2 * o2 + w * w - 2.0 * consts.c * om * w
-            + consts.c2 * w + consts.c3 * om + consts.c1)
+    with np.errstate(all="ignore"):
+        return (o1 * o1 + o2 * o2 + w * w - 2.0 * consts.c * om * w
+                + consts.c2 * w + consts.c3 * om + consts.c1)
 
 
 # ---------------------------------------------------------------------------
@@ -139,16 +144,17 @@ def _system_terms(w_jet: RJet2, omega_jet: RJet2, scalars: tuple) -> dict:
     Omega2 are read off as Omega_u/phi and Omega_v/phi, so those two
     equations hold by construction and are not reported)."""
     phi, pu, pv, k1 = scalars
-    o1 = omega_jet.du / phi
-    o2 = omega_jet.dv / phi
-    o1_v = (omega_jet.duv * phi - omega_jet.du * pv) / (phi * phi)
-    o2_u = (omega_jet.duv * phi - omega_jet.dv * pu) / (phi * phi)
-    return {
-        "omega1_v": o1_v - o2 * pu / phi,
-        "omega2_u": o2_u - o1 * pv / phi,
-        "w_u": w_jet.du - o1 * k1 * phi,
-        "w_v": w_jet.dv - o2 * -k1 * phi,
-    }
+    with np.errstate(all="ignore"):
+        o1 = omega_jet.du / phi
+        o2 = omega_jet.dv / phi
+        o1_v = (omega_jet.duv * phi - omega_jet.du * pv) / (phi * phi)
+        o2_u = (omega_jet.duv * phi - omega_jet.dv * pu) / (phi * phi)
+        return {
+            "omega1_v": o1_v - o2 * pu / phi,
+            "omega2_u": o2_u - o1 * pv / phi,
+            "w_u": w_jet.du - o1 * k1 * phi,
+            "w_v": w_jet.dv - o2 * -k1 * phi,
+        }
 
 
 def system_residuals(patch: MinimalPatch, w_jet: RJet2, omega_jet: RJet2,
@@ -160,10 +166,11 @@ def system_residuals(patch: MinimalPatch, w_jet: RJet2, omega_jet: RJet2,
 
 
 def _state_from_jets(wj: RJet2, oj: RJet2, phi) -> CongruenceState:
-    return CongruenceState(omega=np.asarray(oj.val, dtype=float),
-                           omega1=np.asarray(oj.du, dtype=float) / phi,
-                           omega2=np.asarray(oj.dv, dtype=float) / phi,
-                           w=np.asarray(wj.val, dtype=float))
+    with np.errstate(all="ignore"):
+        return CongruenceState(omega=np.asarray(oj.val, dtype=float),
+                               omega1=np.asarray(oj.du, dtype=float) / phi,
+                               omega2=np.asarray(oj.dv, dtype=float) / phi,
+                               w=np.asarray(wj.val, dtype=float))
 
 
 def _everywhere(values, name: str) -> ResidualField:
@@ -267,30 +274,38 @@ class AnalyticCongruence:
         return _largest_gap(((x[rows], r) for x, r in zip(
             integ.state().as_tuple(), ref.as_tuple())), "analytic_agreement")
 
-    def envelope_records(self, u, v):
-        """``records(b, env, chart)`` for :func:`envelope_checks` on the
-        grid with lines ``u`` x ``v``: every check of these closed forms
-        on the rows ``b``, each named after its report entry, in report
-        order.  W's jet is that of the envelope ``env``, the chart scalars
-        and tangents those of the block's ``chart``, whose frame is the
-        envelope's, and Omega's jet is evaluated once, on the block's
-        grid lines."""
+    def envelope_block(self, u, v):
+        """``block(b, chart)`` for :func:`envelope_checks` on the grid
+        with lines ``u`` x ``v``: the envelope on the rows ``b``, of the
+        frame of the block's ``chart`` and W's jet, and every check of
+        these closed forms there, each named after its report entry, in
+        report order.  W's and Omega's jets are evaluated once each, on
+        the block's grid lines.  The checks read the chart's scalars and
+        tangents, so the chart keeps its jet of g while they run; the
+        envelope's form triples go once ``generated_forms`` is built."""
         consts = self.constants
 
-        def records(b, env, chart):
+        def block(b, chart):
+            # the frame first: its construction needs more scratch memory
+            # than any later step
+            env = SurfaceFields(chart.frame,
+                                self.w_jet(u[b, None], v[None, :]))
             wj, oj = env.rho, self.omega_jet(u[b, None], v[None, :])
             terms = _system_terms(wj, oj, chart.scalars).values()
             state = _state_from_jets(wj, oj, chart.scalars[0])
-            return (_everywhere(np.maximum.reduce([np.abs(r) for r in terms]),
-                                "congruence_system"),
-                    _everywhere(np.abs(first_integral(state, consts)),
-                                "first_integral_drift"),
-                    _middle_sphere(env),
-                    *hessian_identity_residuals(wj, oj, consts, chart),
-                    generated_forms_residual(env, oj.val, consts,
-                                             chart.scalars),
-                    hover_ratio_residual(env, oj.val, consts))
-        return records
+            records = [
+                _everywhere(np.maximum.reduce([np.abs(r) for r in terms]),
+                            "congruence_system"),
+                _everywhere(np.abs(first_integral(state, consts)),
+                            "first_integral_drift"),
+                _middle_sphere(env),
+                *hessian_identity_residuals(wj, oj, consts, chart)]
+            with _released(env):
+                records.append(generated_forms_residual(
+                    env, oj.val, consts, chart.scalars))
+            records.append(hover_ratio_residual(env, oj.val, consts))
+            return env, records
+        return block
 
 
 def analytic_example(name: str) -> AnalyticCongruence:
@@ -533,12 +548,28 @@ class IntegratedCongruence:
         chart = self.patch.chart(self.U, self.V)
         return self.w_rows(slice(None), chart.scalars)
 
-    def envelope_records(self, rows: slice, env: SurfaceFields) -> tuple:
-        """The middle-sphere and H/K records of the envelope ``env`` on the
-        grid rows ``rows``, each named after its report entry, for the
-        ``records`` of :func:`envelope_checks` on this grid."""
-        return (_middle_sphere(env),
-                hover_ratio_residual(env, self.omega[rows], self.constants))
+    def envelope_block(self, reference: AnalyticCongruence):
+        """``block(b, chart)`` for :func:`envelope_checks` on this grid:
+        the envelope on the rows ``b``, of the frame of the block's
+        ``chart`` and W's jet (:meth:`w_rows`), with the
+        ``analytic_agreement`` record of ``reference``
+        (:meth:`AnalyticCongruence.agreement`) and the envelope's
+        middle-sphere and H/K records, each named after its report
+        entry, in report order.  Of the chart, the records read phi alone, so the envelope is built in
+        one scope on the chart: the chart's jet of g and its other
+        scalars go when the scope ends, before any record runs."""
+        def block(b, chart):
+            # the frame first: its construction needs more scratch memory
+            # than any later step
+            with _released(chart):
+                env = SurfaceFields(chart.frame,
+                                    self.w_rows(b, chart.scalars))
+                phi = chart.scalars[0]
+            return env, (reference.agreement(self, b, phi),
+                         _middle_sphere(env),
+                         hover_ratio_residual(env, self.omega[b],
+                                              self.constants))
+        return block
 
 
 def integrate_system(patch: MinimalPatch, init: CongruenceState,
@@ -676,13 +707,13 @@ def hessian_identity_residuals(w_jet: RJet2, omega_jet: RJet2,
     frame = chart.frame
     phi, _, _, k1 = chart.scalars
     k2 = -k1
-    E = phi * phi
-    e2t = frame.e2tau
     w = np.asarray(w_jet.val, dtype=float)
     om = np.asarray(omega_jet.val, dtype=float)
-    a = consts.c * w - 0.5 * consts.c3
-    b = consts.c * om - w - 0.5 * consts.c2
     with np.errstate(all="ignore"):
+        E = phi * phi
+        e2t = frame.e2tau
+        a = consts.c * w - 0.5 * consts.c3
+        b = consts.c * om - w - 0.5 * consts.c2
         # the minimal metric's log factor is log a - tau: only its
         # gradient enters the Hessian
         h1 = conformal_hessian(omega_jet, -frame.tau)
@@ -755,35 +786,29 @@ def _middle_sphere(env: SurfaceFields) -> ResidualField:
     return replace(check_middle_sphere(env), name="envelope_middle_sphere")
 
 
-def envelope_checks(patch: MinimalPatch, w_rows, U, V, records, *,
+def envelope_checks(patch: MinimalPatch, block, U, V, *,
                     surface: bool = False) -> GridChecks:
-    """:func:`envelope` on the grid (U, V) and the checks of
-    ``records``, run over blocks of at most ``grids._BLOCK`` samples
-    (whole rows of the first axis), so that no stage holds its
-    temporaries for the whole grid.  Each block reads one chart record
-    (:meth:`~ribaucour.minimal.MinimalPatch.chart`), its frame first;
-    ``w_rows(b, scalars)`` is W's order-2 jet on the rows ``b`` of (U, V)
-    with the chart scalars (phi, phi_u, phi_v, k1) there, built per
-    block, such as :meth:`IntegratedCongruence.w_rows`;
-    ``records(b, env, chart)`` returns the residual records of the
-    envelope ``env`` on those rows, given the block's ``chart``, such as
-    those of
-    :meth:`AnalyticCongruence.envelope_records`.  The record folds them
-    in the order given; with ``surface``, X, N and the valid mask are
-    assembled too.  Valid samples get the bits of the whole-grid
-    evaluation, and so does every summary; the values at excluded
-    samples may differ (a NaN's sign, for one).
+    """:func:`envelope` on the grid (U, V) and its checks, run over
+    blocks of at most ``grids._BLOCK`` samples (whole rows of the first
+    axis), so that no stage holds its temporaries for the whole grid.
+    Each block gets one chart record of the patch on its rows ``b``
+    (:meth:`~ribaucour.minimal.MinimalPatch.chart`), which evaluates g
+    when first read: ``block(b, chart)`` returns the envelope on those
+    rows and its residual records, as the ``envelope_block`` of
+    :class:`AnalyticCongruence` and :class:`IntegratedCongruence` do;
+    the chart goes when ``block`` returns.  The record
+    folds them in the order given; with ``surface``, X, N and the valid
+    mask are assembled too.  Valid samples get the bits of the
+    whole-grid evaluation, and so does every summary; the values at
+    excluded samples may differ (a NaN's sign, for one).
     """
     U, V = np.broadcast_arrays(np.asarray(U, dtype=float),
                                np.asarray(V, dtype=float))
     out = GridChecks(U.shape, surface)
     for b in _row_blocks(U.shape[0], U[0].size):
-        # the frame first: its construction needs more scratch memory
-        # than any later step, so nothing else is held while it runs
-        chart = patch.chart(U[b], V[b])
-        env = SurfaceFields(chart.frame, w_rows(b, chart.scalars))
-        out.put(b, records(b, env, chart), env)
-        del chart, env  # before the next block's frame is built
+        env, records = block(b, patch.chart(U[b], V[b]))
+        out.put(b, records, env)
+        del env, records  # before the next block's frame is built
     return out
 
 
@@ -793,14 +818,16 @@ def _form_gaps(env: SurfaceFields, omega, consts: IntegralConstants,
     from their linear combinations of the minimal patch's forms, per
     sample over ``env.valid`` (see :func:`generated_forms_residual`)."""
     phi, _, _, k1 = scalars
-    E, e2t = phi * phi, env.frame.e2tau
-    zero = np.zeros_like(E)
-    I_m, II_m, III_m = (E, zero, E), (k1 * E, zero, -k1 * E), (e2t, zero, e2t)
-    a = 0.5 * consts.c3 - consts.c * np.asarray(env.rho.val, dtype=float)
-    b = 0.5 * consts.c2 - consts.c * np.asarray(omega, dtype=float)
-    pred_I = tuple(a * a * i + 2.0 * a * b * s + b * b * t
-                   for i, s, t in zip(I_m, II_m, III_m))
-    pred_II = tuple(a * s + b * t for s, t in zip(II_m, III_m))
+    with np.errstate(all="ignore"):
+        E, e2t = phi * phi, env.frame.e2tau
+        zero = np.zeros_like(E)
+        I_m, II_m = (E, zero, E), (k1 * E, zero, -k1 * E)
+        III_m = (e2t, zero, e2t)
+        a = 0.5 * consts.c3 - consts.c * np.asarray(env.rho.val, dtype=float)
+        b = 0.5 * consts.c2 - consts.c * np.asarray(omega, dtype=float)
+        pred_I = tuple(a * a * i + 2.0 * a * b * s + b * b * t
+                       for i, s, t in zip(I_m, II_m, III_m))
+        pred_II = tuple(a * s + b * t for s, t in zip(II_m, III_m))
     return tuple(_form_residual(lhs, rhs, env.valid)
                  for lhs, rhs in ((env.first, pred_I),
                                   (env.second, pred_II),

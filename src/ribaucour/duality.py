@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import _row_blocks
+from .grids import _released, _row_blocks
 from .holoexpr import eval_jet
 from .ribaucour_core import (GridChecks, ResidualField, RibaucourPatch,
                              SurfaceFields, _form_residual, _mu_scale, _rel,
@@ -203,13 +203,20 @@ def pair_checks(pair: DualPair, nu: int = 41, nv: int = 41, *,
     dual = GridChecks(Z.shape, surface=True) if surface else None
     for rows in _row_blocks(nu, nv):
         fields = fa, fb = evaluate_pair(pair, Z=Z[rows])
-        # degenerate samples give inf or NaN, which the masks record
-        with np.errstate(all="ignore"):
-            out.put(rows, (*verify_c2(pair, fields=fields),
-                           *verify_hk_equality(pair, fields=fields),
-                           *verify_form_relations(pair, fields=fields)), fa,
-                    usable=np.any(fa.valid & fb.valid),
+        # degenerate samples give inf or NaN, which the masks record; the
+        # next block's evaluation finds only this one's frames and rho
+        with np.errstate(all="ignore"), _released(*fields):
+            # every check reads valid: it stays for the block, and so do
+            # the operator and Hessian under it, which later checks read;
+            # what a check alone reads goes with its scope
+            usable = np.any(fa.valid & fb.valid)
+            records = []
+            for check in (verify_c2, verify_hk_equality,
+                          verify_form_relations):
+                with _released(*fields):
+                    records += check(pair, fields=fields)
+            out.put(rows, records, fa, usable=usable,
                     gap=unit_sphere_gap(fa))
-        if dual is not None:
-            dual.put(rows, fields=fb)
+            if dual is not None:
+                dual.put(rows, fields=fb)
     return out, dual

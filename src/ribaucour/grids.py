@@ -1,8 +1,10 @@
-"""Rectangular chart domains and sample grids, and the row blocks that
-every blocked stage of the package walks a grid in."""
+"""Rectangular chart domains and sample grids, the row blocks that
+every blocked stage of the package walks a grid in, and the scope that
+releases a block's readings after their last reader."""
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +28,22 @@ def _row_blocks(n_rows: int, row_len: int):
     samples, in blocks of :func:`_rows_per_block` rows."""
     step = _rows_per_block(row_len)
     return [slice(i, min(i + step, n_rows)) for i in range(0, n_rows, step)]
+
+
+@contextmanager
+def _released(*records):
+    """Drops, on leaving, every reading of ``records`` first computed
+    inside: the cached readings that a per-block record (a
+    ``SurfaceFields`` or a ``MinimalChart``) keeps in its ``__dict__``.
+    A blocked stage reads first what several of its steps read, then
+    runs each check in a scope of its own, so that each array of a block
+    lives until the last check that reads it and none is computed twice.
+    """
+    kept = [set(vars(r)) for r in records]
+    yield
+    for r, names in zip(records, kept):
+        for name in vars(r).keys() - names:
+            del vars(r)[name]
 
 
 @dataclass(frozen=True)

@@ -61,14 +61,18 @@ class MinimalPatch:
     origin: tuple = (0.0, 0.0, 0.0)
 
     def chart(self, U, V) -> MinimalChart:
-        """The chart record on the samples (U, V): one order-2 jet of g."""
-        return MinimalChart(self.a, eval_jet(self.g, _z(U, V), 2))
+        """The chart record on the samples (U, V): one order-2 jet of g,
+        evaluated when first read."""
+        return MinimalChart(self, U, V)
 
 
 class MinimalChart:
-    """The chart record of a minimal patch on some samples: one order-2
-    jet of its Gauss map g, with its scale a.  Each reading below is
-    computed from that jet when first read, then kept:
+    """The chart record of a minimal patch on the samples (U, V): one
+    order-2 jet of its Gauss map g, ``jet``, and the readings below,
+    each computed when first read and kept until the
+    :func:`ribaucour.grids._released` scope that computed it ends, if
+    one did (a block that reads only the frame and the scalars builds
+    both in one scope, and the jet goes with it):
 
     * ``scalars``, (phi, phi_u, phi_v, k1), through
       phi_u - i phi_v = 2 phi d/dz log phi, where
@@ -82,27 +86,30 @@ class MinimalChart:
       :mod:`ribaucour.sphere_geom`), which is all its readers read.
     """
 
-    def __init__(self, a: float, jet):
-        self.a = a
-        self.jet = jet
+    def __init__(self, patch: MinimalPatch, U, V):
+        self.patch, self.U, self.V = patch, U, V
+
+    @cached_property
+    def jet(self):
+        return eval_jet(self.patch.g, _z(self.U, self.V), 2)
 
     @cached_property
     def scalars(self) -> tuple:
         g, g1, g2 = self.jet.values
         with np.errstate(all="ignore"):
             s1 = 1.0 + np.abs(g) ** 2
-            phi = 0.5 * self.a * s1 / np.abs(g1)
+            phi = 0.5 * self.patch.a * s1 / np.abs(g1)
             # conj(g) first: a temporary left operand keeps its place
             # when numpy reuses it as the output, so the bits of every
             # sample do not depend on the size of the array
             d = 2.0 * phi * (np.conj(g) * g1 / s1 - 0.5 * g2 / g1)
-            return phi, d.real, -d.imag, self.a / (phi * phi)
+            return phi, d.real, -d.imag, self.patch.a / (phi * phi)
 
     @cached_property
     def tangents(self) -> tuple:
         g, g1, _ = self.jet.values
         with np.errstate(all="ignore"):
-            w = _weierstrass(0.5 * self.a / g1, g)
+            w = _weierstrass(0.5 * self.patch.a / g1, g)
         return w.real, -w.imag
 
     @cached_property

@@ -37,7 +37,10 @@ Every step from the jets to the residuals is per sample, so
 :func:`ribaucour.grids._row_blocks`), one :class:`SurfaceFields` per
 block, and folds each residual into a :class:`CheckSummary` (X, N and
 the valid mask kept on request) in a :class:`GridChecks`, the one check
-record of the package; no stage holds a whole grid's shape data.
+record of the package; no stage holds a whole grid's shape data.  Each
+check of a block runs in a :func:`ribaucour.grids._released` scope, so
+what it alone reads goes when it returns, and what the block read goes
+before the next block is evaluated.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grids import Domain, _row_blocks
+from .grids import Domain, _released, _row_blocks
 from .holoexpr import HoloExpr, eval_jet, parse, to_text
 from .jets import RJet2, jet_finite
 from .sphere_geom import (SphereFrame, _dot, conformal_hessian,
@@ -191,10 +194,12 @@ class SurfaceFields:
     :func:`evaluate_patch`.  ``schwarzian`` is None for fields that no
     check of S reads (``duality.evaluate_pair``,
     :func:`shape_from_support`), which :func:`hopf_residual` rejects.
-    Everything else is computed the first time it is read and then
-    kept, so a caller pays only for what it reads, and reading several
-    quantities computes none twice (``N`` is the frame's ``normal``
-    array itself):
+    Everything else is computed the first time it is read and kept
+    until the :func:`ribaucour.grids._released` scope that computed it
+    ends, if one did, so a caller pays only for what it reads, reading
+    several quantities within a scope computes none twice, and a blocked
+    stage holds each only until its last check (``N`` is the frame's
+    ``normal`` array itself):
 
     * ``X`` (trailing axis of length 3), ``hover_k`` (H/K) and
       ``mu`` (the Laguerre Hopf coefficient; it measures the umbilic
@@ -380,11 +385,12 @@ def _form_residual(lhs: tuple, rhs: tuple, valid, name: str = ""
                    ) -> ResidualField:
     """Coefficientwise gap between two forms relative to the local form
     magnitude, per sample (:func:`_rel`)."""
-    gap = np.maximum.reduce([np.abs(np.asarray(a) - np.asarray(b))
-                             for a, b in zip(lhs, rhs)])
-    scale = np.maximum.reduce([np.maximum(np.abs(np.asarray(a)),
-                                          np.abs(np.asarray(b)))
-                               for a, b in zip(lhs, rhs)])
+    with np.errstate(all="ignore"):
+        gap = np.maximum.reduce([np.abs(np.asarray(a) - np.asarray(b))
+                                 for a, b in zip(lhs, rhs)])
+        scale = np.maximum.reduce([np.maximum(np.abs(np.asarray(a)),
+                                              np.abs(np.asarray(b)))
+                                   for a, b in zip(lhs, rhs)])
     return ResidualField(_rel(gap, scale), valid, name)
 
 
@@ -542,14 +548,20 @@ def patch_checks(patch: RibaucourPatch, nu: int = 41, nv: int = 41, *,
     out = GridChecks(Z.shape, surface)
     for rows in _row_blocks(nu, nv):
         fields = evaluate_patch(patch, Z=Z[rows])
-        if not checks:
-            out.put(rows, fields=fields)
-            continue
-        # degenerate samples give inf or NaN, which the masks record
-        with np.errstate(all="ignore"):
-            out.put(rows, (support_pde_residual(fields),
-                           check_middle_sphere(fields),
-                           hopf_residual(fields)), fields,
-                    usable=np.any(fields.valid),
-                    gap=unit_sphere_gap(fields))
+        # degenerate samples give inf or NaN, which the masks record; the
+        # next block's evaluation finds only this one's frame and rho
+        with np.errstate(all="ignore"), _released(fields):
+            if not checks:
+                out.put(rows, fields=fields)
+                continue
+            # valid and X, read by a check and by the put, stay for the
+            # block, and so do the operator and Hessian under valid; what
+            # a check alone reads goes with its scope
+            usable, gap = np.any(fields.valid), unit_sphere_gap(fields)
+            records = []
+            for check in (support_pde_residual, check_middle_sphere,
+                          hopf_residual):
+                with _released(fields):
+                    records.append(check(fields))
+            out.put(rows, records, fields, usable=usable, gap=gap)
     return out

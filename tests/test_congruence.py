@@ -553,10 +553,8 @@ def test_joint_march_matches_each_half_alone(monkeypatch, block, domain,
 def _integrate_checks(ac, integ):
     """The envelope checks of integrate mode as the command folds them:
     the ``analytic_agreement`` record in front of the envelope's."""
-    return envelope_checks(
-        ac.patch, integ.w_rows, integ.U, integ.V,
-        lambda b, env, chart: (ac.agreement(integ, b, chart.scalars[0]),
-                               *integ.envelope_records(b, env)))
+    return envelope_checks(ac.patch, integ.envelope_block(ac), integ.U,
+                           integ.V)
 
 
 _FOLDED = ("path_independence", "first_integral_drift", "analytic_agreement")
@@ -719,17 +717,10 @@ def test_w_jet_per_row_block_matches_the_whole_grid(
                                   getattr(whole, part)[b]), (ac.name, part)
 
 
-def _jet_rows(w):
-    """W's jet on the rows b, cut from the whole-grid jet ``w`` (the
-    block's chart scalars go unread)."""
-    return lambda b, _: RJet2(*(x[b] for x in (w.val, w.du, w.dv, w.duu,
-                                            w.duv, w.dvv)))
-
-
 def _envelope_case(name, case, monkeypatch):
-    """(patch, W's jet per block of rows, W's whole-grid jet, the records
-    callback, U, V) of one block layout: integrated fields with their
-    two envelope records, or closed forms with every analytic record."""
+    """(patch, the block callback, W's whole-grid jet, U, V) of one block
+    layout: integrated fields with their agreement and two envelope
+    records, or closed forms with every analytic record."""
     ac = analytic_example(name)
     if case == "off-centre":
         # nu != nv, initial node off the grid's centre, several blocks
@@ -738,9 +729,8 @@ def _envelope_case(name, case, monkeypatch):
                                  domain=Domain(-0.6, 1.0, -1.0, 0.4),
                                  step=0.02)
         assert integ.U.shape == (81, 71) and integ.init_node == (30, 50)
-        return (ac.patch, integ.w_rows, integ.w,
-                lambda b, env, _: integ.envelope_records(b, env),
-                integ.U, integ.V)
+        return (ac.patch, integ.envelope_block(ac), integ.w, integ.U,
+                integ.V)
     # 23 rows of 40 in blocks of 12 and 11 rows; 10 x 20 inside one
     # block; rows of 600 samples, one row per block
     block, shape = {"ragged": (500, (23, 40)), "one-block": (500, (10, 20)),
@@ -748,9 +738,7 @@ def _envelope_case(name, case, monkeypatch):
     monkeypatch.setattr(grids, "_BLOCK", block)
     U, V = np.meshgrid(np.linspace(-0.9, 0.8, shape[0]),
                        np.linspace(-0.7, 0.95, shape[1]), indexing="ij")
-    w = ac.w_jet(U, V)
-    return (ac.patch, _jet_rows(w), w, ac.envelope_records(U[:, 0], V[0]),
-            U, V)
+    return ac.patch, ac.envelope_block(U[:, 0], V[0]), ac.w_jet(U, V), U, V
 
 
 _ANALYTIC_ENTRIES = ["congruence_system", "first_integral_drift",
@@ -763,21 +751,24 @@ _ANALYTIC_ENTRIES = ["congruence_system", "first_integral_drift",
                                   "off-centre"])
 @pytest.mark.parametrize("name", ["catenoid", "enneper"])
 def test_envelope_checks_match_the_whole_grid(name, case, monkeypatch):
-    patch, w_rows, w, records, U, V = _envelope_case(name, case,
-                                                     monkeypatch)
+    patch, block, w, U, V = _envelope_case(name, case, monkeypatch)
     blocks = spy_blocks(monkeypatch)
-    checks = envelope_checks(patch, w_rows, U, V, records, surface=True)
+    checks = envelope_checks(patch, block, U, V, surface=True)
     env = envelope(patch, w, U, V)
-    refs = records(slice(None), env, patch.chart(U, V))
+    # the block callback on the whole grid builds the whole envelope
+    whole_env, refs = block(slice(None), patch.chart(U, V))
+    for part in ("val", "du", "dv", "duu", "duv", "dvv"):
+        assert _same_bits(getattr(whole_env.rho, part), getattr(w, part))
     assert list(checks.residuals) == [ref.name for ref in refs] == (
         _ANALYTIC_ENTRIES if case != "off-centre"
-        else ["envelope_middle_sphere", "envelope_hover_ratio"])
+        else ["analytic_agreement", "envelope_middle_sphere",
+              "envelope_hover_ratio"])
     assert _same_bits(checks.X, env.X)
     assert _same_bits(checks.N, env.N)
     assert _same_bits(checks.valid, env.valid)
     assert all(ref.n_valid > 0 for ref in refs)
     # without a mesh to write, nothing but the residuals' summaries
-    bare = envelope_checks(patch, w_rows, U, V, records)
+    bare = envelope_checks(patch, block, U, V)
     assert bare.X is None and bare.N is None and bare.valid is None
     for record in (checks, bare):
         # every block's records, put together, are the whole grid's
@@ -1114,9 +1105,9 @@ def test_whole_grid_summaries_match_the_analytic_records(name):
     U, V = _square_grid()
     wj, oj = ac.w_jet(U, V), ac.omega_jet(U, V)
     env = envelope(ac.patch, wj, U, V)
-    rec = {r.name: r
-           for r in ac.envelope_records(U[:, 0], V[0])(
-               slice(None), env, ac.patch.chart(U, V))}
+    _, records = ac.envelope_block(U[:, 0], V[0])(slice(None),
+                                                  ac.patch.chart(U, V))
+    rec = {r.name: r for r in records}
     hess = check_hessian_identities(ac.patch, wj, oj, ac.constants, U, V)
     forms = generated_forms_check(ac.patch, wj, oj, ac.constants, U, V,
                                   env=env)
