@@ -475,9 +475,12 @@ def _rk4_steps(K, ys, H, k0, k1, S, tmp) -> None:
 
 def _grid_arrays(nu: int, nv: int) -> np.ndarray:
     """The one full-grid array of :func:`integrate_system`, the fields,
-    shape (4, nu, nv).  It is allocated before any step, so that a grid
-    too large for the memory fails at once."""
-    return np.empty((4, nu, nv))
+    shape (4, nu, nv), allocated first: a grid too large for the memory
+    fails at once, with MemoryError also where numpy refuses the size."""
+    try:
+        return np.empty((4, nu, nv))
+    except ValueError:  # a size beyond what numpy can index
+        raise MemoryError(f"{nu:.3g} x {nv:.3g} nodes exceed numpy's limit")
 
 
 @dataclass
@@ -585,7 +588,7 @@ def integrate_system(patch: MinimalPatch, init: CongruenceState,
     with the fields, folded into ``checks`` and dropped.  Each march
     evaluates the chart scalars at its own stage abscissae, one block of
     steps at a time (:func:`_kernel_rows`).  The fields are allocated
-    before any step, so a grid too large for the memory fails at once.
+    first of all, so a grid too large for the memory fails at once.
     A step that is not finite and positive, gives a node count that is
     not finite or below 2, or whose nodes miss the origin raises
     ValueError.
@@ -602,6 +605,7 @@ def integrate_system(patch: MinimalPatch, init: CongruenceState,
     if nu < 2 or nv < 2:
         raise ValueError(f"integration needs at least 2 nodes per "
                          f"direction, got {nu} x {nv}")
+    fields = _grid_arrays(nu, nv)
     u = np.linspace(domain.u0, domain.u1, nu)
     v = np.linspace(domain.v0, domain.v1, nv)
     iu0, iv0 = int(np.argmin(np.abs(u))), int(np.argmin(np.abs(v)))
@@ -611,7 +615,6 @@ def integrate_system(patch: MinimalPatch, init: CongruenceState,
                          f"{domain.u0:g}:{domain.u1:g}:{domain.v0:g}:"
                          f"{domain.v1:g} miss the chart origin (0, 0)")
     om0, o10, o20, w0 = (float(x) for x in init.as_tuple())
-    fields = _grid_arrays(nu, nv)
 
     # the initial row, one lane, whose march state is (Omega, Omega2, W,
     # Omega1)
@@ -620,16 +623,11 @@ def integrate_system(patch: MinimalPatch, init: CongruenceState,
     def put_row(nodes, ys):
         row[nodes] = ys[:, :, 0]
 
-    _march(_kernel_rows(patch, consts, True, u, v[iv0:iv0 + 1]), u, iu0,
-           np.array([[om0], [o20], [w0], [o10]]), put_row)
-
     # then every column, block by block into the fields; the columns'
     # march state is (Omega, Omega1, W, Omega2), (4, nu) per node
     def put_columns(nodes, ys):
         fields[:, :, nodes] = ys.transpose(1, 2, 0)
 
-    _march(_kernel_rows(patch, consts, False, v, u), v, iv0,
-           row[:, _SWAP].T, put_columns)
     # then every row from the initial column: each block is compared with
     # the column-first fill, folded into the checks and dropped
     # the fill holds the initial state at the initial node, bit for bit
@@ -645,8 +643,15 @@ def integrate_system(patch: MinimalPatch, init: CongruenceState,
                          "path_independence"),
             _everywhere(np.abs(F - F0), "first_integral_drift")))
 
-    _march(_kernel_rows(patch, consts, True, u, v), u, iu0,
-           fields[_SWAP, iu0], compare_rows)
+    # where the chart or the fields overflow, the inf and NaN they give
+    # are what the checks record
+    with np.errstate(all="ignore"):
+        _march(_kernel_rows(patch, consts, True, u, v[iv0:iv0 + 1]), u,
+               iu0, np.array([[om0], [o20], [w0], [o10]]), put_row)
+        _march(_kernel_rows(patch, consts, False, v, u), v, iv0,
+               row[:, _SWAP].T, put_columns)
+        _march(_kernel_rows(patch, consts, True, u, v), u, iu0,
+               fields[_SWAP, iu0], compare_rows)
     return IntegratedCongruence(u=u, v=v, fields=fields, patch=patch,
                                 constants=consts, init_node=(iu0, iv0),
                                 checks=checks)
@@ -806,8 +811,10 @@ def envelope_checks(patch: MinimalPatch, block, U, V, *,
                                np.asarray(V, dtype=float))
     out = GridChecks(U.shape, surface)
     for b in _row_blocks(U.shape[0], U[0].size):
-        env, records = block(b, patch.chart(U[b], V[b]))
-        out.put(b, records, env)
+        # degenerate samples give inf or NaN, which the masks record
+        with np.errstate(all="ignore"):
+            env, records = block(b, patch.chart(U[b], V[b]))
+            out.put(b, records, env)
         del env, records  # before the next block's frame is built
     return out
 

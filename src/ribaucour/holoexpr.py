@@ -1,7 +1,7 @@
 """Holomorphic expressions of one complex variable.
 
 Small closed expression language: parsing, printing, and jet evaluation
-(value plus derivatives up to third order).
+(value plus derivatives up to order ``MAX_JET_ORDER``).
 The grammar, whitespace-insensitive::
 
     expr   := term (('+'|'-') term)*
@@ -13,8 +13,8 @@ The grammar, whitespace-insensitive::
 Powers are restricted to integer exponents so every node is single-valued
 and the derivative rules apply without branch bookkeeping.  Trees are
 immutable and there is no simplification pass.  Jets come from one
-forward pass that carries (f, f', f'', f''') through each node (Taylor
-mode), so their cost grows with the tree, not with its derivative trees.
+forward pass with one any-order recurrence per rule (Taylor mode), so
+their cost grows with the tree, not with its derivative trees.
 There is no symbolic differentiation: the tests keep one as the
 independent check of that pass.
 
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import comb, factorial
 from typing import Union
 
 import numpy as np
@@ -306,6 +307,11 @@ def to_text(e: HoloExpr) -> str:
 # int factor: the term is exactly 0 in the differentiated tree, while
 # multiplying it out would turn a non-finite partner into NaN.
 
+def _padded(head: list, order: int) -> list:
+    """``head`` padded with exact zeros to a jet of ``order``."""
+    return (head + [0] * order)[:order + 1]
+
+
 def _zero(x) -> bool:
     return type(x) is int and x == 0
 
@@ -327,60 +333,44 @@ def _sub(x, y):
 
 
 def _mul(x, y):
-    for a, b in ((x, y), (y, x)):
-        if type(a) is int and a in (0, 1):
-            return b if a else 0
+    if type(x) is int and x in (0, 1):
+        return y if x else 0
+    if type(y) is int and y in (0, 1):
+        return x if y else 0
     return x * y
 
 
+def _sum(term, lo: int, hi: int):
+    """term(lo) + ... + term(hi - 1) in halves, the first the larger:
+    (a + b) + c; each term is made just before it is added."""
+    if hi - lo == 1:
+        return term(lo)
+    mid = (lo + hi + 1) // 2
+    return _add(_sum(term, lo, mid), _sum(term, mid, hi))
+
+
 def _leibniz(a: list, b: list) -> list:
-    """Jet of a product: (ab)^(k) = sum_j C(k, j) a^(j) b^(k-j)."""
-    out = [a[0] * b[0]]
-    if len(a) > 1:
-        out.append(_add(_mul(a[1], b[0]), _mul(a[0], b[1])))
-    if len(a) > 2:
-        out.append(_add(_add(_mul(a[2], b[0]), _mul(2, _mul(a[1], b[1]))),
-                        _mul(a[0], b[2])))
-    if len(a) > 3:
-        out.append(_add(_add(_mul(a[3], b[0]), _mul(3, _mul(a[2], b[1]))),
-                        _add(_mul(3, _mul(a[1], b[2])), _mul(a[0], b[3]))))
-    return out
+    """Jet of a product: (ab)^(k) = sum_j C(k, j) a^(k-j) b^(j)."""
+    return [_sum(lambda j: _mul(comb(k, j), _mul(a[k - j], b[j])), 0, k + 1)
+            for k in range(len(a))]
 
 
 def _quotient(a: list, b: list) -> list:
-    """Jet of q = a/b: the Leibniz rule for a = q b, solved for q^(k)
-    order by order."""
+    """Jet of q = a/b: the Leibniz rule for a = q b, solved for q^(k)."""
     q = [a[0] / b[0]]
-    if len(a) == 1:
-        return q
-    inv = 1.0 / b[0]
-    q.append(_mul(_sub(a[1], _mul(b[1], q[0])), inv))
-    if len(a) > 2:
-        rest = _add(_mul(2, _mul(b[1], q[1])), _mul(b[2], q[0]))
-        q.append(_mul(_sub(a[2], rest), inv))
-    if len(a) > 3:
-        rest = _add(_add(_mul(3, _mul(b[1], q[2])),
-                         _mul(3, _mul(b[2], q[1]))), _mul(b[3], q[0]))
-        q.append(_mul(_sub(a[3], rest), inv))
+    inv = 1.0 / b[0] if len(a) > 1 else None
+    for k in range(1, len(a)):
+        term = lambda j: _mul(comb(k, j), _mul(b[j], q[k - j]))
+        q.append(_mul(_sub(a[k], _sum(term, 1, k + 1)), inv))
     return q
 
 
 def _chain(g: list, f: list) -> list:
-    """Jet of g(f) from the outer derivatives g[j] = g^(j)(f) and the jet
-    of f (Faa di Bruno's formula to third order).  Powers of f' multiply
-    onto g^(j) one at a time, as in the differentiated tree, so a tiny
-    g^(j) is not multiplied by an overflowing f'^j."""
-    out = [g[0]]
-    if len(f) > 1:
-        out.append(_mul(g[1], f[1]))
-    if len(f) > 2:
-        g2f1 = _mul(g[2], f[1])
-        out.append(_add(_mul(g2f1, f[1]), _mul(g[1], f[2])))
-    if len(f) > 3:
-        out.append(_add(_add(_mul(_mul(_mul(g[3], f[1]), f[1]), f[1]),
-                             _mul(3, _mul(g2f1, f[2]))),
-                        _mul(g[1], f[3])))
-    return out
+    """Jet of g(f), g[j] = g^(j)(f), by (g o f)' = (g' o f) f' one order
+    lower: f' multiplies onto g^(j) one factor at a time, as in the
+    differentiated tree, so a tiny g^(j) meets no overflowing f'^j."""
+    inner = _chain(g[1:], f[:-1]) if len(f) > 1 else []
+    return [g[0]] + _leibniz(inner, f[1:])
 
 
 def _power_outer(x, n: int, order: int) -> list:
@@ -414,18 +404,20 @@ def _function_outer(func: str, x, order: int, memo: dict) -> list:
     if func == "exp":
         return [np.exp(x)] * (order + 1)
     if func == "log":
-        out = [np.log(x)]
-        if order >= 1:
-            r = 1.0 / x
-            out += [r, -(r * r), 2.0 * (r * r * r)][:order]
+        # log^(k) = (-1)^(k-1) (k-1)! r^k with r = 1/x
+        out, r, p = [np.log(x)], 1.0 / x if order else None, 1
+        for k in range(1, order + 1):
+            p = _mul(p, r)
+            t = _mul(factorial(k - 1), p)
+            out.append(t if k % 2 else -t)
         return out
     f, df, df_sign, sign = _TRIG[func]
     out = [_once(memo, f, x)]
-    if order >= 1:
-        d = _once(memo, df, x)
-        out.append(d if df_sign > 0 else -d)
-    # f'' = s f and f''' = s f'
-    return out + [g if sign > 0 else -g for g in out[:order - 1]]
+    # f' = +-df and f^(k) = s f^(k-2)
+    for k in range(1, order + 1):
+        d, s = (_once(memo, df, x), df_sign) if k == 1 else (out[k - 2], sign)
+        out.append(d if s > 0 else -d)
+    return out
 
 
 def _jet(e: HoloExpr, z, order: int, memo: dict) -> list:
@@ -434,11 +426,11 @@ def _jet(e: HoloExpr, z, order: int, memo: dict) -> list:
     jet = lambda a: _jet(a, z, order, memo)
     match e:
         case Var():
-            return [z, 1, 0, 0][:order + 1]
+            return _padded([z, 1], order)
         case Const(value):
             # a numpy scalar, not a Python complex: constant subtrees such
             # as 1/0 must give inf or NaN like arrays do, not raise
-            return [np.complex128(value), 0, 0, 0][:order + 1]
+            return _padded([np.complex128(value)], order)
         case BinOp("+", a, b):
             return [_add(x, y) for x, y in zip(jet(a), jet(b))]
         case BinOp("-", a, b):
@@ -450,7 +442,7 @@ def _jet(e: HoloExpr, z, order: int, memo: dict) -> list:
         case Pow(b, n):
             if n == 0:
                 # b^0 is 1 wherever b is, finite or not
-                return [np.complex128(1.0), 0, 0, 0][:order + 1]
+                return _padded([np.complex128(1.0)], order)
             f = jet(b)
             return _chain(_power_outer(f[0], n, order), f)
         case Neg(a):
@@ -482,16 +474,16 @@ class CJet:
 
 
 def eval_jet(e: HoloExpr, z, order: int = MAX_JET_ORDER) -> CJet:
-    """Evaluate ``e`` and its derivatives up to ``order`` (0..3) at ``z``.
+    """Evaluate ``e`` and its derivatives up to ``order`` at ``z``.
 
     One forward pass over the tree carries the whole jet through each
     node: sums act entrywise, products follow the Leibniz rule, quotients
-    its solved form, and powers and the elementary functions Faa di
-    Bruno's chain rule.  Entries are exact to rounding; a term that the
-    differentiated tree makes exactly zero stays exactly zero here, so
-    no entry is non-finite where the differentiated tree is finite.
-    Scalar ``z`` raises :class:`EvalError` if any entry is non-finite;
-    arrays leave non-finite entries in place.
+    its solved form, and powers and the elementary functions the chain
+    rule (g o f)' = (g' o f) f'.  Entries are exact to rounding; a term
+    that the differentiated tree makes exactly zero stays exactly zero
+    here, so no entry is non-finite where the differentiated tree is
+    finite.  Scalar ``z`` raises :class:`EvalError` if any entry is
+    non-finite; arrays leave non-finite entries in place.
     """
     if not isinstance(order, int) or not 0 <= order <= MAX_JET_ORDER:
         raise ValueError(f"order must be an integer in 0..{MAX_JET_ORDER}")

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .holoexpr import CJet, _quotient
+from .holoexpr import CJet, _padded, _quotient
 from .jets import RJet2, abs2_jet, im_jet, jet_finite, re_jet
 
 __all__ = [
@@ -87,7 +87,7 @@ def _inverted_where_large(j: CJet):
         flip = np.abs(j.values[0]) > 1.0
     if not np.any(flip):
         return j, None
-    one = [np.complex128(1.0), 0, 0, 0][:j.order + 1]
+    one = _padded([np.complex128(1.0)], j.order)
     with np.errstate(all="ignore"):
         if np.all(flip):
             return CJet(j.z, tuple(_quotient(one, list(j.values)))), flip

@@ -320,6 +320,9 @@ def test_pair_deep_build_memory_stays_bounded(capsys, tmp_path):
       "--nu", "5", "--nv", "5"], 1),
     (["congruence", "--minimal", "enneper", "--domain=-800:800:-40:40",
       "--nu", "5", "--nv", "5"], 1),
+    # the marches and the envelope overflow there too
+    (["congruence", "--minimal", "catenoid", "--mode", "integrate",
+      "--domain=-40:40:-800:800", "--step", "10"], 1),
 ])
 def test_lazy_reads_raise_no_warnings(argv, code, tmp_path, capsys):
     with warnings.catch_warnings():

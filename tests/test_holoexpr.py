@@ -344,6 +344,10 @@ def _subtrees(e):
 @example(parse("sin(z)*exp(z)/(z^2 + 2)"))
 @example(parse("cos(z^2)^3 - log(z + 2)*sinh(z)"))
 @example(parse("log(exp(z)/exp(z))"))
+# chain arguments with a non-zero f'' and f'''
+@example(parse("exp(z^2)"))
+@example(parse("sin(z*z + 1)/(z + 2)"))
+@example(parse("log(1 + z^3)"))
 def test_jet_matches_differentiated_trees(tree):
     # the symbolic derivative is the independent oracle of the Taylor
     # pass: entry k equals the k-times differentiated tree wherever that
@@ -370,6 +374,20 @@ def test_jet_matches_differentiated_trees(tree):
         assert np.all(gap <= 1e-12 * scale[ok]), (to_text(tree), k)
         if k < 3:
             oracle = differentiate(oracle)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(TREES)
+def test_lower_order_jets_are_the_start_of_the_full_jet(tree):
+    # entry k of every rule reads the entries up to k alone, so a jet of
+    # order k is, bit for bit, the first k + 1 entries of the full jet:
+    # the order-2 frames and the real jets rely on this
+    full = eval_jet(tree, EVAL_POINTS, holoexpr.MAX_JET_ORDER).values
+    for k in range(holoexpr.MAX_JET_ORDER + 1):
+        low = eval_jet(tree, EVAL_POINTS, k).values
+        assert len(low) == k + 1
+        assert all(same_bits(a, b) for a, b in zip(low, full)), \
+            (to_text(tree), k)
 
 
 def _count_trig(monkeypatch) -> Counter:

@@ -200,6 +200,9 @@ def test_build_judges_one_grid(tmp_path, monkeypatch):
      "--step", "1e-310"],
     ["congruence", "--minimal", "catenoid", "--mode", "integrate",
      "--step", "0.5", "--domain=-1e308:1e308:-1:1"],
+    # a node count beyond any array numpy can allocate
+    ["congruence", "--minimal", "catenoid", "--mode", "integrate",
+     "--step", "1e-300"],
 ])
 def test_cli_rejects_bad_input(argv, capsys):
     # exit 2 with a message; exit 1 stays reserved for failed residuals
@@ -211,6 +214,9 @@ def test_cli_rejects_bad_input(argv, capsys):
     if argv[-2:] == ["--step", "0.3"]:
         assert err == ("error: the nodes of step 0.3 on the domain "
                        "-1:1:-1:1 miss the chart origin (0, 0)\n")
+    if argv[-2:] == ["--step", "1e-300"]:
+        assert err == ("error: not enough memory for this grid: 2e+300 x "
+                       "2e+300 nodes exceed numpy's limit\n")
 
 
 def test_out_dual_writes_the_dual_mesh_there(tmp_path, capsys):
@@ -267,7 +273,8 @@ def test_cli_reports_exhausted_memory(target, argv, monkeypatch, capsys):
 def test_oversize_integration_grid_fails_before_any_step(monkeypatch,
                                                          capsys):
     # 100,001^2 nodes: the full-grid arrays are allocated (here: refused)
-    # before any chart scalar is evaluated or any march step is taken
+    # before any node line is built, any chart scalar is evaluated or any
+    # march step is taken
     calls = []
 
     def spy(name, real):
@@ -279,6 +286,7 @@ def test_oversize_integration_grid_fails_before_any_step(monkeypatch,
     for name in ("_march", "_fill_rows"):
         monkeypatch.setattr(congruence, name,
                             spy(name, getattr(congruence, name)))
+    monkeypatch.setattr(np, "linspace", spy("linspace", np.linspace))
     monkeypatch.setattr(congruence, "_grid_arrays", _out_of_memory)
     assert cli.main(["congruence", "--minimal", "catenoid",
                      "--mode", "integrate", "--step", "2e-5"]) == 2
