@@ -11,14 +11,14 @@ Subcommands
 ``export``      sample and write the OBJ mesh without running checks.
 
 Exit codes: 0 all checks pass, 1 a residual check failed, 2 bad input
-(unparsable expression or domain, a numeric literal too large for a
-float, non-finite domain bounds, a grid size below 2, a ``--tol-*``
-value that is not finite and positive, an integration step that is not
-finite and positive, gives a node count that is not finite or misses the
-chart origin, ``--out-dual`` without ``--out``, a grid too large for the
-available memory), 3 nothing to
-check (all samples degenerate, or the patch coincides with the fixed
-unit sphere), 4 I/O failure.
+(an option the command does not take, unparsable expression or domain,
+a numeric literal too large for a float, non-finite domain bounds, a
+grid size below 2, an integration step that is not finite and positive,
+gives a node count that is not finite or misses the chart origin,
+``--out-dual`` without ``--out``, a grid too large for the available
+memory), 3 nothing to check (all samples degenerate, or the patch
+coincides with the fixed unit sphere), 4 I/O failure.  Every tolerance
+is fixed, from the tables below; each report entry records its own.
 """
 from __future__ import annotations
 
@@ -41,16 +41,16 @@ EXIT_DEGENERATE = 3
 EXIT_IO = 4
 
 UNIT_SPHERE_TOL = 1e-8
-TOL_PDE = 1e-12          # support and middle-sphere identities (--tol-pde),
-                         # relative to the sum of their terms' magnitudes
+TOL_PDE = 1e-12          # support and middle-sphere identities, relative
+                         # to the sum of their terms' magnitudes
 TOL_HOPF = 1e-10         # mu = S(f1) - S(f2), relative to its terms
-TOL_FI = 1e-6            # congruence system and first integral (--tol-fi)
+TOL_FI = 1e-6            # congruence system and first integral
 TOL_PROP = 1e-5          # second-order congruence identities
 # envelope residuals, relative; W is a jet in both modes.  The middle-sphere
 # scale |X|^2 + 2|(H/K)<X,N>| + 1 reaches 10 on the default domain (Enneper),
 # so this is no looser there than an absolute 1e-6
 TOL_ENVELOPE = 1e-7
-# the dual checks by entry name; --tol-c2 replaces the two 1e-8 values
+# the dual checks by entry name
 TOL_DUAL = {
     "curvature_switch": 1e-8,
     "direction_switch": 1e-6,            # radians
@@ -60,7 +60,7 @@ TOL_DUAL = {
     "second_form_relation": 1e-7,
     "third_form_relation": 1e-8,
 }
-# the congruence checks by entry name; --tol-fi replaces every TOL_FI value
+# the congruence checks by entry name
 TOL_CONGRUENCE = {
     **dict.fromkeys(("path_independence", "first_integral_drift",
                      "analytic_agreement", "congruence_system"), TOL_FI),
@@ -124,19 +124,16 @@ def _residual_entry(res, tolerance, **kwargs):
 
 
 def _parse_inputs(args):
-    """The --domain rectangle, once the grid sizes, the step and the
-    tolerances are checked; raises ValueError for input the command
-    cannot run on."""
+    """The --domain rectangle, once the grid sizes and the step are
+    checked; raises ValueError for input the command cannot run on."""
     from .grids import Domain
 
     if min(args.nu, args.nv) < 2:
         raise ValueError(f"--nu and --nv must be at least 2, "
                          f"got {args.nu} and {args.nv}")
-    for flag in ("step", "tol_pde", "tol_c2", "tol_fi"):
-        value = getattr(args, flag, 1.0)
-        if not (math.isfinite(value) and value > 0.0):
-            raise ValueError(f"--{flag.replace('_', '-')} must be finite "
-                             f"and positive, got {value}")
+    step = getattr(args, "step", 1.0)
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError(f"--step must be finite and positive, got {step}")
     return Domain.parse(args.domain)
 
 
@@ -177,7 +174,7 @@ def cmd_build(args) -> int:
     domain, patch = parsed
     # row block by row block: X, N and the mask only for a mesh
     checks = patch_checks(patch, args.nu, args.nv, surface=bool(args.out))
-    inputs = _pair_inputs(args, domain, {"pde": args.tol_pde,
+    inputs = _pair_inputs(args, domain, {"pde": TOL_PDE,
                                          "hopf_holomorphy": TOL_HOPF})
     surfaces = [(checks, args.out)] if args.out else []
     if not checks.usable:
@@ -185,7 +182,7 @@ def cmd_build(args) -> int:
                        all_degenerate=True,
                        notes=("every sample is degenerate "
                               "(branch point or singular shape operator)",))
-    tols = {"support_pde": args.tol_pde, "middle_sphere": args.tol_pde,
+    tols = {"support_pde": TOL_PDE, "middle_sphere": TOL_PDE,
             "hopf_holomorphy": TOL_HOPF}
     entries = [_residual_entry(res, tols[res.name])
                for res in checks.residuals.values()]
@@ -218,7 +215,7 @@ def cmd_dual(args) -> int:
     checks, dual = pair_checks(make_dual(patch), args.nu, args.nv,
                                surface=bool(args.out))
     inputs = _pair_inputs(args, domain, {
-        "curvature": args.tol_c2,
+        "curvature": TOL_DUAL["curvature_switch"],
         "direction_rad": TOL_DUAL["direction_switch"],
         "hopf_sum": TOL_DUAL["hopf_antisymmetry"],
     })
@@ -241,8 +238,6 @@ def cmd_dual(args) -> int:
                        notes=("patch coincides with the fixed unit sphere; "
                               "the dual is the same sphere",),
                        extra={"unit_sphere_gap": gap})
-    tols = {**TOL_DUAL, "curvature_switch": args.tol_c2,
-            "hover_k_equality": args.tol_c2}
     # some sample is usable (guard above): none left to switch means
     # every usable sample is umbilic
     vac_note = "totally umbilic patch: no principal data to switch"
@@ -250,7 +245,8 @@ def cmd_dual(args) -> int:
     entries = []
     for res in checks.residuals.values():
         vacuous = vac and res.name in ("curvature_switch", "direction_switch")
-        entries.append(_residual_entry(res, tols[res.name], vacuous=vacuous,
+        entries.append(_residual_entry(res, TOL_DUAL[res.name],
+                                       vacuous=vacuous,
                                        note=vac_note if vacuous else ""))
     return _finish(args, "dual", inputs, entries, surfaces,
                    notes=(vac_note,) if vac else (),
@@ -275,11 +271,10 @@ def cmd_congruence(args) -> int:
         "minimal": args.minimal, "mode": args.mode,
         "domain": [domain.u0, domain.u1, domain.v0, domain.v1],
         "grid": [args.nu, args.nv], "step": args.step,
-        "tolerances": {"first_integral": args.tol_fi,
+        "tolerances": {"first_integral": TOL_FI,
                        "second_order": TOL_PROP},
     }
-    details = {"constants": {"c": consts.c, "c1": consts.c1,
-                             "c2": consts.c2, "c3": consts.c3}}
+    details = {"constants": {"c": consts.c}}
 
     if args.mode == "analytic":
         U, V, _ = domain.mesh(args.nu, args.nv)
@@ -299,9 +294,7 @@ def cmd_congruence(args) -> int:
     # the envelope and every check of it block by block: X, N and the
     # mask only for a mesh
     checks = envelope_checks(ac.patch, block, U, V, surface=bool(args.out))
-    tols = {name: args.tol_fi if tol == TOL_FI else tol
-            for name, tol in TOL_CONGRUENCE.items()}
-    entries = [_residual_entry(res, tols[res.name])
+    entries = [_residual_entry(res, TOL_CONGRUENCE[res.name])
                for res in folded + list(checks.residuals.values())]
     surfaces = [(checks, args.out)] if args.out else []
     return _finish(args, "congruence", inputs, entries, surfaces,
@@ -365,10 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
                                      "pair and verify its identities")
     _add_pair_arguments(b, "write the sampled mesh to this OBJ path")
     b.add_argument("--report", help="write the JSON verification report here")
-    b.add_argument("--tol-pde", type=float, default=TOL_PDE,
-                   help="tolerance for the support and middle-sphere "
-                        "identities, relative to the sum of their terms' "
-                        "magnitudes (default %(default)s)")
     b.set_defaults(func=cmd_build)
 
     d = sub.add_parser("dual", help="build a pair and its dual and verify "
@@ -377,10 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "(dual goes to *_dual.obj)")
     d.add_argument("--out-dual", help="explicit path for the dual mesh")
     d.add_argument("--report", help="write the JSON verification report here")
-    d.add_argument("--tol-c2", type=float,
-                   default=TOL_DUAL["curvature_switch"],
-                   help="tolerance for curvature switching and mean-to-Gauss "
-                        "equality (default %(default)s)")
     d.set_defaults(func=cmd_dual)
 
     c = sub.add_parser("congruence",
@@ -404,10 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default %(default)s)")
     c.add_argument("--out", help="write the envelope mesh to this OBJ path")
     c.add_argument("--report", help="write the JSON verification report here")
-    c.add_argument("--tol-fi", type=float, default=TOL_FI,
-                   help="tolerance for the system residuals, first-integral "
-                        "drift and integration agreement "
-                        "(default %(default)s)")
     c.set_defaults(func=cmd_congruence)
 
     e = sub.add_parser("export", help="sample a pair and write the OBJ mesh "

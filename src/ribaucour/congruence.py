@@ -9,16 +9,16 @@ satisfying the first-order system
     Omega1_v = Omega2 phi_u / phi  Omega2_u = Omega1 phi_v / phi
     W_u      = Omega1 k1 phi       W_v      = Omega2 k2 phi
 
-which conserves the quadratic first integral
+which conserves, in the reference gauge, the quadratic first integral
 
-    Omega1^2 + Omega2^2 + W^2 - 2 c Omega W + c2 W + c3 Omega + c1.
+    Omega1^2 + Omega2^2 + W^2 - 2 c Omega W + 1.
 
 The missing derivatives Omega1_u and Omega2_v needed for line
 integration follow from the covariant Hessian identity for Omega (see
 :func:`hessian_identity_residuals`):
 
-    Omega1_u = -(phi_v/phi) Omega2 + phi (cW - c3/2) + phi k1 (c Omega - W - c2/2)
-    Omega2_v = -(phi_u/phi) Omega1 + phi (cW - c3/2) + phi k2 (c Omega - W - c2/2)
+    Omega1_u = -(phi_v/phi) Omega2 + c phi W + phi k1 (c Omega - W)
+    Omega2_v = -(phi_u/phi) Omega1 + c phi W + phi k2 (c Omega - W)
 
 making the system integrable by marching.  Swapping Omega1 and Omega2
 turns the system along v into the system along u, so one affine RK4
@@ -30,6 +30,13 @@ first integral's drift into a record.  The same right-hand sides,
 differentiated once more (k1 phi^2 is constant on these charts), give
 W's second-order jet at every node with no stencil
 (:meth:`IntegratedCongruence.w_rows`).
+
+Terms c2 W + c3 Omega in the first integral would add
+-phi c3/2 - phi k1 c2/2 (k2 along v) to the closure equations; shifting
+W by alpha = -c3/(2c) and Omega by beta = (alpha - c2/2)/c removes both
+and moves the envelope X to its parallel surface X + alpha N.  Only the
+reference gauge's envelope lies in the class, so only that gauge is
+carried: :class:`IntegralConstants` holds c alone.
 
 The envelope X = grad W + W N of the congruence (support machinery of
 :mod:`ribaucour.ribaucour_core` applied to W over the minimal patch's
@@ -84,7 +91,7 @@ from .jets import RJet2, jet_finite
 from .minimal import (MinimalChart, MinimalPatch, catenoid_patch,
                       enneper_patch)
 from .ribaucour_core import (GridChecks, ResidualField, SurfaceFields,
-                             _form_residual, _rel, check_middle_sphere)
+                             _form_residual, _gap, check_middle_sphere)
 from .sphere_geom import conformal_hessian, sphere_gradient
 
 __all__ = [
@@ -100,12 +107,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IntegralConstants:
-    """Constants of the conserved quadratic; c must be nonzero."""
+    """The coupling constant c of the conserved quadratic, in the
+    reference gauge; c must be nonzero."""
 
     c: float
-    c1: float = 1.0
-    c2: float = 0.0
-    c3: float = 0.0
 
     def __post_init__(self):
         if self.c == 0.0:
@@ -129,8 +134,7 @@ def first_integral(state: CongruenceState, consts: IntegralConstants):
     """Value of the conserved quadratic at the state (elementwise)."""
     om, o1, o2, w = state.as_tuple()
     with np.errstate(all="ignore"):
-        return (o1 * o1 + o2 * o2 + w * w - 2.0 * consts.c * om * w
-                + consts.c2 * w + consts.c3 * om + consts.c1)
+        return o1 * o1 + o2 * o2 + w * w - 2.0 * consts.c * om * w + 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +336,7 @@ def _fill_rows(K, scalars, consts: IntegralConstants, along_u: bool):
     """Write the coefficient rows of the chart scalars (phi, phi_u, phi_v,
     k1), each of shape K[:, 0].shape, into K (see :func:`_kernel_rows`)."""
     phi, pu, pv, k1 = scalars
-    r_phi, q, p, cp, mq, e, r = (K[:, j] for j in range(7))
+    r_phi, q, p, cp, mq, e = (K[:, j] for j in range(6))
     np.copyto(r_phi, phi)
     np.divide(pv if along_u else pu, phi, out=q)
     np.multiply(phi, k1, out=p)
@@ -342,8 +346,6 @@ def _fill_rows(K, scalars, consts: IntegralConstants, along_u: bool):
     np.negative(q, out=mq)
     np.multiply(phi, consts.c, out=e)
     e -= p
-    np.multiply(phi, -0.5 * consts.c3, out=r)
-    r -= (0.5 * consts.c2) * p
 
 
 def _kernel_rows(patch: MinimalPatch, consts: IntegralConstants,
@@ -354,16 +356,15 @@ def _kernel_rows(patch: MinimalPatch, consts: IntegralConstants,
     stage abscissae first, first + d, first + 2 d, ... (indices into the
     2 len(t) - 1 stage abscissae, of which 2i is node i), nodes and
     midpoints in one call, and writes their rows into K, of shape
-    (count, 7, len(fixed)).
+    (count, 6, len(fixed)).
 
     With p = phi k (k the principal curvature along the march) and
     q = phi_s / phi, the slope of y = (Omega, Omega_s, W, Omega_t) is
 
         (phi, q, p) Omega_t  and
-        Omega_t' = c p Omega - q Omega_s + (c phi - p) W
-                   - phi c3/2 - p c2/2,
+        Omega_t' = c p Omega - q Omega_s + (c phi - p) W,
 
-    so the rows are (phi, q, p, c p, -q, c phi - p, -phi c3/2 - p c2/2).
+    so the rows are (phi, q, p, c p, -q, c phi - p).
     """
     s = np.linspace(t[0], t[-1], 2 * len(t) - 1)
 
@@ -376,12 +377,11 @@ def _kernel_rows(patch: MinimalPatch, consts: IntegralConstants,
 
 
 def _slope(k, y, out, tmp):
-    """Kernel slope of the states y (4, lanes) with rows k (7, lanes)."""
+    """Kernel slope of the states y (4, lanes) with rows k (6, lanes)."""
     np.multiply(k[:3], y[3], out=out[:3])
-    np.multiply(k[3:6], y[:3], out=tmp)
+    np.multiply(k[3:], y[:3], out=tmp)
     np.add(tmp[0], tmp[1], out=out[3])
     out[3] += tmp[2]
-    out[3] += k[6]
 
 
 def _march(fill, t, i0, y0, put) -> None:
@@ -409,7 +409,7 @@ def _march(fill, t, i0, y0, put) -> None:
     ys = np.empty((m + 1, 4, width))
     # the four RK4 slopes and a stage's state, and _slope's scratch
     S, tmp = np.empty((5, 4, width)), np.empty((3, width))
-    K = np.empty((2 * m + 1, 7, width))
+    K = np.empty((2 * m + 1, 6, width))
     # h / 2, h and h / 6 of each step of a block, per lane
     H = np.empty((m, 3, width))
     fill(K[:1, :, :lanes], 2 * i0, 1)
@@ -534,9 +534,8 @@ class IntegratedCongruence:
         per node, so each block gets the bits of the whole grid."""
         om, o1, w, o2 = self.fields[:, rows]
         phi, pu, pv, k1 = scalars
-        consts = self.constants
-        a = consts.c * w - 0.5 * consts.c3
-        b = consts.c * om - w - 0.5 * consts.c2
+        c = self.constants.c
+        a, b = c * w, c * om - w
         k1phi = k1 * phi
         o1_u = -(pv / phi) * o2 + phi * a + phi * k1 * b
         w_uu = o1_u * k1phi - o1 * k1 * pu
@@ -558,9 +557,10 @@ class IntegratedCongruence:
         ``analytic_agreement`` record of ``reference``
         (:meth:`AnalyticCongruence.agreement`) and the envelope's
         middle-sphere and H/K records, each named after its report
-        entry, in report order.  Of the chart, the records read phi alone, so the envelope is built in
-        one scope on the chart: the chart's jet of g and its other
-        scalars go when the scope ends, before any record runs."""
+        entry, in report order.  Of the chart, the records read phi
+        alone, so the envelope is built in one scope on the chart: the
+        chart's jet of g and its other scalars go when the scope ends,
+        before any record runs."""
         def block(b, chart):
             # the frame first: its construction needs more scratch memory
             # than any later step
@@ -696,9 +696,9 @@ def hessian_identity_residuals(w_jet: RJet2, omega_jet: RJet2,
     ``(hessian_identity_omega, hessian_identity_w, gradient_link)``:
 
     * Hessian of Omega in the minimal metric equals
-      (cW - c3/2) I + (c Omega - W - c2/2) II,
+      cW I + (c Omega - W) II,
     * Hessian of W in the normal's metric equals
-      (cW - c3/2) II + (c Omega - W - c2/2) III,
+      cW II + (c Omega - W) III,
     * the gradient of Omega in the minimal metric is the negative of the
       sphere-metric gradient of W (as ambient vectors in the shared
       tangent plane; equivalent to the first-order system itself).
@@ -717,8 +717,7 @@ def hessian_identity_residuals(w_jet: RJet2, omega_jet: RJet2,
     with np.errstate(all="ignore"):
         E = phi * phi
         e2t = frame.e2tau
-        a = consts.c * w - 0.5 * consts.c3
-        b = consts.c * om - w - 0.5 * consts.c2
+        a, b = consts.c * w, consts.c * om - w
         # the minimal metric's log factor is log a - tau: only its
         # gradient enters the Hessian
         h1 = conformal_hessian(omega_jet, -frame.tau)
@@ -776,12 +775,11 @@ class GeneratedFormsReport:
 
 def hover_ratio_residual(env: SurfaceFields, omega,
                          consts: IntegralConstants) -> ResidualField:
-    """Gap between the envelope's H/K and its prediction c2/2 - c Omega,
-    relative to the larger of the two magnitudes, per sample."""
+    """Gap between the envelope's H/K and its prediction -c Omega,
+    relative to the larger of the two magnitudes, per sample
+    (:func:`~ribaucour.ribaucour_core._gap`)."""
     with np.errstate(all="ignore"):
-        target = 0.5 * consts.c2 - consts.c * omega
-        rel = _rel(np.abs(env.hover_k - target),
-                   np.maximum(np.abs(env.hover_k), np.abs(target)))
+        rel = _gap(env.hover_k, -consts.c * omega)
     return ResidualField(rel, env.valid & np.isfinite(rel),
                          "envelope_hover_ratio")
 
@@ -830,8 +828,8 @@ def _form_gaps(env: SurfaceFields, omega, consts: IntegralConstants,
         zero = np.zeros_like(E)
         I_m, II_m = (E, zero, E), (k1 * E, zero, -k1 * E)
         III_m = (e2t, zero, e2t)
-        a = 0.5 * consts.c3 - consts.c * np.asarray(env.rho.val, dtype=float)
-        b = 0.5 * consts.c2 - consts.c * np.asarray(omega, dtype=float)
+        a = -consts.c * np.asarray(env.rho.val, dtype=float)
+        b = -consts.c * np.asarray(omega, dtype=float)
         pred_I = tuple(a * a * i + 2.0 * a * b * s + b * b * t
                        for i, s, t in zip(I_m, II_m, III_m))
         pred_II = tuple(a * s + b * t for s, t in zip(II_m, III_m))
@@ -847,7 +845,7 @@ def generated_forms_residual(env: SurfaceFields, omega,
     """How far the envelope's forms are from the linear combination
 
         I_env = a^2 I + 2ab II + b^2 III,  II_env = a II + b III,
-        III_env = III,    a = c3/2 - cW,  b = c2/2 - c Omega,
+        III_env = III,    a = -cW,  b = -c Omega,
 
     of the minimal patch's forms: the largest of the three gaps per
     sample, each relative to the local form magnitude, valid where the

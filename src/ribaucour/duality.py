@@ -38,8 +38,8 @@ import numpy as np
 from .grids import _released, _row_blocks
 from .holoexpr import eval_jet
 from .ribaucour_core import (GridChecks, ResidualField, RibaucourPatch,
-                             SurfaceFields, _form_residual, _mu_scale, _rel,
-                             _support_from_tau, unit_sphere_gap)
+                             SurfaceFields, _form_residual, _gap, _mu_scale,
+                             _rel, _support_from_tau, unit_sphere_gap)
 from .sphere_geom import _dot, frame_from_jet
 
 __all__ = [
@@ -82,13 +82,6 @@ def evaluate_pair(pair: DualPair, nu: int = 41, nv: int = 41,
             frames[id(f)] = frame_from_jet(eval_jet(f, Z, 3))
     return tuple(SurfaceFields(frames[id(p.f1)], _support_from_tau(
         frames[id(p.f1)].tau, frames[id(p.f2)].tau)) for p in (patch, dual))
-
-
-def _gap(a, b):
-    """Elementwise |a-b| / max(|a|, |b|) (:func:`_rel`), zero when both
-    vanish."""
-    with np.errstate(all="ignore"):
-        return _rel(np.abs(a - b), np.maximum(np.abs(a), np.abs(b)))
 
 
 def _angle(d, e):

@@ -149,7 +149,8 @@ class RJet2:
     def _reciprocal(self) -> "RJet2":
         # numpy scalars divide by zero to inf/nan (maskable) instead of
         # raising like python floats do
-        v = self.val if isinstance(self.val, np.ndarray) else np.float64(self.val)
+        v = (self.val if isinstance(self.val, np.ndarray)
+             else np.float64(self.val))
         return self._lift(1.0 / v, -1.0 / (v * v), lambda: 2.0 / (v * v * v))
 
     def sqrt(self) -> "RJet2":
@@ -157,7 +158,8 @@ class RJet2:
         return self._lift(s, 0.5 / s, lambda: -0.25 / (s * s * s))
 
     def log(self) -> "RJet2":
-        v = self.val if isinstance(self.val, np.ndarray) else np.float64(self.val)
+        v = (self.val if isinstance(self.val, np.ndarray)
+             else np.float64(self.val))
         return self._lift(np.log(v), 1.0 / v, lambda: -1.0 / (v * v))
 
     def exp(self) -> "RJet2":

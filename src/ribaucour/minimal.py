@@ -25,7 +25,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .grids import Domain
 from .holoexpr import HoloExpr, eval_jet, parse
 from .sphere_geom import SphereFrame, frame_from_jet
 
@@ -55,7 +54,6 @@ class MinimalPatch:
     X(0, 0) = ``origin``, in its conformal curvature-line chart."""
 
     name: str
-    domain: Domain
     g: HoloExpr
     a: float
     origin: tuple = (0.0, 0.0, 0.0)
@@ -121,18 +119,14 @@ class MinimalChart:
         return f
 
 
-def enneper_patch(domain: Domain | None = None) -> MinimalPatch:
+def enneper_patch() -> MinimalPatch:
     """Enneper's surface, g = z and a = 2; chart conformal factor
     phi = 1 + u^2 + v^2 and principal curvatures +-2/phi^2."""
-    return MinimalPatch("enneper", domain or Domain(-1.2, 1.2, -1.2, 1.2),
-                        parse("z"), 2.0)
+    return MinimalPatch("enneper", parse("z"), 2.0)
 
 
-def catenoid_patch(domain: Domain | None = None) -> MinimalPatch:
+def catenoid_patch() -> MinimalPatch:
     """The catenoid around the z-axis, g = e^{iz} and a = 1, through
-    (1, 0, 0); phi = cosh v, curvatures +-1/cosh^2 v.  Default domain
-    covers one period less a seam overlap and the waist band used by the
-    congruence examples."""
-    return MinimalPatch("catenoid", domain or Domain(-np.pi, np.pi, -1.2, 1.2),
-                        parse("exp(i*z)"), 1.0, (1.0, 0.0, 0.0))
+    (1, 0, 0); phi = cosh v, curvatures +-1/cosh^2 v."""
+    return MinimalPatch("catenoid", parse("exp(i*z)"), 1.0, (1.0, 0.0, 0.0))
 

@@ -381,6 +381,13 @@ def _rel(gap, scale):
         return np.where(scale == 0.0, 0.0, gap / scale)
 
 
+def _gap(a, b):
+    """The two-sided relative gap |a-b| / max(|a|, |b|) per sample
+    (:func:`_rel`), zero where both vanish."""
+    with np.errstate(all="ignore"):
+        return _rel(np.abs(a - b), np.maximum(np.abs(a), np.abs(b)))
+
+
 def _form_residual(lhs: tuple, rhs: tuple, valid, name: str = ""
                    ) -> ResidualField:
     """Coefficientwise gap between two forms relative to the local form

@@ -31,6 +31,8 @@ it is given, ``assemble_blocks`` puts them together into whole-grid
 records, and ``same_summary`` compares a summary with such a record.
 """
 
+from functools import partial
+
 import numpy as np
 import sympy as sp
 
@@ -414,22 +416,27 @@ def obj_reference_text(mesh):
     return "\n".join(lines) + "\n"
 
 
-def _rhs_u(consts, coef, y):
+def _rhs_u(consts, c2, c3, coef, y):
+    """The system's slope along u in the gauge (c2, c3) of the first
+    integral Omega1^2 + Omega2^2 + W^2 - 2 c Omega W + c2 W + c3 Omega
+    + c1, which the package reduces to (0, 0) by a shift of W and
+    Omega."""
     om, o1, o2, w = y
     phi, pv, k1 = coef
-    a = consts.c * w - 0.5 * consts.c3
-    b = consts.c * om - w - 0.5 * consts.c2
+    a = consts.c * w - 0.5 * c3
+    b = consts.c * om - w - 0.5 * c2
     return (phi * o1,
             -(pv / phi) * o2 + phi * a + phi * k1 * b,
             (pv / phi) * o1,
             o1 * k1 * phi)
 
 
-def _rhs_v(consts, coef, y):
+def _rhs_v(consts, c2, c3, coef, y):
+    """:func:`_rhs_u` along v."""
     om, o1, o2, w = y
     phi, pu, k2 = coef
-    a = consts.c * w - 0.5 * consts.c3
-    b = consts.c * om - w - 0.5 * consts.c2
+    a = consts.c * w - 0.5 * c3
+    b = consts.c * om - w - 0.5 * c2
     return (phi * o2,
             (pu / phi) * o2,
             -(pu / phi) * o1 + phi * a + phi * k2 * b,
@@ -459,9 +466,9 @@ def _rk4_march(f, coef, t, i0, y0):
 
 def slope_line(k, y):
     """``congruence._slope`` of one lane on Python floats, its operations
-    in its order: rows k and state y are sequences of 7 and 4 floats."""
+    in its order: rows k and state y are sequences of 6 and 4 floats."""
     return (k[0] * y[3], k[1] * y[3], k[2] * y[3],
-            k[3] * y[0] + k[4] * y[1] + k[5] * y[2] + k[6])
+            k[3] * y[0] + k[4] * y[1] + k[5] * y[2])
 
 
 def march_line(fill, t, i0, y0) -> np.ndarray:
@@ -471,7 +478,7 @@ def march_line(fill, t, i0, y0) -> np.ndarray:
     ``congruence._kernel_rows``) writes the kernel rows of every
     abscissa."""
     n = len(t)
-    K = np.empty((2 * n - 1, 7, 1))
+    K = np.empty((2 * n - 1, 6, 1))
     fill(K, 0, 1)
     rows, t = K[:, :, 0].tolist(), t.tolist()
     ys = [None] * n
@@ -493,10 +500,12 @@ def march_line(fill, t, i0, y0) -> np.ndarray:
     return np.array(ys)
 
 
-def march_congruence(patch, init, consts, u, v, iu0, iv0):
-    """The congruence system integrated over the grid u x v from the
-    state ``init`` at node (iu0, iv0) by four sweeps: the initial row,
-    then every column; the initial column, then every row.
+def march_congruence(patch, init, consts, u, v, iu0, iv0,
+                     gauge=(0.0, 0.0)):
+    """The congruence system in the gauge (c2, c3) = ``gauge`` (see
+    :func:`_rhs_u`) integrated over the grid u x v from the state
+    ``init`` at node (iu0, iv0) by four sweeps: the initial row, then
+    every column; the initial column, then every row.
 
     Returns ((Omega, Omega1, Omega2), W's RJet2, path_gap) of the
     row-first fill; path_gap is its max field gap to the column-first
@@ -508,11 +517,10 @@ def march_congruence(patch, init, consts, u, v, iu0, iv0):
         s = np.linspace(t[0], t[-1], 2 * len(t) - 1)[:, None]
         phi, pu, pv, k1 = (patch.chart(s, fixed[None, :]) if along_u
                            else patch.chart(fixed[None, :], s)).scalars
-        if along_u:
-            f, coef = (lambda c, y: _rhs_u(consts, c, y)), list(zip(phi, pv, k1))
-        else:
-            f, coef = (lambda c, y: _rhs_v(consts, c, y)), list(zip(phi, pu, -k1))
-        ys = _rk4_march(f, coef, t, i0, y_start)
+        rhs, coef = ((_rhs_u, (phi, pv, k1)) if along_u
+                     else (_rhs_v, (phi, pu, -k1)))
+        ys = _rk4_march(partial(rhs, consts, *gauge), list(zip(*coef)), t,
+                        i0, y_start)
         fields = [np.stack(c, axis=0 if along_u else 1) for c in zip(*ys)]
         return fields, (phi, pu, pv, k1)
 
@@ -523,8 +531,8 @@ def march_congruence(patch, init, consts, u, v, iu0, iv0):
     path_gap = max(float(np.max(np.abs(a - b))) for a, b in zip(y, alt))
     om, o1, o2, w = y
     phi, pu, pv, k1 = (c[::2].T for c in scalars)
-    du = _rhs_u(consts, (phi, pv, k1), y)
-    dv = _rhs_v(consts, (phi, pu, -k1), y)
+    du = _rhs_u(consts, *gauge, (phi, pv, k1), y)
+    dv = _rhs_v(consts, *gauge, (phi, pu, -k1), y)
     k1phi = k1 * phi
     w_jet = RJet2(w, du[3], dv[3], du[1] * k1phi - o1 * k1 * pu,
                   dv[1] * k1phi - o1 * k1 * pv,

@@ -85,7 +85,7 @@ def test_coupling_constant_must_be_nonzero():
 
 
 def test_first_integral_point_value():
-    consts = IntegralConstants(c=0.5, c1=1.0)
+    consts = IntegralConstants(c=0.5)
     state = CongruenceState(2.5, 0.0, 0.0, 0.5)
     # 0 + 0 + 0.25 - 2*0.5*2.5*0.5 + 1 = 0
     assert float(first_integral(state, consts)) == 0.0
@@ -407,7 +407,7 @@ def _direction_rows(patch, consts, along_u, t, fixed):
     s = np.linspace(t[0], t[-1], 2 * len(t) - 1)[:, None]
     scalars = (patch.chart(s, fixed[None, :]) if along_u
                else patch.chart(fixed[None, :], s)).scalars
-    K = np.empty((s.shape[0], 7, len(fixed)))
+    K = np.empty((s.shape[0], 6, len(fixed)))
     _fill_rows(K, scalars, consts, along_u)
     return K, scalars
 
@@ -415,7 +415,7 @@ def _direction_rows(patch, consts, along_u, t, fixed):
 def _streamed_rows(monkeypatch, fill, t, i0, lanes):
     """March states along t from node i0 with the kernel rows of
     ``fill``; returns the rows each RK4 stage of each half was given,
-    the forward half's stages first, stacked as (stages, 7, lanes), and
+    the forward half's stages first, stacked as (stages, 6, lanes), and
     the states at the nodes, shape (len(t), 4, lanes).  Both halves step
     in one loop, as two groups of lanes, the one with more steps leading:
     checks on the way that every stage steps a prefix of the groups,
@@ -476,7 +476,7 @@ def test_shared_node_scalars_match_per_direction_evaluation(
     # floats
     if block is not None:
         monkeypatch.setattr(grids, "_BLOCK", block)
-    consts = IntegralConstants(c=0.5, c1=1.0, c2=0.25, c3=-0.75)
+    consts = IntegralConstants(c=0.5)
     u = np.linspace(domain[0], domain[1], nu)
     v = np.linspace(domain[2], domain[3], nv)
     starts = [(0, 0), (nu - 1, nv - 1), (nu // 3, 2 * nv // 3)]
@@ -521,7 +521,7 @@ def test_joint_march_matches_each_half_alone(monkeypatch, block, domain,
     # either half the longer
     if block is not None:
         monkeypatch.setattr(grids, "_BLOCK", block)
-    consts = IntegralConstants(c=0.5, c1=1.0, c2=0.25, c3=-0.75)
+    consts = IntegralConstants(c=0.5)
     nu, nv = shape
     u = np.linspace(domain[0], domain[1], nu)
     v = np.linspace(domain[2], domain[3], nv)
@@ -913,11 +913,11 @@ def test_integration_grid_must_be_valid(catenoid_data, grid):
 
 
 def test_integration_on_flat_patch_is_exactly_constant():
-    # a plane has k1 = k2 = 0, so W never changes; choosing c3 = 2 c W0
+    # a plane has k1 = k2 = 0, so W never changes; starting from W0 = 0
     # also freezes Omega, and every right-hand side is exactly zero
     plane = _FlatPatch()
-    w0, om0 = 0.75, 2.0
-    consts = IntegralConstants(c=1.0, c1=1.0, c2=0.0, c3=2.0 * w0)
+    w0, om0 = 0.0, 2.0
+    consts = IntegralConstants(c=1.0)
     init = CongruenceState(om0, 0.0, 0.0, w0)
     integ = integrate_system(plane, init, consts, step=0.1)
     assert integ.U.shape == (21, 21)
@@ -944,42 +944,102 @@ def test_integration_on_flat_patch_is_exactly_constant():
 
 
 # ---------------------------------------------------------------------------
-# constant solution: exact second-order structure and gauge defect
+# constant solution and the reduction to the reference gauge
 # ---------------------------------------------------------------------------
 
 def test_constant_solution_second_order_structure():
     # W, Omega constant with Omega1 = Omega2 = 0 solves the system on any
-    # patch; closure forces c3 = 2cW and c2 = 2(c Omega - W), after which
-    # every identity is exactly 0 = 0
+    # patch only where the closure equations give c W = 0 and
+    # c Omega - W = 0, so W = Omega = 0: every identity is exactly 0 = 0
     patch = catenoid_patch()
-    w0, om0, c = 0.75, 2.0, 1.0
-    consts = IntegralConstants(c=c, c1=-2.4375,
-                               c2=2.0 * (c * om0 - w0), c3=2.0 * c * w0)
-    state = CongruenceState(om0, 0.0, 0.0, w0)
-    assert float(first_integral(state, consts)) == 0.0
+    consts = IntegralConstants(c=1.0)
     U, V = _square_grid(21)
-    wj = RJet2(U * 0.0 + w0, 0, 0, 0, 0, 0)
-    oj = RJet2(U * 0.0 + om0, 0, 0, 0, 0, 0)
-    assert max(system_residuals(patch, wj, oj, U, V).values()) == 0.0
-    hess = check_hessian_identities(patch, wj, oj, consts, U, V)
+    zero = RJet2(U * 0.0, 0, 0, 0, 0, 0)
+    assert max(system_residuals(patch, zero, zero, U, V).values()) == 0.0
+    hess = check_hessian_identities(patch, zero, zero, consts, U, V)
     assert hess.n_compared > 0
     assert hess.max_hessian_omega == 0.0
     assert hess.max_hessian_w == 0.0
     assert hess.max_gradient_link == 0.0
-    forms = generated_forms_check(patch, wj, oj, consts, U, V)
-    assert forms.n_compared > 0
-    assert forms.max_rel_first <= 1e-14
-    assert forms.max_rel_second <= 1e-14
-    assert forms.max_rel_third == 0.0
-    # the envelope is the round sphere w0 N: correct radius ratio ...
-    env = envelope(patch, wj, U, V)
-    assert hover_ratio_residual(env, om0, consts).max_abs <= 1e-14
-    assert float(np.nanmax(np.abs(env.hover_k[env.valid] + w0))) <= 1e-14
-    # ... but concentric with the unit sphere, so no great circles; the
-    # defect is exactly the first-integral gauge shift c3 Omega + c1 - 1,
+
+
+def _gauge_shift(c, c2, c3):
+    """(alpha, beta): W + alpha and Omega + beta solve the reference
+    gauge's system where W and Omega solve the one whose first integral
+    has the terms c2 W + c3 Omega (``_oracles._rhs_u``)."""
+    alpha = -c3 / (2.0 * c)
+    return alpha, (alpha - 0.5 * c2) / c
+
+
+def test_gauge_shift_reduces_any_first_integral_to_the_reference_gauge(
+        catenoid_data):
+    # the terms c2 W + c3 Omega of a first integral add constants to the
+    # closure equations, which a shift of W by alpha and of Omega by beta
+    # removes.  Three consequences, each to a few units of rounding:
+    ac, eps = catenoid_data, np.finfo(float).eps
+    consts = ac.constants
+    c2, c3 = 0.25, -0.75
+    alpha, beta = _gauge_shift(consts.c, c2, c3)
+    # (1) the oracle's march in the gauge (c2, c3) is the package's march
+    # of the shifted state, shifted back: both fills agree to 32 units of
+    # rounding of each field's magnitude, as the oracle's sums run in
+    # another order
+    ref = _origin_state(ac)
+    om0, o10, o20, w0 = ref.as_tuple()
+    for domain in (SQUARE, Domain(-0.6, 1.0, -1.0, 0.4)):
+        integ = integrate_system(ac.patch, ref, consts, domain=domain,
+                                 step=0.02)
+        (om, o1, o2), w_jet, _ = march_congruence(
+            ac.patch, CongruenceState(om0 - beta, o10, o20, w0 - alpha),
+            consts, integ.U[:, 0], integ.V[0], *integ.init_node,
+            gauge=(c2, c3))
+        got_om, got_o1, got_o2, _ = integ.state().as_tuple()
+        w = integ.w
+        for got, want in ((got_om - beta, om), (got_o1, o1), (got_o2, o2),
+                          (w.val - alpha, w_jet.val),
+                          *((getattr(w, p), getattr(w_jet, p))
+                            for p in ("du", "dv", "duu", "duv", "dvv"))):
+            bound = 32.0 * eps * np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= bound
+    # (2) the envelope moves by alpha N, and H/K by -alpha: only the
+    # reference gauge's envelope has its middle spheres cut the unit
+    # sphere along great circles
+    U, V = _square_grid()
+    w = ac.w_jet(U, V)
+    env = envelope(ac.patch, w - alpha, U, V)
+    shifted = envelope(ac.patch, w, U, V)
+    assert np.array_equal(env.valid, shifted.valid) and env.valid.all()
+    assert np.max(np.abs(env.X + alpha * env.N - shifted.X)) \
+        <= 4.0 * eps * np.max(np.abs(shifted.X))
+    assert np.max(np.abs(env.hover_k - alpha - shifted.hover_k)) \
+        <= 4.0 * eps * np.max(np.abs(shifted.hover_k))
+    assert check_middle_sphere(shifted).max_abs <= cli.TOL_ENVELOPE
+    assert check_middle_sphere(env).max_abs > 0.1
+    # (3) the constant solution of the gauge c3 = 2 c W0,
+    # c2 = 2 (c Omega0 - W0) is the shifted zero solution, exactly; its
+    # envelope, the round sphere W0 N, is the zero solution's point X = 0
+    # moved by -alpha N, and its middle-sphere residual is the gauge's
+    # defect c3 Omega0 + c1 - 1 (c1 making its first integral vanish),
     # relative to the identity's terms
-    ms = check_middle_sphere(env)
-    defect = (consts.c3 * om0 + consts.c1 - 1.0) / _middle_sphere_scale(env)
+    c, w0, om0 = 1.0, 0.75, 2.0
+    c2, c3 = 2.0 * (c * om0 - w0), 2.0 * c * w0
+    c1 = -(w0 * w0 - 2.0 * c * om0 * w0 + c2 * w0 + c3 * om0)
+    alpha, beta = _gauge_shift(c, c2, c3)
+    assert (alpha, beta) == (-w0, -om0)
+    zero = integrate_system(ac.patch, CongruenceState(0.0, 0.0, 0.0, 0.0),
+                            IntegralConstants(c=c), domain=SQUARE, step=0.1)
+    assert not np.any(zero.fields)
+    (om, o1, o2), w_jet, _ = march_congruence(
+        ac.patch, CongruenceState(om0, 0.0, 0.0, w0), IntegralConstants(c=c),
+        zero.U[:, 0], zero.V[0], *zero.init_node, gauge=(c2, c3))
+    assert np.array_equal(zero.omega - beta, om)
+    assert np.array_equal(zero.w.val - alpha, w_jet.val)
+    assert not np.any(o1) and not np.any(o2)
+    U, V = _square_grid(21)
+    sphere = envelope(ac.patch, RJet2(U * 0.0 + w0, 0, 0, 0, 0, 0), U, V)
+    assert np.array_equal(sphere.X, -alpha * sphere.N)
+    ms = check_middle_sphere(sphere)
+    defect = (c3 * om0 + c1 - 1.0) / _middle_sphere_scale(sphere)
     assert ms.n_valid > 0
     assert np.max(np.abs(ms.values + defect)[ms.valid]) <= 1e-12
 

@@ -35,7 +35,8 @@ def test_coordinate_jets():
     jv = RJet2(-1.5, 0, 1, 0, 0, 0)
     assert (jv.val, jv.du, jv.dv) == (-1.5, 0.0, 1.0)
     jc = RJet2(4.0, 0, 0, 0, 0, 0)
-    assert (jc.val, jc.du, jc.dv, jc.duu, jc.duv, jc.dvv) == (4.0,) + (0.0,) * 5
+    assert (jc.val, jc.du, jc.dv, jc.duu, jc.duv, jc.dvv) \
+        == (4.0,) + (0.0,) * 5
 
 
 def test_composite_partials_match_finite_differences():
