@@ -10,15 +10,18 @@ Subcommands
                 grid-integrated), verify the system and its envelope.
 ``export``      sample and write the OBJ mesh without running checks.
 
-Exit codes: 0 all checks pass, 1 a residual check failed, 2 bad input
-(an option the command does not take, unparsable expression or domain,
-a numeric literal too large for a float, non-finite domain bounds, a
-grid size below 2, an integration step that is not finite and positive,
-gives a node count that is not finite or misses the chart origin,
-``--out-dual`` without ``--out``, a grid too large for the available
-memory), 3 nothing to check (all samples degenerate, or the patch
-coincides with the fixed unit sphere), 4 I/O failure.  Every tolerance
-is fixed, from the tables below; each report entry records its own.
+Exit codes: 0 all checks pass (and ``--help``, ``--version``), 1 a
+residual check failed, 2 bad input (a usage error: an unknown option or
+subcommand, a missing required option or value; an unparsable expression
+or domain, a numeric literal too large for a float, non-finite domain
+bounds, a grid size below 2, an integration step that is not finite and
+positive or whose node count is not finite or whose nodes miss the chart
+origin, ``--out-dual`` without ``--out``, a grid beyond numpy's limit or
+too large for the available memory), 3 nothing to check (all samples
+degenerate, or the patch coincides with the fixed unit sphere), 4 I/O
+failure.  Bad input and I/O failures print one ``error:`` line; only
+:func:`main` turns them into exit codes.  Every tolerance is fixed, from
+the tables below; each report entry records its own.
 """
 from __future__ import annotations
 
@@ -101,14 +104,10 @@ def _finish(args, command, inputs, entries, surfaces, *,
                          all_degenerate=all_degenerate,
                          unit_sphere=unit_sphere, extra=extra, notes=notes)
     code = report_exit_code(report)
-    try:
-        for fields, path in surfaces:
-            _write_mesh(fields, path)
-        if getattr(args, "report", None):
-            write_report(report, args.report)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    for fields, path in surfaces:
+        _write_mesh(fields, path)
+    if getattr(args, "report", None):
+        write_report(report, args.report)
     _print_entries(entries)
     for note in notes:
         print(f"  note: {note}")
@@ -138,27 +137,18 @@ def _parse_inputs(args):
 
 
 def _pair_patch(args):
-    """(domain, patch) of --domain and the pair (--f1, --f2), or None
-    once the error is printed."""
-    from .holoexpr import ParseError
+    """The pair (--f1, --f2) on the --domain rectangle; raises ValueError,
+    ParseError included, for input the command cannot run on."""
     from .ribaucour_core import make_patch
 
-    try:
-        domain = _parse_inputs(args)
-        return domain, make_patch(args.f1, args.f2, domain)
-    except (ParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
+    return make_patch(args.f1, args.f2, _parse_inputs(args))
 
 
-def _pair_inputs(args, domain, tolerances):
-    return {
-        "f1": args.f1,
-        "f2": args.f2,
-        "domain": [domain.u0, domain.u1, domain.v0, domain.v1],
-        "grid": [args.nu, args.nv],
-        "tolerances": tolerances,
-    }
+def _inputs(args, domain, tolerances, **named):
+    """A report's ``inputs``: the named arguments, the chart rectangle,
+    the grid and the tolerances."""
+    return {**named, "domain": [domain.u0, domain.u1, domain.v0, domain.v1],
+            "grid": [args.nu, args.nv], "tolerances": tolerances}
 
 
 # ---------------------------------------------------------------------------
@@ -168,14 +158,12 @@ def _pair_inputs(args, domain, tolerances):
 def cmd_build(args) -> int:
     from .ribaucour_core import patch_checks
 
-    parsed = _pair_patch(args)
-    if parsed is None:
-        return EXIT_PARSE
-    domain, patch = parsed
+    patch = _pair_patch(args)
     # row block by row block: X, N and the mask only for a mesh
     checks = patch_checks(patch, args.nu, args.nv, surface=bool(args.out))
-    inputs = _pair_inputs(args, domain, {"pde": TOL_PDE,
-                                         "hopf_holomorphy": TOL_HOPF})
+    inputs = _inputs(args, patch.domain, {"pde": TOL_PDE,
+                                          "hopf_holomorphy": TOL_HOPF},
+                     f1=args.f1, f2=args.f2)
     surfaces = [(checks, args.out)] if args.out else []
     if not checks.usable:
         return _finish(args, "build", inputs, [], surfaces,
@@ -205,20 +193,16 @@ def cmd_dual(args) -> int:
     from .duality import make_dual, pair_checks
 
     if args.out_dual and not args.out:
-        print("error: --out-dual needs --out", file=sys.stderr)
-        return EXIT_PARSE
-    parsed = _pair_patch(args)
-    if parsed is None:
-        return EXIT_PARSE
-    domain, patch = parsed
+        raise ValueError("--out-dual needs --out")
+    patch = _pair_patch(args)
     # row block by row block: both surfaces only for the meshes
     checks, dual = pair_checks(make_dual(patch), args.nu, args.nv,
                                surface=bool(args.out))
-    inputs = _pair_inputs(args, domain, {
+    inputs = _inputs(args, patch.domain, {
         "curvature": TOL_DUAL["curvature_switch"],
         "direction_rad": TOL_DUAL["direction_switch"],
         "hopf_sum": TOL_DUAL["hopf_antisymmetry"],
-    })
+    }, f1=args.f1, f2=args.f2)
     surfaces = []
     if args.out:
         dual_out = args.out_dual
@@ -260,20 +244,12 @@ def cmd_dual(args) -> int:
 def cmd_congruence(args) -> int:
     from .congruence import analytic_example, envelope_checks, integrate_system
 
-    try:
-        domain = _parse_inputs(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    domain = _parse_inputs(args)
     ac = analytic_example(args.minimal)
     consts = ac.constants
-    inputs = {
-        "minimal": args.minimal, "mode": args.mode,
-        "domain": [domain.u0, domain.u1, domain.v0, domain.v1],
-        "grid": [args.nu, args.nv], "step": args.step,
-        "tolerances": {"first_integral": TOL_FI,
-                       "second_order": TOL_PROP},
-    }
+    inputs = _inputs(args, domain, {"first_integral": TOL_FI,
+                                    "second_order": TOL_PROP},
+                     minimal=args.minimal, mode=args.mode, step=args.step)
     details = {"constants": {"c": consts.c}}
 
     if args.mode == "analytic":
@@ -281,12 +257,9 @@ def cmd_congruence(args) -> int:
         block = ac.envelope_block(U[:, 0], V[0])
         folded = []
     else:
-        try:
-            integ = integrate_system(ac.patch, ac.state(0.0, 0.0), consts,
-                                     domain=domain, step=args.step)
-        except ValueError as exc:  # the step gives no usable grid
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
+        # ValueError where the step gives no usable grid
+        integ = integrate_system(ac.patch, ac.state(0.0, 0.0), consts,
+                                 domain=domain, step=args.step)
         U, V, block = integ.U, integ.V, integ.envelope_block(ac)
         folded = list(integ.checks.residuals.values())
         details["integration"] = {"grid": list(U.shape),
@@ -308,16 +281,9 @@ def cmd_congruence(args) -> int:
 def cmd_export(args) -> int:
     from .ribaucour_core import patch_checks
 
-    parsed = _pair_patch(args)
-    if parsed is None:
-        return EXIT_PARSE
-    fields = patch_checks(parsed[1], args.nu, args.nv, checks=False,
+    fields = patch_checks(_pair_patch(args), args.nu, args.nv, checks=False,
                           surface=True)
-    try:
-        mesh = _write_mesh(fields, args.out)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    mesh = _write_mesh(fields, args.out)
     print("export: wrote %s (%d vertices, %d faces)"
           % (args.out, mesh.n_vertices, 2 * mesh.n_quads))
     return EXIT_PASS
@@ -341,11 +307,18 @@ def _add_pair_arguments(sp, out_help, out_required=False):
     sp.add_argument("--out", required=out_required, help=out_help)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises each usage error as a ValueError, for :func:`main`."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parsing leaves
     it unchanged, so every :func:`main` call shares it."""
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="ribaucour",
         description="Surfaces whose middle spheres cut the unit sphere "
                     "along great circles: build, dualise, and generate "
@@ -404,13 +377,21 @@ def main(argv=None) -> int:
     for i in reversed(range(len(argv) - 1)):
         if argv[i] == "--domain" and not argv[i + 1].startswith("--"):
             argv[i:i + 2] = ["--domain=" + argv[i + 1]]
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # --help or --version, once printed
+        return exc.code
+    except ValueError as exc:  # bad input, a usage error included
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except MemoryError as exc:  # a grid too large for this machine
         print(f"error: not enough memory for this grid: {exc}",
               file=sys.stderr)
         return EXIT_PARSE
+    except OSError as exc:  # an output that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -69,8 +69,12 @@ class Domain:
         ``U[i, j] = u_i``, ``Z = U + iV``."""
         if nu < 2 or nv < 2:
             raise ValueError("need at least 2 samples per direction")
-        u = np.linspace(self.u0, self.u1, nu)
-        v = np.linspace(self.v0, self.v1, nv)
+        try:
+            u = np.linspace(self.u0, self.u1, nu)
+            v = np.linspace(self.v0, self.v1, nv)
+        except ValueError:  # a size beyond what numpy can index
+            raise MemoryError(f"{nu:.3g} x {nv:.3g} samples exceed "
+                              "numpy's limit")
         U, V = np.meshgrid(u, v, indexing="ij")
         return U, V, U + 1j * V
 

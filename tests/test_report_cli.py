@@ -173,6 +173,11 @@ def test_build_judges_one_grid(tmp_path, monkeypatch):
         assert e["samples"] + e["excluded"] == 11 * 13, e
 
 
+# 10**19 overflows numpy's index type; 9 * 10**18 fits it, but not its
+# size in bytes
+OVERSIZE = (10**19, 9 * 10**18)
+
+
 @pytest.mark.parametrize("argv", [
     ["build", "--f1", "z", "--f2", "2*z", "--nu", "1"],
     ["build", "--f1", "z", "--f2", "2*z", "--domain", "0:inf:0:1"],
@@ -203,22 +208,34 @@ def test_build_judges_one_grid(tmp_path, monkeypatch):
     # a node count beyond any array numpy can allocate
     ["congruence", "--minimal", "catenoid", "--mode", "integrate",
      "--step", "1e-300"],
+    # usage errors: no subcommand, an unknown one, a missing option, a
+    # value of the wrong type, an option without its value
+    [],
+    ["frobnicate"],
+    ["build", "--f2", "z"],
+    ["build", "--f1", "z", "--f2", "2*z", "--nu", "x"],
+    ["build", "--f1", "z", "--f2", "2*z", "--domain"],
+    # sample counts beyond what numpy can index, on every command that
+    # samples a grid
+    *([*command, "--nu", str(n), "--nv", "2"]
+      for command in (["build", "--f1", "z", "--f2", "exp(z)"],
+                      ["dual", "--f1", "z", "--f2", "exp(z)"],
+                      ["export", "--f1", "z", "--f2", "exp(z)",
+                       "--out", "/nonexistent-dir/x.obj"],
+                      ["congruence", "--minimal", "enneper"])
+      for n in OVERSIZE),
 ])
 def test_cli_rejects_bad_input(argv, capsys):
-    # exit 2 with a message; exit 1 stays reserved for failed residuals
-    if any(a.startswith("--tol-") for a in argv):
-        # argparse's usage error, which exits with 2 itself
-        with pytest.raises(SystemExit) as exc:
-            cli.main(argv)
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "error: unrecognized arguments: --tol-" in err
-        assert "Traceback" not in err
-        return
+    # exit 2 with one line and no usage text or traceback, as a return
+    # value, never SystemExit; exit 1 stays reserved for failed residuals
     assert cli.main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    assert "Traceback" not in err
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err and "usage:" not in err
+    if any(a.startswith("--tol-") for a in argv):
+        assert err == ("error: unrecognized arguments: %s\n"
+                       % " ".join(argv[-2:]))
     # the message names the user's inputs, not the library's arguments
     if argv[-2:] == ["--step", "0.3"]:
         assert err == ("error: the nodes of step 0.3 on the domain "
@@ -226,6 +243,19 @@ def test_cli_rejects_bad_input(argv, capsys):
     if argv[-2:] == ["--step", "1e-300"]:
         assert err == ("error: not enough memory for this grid: 2e+300 x "
                        "2e+300 nodes exceed numpy's limit\n")
+    nu = argv[argv.index("--nu") + 1] if "--nu" in argv else ""
+    if nu in map(str, OVERSIZE):
+        assert err == ("error: not enough memory for this grid: %.3g x 2 "
+                       "samples exceed numpy's limit\n" % int(nu))
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"],
+                                  ["build", "--help"]])
+def test_help_and_version_return_zero(argv, capsys):
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert "ribaucour" in out
+    assert err == ""
 
 
 def test_out_dual_writes_the_dual_mesh_there(tmp_path, capsys):
@@ -316,6 +346,33 @@ def test_build_reports_io_failure(capsys):
                      "--nu", "11", "--nv", "11",
                      "--out", "/nonexistent-dir/x.obj"])
     assert code == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+PAIR = ["--f1", "z", "--f2", "exp(z)", "--nu", "11", "--nv", "11"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", *PAIR, "--report", "{missing}/r.json"],
+    ["dual", *PAIR, "--out", "{missing}/x.obj"],
+    ["dual", *PAIR, "--out", "{tmp}/x.obj", "--out-dual", "{missing}/d.obj"],
+    ["congruence", "--minimal", "catenoid", "--out", "{missing}/x.obj"],
+    ["congruence", "--minimal", "catenoid", "--report", "{missing}/r.json"],
+    ["export", *PAIR, "--out", "{missing}/x.obj"],
+], ids=["build-report", "dual-out", "dual-out-dual", "congruence-out",
+        "congruence-report", "export-out"])
+def test_every_writer_reports_io_failure(argv, tmp_path, capsys):
+    # an output in a missing directory: exit 4 with one line, and no
+    # verdict on stdout
+    argv = [a.format(missing=tmp_path / "missing", tmp=tmp_path)
+            for a in argv]
+    assert cli.main(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "missing" in err and "Traceback" not in err
 
 
 def test_dual_passes_and_marks_vacuous_entries(tmp_path):
