@@ -8,10 +8,9 @@ original ones in crossed directions, and the radius ratio H/K is shared.
 
 import numpy as np
 
-from ribaucour import (Domain, evaluate_pair, identity_entry, make_dual,
+from ribaucour import (Domain, evaluate_pair, identity_entries, make_dual,
                        make_patch, verify_c2, verify_form_relations,
                        verify_hk_equality)
-from ribaucour.cli import TOL_DUAL
 
 pair = make_dual(make_patch("z", "exp(z)", Domain(-1.0, 1.0, -1.0, 1.0)))
 print(f"pair  {pair.patch.label()}")
@@ -35,17 +34,14 @@ prod = fields.rho_val[ok] * dual_fields.rho_val[ok]
 print(f"\nmax |rho rho* - 1|          = {np.max(np.abs(prod - 1.0)):.2e}")
 
 # each check is a ResidualField: per-sample residuals, a validity mask and
-# the name of its report entry; the command line's tolerances judge them
+# the name of its report entry; the report's tolerances judge them
 checks = (*verify_c2(pair, fields=(fields, dual_fields)),
           *verify_hk_equality(pair, fields=(fields, dual_fields)),
           *verify_form_relations(pair, fields=(fields, dual_fields)))
 print("\nthe identities of `ribaucour dual` (curvature switch -1/k* = 1/k, "
       "crossed directions,\nshared H/K, mu* = -mu, form relations):")
-entries = []
-for res in checks:
-    entry = identity_entry(res.name, res.max_abs, TOL_DUAL[res.name],
-                           res.n_valid, res.n_excluded)
-    entries.append(entry)
+entries = identity_entries(checks)
+for res, entry in zip(checks, entries):
     print(f"  {res.name:<26s}: max {res.max_abs:.2e} "
           f"(tol {entry['tolerance']:.0e}) over {res.n_valid} samples")
 print(f"\nall checks passed: {all(e['pass'] for e in entries)}")

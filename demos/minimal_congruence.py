@@ -15,9 +15,8 @@ from W: the published Omega fails the system (see the README).
 import numpy as np
 
 from ribaucour import (CongruenceState, analytic_example, check_middle_sphere,
-                       envelope, first_integral, identity_entry,
+                       envelope, first_integral, identity_entries,
                        integrate_system)
-from ribaucour.cli import TOL_CONGRUENCE
 from ribaucour.congruence import envelope_checks
 from ribaucour.grids import Domain
 
@@ -78,6 +77,5 @@ for name in ("catenoid", "enneper"):
     # the checks, its tolerances, its judge
     records = [*checks.residuals.values(), *integ.checks.residuals.values(),
                *integrated.residuals.values()]
-    entries = [identity_entry(r.name, r.max_abs, TOL_CONGRUENCE[r.name],
-                              r.n_valid, r.n_excluded) for r in records]
+    entries = identity_entries(records)
     print(f"  all checks passed: {all(e['pass'] for e in entries)}")

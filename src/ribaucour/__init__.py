@@ -38,8 +38,8 @@ _EXPORTS = {
                    "integrate_system", "system_residuals"),
     "mesh": ("SurfaceMesh", "export_obj", "mesh_from_fields",
              "mesh_from_grid"),
-    "report": ("identity_entry", "make_report", "report_exit_code",
-               "write_report"),
+    "report": ("identity_entries", "identity_entry", "make_report",
+               "report_exit_code", "write_report"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items()
           for name in names}

@@ -19,19 +19,22 @@ positive or whose node count is not finite or whose nodes miss the chart
 origin, ``--out-dual`` without ``--out``, a grid beyond numpy's limit or
 too large for the available memory), 3 nothing to check (all samples
 degenerate, or the patch coincides with the fixed unit sphere), 4 I/O
-failure.  Bad input and I/O failures print one ``error:`` line; only
-:func:`main` turns them into exit codes.  Every tolerance is fixed, from
-the tables below; each report entry records its own.
+failure (an output's missing directory is found before any work).  Bad
+input and I/O failures print one ``error:`` line; only :func:`main` turns
+them into exit codes.  One status rule, :func:`_finish`, judges every
+command; each entry's fixed tolerance is in ``report.TOLERANCES``.
 """
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import math
+import os
 import sys
 
 from . import __version__
-from .report import (identity_entry, make_report, report_exit_code,
+from .report import (identity_entries, make_report, report_exit_code,
                      write_report)
 
 # each command imports the modules it runs, so a process loads only those
@@ -44,49 +47,17 @@ EXIT_DEGENERATE = 3
 EXIT_IO = 4
 
 UNIT_SPHERE_TOL = 1e-8
-TOL_PDE = 1e-12          # support and middle-sphere identities, relative
-                         # to the sum of their terms' magnitudes
-TOL_HOPF = 1e-10         # mu = S(f1) - S(f2), relative to its terms
-TOL_FI = 1e-6            # congruence system and first integral
-TOL_PROP = 1e-5          # second-order congruence identities
-# envelope residuals, relative; W is a jet in both modes.  The middle-sphere
-# scale |X|^2 + 2|(H/K)<X,N>| + 1 reaches 10 on the default domain (Enneper),
-# so this is no looser there than an absolute 1e-6
-TOL_ENVELOPE = 1e-7
-# the dual checks by entry name
-TOL_DUAL = {
-    "curvature_switch": 1e-8,
-    "direction_switch": 1e-6,            # radians
-    "hover_k_equality": 1e-8,
-    "hopf_antisymmetry": 1e-10,          # relative to mu's terms
-    "first_form_relation": 1e-7,
-    "second_form_relation": 1e-7,
-    "third_form_relation": 1e-8,
-}
-# the congruence checks by entry name
-TOL_CONGRUENCE = {
-    **dict.fromkeys(("path_independence", "first_integral_drift",
-                     "analytic_agreement", "congruence_system"), TOL_FI),
-    **dict.fromkeys(("envelope_middle_sphere", "envelope_hover_ratio"),
-                    TOL_ENVELOPE),
-    **dict.fromkeys(("hessian_identity_omega", "hessian_identity_w",
-                     "gradient_link", "generated_forms"), TOL_PROP),
-}
+# the notes of the status rule, the same for every command
+_DEGENERATE = ("every sample is degenerate "
+               "(branch point or singular shape operator)")
+_UNIT_SPHERE = "patch coincides with the fixed unit sphere (rho = 1, X = N)"
+_UMBILIC = "totally umbilic patch: no principal data to switch"
+# the arguments each command's report names in its inputs, besides the
+# chart rectangle and the grid
+_INPUTS = {"build": ("f1", "f2"), "dual": ("f1", "f2"),
+           "congruence": ("minimal", "mode", "step")}
 
 __all__ = ["main"]
-
-
-def _print_entries(entries):
-    for e in entries:
-        if e["vacuous"]:
-            print("  %-28s vacuous (%s) -> pass"
-                  % (e["name"], e.get("note", "nothing to compare")))
-        else:
-            mr = e["max_residual"]
-            shown = "none" if mr is None else "%.3e" % mr
-            print("  %-28s max=%s tol=%.1e samples=%d -> %s"
-                  % (e["name"], shown, e["tolerance"], e["samples"],
-                     "pass" if e["pass"] else "FAIL"))
 
 
 def _write_mesh(fields, path):
@@ -98,33 +69,72 @@ def _write_mesh(fields, path):
     return mesh
 
 
-def _finish(args, command, inputs, entries, surfaces, *,
-            all_degenerate=False, unit_sphere=False, notes=(), extra=None):
-    report = make_report(command, inputs, entries,
-                         all_degenerate=all_degenerate,
-                         unit_sphere=unit_sphere, extra=extra, notes=notes)
+def _finish(args, domain, checks, dual=None, *, first=(), vacuous=(),
+            extra=None):
+    """Judge ``checks`` (a GridChecks), after the records ``first``: no
+    usable sample gives no entries, a gap within UNIT_SPHERE_TOL flags the
+    unit sphere, the entries named in ``vacuous`` are a totally umbilic
+    patch's.  Write the meshes of ``checks`` and ``dual`` and the report;
+    print the verdict."""
+    usable = checks.usable
+    sphere = checks.unit_sphere_gap <= UNIT_SPHERE_TOL
+    entries = identity_entries([*first, *checks.residuals.values()],
+                               vacuous, _UMBILIC) if usable else []
+    notes = tuple(note for on, note in ((not usable, _DEGENERATE),
+                                        (sphere, _UNIT_SPHERE),
+                                        (vacuous, _UMBILIC)) if on)
+    inputs = {**{k: getattr(args, k) for k in _INPUTS[args.command]},
+              "domain": [domain.u0, domain.u1, domain.v0, domain.v1],
+              "grid": [args.nu, args.nv]}
+    report = make_report(args.command, inputs, entries,
+                         all_degenerate=not usable, unit_sphere=sphere,
+                         extra=extra, notes=notes)
     code = report_exit_code(report)
-    for fields, path in surfaces:
-        _write_mesh(fields, path)
-    if getattr(args, "report", None):
+    for fields, path in ((checks, args.out),
+                         (dual, getattr(args, "out_dual", None))):
+        if path:
+            _write_mesh(fields, path)
+    if args.report:
         write_report(report, args.report)
-    _print_entries(entries)
+    for e in entries:
+        if e["vacuous"]:
+            print("  %-28s vacuous (%s) -> pass" % (e["name"], e["note"]))
+        else:
+            mr = e["max_residual"]
+            shown = "none" if mr is None else "%.3e" % mr
+            print("  %-28s max=%s tol=%.1e samples=%d -> %s"
+                  % (e["name"], shown, e["tolerance"], e["samples"],
+                     "pass" if e["pass"] else "FAIL"))
     for note in notes:
         print(f"  note: {note}")
     status = {EXIT_PASS: "PASS", EXIT_RESIDUAL: "FAIL",
               EXIT_DEGENERATE: "DEGENERATE"}[code]
-    print(f"{command}: {status} (exit {code})")
+    print(f"{args.command}: {status} (exit {code})")
     return code
 
 
-def _residual_entry(res, tolerance, **kwargs):
-    return identity_entry(res.name, res.max_abs, tolerance, res.n_valid,
-                          res.n_excluded, **kwargs)
+def _check_outputs(args):
+    """Fill in the dual mesh's default path (*_dual beside --out); raise
+    ValueError for --out-dual without --out, OSError for an output whose
+    directory is missing."""
+    if getattr(args, "out_dual", None):
+        if not args.out:
+            raise ValueError("--out-dual needs --out")
+    elif args.command == "dual" and args.out:
+        from pathlib import Path
+        p = Path(args.out)
+        args.out_dual = str(p.with_name(p.stem + "_dual" + p.suffix))
+    for key in ("out", "out_dual", "report"):
+        path = getattr(args, key, None)
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT),
+                                    path)
 
 
 def _parse_inputs(args):
-    """The --domain rectangle, once the grid sizes and the step are
-    checked; raises ValueError for input the command cannot run on."""
+    """The --domain rectangle, once the grid and the step are checked;
+    raises ValueError, or MemoryError beyond numpy's limit, for bad input.
+    """
     from .grids import Domain
 
     if min(args.nu, args.nv) < 2:
@@ -133,22 +143,20 @@ def _parse_inputs(args):
     step = getattr(args, "step", 1.0)
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError(f"--step must be finite and positive, got {step}")
-    return Domain.parse(args.domain)
+    domain = Domain.parse(args.domain)
+    if getattr(args, "mode", "analytic") == "analytic":  # samples nu x nv
+        domain.lines(args.nu, args.nv)
+    return domain
 
 
 def _pair_patch(args):
-    """The pair (--f1, --f2) on the --domain rectangle; raises ValueError,
-    ParseError included, for input the command cannot run on."""
+    """The pair (--f1, --f2) on the --domain rectangle, outputs checked;
+    raises ValueError, ParseError included, for bad input."""
     from .ribaucour_core import make_patch
 
-    return make_patch(args.f1, args.f2, _parse_inputs(args))
-
-
-def _inputs(args, domain, tolerances, **named):
-    """A report's ``inputs``: the named arguments, the chart rectangle,
-    the grid and the tolerances."""
-    return {**named, "domain": [domain.u0, domain.u1, domain.v0, domain.v1],
-            "grid": [args.nu, args.nv], "tolerances": tolerances}
+    patch = make_patch(args.f1, args.f2, _parse_inputs(args))
+    _check_outputs(args)
+    return patch
 
 
 # ---------------------------------------------------------------------------
@@ -161,28 +169,8 @@ def cmd_build(args) -> int:
     patch = _pair_patch(args)
     # row block by row block: X, N and the mask only for a mesh
     checks = patch_checks(patch, args.nu, args.nv, surface=bool(args.out))
-    inputs = _inputs(args, patch.domain, {"pde": TOL_PDE,
-                                          "hopf_holomorphy": TOL_HOPF},
-                     f1=args.f1, f2=args.f2)
-    surfaces = [(checks, args.out)] if args.out else []
-    if not checks.usable:
-        return _finish(args, "build", inputs, [], surfaces,
-                       all_degenerate=True,
-                       notes=("every sample is degenerate "
-                              "(branch point or singular shape operator)",))
-    tols = {"support_pde": TOL_PDE, "middle_sphere": TOL_PDE,
-            "hopf_holomorphy": TOL_HOPF}
-    entries = [_residual_entry(res, tols[res.name])
-               for res in checks.residuals.values()]
-    gap = checks.unit_sphere_gap
-    sphere = gap <= UNIT_SPHERE_TOL
-    notes = ()
-    if sphere:
-        notes = ("patch coincides with the fixed unit sphere "
-                 "(rho = 1, X = N): nothing nontrivial to build",)
-    return _finish(args, "build", inputs, entries, surfaces,
-                   unit_sphere=sphere, notes=notes,
-                   extra={"unit_sphere_gap": gap})
+    return _finish(args, patch.domain, checks,
+                   extra={"unit_sphere_gap": checks.unit_sphere_gap})
 
 
 # ---------------------------------------------------------------------------
@@ -192,49 +180,16 @@ def cmd_build(args) -> int:
 def cmd_dual(args) -> int:
     from .duality import make_dual, pair_checks
 
-    if args.out_dual and not args.out:
-        raise ValueError("--out-dual needs --out")
     patch = _pair_patch(args)
     # row block by row block: both surfaces only for the meshes
     checks, dual = pair_checks(make_dual(patch), args.nu, args.nv,
                                surface=bool(args.out))
-    inputs = _inputs(args, patch.domain, {
-        "curvature": TOL_DUAL["curvature_switch"],
-        "direction_rad": TOL_DUAL["direction_switch"],
-        "hopf_sum": TOL_DUAL["hopf_antisymmetry"],
-    }, f1=args.f1, f2=args.f2)
-    surfaces = []
-    if args.out:
-        dual_out = args.out_dual
-        if dual_out is None:
-            from pathlib import Path
-            p = Path(args.out)
-            dual_out = str(p.with_name(p.stem + "_dual" + p.suffix))
-        surfaces = [(checks, args.out), (dual, dual_out)]
-    if not checks.usable:
-        return _finish(args, "dual", inputs, [], surfaces,
-                       all_degenerate=True,
-                       notes=("no sample is usable on both the patch "
-                              "and its dual",))
-    gap = checks.unit_sphere_gap
-    if gap <= UNIT_SPHERE_TOL:
-        return _finish(args, "dual", inputs, [], surfaces, unit_sphere=True,
-                       notes=("patch coincides with the fixed unit sphere; "
-                              "the dual is the same sphere",),
-                       extra={"unit_sphere_gap": gap})
-    # some sample is usable (guard above): none left to switch means
-    # every usable sample is umbilic
-    vac_note = "totally umbilic patch: no principal data to switch"
-    vac = checks.residuals["curvature_switch"].n_valid == 0
-    entries = []
-    for res in checks.residuals.values():
-        vacuous = vac and res.name in ("curvature_switch", "direction_switch")
-        entries.append(_residual_entry(res, TOL_DUAL[res.name],
-                                       vacuous=vacuous,
-                                       note=vac_note if vacuous else ""))
-    return _finish(args, "dual", inputs, entries, surfaces,
-                   notes=(vac_note,) if vac else (),
-                   extra={"unit_sphere_gap": gap})
+    # some sample usable, none left to switch: every usable one is umbilic
+    switch = ("curvature_switch", "direction_switch")
+    umbilic = checks.usable and checks.residuals[switch[0]].n_valid == 0
+    return _finish(args, patch.domain, checks, dual,
+                   vacuous=switch if umbilic else (),
+                   extra={"unit_sphere_gap": checks.unit_sphere_gap})
 
 
 # ---------------------------------------------------------------------------
@@ -245,33 +200,25 @@ def cmd_congruence(args) -> int:
     from .congruence import analytic_example, envelope_checks, integrate_system
 
     domain = _parse_inputs(args)
+    _check_outputs(args)
     ac = analytic_example(args.minimal)
-    consts = ac.constants
-    inputs = _inputs(args, domain, {"first_integral": TOL_FI,
-                                    "second_order": TOL_PROP},
-                     minimal=args.minimal, mode=args.mode, step=args.step)
-    details = {"constants": {"c": consts.c}}
-
+    details = {"constants": {"c": ac.constants.c}}
     if args.mode == "analytic":
         U, V, _ = domain.mesh(args.nu, args.nv)
         block = ac.envelope_block(U[:, 0], V[0])
-        folded = []
+        first = ()
     else:
         # ValueError where the step gives no usable grid
-        integ = integrate_system(ac.patch, ac.state(0.0, 0.0), consts,
+        integ = integrate_system(ac.patch, ac.state(0.0, 0.0), ac.constants,
                                  domain=domain, step=args.step)
         U, V, block = integ.U, integ.V, integ.envelope_block(ac)
-        folded = list(integ.checks.residuals.values())
+        first = integ.checks.residuals.values()
         details["integration"] = {"grid": list(U.shape),
                                   "init_node": list(integ.init_node)}
     # the envelope and every check of it block by block: X, N and the
     # mask only for a mesh
     checks = envelope_checks(ac.patch, block, U, V, surface=bool(args.out))
-    entries = [_residual_entry(res, TOL_CONGRUENCE[res.name])
-               for res in folded + list(checks.residuals.values())]
-    surfaces = [(checks, args.out)] if args.out else []
-    return _finish(args, "congruence", inputs, entries, surfaces,
-                   extra=details)
+    return _finish(args, domain, checks, first=first, extra=details)
 
 
 # ---------------------------------------------------------------------------

@@ -799,11 +799,12 @@ def envelope_checks(patch: MinimalPatch, block, U, V, *,
     when first read: ``block(b, chart)`` returns the envelope on those
     rows and its residual records, as the ``envelope_block`` of
     :class:`AnalyticCongruence` and :class:`IntegratedCongruence` do;
-    the chart goes when ``block`` returns.  The record
-    folds them in the order given; with ``surface``, X, N and the valid
-    mask are assembled too.  Valid samples get the bits of the
-    whole-grid evaluation, and so does every summary; the values at
-    excluded samples may differ (a NaN's sign, for one).
+    the chart goes when ``block`` returns.  The record folds them in the
+    order given, and whether any envelope sample is valid; with
+    ``surface``, X, N and the valid mask are assembled too.  Valid
+    samples get the bits of the whole-grid evaluation, and so does every
+    summary; the values at excluded samples may differ (a NaN's sign,
+    for one).
     """
     U, V = np.broadcast_arrays(np.asarray(U, dtype=float),
                                np.asarray(V, dtype=float))
@@ -812,7 +813,7 @@ def envelope_checks(patch: MinimalPatch, block, U, V, *,
         # degenerate samples give inf or NaN, which the masks record
         with np.errstate(all="ignore"):
             env, records = block(b, patch.chart(U[b], V[b]))
-            out.put(b, records, env)
+            out.put(b, records, env, usable=np.any(env.valid))
         del env, records  # before the next block's frame is built
     return out
 

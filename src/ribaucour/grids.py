@@ -64,18 +64,22 @@ class Domain:
     def spacing(self, nu: int, nv: int) -> tuple[float, float]:
         return (self.u1 - self.u0) / (nu - 1), (self.v1 - self.v0) / (nv - 1)
 
+    def lines(self, nu: int, nv: int):
+        """The u and v lines of an nu x nv grid; MemoryError beyond numpy's
+        limit."""
+        try:
+            return (np.linspace(self.u0, self.u1, nu),
+                    np.linspace(self.v0, self.v1, nv))
+        except ValueError:  # a size beyond what numpy can index
+            raise MemoryError(f"{nu:.3g} x {nv:.3g} samples exceed "
+                              "numpy's limit")
+
     def mesh(self, nu: int, nv: int):
         """Return (U, V, Z) sample arrays of shape (nu, nv), row-major in u:
         ``U[i, j] = u_i``, ``Z = U + iV``."""
         if nu < 2 or nv < 2:
             raise ValueError("need at least 2 samples per direction")
-        try:
-            u = np.linspace(self.u0, self.u1, nu)
-            v = np.linspace(self.v0, self.v1, nv)
-        except ValueError:  # a size beyond what numpy can index
-            raise MemoryError(f"{nu:.3g} x {nv:.3g} samples exceed "
-                              "numpy's limit")
-        U, V = np.meshgrid(u, v, indexing="ij")
+        U, V = np.meshgrid(*self.lines(nu, nv), indexing="ij")
         return U, V, U + 1j * V
 
     @staticmethod

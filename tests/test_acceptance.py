@@ -21,6 +21,7 @@ from ribaucour.congruence import (CongruenceState, analytic_example,
 from ribaucour.duality import (evaluate_pair, make_dual, verify_c2,
                                verify_form_relations, verify_hk_equality)
 from ribaucour.grids import Domain
+from ribaucour.report import TOLERANCES
 from ribaucour.ribaucour_core import (check_middle_sphere, evaluate_patch,
                                       make_patch, support_pde_residual)
 
@@ -69,7 +70,7 @@ def test_criterion_1_support_identity_suite():
         assert r.n_valid > 0, (f1, f2)
         worst = max(worst, r.max_abs)
     elapsed = time.perf_counter() - t0
-    ok = worst <= cli.TOL_PDE and elapsed <= 5.0
+    ok = worst <= TOLERANCES["support_pde"] and elapsed <= 5.0
     assert _verdict(1, "support identity on 10 pairs", ok,
                     f"max residual {worst:.3e}, {elapsed:.2f}s"), worst
 
@@ -88,7 +89,7 @@ def test_criterion_2_middle_spheres_cut_great_circles():
         bad = np.abs(xx + 2.0 * fields.hover_k * xn + 1.0)
         weakest_control = min(weakest_control,
                               float(np.max(bad[fields.valid])))
-    ok = worst <= cli.TOL_PDE and weakest_control > 1e-3
+    ok = worst <= TOLERANCES["middle_sphere"] and weakest_control > 1e-3
     assert _verdict(2, "middle-sphere identity + negative control", ok,
                     f"max residual {worst:.3e}, "
                     f"weakest control {weakest_control:.3e}"), worst
@@ -179,8 +180,9 @@ def _congruence_suite(name, init, hess_tol):
         "drift": drift <= 1e-6,
         "integration": agree <= 1e-6 and integ.path_gap <= 1e-6
                        and integ.drift <= 1e-6,
-        "envelope": ms.n_valid > 0 and ms.max_abs <= cli.TOL_ENVELOPE,
-        "hover": hover.max_abs <= cli.TOL_ENVELOPE,
+        "envelope": (ms.n_valid > 0 and ms.max_abs
+                     <= TOLERANCES["envelope_middle_sphere"]),
+        "hover": hover.max_abs <= TOLERANCES["envelope_hover_ratio"],
         "hessians": (hi.n_compared > 0
                      and hi.max_hessian_omega <= hess_tol
                      and hi.max_hessian_w <= hess_tol

@@ -25,6 +25,7 @@ from ribaucour.congruence import (_ANALYTIC, AnalyticCongruence,
 from ribaucour.grids import Domain, _row_blocks
 from ribaucour.jets import RJet2
 from ribaucour.minimal import MinimalPatch, catenoid_patch, enneper_patch
+from ribaucour.report import TOLERANCES
 from ribaucour.ribaucour_core import check_middle_sphere
 from ribaucour.sphere_geom import SphereFrame
 
@@ -1013,7 +1014,8 @@ def test_gauge_shift_reduces_any_first_integral_to_the_reference_gauge(
         <= 4.0 * eps * np.max(np.abs(shifted.X))
     assert np.max(np.abs(env.hover_k - alpha - shifted.hover_k)) \
         <= 4.0 * eps * np.max(np.abs(shifted.hover_k))
-    assert check_middle_sphere(shifted).max_abs <= cli.TOL_ENVELOPE
+    assert (check_middle_sphere(shifted).max_abs
+            <= TOLERANCES["envelope_middle_sphere"])
     assert check_middle_sphere(env).max_abs > 0.1
     # (3) the constant solution of the gauge c3 = 2 c W0,
     # c2 = 2 (c Omega0 - W0) is the shifted zero solution, exactly; its
@@ -1069,7 +1071,7 @@ def test_envelope_middle_spheres_cut_great_circles(catenoid_data,
         env = envelope(ac.patch, ac.w_jet(U, V), U, V)
         ms = check_middle_sphere(env)
         assert ms.n_valid > 0.9 * 41 * 41, ac.name
-        assert ms.max_abs <= cli.TOL_ENVELOPE, ac.name
+        assert ms.max_abs <= TOLERANCES["envelope_middle_sphere"], ac.name
         # chart is curvature-line for the envelope too
         assert float(np.nanmax(np.abs(env.second[1]))) <= 1e-6, ac.name
 

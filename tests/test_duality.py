@@ -5,12 +5,11 @@ import pytest
 
 from _oracles import rel_gap, support_quotient
 from ribaucour import duality, holoexpr, ribaucour_core
-from ribaucour.cli import TOL_DUAL
 from ribaucour.duality import (DualPair, evaluate_pair, make_dual, verify_c2,
                                verify_form_relations, verify_hk_equality)
 from ribaucour.grids import Domain
 from ribaucour.holoexpr import eval_jet
-from ribaucour.report import identity_entry
+from ribaucour.report import TOLERANCES, identity_entry
 from ribaucour.ribaucour_core import evaluate_patch, hopf_residual, make_patch
 
 SQUARE = Domain(-1.0, 1.0, -1.0, 1.0)
@@ -102,7 +101,7 @@ def test_hk_equality_and_hopf_antisymmetry():
         assert (hk.name, mu.name) == ("hover_k_equality", "hopf_antisymmetry")
         assert hk.n_valid > 0
         assert hk.max_abs <= 1e-8, (f1, f2)
-        assert mu.max_abs <= TOL_DUAL["hopf_antisymmetry"], (f1, f2)
+        assert mu.max_abs <= TOLERANCES["hopf_antisymmetry"], (f1, f2)
 
 
 @pytest.mark.parametrize("f1, f2, domain", [
@@ -119,7 +118,7 @@ def test_hopf_antisymmetry_is_relative(f1, f2, domain):
     _, mu = verify_hk_equality(pair, fields=(fa, fb))
     assert mu.max_abs < 1e-6
     entry = identity_entry(mu.name, mu.max_abs,
-                           TOL_DUAL["hopf_antisymmetry"], mu.n_valid,
+                           TOLERANCES["hopf_antisymmetry"], mu.n_valid,
                            mu.n_excluded)
     assert not entry["pass"], entry
 

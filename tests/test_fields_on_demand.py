@@ -127,7 +127,10 @@ def test_dual_reports_every_entry(spy, tmp_path):
                      "--nu", "21", "--nv", "21", "--report", str(rpt)])
     assert code == 0
     names = [e["name"] for e in json.loads(rpt.read_text())["identities"]]
-    assert sorted(names) == sorted(cli.TOL_DUAL)
+    assert names == ["curvature_switch", "direction_switch",
+                     "hover_k_equality", "hopf_antisymmetry",
+                     "first_form_relation", "second_form_relation",
+                     "third_form_relation"]
     assert len(made) == 2
     assert calls == Counter({name: 2 for name in HELPERS})
 

@@ -10,7 +10,8 @@ import pytest
 from ribaucour import (cli, congruence, duality, holoexpr, minimal,
                        ribaucour_core)
 from ribaucour.grids import Domain
-from ribaucour.report import (SCHEMA, identity_entry, make_report,
+from ribaucour.report import (SCHEMA, TOLERANCES, identity_entry,
+                              make_report,
                               report_exit_code, write_report)
 
 
@@ -166,8 +167,7 @@ def test_build_judges_one_grid(tmp_path, monkeypatch):
     assert code == 0
     assert grids == [(11, 13), (11, 13)]
     data = json.loads(rpt.read_text())
-    assert data["inputs"]["tolerances"] == {"pde": cli.TOL_PDE,
-                                            "hopf_holomorphy": cli.TOL_HOPF}
+    assert "tolerances" not in data["inputs"]
     assert len(data["identities"]) == 3
     for e in data["identities"]:
         assert e["samples"] + e["excluded"] == 11 * 13, e
@@ -375,7 +375,107 @@ def test_every_writer_reports_io_failure(argv, tmp_path, capsys):
     assert "missing" in err and "Traceback" not in err
 
 
-def test_dual_passes_and_marks_vacuous_entries(tmp_path):
+@pytest.mark.parametrize("argv", [
+    ["build", *PAIR, "--out", "{tmp}/ok.obj", "--report", "{missing}/r.json"],
+    ["dual", *PAIR, "--out", "{tmp}/x.obj", "--out-dual", "{missing}/d.obj"],
+    ["dual", *PAIR, "--out", "{missing}/x.obj", "--report", "{tmp}/r.json"],
+    ["congruence", "--minimal", "catenoid", "--out", "{tmp}/x.obj",
+     "--report", "{missing}/r.json"],
+    ["export", *PAIR, "--out", "{missing}/x.obj"],
+], ids=["build", "dual-out-dual", "dual-default-dual", "congruence",
+        "export"])
+def test_a_missing_output_directory_stops_before_any_sample(argv, tmp_path,
+                                                            monkeypatch):
+    # every output's directory is checked before any grid is sampled, so
+    # an exit 4 leaves no file behind
+    sampled = []
+    monkeypatch.setattr(Domain, "mesh", lambda *a: sampled.append(a))
+    argv = [a.format(missing=tmp_path / "missing", tmp=tmp_path)
+            for a in argv]
+    assert cli.main(argv) == 4
+    assert sampled == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_missing_output_directory_stops_before_integration(tmp_path,
+                                                             monkeypatch,
+                                                             capsys):
+    calls = []
+    monkeypatch.setattr(congruence, "integrate_system",
+                        lambda *a, **k: calls.append(a))
+    assert cli.main(["congruence", "--minimal", "catenoid",
+                     "--mode", "integrate", "--step", "0.005",
+                     "--out", str(tmp_path / "missing" / "x.obj")]) == 4
+    assert calls == []
+    err = capsys.readouterr().err
+    assert err == ("error: [Errno 2] No such file or directory: '%s'\n"
+                   % (tmp_path / "missing" / "x.obj"))
+
+
+# ---------------------------------------------------------------------------
+# one tolerance table, one status rule (an overflowing congruence, whose
+# entries fail, is test_fields_on_demand's test_lazy_reads_raise_no_warnings)
+# ---------------------------------------------------------------------------
+
+def test_every_entry_takes_its_tolerance_from_the_table(tmp_path):
+    # build, dual and congruence in both modes make one entry per table
+    # row between them, each judged against its row
+    names = set()
+    for i, argv in enumerate((
+            ["build", *PAIR], ["dual", *PAIR],
+            ["congruence", "--minimal", "catenoid", "--nu", "11",
+             "--nv", "11"],
+            ["congruence", "--minimal", "catenoid", "--mode", "integrate",
+             "--step", "0.05", "--domain=0:0.5:0:0.5"])):
+        rpt = tmp_path / f"{i}.json"
+        assert cli.main([*argv, "--report", str(rpt)]) == 0, argv
+        data = json.loads(rpt.read_text())
+        assert "tolerances" not in data["inputs"]
+        for e in data["identities"]:
+            assert e["tolerance"] == TOLERANCES[e["name"]], e
+            names.add(e["name"])
+    assert names == set(TOLERANCES)
+
+
+def _judged(argv, tmp_path, capsys):
+    rpt = tmp_path / "r.json"
+    code = cli.main([*argv, "--report", str(rpt)])
+    return code, json.loads(rpt.read_text()), capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, n_entries", [("build", 3), ("dual", 7)])
+def test_the_unit_sphere_is_flagged_with_its_entries(command, n_entries,
+                                                     tmp_path, capsys):
+    code, data, out = _judged([command, "--f1", "z", "--f2", "z",
+                               "--nu", "11", "--nv", "11"], tmp_path, capsys)
+    assert code == 3
+    summary = data["summary"]
+    assert summary["unit_sphere"] and not summary["all_degenerate"]
+    assert len(data["identities"]) == n_entries
+    assert summary["notes"][0] == ("patch coincides with the fixed unit "
+                                   "sphere (rho = 1, X = N)")
+    assert data["details"] == {"unit_sphere_gap": 0.0}
+    assert out.endswith(f"{command}: DEGENERATE (exit 3)\n")
+
+
+def test_no_usable_sample_gives_no_entries(tmp_path, capsys):
+    notes = []
+    for command in ("build", "dual"):
+        code, data, out = _judged([command, "--f1", "z", "--f2", "3",
+                                   "--nu", "11", "--nv", "11"],
+                                  tmp_path, capsys)
+        assert code == 3
+        assert data["identities"] == []
+        assert data["summary"]["all_degenerate"]
+        assert not data["summary"]["unit_sphere"]
+        assert data["details"] == {"unit_sphere_gap": None}
+        notes.append(data["summary"]["notes"])
+        assert out == (f"  note: {notes[-1][0]}\n"
+                       f"{command}: DEGENERATE (exit 3)\n")
+    assert notes[0] == notes[1] and len(notes[0]) == 1
+
+
+def test_dual_passes_and_marks_vacuous_entries(tmp_path, capsys):
     rpt = tmp_path / "dual.json"
     code = cli.main(["dual", "--f1", "z", "--f2", "exp(z)",
                      "--nu", "41", "--nv", "41", "--report", str(rpt)])
@@ -391,15 +491,25 @@ def test_dual_passes_and_marks_vacuous_entries(tmp_path):
     # the entries are the only verdicts; details carry context alone
     assert list(data["details"]) == ["unit_sphere_gap"]
 
+    # a round sphere: the two switch entries are vacuous, with one note
+    capsys.readouterr()
     rpt2 = tmp_path / "dual_sphere.json"
     code = cli.main(["dual", "--f1", "z", "--f2", "2*z",
                      "--nu", "21", "--nv", "21", "--report", str(rpt2)])
     assert code == 0
     data2 = json.loads(rpt2.read_text())
-    by_name2 = {e["name"]: e for e in data2["identities"]}
-    assert by_name2["curvature_switch"]["vacuous"]
-    assert by_name2["direction_switch"]["vacuous"]
-    assert by_name2["curvature_switch"]["pass"]
+    note = "totally umbilic patch: no principal data to switch"
+    vacuous = [e for e in data2["identities"] if e["vacuous"]]
+    assert [e["name"] for e in vacuous] == ["curvature_switch",
+                                            "direction_switch"]
+    for e in vacuous:
+        assert e["note"] == note and e["pass"] and e["samples"] == 0, e
+    assert data2["summary"]["notes"] == [note]
+    out = capsys.readouterr().out
+    assert out.startswith(
+        f"  curvature_switch             vacuous ({note}) -> pass\n"
+        f"  direction_switch             vacuous ({note}) -> pass\n")
+    assert out.endswith(f"  note: {note}\ndual: PASS (exit 0)\n")
 
 
 def test_dual_writes_both_meshes(tmp_path):

@@ -11,11 +11,10 @@ from _oracles import (fd_principal_curvatures, gauss_second_partials,
                       hopf_stencil_residual, normal_second_partials, rel_gap,
                       support_quotient)
 from ribaucour import sphere_geom
-from ribaucour.cli import TOL_HOPF, TOL_PDE
 from ribaucour.grids import Domain
 from ribaucour.holoexpr import BinOp, Call, Const, Var, eval_jet, parse
 from ribaucour.jets import RJet2
-from ribaucour.report import identity_entry
+from ribaucour.report import TOLERANCES, identity_entry
 from ribaucour.ribaucour_core import (CheckSummary, RibaucourPatch,
                                       _form_residual, check_middle_sphere,
                                       evaluate_patch, hopf_residual, immerse,
@@ -86,7 +85,7 @@ def test_support_pde_on_grids():
                         ("z^2", "z+2", OFFSET)):
         r = _pde_on(f1, f2, _mesh(dom, 41))
         assert r.n_valid > 0.9 * 41 * 41, (f1, f2)
-        assert r.max_abs <= TOL_PDE, (f1, f2)
+        assert r.max_abs <= TOLERANCES["support_pde"], (f1, f2)
 
 
 # Random generators a h(c b(z) + b0) + b1: h is the identity or exp, the
@@ -252,14 +251,15 @@ def test_hopf_residual_detects_a_perturbed_support():
     patch = make_patch("exp(z)/(1+z^2)", "sin(z)*cos(z)/(z+3)", POLE_DOMAIN)
     _, _, Z = patch.domain.mesh(161, 161)
     fields = evaluate_patch(patch, Z=Z)
-    assert hopf_residual(fields).max_abs <= TOL_HOPF
+    assert hopf_residual(fields).max_abs <= TOLERANCES["hopf_holomorphy"]
     U = RJet2(Z.real, 1, 0, 0, 0, 0)
     bent = shape_from_support(fields.frame, fields.rho * (1.0 + 1e-3 * U * U))
     with pytest.raises(ValueError):
         hopf_residual(bent)
     bent.schwarzian = fields.schwarzian
     res = hopf_residual(bent)
-    entry = identity_entry(res.name, res.max_abs, TOL_HOPF, res.n_valid,
+    entry = identity_entry(res.name, res.max_abs,
+                           TOLERANCES["hopf_holomorphy"], res.n_valid,
                            res.n_excluded)
     assert res.n_valid == Z.size
     assert not entry["pass"], entry
@@ -393,7 +393,7 @@ def test_middle_sphere_residual_on_grids():
         fields = evaluate_patch(make_patch(f1, f2, dom))
         r = check_middle_sphere(fields)
         assert r.n_valid > 0
-        assert r.max_abs <= TOL_PDE, (f1, f2)
+        assert r.max_abs <= TOLERANCES["middle_sphere"], (f1, f2)
 
 
 def test_middle_sphere_detects_displaced_surface():
@@ -436,7 +436,7 @@ def test_residuals_scale_with_the_surface():
             (check_middle_sphere(fields), xx + hxn + 1.0,
              xx + np.abs(hxn) + 1.0)):
         assert res.n_valid == fields.valid.size, res.name
-        assert res.max_abs <= TOL_PDE, (res.name, res.max_abs)
+        assert res.max_abs <= TOLERANCES[res.name], (res.name, res.max_abs)
         assert np.array_equal(res.values, raw / total), res.name
 
 
